@@ -3,10 +3,11 @@
 Two jobs:
 
 * ``pytest benchmarks/bench_overload.py`` — guard that a saturating cohort
-  through the overloaded batch path stays well ahead of the scalar
-  reference walk, that the bench workload actually exercises the
-  protections (some shedding, never total collapse), and that batch and
-  scalar agree element-wise on this exact workload.
+  through the overloaded walk stays well ahead of calling ``serve`` once
+  per request (each call a cohort of one), that the bench workload
+  actually exercises the protections (some shedding, never total
+  collapse), and that both ways of calling agree element-wise on this
+  exact workload.
 * ``python benchmarks/bench_overload.py --emit BENCH_overload.json`` —
   measure and dump the throughput/speedup/shedding summary as JSON (CI
   gates it against the committed baseline via ``repro obs diff``).

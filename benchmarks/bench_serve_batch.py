@@ -3,13 +3,15 @@
 Two jobs:
 
 * ``pytest benchmarks/bench_serve_batch.py`` — guard that cohort serving
-  through :meth:`SpaceCdnSystem.serve_batch` stays >= 20x faster than the
-  scalar reference loop under a chaos schedule (the workload the batching
-  was built for), and that the healthy Shell-1 path clears the 10^6
+  through :meth:`SpaceCdnSystem.serve_batch` stays >= 20x faster than
+  calling :meth:`SpaceCdnSystem.serve` once per request (each call a
+  cohort of one) under a chaos schedule (the workload the cohorts were
+  built for), and that the healthy Shell-1 path clears the 10^6
   requests/minute single-core target.
 * ``python benchmarks/bench_serve_batch.py --emit BENCH_serve_batch.json``
-  — measure both modes on the healthy and chaos workloads and dump the
-  throughput/speedup summary as JSON (what CI uploads as an artifact).
+  — measure both ways of calling on the healthy and chaos workloads and
+  dump the throughput/speedup summary as JSON (the ``scalar`` keys are the
+  per-request ``serve`` calls; CI uploads it as an artifact).
 """
 
 from __future__ import annotations

@@ -182,7 +182,6 @@ def _run_experiment(name: str, args: argparse.Namespace) -> str:
                 fractions=_parse_fractions(args.fractions),
                 shell=args.shell,
                 max_attempts=args.max_attempts,
-                batch=args.batch,
             )
         ),
         "table1": lambda: table1.format_result(
@@ -205,7 +204,6 @@ def _run_experiment(name: str, args: argparse.Namespace) -> str:
                 seed=args.seed,
                 users_per_epoch=args.users,
                 num_epochs=args.epochs,
-                batch=args.batch,
             )
         ),
         "figure8": lambda: figure8.format_result(
@@ -213,7 +211,6 @@ def _run_experiment(name: str, args: argparse.Namespace) -> str:
                 seed=args.seed,
                 users_per_epoch=args.users,
                 num_epochs=args.epochs,
-                batch=args.batch,
             )
         ),
         "geoblocking": lambda: geoblocking.format_result(geoblocking.run()),
@@ -228,7 +225,6 @@ def _run_experiment(name: str, args: argparse.Namespace) -> str:
                 deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
                 flash_crowd=_parse_flash_crowd(args.flash_crowd),
                 max_attempts=args.max_attempts,
-                batch=args.batch,
             )
         ),
     }
@@ -262,7 +258,6 @@ def _build_plan(name: str, args: argparse.Namespace):
             fractions=_parse_fractions(args.fractions),
             shell=args.shell,
             max_attempts=args.max_attempts,
-            batch=args.batch,
         ),
         "table1": lambda: table1.build_plan(
             seed=args.seed, tests_per_city=args.tests_per_city
@@ -279,13 +274,11 @@ def _build_plan(name: str, args: argparse.Namespace):
             seed=args.seed,
             users_per_epoch=args.users,
             num_epochs=args.epochs,
-            batch=args.batch,
         ),
         "figure8": lambda: figure8.build_plan(
             seed=args.seed,
             users_per_epoch=args.users,
             num_epochs=args.epochs,
-            batch=args.batch,
         ),
         "geoblocking": lambda: geoblocking.build_plan(),
         "overload": lambda: overload.build_plan(
@@ -298,7 +291,6 @@ def _build_plan(name: str, args: argparse.Namespace):
             deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
             flash_crowd=_parse_flash_crowd(args.flash_crowd),
             max_attempts=args.max_attempts,
-            batch=args.batch,
         ),
     }
     builder = builders.get(name)
@@ -560,14 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1500.0,
         help="end-to-end deadline budget per request in the overload sweep; "
         "0 disables deadline enforcement",
-    )
-    run_cmd.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="serve request cohorts through the vectorised batch path; "
-        "--no-batch keeps the scalar reference ladder one flag away for "
-        "debugging (chaos/figure7/figure8; recorded in the run manifest)",
     )
     run_cmd.add_argument(
         "--out-dir",

@@ -202,7 +202,6 @@ def _sweep_point(
     seed: int,
     max_attempts: int,
     duty_cache_fraction: float,
-    batch: bool = True,
 ) -> dict:
     """One failure fraction's raw measurements (inflations are merge-time:
     they compare against the sweep's baseline point)."""
@@ -227,7 +226,7 @@ def _sweep_point(
             labels = (("fraction", f"{fraction:g}"),)
             for request in ctx.requests:
                 rec.window_inc(request.t_s, "repro_offered_total", labels)
-        system.run(ctx.requests, continue_on_unavailable=True, batch=batch)
+        system.run(ctx.requests, continue_on_unavailable=True)
     stats = system.stats
     if rec.enabled and stats.availability is not None:
         rec.set_gauge(
@@ -280,22 +279,15 @@ def run(
     max_attempts: int = 3,
     duty_cache_fraction: float = 0.5,
     duty_users: int = 12,
-    batch: bool = True,
 ) -> ChaosResult:
-    """Sweep satellite-outage fractions over the request-level system.
-
-    ``batch=False`` serves every request through the scalar reference
-    ladder instead of cohort batching — slower, but one flag away when
-    debugging a suspect vectorised path. Results are identical either way
-    (the property suite pins element-wise equality).
-    """
+    """Sweep satellite-outage fractions over the request-level system."""
     if num_requests < 1:
         raise ConfigurationError("num_requests must be >= 1")
     if not fractions:
         raise ConfigurationError("need at least one failure fraction")
     ctx = _sweep_context(seed, num_requests, shell, duty_users)
     raw_points = [
-        _sweep_point(ctx, fraction, seed, max_attempts, duty_cache_fraction, batch)
+        _sweep_point(ctx, fraction, seed, max_attempts, duty_cache_fraction)
         for fraction in sorted(fractions)
     ]
     return ChaosResult(shell=shell, points=_points_from_raw(raw_points))
@@ -309,7 +301,6 @@ def build_plan(
     max_attempts: int = 3,
     duty_cache_fraction: float = 0.5,
     duty_users: int = 12,
-    batch: bool = True,
 ) -> ExperimentPlan:
     """Sharded chaos sweep: one shard per failure fraction.
 
@@ -331,7 +322,7 @@ def build_plan(
         fraction = ordered[shard_ids.index(shard_id)]
         ctx = _sweep_context(seed, num_requests, shell, duty_users)
         return _sweep_point(
-            ctx, fraction, seed, max_attempts, duty_cache_fraction, batch
+            ctx, fraction, seed, max_attempts, duty_cache_fraction
         )
 
     def merge(payloads: dict) -> ChaosResult:
@@ -349,7 +340,6 @@ def build_plan(
             "max_attempts": max_attempts,
             "duty_cache_fraction": duty_cache_fraction,
             "duty_users": duty_users,
-            "batch": batch,
         },
         shard_ids=shard_ids,
         run_shard=run_shard,

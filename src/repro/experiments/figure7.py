@@ -25,14 +25,10 @@ from repro.experiments.common import (
 )
 from repro.geo.coordinates import GeoPoint
 from repro.measurements.aim import STARLINK, TERRESTRIAL
-from repro.orbits.visibility import (
-    nearest_visible_satellite,
-    nearest_visible_satellites,
-)
+from repro.orbits.visibility import nearest_visible_satellites
 from repro.runner.shards import ExperimentPlan
 from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.topology import fastcore
-from repro.topology.graph import SnapshotGraph, access_latency_ms
 
 HOP_COUNTS: tuple[int, ...] = (0, 3, 5, 10)
 """0 = content on the access satellite itself (the paper's "1st/Sat")."""
@@ -60,7 +56,6 @@ def spacecdn_rtt_samples(
     num_epochs: int = 5,
     hop_counts: tuple[int, ...] = HOP_COUNTS,
     seed: int = DEFAULT_SEED,
-    batch: bool = True,
 ) -> dict[int, list[float]]:
     """Sample SpaceCDN RTTs over user locations and constellation epochs.
 
@@ -72,8 +67,6 @@ def spacecdn_rtt_samples(
     visibility query picks every access satellite at once, and one
     :func:`~repro.topology.fastcore.hop_ladder_batch` call over the unique
     access satellites replaces the per-user graph traversals.
-    ``batch=False`` keeps the per-user scalar reference loop one flag away
-    for debugging.
     """
     if users_per_epoch < 1 or num_epochs < 1:
         raise ConfigurationError("users_per_epoch and num_epochs must be >= 1")
@@ -81,7 +74,7 @@ def spacecdn_rtt_samples(
     samples: dict[int, list[float]] = {n: [] for n in hop_counts}
     for epoch in shell1_epochs(num_epochs, seed):
         users = user_sample_points(rng, users_per_epoch)
-        per_epoch = epoch_rtt_samples(epoch, users, hop_counts, batch=batch)
+        per_epoch = epoch_rtt_samples(epoch, users, hop_counts)
         for n in hop_counts:
             samples[n].extend(per_epoch[n])
     return samples
@@ -91,13 +84,10 @@ def epoch_rtt_samples(
     epoch: float,
     users: list[GeoPoint],
     hop_counts: tuple[int, ...] = HOP_COUNTS,
-    batch: bool = True,
 ) -> dict[int, list[float]]:
     """One epoch's vectorised RTT pass (the unit of sharded execution)."""
     constellation = shell1_constellation()
     snapshot = shell1_snapshot(epoch)
-    if not batch:
-        return _epoch_rtt_samples_scalar(snapshot, users, hop_counts)
     max_hops = max(hop_counts)
     hop_array = np.asarray(hop_counts)
     access_idx, slant_km = nearest_visible_satellites(constellation, users, epoch)
@@ -114,32 +104,6 @@ def epoch_rtt_samples(
         n: [float(v) for v in rtts[:, j] if not np.isnan(v)]
         for j, n in enumerate(hop_counts)
     }
-
-
-def _epoch_rtt_samples_scalar(
-    snapshot: SnapshotGraph,
-    users: list[GeoPoint],
-    hop_counts: tuple[int, ...],
-) -> dict[int, list[float]]:
-    """Per-user reference loop behind ``--no-batch``: one visibility query
-    and one single-source routing pass per user, no shared matrices."""
-    samples: dict[int, list[float]] = {n: [] for n in hop_counts}
-    for user in users:
-        access = nearest_visible_satellite(
-            snapshot.constellation, user, snapshot.t_s
-        )
-        access_ms = access_latency_ms(access.slant_range_km)
-        hops, lats = fastcore.single_source(
-            snapshot.core, access.index, snapshot.active_mask
-        )
-        for n in hop_counts:
-            at_n = lats[hops == n]
-            if at_n.size == 0:
-                continue
-            samples[n].append(
-                float(2.0 * (access_ms + at_n.min()) + CDN_SERVER_THINK_TIME_MS)
-            )
-    return samples
 
 
 def access_latency_ms_batch(slant_range_km: np.ndarray) -> np.ndarray:
@@ -161,14 +125,11 @@ def run(
     seed: int = DEFAULT_SEED,
     users_per_epoch: int = 20,
     num_epochs: int = 5,
-    batch: bool = True,
 ) -> Figure7Result:
     """Regenerate every curve of Fig. 7."""
     dataset = aim_dataset(seed)
     return Figure7Result(
-        spacecdn_rtts_ms=spacecdn_rtt_samples(
-            users_per_epoch, num_epochs, seed=seed, batch=batch
-        ),
+        spacecdn_rtts_ms=spacecdn_rtt_samples(users_per_epoch, num_epochs, seed=seed),
         starlink_rtts_ms=dataset.all_rtts_pooled(STARLINK),
         terrestrial_rtts_ms=dataset.all_rtts_pooled(TERRESTRIAL),
     )
@@ -178,7 +139,6 @@ def build_plan(
     seed: int = DEFAULT_SEED,
     users_per_epoch: int = 20,
     num_epochs: int = 5,
-    batch: bool = True,
 ) -> ExperimentPlan:
     """Sharded Fig. 7: one shard per epoch plus one for the AIM baselines.
 
@@ -200,7 +160,7 @@ def build_plan(
         index = epoch_ids.index(shard_id)
         epoch = shell1_epochs(num_epochs, seed)[index]
         users = user_sample_points(seeded_rng(seed, 0x717, index), users_per_epoch)
-        per_epoch = epoch_rtt_samples(epoch, users, batch=batch)
+        per_epoch = epoch_rtt_samples(epoch, users)
         return {"samples": [[n, per_epoch[n]] for n in HOP_COUNTS]}
 
     def merge(payloads: dict) -> Figure7Result:
@@ -221,7 +181,6 @@ def build_plan(
             "seed": seed,
             "users_per_epoch": users_per_epoch,
             "num_epochs": num_epochs,
-            "batch": batch,
         },
         shard_ids=("aim",) + epoch_ids,
         run_shard=run_shard,

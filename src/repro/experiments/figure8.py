@@ -56,13 +56,8 @@ def run(
     users_per_epoch: int = 20,
     num_epochs: int = 4,
     fractions: tuple[float, ...] = CACHE_FRACTIONS,
-    batch: bool = True,
 ) -> Figure8Result:
-    """Regenerate Fig. 8: latency vs duty-cycle cache fraction.
-
-    ``batch=False`` resolves each user through the scalar duty-cycle
-    lookup instead of the vectorised cohort pass (the debugging reference).
-    """
+    """Regenerate Fig. 8: latency vs duty-cycle cache fraction."""
     if users_per_epoch < 1 or num_epochs < 1:
         raise ConfigurationError("users_per_epoch and num_epochs must be >= 1")
     rng = seeded_rng(seed, 0xF18)
@@ -70,7 +65,7 @@ def run(
     samples: dict[float, list[float]] = {f: [] for f in fractions}
     for epoch in shell1_epochs(num_epochs, seed):
         users = user_sample_points(rng, users_per_epoch)
-        per_epoch = epoch_fraction_samples(epoch, users, fractions, seed, batch)
+        per_epoch = epoch_fraction_samples(epoch, users, fractions, seed)
         for fraction in fractions:
             samples[fraction].extend(per_epoch[fraction])
 
@@ -88,7 +83,6 @@ def epoch_fraction_samples(
     users: list[GeoPoint],
     fractions: tuple[float, ...],
     seed: int,
-    batch: bool = True,
 ) -> dict[float, list[float]]:
     """One epoch's RTT samples per cache fraction (the sharding unit)."""
     constellation = shell1_constellation()
@@ -104,16 +98,10 @@ def epoch_fraction_samples(
                 seed=seed,
             ),
         )
-        if batch:
-            one_way = model.one_way_ms_batch(users)
-            samples[fraction] = [
-                float(v) for v in 2.0 * one_way + CDN_SERVER_THINK_TIME_MS
-            ]
-        else:
-            samples[fraction] = [
-                float(2.0 * model.one_way_ms(user) + CDN_SERVER_THINK_TIME_MS)
-                for user in users
-            ]
+        one_way = model.one_way_ms_batch(users)
+        samples[fraction] = [
+            float(v) for v in 2.0 * one_way + CDN_SERVER_THINK_TIME_MS
+        ]
         if rec.enabled:
             # Windowed by the epoch's simulated instant, so the per-epoch
             # shards of a --jobs run merge into the same timeline the
@@ -131,7 +119,6 @@ def build_plan(
     users_per_epoch: int = 20,
     num_epochs: int = 4,
     fractions: tuple[float, ...] = CACHE_FRACTIONS,
-    batch: bool = True,
 ) -> ExperimentPlan:
     """Sharded Fig. 8: one shard per epoch plus the terrestrial reference.
 
@@ -151,7 +138,7 @@ def build_plan(
         index = epoch_ids.index(shard_id)
         epoch = shell1_epochs(num_epochs, seed)[index]
         users = user_sample_points(seeded_rng(seed, 0xF18, index), users_per_epoch)
-        per_epoch = epoch_fraction_samples(epoch, users, fractions, seed, batch)
+        per_epoch = epoch_fraction_samples(epoch, users, fractions, seed)
         return {"samples": [[f, per_epoch[f]] for f in fractions]}
 
     def merge(payloads: dict) -> Figure8Result:
@@ -173,7 +160,6 @@ def build_plan(
             "users_per_epoch": users_per_epoch,
             "num_epochs": num_epochs,
             "fractions": list(fractions),
-            "batch": batch,
         },
         shard_ids=("aim",) + epoch_ids,
         run_shard=run_shard,

@@ -189,7 +189,6 @@ def _sweep_point(
     deadline_ms: float | None,
     flash_crowd: tuple[float, float, float] | None,
     max_attempts: int,
-    batch: bool = True,
 ) -> dict:
     """One load multiplier's raw measurements (inflations are merge-time:
     they compare against the sweep's lightest-load point)."""
@@ -226,7 +225,7 @@ def _sweep_point(
             offered_labels = (("load", f"{load:g}"),)
             for request in requests:
                 rec.window_inc(request.t_s, "repro_offered_total", offered_labels)
-        system.run(requests, continue_on_unavailable=True, batch=batch)
+        system.run(requests, continue_on_unavailable=True)
     stats = system.stats
     if rec.enabled:
         labels = (("load", f"{load:g}"),)
@@ -290,19 +289,16 @@ def run(
     deadline_ms: float | None = 1500.0,
     flash_crowd: tuple[float, float, float] | None = None,
     max_attempts: int = 3,
-    batch: bool = True,
 ) -> OverloadResult:
     """Sweep offered-load multipliers over the overload-protected system.
 
     ``capacity``/``ground_capacity`` are requests per snapshot slot;
     ``num_requests`` is the load-1.0 stream size, scaled by each
-    multiplier. ``batch=False`` serves through the scalar reference walk
-    instead of cohort batching — results are identical either way (the
-    property suite pins element-wise equality).
+    multiplier.
     """
     plan_config = _validated_config(
         seed, num_requests, loads, shell, capacity, ground_capacity,
-        deadline_ms, flash_crowd, max_attempts, batch,
+        deadline_ms, flash_crowd, max_attempts,
     )
     ordered = tuple(plan_config["loads"])
     ctx = _sweep_context(seed, shell)
@@ -311,7 +307,7 @@ def run(
             ctx, load, seed, num_requests, capacity, ground_capacity,
             deadline_ms,
             None if flash_crowd is None else tuple(flash_crowd),
-            max_attempts, batch,
+            max_attempts,
         )
         for load in ordered
     ]
@@ -320,7 +316,7 @@ def run(
 
 def _validated_config(
     seed, num_requests, loads, shell, capacity, ground_capacity,
-    deadline_ms, flash_crowd, max_attempts, batch,
+    deadline_ms, flash_crowd, max_attempts,
 ) -> dict:
     """Validate sweep parameters eagerly and shape the plan config.
 
@@ -364,7 +360,6 @@ def _validated_config(
             None if flash_crowd is None else [float(x) for x in flash_crowd]
         ),
         "max_attempts": max_attempts,
-        "batch": batch,
     }
 
 
@@ -378,7 +373,6 @@ def build_plan(
     deadline_ms: float | None = 1500.0,
     flash_crowd=None,
     max_attempts: int = 3,
-    batch: bool = True,
 ) -> ExperimentPlan:
     """Sharded overload sweep: one shard per load multiplier.
 
@@ -388,7 +382,7 @@ def build_plan(
     """
     config = _validated_config(
         seed, num_requests, loads, shell, capacity, ground_capacity,
-        deadline_ms, flash_crowd, max_attempts, batch,
+        deadline_ms, flash_crowd, max_attempts,
     )
     ordered = tuple(config["loads"])
     shard_ids = tuple(f"load-{i:02d}" for i in range(len(ordered)))
@@ -399,7 +393,7 @@ def build_plan(
         ctx = _sweep_context(seed, shell)
         return _sweep_point(
             ctx, load, seed, num_requests, capacity, ground_capacity,
-            deadline_ms, crowd, max_attempts, batch,
+            deadline_ms, crowd, max_attempts,
         )
 
     def merge(payloads: dict) -> OverloadResult:

@@ -11,8 +11,9 @@ Four stdlib-plus-numpy pillars behind one recorder facade:
   :mod:`repro.obs.slo` error-budget engine; every windowed cell is an
   integer, so parallel runs merge to byte-identical series;
 * :class:`~repro.obs.tracing.TraceBuffer` — span records of the serve
-  path (one span per ``SpaceCdnSystem.serve`` call, one child span per
-  fallback-ladder attempt), flushed as JSONL and summarised by
+  path (one span per serve cohort, one child span per ladder
+  ``(tier, outcome)`` with its attempt count), flushed as JSONL and
+  summarised by
   ``repro obs summarize``;
 * :class:`~repro.obs.profiling.ProfileAccumulator` — wall-clock timer
   contexts around the fastcore kernels, cache plumbing and runner shards.

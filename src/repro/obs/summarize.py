@@ -1,19 +1,18 @@
 """``repro obs summarize`` — turn a serve-path trace into tier tables.
 
 Reads the JSONL trace emitted by an ``--obs`` run and renders, per
-fallback-ladder tier: how many requests each tier served (and what share
-arrived there as a fallback), the RTT distribution of those requests, and
-the per-attempt outcome breakdown — the evidence layer for "why did the
-p99 inflate" questions about a chaos sweep.
+fallback-ladder tier: how many requests each tier served and what share of
+all requests that is, and the per-attempt outcome breakdown — the evidence
+layer for "why did the p99 inflate" questions about a chaos sweep. The RTT
+distribution per tier is the ``repro_serve_rtt_ms`` histogram of the
+metrics file from the same run.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.quantiles import sample_quantile as _quantile
 from repro.analysis.tables import format_table
 from repro.errors import ObsError
 from repro.obs.tracing import read_trace
@@ -21,51 +20,29 @@ from repro.obs.tracing import read_trace
 TIER_ORDER = ("access", "direct-visible", "isl", "ground")
 
 
-def _fmt_ms(value: float) -> str:
-    return "n/a" if math.isnan(value) else f"{value:.1f}"
+def _share(count: int, requests: int) -> str:
+    return f"{count / requests:.1%}" if requests else "n/a"
 
 
 def summarize_trace(spans: Iterable[dict]) -> str:
     """Render the tier tables of one serve-path trace.
 
-    Understands both trace shapes the serve layer emits: scalar serving
-    (one ``serve`` span per request with per-``attempt`` children) and
-    batched serving (one ``serve_cohort`` span per cohort with per-``rung``
-    attempt-count children). Mixed traces aggregate across both; cohort
-    spans carry no per-request RTTs, so RTT quantile columns render "n/a"
-    for tiers served only by cohorts (the RTT histogram in the metrics file
-    keeps the distribution either way).
+    The serve layer emits one ``serve_cohort`` span per cohort (a single
+    :meth:`~repro.spacecdn.system.SpaceCdnSystem.serve` call is a cohort
+    of one) with per-``rung`` attempt-count children, plus ``shed`` and
+    ``breaker`` spans under overload protection.
     """
-    serve_rtts: dict[str, list[float]] = {}
-    serve_fallbacks: dict[str, int] = {}
-    cohort_served: dict[str, int] = {}
+    requests = 0
     unavailable = 0
     shed = 0
     shed_by: dict[tuple[str, str], int] = {}
     breaker_state: dict[object, str] = {}
     breaker_transitions: dict[tuple[str, str], int] = {}
-    requests = 0
     attempt_counts: dict[str, dict[str, int]] = {}
-    attempt_contributions: dict[str, list[float]] = {}
 
     for span in spans:
         kind = span.get("kind")
-        if kind == "serve":
-            requests += 1
-            if span.get("outcome") == "unavailable":
-                unavailable += 1
-                continue
-            if span.get("outcome") == "shed":
-                shed += 1
-                key = (str(span.get("priority", "?")),
-                       str(span.get("fallback_reason", "?")))
-                shed_by[key] = shed_by.get(key, 0) + 1
-                continue
-            tier = span.get("source", "?")
-            serve_rtts.setdefault(tier, []).append(float(span.get("rtt_ms", 0.0)))
-            if span.get("fallback_reason") is not None:
-                serve_fallbacks[tier] = serve_fallbacks.get(tier, 0) + 1
-        elif kind == "serve_cohort":
+        if kind == "serve_cohort":
             requests += int(span.get("size", 0))
             unavailable += int(span.get("unavailable", 0))
             shed += int(span.get("shed", 0))
@@ -82,58 +59,30 @@ def summarize_trace(spans: Iterable[dict]) -> str:
         elif kind == "rung":
             tier = span.get("tier", "?")
             outcome = span.get("outcome", "?")
-            count = int(span.get("count", 0))
             per_tier = attempt_counts.setdefault(tier, {})
-            per_tier[outcome] = per_tier.get(outcome, 0) + count
-            if outcome == "served":
-                cohort_served[tier] = cohort_served.get(tier, 0) + count
-        elif kind == "attempt":
-            tier = span.get("tier", "?")
-            outcome = span.get("outcome", "?")
-            per_tier = attempt_counts.setdefault(tier, {})
-            per_tier[outcome] = per_tier.get(outcome, 0) + 1
-            attempt_contributions.setdefault(tier, []).append(
-                float(span.get("rtt_contribution_ms", 0.0))
-            )
+            per_tier[outcome] = per_tier.get(outcome, 0) + int(span.get("count", 0))
 
     if requests == 0 and not attempt_counts:
-        raise ObsError("trace holds no serve or attempt spans")
+        raise ObsError("trace holds no serve_cohort or rung spans")
 
-    tiers = [t for t in TIER_ORDER if t in serve_rtts or t in attempt_counts]
-    tiers += sorted((set(serve_rtts) | set(attempt_counts)) - set(tiers))
+    tiers = [t for t in TIER_ORDER if t in attempt_counts]
+    tiers += sorted(set(attempt_counts) - set(tiers))
 
     serve_rows = []
     for tier in tiers:
-        rtts = sorted(serve_rtts.get(tier, []))
-        hits = len(rtts) + cohort_served.get(tier, 0)
-        serve_rows.append(
-            (
-                tier,
-                hits,
-                f"{hits / requests:.1%}" if requests else "n/a",
-                serve_fallbacks.get(tier, 0),
-                _fmt_ms(_quantile(rtts, 0.5)),
-                _fmt_ms(_quantile(rtts, 0.99)),
-            )
-        )
+        hits = attempt_counts[tier].get("served", 0)
+        serve_rows.append((tier, hits, _share(hits, requests)))
     if unavailable:
         serve_rows.append(
-            ("(unavailable)", unavailable, f"{unavailable / requests:.1%}",
-             0, "n/a", "n/a")
+            ("(unavailable)", unavailable, _share(unavailable, requests))
         )
     if shed:
-        serve_rows.append(
-            ("(shed)", shed, f"{shed / requests:.1%}", 0, "n/a", "n/a")
-        )
-    serve_table = format_table(
-        ("tier", "served", "share", "fallback", "p50 RTT ms", "p99 RTT ms"),
-        serve_rows,
-    )
+        serve_rows.append(("(shed)", shed, _share(shed, requests)))
+    serve_table = format_table(("tier", "served", "share"), serve_rows)
 
     attempt_rows = []
     for tier in tiers:
-        outcomes = attempt_counts.get(tier, {})
-        contributions = sorted(attempt_contributions.get(tier, []))
+        outcomes = attempt_counts[tier]
         attempt_rows.append(
             (
                 tier,
@@ -145,12 +94,10 @@ def summarize_trace(spans: Iterable[dict]) -> str:
                 outcomes.get("breaker-open", 0)
                 + outcomes.get("admission-reject", 0)
                 + outcomes.get("deadline-exhausted", 0),
-                _fmt_ms(_quantile(contributions, 0.5)),
             )
         )
     attempt_table = format_table(
-        ("tier", "attempts", "served", "lost", "timed out", "refused",
-         "p50 contrib ms"),
+        ("tier", "attempts", "served", "lost", "timed out", "refused"),
         attempt_rows,
     )
 

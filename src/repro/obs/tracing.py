@@ -2,9 +2,12 @@
 
 A *span* here is one flat JSON record: ``span_id``, ``parent_id`` (``None``
 for roots), a ``kind`` and arbitrary attributes. The serve path emits one
-``"serve"`` root span per :meth:`repro.spacecdn.system.SpaceCdnSystem.serve`
-call and one ``"attempt"`` child span per fallback-ladder rung tried, whose
-``rtt_contribution_ms`` values sum to the served request's RTT.
+``"serve_cohort"`` root span per
+:meth:`repro.spacecdn.system.SpaceCdnSystem.serve_batch` call (a single
+``serve`` call is a cohort of one) with one ``"rung"`` child per
+``(tier, outcome)`` pair counting the ladder attempts that ended that way,
+and, under overload protection, per-class ``"shed"`` children and
+``"breaker"`` transition spans.
 
 Spans accumulate in memory and are flushed atomically (tmp + fsync +
 rename via :mod:`repro.atomicio`), so an interrupted run never leaves a

@@ -471,8 +471,7 @@ def single_source_batch(
     rows already computed by scalar callers are reused, rows computed here
     are left behind for them — and only the missing sources pay one batched
     kernel call. Masked (degraded) queries run as a single batched pass
-    over all sources: this is precisely the per-request recompute the
-    scalar chaos path pays ``len(sources)`` times over.
+    over all sources, instead of one masked pass per request.
     """
     mask = _as_active(core, active)
     src = _as_sources(core, sources, mask)

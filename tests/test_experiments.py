@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.experiments import (
     figure2,
     figure3,
@@ -17,7 +18,14 @@ from repro.experiments import (
     figure8,
     table1,
 )
+from repro.experiments.common import shell1_epochs, shell1_snapshot
 from repro.measurements.aim import STARLINK, TERRESTRIAL
+from repro.orbits.visibility import nearest_visible_satellite
+from repro.simulation.sampler import seeded_rng, user_sample_points
+from repro.spacecdn.dutycycle import DutyCycleLatencyModel, DutyCycleScheduler
+from repro.topology import fastcore
+from repro.topology.graph import access_latency_ms
+from serve_reference import ReferenceCdn
 
 SEED = 7
 TESTS_PER_CITY = 10
@@ -210,63 +218,99 @@ class TestFigure8:
         assert 10.0 < result.terrestrial_median_ms < 60.0
 
 
+def _figure7_per_user(epoch, users):
+    """Fig. 7 the plain way: one visibility query and one single-source
+    routing pass per user, no shared matrices."""
+    snapshot = shell1_snapshot(epoch)
+    samples = {n: [] for n in figure7.HOP_COUNTS}
+    for user in users:
+        access = nearest_visible_satellite(snapshot.constellation, user, epoch)
+        access_ms = access_latency_ms(access.slant_range_km)
+        hops, lats = fastcore.single_source(
+            snapshot.core, access.index, snapshot.active_mask
+        )
+        for n in figure7.HOP_COUNTS:
+            at_n = lats[hops == n]
+            if at_n.size:
+                samples[n].append(
+                    float(2.0 * (access_ms + at_n.min()) + CDN_SERVER_THINK_TIME_MS)
+                )
+    return samples
+
+
+def _figure8_per_user(epoch, users, seed):
+    """Fig. 8 the plain way: one scalar duty-cycle lookup per user."""
+    snapshot = shell1_snapshot(epoch)
+    samples = {}
+    for fraction in figure8.CACHE_FRACTIONS:
+        model = DutyCycleLatencyModel(
+            snapshot=snapshot,
+            scheduler=DutyCycleScheduler(
+                total_satellites=len(snapshot.constellation),
+                cache_fraction=fraction,
+                seed=seed,
+            ),
+        )
+        samples[fraction] = [
+            float(2.0 * model.one_way_ms(user) + CDN_SERVER_THINK_TIME_MS)
+            for user in users
+        ]
+    return samples
+
+
 class TestBatchFlag:
-    """``--batch/--no-batch``: the scalar reference path stays one flag
-    away, produces the same numbers, and is pinned in the run manifest."""
+    """The vectorised figure paths and the chaos sweep agree with plain
+    per-user reference loops, and a run directory whose manifest config
+    records a ``batch`` key is not resumed."""
 
     def test_figure7_scalar_reference_matches_batch(self):
         batched = figure7.spacecdn_rtt_samples(
-            users_per_epoch=5, num_epochs=2, seed=SEED, batch=True
+            users_per_epoch=5, num_epochs=2, seed=SEED
         )
-        scalar = figure7.spacecdn_rtt_samples(
-            users_per_epoch=5, num_epochs=2, seed=SEED, batch=False
-        )
+        rng = seeded_rng(SEED, 0x717)
+        scalar = {n: [] for n in figure7.HOP_COUNTS}
+        for epoch in shell1_epochs(2, SEED):
+            for n, values in _figure7_per_user(
+                epoch, user_sample_points(rng, 5)
+            ).items():
+                scalar[n].extend(values)
         assert set(batched) == set(scalar)
         for n in batched:
             assert batched[n] == pytest.approx(scalar[n])
 
     def test_figure8_scalar_reference_matches_batch(self):
-        kwargs = dict(seed=SEED, users_per_epoch=5, num_epochs=2)
-        batched = figure8.run(batch=True, **kwargs)
-        scalar = figure8.run(batch=False, **kwargs)
+        batched = figure8.run(seed=SEED, users_per_epoch=5, num_epochs=2)
+        rng = seeded_rng(SEED, 0xF18)
+        scalar = {f: [] for f in figure8.CACHE_FRACTIONS}
+        for epoch in shell1_epochs(2, SEED):
+            for fraction, values in _figure8_per_user(
+                epoch, user_sample_points(rng, 5), SEED
+            ).items():
+                scalar[fraction].extend(values)
         for fraction in batched.rtt_samples_ms:
             assert batched.rtt_samples_ms[fraction] == pytest.approx(
-                scalar.rtt_samples_ms[fraction]
+                scalar[fraction]
             )
 
-    def test_chaos_scalar_reference_matches_batch(self):
+    def test_chaos_scalar_reference_matches_batch(self, monkeypatch):
+        """The chaos sweep served by the per-request reference walker
+        prints exactly what the cohort walk prints."""
         from repro.experiments import chaos
 
         kwargs = dict(
             seed=SEED, num_requests=40, fractions=(0.0, 0.2), shell="small"
         )
-        batched = chaos.run(batch=True, **kwargs)
-        chaos._sweep_context.cache_clear()
-        scalar = chaos.run(batch=False, **kwargs)
+        batched = chaos.run(**kwargs)
+        monkeypatch.setattr(chaos, "SpaceCdnSystem", ReferenceCdn)
+        scalar = chaos.run(**kwargs)
         assert chaos.format_result(batched) == chaos.format_result(scalar)
-
-    def test_flag_recorded_in_plan_config(self):
-        from repro.experiments import chaos
-
-        for module in (chaos, figure7, figure8):
-            on = module.build_plan(seed=SEED, batch=True)
-            off = module.build_plan(seed=SEED, batch=False)
-            assert on.config["batch"] is True
-            assert off.config["batch"] is False
-
-    def test_cli_flag_defaults_to_batch(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["run", "chaos"]).batch is True
-        assert parser.parse_args(["run", "chaos", "--no-batch"]).batch is False
 
     def test_resumed_run_byte_identical_same_flag(self, tmp_path, capsys):
         from repro.cli import EXIT_INTERRUPTED, main
 
         base = [
             "run", "chaos", "--shell", "small", "--requests", "30",
-            "--fractions", "0.0,0.3", "--seed", "5", "--no-batch",
+            "--fractions", "0.0,0.3", "--seed", "5",
         ]
         clean = tmp_path / "clean"
         assert main(base + ["--out-dir", str(clean)]) == 0
@@ -282,21 +326,31 @@ class TestBatchFlag:
         ).read_bytes()
 
     def test_resume_refuses_flag_flip(self, tmp_path, capsys):
+        """A manifest config with a ``batch`` key hashes differently from
+        every current invocation, so ``--resume`` refuses the directory
+        instead of silently recomputing its shards."""
         import json
 
-        from repro.cli import EXIT_ERROR, main
+        from repro.cli import EXIT_ERROR, EXIT_INTERRUPTED, main
+        from repro.runner.store import config_hash
 
         base = [
             "run", "chaos", "--shell", "small", "--requests", "30",
             "--fractions", "0.0,0.3", "--seed", "5",
         ]
-        run_dir = tmp_path / "flip"
-        assert main(base + ["--out-dir", str(run_dir)]) == 0
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["config"]["batch"] is True
-        # Flipping the flag changes the config hash: --resume must refuse.
+        run_dir = tmp_path / "old"
         assert (
-            main(base + ["--no-batch", "--out-dir", str(run_dir), "--resume"])
-            == EXIT_ERROR
+            main(base + ["--out-dir", str(run_dir), "--max-shards", "1"])
+            == EXIT_INTERRUPTED
         )
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["batch"] = True
+        manifest["config_hash"] = config_hash(manifest["config"])
+        manifest_path.write_text(json.dumps(manifest, indent=1))
+        shards = sorted(p.name for p in (run_dir / "shards").iterdir())
+
+        assert main(base + ["--out-dir", str(run_dir), "--resume"]) == EXIT_ERROR
         capsys.readouterr()
+        assert sorted(p.name for p in (run_dir / "shards").iterdir()) == shards
+        assert not (run_dir / "result.txt").exists()

@@ -264,24 +264,18 @@ def _span(kind, **attrs):
 class TestSummarize:
     def test_tier_tables(self):
         spans = [
-            _span("serve", outcome="served", source="access", rtt_ms=20.0,
-                  fallback_reason=None),
-            _span("attempt", tier="access", outcome="served",
-                  rtt_contribution_ms=20.0),
-            _span("serve", outcome="served", source="ground", rtt_ms=145.0,
-                  fallback_reason="attempt-timeout"),
-            _span("attempt", tier="isl", outcome="attempt-timeout",
-                  rtt_contribution_ms=5.0),
-            _span("attempt", tier="ground", outcome="served",
-                  rtt_contribution_ms=140.0),
-            _span("serve", outcome="unavailable"),
+            _span("serve_cohort", size=3, served=2, unavailable=1,
+                  mode="degraded"),
+            _span("rung", tier="access", outcome="served", count=1),
+            _span("rung", tier="isl", outcome="attempt-timeout", count=1),
+            _span("rung", tier="ground", outcome="served", count=1),
         ]
         text = summarize_trace(spans)
         assert "3 requests (1 unavailable)" in text
         assert "Per-tier serving outcomes:" in text
         assert "Per-tier ladder attempts:" in text
         assert "(unavailable)" in text
-        # Tiers render in ladder order; ground shows its fallback arrival.
+        # Tiers render in ladder order.
         assert text.index("access") < text.index("isl") < text.index("ground")
 
     def test_empty_trace_raises(self):
@@ -290,15 +284,15 @@ class TestSummarize:
 
     def test_summarize_file(self, tmp_path):
         buffer = TraceBuffer()
-        buffer.record("serve", outcome="served", source="access", rtt_ms=10.0)
+        cohort = buffer.open_span("serve_cohort", size=1, served=1, unavailable=0)
+        cohort.child("rung", tier="access", outcome="served", count=1)
         path = tmp_path / "trace.jsonl"
         buffer.flush(path)
         assert "access" in summarize_trace_file(path)
 
 
 class TestSummarizeCohort:
-    """Cohort (``serve_cohort``/``rung``) traces summarize alongside — and
-    mixed with — single-request ``serve`` traces, with golden values."""
+    """Cohort (``serve_cohort``/``rung``) traces, with golden values."""
 
     COHORT_SPANS = [
         _span("serve_cohort", size=4, served=3, unavailable=1,
@@ -315,37 +309,16 @@ class TestSummarizeCohort:
         access_row = next(
             line for line in text.splitlines() if line.startswith("access")
         )
-        assert access_row.split()[1] == "2"
-        assert "50.0%" in access_row
+        assert access_row.split() == ["access", "2", "50.0%"]
         ground_row = next(
             line for line in text.splitlines() if line.startswith("ground")
         )
-        assert ground_row.split()[1] == "1"
-        assert "25.0%" in ground_row
-        # Cohort spans carry no per-request RTTs.
-        assert "n/a" in access_row
+        assert ground_row.split() == ["ground", "1", "25.0%"]
         # Attempts table: the isl rung lost both tries.
         isl_row = [
             line for line in text.splitlines() if line.startswith("isl")
         ][-1]
         assert isl_row.split()[1:4] == ["2", "0", "2"]
-
-    def test_mixed_trace_aggregates_both_shapes(self):
-        spans = [
-            _span("serve", outcome="served", source="access", rtt_ms=20.0,
-                  fallback_reason=None),
-            _span("attempt", tier="access", outcome="served",
-                  rtt_contribution_ms=20.0),
-        ] + self.COHORT_SPANS
-        text = summarize_trace(spans)
-        assert "5 requests (1 unavailable)" in text
-        access_row = next(
-            line for line in text.splitlines() if line.startswith("access")
-        )
-        # 1 scalar + 2 cohort hits; the scalar request's RTT still quantiles.
-        assert access_row.split()[1] == "3"
-        assert "60.0%" in access_row
-        assert "20.0" in access_row
 
     def test_cohort_only_unavailable_share(self):
         spans = [

@@ -4,7 +4,8 @@ Under *any* composition of fault processes, a request through the system
 either terminates with a well-formed :class:`ServedRequest` inside the
 retry budget, or raises :class:`~repro.errors.ContentNotFoundError` (of
 which :class:`~repro.errors.UnavailableError` is a subclass) — never an
-unhandled exception, never a non-finite or negative RTT.
+unhandled exception, never a non-finite or negative RTT — and it ends
+exactly as it does through the per-request reference walker.
 """
 
 import math
@@ -31,6 +32,7 @@ from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
 from repro.spacecdn.resilience import random_failure_set
 from repro.spacecdn.system import SpaceCdnSystem
+from serve_reference import ReferenceCdn, assert_same_state
 
 CONSTELLATION = build_walker_delta(
     ShellConfig(
@@ -110,28 +112,37 @@ def policies(draw):
 def test_serve_terminates_well_under_any_schedule(
     schedule, policy, lat, lon, t_s, object_index, preload_seed
 ):
-    system = SpaceCdnSystem(
-        constellation=CONSTELLATION,
-        catalog=CATALOG,
-        cache_bytes_per_satellite=10**9,
-        fault_schedule=schedule,
-        retry_policy=policy,
-    )
     rng = np.random.default_rng(preload_seed)
     holders = frozenset(
         int(s) for s in rng.choice(len(CONSTELLATION), size=4, replace=False)
     )
     object_id = OBJECTS[object_index]
-    system.preload({object_id: holders})
-
     user = GeoPoint(lat, lon, 0.0)
+    system, reference = (
+        cls(
+            constellation=CONSTELLATION,
+            catalog=CATALOG,
+            cache_bytes_per_satellite=10**9,
+            fault_schedule=schedule,
+            retry_policy=policy,
+        )
+        for cls in (SpaceCdnSystem, ReferenceCdn)
+    )
+    system.preload({object_id: holders})
+    reference.preload({object_id: holders})
+
     try:
         served = system.serve(user, object_id, t_s)
     except ContentNotFoundError:
         # The only legal failure mode: unavailable under the fault state.
+        with pytest.raises(ContentNotFoundError):
+            reference.serve(user, object_id, t_s)
+        assert_same_state(system, reference, [object_id])
         assert system.stats.unavailable >= 1
         assert system.stats.availability < 1.0
         return
+    assert reference.serve(user, object_id, t_s) == served
+    assert_same_state(system, reference, [object_id])
     assert 1 <= served.attempts <= policy.max_attempts
     assert math.isfinite(served.rtt_ms) and served.rtt_ms >= 0.0
     assert served.object_id == object_id

@@ -2,11 +2,12 @@
 
 Three contracts pinned here:
 
-* ``serve_batch`` is an optimisation of scalar ``serve`` on *overloaded*
-  cohorts too: element-wise identical results and identical stats, healthy
-  and under fault schedules, for arbitrary request streams and model
-  tunings (the capacity counters, breakers, deadline budgets, and seeded
-  priority draws must all advance in exactly the request order).
+* ``serve_batch`` and ``serve`` match the per-request reference walker
+  (``tests/serve_reference.py``) on *overloaded* streams too: element-wise
+  identical results, stats, cache contents and holders index, with a flash
+  crowd and with or without fault schedules, for arbitrary request streams
+  and model tunings (the capacity counters, breakers, deadline budgets,
+  and seeded priority draws must all advance in exactly the request order).
 * :class:`~repro.faults.retry.RetryPolicy` edges: backoff is monotone
   non-decreasing and capped, ``within_budget`` is inclusive at exactly the
   budget, and attempt 0 is a configuration error.
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdn.content import build_catalog
-from repro.errors import FaultConfigError, UnavailableError
+from repro.errors import FaultConfigError
 from repro.faults import (
     FaultSchedule,
     FlashCrowdProcess,
@@ -39,6 +40,12 @@ from repro.orbits.walker import build_walker_delta
 from repro.overload import CircuitBreakerConfig, OverloadModel
 from repro.spacecdn.capacity import ThermalModel
 from repro.spacecdn.system import SpaceCdnSystem
+from serve_reference import (
+    ReferenceCdn,
+    assert_same_state,
+    serve_cohorts,
+    serve_each,
+)
 
 CONSTELLATION = build_walker_delta(
     ShellConfig(
@@ -101,8 +108,8 @@ def request_specs(draw):
     return spec
 
 
-def make_system(model, schedule):
-    system = SpaceCdnSystem(
+def make_system(model, schedule, cls=SpaceCdnSystem):
+    system = cls(
         constellation=CONSTELLATION,
         catalog=CATALOG,
         cache_bytes_per_satellite=10**8,
@@ -134,117 +141,54 @@ def overload_schedule(seed: int, faulted: bool) -> FaultSchedule:
     return schedule
 
 
-def run_scalar(system, spec):
-    results = []
-    for u, o, t in spec:
-        try:
-            results.append(system.serve(USERS[u], OBJECTS[o], t))
-        except UnavailableError:  # covers OverloadedError sheds
-            results.append(None)
-    return results
-
-
-def run_batched(system, spec):
-    """Per-slot cohorts, exactly as ``run(batch=True)`` groups a stream."""
-    results = []
-    group: list[tuple[int, int, float]] = []
-    slot = None
-
-    def flush():
-        if not group:
-            return
-        results.extend(
-            system.serve_batch(
-                [USERS[u] for u, _, _ in group],
-                [OBJECTS[o] for _, o, _ in group],
-                [t for _, _, t in group],
-                continue_on_unavailable=True,
-            )
-        )
-        group.clear()
-
-    for u, o, t in spec:
-        s = int(t // system.snapshot_interval_s)
-        if slot is not None and s != slot:
-            flush()
-        slot = s
-        group.append((u, o, t))
-    flush()
-    return results
+def assert_matches_reference(model_factory, schedule_factory, spec, priorities=None):
+    """``serve`` one by one and ``serve_batch`` per slot both match the
+    reference walker's results and end state."""
+    args = (
+        [USERS[u] for u, _, _ in spec],
+        [OBJECTS[o] for _, o, _ in spec],
+        [t for _, _, t in spec],
+        priorities,
+    )
+    reference = make_system(model_factory(), schedule_factory(), ReferenceCdn)
+    expected = serve_each(reference, *args)
+    for serve in (serve_each, serve_cohorts):
+        system = make_system(model_factory(), schedule_factory())
+        assert serve(system, *args) == expected, serve.__name__
+        assert_same_state(system, reference, OBJECTS)
 
 
 class TestBatchEquivalenceUnderOverload:
     @given(model=overload_models(), spec=request_specs())
     @settings(max_examples=25, deadline=None)
     def test_healthy_cohorts_match_scalar(self, model, spec):
-        seed = model.seed
-        scalar = make_system(model, overload_schedule(seed, faulted=False))
-        batched = make_system(
-            eval_model_copy(model), overload_schedule(seed, faulted=False)
+        assert_matches_reference(
+            lambda: eval_model_copy(model),
+            lambda: overload_schedule(model.seed, faulted=False),
+            spec,
         )
-        assert run_batched(batched, spec) == run_scalar(scalar, spec)
-        assert batched.stats == scalar.stats
 
     @given(model=overload_models(), spec=request_specs())
     @settings(max_examples=25, deadline=None)
     def test_faulted_cohorts_match_scalar(self, model, spec):
-        seed = model.seed
-        scalar = make_system(model, overload_schedule(seed, faulted=True))
-        batched = make_system(
-            eval_model_copy(model), overload_schedule(seed, faulted=True)
+        assert_matches_reference(
+            lambda: eval_model_copy(model),
+            lambda: overload_schedule(model.seed, faulted=True),
+            spec,
         )
-        assert run_batched(batched, spec) == run_scalar(scalar, spec)
-        assert batched.stats == scalar.stats
 
     @given(spec=request_specs(), seed=st.integers(min_value=0, max_value=999))
     @settings(max_examples=15, deadline=None)
     def test_explicit_priorities_match_scalar(self, spec, seed):
-        def model():
-            return OverloadModel(capacity_per_slot=2.0,
-                                 ground_capacity_per_slot=4.0, seed=seed)
-
         rng = np.random.default_rng(seed)
-        priorities = [int(rng.integers(0, 3)) for _ in spec]
-        scalar = make_system(model(), None)
-        expected = []
-        for (u, o, t), priority in zip(spec, priorities):
-            try:
-                expected.append(
-                    scalar.serve(USERS[u], OBJECTS[o], t, priority=priority)
-                )
-            except UnavailableError:
-                expected.append(None)
-        batched = make_system(model(), None)
-        actual = []
-        group, group_p, slot = [], [], None
-        for (u, o, t), priority in zip(spec, priorities):
-            s = int(t // batched.snapshot_interval_s)
-            if slot is not None and s != slot and group:
-                actual.extend(
-                    batched.serve_batch(
-                        [USERS[u] for u, _, _ in group],
-                        [OBJECTS[o] for _, o, _ in group],
-                        [t for _, _, t in group],
-                        continue_on_unavailable=True,
-                        priorities=group_p,
-                    )
-                )
-                group, group_p = [], []
-            slot = s
-            group.append((u, o, t))
-            group_p.append(priority)
-        if group:
-            actual.extend(
-                batched.serve_batch(
-                    [USERS[u] for u, _, _ in group],
-                    [OBJECTS[o] for _, o, _ in group],
-                    [t for _, _, t in group],
-                    continue_on_unavailable=True,
-                    priorities=group_p,
-                )
-            )
-        assert actual == expected
-        assert batched.stats == scalar.stats
+        assert_matches_reference(
+            lambda: OverloadModel(
+                capacity_per_slot=2.0, ground_capacity_per_slot=4.0, seed=seed
+            ),
+            lambda: overload_schedule(seed, faulted=False),
+            spec,
+            priorities=[int(rng.integers(0, 3)) for _ in spec],
+        )
 
 
 def eval_model_copy(model: OverloadModel) -> OverloadModel:

@@ -1,12 +1,11 @@
-"""Batched serve path: element-wise equivalence with scalar serving.
+"""Cohort serving against the per-request reference walker.
 
-``SpaceCdnSystem.serve_batch`` must be an *optimisation*, never a
-behaviour change: for any cohort, results, stats, cache contents, and the
-holders index must match what the scalar ``serve`` loop produces in the
-same order — healthy and under fault schedules. These tests pin that
-contract, plus the batch kernels it leans on (batched visibility,
-batched single-source routing, the vectorised holder argmin) and the
-incremental holders-index bookkeeping.
+``SpaceCdnSystem.serve_batch`` and ``serve`` (a cohort of one) must match
+the naive walker in ``tests/serve_reference.py`` for any request stream:
+results, stats, cache contents, and the holders index — healthy and under
+fault schedules. These tests pin that contract, plus the batch kernels it
+leans on (batched visibility, batched single-source routing, the
+vectorised holder argmin) and the incremental holders-index bookkeeping.
 """
 
 import numpy as np
@@ -16,16 +15,24 @@ from hypothesis import strategies as st
 
 from repro.cdn.cache import HoldersIndex
 from repro.cdn.content import build_catalog
-from repro.errors import ConfigurationError, UnavailableError
+from repro.errors import ConfigurationError, ReproError, UnavailableError
 from repro.faults import FaultSchedule, OutageWindow, TransientAttemptLoss
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.visibility import visible_satellites, visible_satellites_batch
 from repro.orbits.walker import build_walker_delta
+from repro.overload import OverloadModel
 from repro.spacecdn.lookup import nearest_cached_batch, nearest_cached_from_rows
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
+from serve_reference import (
+    ReferenceCdn,
+    assert_same_state,
+    holders_state,
+    serve_cohorts,
+    serve_each,
+)
 
 CONSTELLATION = build_walker_delta(
     ShellConfig(
@@ -54,13 +61,16 @@ USERS = [
 ]
 
 
-def make_system(schedule: FaultSchedule | None = None) -> SpaceCdnSystem:
-    system = SpaceCdnSystem(
+def make_system(
+    schedule: FaultSchedule | None = None, cls=SpaceCdnSystem, **kwargs
+) -> SpaceCdnSystem:
+    system = cls(
         constellation=CONSTELLATION,
         catalog=CATALOG,
         cache_bytes_per_satellite=10**8,
         max_hops=6,
         fault_schedule=schedule,
+        **kwargs,
     )
     system.preload(
         {
@@ -73,66 +83,27 @@ def make_system(schedule: FaultSchedule | None = None) -> SpaceCdnSystem:
     return system
 
 
-def run_scalar(system, spec):
-    results = []
-    for u, o, t in spec:
-        try:
-            results.append(system.serve(USERS[u], OBJECTS[o], t))
-        except UnavailableError:
-            results.append(None)
-    return results
+def unpack(spec):
+    return (
+        [USERS[u] for u, _, _ in spec],
+        [OBJECTS[o] for _, o, _ in spec],
+        [t for _, _, t in spec],
+    )
 
 
 def run_batched(system, spec):
-    """Group the spec into per-slot cohorts, exactly as run(batch=True)."""
-    results = []
-    group: list[tuple[int, int, float]] = []
-    slot = None
-
-    def flush():
-        if not group:
-            return
-        results.extend(
-            system.serve_batch(
-                [USERS[u] for u, _, _ in group],
-                [OBJECTS[o] for _, o, _ in group],
-                [t for _, _, t in group],
-                continue_on_unavailable=True,
-            )
-        )
-        group.clear()
-
-    for u, o, t in spec:
-        s = int(t // system.snapshot_interval_s)
-        if slot is not None and s != slot:
-            flush()
-        slot = s
-        group.append((u, o, t))
-    flush()
-    return results
+    return serve_cohorts(system, *unpack(spec))
 
 
-def cache_state(system):
-    return {
-        s: cache.object_ids()
-        for s, cache in system._caches.items()
-        if cache.object_ids()
-    }
-
-
-def holders_state(system):
-    return {oid: system.holders_of(oid) for oid in OBJECTS}
-
-
-def assert_equivalent(spec, schedule_factory=lambda: None):
-    scalar = make_system(schedule_factory())
-    batched = make_system(schedule_factory())
-    expected = run_scalar(scalar, spec)
-    actual = run_batched(batched, spec)
-    assert actual == expected
-    assert batched.stats == scalar.stats
-    assert cache_state(batched) == cache_state(scalar)
-    assert holders_state(batched) == holders_state(scalar)
+def assert_equivalent(spec, schedule_factory=lambda: None, make=make_system):
+    """``serve`` one by one and ``serve_batch`` per slot both match the
+    reference walker's results and end state."""
+    reference = make(schedule_factory(), ReferenceCdn)
+    expected = serve_each(reference, *unpack(spec))
+    for serve in (serve_each, serve_cohorts):
+        system = make(schedule_factory())
+        assert serve(system, *unpack(spec)) == expected, serve.__name__
+        assert_same_state(system, reference, OBJECTS)
 
 
 def dense_spec(n, seed, max_step_s=4.0):
@@ -167,21 +138,16 @@ class TestHealthyEquivalence:
         re-resolution must track them exactly."""
         sizes = sorted(o.size_bytes for o in CATALOG)
 
-        def tiny():
-            return SpaceCdnSystem(
+        def tiny(schedule, cls=SpaceCdnSystem):
+            return cls(
                 constellation=CONSTELLATION,
                 catalog=CATALOG,
                 cache_bytes_per_satellite=max(sizes) + 1,
                 max_hops=6,
+                fault_schedule=schedule,
             )
 
-        spec = dense_spec(120, seed=9, max_step_s=1.0)
-        scalar, batched = tiny(), tiny()
-        expected = run_scalar(scalar, spec)
-        actual = run_batched(batched, spec)
-        assert actual == expected
-        assert cache_state(batched) == cache_state(scalar)
-        assert holders_state(batched) == holders_state(scalar)
+        assert_equivalent(dense_spec(120, seed=9, max_step_s=1.0), make=tiny)
 
 
 class TestDegradedEquivalence:
@@ -278,6 +244,56 @@ class TestCohortValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             make_system().serve_batch([USERS[0]], [OBJECTS[0]], -1.0)
+
+    @pytest.mark.parametrize(
+        "with_model, bad_call",
+        [
+            (
+                False,
+                lambda system: system.serve_batch(
+                    [USERS[0]], [OBJECTS[0]], 0.0, priorities=[0]
+                ),
+            ),
+            (
+                False,
+                lambda system: system.serve_batch(
+                    [USERS[0], USERS[1]], [OBJECTS[0], "no-such-object"], 0.0
+                ),
+            ),
+            (
+                True,
+                lambda system: system.serve_batch(
+                    [USERS[0], USERS[1]], [OBJECTS[0], OBJECTS[1]], 0.0,
+                    priorities=[0],
+                ),
+            ),
+        ],
+        ids=["priorities-without-model", "unknown-object", "priorities-length"],
+    )
+    def test_rejected_call_changes_nothing(self, with_model, bad_call):
+        """A call rejected for its arguments must not compile the slot's
+        fault state first: that would wipe the caches of satellites the
+        window takes down and change every later request."""
+
+        def build():
+            schedule = FaultSchedule(wipe_caches_on_outage=True).add(
+                OutageWindow(
+                    satellites=frozenset(range(0, len(CONSTELLATION), 3)),
+                    end_s=60.0,
+                )
+            )
+            model = OverloadModel(seed=3) if with_model else None
+            return make_system(schedule, overload=model)
+
+        users, oids, times = unpack(dense_spec(30, seed=2, max_step_s=1.0))
+        later = (users, oids, [61.0 + t for t in times])
+        alone = build()
+        expected = alone.serve_batch(*later, continue_on_unavailable=True)
+        system = build()
+        with pytest.raises(ReproError):
+            bad_call(system)
+        assert system.serve_batch(*later, continue_on_unavailable=True) == expected
+        assert holders_state(system, OBJECTS) == holders_state(alone, OBJECTS)
 
     def test_scalar_time_broadcasts(self):
         system = make_system()
