@@ -29,7 +29,18 @@ from repro.obs import reset_recorder
 
 GOLDEN = Path(__file__).parent / "golden"
 
-STDOUT_EXPERIMENTS = ("chaos", "overload", "figure7", "figure8")
+STDOUT_EXPERIMENTS = (
+    "chaos",
+    "overload",
+    "table1",
+    "figure2",
+    "figure3",
+    "figure4",
+    "figure5",
+    "figure7",
+    "figure8",
+    "geoblocking",
+)
 OBS_EXPERIMENTS = ("chaos", "overload")
 OBS_ARTIFACTS = ("obs-metrics.prom", "obs-timeseries.json", "obs-trace.jsonl")
 
@@ -68,6 +79,14 @@ def run_obs(experiment: str, work_dir: Path) -> dict[str, str]:
         name: _stable(name, (work_dir / name).read_text())
         for name in OBS_ARTIFACTS
     }
+
+
+def test_every_registered_experiment_has_a_golden():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["list"]) == 0
+    registered = {line.split()[0] for line in out.getvalue().splitlines()}
+    assert registered == set(STDOUT_EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment", STDOUT_EXPERIMENTS)
