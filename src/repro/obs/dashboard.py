@@ -125,8 +125,10 @@ def render_timeline(
 
     ``reports`` (from :func:`repro.obs.slo.evaluate_slos`) adds one marker
     row per SLO under the sparklines; ``width`` caps the number of columns
-    (denser series mean-pool onto the axis).
+    (denser series mean-pool onto the axis) and must be at least 1.
     """
+    if width < 1:
+        raise ObsError(f"timeline width must be at least 1 column, got {width}")
     windows = [int(w) for w in doc.get("windows", [])]
     if not windows:
         raise ObsError("time series holds no windows; nothing to render")

@@ -6,9 +6,11 @@ against exactly what ``repro run --obs`` writes to disk.
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ObsError
 from repro.obs.dashboard import render_timeline
 from repro.obs.slo import (
@@ -249,3 +251,9 @@ class TestRendering:
     def test_timeline_rejects_empty_document(self):
         with pytest.raises(ObsError):
             render_timeline(TimeSeriesBuffer().to_json())
+
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_cli_timeline_rejects_width_below_one(self, width, capsys):
+        golden = Path(__file__).parent / "golden" / "chaos.obs-timeseries.json"
+        assert main(["obs", "timeline", str(golden), "--width", width]) == 2
+        assert "error:" in capsys.readouterr().err
