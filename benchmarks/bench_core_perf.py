@@ -3,8 +3,9 @@
 These measure throughput of the hot paths (propagation, snapshot builds,
 routing) so performance regressions in the substrate are visible. The
 routing benchmarks cover both the vectorised CSR kernels (the production
-path) and the networkx reference implementation, so the speedup ratio the
-refactor claims stays measurable release over release.
+path) and the networkx reference implementation in
+``tests/topology_reference.py``, so the speedup ratio the refactor claims
+stays measurable release over release.
 
 Input streams cycle endlessly: pytest-benchmark calibrates its own round
 count, so a finite iterator of "enough" draws would eventually raise
@@ -12,6 +13,8 @@ StopIteration mid-measurement on a fast machine.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -21,9 +24,12 @@ from repro.orbits.visibility import nearest_visible_satellites, visible_satellit
 from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
-from repro.topology.routing import (
-    latency_by_hop_count,
+from repro.topology.routing import latency_by_hop_count
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from topology_reference import (  # noqa: E402
     latency_by_hop_count_reference,
+    networkx_view,
 )
 
 
@@ -77,11 +83,11 @@ def test_hop_ladder_query(benchmark):
 def test_hop_ladder_query_reference(benchmark):
     """The pre-refactor networkx path, kept for the speedup ratio."""
     constellation = build_walker_delta(starlink_shell1())
-    snapshot = build_snapshot(constellation, 0.0)
+    graph = networkx_view(build_snapshot(constellation, 0.0))
     sources = itertools.cycle(np.random.default_rng(0).integers(0, 1584, size=1024))
 
     ladder = benchmark(
-        lambda: latency_by_hop_count_reference(snapshot, int(next(sources)), 10)
+        lambda: latency_by_hop_count_reference(graph, int(next(sources)), 10)
     )
     assert set(ladder) == set(range(11))
 

@@ -7,6 +7,10 @@ Cloudflare-AIM measurement pipeline, a NetMet web-browsing model, and the
 SpaceCDN system itself — on-satellite caching with hop-bounded ISL lookup,
 duty cycling, video striping, content bubbles and VM handover.
 
+Constellation snapshots are immutable: one set of read-only CSR arrays per
+instant, routed by vectorised kernels. The runtime needs only numpy; scipy,
+when importable, accelerates the routing kernels.
+
 Quickstart::
 
     from repro import starlink_shell1, build_walker_delta, build_snapshot

@@ -1,4 +1,4 @@
-"""CDN substrate: content, cache policies, servers, anycast mapping, geo-blocking."""
+"""CDN substrate: content, cache policies, anycast site selection, geo-blocking."""
 
 from repro.cdn.content import ContentObject, Catalog, build_catalog
 from repro.cdn.cache import (
@@ -9,16 +9,8 @@ from repro.cdn.cache import (
     FifoCache,
     TtlCache,
 )
-from repro.cdn.server import CdnServer, OriginServer, ServeResult
 from repro.cdn.anycast import nearest_site, best_site_by_latency
-from repro.cdn.mapping import (
-    ClientMapping,
-    GeodesicMapping,
-    PopProximityMapping,
-    MeasuredLatencyMapping,
-)
 from repro.cdn.geoblock import GeoBlockPolicy, BlockDecision
-from repro.cdn.hierarchy import CdnHierarchy, HierarchyServeResult
 
 __all__ = [
     "ContentObject",
@@ -30,17 +22,8 @@ __all__ = [
     "LfuCache",
     "FifoCache",
     "TtlCache",
-    "CdnServer",
-    "OriginServer",
-    "ServeResult",
     "nearest_site",
     "best_site_by_latency",
-    "ClientMapping",
-    "GeodesicMapping",
-    "PopProximityMapping",
-    "MeasuredLatencyMapping",
     "GeoBlockPolicy",
     "BlockDecision",
-    "CdnHierarchy",
-    "HierarchyServeResult",
 ]

@@ -47,19 +47,12 @@ def small_constellation() -> Constellation:
 
 
 @lru_cache(maxsize=16)
-def _shell1_snapshot_cached(t_s: float) -> SnapshotGraph:
-    return build_snapshot(shell1_constellation(), t_s)
-
-
 def shell1_snapshot(t_s: float) -> SnapshotGraph:
-    """An ISL snapshot graph of Shell 1 at time ``t_s``.
+    """The ISL snapshot of Shell 1 at time ``t_s``, cached per epoch.
 
-    The expensive arrays (positions, CSR link weights) are cached per
-    epoch; each call returns an independent defensive copy sharing them,
-    so callers that mutate their snapshot (``attach_ground_node``, manual
-    graph edits) cannot poison later experiments in the same process.
+    Every caller shares the one cached instance: snapshots are immutable.
     """
-    return _shell1_snapshot_cached(t_s).copy()
+    return build_snapshot(shell1_constellation(), t_s)
 
 
 @lru_cache(maxsize=4)

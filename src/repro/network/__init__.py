@@ -20,7 +20,6 @@ from repro.network.throughput import (
     starlink_profile,
     terrestrial_profile,
 )
-from repro.network.direct_to_cell import DirectToCellAccess, dtc_vs_dishy_rtt_penalty_ms
 from repro.network.bentpipe import StarlinkPathModel, StarlinkModelParams, StarlinkPath
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "ThroughputProfile",
     "starlink_profile",
     "terrestrial_profile",
-    "DirectToCellAccess",
-    "dtc_vs_dishy_rtt_penalty_ms",
     "StarlinkPathModel",
     "StarlinkModelParams",
     "StarlinkPath",

@@ -19,8 +19,6 @@ from repro.orbits.visibility import (
     coverage_fraction,
 )
 from repro.orbits.passes import PassWindow, predict_passes, next_pass
-from repro.orbits.multi import MultiShellConstellation, FleetSatellite
-from repro.orbits.churn import ChurnReport, access_churn
 
 __all__ = [
     "ShellConfig",
@@ -41,8 +39,4 @@ __all__ = [
     "PassWindow",
     "predict_passes",
     "next_pass",
-    "MultiShellConstellation",
-    "FleetSatellite",
-    "ChurnReport",
-    "access_churn",
 ]

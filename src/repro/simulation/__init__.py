@@ -1,6 +1,5 @@
-"""Simulation utilities: clocks, epoch samplers, seeded RNG streams."""
+"""Simulation utilities: epoch samplers, seeded RNG streams, user sample points."""
 
-from repro.simulation.clock import SimulationClock
 from repro.simulation.sampler import EpochSampler, seeded_rng, user_sample_points
 
-__all__ = ["SimulationClock", "EpochSampler", "seeded_rng", "user_sample_points"]
+__all__ = ["EpochSampler", "seeded_rng", "user_sample_points"]

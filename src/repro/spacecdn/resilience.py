@@ -2,15 +2,14 @@
 
 LEO satellites fail, deorbit, and duty-cycle out for thermal reasons; a
 placement must survive holes in the grid. :func:`fail_satellites` derives a
-degraded snapshot (failed nodes and their ISLs masked out of the CSR core,
-and removed from any materialised graph view);
+degraded snapshot (failed nodes and their ISLs masked out of the CSR core);
 :func:`placement_under_failures` measures how the worst-case hop distance
 to a replica degrades as the failure fraction grows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,23 +21,16 @@ from repro.topology.graph import SnapshotGraph
 def fail_satellites(
     snapshot: SnapshotGraph, failed: frozenset[int]
 ) -> SnapshotGraph:
-    """A degraded copy of a snapshot with the failed satellites removed.
+    """A degraded sibling of a snapshot with the failed satellites removed.
 
-    The original snapshot is untouched — ``snapshot.copy()`` duplicates any
-    materialised networkx view, so removing nodes here can never alias the
-    original's graph — and the CSR arrays are shared (failures are a node
-    mask, not a rebuild). Ground nodes are preserved minus links to failed
-    satellites.
+    The original snapshot is untouched and the CSR arrays are shared:
+    failures are a node mask, not a rebuild.
     """
     satellites = set(snapshot.satellite_nodes())
     unknown = failed - satellites
     if unknown:
         raise ConfigurationError(f"unknown satellites in failure set: {sorted(unknown)[:5]}")
-    degraded = snapshot.copy()
-    degraded.failed = snapshot.failed | failed
-    if degraded._graph is not None:
-        degraded._graph.remove_nodes_from(failed)
-    return degraded
+    return replace(snapshot, failed=snapshot.failed | failed)
 
 
 def degrade_snapshot(

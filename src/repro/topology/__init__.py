@@ -1,4 +1,9 @@
-"""Constellation topology: ISL wiring, snapshot graphs, routing, ground nodes."""
+"""Constellation topology: ISL wiring, snapshot graphs, routing, ground segment.
+
+A snapshot has one representation, the vectorised CSR core of
+:mod:`repro.topology.fastcore`; the routing helpers are dict-returning
+wrappers over its kernels.
+"""
 
 from repro.topology.isl import (
     IslLink,
@@ -23,13 +28,10 @@ from repro.topology.graph import (
     access_latency_ms,
 )
 from repro.topology.routing import (
-    RouteResult,
-    shortest_path,
     hop_distances,
     latency_by_hop_count,
     min_latency_at_hops,
 )
-from repro.topology.endtoend import GraphPathRouter, EndToEndPath
 from repro.topology.ground import (
     UserTerminal,
     GroundStation,
@@ -54,8 +56,6 @@ __all__ = [
     "build_snapshot",
     "isl_latency_ms",
     "access_latency_ms",
-    "RouteResult",
-    "shortest_path",
     "hop_distances",
     "latency_by_hop_count",
     "min_latency_at_hops",
@@ -63,6 +63,4 @@ __all__ = [
     "GroundStation",
     "PointOfPresence",
     "GroundSegment",
-    "GraphPathRouter",
-    "EndToEndPath",
 ]

@@ -5,7 +5,7 @@ lengths change as the constellation rotates — so the neighbour structure can
 be compiled once per shell configuration into flat CSR arrays
 (:class:`CsrTopology`) and every snapshot only swaps in a fresh per-link
 weight vector (:class:`CsrSnapshot`). Routing queries then run as batched
-array kernels instead of per-query ``networkx`` traversals:
+array kernels instead of per-query graph traversals:
 
 * :func:`hop_distances_batch` — BFS levels from many sources at once;
 * :func:`latency_batch` — one-way Dijkstra latencies from many sources;
@@ -21,8 +21,8 @@ pure-numpy min-plus relaxation over a padded neighbour matrix, which
 exploits the grid's bounded degree (four ISL terminals per satellite).
 
 Satellite failures are expressed as an ``active`` boolean mask: failed
-nodes neither relay nor terminate paths, matching ``networkx`` routing on
-the degraded subgraph. Link-level faults (ISL cuts, latency degradation)
+nodes neither relay nor terminate paths, matching graph routing on the
+degraded subgraph. Link-level faults (ISL cuts, latency degradation)
 are expressed per snapshot through :func:`degrade_core`: the degraded view
 shares the immutable topology and only swaps the per-link weight/liveness
 vectors, so fault injection costs one O(E) array pass, never a rebuild.

@@ -3,35 +3,27 @@
 A :class:`SnapshotGraph` freezes the constellation at one instant: satellite
 nodes connected by +Grid ISLs weighted with one-way latency (speed-of-light
 propagation over the current link length, plus optical-terminal switching),
-optionally joined by ground nodes (user terminals, gateways) attached to
-every satellite they can currently see.
+with every satellite a node indexed by its constellation index.
 
-The satellite topology lives in flat CSR arrays (see
-:mod:`repro.topology.fastcore`) computed in one vectorised gather per
-snapshot; the ``networkx`` view is materialised lazily, only for callers
-that need a graph object (path reconstruction, ground-node routing). The
-vectorised kernels never pay for it.
-
-Node naming: satellites are integer indices; ground nodes are strings.
+The topology lives in flat CSR arrays (see :mod:`repro.topology.fastcore`)
+computed in one vectorised gather per snapshot; every routing query runs on
+them. Ground terminals never join the graph: callers price the access link
+with :func:`access_latency_ms` and route from the access satellite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable
+from dataclasses import dataclass, replace
 
-import networkx as nx
 import numpy as np
 
 from repro.constants import (
     ISL_HOP_PROCESSING_MS,
-    MIN_ELEVATION_USER_DEG,
     SPEED_OF_LIGHT_KM_S,
     STARLINK_PROCESSING_DELAY_MS,
     STARLINK_SCHEDULING_DELAY_MS,
 )
-from repro.errors import ConfigurationError, VisibilityError
-from repro.geo.coordinates import GeoPoint
+from repro.errors import ConfigurationError
 from repro.orbits.walker import Constellation
 from repro.topology.fastcore import CsrSnapshot, csr_topology, link_weights
 
@@ -62,55 +54,24 @@ def access_latency_ms(slant_range_km: float) -> float:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnapshotGraph:
     """The constellation graph at a single instant.
 
     ``core`` holds the CSR satellite topology with this instant's link
-    weights; ``graph`` is a lazily built ``networkx`` view whose edge
-    weights are one-way latencies in milliseconds under the key
-    ``"latency_ms"``. ``failed`` marks satellites removed from service
-    (their ISLs carry nothing and they serve nothing).
+    weights (one-way latencies in milliseconds); ``failed`` marks satellites
+    removed from service (their ISLs carry nothing and they serve nothing).
+    Snapshots are immutable — fields cannot be reassigned and the position
+    and link-weight arrays are read-only — so a cached snapshot can be
+    handed to any number of callers. Degraded variants are new snapshots
+    (:func:`repro.spacecdn.resilience.fail_satellites`, :meth:`with_core`).
     """
 
     constellation: Constellation
     t_s: float
     positions: np.ndarray
     core: CsrSnapshot
-    ground_nodes: dict[str, GeoPoint] = field(default_factory=dict)
     failed: frozenset[int] = frozenset()
-    _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The ``networkx`` view, materialised on first access."""
-        if self._graph is None:
-            self._graph = self._materialise()
-        return self._graph
-
-    def _materialise(self) -> nx.Graph:
-        topo = self.core.topology
-        graph = nx.Graph()
-        graph.add_nodes_from(
-            i for i in range(topo.num_nodes) if i not in self.failed
-        )
-        distances = self.core.link_distance_km
-        latencies = self.core.link_latency_ms
-        link_active = self.core.link_active
-        for i, (a, b) in enumerate(zip(topo.link_a, topo.link_b)):
-            a, b = int(a), int(b)
-            if a in self.failed or b in self.failed:
-                continue
-            if link_active is not None and not link_active[i]:
-                continue
-            graph.add_edge(
-                a,
-                b,
-                latency_ms=float(latencies[i]),
-                kind=topo.link_kind[i],
-                distance_km=float(distances[i]),
-            )
-        return graph
 
     @property
     def active_mask(self) -> np.ndarray | None:
@@ -123,102 +84,37 @@ class SnapshotGraph:
 
     def satellite_nodes(self) -> list[int]:
         """All live satellite node indices."""
-        if self._graph is not None:
-            return [n for n in self._graph.nodes if isinstance(n, int)]
         return [i for i in range(self.core.num_nodes) if i not in self.failed]
 
     def has_satellite(self, index: int) -> bool:
         """Whether ``index`` is a live satellite of this snapshot."""
         return 0 <= index < self.core.num_nodes and index not in self.failed
 
-    def copy(self) -> "SnapshotGraph":
-        """An independent snapshot sharing the immutable CSR arrays.
-
-        Mutations (ground-node attachment, manual graph edits) on the copy
-        never touch the original — this is what makes cached snapshots safe
-        to hand out.
-        """
-        return SnapshotGraph(
-            constellation=self.constellation,
-            t_s=self.t_s,
-            positions=self.positions,
-            core=self.core,
-            ground_nodes=dict(self.ground_nodes),
-            failed=self.failed,
-            _graph=None if self._graph is None else self._graph.copy(),
-        )
-
     def with_core(self, core: CsrSnapshot) -> "SnapshotGraph":
-        """A sibling snapshot routed over a different (degraded) CSR core.
-
-        The networkx view is dropped — it rematerialises lazily against the
-        new core's link weights and liveness mask. Ground nodes are *not*
-        carried over (their access edges were priced against the old view).
-        """
+        """A sibling snapshot routed over a different (degraded) CSR core."""
         if core.topology is not self.core.topology:
             raise ConfigurationError("core belongs to a different topology")
-        return SnapshotGraph(
-            constellation=self.constellation,
-            t_s=self.t_s,
-            positions=self.positions,
-            core=core,
-            failed=self.failed,
-        )
+        return replace(self, core=core)
 
-    def attach_ground_node(
-        self,
-        name: str,
-        point: GeoPoint,
-        min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
-        max_links: int | None = None,
-    ) -> list[int]:
-        """Attach a ground node to every satellite it can currently see.
 
-        Returns the satellite indices linked. Raises
-        :class:`VisibilityError` when no satellite is visible.
-        """
-        from repro.orbits.visibility import visible_satellites
-
-        if name in self.graph:
-            raise ConfigurationError(f"ground node {name!r} already attached")
-        visible = visible_satellites(
-            self.constellation, point, self.t_s, min_elevation_deg
-        )
-        visible = [sat for sat in visible if sat.index not in self.failed]
-        if not visible:
-            raise VisibilityError(f"no satellite visible from ground node {name!r}")
-        if max_links is not None:
-            visible = visible[:max_links]
-
-        self.graph.add_node(name)
-        self.ground_nodes[name] = point
-        linked = []
-        for sat in visible:
-            self.graph.add_edge(
-                name,
-                sat.index,
-                latency_ms=access_latency_ms(sat.slant_range_km),
-                kind="access",
-            )
-            linked.append(sat.index)
-        return linked
-
-    def edge_latency_ms(self, a: Hashable, b: Hashable) -> float:
-        """One-way latency of the edge between two adjacent nodes."""
-        return float(self.graph[a][b]["latency_ms"])
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_snapshot(constellation: Constellation, t_s: float) -> SnapshotGraph:
     """Build the ISL snapshot of the constellation at time ``t_s``.
 
     All link distances come from one vectorised gather over the endpoint
-    positions; the ``networkx`` view is deferred until something asks for it.
+    positions; the positions and link weights are frozen read-only.
     """
-    positions = constellation.positions_ecef(t_s)
+    positions = _read_only(constellation.positions_ecef(t_s))
     topology = csr_topology(constellation.config)
     distances, latencies = link_weights(topology, positions)
     core = CsrSnapshot(
-        topology=topology, link_distance_km=distances, link_latency_ms=latencies
+        topology=topology,
+        link_distance_km=_read_only(distances),
+        link_latency_ms=_read_only(latencies),
     )
     return SnapshotGraph(
         constellation=constellation, t_s=t_s, positions=positions, core=core

@@ -9,50 +9,19 @@ Two complementary views of "distance" coexist in the experiments:
 ``latency_by_hop_count`` joins the two: the cheapest latency at which content
 placed exactly n hops from the access satellite can be reached.
 
-The satellite-only queries run on the vectorised CSR core
-(:mod:`repro.topology.fastcore`); the original ``networkx`` traversals are
-kept as the reference implementation (``*_reference``) behind the same
-dict-returning API — property tests pin the two against each other, and the
-benchmarks report the speedup. :func:`shortest_path` stays on ``networkx``:
-it reconstructs node paths and spans ground nodes, neither of which the
-satellite kernels model.
+These are dict-returning wrappers over the vectorised CSR kernels
+(:mod:`repro.topology.fastcore`). Per-query graph-library reference
+traversals live with the tests (``tests/topology_reference.py``), which
+pin the two against each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
-
-import networkx as nx
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph
-
-
-@dataclass(frozen=True)
-class RouteResult:
-    """A routed path and its one-way latency."""
-
-    path: tuple[Hashable, ...]
-    latency_ms: float
-
-    @property
-    def hops(self) -> int:
-        """Number of edges traversed."""
-        return len(self.path) - 1
-
-
-def shortest_path(snapshot: SnapshotGraph, src: Hashable, dst: Hashable) -> RouteResult:
-    """Minimum-latency path between two nodes of a snapshot graph."""
-    try:
-        latency, path = nx.single_source_dijkstra(
-            snapshot.graph, src, dst, weight="latency_ms"
-        )
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise RoutingError(f"no route {src!r} -> {dst!r}: {exc}") from exc
-    return RouteResult(path=tuple(path), latency_ms=float(latency))
 
 
 def _require_satellite(snapshot: SnapshotGraph, source: int) -> int:
@@ -65,8 +34,7 @@ def _require_satellite(snapshot: SnapshotGraph, source: int) -> int:
 def hop_distances(snapshot: SnapshotGraph, source: int) -> dict[int, int]:
     """BFS hop count from ``source`` to every satellite, over ISL edges only.
 
-    Ground nodes and access links are excluded: a "hop" in the paper's
-    Fig. 7 sense is an ISL traversal.
+    A "hop" in the paper's Fig. 7 sense is an ISL traversal.
     """
     source = _require_satellite(snapshot, source)
     hops, _ = fastcore.single_source(snapshot.core, source, snapshot.active_mask)
@@ -116,56 +84,3 @@ def min_latency_at_hops(
         )
     return table[hop_count]
 
-
-# -- networkx reference implementations --------------------------------------
-#
-# The original per-query traversals, kept verbatim as the ground truth the
-# CSR kernels are verified against (tests/test_topology_fastcore.py) and
-# benchmarked against (benchmarks/bench_core_perf.py).
-
-
-def hop_distances_reference(snapshot: SnapshotGraph, source: int) -> dict[int, int]:
-    """``networkx`` BFS reference for :func:`hop_distances`."""
-    if source not in snapshot.graph:
-        raise RoutingError(f"unknown source satellite {source}")
-    sat_graph = snapshot.graph.subgraph(snapshot.satellite_nodes())
-    return {
-        int(node): int(d)
-        for node, d in nx.single_source_shortest_path_length(sat_graph, source).items()
-    }
-
-
-def satellite_latencies_reference(
-    snapshot: SnapshotGraph, source: int
-) -> dict[int, float]:
-    """``networkx`` Dijkstra reference for :func:`satellite_latencies`."""
-    if source not in snapshot.graph:
-        raise RoutingError(f"unknown source satellite {source}")
-    sat_graph = snapshot.graph.subgraph(snapshot.satellite_nodes())
-    return {
-        int(node): float(d)
-        for node, d in nx.single_source_dijkstra_path_length(
-            sat_graph, source, weight="latency_ms"
-        ).items()
-    }
-
-
-def latency_by_hop_count_reference(
-    snapshot: SnapshotGraph, source: int, max_hops: int
-) -> dict[int, float]:
-    """``networkx`` reference for :func:`latency_by_hop_count`."""
-    if max_hops < 0:
-        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
-    hops = hop_distances_reference(snapshot, source)
-    latencies = satellite_latencies_reference(snapshot, source)
-    result: dict[int, float] = {}
-    for node, h in hops.items():
-        if h > max_hops:
-            continue
-        latency = latencies.get(node)
-        if latency is None:
-            continue
-        best = result.get(h)
-        if best is None or latency < best:
-            result[h] = latency
-    return result

@@ -16,6 +16,7 @@ from repro.network.latency import LatencyNoise
 from repro.orbits.elements import ShellConfig, starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.topology.graph import build_snapshot
+from topology_reference import networkx_view
 
 
 @pytest.fixture
@@ -49,6 +50,12 @@ def small_constellation(small_shell):
 @pytest.fixture
 def small_snapshot(small_constellation):
     return build_snapshot(small_constellation, t_s=0.0)
+
+
+@pytest.fixture
+def small_view(small_snapshot):
+    """The ``networkx`` reference view of :func:`small_snapshot`."""
+    return networkx_view(small_snapshot)
 
 
 @pytest.fixture(scope="session")

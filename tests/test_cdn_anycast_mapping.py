@@ -1,17 +1,11 @@
-"""Tests for anycast selection and client-mapping policies."""
+"""Tests for anycast site selection."""
 
-import numpy as np
 import pytest
 
 from repro.cdn.anycast import best_site_by_latency, nearest_site
-from repro.cdn.mapping import (
-    GeodesicMapping,
-    MeasuredLatencyMapping,
-    PopProximityMapping,
-)
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import all_cdn_sites, cdn_site_by_name, city_by_name
+from repro.geo.datasets import all_cdn_sites, cdn_site_by_name
 
 
 class TestNearestSite:
@@ -49,78 +43,3 @@ class TestBestSiteByLatency:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             best_site_by_latency([], lambda s: 1.0)
-
-
-class TestGeodesicMapping:
-    def test_terrestrial_user_maps_locally(self):
-        mapping = GeodesicMapping()
-        maputo = city_by_name("Maputo")
-        assert mapping.site_for(maputo, all_cdn_sites()).name == "Maputo"
-
-
-class TestPopProximityMapping:
-    def test_starlink_maputo_maps_to_frankfurt(self):
-        # The paper's central mis-mapping reproduced as a one-liner.
-        mapping = PopProximityMapping()
-        maputo = city_by_name("Maputo")
-        assert mapping.site_for(maputo, all_cdn_sites()).name == "Frankfurt"
-
-    def test_starlink_madrid_maps_locally(self):
-        mapping = PopProximityMapping()
-        madrid = city_by_name("Madrid")
-        assert mapping.site_for(madrid, all_cdn_sites()).name == "Madrid"
-
-    def test_mapping_divergence_only_for_remote_pops(self):
-        geodesic = GeodesicMapping()
-        pop_based = PopProximityMapping()
-        sites = all_cdn_sites()
-        # Maputo diverges; Tokyo does not.
-        maputo, tokyo = city_by_name("Maputo"), city_by_name("Tokyo")
-        assert geodesic.site_for(maputo, sites) != pop_based.site_for(maputo, sites)
-        assert geodesic.site_for(tokyo, sites) == pop_based.site_for(tokyo, sites)
-
-
-class TestMeasuredLatencyMapping:
-    def test_finds_lowest_latency_site(self):
-        # A sampler whose latency is pure geodesic distance: the measured
-        # mapping must agree with the geodesic mapping.
-        def sampler(city, site):
-            return great_circle_km(city.location, site.location)
-
-        mapping = MeasuredLatencyMapping(rtt_sampler=sampler, probes=1)
-        maputo = city_by_name("Maputo")
-        assert mapping.site_for(maputo, all_cdn_sites()).name == "Maputo"
-
-    def test_candidate_limit_restricts_probing(self):
-        calls = []
-
-        def sampler(city, site):
-            calls.append(site.name)
-            return great_circle_km(city.location, site.location)
-
-        mapping = MeasuredLatencyMapping(rtt_sampler=sampler, probes=2, candidate_limit=3)
-        mapping.site_for(city_by_name("Maputo"), all_cdn_sites())
-        assert len(set(calls)) == 3
-        assert len(calls) == 6
-
-    def test_median_overrides_outlier_probe(self):
-        rng = np.random.default_rng(0)
-
-        def sampler(city, site):
-            # Maputo is truly best but occasionally spikes; median filtering
-            # must still select it.
-            base = 5.0 if site.name == "Maputo" else 50.0
-            spike = 1000.0 if (site.name == "Maputo" and rng.random() < 0.2) else 0.0
-            return base + spike
-
-        mapping = MeasuredLatencyMapping(rtt_sampler=sampler, probes=5, candidate_limit=4)
-        assert mapping.site_for(city_by_name("Maputo"), all_cdn_sites()).name == "Maputo"
-
-    def test_invalid_probes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MeasuredLatencyMapping(rtt_sampler=lambda c, s: 1.0, probes=0)
-
-    def test_empty_sites_rejected(self):
-        mapping = MeasuredLatencyMapping(rtt_sampler=lambda c, s: 1.0)
-        with pytest.raises(ConfigurationError):
-            mapping.site_for(city_by_name("Maputo"), [])

@@ -22,7 +22,6 @@ EXAMPLES = [
     ("content_bubbles.py", "plain LRU"),
     ("live_system.py", "space hit ratio"),
     ("economics_and_wormholes.py", "wormhole"),
-    ("fleet_and_churn.py", "access churn"),
     ("chaos_sweep.py", "degraded serve"),
 ]
 

@@ -1,6 +1,10 @@
 """Tests for dataset export/import and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +285,18 @@ class TestExitCodes:
             EXIT_SHARD_FAILED,
         }
         assert codes == {2, 3, 4, 5, 6, 7}
+
+
+def test_runtime_never_imports_networkx():
+    """networkx is a test-only dependency: neither the CLI nor any
+    registered experiment module may pull it in."""
+    code = (
+        "import importlib, sys\n"
+        "from repro.cli import _EXPERIMENTS\n"
+        "for name in _EXPERIMENTS:\n"
+        "    importlib.import_module(f'repro.experiments.{name}')\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported at runtime'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -4,38 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation.clock import SimulationClock
 from repro.simulation.sampler import EpochSampler, seeded_rng, user_sample_points
-
-
-class TestClock:
-    def test_advance(self):
-        clock = SimulationClock()
-        assert clock.advance(10.0) == 10.0
-        assert clock.advance(5.0) == 15.0
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimulationClock().advance(-1.0)
-
-    def test_advance_to(self):
-        clock = SimulationClock()
-        clock.advance_to(100.0)
-        assert clock.now_s == 100.0
-
-    def test_advance_to_past_rejected(self):
-        clock = SimulationClock(now_s=50.0)
-        with pytest.raises(ConfigurationError):
-            clock.advance_to(49.0)
-
-    def test_ticks(self):
-        clock = SimulationClock(now_s=10.0)
-        assert clock.ticks(30.0, 10.0) == [10.0, 20.0, 30.0, 40.0]
-        assert clock.now_s == 10.0  # schedule helper does not advance
-
-    def test_ticks_invalid(self):
-        with pytest.raises(ConfigurationError):
-            SimulationClock().ticks(0.0, 1.0)
 
 
 class TestSeededRng:

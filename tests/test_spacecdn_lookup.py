@@ -6,6 +6,7 @@ from repro.errors import ContentNotFoundError, RoutingError
 from repro.geo.coordinates import GeoPoint
 from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup
 from repro.topology.routing import hop_distances
+from topology_reference import networkx_view
 
 
 @pytest.fixture
@@ -29,14 +30,14 @@ class TestLookupAtAccessSatellite:
 
 
 class TestIslLookup:
-    def test_neighbor_cache(self, lookup, small_snapshot):
-        neighbor = next(iter(small_snapshot.graph[0]))
+    def test_neighbor_cache(self, lookup, small_view):
+        neighbor = next(iter(small_view[0]))
         result = lookup.lookup(0, 8.0, frozenset({neighbor}))
         assert result.source is LookupSource.ISL_NEIGHBOR
         assert result.isl_hops == 1
         assert result.serving_satellite == neighbor
         assert result.one_way_ms == pytest.approx(
-            8.0 + small_snapshot.edge_latency_ms(0, neighbor)
+            8.0 + small_view[0][neighbor]["latency_ms"]
         )
 
     def test_prefers_cheapest_cache(self, lookup, small_snapshot):
@@ -101,9 +102,7 @@ class TestLookupFromPoint:
         access = probe.access_satellite
         direct = lookup.lookup_from_point(user, frozenset({access}))
         assert direct.source is LookupSource.ACCESS_SATELLITE
-        neighbor = next(
-            n for n in shell1_snapshot.graph[access] if isinstance(n, int)
-        )
+        neighbor = next(iter(networkx_view(shell1_snapshot)[access]))
         via_isl = lookup.lookup_from_point(user, frozenset({neighbor}))
         assert via_isl.source is LookupSource.ISL_NEIGHBOR
         assert via_isl.one_way_ms > direct.one_way_ms

@@ -1,5 +1,7 @@
 """Tests for failure injection and placement resilience."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -17,15 +19,15 @@ from repro.topology import fastcore
 class TestFailSatellites:
     def test_nodes_removed(self, small_snapshot):
         degraded = fail_satellites(small_snapshot, frozenset({0, 1, 2}))
-        assert 0 not in degraded.graph
+        assert not degraded.has_satellite(0)
         assert len(degraded.satellite_nodes()) == len(
             small_snapshot.satellite_nodes()
         ) - 3
 
     def test_original_untouched(self, small_snapshot):
-        before = small_snapshot.graph.number_of_nodes()
+        before = len(small_snapshot.satellite_nodes())
         fail_satellites(small_snapshot, frozenset({0}))
-        assert small_snapshot.graph.number_of_nodes() == before
+        assert len(small_snapshot.satellite_nodes()) == before
 
     def test_unknown_satellite_rejected(self, small_snapshot):
         with pytest.raises(ConfigurationError):
@@ -33,26 +35,23 @@ class TestFailSatellites:
 
     def test_empty_failure_is_identity(self, small_snapshot):
         degraded = fail_satellites(small_snapshot, frozenset())
-        assert degraded.graph.number_of_edges() == small_snapshot.graph.number_of_edges()
+        assert degraded.satellite_nodes() == small_snapshot.satellite_nodes()
+        assert degraded.active_mask is None
 
-    def test_materialised_graph_never_aliased(self, small_snapshot):
-        """Repeated failure injections must not mutate the original's graph.
-
-        The degraded copy removes nodes from *its* networkx view; if that
-        view aliased the original's, every fault experiment would corrupt
-        the healthy snapshot it came from.
-        """
-        original = small_snapshot.graph  # materialise before degrading
-        nodes_before = set(original.nodes)
-        edges_before = original.number_of_edges()
-        first = fail_satellites(small_snapshot, frozenset({0, 1}))
-        second = fail_satellites(small_snapshot, frozenset({2}))
-        assert set(small_snapshot.graph.nodes) == nodes_before
-        assert small_snapshot.graph.number_of_edges() == edges_before
-        assert first.graph is not original
-        assert second.graph is not original
-        # Each degraded copy is independent of the others too.
-        assert 2 in first.graph and 0 in second.graph
+    def test_original_failed_and_mask_unchanged(self, small_snapshot):
+        """Repeated failure injections leave the source snapshot's failure
+        set and liveness mask as they were, and share its CSR core."""
+        base = fail_satellites(small_snapshot, frozenset({5}))
+        mask_before = base.active_mask.copy()
+        first = fail_satellites(base, frozenset({0, 1}))
+        second = fail_satellites(base, frozenset({2}))
+        assert base.failed == frozenset({5})
+        np.testing.assert_array_equal(base.active_mask, mask_before)
+        assert first.failed == frozenset({0, 1, 5})
+        assert second.failed == frozenset({2, 5})
+        assert first.core is second.core is small_snapshot.core
+        with pytest.raises(FrozenInstanceError):
+            first.failed = frozenset()
 
 
 class TestDegradeSnapshot:

@@ -10,6 +10,7 @@ from repro.geo.datasets import city_by_name
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
+from topology_reference import networkx_view
 
 
 @pytest.fixture
@@ -103,7 +104,7 @@ class TestIslServing:
         from repro.orbits.visibility import nearest_visible_satellite
 
         access = nearest_visible_satellite(system.constellation, EQUATOR, 0.0).index
-        neighbor = next(n for n in snapshot.graph[access] if isinstance(n, int))
+        neighbor = next(iter(networkx_view(snapshot)[access]))
         system.preload({"obj-000005": frozenset({neighbor})})
         result = system.serve(EQUATOR, "obj-000005", 0.0)
         assert result.source is LookupSource.ISL_NEIGHBOR

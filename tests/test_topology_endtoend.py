@@ -1,4 +1,8 @@
-"""Tests for graph-routed end-to-end paths (and analytic-model validation)."""
+"""Tests for graph-routed end-to-end paths (and analytic-model validation).
+
+The graph router is the ``networkx`` reference of ``topology_reference.py``:
+the analytic bent-pipe model is cross-checked against it.
+"""
 
 import numpy as np
 import pytest
@@ -8,13 +12,12 @@ from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import LatencyNoise
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
-from repro.topology.endtoend import GraphPathRouter
 from repro.topology.graph import build_snapshot
+from topology_reference import GraphPathRouter
 
 
 @pytest.fixture
 def router():
-    # Fresh snapshot per test module run: the router attaches ground nodes.
     constellation = build_walker_delta(starlink_shell1())
     return GraphPathRouter(snapshot=build_snapshot(constellation, 0.0))
 

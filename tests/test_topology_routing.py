@@ -1,4 +1,9 @@
-"""Tests for routing over snapshot graphs."""
+"""Tests for routing over snapshot graphs.
+
+Path reconstruction and per-edge lookups go through the ``networkx`` view
+of ``topology_reference.py``; the fastcore-backed wrappers are checked
+against it.
+"""
 
 import pytest
 
@@ -8,44 +13,45 @@ from repro.topology.routing import (
     latency_by_hop_count,
     min_latency_at_hops,
     satellite_latencies,
-    shortest_path,
 )
+from topology_reference import networkx_view, shortest_path
+
+
+def edge_latency_ms(view, a, b) -> float:
+    return view[a][b]["latency_ms"]
 
 
 class TestShortestPath:
-    def test_path_to_self(self, small_snapshot):
-        route = shortest_path(small_snapshot, 0, 0)
+    def test_path_to_self(self, small_view):
+        route = shortest_path(small_view, 0, 0)
         assert route.path == (0,)
         assert route.latency_ms == 0.0
         assert route.hops == 0
 
-    def test_neighbor_path(self, small_snapshot):
-        neighbor = next(iter(small_snapshot.graph[0]))
-        route = shortest_path(small_snapshot, 0, neighbor)
+    def test_neighbor_path(self, small_view):
+        neighbor = next(iter(small_view[0]))
+        route = shortest_path(small_view, 0, neighbor)
         assert route.hops == 1
-        assert route.latency_ms == pytest.approx(
-            small_snapshot.edge_latency_ms(0, neighbor)
-        )
+        assert route.latency_ms == pytest.approx(edge_latency_ms(small_view, 0, neighbor))
 
-    def test_latency_is_sum_of_edges(self, small_snapshot):
-        route = shortest_path(small_snapshot, 0, 20)
+    def test_latency_is_sum_of_edges(self, small_view):
+        route = shortest_path(small_view, 0, 20)
         total = sum(
-            small_snapshot.edge_latency_ms(a, b)
-            for a, b in zip(route.path, route.path[1:])
+            edge_latency_ms(small_view, a, b) for a, b in zip(route.path, route.path[1:])
         )
         assert route.latency_ms == pytest.approx(total)
 
-    def test_unknown_node_raises(self, small_snapshot):
+    def test_unknown_node_raises(self, small_view):
         with pytest.raises(RoutingError):
-            shortest_path(small_snapshot, 0, 10_000)
+            shortest_path(small_view, 0, 10_000)
 
-    def test_triangle_inequality_vs_direct_edges(self, small_snapshot):
+    def test_triangle_inequality_vs_direct_edges(self, small_view):
         # Shortest path latency can never exceed any single concatenation.
         for target in (5, 17, 33):
-            direct = shortest_path(small_snapshot, 0, target).latency_ms
+            direct = shortest_path(small_view, 0, target).latency_ms
             via = (
-                shortest_path(small_snapshot, 0, 8).latency_ms
-                + shortest_path(small_snapshot, 8, target).latency_ms
+                shortest_path(small_view, 0, 8).latency_ms
+                + shortest_path(small_view, 8, target).latency_ms
             )
             assert direct <= via + 1e-9
 
@@ -54,9 +60,9 @@ class TestHopDistances:
     def test_source_at_zero(self, small_snapshot):
         assert hop_distances(small_snapshot, 0)[0] == 0
 
-    def test_neighbors_at_one(self, small_snapshot):
+    def test_neighbors_at_one(self, small_snapshot, small_view):
         hops = hop_distances(small_snapshot, 0)
-        for neighbor in small_snapshot.graph[0]:
+        for neighbor in small_view[0]:
             assert hops[neighbor] == 1
 
     def test_all_satellites_reachable(self, small_snapshot, small_shell):
@@ -78,11 +84,11 @@ class TestSatelliteLatencies:
     def test_source_zero(self, small_snapshot):
         assert satellite_latencies(small_snapshot, 0)[0] == 0.0
 
-    def test_consistent_with_shortest_path(self, small_snapshot):
+    def test_consistent_with_shortest_path(self, small_snapshot, small_view):
         latencies = satellite_latencies(small_snapshot, 0)
         for target in (3, 11, 40):
             assert latencies[target] == pytest.approx(
-                shortest_path(small_snapshot, 0, target).latency_ms
+                shortest_path(small_view, 0, target).latency_ms
             )
 
 
@@ -115,7 +121,6 @@ class TestLatencyByHopCount:
 
     def test_hop_one_is_cheapest_edge(self, shell1_snapshot):
         ladder = latency_by_hop_count(shell1_snapshot, 0, 1)
-        cheapest = min(
-            shell1_snapshot.edge_latency_ms(0, n) for n in shell1_snapshot.graph[0]
-        )
+        view = networkx_view(shell1_snapshot)
+        cheapest = min(edge_latency_ms(view, 0, n) for n in view[0])
         assert ladder[1] == pytest.approx(cheapest)
