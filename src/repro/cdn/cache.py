@@ -12,9 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from repro.cdn.content import ContentObject
 from repro.errors import CacheError
@@ -168,24 +166,10 @@ class HoldersIndex:
     :meth:`add` / :meth:`discard` / :meth:`drop_satellite`, so the index is
     exact by construction — a satellite appears in ``holders(object_id)``
     if and only if its cache holds the object right now.
-
-    Beyond the per-object sets, the index can expose a **holders matrix**:
-    a dense ``(objects, satellites)`` boolean bitmap over a chosen cohort
-    of object ids (:meth:`holders_matrix`). The matrix is a *live view*,
-    maintained incrementally by the same ``add``/``discard`` calls that
-    mutate the sets, and the index records which tracked objects changed
-    since the view was built (:attr:`dirty_objects`) — the batched serve
-    path resolves whole request cohorts against the bitmap and only
-    recomputes the rows that cohort-time cache updates invalidated.
     """
 
     def __init__(self) -> None:
         self._holders: dict[str, set[int]] = {}
-        self._view_rows: dict[str, int] = {}
-        self._view_matrix: np.ndarray | None = None
-        self.dirty_objects: set[str] = set()
-        """Tracked object ids whose holder set changed since the live
-        matrix view was (re)built. Cleared by :meth:`holders_matrix`."""
 
     def __contains__(self, object_id: str) -> bool:
         return object_id in self._holders
@@ -201,23 +185,9 @@ class HoldersIndex:
         """Satellites currently caching ``object_id`` (empty when none)."""
         return frozenset(self._holders.get(object_id, ()))
 
-    def holder_set(self, object_id: str) -> set[int] | None:
-        """The live holder set (internal view; do not mutate), or ``None``."""
-        return self._holders.get(object_id)
-
-    def _touch_view(self, object_id: str, satellite: int, present: bool) -> None:
-        row = self._view_rows.get(object_id)
-        if row is None:
-            return
-        matrix = self._view_matrix
-        if matrix is not None and 0 <= satellite < matrix.shape[1]:
-            matrix[row, satellite] = present
-        self.dirty_objects.add(object_id)
-
     def add(self, object_id: str, satellite: int) -> None:
         """Record that ``satellite``'s cache now holds ``object_id``."""
         self._holders.setdefault(object_id, set()).add(satellite)
-        self._touch_view(object_id, satellite, True)
 
     def discard(self, object_id: str, satellite: int) -> None:
         """Record that ``satellite``'s cache dropped ``object_id``."""
@@ -227,7 +197,6 @@ class HoldersIndex:
         holders.discard(satellite)
         if not holders:
             del self._holders[object_id]
-        self._touch_view(object_id, satellite, False)
 
     def drop_satellite(self, satellite: int, object_ids: Iterable[str]) -> None:
         """Remove one satellite from the holder sets of ``object_ids``.
@@ -238,37 +207,6 @@ class HoldersIndex:
         """
         for object_id in object_ids:
             self.discard(object_id, satellite)
-
-    def holders_matrix(
-        self, object_ids: Sequence[str], num_satellites: int
-    ) -> np.ndarray:
-        """A dense ``(len(object_ids), num_satellites)`` holders bitmap.
-
-        Row ``i`` is the boolean holder mask of ``object_ids[i]`` (repeated
-        ids share contents but get distinct rows; only the first row per id
-        is incrementally maintained — pass unique ids for a live view).
-        The returned array becomes the index's *live view*: subsequent
-        ``add``/``discard`` calls update it in place and record the object
-        in :attr:`dirty_objects`. Building a new matrix replaces the view
-        and clears the dirty set.
-        """
-        matrix = np.zeros((len(object_ids), num_satellites), dtype=bool)
-        rows: dict[str, int] = {}
-        for row, object_id in enumerate(object_ids):
-            holders = self._holders.get(object_id)
-            if holders:
-                matrix[row, [s for s in holders if 0 <= s < num_satellites]] = True
-            rows.setdefault(object_id, row)
-        self._view_rows = rows
-        self._view_matrix = matrix
-        self.dirty_objects = set()
-        return matrix
-
-    def release_view(self) -> None:
-        """Detach the live matrix view (updates stop; sets stay exact)."""
-        self._view_rows = {}
-        self._view_matrix = None
-        self.dirty_objects = set()
 
 
 class LruCache(Cache):

@@ -46,6 +46,7 @@ completed; see ``quarantine.json``); 9 benchmark regression detected by
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable
 
@@ -141,9 +142,9 @@ def _parse_loads(text: str) -> tuple[float, ...]:
             raise FaultConfigError(
                 f"--loads expects comma-separated numbers, got {token!r}"
             ) from None
-        if value <= 0.0:
+        if not (math.isfinite(value) and value > 0.0):
             raise FaultConfigError(
-                f"--loads multipliers must be positive, got {value:g}"
+                f"--loads multipliers must be positive and finite, got {value:g}"
             )
         loads.append(value)
     if not loads:

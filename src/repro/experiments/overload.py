@@ -15,6 +15,7 @@ serving path so the comparison isolates the *load*, not the code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -328,8 +329,10 @@ def _validated_config(
         raise ConfigurationError("num_requests must be >= 1")
     if not loads:
         raise ConfigurationError("need at least one load multiplier")
-    if any(load <= 0 for load in loads):
-        raise ConfigurationError(f"load multipliers must be positive: {loads}")
+    if not all(math.isfinite(load) and load > 0 for load in loads):
+        raise ConfigurationError(
+            f"load multipliers must be positive and finite: {loads}"
+        )
     _constellation_for(shell)
     RetryPolicy(max_attempts=max_attempts)
     OverloadModel(

@@ -104,8 +104,8 @@ class FaultSchedule:
         degrade nothing by themselves — they only matter to a system
         carrying an :class:`~repro.overload.OverloadModel`, which routes
         serving through the overloaded path regardless of this flag. A
-        schedule holding only load processes therefore keeps the healthy
-        fast path byte-identical on systems without an overload model.
+        schedule holding only load processes therefore serves exactly as
+        no schedule at all on systems without an overload model.
         """
         return (
             not self.satellite_processes

@@ -210,7 +210,7 @@ class OverloadModel:
     _state_counts: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.capacity_per_slot <= 0 or self.ground_capacity_per_slot <= 0:
+        if not (self.capacity_per_slot > 0 and self.ground_capacity_per_slot > 0):
             raise ConfigurationError("capacities must be positive")
         if self.queue_service_ms < 0 or self.max_queue_delay_ms < 0:
             raise ConfigurationError("queue service time and cap must be >= 0")

@@ -15,6 +15,7 @@ levels and latency samples.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,12 +32,7 @@ from repro.obs.metrics import OVERLOAD_QUEUE_BUCKETS_MS
 from repro.obs.recorder import get_recorder
 from repro.overload import GROUND_TARGET, OverloadModel
 from repro.orbits.walker import Constellation
-from repro.spacecdn.lookup import (
-    LookupSource,
-    nearest_cached_batch,
-    nearest_cached_from_rows,
-    ranked_cached_from_rows,
-)
+from repro.spacecdn.lookup import LookupSource, ranked_cached_from_rows
 from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph, access_latency_ms, build_snapshot
 from repro.workloads.requests import Request
@@ -52,13 +48,22 @@ TIER_OF_SOURCE: dict[LookupSource, str] = {
 _TIER_LABELS = {tier: (("tier", tier),) for tier in TIER_OF_SOURCE.values()}
 
 
+def _check_time(t_s: float) -> None:
+    """Reject a request time that maps to no snapshot slot."""
+    if not math.isfinite(t_s):
+        raise ConfigurationError(f"non-finite time: {t_s}")
+    if t_s < 0:
+        raise ConfigurationError(f"negative time: {t_s}")
+
+
 @dataclass(frozen=True)
 class ServedRequest:
     """Outcome of one request through the system.
 
-    ``attempts`` counts fetch attempts including the successful one (always
-    1 on the healthy path); ``fallback_reason`` explains why the request was
-    not served by its preferred rung (``None`` when it was): one of
+    ``attempts`` counts fetch attempts including the successful one (1
+    unless an attempt was lost or over budget); ``fallback_reason``
+    explains why the request was not served by its preferred rung
+    (``None`` when it was): one of
     ``"attempt-timeout"``, ``"transient-loss"``, ``"ground-timeout"``,
     ``"no-space-replica"``, ``"space-exhausted"``. ``priority`` is the
     request's admission class on the overloaded serve path (``None``
@@ -158,14 +163,15 @@ class SpaceCdnSystem:
         ground_rtt_ms: RTT of the bent-pipe + terrestrial fallback path.
         snapshot_interval_s: how often the ISL graph is rebuilt as the
             constellation rotates (60 s keeps link-length error under ~1%).
-        fault_schedule: composed fault processes; with a non-empty one,
-            requests run the attempt walk over the fault-masked snapshot,
-            and ``None`` (or an empty schedule) keeps the vectorised
-            healthy cohort. Faults are applied at snapshot granularity —
-            the schedule compiles once per snapshot slot into the CSR
-            core's node/link masks.
+        fault_schedule: composed fault processes. Every request runs the
+            attempt walk; a non-empty schedule runs it over the
+            fault-masked snapshot, and ``None`` (or an empty schedule)
+            over the healthy one under an empty fault view. Faults are
+            applied at snapshot granularity — the schedule compiles once
+            per snapshot slot into the CSR core's node/link masks.
         retry_policy: bounded attempts, per-attempt RTT budget, and
-            simulated exponential backoff for the attempt walk.
+            simulated exponential backoff for the attempt walk (applied
+            with or without a fault schedule).
         overload: per-satellite capacity, admission control, circuit
             breakers, and deadline budgets
             (:class:`~repro.overload.OverloadModel`). ``None`` (the
@@ -282,8 +288,7 @@ class SpaceCdnSystem:
 
     def snapshot_at(self, t_s: float) -> SnapshotGraph:
         """The ISL graph for the quantised instant containing ``t_s``."""
-        if t_s < 0:
-            raise ConfigurationError(f"negative time: {t_s}")
+        _check_time(t_s)
         slot = int(t_s // self.snapshot_interval_s)
         if slot != self._snapshot_slot or self._snapshot is None:
             self._snapshot = build_snapshot(
@@ -346,11 +351,12 @@ class SpaceCdnSystem:
         fetches populate the access satellite's cache (pull-through), which
         is how popularity organically builds the space tier.
 
-        With a non-empty ``fault_schedule`` the ladder runs over the
-        fault-masked snapshot, with ``retry_policy`` bounding attempts and
-        charging simulated backoff, and
-        :class:`~repro.errors.UnavailableError` raised when no serving path
-        survives. With an ``overload`` model (which composes with any fault
+        Each rung is one attempt: ``retry_policy`` bounds attempts and
+        charges simulated backoff, a non-empty ``fault_schedule`` masks the
+        snapshot the ladder runs over, and
+        :class:`~repro.errors.UnavailableError` is raised when no serving
+        path survives (including a user with no live satellite in view).
+        With an ``overload`` model (which composes with any fault
         schedule) the walk adds admission control per priority class,
         circuit breakers over the ladder's rungs, queueing delay as
         utilisation rises, and the deadline budget bounding the whole walk.
@@ -387,29 +393,26 @@ class SpaceCdnSystem:
     ) -> list[ServedRequest | None]:
         """Serve a whole cohort of requests sharing one snapshot epoch.
 
-        Requests resolve in order, each with the side effects of serving it
-        alone (caches, stats, the fault schedule's per-request determinism),
-        but the per-request O(N) work is hoisted to per-cohort array passes:
-        one visibility matrix over the unique users, one routing pass over
-        the unique access satellites (masked once for the whole cohort under
-        faults), and cache lookups as membership tests against the holders
-        bitmap. Cohort-time cache mutations (pull-through stores, evictions,
-        LRU churn) are applied in request order against the real caches; the
-        incremental dirty tracking of
-        :class:`~repro.cdn.cache.HoldersIndex` re-resolves only the
-        requests whose holder sets changed mid-cohort.
+        Every request runs the one attempt walk (:meth:`_walk`), in order
+        and with the side effects of serving it alone (caches, stats, the
+        fault schedule's per-request determinism); a system with no faults
+        walks under an empty :class:`~repro.faults.FaultView` over the
+        healthy snapshot. The per-request O(N) work is hoisted to
+        per-cohort passes: one visibility matrix over the unique users and
+        one routing pass over the unique access satellites (masked once for
+        the whole cohort under faults).
 
         ``t_s`` may be a scalar (the whole cohort at one instant) or a
-        per-request sequence; all times must land in the *same* snapshot
-        slot — :meth:`run` does the slot grouping. Every argument is checked
-        before any state changes (lengths, times, priorities, catalog
-        membership), so a rejected call leaves caches, fault state and the
-        request counter untouched.
+        per-request sequence of finite, non-negative times; all must land
+        in the *same* snapshot slot — :meth:`run` does the slot grouping.
+        Every argument is checked before any state changes (lengths, times,
+        priorities, catalog membership), so a rejected call leaves caches,
+        fault state and the request counter untouched.
 
-        Returns one entry per request, in order. Under a fault schedule
-        with ``continue_on_unavailable``, requests that exhaust the ladder
-        keep their slot as ``None`` (they are counted in
-        ``stats.unavailable``); without it the first such request raises
+        Returns one entry per request, in order. With
+        ``continue_on_unavailable``, requests that exhaust the ladder (or
+        see no live satellite) keep their slot as ``None`` (they are counted
+        in ``stats.unavailable``); without it the first such request raises
         :class:`~repro.errors.UnavailableError` after the preceding
         requests' effects are applied.
 
@@ -452,8 +455,7 @@ class SpaceCdnSystem:
         if num == 0:
             return []
         for t in times:
-            if t < 0:
-                raise ConfigurationError(f"negative time: {t}")
+            _check_time(t)
         slot = int(times[0] // self.snapshot_interval_s)
         if any(int(t // self.snapshot_interval_s) != slot for t in times):
             raise ConfigurationError(
@@ -470,8 +472,9 @@ class SpaceCdnSystem:
         if faulted:
             view, degraded = self._fault_state_at(snapshot)
         else:
-            # Overload protection alone degrades no topology; it only meters
-            # admission onto the healthy snapshot.
+            # Nothing fails: the walk runs under an empty view over the
+            # healthy snapshot (overload protection, if any, only meters
+            # admission onto it).
             view, degraded = FaultView(t_s=snapshot.t_s), snapshot
 
         from repro.orbits.visibility import visible_satellites_batch
@@ -498,17 +501,11 @@ class SpaceCdnSystem:
         results: list[ServedRequest | None] = []
         unavailable_before = self.stats.unavailable
         try:
-            if faulted or model is not None:
-                self._serve_walks(
-                    users, object_ids, times, u_idx, vb, view, degraded,
-                    counts, continue_on_unavailable, results, priorities,
-                    shed_counts,
-                )
-            else:
-                self._serve_batch_healthy(
-                    users, object_ids, times, u_idx, vb, snapshot,
-                    counts, results,
-                )
+            self._serve_walks(
+                users, object_ids, times, u_idx, vb, view, degraded,
+                counts, continue_on_unavailable, results, priorities,
+                shed_counts,
+            )
         finally:
             if rec.enabled:
                 # Counted from stats, so a request that raised out of the
@@ -544,221 +541,6 @@ class SpaceCdnSystem:
                     )
         return results
 
-    def _serve_batch_healthy(
-        self,
-        users: Sequence[GeoPoint],
-        object_ids: Sequence[str],
-        times: list[float],
-        u_idx: np.ndarray,
-        vb,
-        snapshot: SnapshotGraph,
-        counts: Counter | None,
-        results: list,
-    ) -> None:
-        """The fault-free cohort: vectorised decisions, in-order application.
-
-        Three phases. (1) Per-cohort matrices: access pick and routing rows
-        per unique user, the holders bitmap over the cohort's unique
-        objects. (2) A provisional vectorised ladder decision per unique
-        ``(user, object)`` pair against cohort-start holders — masked
-        first-hit for the direct-visible rung, masked argmin for the ISL
-        rung. (3) The in-order apply loop performing the *same* cache
-        operations as serving each request alone; a request whose object's holders
-        changed mid-cohort (pull-through store or eviction, tracked by the
-        index's dirty set) ignores its provisional decision and re-resolves
-        from the live index against the same routing rows.
-        """
-        core = snapshot.core
-        n = core.num_nodes
-        num = len(object_ids)
-        num_u = vb.num_points
-
-        acc_of_u = np.full(num_u, -1, dtype=np.int64)
-        slant_of_u = np.zeros(num_u)
-        for i in range(num_u):
-            order = vb.order[i]
-            if order.size:
-                a = int(order[0])
-                acc_of_u[i] = a
-                slant_of_u[i] = vb.slant_ranges_km[i, a]
-        seen_acc = sorted({int(a) for a in acc_of_u if a >= 0})
-        if seen_acc:
-            hops_m, lats_m = fastcore.single_source_batch(
-                core, seen_acc, snapshot.active_mask
-            )
-        else:
-            hops_m = np.empty((0, n), dtype=np.int32)
-            lats_m = np.empty((0, n))
-        row_of_acc = {a: i for i, a in enumerate(seen_acc)}
-        accrow_of_u = np.fromiter(
-            (row_of_acc.get(int(a), -1) for a in acc_of_u),
-            dtype=np.int64,
-            count=num_u,
-        )
-
-        o_of: dict[str, int] = {}
-        o_idx = np.empty(num, dtype=np.int64)
-        unique_oids: list[str] = []
-        for r, oid in enumerate(object_ids):
-            i = o_of.get(oid)
-            if i is None:
-                i = len(unique_oids)
-                o_of[oid] = i
-                unique_oids.append(oid)
-            o_idx[r] = i
-        holders_m = self._index.holders_matrix(unique_oids, n)
-
-        # Padded per-user visibility order for the direct-visible rung scan;
-        # column 0 (the access satellite) has its own rung.
-        vmax = max((order.size for order in vb.order), default=0)
-        opad = np.zeros((num_u, max(vmax, 1)), dtype=np.int64)
-        valid = np.zeros((num_u, max(vmax, 1)), dtype=bool)
-        for i, order in enumerate(vb.order):
-            opad[i, : order.size] = order
-            valid[i, : order.size] = True
-        valid[:, 0] = False
-
-        num_o = len(unique_oids)
-        codes = u_idx * num_o + o_idx
-        pair_codes, pair_of_r = np.unique(codes, return_inverse=True)
-        pair_u = (pair_codes // num_o).astype(np.int64)
-        pair_o = (pair_codes % num_o).astype(np.int64)
-        p_total = len(pair_codes)
-        p_src = np.full(p_total, 3, dtype=np.int8)  # 1 direct / 2 isl / 3 ground
-        p_sat = np.full(p_total, -1, dtype=np.int64)
-        p_hops = np.zeros(p_total, dtype=np.int64)
-        p_lat = np.zeros(p_total)
-        chunk = 2048  # bounds the (chunk, N) work arrays to a few tens of MB
-        if seen_acc:
-            for lo in range(0, p_total, chunk):
-                hi = min(lo + chunk, p_total)
-                cu = pair_u[lo:hi]
-                hp = holders_m[pair_o[lo:hi]]  # (C, N) cohort-start copy
-                rows_ord = opad[cu]
-                vis_hold = np.take_along_axis(hp, rows_ord, axis=1) & valid[cu]
-                has_direct = vis_hold.any(axis=1)
-                arange_c = np.arange(hi - lo)
-                direct_sat = rows_ord[arange_c, vis_hold.argmax(axis=1)]
-                rowsel = accrow_of_u[cu]
-                safe_row = np.where(rowsel >= 0, rowsel, 0)
-                hops_c = hops_m[safe_row]
-                lats_c = lats_m[safe_row]
-                found, best = nearest_cached_batch(
-                    hops_c, lats_c, hp, self.max_hops, min_hops=1
-                )
-                found &= rowsel >= 0
-                p_src[lo:hi] = np.where(has_direct, 1, np.where(found, 2, 3))
-                p_sat[lo:hi] = np.where(
-                    has_direct, direct_sat, np.where(found, best, -1)
-                )
-                isl_rows = np.flatnonzero(~has_direct & found)
-                p_hops[lo + isl_rows] = hops_c[isl_rows, best[isl_rows]]
-                p_lat[lo + isl_rows] = lats_c[isl_rows, best[isl_rows]]
-
-        dirty = self._index.dirty_objects
-        think = CDN_SERVER_THINK_TIME_MS
-        for r in range(num):
-            oid = object_ids[r]
-            t = times[r]
-            u = int(u_idx[r])
-            if vb.order[u].size == 0:
-                user = users[r]
-                raise ConfigurationError(
-                    f"no satellite visible from "
-                    f"({user.lat_deg:.1f}, {user.lon_deg:.1f})"
-                )
-            acc = int(acc_of_u[u])
-            access_rtt = 2.0 * access_latency_ms(float(slant_of_u[u]))
-
-            # Rung 1: the access satellite's cache, straight off the real
-            # cache (also records the hit/miss and the LRU touch).
-            if self.cache_of(acc).get(oid) is not None:
-                if counts is not None:
-                    counts[("access", "served")] += 1
-                results.append(
-                    self._record(
-                        oid, t, LookupSource.ACCESS_SATELLITE, acc, 0,
-                        access_rtt + think,
-                    )
-                )
-                continue
-
-            if oid in dirty:
-                src, sat, hops, one_way = self._healthy_decision_from_rows(
-                    oid, u, vb, accrow_of_u, hops_m, lats_m
-                )
-            else:
-                p = pair_of_r[r]
-                src = int(p_src[p])
-                sat = int(p_sat[p])
-                hops = int(p_hops[p])
-                one_way = float(p_lat[p])
-
-            if src == 1:
-                self.cache_of(sat).get(oid)  # count the hit
-                rtt = (
-                    2.0 * access_latency_ms(float(vb.slant_ranges_km[u, sat]))
-                    + think
-                )
-                if counts is not None:
-                    counts[("direct-visible", "served")] += 1
-                results.append(
-                    self._record(
-                        oid, t, LookupSource.DIRECT_VISIBLE, sat, 0, rtt
-                    )
-                )
-            elif src == 2:
-                self.cache_of(sat).get(oid)  # count the remote hit
-                rtt = access_rtt + 2.0 * one_way + think
-                if counts is not None:
-                    counts[("isl", "served")] += 1
-                results.append(
-                    self._record(
-                        oid, t, LookupSource.ISL_NEIGHBOR, sat, hops, rtt
-                    )
-                )
-            else:
-                self._store(acc, oid)
-                if counts is not None:
-                    counts[("ground", "served")] += 1
-                results.append(
-                    self._record(
-                        oid, t, LookupSource.GROUND, None, 0, self.ground_rtt_ms
-                    )
-                )
-
-    def _healthy_decision_from_rows(
-        self,
-        object_id: str,
-        u: int,
-        vb,
-        accrow_of_u: np.ndarray,
-        hops_m: np.ndarray,
-        lats_m: np.ndarray,
-    ) -> tuple[int, int, int, float]:
-        """Re-resolve one dirty request from the live index.
-
-        The provisional decision's rungs below the access rung: first
-        directly visible holder in ascending slant order, else masked
-        nearest ISL holder from the access satellite's precomputed routing
-        rows, else ground. Returns ``(src, satellite, hops, one_way_ms)``
-        with ``src`` using the provisional encoding (1/2/3).
-        """
-        holders = self._index.holder_set(object_id)
-        if holders:
-            order = vb.order[u]
-            for cand in order[1:]:
-                ci = int(cand)
-                if ci in holders:
-                    return 1, ci, 0, 0.0
-            row = int(accrow_of_u[u])
-            found = nearest_cached_from_rows(
-                hops_m[row], lats_m[row], holders, self.max_hops, min_hops=1
-            )
-            if found is not None:
-                return 2, found[0], found[1], found[2]
-        return 3, -1, 0, 0.0
-
     def _serve_walks(
         self,
         users: Sequence[GeoPoint],
@@ -774,7 +556,7 @@ class SpaceCdnSystem:
         priorities: Sequence[int] | None,
         shed_counts: Counter | None,
     ) -> None:
-        """The faulted or overloaded cohort: shared routing, per-request walks.
+        """The cohort: shared routing, per-request walks.
 
         The expensive parts of a request are its visibility and its masked
         routing pass (never memoised, since failure sets vary); both are
@@ -949,7 +731,7 @@ class SpaceCdnSystem:
                 rec.window_inc(t_s, "repro_serve_unavailable_total", labels)
             raise UnavailableError(
                 f"no live satellite visible from ({user.lat_deg:.1f}, "
-                f"{user.lon_deg:.1f}) under the active fault schedule"
+                f"{user.lon_deg:.1f})"
             )
         access = live_visible[0]
         ladder = self._fallback_ladder(live_visible, object_id, rows)

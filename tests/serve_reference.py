@@ -1,14 +1,14 @@
 """A naive per-request reference for :class:`SpaceCdnSystem`'s serve path.
 
-The system resolves requests in cohorts: one visibility matrix, one
-routing pass per access satellite, a live holders bitmap. This module
-answers the same requests the plain way, one at a time, so the property
-suites can check the cohort code element by element. Each satellite has
-an LRU cache and the provider keeps a dict view of which satellites hold
-which object. Candidates are ranked per request with
-``nearest_cached_satellite`` / ``ranked_cached_satellites``. The fault
-schedule and the overload model see the same calls, in the same order, as
-in the system. Nothing is recorded to obs.
+The system resolves requests in cohorts: one visibility matrix and one
+routing pass per access satellite. This module answers the same requests
+the plain way, one at a time, so the property suites can check the cohort
+code element by element. Each satellite has an LRU cache and the provider
+keeps a dict view of which satellites hold which object. Candidates are
+ranked per request with ``ranked_cached_satellites``. Every request runs
+the attempt walk; with no faults it walks under an empty fault view. The
+fault schedule and the overload model see the same calls, in the same
+order, as in the system. Nothing is recorded to obs.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from repro.errors import ConfigurationError, OverloadedError, UnavailableError
 from repro.faults import FaultView, RetryPolicy, apply_fault_view
 from repro.orbits.visibility import visible_satellites
 from repro.overload import GROUND_TARGET
-from repro.spacecdn.lookup import (
-    LookupSource,
-    nearest_cached_satellite,
-    ranked_cached_satellites,
-)
+from repro.spacecdn.lookup import LookupSource, ranked_cached_satellites
 from repro.spacecdn.system import TIER_OF_SOURCE, ServedRequest, SystemStats
 from repro.topology.graph import access_latency_ms, build_snapshot
 
@@ -105,7 +101,7 @@ class ReferenceCdn:
 
     # -- time and faults ----------------------------------------------------
 
-    def _enter_slot(self, t_s: float):
+    def _enter_slot(self, t_s: float) -> None:
         if t_s < 0:
             raise ConfigurationError(f"negative time: {t_s}")
         slot = int(t_s // self.snapshot_interval_s)
@@ -115,7 +111,6 @@ class ReferenceCdn:
                 self.constellation, slot * self.snapshot_interval_s
             )
             self._faults = None
-        return self._snapshot
 
     def _fault_state(self):
         """The slot's fault view and masked snapshot, compiled once per slot."""
@@ -143,10 +138,7 @@ class ReferenceCdn:
             if self.overload is None:
                 raise ConfigurationError("request priorities require an overload model")
             self.overload.validate_priority(priority)
-        snapshot = self._enter_slot(t_s)
-        schedule = self.fault_schedule
-        if self.overload is None and (schedule is None or schedule.is_empty):
-            return self._serve_healthy(user, object_id, t_s, snapshot)
+        self._enter_slot(t_s)
         return self._serve_walk(user, object_id, t_s, priority)
 
     def run(self, requests, continue_on_unavailable: bool = False) -> list:
@@ -175,42 +167,6 @@ class ReferenceCdn:
         return ServedRequest(object_id, t_s, source, satellite, hops, rtt_ms,
                              attempts, reason, priority)
 
-    def _serve_healthy(self, user, object_id, t_s, snapshot) -> ServedRequest:
-        """Fig. 6 with nothing failing: access cache, visible holder, ISL, ground."""
-        visible = visible_satellites(
-            self.constellation, user, snapshot.t_s, self.min_elevation_deg
-        )
-        if not visible:
-            raise ConfigurationError("no satellite visible")
-        access = visible[0]
-        access_rtt = 2.0 * access_latency_ms(access.slant_range_km)
-        if self.cache(access.index).get(object_id) is not None:
-            source, satellite, hops = LookupSource.ACCESS_SATELLITE, access.index, 0
-            rtt = access_rtt + CDN_SERVER_THINK_TIME_MS
-        else:
-            holders = self.holders_of(object_id)
-            direct = [s for s in visible[1:] if s.index in holders]
-            found = None if direct else nearest_cached_satellite(
-                snapshot, access.index, holders, self.max_hops, min_hops=1
-            )
-            if direct:
-                source, hops = LookupSource.DIRECT_VISIBLE, 0
-                satellite = direct[0].index
-                rtt = 2.0 * access_latency_ms(direct[0].slant_range_km)
-                rtt += CDN_SERVER_THINK_TIME_MS
-            elif found is not None:
-                source, (satellite, hops, one_way) = LookupSource.ISL_NEIGHBOR, found
-                rtt = access_rtt + 2.0 * one_way + CDN_SERVER_THINK_TIME_MS
-            else:
-                source, satellite, hops = LookupSource.GROUND, None, 0
-                rtt = self.ground_rtt_ms
-            if satellite is None:
-                self.store(access.index, object_id)
-            else:
-                self.cache(satellite).get(object_id)
-        self.attempt_counts[(TIER_OF_SOURCE[source], "served")] += 1
-        return self._served(object_id, t_s, source, satellite, hops, rtt)
-
     def _ladder(self, live, holders, degraded) -> list[tuple]:
         """Space rungs cheapest first: access, other visible holders, ISL."""
         if not holders:
@@ -236,7 +192,7 @@ class ReferenceCdn:
         return rungs
 
     def _serve_walk(self, user, object_id, t_s, priority) -> ServedRequest:
-        """The attempt walk under faults and/or overload protection."""
+        """The attempt walk, under whatever faults and protection are set."""
         model, policy, schedule = self.overload, self.retry_policy, self.fault_schedule
         view, degraded = self._fault_state()
         index = self._requests

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cdn.content import build_catalog
-from repro.cli import EXIT_FAULT_CONFIG, EXIT_OVERLOADED, main
+from repro.cli import EXIT_ERROR, EXIT_FAULT_CONFIG, EXIT_OVERLOADED, main
 from repro.errors import (
     ConfigurationError,
     FaultConfigError,
@@ -187,6 +187,8 @@ class TestOverloadModel:
         with pytest.raises(ConfigurationError):
             OverloadModel(capacity_per_slot=0.0)
         with pytest.raises(ConfigurationError):
+            OverloadModel(ground_capacity_per_slot=float("nan"))
+        with pytest.raises(ConfigurationError):
             OverloadModel(max_utilisation=1.0)
         with pytest.raises(ConfigurationError):
             OverloadModel(shed_thresholds=(0.5, 0.9), priority_weights=(1.0, 1.0))
@@ -334,7 +336,7 @@ class TestFlashCrowdSchedule:
 
     def test_load_only_schedule_counts_as_empty(self):
         """Without an overload model, flash crowds have nothing to saturate:
-        the healthy fast path must stay in force."""
+        the system must serve exactly as with no schedule."""
         schedule = FaultSchedule().add(
             FlashCrowdProcess(extra_requests_per_slot=2.0)
         )
@@ -512,6 +514,11 @@ class TestOverloadExperiment:
     def test_config_is_validated_eagerly(self):
         with pytest.raises(ConfigurationError):
             overload_experiment.build_plan(num_requests=0)
+        for load in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                overload_experiment.build_plan(loads=(1.0, load))
+        with pytest.raises(ConfigurationError):
+            overload_experiment.build_plan(capacity=float("nan"))
         with pytest.raises(ConfigurationError):
             overload_experiment.build_plan(loads=())
         with pytest.raises(ConfigurationError):
@@ -539,6 +546,20 @@ class TestOverloadCli:
                 ["run", "overload", "--loads", loads]
             ) == EXIT_FAULT_CONFIG
         assert "bad fault configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loads", ["nan", "inf", "1.0,-inf", "0"])
+    def test_non_finite_loads_exit_4(self, capsys, loads):
+        assert main(
+            ["run", "overload", "--shell", "small", "--loads", loads]
+        ) == EXIT_FAULT_CONFIG
+        assert "positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--capacity", "--ground-capacity"])
+    def test_nan_capacity_exits_2(self, capsys, flag):
+        assert main(
+            ["run", "overload", "--shell", "small", flag, "nan"]
+        ) == EXIT_ERROR
+        assert "capacities must be positive" in capsys.readouterr().err
 
     def test_bad_flash_crowd_exits_4(self, capsys):
         assert main(

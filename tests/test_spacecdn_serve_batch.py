@@ -5,7 +5,7 @@ the naive walker in ``tests/serve_reference.py`` for any request stream:
 results, stats, cache contents, and the holders index — healthy and under
 fault schedules. These tests pin that contract, plus the batch kernels it
 leans on (batched visibility, batched single-source routing, the
-vectorised holder argmin) and the incremental holders-index bookkeeping.
+vectorised holder argmin) and the holders-index bookkeeping.
 """
 
 import numpy as np
@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from repro.cdn.cache import HoldersIndex
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError, ReproError, UnavailableError
-from repro.faults import FaultSchedule, OutageWindow, TransientAttemptLoss
+from repro.faults import (
+    FaultSchedule,
+    OutageWindow,
+    RetryPolicy,
+    TransientAttemptLoss,
+)
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.visibility import visible_satellites, visible_satellites_batch
@@ -134,8 +139,8 @@ class TestHealthyEquivalence:
         assert results[1].source.value == "access-satellite"
 
     def test_eviction_churn_matches_scalar(self):
-        """Caches sized for ~1 object force evictions mid-cohort; the dirty
-        re-resolution must track them exactly."""
+        """Caches sized for ~1 object force evictions mid-cohort; later
+        requests of the cohort must see them exactly."""
         sizes = sorted(o.size_bytes for o in CATALOG)
 
         def tiny(schedule, cls=SpaceCdnSystem):
@@ -148,6 +153,63 @@ class TestHealthyEquivalence:
             )
 
         assert_equivalent(dense_spec(120, seed=9, max_step_s=1.0), make=tiny)
+
+
+class TestEmptyFaultView:
+    """No schedule, an empty schedule and an outage of no satellites are
+    the same system: one walk under an empty fault view."""
+
+    NO_SKY = GeoPoint(89.0, 0.0, 0.0)  # above the 53-degree shell's reach
+
+    @staticmethod
+    def schedules():
+        return [
+            lambda: None,
+            FaultSchedule,
+            lambda: FaultSchedule().add(OutageWindow(satellites=frozenset())),
+        ]
+
+    def spec(self):
+        spec = dense_spec(60, seed=4, max_step_s=2.0)
+        users, oids, times = unpack(spec)
+        for k in (0, 17, 18, 41):
+            users[k] = self.NO_SKY
+        return users, oids, times
+
+    def test_three_systems_agree_with_a_no_sky_user(self):
+        users, oids, times = self.spec()
+        reference = make_system(None, ReferenceCdn)
+        expected = serve_each(reference, users, oids, times)
+        assert expected.count(None) == 4
+        assert reference.stats.unavailable == 4
+        for factory in self.schedules():
+            for serve in (serve_each, serve_cohorts):
+                system = make_system(factory())
+                assert serve(system, users, oids, times) == expected
+                assert_same_state(system, reference, OBJECTS)
+
+    def test_no_sky_user_raises_unavailable(self):
+        for factory in self.schedules():
+            system = make_system(factory())
+            with pytest.raises(UnavailableError):
+                system.serve_batch([USERS[0], self.NO_SKY], OBJECTS[:2], 0.0)
+            assert system.stats.unavailable == 1
+            assert system.stats.served == 1
+
+    def test_ground_fetch_names_its_fallback(self):
+        for factory in self.schedules():
+            (served,) = make_system(factory()).serve_batch(
+                [USERS[0]], [OBJECTS[-1]], 0.0
+            )
+            assert served.source.value == "ground"
+            assert served.fallback_reason == "no-space-replica"
+
+    def test_attempt_budget_applies_without_a_schedule(self):
+        policy = RetryPolicy(max_attempts=1, attempt_budget_ms=1.0)
+        system = make_system(None, retry_policy=policy)
+        with pytest.raises(UnavailableError):
+            system.serve_batch([USERS[0]], [OBJECTS[-1]], 0.0)
+        assert system.stats.timeouts == 1
 
 
 class TestDegradedEquivalence:
@@ -267,8 +329,27 @@ class TestCohortValidation:
                     priorities=[0],
                 ),
             ),
+            (
+                False,
+                lambda system: system.serve_batch(
+                    [USERS[0], USERS[1]], [OBJECTS[0], OBJECTS[1]],
+                    [0.0, float("nan")],
+                ),
+            ),
+            (
+                True,
+                lambda system: system.serve_batch(
+                    [USERS[0]], [OBJECTS[0]], float("inf")
+                ),
+            ),
         ],
-        ids=["priorities-without-model", "unknown-object", "priorities-length"],
+        ids=[
+            "priorities-without-model",
+            "unknown-object",
+            "priorities-length",
+            "nan-time",
+            "inf-time",
+        ],
     )
     def test_rejected_call_changes_nothing(self, with_model, bad_call):
         """A call rejected for its arguments must not compile the slot's
@@ -367,30 +448,6 @@ class TestHoldersIndexUnit:
         index.drop_satellite(1, {"a", "b"})
         assert index.holders("a") == frozenset({2})
         assert index.holders("c") == frozenset({1, 2})
-
-    def test_holders_matrix_is_live_and_tracks_dirt(self):
-        index = HoldersIndex()
-        index.add("a", 0)
-        index.add("b", 4)
-        matrix = index.holders_matrix(["a", "b"], 6)
-        assert matrix.dtype == bool and matrix.shape == (2, 6)
-        assert matrix[0, 0] and matrix[1, 4]
-        assert index.dirty_objects == set()
-        index.add("a", 2)
-        index.discard("b", 4)
-        assert matrix[0, 2] and not matrix[1, 4]
-        assert index.dirty_objects == {"a", "b"}
-        # Rebuilding the view resets the dirty set.
-        index.holders_matrix(["a"], 6)
-        assert index.dirty_objects == set()
-
-    def test_release_view_stops_updates(self):
-        index = HoldersIndex()
-        index.add("a", 1)
-        matrix = index.holders_matrix(["a"], 4)
-        index.release_view()
-        index.add("a", 3)
-        assert not matrix[0, 3]
 
 
 class TestBatchKernels:

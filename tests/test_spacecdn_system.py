@@ -170,6 +170,11 @@ class TestTimeDynamics:
         with pytest.raises(ConfigurationError):
             system.snapshot_at(-1.0)
 
+    @pytest.mark.parametrize("t_s", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, system, t_s):
+        with pytest.raises(ConfigurationError):
+            system.snapshot_at(t_s)
+
     def test_access_satellite_changes_over_time(self, system):
         """After several minutes the original access satellite has moved on,
         so a cached object migrates from access-hit to ISL-hit (or ground)."""
