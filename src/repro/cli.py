@@ -51,6 +51,8 @@ import sys
 from typing import Callable
 
 from repro.errors import (
+    ConfigurationError,
+    DatasetError,
     DeadlineExceededError,
     FaultConfigError,
     OverloadedError,
@@ -302,6 +304,12 @@ def _build_plan(name: str, args: argparse.Namespace):
     return builder()
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative ``--seed`` before any work or run directory exists."""
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be non-negative, got {seed}")
+
+
 def _cmd_list(_: argparse.Namespace) -> int:
     for name, description in _EXPERIMENTS.items():
         print(f"{name:10s} {description}")
@@ -343,6 +351,7 @@ def _run_and_print(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     obs_requested = (
         args.obs
         or args.metrics_out is not None
@@ -482,11 +491,13 @@ def _cmd_aim(args: argparse.Namespace) -> int:
     from repro.measurements.aim import AimGenerator
     from repro.measurements.export import write_aim_csv, write_aim_json
 
+    _check_seed(args.seed)
     dataset = AimGenerator(seed=args.seed).generate(tests_per_city=args.tests_per_city)
-    if args.format == "csv":
-        count = write_aim_csv(dataset, args.out)
-    else:
-        count = write_aim_json(dataset, args.out)
+    write = write_aim_csv if args.format == "csv" else write_aim_json
+    try:
+        count = write(dataset, args.out)
+    except OSError as exc:
+        raise DatasetError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     print(f"wrote {count} speed tests to {args.out}")
     return 0
 

@@ -92,17 +92,6 @@ CIRCUITY_TIER2: float = 1.8
 CIRCUITY_TIER3: float = 2.6
 """Poorly interconnected regions (much of Africa, remote islands)."""
 
-# --- SpaceCDN capacity arithmetic (paper §5) ---------------------------------
-
-SATELLITE_STORAGE_TB: float = 150.0
-"""Storage attached to one high-end in-orbit server (HPE DL325 figure)."""
-
-VIDEO_1080P_GB_PER_HOUR: float = 1.4
-"""Approximate size of 1080p/30fps video per hour (H.264)."""
-
-SATELLITE_THERMAL_LIMIT_C: float = 30.0
-"""Passive-cooling safe operating ceiling quoted in §5."""
-
 
 def orbital_period_s(altitude_km: float) -> float:
     """Period of a circular orbit at ``altitude_km`` above the mean surface."""

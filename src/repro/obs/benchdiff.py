@@ -104,9 +104,18 @@ def diff_benchmarks(
     overrides it for specific dotted paths. A metric present in the old
     document but absent from the new one is a regression (the number being
     guarded disappeared); a metric new in the new document is reported as
-    informational.
+    informational. Budgets must be finite and non-negative: a NaN budget
+    would pass every comparison, a negative one would fail every metric.
     """
     per_metric = per_metric or {}
+    budgets = {"--threshold": threshold_pct}
+    budgets.update((f"--metric {path}", pct) for path, pct in per_metric.items())
+    for flag, budget in budgets.items():
+        if not (math.isfinite(budget) and budget >= 0.0):
+            raise ObsError(
+                f"{flag} budget must be a finite, non-negative percent, "
+                f"got {budget:g}"
+            )
     old = {
         path: value
         for path, value in flatten_benchmark(old_doc).items()

@@ -30,7 +30,6 @@ specs over it and :mod:`repro.obs.dashboard` renders it as sparklines.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from repro.atomicio import atomic_write_text

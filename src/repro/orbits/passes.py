@@ -2,9 +2,9 @@
 
 A *pass* is a contiguous interval during which one satellite stays above the
 minimum elevation from a fixed point — 5 to 10 minutes for Starlink
-Shell 1, per the paper. Pass prediction drives the video-striping scheduler
-(:mod:`repro.spacecdn.striping`): stripe *k* of a video is placed on the
-satellite that will be overhead while stripe *k* plays.
+Shell 1, per the paper (DESIGN.md §7). The paper's §5 video-striping idea
+rests on this window: a satellite stays overhead for only a few minutes of
+playback.
 """
 
 from __future__ import annotations

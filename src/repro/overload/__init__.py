@@ -1,6 +1,6 @@
 """Overload protection for the serve path (paper §5 capacity discipline).
 
-Per-satellite request capacity derived from thermal duty budgets, priority
+Explicit per-satellite request capacity per snapshot slot, priority
 admission control with graduated load shedding, M/M/1 queue-delay inflation,
 per-target circuit breakers, and end-to-end deadline budgets. Attach an
 :class:`OverloadModel` to a :class:`~repro.spacecdn.system.SpaceCdnSystem`

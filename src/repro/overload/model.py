@@ -1,14 +1,12 @@
 """Overload protection: capacity, admission, queueing, circuit breakers.
 
-The paper's §5 duty-cycling observation cuts both ways: thermal budgets not
-only rotate satellites out of the cache fleet, they bound how many requests
-a satellite that *is* in rotation can answer per slot. This module turns
-that bound into a serving-path discipline:
+The paper's §5 duty-cycling observation rotates satellites out of the cache
+fleet; a satellite that *is* in rotation can still answer only so many
+requests per slot. This module turns that bound into a serving-path
+discipline:
 
 * **Capacity** — each satellite (and the bent-pipe ground segment) carries
-  a per-slot request budget, derived from
-  :meth:`~repro.spacecdn.capacity.ThermalModel.sustainable_requests_per_slot`
-  or set explicitly. Flash crowds
+  an explicit per-slot request budget. Flash crowds
   (:class:`~repro.faults.processes.FlashCrowdProcess`) consume budget as
   background load before any real request is admitted.
 * **Admission control** — requests carry a priority class; lower classes
@@ -31,16 +29,12 @@ requests with the same delays, scalar or batched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.retry import DeadlineBudget
 from repro.obs.recorder import get_recorder
-
-if TYPE_CHECKING:  # runtime import stays lazy: spacecdn imports this module
-    from repro.spacecdn.capacity import ThermalModel
 
 GROUND_TARGET = -1
 """Breaker key for the bent-pipe ground rung (satellite indices are >= 0)."""
@@ -244,29 +238,6 @@ class OverloadModel:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         self._state_counts = {state: 0 for state in BREAKER_STATES}
-
-    @classmethod
-    def from_thermal(
-        cls,
-        thermal: ThermalModel | None = None,
-        peak_requests_per_slot: float = 100.0,
-        slot_s: float = 600.0,
-        **kwargs,
-    ) -> "OverloadModel":
-        """A model whose satellite capacity is the thermal duty budget.
-
-        ``peak_requests_per_slot`` is what a satellite could serve running
-        its payload flat-out for a whole slot; the admission limit is the
-        thermally sustainable share of that.
-        """
-        from repro.spacecdn.capacity import ThermalModel
-
-        if thermal is None:
-            thermal = ThermalModel()
-        capacity = thermal.sustainable_requests_per_slot(
-            peak_requests_per_slot, slot_s
-        )
-        return cls(capacity_per_slot=float(capacity), **kwargs)
 
     @property
     def num_classes(self) -> int:

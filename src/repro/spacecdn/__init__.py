@@ -19,22 +19,12 @@ from repro.spacecdn.lookup import (
     ranked_cached_satellites,
 )
 from repro.spacecdn.dutycycle import DutyCycleScheduler, DutyCycleLatencyModel
-from repro.spacecdn.striping import (
-    StripeAssignment,
-    StripingPlan,
-    plan_stripes,
-    stripe_coverage_gaps,
-)
 from repro.spacecdn.bubbles import (
     RegionalPopularity,
     ContentBubbleManager,
     BubbleSimulationResult,
 )
-from repro.spacecdn.handover import VmHandoverPlanner, HandoverFeasibility
 from repro.spacecdn.system import SpaceCdnSystem, ServedRequest, SystemStats
-from repro.spacecdn.wormhole import WormholePlanner, WormholePlan
-from repro.spacecdn.prediction import PopularityPredictor, LearnedPrefetcher
-from repro.spacecdn.streaming import AbrPlayer, SessionReport, constant_path
 from repro.spacecdn.demand import DiurnalDemand, DemandAwareDutyCycle
 from repro.spacecdn.resilience import (
     fail_satellites,
@@ -42,11 +32,6 @@ from repro.spacecdn.resilience import (
     random_failure_set,
     placement_under_failures,
     ResilienceReport,
-)
-from repro.spacecdn.capacity import (
-    constellation_storage_pb,
-    videos_storable,
-    ThermalModel,
 )
 
 __all__ = [
@@ -61,33 +46,17 @@ __all__ = [
     "ranked_cached_satellites",
     "DutyCycleScheduler",
     "DutyCycleLatencyModel",
-    "StripeAssignment",
-    "StripingPlan",
-    "plan_stripes",
-    "stripe_coverage_gaps",
     "RegionalPopularity",
     "ContentBubbleManager",
     "BubbleSimulationResult",
-    "VmHandoverPlanner",
-    "HandoverFeasibility",
     "SpaceCdnSystem",
     "ServedRequest",
     "SystemStats",
-    "WormholePlanner",
-    "WormholePlan",
-    "PopularityPredictor",
-    "LearnedPrefetcher",
     "fail_satellites",
     "degrade_snapshot",
     "random_failure_set",
     "placement_under_failures",
     "ResilienceReport",
-    "AbrPlayer",
-    "SessionReport",
-    "constant_path",
     "DiurnalDemand",
     "DemandAwareDutyCycle",
-    "constellation_storage_pb",
-    "videos_storable",
-    "ThermalModel",
 ]

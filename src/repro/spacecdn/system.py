@@ -261,9 +261,8 @@ class SpaceCdnSystem:
         that region's ``objects_per_region`` most popular objects into its
         cache (paper §5: bubbles form where the infrastructure moves but
         the content stays relevant). ``popularity`` is anything with
-        ``regions()`` and ``top_objects(region, count)`` — the oracle
-        :class:`~repro.spacecdn.bubbles.RegionalPopularity` or a
-        :class:`~repro.spacecdn.prediction.LearnedPrefetcher`'s predictor.
+        ``regions()`` and ``top_objects(region, count)``, such as the oracle
+        :class:`~repro.spacecdn.bubbles.RegionalPopularity`.
 
         Returns the number of cache stores performed.
         """

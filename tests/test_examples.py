@@ -17,11 +17,8 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = [
     ("quickstart.py", "SpaceCDN cuts the RTT"),
     ("maputo_case_study.py", "misblocked=True"),
-    ("video_striping.py", "serving chain"),
-    ("duty_cycle_sweep.py", "thermal model"),
     ("content_bubbles.py", "plain LRU"),
     ("live_system.py", "space hit ratio"),
-    ("economics_and_wormholes.py", "wormhole"),
     ("chaos_sweep.py", "degraded serve"),
 ]
 

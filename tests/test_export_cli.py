@@ -195,6 +195,15 @@ class TestCliParser:
         ) == 0
         assert json.loads(out_file.read_text())
 
+    def test_aim_export_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "missing_dir" / "x.csv"
+        code = main(["aim", "--tests-per-city", "1", "--out", str(out_file)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_file}:")
+        assert ".tmp" not in err
+        assert not out_file.parent.exists()
+
 
 class TestExitCodes:
     """Fault-layer failures map to distinct non-zero exit codes."""
@@ -269,6 +278,22 @@ class TestExitCodes:
         )
         assert code == EXIT_FAULT_CONFIG == 4
         assert "at least one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment", ["table1", "figure3", "chaos", "figure8", "overload"]
+    )
+    def test_negative_seed_exits_2_before_any_work(self, experiment, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = main(["run", experiment, "--seed", "-1", "--out-dir", str(out_dir)])
+        assert code == EXIT_ERROR
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_aim_negative_seed_exits_2(self, tmp_path, capsys):
+        out_file = tmp_path / "aim.csv"
+        assert main(["aim", "--seed", "-1", "--out", str(out_file)]) == EXIT_ERROR
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_runner_flags_require_out_dir(self, capsys):
         code = main(["run", "figure8", "--resume"])

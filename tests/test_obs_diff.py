@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -114,6 +115,20 @@ class TestDiffBenchmarks:
         with pytest.raises(ObsError, match="match no metric"):
             diff_benchmarks(OLD, OLD, per_metric={"no.such.metric": 5.0})
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -5.0])
+    def test_non_finite_or_negative_threshold_is_refused(self, budget):
+        # NaN would pass every comparison; a negative budget fails every one.
+        with pytest.raises(ObsError, match="--threshold budget"):
+            diff_benchmarks(OLD, OLD, threshold_pct=budget)
+
+    @pytest.mark.parametrize("budget", [math.nan, -5.0])
+    def test_non_finite_or_negative_override_is_refused(self, budget):
+        with pytest.raises(ObsError, match="--metric healthy.speedup budget"):
+            diff_benchmarks(OLD, OLD, per_metric={"healthy.speedup": budget})
+
+    def test_zero_budget_is_allowed(self):
+        assert not has_regressions(diff_benchmarks(OLD, OLD, threshold_pct=0.0))
+
     def test_vanished_metric_is_a_regression_new_metric_is_not(self):
         new = json.loads(json.dumps(OLD))
         del new["healthy"]["speedup"]
@@ -209,6 +224,21 @@ class TestCli:
         old = self.write(tmp_path, "old.json", OLD)
         assert main(["obs", "diff", old, old, "--metric", "nonsense"]) == EXIT_ERROR
         assert "dotted.path=percent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "budget_args",
+        [
+            ["--threshold", "nan"],
+            ["--threshold", "-5"],
+            ["--metric", "healthy.speedup=nan"],
+        ],
+    )
+    def test_gate_disabling_budget_is_a_usage_error(
+        self, tmp_path, capsys, budget_args
+    ):
+        old = self.write(tmp_path, "old.json", OLD)
+        assert main(["obs", "diff", old, old, *budget_args]) == EXIT_ERROR
+        assert "finite, non-negative percent" in capsys.readouterr().err
 
     def test_missing_file_is_a_plain_error_not_a_regression(
         self, tmp_path, capsys

@@ -7,7 +7,6 @@ deltas in any completion order lands byte-identical to the serial run.
 """
 
 import json
-import math
 
 import pytest
 

@@ -1,9 +1,22 @@
-"""Tests for shell configuration and satellite identity."""
+"""Tests for shell configuration, shell presets and satellite identity."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.orbits.elements import SatelliteId, ShellConfig, starlink_shell1
+from repro.geo.coordinates import GeoPoint
+from repro.orbits.elements import (
+    SatelliteId,
+    ShellConfig,
+    all_shell_presets,
+    oneweb_phase1,
+    starlink_shell1,
+    starlink_shell3,
+    starlink_vleo,
+)
+from repro.orbits.walker import build_walker_delta
+from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup
+from repro.topology.graph import build_snapshot
+from repro.topology.isl import plus_grid_links
 
 
 class TestShellConfig:
@@ -79,3 +92,40 @@ class TestSatelliteId:
         rogue = SatelliteId(plane=99, slot=0)
         with pytest.raises(ConfigurationError):
             rogue.index(small_shell)
+
+
+class TestShellPresets:
+    def test_all_presets_valid(self):
+        presets = all_shell_presets()
+        assert len(presets) == 5
+        names = {p.name for p in presets}
+        assert len(names) == 5
+        for preset in presets:
+            assert preset.total_satellites > 500
+
+    def test_oneweb_has_no_isls(self):
+        shell = oneweb_phase1()
+        assert not shell.isl_capable
+        assert plus_grid_links(shell) == ()
+
+    def test_oneweb_spacecdn_only_serves_overhead(self):
+        """Without ISLs, a lookup can only hit the access satellite."""
+        constellation = build_walker_delta(oneweb_phase1())
+        snapshot = build_snapshot(constellation, 0.0)
+        lookup = SpaceCdnLookup(snapshot=snapshot, max_hops=10)
+        user = GeoPoint(0.0, 0.0)
+        everywhere = frozenset(range(len(constellation)))
+        hit = lookup.lookup_from_point(user, everywhere)
+        assert hit.source is LookupSource.ACCESS_SATELLITE
+        # Content on any OTHER satellite is unreachable in space.
+        other = frozenset({(hit.access_satellite + 1) % len(constellation)})
+        miss = lookup.lookup_from_point(user, other)
+        assert miss.source is LookupSource.GROUND
+
+    def test_vleo_lower_than_shell1(self):
+        assert starlink_vleo().altitude_km < starlink_shell1().altitude_km
+
+    def test_shell3_reaches_higher_latitudes(self):
+        constellation = build_walker_delta(starlink_shell3())
+        lats = constellation.subsatellite_points(0.0)[:, 0]
+        assert abs(lats).max() > 60.0

@@ -25,7 +25,7 @@ from repro.errors import (
     UnavailableError,
 )
 from repro.experiments import overload as overload_experiment
-from repro.faults import FaultSchedule, FlashCrowdProcess, OutageWindow
+from repro.faults import FaultSchedule, FlashCrowdProcess
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
@@ -36,7 +36,6 @@ from repro.overload import (
     OverloadModel,
 )
 from repro.runner.registry import plan_from_config
-from repro.spacecdn.capacity import ThermalModel
 from repro.spacecdn.system import SpaceCdnSystem
 
 CONSTELLATION = build_walker_delta(
@@ -277,15 +276,6 @@ class TestOverloadModel:
         assert draws.count(0) > draws.count(1)  # weight 0.8 vs 0.2
         with pytest.raises(ConfigurationError):
             model.validate_priority(2)
-
-    def test_from_thermal_uses_the_duty_budget(self):
-        thermal = ThermalModel()
-        model = OverloadModel.from_thermal(
-            thermal, peak_requests_per_slot=100.0
-        )
-        assert model.capacity_per_slot == float(
-            thermal.sustainable_requests_per_slot(100.0)
-        )
 
     def test_breakers_are_lazy_and_per_target(self):
         model = self.model()

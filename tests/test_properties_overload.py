@@ -1,6 +1,6 @@
 """Property tests: overload protection invariants under Hypothesis.
 
-Three contracts pinned here:
+Two contracts pinned here:
 
 * ``serve_batch`` and ``serve`` match the per-request reference walker
   (``tests/serve_reference.py``) on *overloaded* streams too: element-wise
@@ -11,11 +11,6 @@ Three contracts pinned here:
 * :class:`~repro.faults.retry.RetryPolicy` edges: backoff is monotone
   non-decreasing and capped, ``within_budget`` is inclusive at exactly the
   budget, and attempt 0 is a configuration error.
-* :class:`~repro.spacecdn.capacity.ThermalModel`: the sustainable duty
-  fraction lives in [0, 1] and is monotone in the thermal headroom
-  (time constant and limit), and ``time_to_limit_s`` is 0 for a start
-  already at/above the limit and ``inf`` when the active equilibrium
-  never reaches it.
 """
 
 import math
@@ -38,7 +33,6 @@ from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
 from repro.overload import CircuitBreakerConfig, OverloadModel
-from repro.spacecdn.capacity import ThermalModel
 from repro.spacecdn.system import SpaceCdnSystem
 from serve_reference import (
     ReferenceCdn,
@@ -242,64 +236,3 @@ class TestRetryPolicyEdges:
 
     def test_no_budget_means_every_rtt_fits(self):
         assert RetryPolicy().within_budget(float("inf"))
-
-
-class TestThermalModelProperties:
-    @given(
-        tau=st.floats(min_value=300.0, max_value=20_000.0),
-        limit=st.floats(min_value=19.0, max_value=45.0),
-        slot_s=st.floats(min_value=60.0, max_value=1800.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_duty_fraction_is_a_fraction(self, tau, limit, slot_s):
-        model = ThermalModel(time_constant_s=tau, limit_c=limit)
-        fraction = model.max_sustainable_duty_fraction(slot_s)
-        assert 0.0 <= fraction <= 1.0
-
-    @given(
-        tau_a=st.floats(min_value=300.0, max_value=20_000.0),
-        tau_b=st.floats(min_value=300.0, max_value=20_000.0),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_slower_thermal_response_never_reduces_duty(self, tau_a, tau_b):
-        """A larger time constant (slower heating per active slot) leaves at
-        least as much duty headroom; tolerance covers the bisection grid."""
-        slow, fast = max(tau_a, tau_b), min(tau_a, tau_b)
-        duty_slow = ThermalModel(
-            time_constant_s=slow
-        ).max_sustainable_duty_fraction()
-        duty_fast = ThermalModel(
-            time_constant_s=fast
-        ).max_sustainable_duty_fraction()
-        assert duty_slow >= duty_fast - 1e-6
-
-    @given(
-        limit_a=st.floats(min_value=19.0, max_value=45.0),
-        limit_b=st.floats(min_value=19.0, max_value=45.0),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_higher_limit_never_reduces_duty(self, limit_a, limit_b):
-        high, low = max(limit_a, limit_b), min(limit_a, limit_b)
-        duty_high = ThermalModel(limit_c=high).max_sustainable_duty_fraction()
-        duty_low = ThermalModel(limit_c=low).max_sustainable_duty_fraction()
-        assert duty_high >= duty_low - 1e-6
-
-    @given(start=st.floats(min_value=30.0, max_value=80.0))
-    @settings(max_examples=25, deadline=None)
-    def test_time_to_limit_is_zero_at_or_past_the_limit(self, start):
-        model = ThermalModel(limit_c=30.0)
-        assert model.time_to_limit_s(start_c=start) == 0.0
-
-    def test_time_to_limit_is_inf_below_active_equilibrium(self):
-        model = ThermalModel(active_equilibrium_c=28.0, limit_c=30.0)
-        assert model.time_to_limit_s() == math.inf
-
-    @given(
-        capacity=st.floats(min_value=1.0, max_value=500.0),
-        slot_s=st.floats(min_value=60.0, max_value=1800.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_sustainable_requests_stay_within_peak(self, capacity, slot_s):
-        model = ThermalModel()
-        sustainable = model.sustainable_requests_per_slot(capacity, slot_s)
-        assert 1 <= sustainable <= math.ceil(capacity)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.orbits.elements import ShellConfig
 from repro.spacecdn.dutycycle import DutyCycleScheduler
-from repro.spacecdn.prediction import PopularityPredictor
 from repro.spacecdn.resilience import random_failure_set
 
 
@@ -44,44 +43,6 @@ class TestDutyCycleProperties:
         )
         slot = scheduler.slot_index(t)
         assert slot * 600.0 <= t < (slot + 1) * 600.0
-
-
-class TestPredictorProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["africa", "europe", "asia"]),
-                st.integers(min_value=0, max_value=20),
-            ),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_scores_nonnegative_and_rankable(self, observations):
-        predictor = PopularityPredictor(decay=0.7)
-        for region, obj in observations:
-            predictor.observe(region, f"o{obj}")
-        for region in ("africa", "europe", "asia"):
-            top = predictor.predict_top(region, 5)
-            scores = [predictor.score(region, oid) for oid in top]
-            assert scores == sorted(scores, reverse=True)
-            assert all(s >= 0 for s in scores)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=100),
-        st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_decay_never_increases_scores(self, objects, epochs):
-        predictor = PopularityPredictor(decay=0.5)
-        for obj in objects:
-            predictor.observe("r", f"o{obj}")
-        before = {f"o{obj}": predictor.score("r", f"o{obj}") for obj in set(objects)}
-        for _ in range(epochs):
-            predictor.end_epoch()
-        for name, score in before.items():
-            assert predictor.score("r", name) <= score + 1e-12
 
 
 class TestResilienceProperties:
@@ -136,33 +97,3 @@ class TestShellConfigProperties:
         positions = constellation.positions_ecef(123.0)
         radii = np.linalg.norm(positions, axis=1)
         assert np.allclose(radii, constellation.orbit_radius_km)
-
-
-class TestStripingProperties:
-    @given(
-        st.floats(min_value=600.0, max_value=3600.0, allow_nan=False),
-        st.floats(min_value=120.0, max_value=240.0, allow_nan=False),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_plan_covers_video_exactly(self, video_s, stripe_s):
-        from repro.geo.coordinates import GeoPoint
-        from repro.orbits.elements import starlink_shell1
-        from repro.orbits.walker import build_walker_delta
-        from repro.spacecdn.striping import plan_stripes
-
-        constellation = build_walker_delta(starlink_shell1())
-        plan = plan_stripes(
-            constellation,
-            GeoPoint(0.0, 0.0, 0.0),
-            start_s=0.0,
-            video_duration_s=video_s,
-            stripe_duration_s=stripe_s,
-            pass_step_s=30.0,
-        )
-        import math
-
-        assert plan.assignments[0].playback_start_s == 0.0
-        assert math.isclose(plan.assignments[-1].playback_end_s, video_s)
-        for a, b in zip(plan.assignments, plan.assignments[1:]):
-            assert math.isclose(a.playback_end_s, b.playback_start_s)
-            assert b.stripe_index == a.stripe_index + 1
