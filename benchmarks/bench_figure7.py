@@ -25,6 +25,18 @@ def test_figure7(benchmark, emit):
     series["Terrestrial (AIM)"] = result.cdf(TERRESTRIAL).points(9)
     emit("Figure 7: CDF series", format_cdf_points(series, value_label="RTT ms"))
 
+    from repro.analysis.plot import ascii_cdf
+
+    curves = {
+        "1st/Sat": result.cdf(0),
+        "3 ISLs": result.cdf(3),
+        "5 ISLs": result.cdf(5),
+        "X 10 ISLs": result.cdf(10),
+        "starlink AIM": result.cdf(STARLINK),
+        "terrestrial AIM": result.cdf(TERRESTRIAL),
+    }
+    emit("Figure 7: ASCII CDF (cf. the paper's plot)", ascii_cdf(curves, x_max=90.0))
+
     # Paper claims: <=5 hops competitive with terrestrial (and better in the
     # tail); 10 hops ~half of current Starlink.
     assert result.cdf(5).quantile(0.95) < result.cdf(TERRESTRIAL).quantile(0.95)

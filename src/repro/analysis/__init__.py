@@ -8,6 +8,7 @@ from repro.analysis.stats import (
     delta_by_group,
 )
 from repro.analysis.tables import format_table, format_cdf_points
+from repro.analysis.plot import ascii_cdf, ascii_histogram
 
 __all__ = [
     "Cdf",
@@ -17,4 +18,6 @@ __all__ = [
     "delta_by_group",
     "format_table",
     "format_cdf_points",
+    "ascii_cdf",
+    "ascii_histogram",
 ]

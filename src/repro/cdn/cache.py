@@ -1,8 +1,8 @@
-"""Byte-capacity bounded object caches with LRU eviction.
+"""Cache policies: LRU, LFU, FIFO and TTL, all byte-capacity bounded.
 
-A cache stores :class:`~repro.cdn.content.ContentObject` values keyed by
+Every cache stores :class:`~repro.cdn.content.ContentObject` values keyed by
 object id, evicts to stay within a byte budget, and keeps running
-:class:`CacheStats`. The same implementation backs terrestrial CDN servers
+:class:`CacheStats`. The same implementations back terrestrial CDN servers
 and on-satellite caches — the paper's point is that the *placement*, not the
 cache machinery, is what changes in space.
 """
@@ -10,7 +10,7 @@ cache machinery, is what changes in space.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -227,3 +227,93 @@ class LruCache(Cache):
 
     def _on_evict(self, object_id: str) -> None:
         del self._order[object_id]
+
+
+class FifoCache(Cache):
+    """Evicts in insertion order, ignoring accesses."""
+
+    def __init__(self, capacity_bytes: int) -> None:
+        super().__init__(capacity_bytes)
+        self._order: OrderedDict[str, None] = OrderedDict()
+
+    def _on_hit(self, object_id: str) -> None:
+        pass  # FIFO ignores recency.
+
+    def _on_insert(self, object_id: str) -> None:
+        self._order[object_id] = None
+
+    def _pick_victim(self) -> str:
+        return next(iter(self._order))
+
+    def _on_evict(self, object_id: str) -> None:
+        del self._order[object_id]
+
+
+class LfuCache(Cache):
+    """Evicts the least-frequently-used object (FIFO tie-break)."""
+
+    def __init__(self, capacity_bytes: int) -> None:
+        super().__init__(capacity_bytes)
+        self._counts: Counter[str] = Counter()
+        self._arrival: dict[str, int] = {}
+        self._clock = 0
+
+    def _on_hit(self, object_id: str) -> None:
+        self._counts[object_id] += 1
+
+    def _on_insert(self, object_id: str) -> None:
+        self._counts[object_id] = 1
+        self._clock += 1
+        self._arrival[object_id] = self._clock
+
+    def _pick_victim(self) -> str:
+        return min(
+            self._counts, key=lambda oid: (self._counts[oid], self._arrival[oid])
+        )
+
+    def _on_evict(self, object_id: str) -> None:
+        del self._counts[object_id]
+        del self._arrival[object_id]
+
+
+class TtlCache(LruCache):
+    """LRU cache whose entries also expire after ``ttl_s`` of simulated time.
+
+    Time is supplied by the caller via :meth:`advance_to`; expiry is lazy
+    (checked on access) plus explicit via :meth:`expire`.
+    """
+
+    def __init__(self, capacity_bytes: int, ttl_s: float) -> None:
+        if ttl_s <= 0:
+            raise CacheError(f"TTL must be positive, got {ttl_s}")
+        super().__init__(capacity_bytes)
+        self.ttl_s = ttl_s
+        self._now_s = 0.0
+        self._expiry: dict[str, float] = {}
+
+    def advance_to(self, now_s: float) -> None:
+        """Move the cache clock forward (monotonically)."""
+        if now_s < self._now_s:
+            raise CacheError(f"clock moved backwards: {now_s} < {self._now_s}")
+        self._now_s = now_s
+
+    def get(self, object_id: str) -> ContentObject | None:
+        expiry = self._expiry.get(object_id)
+        if expiry is not None and expiry <= self._now_s:
+            self._remove(object_id)
+        return super().get(object_id)
+
+    def _on_insert(self, object_id: str) -> None:
+        super()._on_insert(object_id)
+        self._expiry[object_id] = self._now_s + self.ttl_s
+
+    def _on_evict(self, object_id: str) -> None:
+        super()._on_evict(object_id)
+        self._expiry.pop(object_id, None)
+
+    def expire(self) -> list[str]:
+        """Eagerly drop every expired entry; returns dropped ids."""
+        expired = [oid for oid, t in self._expiry.items() if t <= self._now_s]
+        for object_id in expired:
+            self._remove(object_id)
+        return expired

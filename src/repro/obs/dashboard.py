@@ -2,10 +2,11 @@
 
 One sparkline row per metric, all rows aligned on the same window axis,
 plus one marker row per SLO with ``!`` at breached windows. The renderer
-is pure text over the exported ``obs-timeseries.json`` document: good
-enough to see the paper's temporal phenomena — the availability dip when
-satellites duty-cycle down, the p99 inflation during a fault window, the
-shed burst at the overload knee — without leaving the terminal.
+is pure text over the exported ``obs-timeseries.json`` document, in the
+same spirit as :func:`repro.analysis.plot.ascii_cdf`: good enough to see
+the paper's temporal phenomena — the availability dip when satellites
+duty-cycle down, the p99 inflation during a fault window, the shed burst
+at the overload knee — without leaving the terminal.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from repro.orbits.walker import Constellation
 from repro.spacecdn.lookup import LookupSource, ranked_cached_from_rows
 from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph, access_latency_ms, build_snapshot
-from repro.workloads.requests import Request
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.workloads.requests import Request
 
 TIER_OF_SOURCE: dict[LookupSource, str] = {
     LookupSource.ACCESS_SATELLITE: "access",

@@ -1,9 +1,11 @@
-"""Workload generation: regional request mixes and request streams."""
+"""Workload generation: popularity distributions and request streams."""
 
+from repro.workloads.zipf import ZipfDistribution
 from repro.workloads.regional import region_of_city, RegionalRequestMixer
 from repro.workloads.requests import Request, RequestGenerator
 
 __all__ = [
+    "ZipfDistribution",
     "region_of_city",
     "RegionalRequestMixer",
     "Request",

@@ -55,8 +55,11 @@ class TestHierarchy:
         see bare ValueError/KeyError for domain-level misuse."""
         from repro.geo.coordinates import GeoPoint
         from repro.geo.datasets import city_by_name
+        from repro.workloads.zipf import ZipfDistribution
 
         with pytest.raises(errors.ReproError):
             GeoPoint(91.0, 0.0)
         with pytest.raises(errors.ReproError):
             city_by_name("Narnia")
+        with pytest.raises(errors.ReproError):
+            ZipfDistribution(n=0)

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cdn.cache import LruCache
+from repro.cdn.cache import FifoCache, LfuCache, LruCache
 from repro.cdn.content import ContentObject
 from repro.constants import EARTH_RADIUS_KM
 from repro.geo.coordinates import (
@@ -77,18 +77,18 @@ object_entries = st.lists(
 
 
 class TestCacheProperties:
-    @given(object_entries)
+    @given(object_entries, st.sampled_from([LruCache, LfuCache, FifoCache]))
     @settings(max_examples=60, deadline=None)
-    def test_capacity_invariant(self, entries):
-        cache = LruCache(capacity_bytes=1000)
+    def test_capacity_invariant(self, entries, cache_cls):
+        cache = cache_cls(capacity_bytes=1000)
         for object_id, size in entries:
             cache.put(ContentObject(f"o{object_id}", size))
             assert 0 <= cache.used_bytes <= cache.capacity_bytes
 
-    @given(object_entries)
+    @given(object_entries, st.sampled_from([LruCache, LfuCache, FifoCache]))
     @settings(max_examples=60, deadline=None)
-    def test_used_bytes_equals_sum_of_cached(self, entries):
-        cache = LruCache(capacity_bytes=1000)
+    def test_used_bytes_equals_sum_of_cached(self, entries, cache_cls):
+        cache = cache_cls(capacity_bytes=1000)
         inserted: dict[str, int] = {}
         for object_id, size in entries:
             name = f"o{object_id}"
@@ -109,10 +109,10 @@ class TestCacheProperties:
                 cache.put(ContentObject(name, size))
             assert cache.get(name) is not None
 
-    @given(object_entries)
+    @given(object_entries, st.sampled_from([LruCache, LfuCache, FifoCache]))
     @settings(max_examples=60, deadline=None)
-    def test_stats_accounting(self, entries):
-        cache = LruCache(capacity_bytes=1000)
+    def test_stats_accounting(self, entries, cache_cls):
+        cache = cache_cls(capacity_bytes=1000)
         for object_id, size in entries:
             cache.get(f"o{object_id}")
             name = f"o{object_id}"
@@ -122,6 +122,31 @@ class TestCacheProperties:
         assert stats.requests == len(entries)
         assert stats.hits + stats.misses == stats.requests
         assert 0.0 <= stats.hit_ratio <= 1.0
+
+
+class TestZipfProperties:
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.floats(min_value=0.1, max_value=2.5, allow_nan=False),
+    )
+    def test_pmf_normalised(self, n, s):
+        from repro.workloads.zipf import ZipfDistribution
+
+        zipf = ZipfDistribution(n=n, s=s)
+        assert math.isclose(
+            sum(zipf.pmf(k) for k in range(1, n + 1)), 1.0, rel_tol=1e-9
+        )
+
+    @given(
+        st.integers(min_value=2, max_value=200),
+        st.floats(min_value=0.1, max_value=2.5, allow_nan=False),
+    )
+    def test_head_mass_monotone(self, n, s):
+        from repro.workloads.zipf import ZipfDistribution
+
+        zipf = ZipfDistribution(n=n, s=s)
+        masses = [zipf.head_mass(k) for k in range(1, n + 1)]
+        assert all(b >= a for a, b in zip(masses, masses[1:]))
 
 
 class TestPlacementProperties:
