@@ -17,7 +17,6 @@ from repro.experiments import chaos
 from repro.experiments.common import small_constellation
 from repro.faults import (
     FaultSchedule,
-    GroundStationOutage,
     OutageWindow,
     RetryPolicy,
     TransientAttemptLoss,
@@ -57,17 +56,15 @@ def main() -> None:
         f"fallback_reason={served.fallback_reason} rtt={served.rtt_ms:.1f} ms"
     )
 
-    # With the ground segment down too, the ladder can genuinely run dry.
-    dark = FaultSchedule().add(TransientAttemptLoss(probability=1.0)).add(
-        GroundStationOutage()
-    )
+    # With every attempt lost, the ladder (ground rung included) runs dry.
+    dark = FaultSchedule().add(TransientAttemptLoss(probability=1.0))
     dark_system = SpaceCdnSystem(
         constellation=constellation, catalog=catalog, fault_schedule=dark
     )
     try:
         dark_system.serve(user, "obj-000002", 0.0)
     except UnavailableError as exc:
-        print(f"\ntotal loss + ground outage -> UnavailableError: {exc}")
+        print(f"\ntotal transient loss -> UnavailableError: {exc}")
     print(
         f"availability after the failed request: "
         f"{dark_system.stats.availability:.1f} "

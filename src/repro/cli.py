@@ -48,7 +48,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable
 
 from repro.errors import (
     ConfigurationError,
@@ -163,145 +162,66 @@ def _parse_flash_crowd(spec: str | None):
     return overload.parse_flash_crowd(spec)
 
 
-def _run_experiment(name: str, args: argparse.Namespace) -> str:
-    from repro.experiments import (  # local import keeps --help fast
-        chaos,
-        figure2,
-        figure3,
-        figure4,
-        figure5,
-        figure7,
-        figure8,
-        geoblocking,
-        overload,
-        table1,
-    )
+def _experiment_kwargs(name: str, args: argparse.Namespace) -> dict:
+    """The ``run``/``build_plan`` keyword arguments the flags give ``name``.
 
-    modules = {
-        "chaos": lambda: chaos.format_result(
-            chaos.run(
-                seed=args.seed,
-                num_requests=args.requests,
-                fractions=_parse_fractions(args.fractions),
-                shell=args.shell,
-                max_attempts=args.max_attempts,
-            )
-        ),
-        "table1": lambda: table1.format_result(
-            table1.run(seed=args.seed, tests_per_city=args.tests_per_city)
-        ),
-        "figure2": lambda: figure2.format_result(
-            figure2.run(seed=args.seed, tests_per_city=args.tests_per_city)
-        ),
-        "figure3": lambda: figure3.format_result(
-            figure3.run(seed=args.seed, samples_per_site=args.samples)
-        ),
-        "figure4": lambda: figure4.format_result(
-            figure4.run(seed=args.seed, rounds=args.rounds)
-        ),
-        "figure5": lambda: figure5.format_result(
-            figure5.run(seed=args.seed, rounds=args.rounds)
-        ),
-        "figure7": lambda: figure7.format_result(
-            figure7.run(
-                seed=args.seed,
-                users_per_epoch=args.users,
-                num_epochs=args.epochs,
-            )
-        ),
-        "figure8": lambda: figure8.format_result(
-            figure8.run(
-                seed=args.seed,
-                users_per_epoch=args.users,
-                num_epochs=args.epochs,
-            )
-        ),
-        "geoblocking": lambda: geoblocking.format_result(geoblocking.run()),
-        "overload": lambda: overload.format_result(
-            overload.run(
-                seed=args.seed,
-                num_requests=args.requests,
-                loads=_parse_loads(args.loads),
-                shell=args.shell,
-                capacity=args.capacity,
-                ground_capacity=args.ground_capacity,
-                deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
-                flash_crowd=_parse_flash_crowd(args.flash_crowd),
-                max_attempts=args.max_attempts,
-            )
-        ),
-    }
-    runner: Callable[[], str] | None = modules.get(name)
-    if runner is None:
+    Flags are parsed and validated here, before any experiment work runs.
+    """
+    if name not in _EXPERIMENTS:
         raise ReproError(
             f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"
         )
-    return runner()
-
-
-def _build_plan(name: str, args: argparse.Namespace):
-    """The sharded plan equivalent of :func:`_run_experiment`."""
-    from repro.experiments import (
-        chaos,
-        figure2,
-        figure3,
-        figure4,
-        figure5,
-        figure7,
-        figure8,
-        geoblocking,
-        overload,
-        table1,
-    )
-
-    builders = {
-        "chaos": lambda: chaos.build_plan(
-            seed=args.seed,
+    if name == "geoblocking":
+        return {}
+    kwargs: dict = {"seed": args.seed}
+    if name == "chaos":
+        kwargs.update(
             num_requests=args.requests,
             fractions=_parse_fractions(args.fractions),
             shell=args.shell,
             max_attempts=args.max_attempts,
-        ),
-        "table1": lambda: table1.build_plan(
-            seed=args.seed, tests_per_city=args.tests_per_city
-        ),
-        "figure2": lambda: figure2.build_plan(
-            seed=args.seed, tests_per_city=args.tests_per_city
-        ),
-        "figure3": lambda: figure3.build_plan(
-            seed=args.seed, samples_per_site=args.samples
-        ),
-        "figure4": lambda: figure4.build_plan(seed=args.seed, rounds=args.rounds),
-        "figure5": lambda: figure5.build_plan(seed=args.seed, rounds=args.rounds),
-        "figure7": lambda: figure7.build_plan(
-            seed=args.seed,
-            users_per_epoch=args.users,
-            num_epochs=args.epochs,
-        ),
-        "figure8": lambda: figure8.build_plan(
-            seed=args.seed,
-            users_per_epoch=args.users,
-            num_epochs=args.epochs,
-        ),
-        "geoblocking": lambda: geoblocking.build_plan(),
-        "overload": lambda: overload.build_plan(
-            seed=args.seed,
+        )
+    elif name == "overload":
+        kwargs.update(
             num_requests=args.requests,
             loads=_parse_loads(args.loads),
             shell=args.shell,
             capacity=args.capacity,
             ground_capacity=args.ground_capacity,
-            deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
+            # Only 0 disables the deadline; the model rejects any other
+            # non-positive or non-finite budget.
+            deadline_ms=None if args.deadline_ms == 0 else args.deadline_ms,
             flash_crowd=_parse_flash_crowd(args.flash_crowd),
             max_attempts=args.max_attempts,
-        ),
-    }
-    builder = builders.get(name)
-    if builder is None:
-        raise ReproError(
-            f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"
         )
-    return builder()
+    elif name in ("table1", "figure2"):
+        kwargs.update(tests_per_city=args.tests_per_city)
+    elif name == "figure3":
+        kwargs.update(samples_per_site=args.samples)
+    elif name in ("figure4", "figure5"):
+        kwargs.update(rounds=args.rounds)
+    else:  # figure7, figure8
+        kwargs.update(users_per_epoch=args.users, num_epochs=args.epochs)
+    return kwargs
+
+
+def _experiment_module(name: str):
+    import importlib  # local import keeps --help fast
+
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _run_experiment(name: str, args: argparse.Namespace) -> str:
+    """The monolithic in-memory run of ``name``, formatted."""
+    kwargs = _experiment_kwargs(name, args)
+    module = _experiment_module(name)
+    return module.format_result(module.run(**kwargs))
+
+
+def _build_plan(name: str, args: argparse.Namespace):
+    """The sharded plan equivalent of :func:`_run_experiment`."""
+    kwargs = _experiment_kwargs(name, args)
+    return _experiment_module(name).build_plan(**kwargs)
 
 
 def _check_seed(seed: int) -> None:

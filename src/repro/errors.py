@@ -38,9 +38,9 @@ class ContentNotFoundError(ReproError):
 class UnavailableError(ContentNotFoundError):
     """No serving path exists at all under the active fault state.
 
-    Raised when every rung of the fallback ladder is down: no live access
-    satellite is visible, the retry budget was exhausted on failed/timed-out
-    replicas, and the bent-pipe ground segment is also unreachable. Subclass
+    Raised when no live access satellite is visible, or when the retry
+    budget runs out on failed/timed-out attempts down the whole fallback
+    ladder, bent-pipe ground rung included. Subclass
     of :class:`ContentNotFoundError` so degraded-mode callers can treat
     "content unreachable" uniformly while the CLI distinguishes the two.
     """

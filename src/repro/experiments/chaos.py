@@ -18,38 +18,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.analysis.quantiles import sample_quantiles
 from repro.analysis.tables import format_table
-from repro.cdn.content import Catalog, build_catalog
+from repro.cdn.content import Catalog
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.errors import ConfigurationError, UnavailableError, VisibilityError
 from repro.experiments.common import (
     DEFAULT_SEED,
-    shell1_constellation,
-    small_constellation,
+    p50_p99,
+    points_from_raw,
+    sweep_catalog,
+    sweep_constellation,
+    sweep_requests,
 )
 from repro.faults import FaultSchedule, OutageWindow, RetryPolicy
-from repro.geo.datasets import all_cities
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
 from repro.runner.shards import ExperimentPlan
 from repro.simulation.sampler import seeded_rng, user_sample_points
-from repro.spacecdn.bubbles import RegionalPopularity
 from repro.spacecdn.dutycycle import DutyCycleLatencyModel, DutyCycleScheduler
-from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.resilience import random_failure_set
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.topology.graph import build_snapshot
-from repro.workloads.regional import RegionalRequestMixer
-from repro.workloads.requests import RequestGenerator
 
 FAILURE_FRACTIONS: tuple[float, ...] = (0.0, 0.1, 0.3)
-
-CATALOG_REGIONS: tuple[str, ...] = ("africa", "europe")
-
-_STREAM_DURATION_S = 300.0
-"""Request streams span five snapshot slots so faults interact with the
-rotating topology, not a single frozen graph."""
 
 
 @dataclass(frozen=True)
@@ -86,39 +77,6 @@ class ChaosResult:
     def baseline(self) -> ChaosPoint:
         """The healthy sweep point (smallest fraction, normally 0.0)."""
         return min(self.points, key=lambda p: p.fraction)
-
-
-def _constellation_for(shell: str) -> Constellation:
-    if shell == "shell1":
-        return shell1_constellation()
-    if shell == "small":
-        return small_constellation()
-    raise ConfigurationError(f"unknown shell {shell!r}; choose 'shell1' or 'small'")
-
-
-def _build_requests(catalog: Catalog, num_requests: int, seed: int):
-    """A time-ordered Poisson stream over the catalog's home regions."""
-    cities = tuple(
-        c for c in all_cities() if c.country.region in CATALOG_REGIONS
-    )
-    if not cities:
-        raise ConfigurationError("no cities in the catalog regions")
-    mixer = RegionalRequestMixer(
-        popularity=RegionalPopularity(catalog=catalog, seed=seed),
-        rng=seeded_rng(seed, 0xC4A05),
-    )
-    generator = RequestGenerator(
-        cities=cities,
-        mixer=mixer,
-        requests_per_second_total=num_requests / _STREAM_DURATION_S,
-        rng=seeded_rng(seed, 0xC4A06),
-    )
-    return generator.generate_list(_STREAM_DURATION_S)
-
-
-def _quantiles(samples: list[float]) -> tuple[float, float]:
-    p50, p99 = sample_quantiles(samples, (0.5, 0.99))
-    return p50, p99
 
 
 def _dutycycle_median(
@@ -174,24 +132,13 @@ def _sweep_context(
     shard, pays the catalog/request/preload construction once per process
     like the monolithic sweep does.
     """
-    constellation = _constellation_for(shell)
-    catalog = build_catalog(
-        seeded_rng(seed, 0xC4A07),
-        120,
-        regions=CATALOG_REGIONS,
-        kind_weights={"web": 1.0},
-    )
-    placement = KPerPlanePlacement(copies_per_plane=1)
-    popular = RegionalPopularity(catalog=catalog, seed=seed)
+    constellation = sweep_constellation(shell)
+    catalog, preload = sweep_catalog(seed, 0xC4A07, constellation)
     return _SweepContext(
         constellation=constellation,
         catalog=catalog,
-        requests=_build_requests(catalog, num_requests, seed),
-        preload={
-            object_id: placement.place_object(object_id, constellation.config)
-            for region in popular.regions()
-            for object_id in popular.top_objects(region, 10)
-        },
+        requests=sweep_requests(catalog, num_requests, seed, 0xC4A05, 0xC4A06),
+        preload=preload,
         duty_user_points=user_sample_points(seeded_rng(seed, 0xC4A08), duty_users),
     )
 
@@ -234,7 +181,7 @@ def _sweep_point(
             stats.availability,
             (("fraction", f"{fraction:g}"),),
         )
-    p50, p99 = _quantiles(stats.rtt_samples_ms)
+    p50, p99 = p50_p99(stats.rtt_samples_ms)
     return {
         "fraction": fraction,
         "requests": stats.requests,
@@ -250,25 +197,6 @@ def _sweep_point(
             duty_cache_fraction, seed,
         ),
     }
-
-
-def _points_from_raw(raw_points: list[dict]) -> tuple[ChaosPoint, ...]:
-    """Fold raw sweep points (in sorted-fraction order) into ChaosPoints,
-    computing p50/p99 inflation against the first non-NaN baseline."""
-    points: list[ChaosPoint] = []
-    baseline_p50 = baseline_p99 = float("nan")
-    for raw in raw_points:
-        p50, p99 = raw["p50_rtt_ms"], raw["p99_rtt_ms"]
-        if np.isnan(baseline_p50):
-            baseline_p50, baseline_p99 = p50, p99
-        points.append(
-            ChaosPoint(
-                p50_inflation=p50 / baseline_p50 if baseline_p50 else float("nan"),
-                p99_inflation=p99 / baseline_p99 if baseline_p99 else float("nan"),
-                **raw,
-            )
-        )
-    return tuple(points)
 
 
 def run(
@@ -290,7 +218,7 @@ def run(
         _sweep_point(ctx, fraction, seed, max_attempts, duty_cache_fraction)
         for fraction in sorted(fractions)
     ]
-    return ChaosResult(shell=shell, points=_points_from_raw(raw_points))
+    return ChaosResult(shell=shell, points=points_from_raw(raw_points, ChaosPoint))
 
 
 def build_plan(
@@ -327,7 +255,7 @@ def build_plan(
 
     def merge(payloads: dict) -> ChaosResult:
         raw_points = [payloads[shard_id] for shard_id in shard_ids]
-        return ChaosResult(shell=shell, points=_points_from_raw(raw_points))
+        return ChaosResult(shell=shell, points=points_from_raw(raw_points, ChaosPoint))
 
     return ExperimentPlan(
         experiment="chaos",

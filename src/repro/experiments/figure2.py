@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.analysis.stats import delta_by_group
 from repro.analysis.tables import format_table
+from repro.errors import ConfigurationError
 from repro.experiments.common import (
     DEFAULT_SEED,
     DEFAULT_TESTS_PER_CITY,
@@ -48,6 +49,8 @@ def run(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> Figure2Result:
     """Regenerate the Fig. 2 per-country deltas."""
+    if tests_per_city < 1:
+        raise ConfigurationError("tests_per_city must be >= 1")
     dataset = aim_dataset(seed, tests_per_city)
     deltas = delta_by_group(
         dataset.rtts_by_country(STARLINK), dataset.rtts_by_country(TERRESTRIAL)
@@ -75,6 +78,8 @@ def build_plan(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> ExperimentPlan:
     """Sharded Fig. 2: one shard per gazetteer country."""
+    if tests_per_city < 1:
+        raise ConfigurationError("tests_per_city must be >= 1")
     countries = gazetteer_countries()
     shard_ids = tuple(f"country-{iso2}" for iso2 in countries)
 

@@ -19,37 +19,26 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from repro.analysis.quantiles import sample_quantiles
 from repro.analysis.tables import format_table
-from repro.cdn.content import Catalog, build_catalog
+from repro.cdn.content import Catalog
 from repro.errors import ConfigurationError, FaultConfigError
 from repro.experiments.common import (
     DEFAULT_SEED,
-    shell1_constellation,
-    small_constellation,
+    SWEEP_STREAM_DURATION_S,
+    p50_p99,
+    points_from_raw,
+    sweep_catalog,
+    sweep_constellation,
+    sweep_requests,
 )
 from repro.faults import FaultSchedule, FlashCrowdProcess, RetryPolicy
-from repro.geo.datasets import all_cities
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
 from repro.overload import OverloadModel
 from repro.runner.shards import ExperimentPlan
-from repro.simulation.sampler import seeded_rng
-from repro.spacecdn.bubbles import RegionalPopularity
-from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
-from repro.workloads.regional import RegionalRequestMixer
-from repro.workloads.requests import RequestGenerator
 
 LOAD_MULTIPLIERS: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-
-CATALOG_REGIONS: tuple[str, ...] = ("africa", "europe")
-
-_STREAM_DURATION_S = 300.0
-"""Streams span five snapshot slots so per-slot capacity resets and
-breaker cooldowns interact with the rotating topology."""
 
 
 @dataclass(frozen=True)
@@ -93,14 +82,6 @@ class OverloadResult:
         return min(self.points, key=lambda p: p.load)
 
 
-def _constellation_for(shell: str) -> Constellation:
-    if shell == "shell1":
-        return shell1_constellation()
-    if shell == "small":
-        return small_constellation()
-    raise ConfigurationError(f"unknown shell {shell!r}; choose 'shell1' or 'small'")
-
-
 def parse_flash_crowd(spec: str) -> tuple[float, float, float]:
     """``START:END:EXTRA`` → a validated flash-crowd window.
 
@@ -123,31 +104,6 @@ def parse_flash_crowd(spec: str) -> tuple[float, float, float]:
     return start_s, end_s, extra
 
 
-def _build_requests(catalog: Catalog, num_requests: int, seed: int):
-    """A time-ordered Poisson stream over the catalog's home regions."""
-    cities = tuple(
-        c for c in all_cities() if c.country.region in CATALOG_REGIONS
-    )
-    if not cities:
-        raise ConfigurationError("no cities in the catalog regions")
-    mixer = RegionalRequestMixer(
-        popularity=RegionalPopularity(catalog=catalog, seed=seed),
-        rng=seeded_rng(seed, 0x0BAD0),
-    )
-    generator = RequestGenerator(
-        cities=cities,
-        mixer=mixer,
-        requests_per_second_total=num_requests / _STREAM_DURATION_S,
-        rng=seeded_rng(seed, 0x0BAD1),
-    )
-    return generator.generate_list(_STREAM_DURATION_S)
-
-
-def _quantiles(samples: list[float]) -> tuple[float, float]:
-    p50, p99 = sample_quantiles(samples, (0.5, 0.99))
-    return p50, p99
-
-
 @dataclass(eq=False)
 class _SweepContext:
     """Shared, load-independent artifacts of one overload sweep."""
@@ -160,23 +116,10 @@ class _SweepContext:
 @lru_cache(maxsize=2)
 def _sweep_context(seed: int, shell: str) -> _SweepContext:
     """Build (once per configuration) everything the sweep points share."""
-    constellation = _constellation_for(shell)
-    catalog = build_catalog(
-        seeded_rng(seed, 0x0BAD2),
-        120,
-        regions=CATALOG_REGIONS,
-        kind_weights={"web": 1.0},
-    )
-    placement = KPerPlanePlacement(copies_per_plane=1)
-    popular = RegionalPopularity(catalog=catalog, seed=seed)
+    constellation = sweep_constellation(shell)
+    catalog, preload = sweep_catalog(seed, 0x0BAD2, constellation)
     return _SweepContext(
-        constellation=constellation,
-        catalog=catalog,
-        preload={
-            object_id: placement.place_object(object_id, constellation.config)
-            for region in popular.regions()
-            for object_id in popular.top_objects(region, 10)
-        },
+        constellation=constellation, catalog=catalog, preload=preload
     )
 
 
@@ -195,8 +138,12 @@ def _sweep_point(
     they compare against the sweep's lightest-load point)."""
     rec = get_recorder()
     with rec.timer("overload.sweep_point"):
-        requests = _build_requests(
-            ctx.catalog, max(1, int(round(num_requests * load))), seed
+        requests = sweep_requests(
+            ctx.catalog,
+            max(1, int(round(num_requests * load))),
+            seed,
+            0x0BAD0,
+            0x0BAD1,
         )
         schedule = None
         if flash_crowd is not None:
@@ -240,17 +187,17 @@ def _sweep_point(
             )
         rec.set_gauge(
             "repro_overload_goodput_rps",
-            stats.served / _STREAM_DURATION_S,
+            stats.served / SWEEP_STREAM_DURATION_S,
             labels,
         )
-    p50, p99 = _quantiles(stats.rtt_samples_ms)
+    p50, p99 = p50_p99(stats.rtt_samples_ms)
     return {
         "load": load,
         "requests": stats.requests,
-        "offered_rps": stats.requests / _STREAM_DURATION_S,
+        "offered_rps": stats.requests / SWEEP_STREAM_DURATION_S,
         "availability": stats.availability,
         "shed_fraction": stats.shed_fraction,
-        "goodput_rps": stats.served / _STREAM_DURATION_S,
+        "goodput_rps": stats.served / SWEEP_STREAM_DURATION_S,
         "p50_rtt_ms": p50,
         "p99_rtt_ms": p99,
         "timeouts": stats.timeouts,
@@ -259,25 +206,6 @@ def _sweep_point(
         "shed": stats.shed,
         "deadline_exhausted": stats.deadline_exhausted,
     }
-
-
-def _points_from_raw(raw_points: list[dict]) -> tuple[OverloadPoint, ...]:
-    """Fold raw sweep points (in sorted-load order) into OverloadPoints,
-    computing p50/p99 inflation against the first non-NaN baseline."""
-    points: list[OverloadPoint] = []
-    baseline_p50 = baseline_p99 = float("nan")
-    for raw in raw_points:
-        p50, p99 = raw["p50_rtt_ms"], raw["p99_rtt_ms"]
-        if np.isnan(baseline_p50):
-            baseline_p50, baseline_p99 = p50, p99
-        points.append(
-            OverloadPoint(
-                p50_inflation=p50 / baseline_p50 if baseline_p50 else float("nan"),
-                p99_inflation=p99 / baseline_p99 if baseline_p99 else float("nan"),
-                **raw,
-            )
-        )
-    return tuple(points)
 
 
 def run(
@@ -312,7 +240,8 @@ def run(
         )
         for load in ordered
     ]
-    return OverloadResult(shell=shell, points=_points_from_raw(raw_points))
+    points = points_from_raw(raw_points, OverloadPoint)
+    return OverloadResult(shell=shell, points=points)
 
 
 def _validated_config(
@@ -333,7 +262,7 @@ def _validated_config(
         raise ConfigurationError(
             f"load multipliers must be positive and finite: {loads}"
         )
-    _constellation_for(shell)
+    sweep_constellation(shell)
     RetryPolicy(max_attempts=max_attempts)
     OverloadModel(
         capacity_per_slot=capacity,
@@ -401,7 +330,8 @@ def build_plan(
 
     def merge(payloads: dict) -> OverloadResult:
         raw_points = [payloads[shard_id] for shard_id in shard_ids]
-        return OverloadResult(shell=shell, points=_points_from_raw(raw_points))
+        points = points_from_raw(raw_points, OverloadPoint)
+        return OverloadResult(shell=shell, points=points)
 
     return ExperimentPlan(
         experiment="overload",
@@ -450,7 +380,7 @@ def format_result(result: OverloadResult) -> str:
     worst = max(result.points, key=lambda p: p.load)
     return table + (
         f"\nshell: {result.shell}; load {result.baseline.load:g}x = "
-        f"{result.baseline.requests} requests over {_STREAM_DURATION_S:g} s"
+        f"{result.baseline.requests} requests over {SWEEP_STREAM_DURATION_S:g} s"
         f"\nat {worst.load:g}x offered: availability "
         f"{_fmt_ratio(worst.availability)}, shed "
         f"{_fmt_ratio(worst.shed_fraction)} "

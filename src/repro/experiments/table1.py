@@ -75,6 +75,8 @@ def run(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> Table1Result:
     """Regenerate Table 1 from the synthetic AIM dataset."""
+    if tests_per_city < 1:
+        raise ConfigurationError("tests_per_city must be >= 1")
     dataset = aim_dataset(seed, tests_per_city)
     rows = []
     for iso2 in TABLE1_COUNTRIES:
@@ -118,6 +120,8 @@ def build_plan(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> ExperimentPlan:
     """Sharded Table 1: one shard per country of the paper's table."""
+    if tests_per_city < 1:
+        raise ConfigurationError("tests_per_city must be >= 1")
     shard_ids = tuple(f"country-{iso2}" for iso2 in TABLE1_COUNTRIES)
 
     def run_shard(shard_id: str) -> dict:

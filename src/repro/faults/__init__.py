@@ -1,23 +1,17 @@
 """Fault injection: seeded fault processes, schedules, and retry policy.
 
 The paper's §5 operational picture has satellites constantly leaving the
-cache fleet (thermal duty-cycling, failures, deorbits) and links flapping;
-this package turns that into a first-class, deterministic simulation input.
-Compose processes into a :class:`FaultSchedule`, hand it to
-:class:`~repro.spacecdn.system.SpaceCdnSystem`, and every snapshot is served
-through the compiled degraded masks — injection costs a mask swap over the
-CSR core, never a graph rebuild.
+cache fleet (thermal duty-cycling, failures, deorbits); this package turns
+that into a deterministic simulation input. Compose outage windows,
+flash-crowd load and transient attempt loss into a :class:`FaultSchedule`,
+hand it to :class:`~repro.spacecdn.system.SpaceCdnSystem`, and every
+snapshot is served through the compiled satellite mask — injection costs a
+mask swap over the CSR core, never a graph rebuild.
 """
 
 from repro.faults.processes import (
     FlashCrowdProcess,
-    GroundStationOutage,
-    IslCut,
-    IslDegradation,
-    KillList,
     OutageWindow,
-    RandomIslCuts,
-    SatelliteOutageProcess,
     TransientAttemptLoss,
 )
 from repro.faults.retry import DeadlineBudget, RetryPolicy
@@ -30,12 +24,6 @@ __all__ = [
     "RetryPolicy",
     "DeadlineBudget",
     "FlashCrowdProcess",
-    "SatelliteOutageProcess",
-    "KillList",
     "OutageWindow",
-    "GroundStationOutage",
-    "IslCut",
-    "IslDegradation",
-    "RandomIslCuts",
     "TransientAttemptLoss",
 ]

@@ -1,29 +1,25 @@
 """Seeded, deterministic fault processes over simulation time.
 
-Each process answers point-in-time queries ("who is down at ``t``?") and is
-fully determined by its configuration and seed — the answer never depends on
-the order or history of queries, which is what makes fault experiments
-reproducible and lets snapshots be rebuilt at any instant.
+Each process answers point-in-time queries and is fully determined by its
+configuration — the answer never depends on the order or history of
+queries, which is what makes fault experiments reproducible and lets
+snapshots be rebuilt at any instant.
 
-Satellite processes expose ``failed_satellites(t_s)``; ground processes
-expose ``failed_grounds(t_s)`` / ``ground_segment_down(t_s)``; link
-processes expose ``cut_links(t_s, num_links)`` and/or
-``latency_multiplier(t_s, num_links)``. :class:`TransientAttemptLoss` is the
-odd one out: it models per-attempt packet-level loss inside one request and
-is keyed on (request, attempt) rather than wall-clock time.
+:class:`OutageWindow` answers ``failed_satellites(t_s)``;
+:class:`FlashCrowdProcess` answers ``background_load(t_s, num_satellites)``.
+:class:`TransientAttemptLoss` is the odd one out: it models per-attempt
+packet-level loss inside one request and is keyed on (request, attempt)
+rather than wall-clock time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import FaultConfigError
-
-_RENEWAL_CHUNK = 32
-"""Up/down cycles drawn per extension of a renewal-process timeline."""
 
 
 def _check_window(start_s: float, end_s: float) -> None:
@@ -31,111 +27,6 @@ def _check_window(start_s: float, end_s: float) -> None:
         raise FaultConfigError(
             f"fault window must satisfy 0 <= start < end, got [{start_s}, {end_s})"
         )
-
-
-@dataclass
-class SatelliteOutageProcess:
-    """MTBF/MTTR renewal outages, one alternating process per satellite.
-
-    Every satellite runs an independent up/down renewal process: up
-    durations are exponential with mean ``mtbf_s``, down durations
-    exponential with mean ``mttr_s``, all drawn from a generator seeded by
-    ``(seed, satellite)``. All satellites start healthy at ``t = 0``.
-    Timelines extend lazily (and monotonically, so answers are
-    query-order independent) as later instants are queried.
-    """
-
-    total_satellites: int
-    mtbf_s: float
-    mttr_s: float
-    seed: int = 0
-    _rngs: dict = field(default_factory=dict, repr=False, compare=False)
-    _timelines: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.total_satellites < 1:
-            raise FaultConfigError("need at least one satellite")
-        if self.mtbf_s <= 0 or self.mttr_s <= 0:
-            raise FaultConfigError(
-                f"MTBF and MTTR must be positive, got {self.mtbf_s}/{self.mttr_s}"
-            )
-
-    def _boundaries(self, satellite: int, t_s: float) -> np.ndarray:
-        """Cumulative state-change instants for one satellite, covering ``t_s``.
-
-        Entry ``2k`` ends up-period ``k``; entry ``2k + 1`` ends the
-        following down-period. Chunks are appended from a per-satellite
-        generator, so earlier entries never change as the horizon grows.
-        """
-        timeline = self._timelines.get(satellite)
-        while timeline is None or timeline[-1] <= t_s:
-            rng = self._rngs.get(satellite)
-            if rng is None:
-                rng = np.random.default_rng((self.seed, satellite))
-                self._rngs[satellite] = rng
-            ups = rng.exponential(self.mtbf_s, size=_RENEWAL_CHUNK)
-            downs = rng.exponential(self.mttr_s, size=_RENEWAL_CHUNK)
-            chunk = np.empty(2 * _RENEWAL_CHUNK)
-            chunk[0::2] = ups
-            chunk[1::2] = downs
-            offset = 0.0 if timeline is None else timeline[-1]
-            extended = offset + np.cumsum(chunk)
-            timeline = (
-                extended
-                if timeline is None
-                else np.concatenate((timeline, extended))
-            )
-            self._timelines[satellite] = timeline
-        return timeline
-
-    def is_down(self, satellite: int, t_s: float) -> bool:
-        """Whether one satellite is inside a down period at ``t_s``."""
-        if not 0 <= satellite < self.total_satellites:
-            raise FaultConfigError(f"satellite {satellite} out of range")
-        if t_s < 0:
-            raise FaultConfigError(f"negative time: {t_s}")
-        boundaries = self._boundaries(satellite, t_s)
-        return int(np.searchsorted(boundaries, t_s, side="right")) % 2 == 1
-
-    def failed_satellites(self, t_s: float) -> frozenset[int]:
-        """Every satellite inside a down period at ``t_s``."""
-        return frozenset(
-            s for s in range(self.total_satellites) if self.is_down(s, t_s)
-        )
-
-    def expected_down_fraction(self) -> float:
-        """Steady-state unavailability, MTTR / (MTBF + MTTR)."""
-        return self.mttr_s / (self.mtbf_s + self.mttr_s)
-
-
-@dataclass(frozen=True)
-class KillList:
-    """One-shot permanent failures: satellite ``s`` is dead from ``t`` on.
-
-    Models deorbits and hard failures — there is no repair. ``kills`` maps
-    satellite index to its kill instant.
-    """
-
-    kills: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for satellite, kill_t in self.kills:
-            if satellite < 0:
-                raise FaultConfigError(f"negative satellite index {satellite}")
-            if kill_t < 0 or not math.isfinite(kill_t):
-                raise FaultConfigError(f"invalid kill time {kill_t}")
-            if satellite in seen:
-                raise FaultConfigError(f"satellite {satellite} killed twice")
-            seen.add(satellite)
-
-    @classmethod
-    def at(cls, kills: dict[int, float]) -> "KillList":
-        """Build from a ``{satellite: kill_time}`` mapping."""
-        return cls(kills=tuple(sorted(kills.items())))
-
-    def failed_satellites(self, t_s: float) -> frozenset[int]:
-        return frozenset(s for s, kill_t in self.kills if kill_t <= t_s)
 
 
 @dataclass(frozen=True)
@@ -162,151 +53,12 @@ class OutageWindow:
 
 
 @dataclass(frozen=True)
-class GroundStationOutage:
-    """Ground-segment outage during ``[start, end)``.
-
-    ``stations`` names the ground nodes that are down; ``None`` means the
-    whole ground segment (gateways, terrestrial fetch path) is unreachable,
-    which removes the bent-pipe rung from the serving ladder entirely.
-    """
-
-    stations: frozenset[str] | None = None
-    start_s: float = 0.0
-    end_s: float = math.inf
-
-    def __post_init__(self) -> None:
-        _check_window(self.start_s, self.end_s)
-        if self.stations is not None and not self.stations:
-            raise FaultConfigError(
-                "empty station set; use stations=None for a full ground outage"
-            )
-
-    def _active(self, t_s: float) -> bool:
-        return self.start_s <= t_s < self.end_s
-
-    def failed_grounds(self, t_s: float) -> frozenset[str]:
-        if self._active(t_s) and self.stations is not None:
-            return self.stations
-        return frozenset()
-
-    def ground_segment_down(self, t_s: float) -> bool:
-        return self._active(t_s) and self.stations is None
-
-
-@dataclass(frozen=True)
-class IslCut:
-    """Hard ISL cuts: the listed links carry nothing during ``[start, end)``.
-
-    Link ids index the shell's +Grid link list (see
-    :func:`repro.topology.isl.plus_grid_links` /
-    :class:`repro.topology.fastcore.CsrTopology`).
-    """
-
-    links: frozenset[int]
-    start_s: float = 0.0
-    end_s: float = math.inf
-
-    def __post_init__(self) -> None:
-        _check_window(self.start_s, self.end_s)
-        if any(l < 0 for l in self.links):
-            raise FaultConfigError("negative link id in cut set")
-
-    def cut_links(self, t_s: float, num_links: int) -> frozenset[int]:
-        if not self.start_s <= t_s < self.end_s:
-            return frozenset()
-        bad = [l for l in self.links if l >= num_links]
-        if bad:
-            raise FaultConfigError(f"unknown link ids in cut set: {sorted(bad)[:5]}")
-        return self.links
-
-    def latency_multiplier(self, t_s: float, num_links: int) -> np.ndarray | None:
-        return None
-
-
-@dataclass(frozen=True)
-class IslDegradation:
-    """Soft ISL degradation: link latencies scale by ``multiplier``.
-
-    Models pointing losses, retransmissions, and congestion on specific
-    links (``links``) or fleet-wide (``links=None``) during ``[start, end)``.
-    """
-
-    multiplier: float
-    links: frozenset[int] | None = None
-    start_s: float = 0.0
-    end_s: float = math.inf
-
-    def __post_init__(self) -> None:
-        _check_window(self.start_s, self.end_s)
-        if not math.isfinite(self.multiplier) or self.multiplier < 1.0:
-            raise FaultConfigError(
-                f"latency multiplier must be finite and >= 1, got {self.multiplier}"
-            )
-        if self.links is not None and any(l < 0 for l in self.links):
-            raise FaultConfigError("negative link id in degradation set")
-
-    def cut_links(self, t_s: float, num_links: int) -> frozenset[int]:
-        return frozenset()
-
-    def latency_multiplier(self, t_s: float, num_links: int) -> np.ndarray | None:
-        if not self.start_s <= t_s < self.end_s:
-            return None
-        mult = np.ones(num_links)
-        if self.links is None:
-            mult[:] = self.multiplier
-            return mult
-        ids = np.asarray(sorted(self.links), dtype=np.int64)
-        if ids.size and ids[-1] >= num_links:
-            raise FaultConfigError(
-                f"unknown link id {int(ids[-1])} in degradation set"
-            )
-        mult[ids] = self.multiplier
-        return mult
-
-
-@dataclass(frozen=True)
-class RandomIslCuts:
-    """A rotating random subset of ISLs is cut in each rotation slot.
-
-    Deterministic in ``(seed, slot)``, like the duty-cycle scheduler: the
-    cut set is redrawn every ``rotate_every_s`` simulated seconds.
-    """
-
-    fraction: float
-    seed: int = 0
-    rotate_every_s: float = 600.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction < 1.0:
-            raise FaultConfigError(
-                f"cut fraction must be in [0, 1), got {self.fraction}"
-            )
-        if self.rotate_every_s <= 0:
-            raise FaultConfigError("rotation period must be positive")
-
-    def cut_links(self, t_s: float, num_links: int) -> frozenset[int]:
-        if t_s < 0:
-            raise FaultConfigError(f"negative time: {t_s}")
-        count = round(num_links * self.fraction)
-        if count == 0:
-            return frozenset()
-        slot = int(t_s // self.rotate_every_s)
-        rng = np.random.default_rng((self.seed, slot))
-        chosen = rng.choice(num_links, size=count, replace=False)
-        return frozenset(int(l) for l in chosen)
-
-    def latency_multiplier(self, t_s: float, num_links: int) -> np.ndarray | None:
-        return None
-
-
-@dataclass(frozen=True)
 class FlashCrowdProcess:
     """A load spike: extra background demand on satellites during a window.
 
-    Where every other process in this module *removes* capacity (outages,
-    cuts), a flash crowd *consumes* it: during ``[start, end)`` the listed
-    satellites (``None`` = the whole fleet) each carry
-    ``extra_requests_per_slot`` of background load that the overload
+    Where an outage *removes* capacity, a flash crowd *consumes* it: during
+    ``[start, end)`` the listed satellites (``None`` = the whole fleet) each
+    carry ``extra_requests_per_slot`` of background load that the overload
     model's admission controller must account for before admitting real
     requests. ``ramp_s`` shapes the spike edges linearly — real flash
     crowds build and drain over minutes, and the ramp keeps availability

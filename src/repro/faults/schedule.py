@@ -1,12 +1,12 @@
 """Composing fault processes into per-snapshot masks.
 
-A :class:`FaultSchedule` owns a bag of fault processes (satellite outages,
-ISL cuts and degradation, ground outages, transient per-attempt loss) and
-compiles them, at any simulated instant, into a :class:`FaultView` — plain
-masks and weight multipliers that the CSR routing core consumes directly.
+A :class:`FaultSchedule` owns the fault processes (satellite outage
+windows, flash-crowd load, transient per-attempt loss) and compiles the
+outages, at any simulated instant, into a :class:`FaultView` — the failed
+satellite set that the CSR routing core masks out.
 :func:`apply_fault_view` turns a healthy snapshot into its degraded sibling
-for the price of a node-mask union and one O(E) weight pass; the expensive
-artifacts (positions, CSR topology) are always shared, never rebuilt.
+for the price of a node-mask union; the expensive artifacts (positions,
+CSR topology) are always shared, never rebuilt.
 """
 
 from __future__ import annotations
@@ -16,74 +16,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FaultConfigError
-from repro.faults.processes import TransientAttemptLoss
+from repro.faults.processes import (
+    FlashCrowdProcess,
+    OutageWindow,
+    TransientAttemptLoss,
+)
 from repro.obs.recorder import get_recorder
 from repro.topology.graph import SnapshotGraph
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FaultView:
-    """The compiled fault state at one instant.
-
-    Everything the serving stack needs to degrade a snapshot: satellites to
-    mask, links to cut, per-link latency multipliers (``None`` when no
-    degradation is active), and the ground-segment state.
-    """
+    """The compiled fault state at one instant: the satellites to mask."""
 
     t_s: float
     failed_satellites: frozenset[int] = frozenset()
-    cut_links: frozenset[int] = frozenset()
-    link_multiplier: np.ndarray | None = None
-    failed_grounds: frozenset[str] = frozenset()
-    ground_segment_down: bool = False
-
-    @property
-    def is_clean(self) -> bool:
-        """Whether this view degrades nothing at all."""
-        return (
-            not self.failed_satellites
-            and not self.cut_links
-            and self.link_multiplier is None
-            and not self.failed_grounds
-            and not self.ground_segment_down
-        )
-
-
-_ROLES = ("satellite", "link", "ground", "load")
-
-
-def _role_of(process) -> str:
-    """Classify a fault process by the query surface it implements."""
-    if hasattr(process, "background_load"):
-        return "load"
-    if hasattr(process, "cut_links") or hasattr(process, "latency_multiplier"):
-        return "link"
-    if hasattr(process, "failed_grounds") or hasattr(process, "ground_segment_down"):
-        return "ground"
-    if hasattr(process, "failed_satellites"):
-        return "satellite"
-    raise FaultConfigError(
-        f"{type(process).__name__} implements no fault-process interface"
-    )
 
 
 @dataclass
 class FaultSchedule:
     """A composition of fault processes over simulation time.
 
-    ``add`` dispatches processes to their role by duck type; ``compile_at``
-    unions every process's answer into one :class:`FaultView`.
-    ``wipe_caches_on_outage`` controls whether a satellite dropping out of
-    the fleet (thermal duty-cycle exit, failure) loses its cache contents —
-    on by default, since on-board caches do not survive a power cycle.
+    ``add`` files each process by its class; ``compile_at`` unions every
+    outage into one :class:`FaultView`. A satellite dropping out of the
+    fleet (thermal duty-cycle exit, failure) loses its cache contents,
+    since on-board caches do not survive a power cycle.
     """
 
-    satellite_processes: list = field(default_factory=list)
-    link_processes: list = field(default_factory=list)
-    ground_processes: list = field(default_factory=list)
-    load_processes: list = field(default_factory=list)
+    satellite_processes: list[OutageWindow] = field(default_factory=list)
+    load_processes: list[FlashCrowdProcess] = field(default_factory=list)
     attempt_loss: TransientAttemptLoss | None = None
-    wipe_caches_on_outage: bool = True
 
     def add(self, process) -> "FaultSchedule":
         """Register a fault process; returns ``self`` for chaining."""
@@ -91,9 +53,14 @@ class FaultSchedule:
             if self.attempt_loss is not None:
                 raise FaultConfigError("only one attempt-loss process is allowed")
             self.attempt_loss = process
-            return self
-        role = _role_of(process)
-        getattr(self, f"{role}_processes").append(process)
+        elif isinstance(process, OutageWindow):
+            self.satellite_processes.append(process)
+        elif isinstance(process, FlashCrowdProcess):
+            self.load_processes.append(process)
+        else:
+            raise FaultConfigError(
+                f"{type(process).__name__} is not a fault process"
+            )
         return self
 
     @property
@@ -107,12 +74,7 @@ class FaultSchedule:
         schedule holding only load processes therefore serves exactly as
         no schedule at all on systems without an overload model.
         """
-        return (
-            not self.satellite_processes
-            and not self.link_processes
-            and not self.ground_processes
-            and self.attempt_loss is None
-        )
+        return not self.satellite_processes and self.attempt_loss is None
 
     def attempt_lost(self, request_index: int, attempt: int) -> bool:
         """Whether transient loss kills this (request, attempt) pair."""
@@ -145,73 +107,36 @@ class FaultSchedule:
                 )
         return total
 
-    def compile_at(self, t_s: float, num_links: int) -> FaultView:
-        """Union every process into the fault state at instant ``t_s``."""
+    def compile_at(self, t_s: float) -> FaultView:
+        """Union every outage into the fault state at instant ``t_s``."""
         if t_s < 0:
             raise FaultConfigError(f"negative time: {t_s}")
         failed: set[int] = set()
         for process in self.satellite_processes:
             failed |= process.failed_satellites(t_s)
-
-        cut: set[int] = set()
-        multiplier: np.ndarray | None = None
-        for process in self.link_processes:
-            if hasattr(process, "cut_links"):
-                cut |= process.cut_links(t_s, num_links)
-            if hasattr(process, "latency_multiplier"):
-                mult = process.latency_multiplier(t_s, num_links)
-                if mult is not None:
-                    multiplier = mult if multiplier is None else multiplier * mult
-
-        grounds: set[str] = set()
-        segment_down = False
-        for process in self.ground_processes:
-            if hasattr(process, "failed_grounds"):
-                grounds |= process.failed_grounds(t_s)
-            if hasattr(process, "ground_segment_down"):
-                segment_down = segment_down or process.ground_segment_down(t_s)
-
-        if failed or segment_down:
+        if failed:
             rec = get_recorder()
             if rec.enabled:
                 # Compiled once per snapshot slot (the serve path caches the
                 # view), so each window records the fault state it ran under.
-                if failed:
-                    rec.window_inc(
-                        t_s,
-                        "repro_fault_failed_satellites",
-                        value=float(len(failed)),
-                    )
-                if segment_down:
-                    rec.window_inc(t_s, "repro_fault_ground_down_total")
-
-        return FaultView(
-            t_s=t_s,
-            failed_satellites=frozenset(failed),
-            cut_links=frozenset(cut),
-            link_multiplier=multiplier,
-            failed_grounds=frozenset(grounds),
-            ground_segment_down=segment_down,
-        )
+                rec.window_inc(
+                    t_s, "repro_fault_failed_satellites", value=float(len(failed))
+                )
+        return FaultView(t_s=t_s, failed_satellites=frozenset(failed))
 
 
 def apply_fault_view(snapshot: SnapshotGraph, view: FaultView) -> SnapshotGraph:
     """The degraded sibling of a snapshot under one compiled fault view.
 
-    Satellite failures become a node mask, link faults a per-link weight
-    swap (see :func:`repro.topology.fastcore.degrade_core`); the original
+    Satellite failures become a node mask over the shared CSR core (see
+    :func:`repro.spacecdn.resilience.fail_satellites`); the original
     snapshot is never touched. Failed-satellite indices outside the
     snapshot's fleet are ignored so one schedule can drive shells of
     different sizes.
     """
-    from repro.spacecdn.resilience import degrade_snapshot
+    from repro.spacecdn.resilience import fail_satellites
 
     failed = frozenset(
         s for s in view.failed_satellites if 0 <= s < snapshot.core.num_nodes
     )
-    return degrade_snapshot(
-        snapshot,
-        failed=failed,
-        cut_links=view.cut_links,
-        latency_multiplier=view.link_multiplier,
-    )
+    return fail_satellites(snapshot, failed)

@@ -28,7 +28,6 @@ from repro.spacecdn.system import SpaceCdnSystem, ServedRequest, SystemStats
 from repro.spacecdn.demand import DiurnalDemand, DemandAwareDutyCycle
 from repro.spacecdn.resilience import (
     fail_satellites,
-    degrade_snapshot,
     random_failure_set,
     placement_under_failures,
     ResilienceReport,
@@ -53,7 +52,6 @@ __all__ = [
     "ServedRequest",
     "SystemStats",
     "fail_satellites",
-    "degrade_snapshot",
     "random_failure_set",
     "placement_under_failures",
     "ResilienceReport",

@@ -71,16 +71,6 @@ class DutyCycleScheduler:
         """The cache set active at time ``t_s``."""
         return self.active_caches(self.slot_index(t_s))
 
-    def exited_caches(self, prev_slot: int, slot: int) -> frozenset[int]:
-        """Satellites that stopped caching between two slots.
-
-        These are the duty-cycle *exits*: a satellite powering its cache
-        down to meet the thermal budget loses its contents, which is what
-        the fault layer's cache-wipe semantics model
-        (:class:`repro.faults.FaultSchedule.wipe_caches_on_outage`).
-        """
-        return self.active_caches(prev_slot) - self.active_caches(slot)
-
 
 @dataclass
 class DutyCycleLatencyModel:

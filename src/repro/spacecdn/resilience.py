@@ -33,29 +33,6 @@ def fail_satellites(
     return replace(snapshot, failed=snapshot.failed | failed)
 
 
-def degrade_snapshot(
-    snapshot: SnapshotGraph,
-    failed: frozenset[int] = frozenset(),
-    cut_links=(),
-    latency_multiplier: np.ndarray | None = None,
-) -> SnapshotGraph:
-    """A degraded sibling combining node failures with ISL-level faults.
-
-    Node failures become the active mask (as in :func:`fail_satellites`);
-    cut links and per-link latency multipliers become a fresh weight/
-    liveness vector over the shared CSR topology (see
-    :func:`repro.topology.fastcore.degrade_core`). Either way the healthy
-    snapshot is never mutated and nothing is rebuilt.
-    """
-    degraded = fail_satellites(snapshot, failed)
-    cut = tuple(cut_links)
-    if cut or latency_multiplier is not None:
-        degraded = degraded.with_core(
-            fastcore.degrade_core(snapshot.core, latency_multiplier, cut)
-        )
-    return degraded
-
-
 def random_failure_set(
     total_satellites: int, fraction: float, rng: np.random.Generator
 ) -> frozenset[int]:

@@ -26,7 +26,7 @@ from repro.cdn.cache import Cache, HoldersIndex, LruCache
 from repro.cdn.content import Catalog
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
-from repro.faults import FaultSchedule, FaultView, RetryPolicy, apply_fault_view
+from repro.faults import FaultSchedule, RetryPolicy, apply_fault_view
 from repro.geo.coordinates import GeoPoint
 from repro.obs.metrics import OVERLOAD_QUEUE_BUCKETS_MS
 from repro.obs.recorder import get_recorder
@@ -168,9 +168,9 @@ class SpaceCdnSystem:
         fault_schedule: composed fault processes. Every request runs the
             attempt walk; a non-empty schedule runs it over the
             fault-masked snapshot, and ``None`` (or an empty schedule)
-            over the healthy one under an empty fault view. Faults are
-            applied at snapshot granularity — the schedule compiles once
-            per snapshot slot into the CSR core's node/link masks.
+            over the healthy one. Faults are applied at snapshot
+            granularity — the schedule compiles once per snapshot slot
+            into the CSR core's node mask.
         retry_policy: bounded attempts, per-attempt RTT budget, and
             simulated exponential backoff for the attempt walk (applied
             with or without a fault schedule).
@@ -199,7 +199,6 @@ class SpaceCdnSystem:
     _snapshot: SnapshotGraph | None = field(default=None, repr=False)
     _snapshot_slot: int = field(default=-1, repr=False)
     _degraded: SnapshotGraph | None = field(default=None, repr=False)
-    _fault_view: FaultView | None = field(default=None, repr=False)
     _fault_slot: int = field(default=-1, repr=False)
     _down_prev: frozenset[int] = field(default=frozenset(), repr=False)
     _request_counter: int = field(default=0, repr=False)
@@ -300,19 +299,16 @@ class SpaceCdnSystem:
 
     # -- fault plumbing --------------------------------------------------------
 
-    def _fault_state_at(self, snapshot: SnapshotGraph) -> tuple[FaultView, SnapshotGraph]:
-        """The compiled fault view and degraded snapshot for the current slot.
+    def _degraded_at(self, snapshot: SnapshotGraph) -> SnapshotGraph:
+        """The fault-masked sibling of the current slot's snapshot.
 
         Compiled once per snapshot slot: the schedule's processes are
-        sampled at the snapshot instant and turned into node/link masks
-        over the shared CSR core. Newly-failed satellites lose their cache
-        contents here when the schedule says outages wipe caches.
+        sampled at the snapshot instant and turned into a node mask over
+        the shared CSR core. Newly-failed satellites lose their cache
+        contents here.
         """
         if self._fault_slot != self._snapshot_slot or self._degraded is None:
-            view = self.fault_schedule.compile_at(
-                snapshot.t_s, snapshot.core.topology.num_links
-            )
-            self._fault_view = view
+            view = self.fault_schedule.compile_at(snapshot.t_s)
             self._degraded = apply_fault_view(snapshot, view)
             self._fault_slot = self._snapshot_slot
             down = frozenset(
@@ -320,11 +316,10 @@ class SpaceCdnSystem:
                 for s in view.failed_satellites
                 if 0 <= s < len(self.constellation)
             )
-            if self.fault_schedule.wipe_caches_on_outage:
-                for satellite in sorted(down - self._down_prev):
-                    self._wipe_cache(satellite)
+            for satellite in sorted(down - self._down_prev):
+                self._wipe_cache(satellite)
             self._down_prev = down
-        return self._fault_view, self._degraded
+        return self._degraded
 
     def _wipe_cache(self, satellite: int) -> int:
         """Drop a satellite's cache contents (duty-cycle exit / power loss)."""
@@ -397,8 +392,7 @@ class SpaceCdnSystem:
         Every request runs the one attempt walk (:meth:`_walk`), in order
         and with the side effects of serving it alone (caches, stats, the
         fault schedule's per-request determinism); a system with no faults
-        walks under an empty :class:`~repro.faults.FaultView` over the
-        healthy snapshot. The per-request O(N) work is hoisted to
+        walks over the healthy snapshot. The per-request O(N) work is hoisted to
         per-cohort passes: one visibility matrix over the unique users and
         one routing pass over the unique access satellites (masked once for
         the whole cohort under faults).
@@ -470,13 +464,9 @@ class SpaceCdnSystem:
         faulted = (
             self.fault_schedule is not None and not self.fault_schedule.is_empty
         )
-        if faulted:
-            view, degraded = self._fault_state_at(snapshot)
-        else:
-            # Nothing fails: the walk runs under an empty view over the
-            # healthy snapshot (overload protection, if any, only meters
-            # admission onto it).
-            view, degraded = FaultView(t_s=snapshot.t_s), snapshot
+        # Nothing fails without faults: the walk runs over the healthy
+        # snapshot (overload protection, if any, only meters admission).
+        degraded = self._degraded_at(snapshot) if faulted else snapshot
 
         from repro.orbits.visibility import visible_satellites_batch
 
@@ -503,7 +493,7 @@ class SpaceCdnSystem:
         unavailable_before = self.stats.unavailable
         try:
             self._serve_walks(
-                users, object_ids, times, u_idx, vb, view, degraded,
+                users, object_ids, times, u_idx, vb, degraded,
                 counts, continue_on_unavailable, results, priorities,
                 shed_counts,
             )
@@ -549,7 +539,6 @@ class SpaceCdnSystem:
         times: list[float],
         u_idx: np.ndarray,
         vb,
-        view: FaultView,
         degraded: SnapshotGraph,
         counts: Counter | None,
         continue_on_unavailable: bool,
@@ -599,7 +588,7 @@ class SpaceCdnSystem:
             try:
                 results.append(
                     self._walk(
-                        users[r], object_ids[r], times[r], lv, view, rows,
+                        users[r], object_ids[r], times[r], lv, rows,
                         counts,
                         None if priorities is None else priorities[r],
                         shed_counts,
@@ -674,7 +663,6 @@ class SpaceCdnSystem:
         object_id: str,
         t_s: float,
         live_visible: list,
-        view: FaultView,
         rows: tuple | None,
         counts: Counter | None,
         priority: int | None,
@@ -684,10 +672,9 @@ class SpaceCdnSystem:
 
         Each tried rung is one attempt. Attempts lost to transient loss or
         over the per-attempt RTT budget add simulated backoff and descend to
-        the next rung; after the space rungs, the ground rung (while the
-        ground segment is up) absorbs the remaining retry budget. A request
-        that exhausts the ladder or the budget raises
-        :class:`~repro.errors.UnavailableError`.
+        the next rung; after the space rungs, the ground rung absorbs the
+        remaining retry budget. A request that exhausts the ladder or the
+        budget raises :class:`~repro.errors.UnavailableError`.
 
         With an overload model four protections apply per rung, in this
         order: an open circuit breaker skips the rung *without* consuming an
@@ -736,10 +723,8 @@ class SpaceCdnSystem:
             )
         access = live_visible[0]
         ladder = self._fallback_ladder(live_visible, object_id, rows)
-        ground_rungs = (
-            ()
-            if view.ground_segment_down
-            else itertools.repeat((LookupSource.GROUND, None, 0, self.ground_rtt_ms))
+        ground_rungs = itertools.repeat(
+            (LookupSource.GROUND, None, 0, self.ground_rtt_ms)
         )
 
         attempts = 0
@@ -855,18 +840,10 @@ class SpaceCdnSystem:
             error.priority_class = priority
             raise error
         self.stats.unavailable += 1
-        exhausted_reason = (
-            "ground-down" if view.ground_segment_down else "budget-exhausted"
-        )
         if rec.enabled:
-            labels = (("reason", exhausted_reason),)
+            labels = (("reason", "budget-exhausted"),)
             rec.inc("repro_serve_unavailable_total", labels)
             rec.window_inc(t_s, "repro_serve_unavailable_total", labels)
-        if view.ground_segment_down:
-            raise UnavailableError(
-                f"object {object_id!r}: fallback ladder exhausted after "
-                f"{attempts} attempt(s) and the ground segment is down"
-            )
         raise UnavailableError(
             f"object {object_id!r}: retry budget exhausted after "
             f"{attempts} attempt(s)"

@@ -6,7 +6,7 @@ the plain way, one at a time, so the property suites can check the cohort
 code element by element. Each satellite has an LRU cache and the provider
 keeps a dict view of which satellites hold which object. Candidates are
 ranked per request with ``ranked_cached_satellites``. Every request runs
-the attempt walk; with no faults it walks under an empty fault view. The
+the attempt walk; with no faults it walks over the healthy snapshot. The
 fault schedule and the overload model see the same calls, in the same
 order, as in the system. Nothing is recorded to obs.
 """
@@ -18,7 +18,7 @@ from collections import Counter
 from repro.cdn.cache import LruCache
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
-from repro.faults import FaultView, RetryPolicy, apply_fault_view
+from repro.faults import RetryPolicy, apply_fault_view
 from repro.orbits.visibility import visible_satellites
 from repro.overload import GROUND_TARGET
 from repro.spacecdn.lookup import LookupSource, ranked_cached_satellites
@@ -112,21 +112,20 @@ class ReferenceCdn:
             )
             self._faults = None
 
-    def _fault_state(self):
-        """The slot's fault view and masked snapshot, compiled once per slot."""
+    def _degraded(self):
+        """The slot's masked snapshot, compiled once per slot."""
         schedule = self.fault_schedule
         snapshot = self._snapshot
         if schedule is None or schedule.is_empty:
-            return FaultView(t_s=snapshot.t_s), snapshot
+            return snapshot
         if self._faults is None:
-            view = schedule.compile_at(snapshot.t_s, snapshot.core.topology.num_links)
-            self._faults = view, apply_fault_view(snapshot, view)
+            view = schedule.compile_at(snapshot.t_s)
+            self._faults = apply_fault_view(snapshot, view)
             down = frozenset(
                 s for s in view.failed_satellites if 0 <= s < len(self.constellation)
             )
-            if schedule.wipe_caches_on_outage:
-                for satellite in sorted(down - self._down):
-                    self._wipe(satellite)
+            for satellite in sorted(down - self._down):
+                self._wipe(satellite)
             self._down = down
         return self._faults
 
@@ -194,7 +193,7 @@ class ReferenceCdn:
     def _serve_walk(self, user, object_id, t_s, priority) -> ServedRequest:
         """The attempt walk, under whatever faults and protection are set."""
         model, policy, schedule = self.overload, self.retry_policy, self.fault_schedule
-        view, degraded = self._fault_state()
+        degraded = self._degraded()
         index = self._requests
         self._requests += 1
         deadline = None
@@ -267,8 +266,7 @@ class ReferenceCdn:
                 self.stats.retries += attempts - 1
                 return self._served(object_id, t_s, source, satellite, hops,
                                     got + backoff_ms, attempts, reason, priority)
-        while (not deadline_hit and not view.ground_segment_down
-               and attempts < policy.max_attempts):
+        while not deadline_hit and attempts < policy.max_attempts:
             got = attempt("ground", GROUND_TARGET, None, self.ground_rtt_ms,
                           "ground-timeout")
             if got is _BREAKER_OPEN:

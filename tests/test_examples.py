@@ -19,7 +19,7 @@ EXAMPLES = [
     ("maputo_case_study.py", "misblocked=True"),
     ("content_bubbles.py", "plain LRU"),
     ("live_system.py", "space hit ratio"),
-    ("chaos_sweep.py", "degraded serve"),
+    ("chaos_sweep.py", "total transient loss"),
 ]
 
 

@@ -289,6 +289,22 @@ class TestExitCodes:
         assert "--seed must be non-negative" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("experiment", ["table1", "figure2"])
+    @pytest.mark.parametrize("tests_per_city", ["0", "-3"])
+    def test_bad_tests_per_city_exits_2_before_any_work(
+        self, experiment, tests_per_city, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "run", experiment, f"--tests-per-city={tests_per_city}",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert "tests_per_city must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_aim_negative_seed_exits_2(self, tmp_path, capsys):
         out_file = tmp_path / "aim.csv"
         assert main(["aim", "--seed", "-1", "--out", str(out_file)]) == EXIT_ERROR

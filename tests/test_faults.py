@@ -1,7 +1,5 @@
 """Tests for the fault-injection layer: processes, schedules, masks."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,90 +11,13 @@ from repro.errors import (
 from repro.faults import (
     FaultSchedule,
     FaultView,
-    GroundStationOutage,
-    IslCut,
-    IslDegradation,
-    KillList,
+    FlashCrowdProcess,
     OutageWindow,
-    RandomIslCuts,
     RetryPolicy,
-    SatelliteOutageProcess,
     TransientAttemptLoss,
     apply_fault_view,
 )
 from repro.topology import fastcore
-
-
-class TestSatelliteOutageProcess:
-    def test_starts_healthy(self):
-        process = SatelliteOutageProcess(
-            total_satellites=10, mtbf_s=1000.0, mttr_s=100.0, seed=0
-        )
-        assert process.failed_satellites(0.0) == frozenset()
-
-    def test_deterministic_across_instances(self):
-        kwargs = dict(total_satellites=8, mtbf_s=500.0, mttr_s=50.0, seed=3)
-        a = SatelliteOutageProcess(**kwargs)
-        b = SatelliteOutageProcess(**kwargs)
-        for t in (0.0, 123.0, 4567.0, 99.0):
-            assert a.failed_satellites(t) == b.failed_satellites(t)
-
-    def test_query_order_independent(self):
-        kwargs = dict(total_satellites=6, mtbf_s=300.0, mttr_s=30.0, seed=9)
-        forward = SatelliteOutageProcess(**kwargs)
-        answers = {t: forward.failed_satellites(t) for t in (10.0, 5000.0, 250.0)}
-        backward = SatelliteOutageProcess(**kwargs)
-        for t in (250.0, 10.0, 5000.0):
-            assert backward.failed_satellites(t) == answers[t]
-
-    def test_down_fraction_matches_mtbf_mttr(self):
-        process = SatelliteOutageProcess(
-            total_satellites=200, mtbf_s=900.0, mttr_s=100.0, seed=1
-        )
-        expected = process.expected_down_fraction()
-        assert expected == pytest.approx(0.1)
-        samples = [
-            len(process.failed_satellites(t)) / 200.0
-            for t in np.linspace(500.0, 50_000.0, 40)
-        ]
-        assert np.mean(samples) == pytest.approx(expected, abs=0.05)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"total_satellites": 0, "mtbf_s": 10.0, "mttr_s": 1.0},
-            {"total_satellites": 5, "mtbf_s": 0.0, "mttr_s": 1.0},
-            {"total_satellites": 5, "mtbf_s": 10.0, "mttr_s": -1.0},
-        ],
-    )
-    def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(FaultConfigError):
-            SatelliteOutageProcess(**kwargs)
-
-    def test_out_of_range_satellite_rejected(self):
-        process = SatelliteOutageProcess(
-            total_satellites=4, mtbf_s=10.0, mttr_s=1.0
-        )
-        with pytest.raises(FaultConfigError):
-            process.is_down(4, 0.0)
-
-
-class TestKillList:
-    def test_permanent_after_kill_time(self):
-        kills = KillList.at({3: 100.0, 7: 200.0})
-        assert kills.failed_satellites(50.0) == frozenset()
-        assert kills.failed_satellites(100.0) == frozenset({3})
-        assert kills.failed_satellites(1e9) == frozenset({3, 7})
-
-    def test_duplicate_kill_rejected(self):
-        with pytest.raises(FaultConfigError):
-            KillList(kills=((1, 5.0), (1, 9.0)))
-
-    def test_invalid_entries_rejected(self):
-        with pytest.raises(FaultConfigError):
-            KillList.at({-1: 5.0})
-        with pytest.raises(FaultConfigError):
-            KillList.at({2: math.inf})
 
 
 class TestOutageWindow:
@@ -115,60 +36,6 @@ class TestOutageWindow:
     def test_bad_window_rejected(self):
         with pytest.raises(FaultConfigError):
             OutageWindow(satellites=frozenset({1}), start_s=5.0, end_s=5.0)
-
-
-class TestGroundStationOutage:
-    def test_full_segment_outage(self):
-        outage = GroundStationOutage(start_s=0.0, end_s=100.0)
-        assert outage.ground_segment_down(50.0)
-        assert not outage.ground_segment_down(100.0)
-        assert outage.failed_grounds(50.0) == frozenset()
-
-    def test_named_stations(self):
-        outage = GroundStationOutage(stations=frozenset({"gs-1"}))
-        assert outage.failed_grounds(0.0) == frozenset({"gs-1"})
-        assert not outage.ground_segment_down(0.0)
-
-    def test_empty_station_set_rejected(self):
-        with pytest.raises(FaultConfigError):
-            GroundStationOutage(stations=frozenset())
-
-
-class TestIslFaults:
-    def test_cut_active_in_window(self):
-        cut = IslCut(links=frozenset({0, 5}), start_s=0.0, end_s=10.0)
-        assert cut.cut_links(5.0, 100) == frozenset({0, 5})
-        assert cut.cut_links(10.0, 100) == frozenset()
-
-    def test_unknown_link_rejected(self):
-        cut = IslCut(links=frozenset({999}))
-        with pytest.raises(FaultConfigError):
-            cut.cut_links(0.0, 10)
-
-    def test_degradation_fleet_wide(self):
-        deg = IslDegradation(multiplier=2.5)
-        mult = deg.latency_multiplier(0.0, 4)
-        np.testing.assert_allclose(mult, [2.5, 2.5, 2.5, 2.5])
-
-    def test_degradation_specific_links(self):
-        deg = IslDegradation(multiplier=3.0, links=frozenset({1}))
-        np.testing.assert_allclose(
-            deg.latency_multiplier(0.0, 3), [1.0, 3.0, 1.0]
-        )
-
-    def test_degradation_below_one_rejected(self):
-        with pytest.raises(FaultConfigError):
-            IslDegradation(multiplier=0.5)
-
-    def test_random_cuts_deterministic_per_slot(self):
-        a = RandomIslCuts(fraction=0.2, seed=4, rotate_every_s=100.0)
-        b = RandomIslCuts(fraction=0.2, seed=4, rotate_every_s=100.0)
-        assert a.cut_links(50.0, 200) == b.cut_links(99.0, 200)
-        assert len(a.cut_links(0.0, 200)) == 40
-
-    def test_random_cuts_rotate(self):
-        cuts = RandomIslCuts(fraction=0.3, seed=4, rotate_every_s=100.0)
-        assert cuts.cut_links(0.0, 500) != cuts.cut_links(150.0, 500)
 
 
 class TestTransientAttemptLoss:
@@ -192,21 +59,19 @@ class TestFaultSchedule:
     def test_empty_schedule(self):
         schedule = FaultSchedule()
         assert schedule.is_empty
-        view = schedule.compile_at(0.0, 10)
-        assert view.is_clean
+        view = schedule.compile_at(0.0)
+        assert view.failed_satellites == frozenset()
 
     def test_add_dispatches_by_role(self):
         schedule = (
             FaultSchedule()
             .add(OutageWindow(satellites=frozenset({1})))
-            .add(IslCut(links=frozenset({0})))
-            .add(GroundStationOutage())
+            .add(FlashCrowdProcess(extra_requests_per_slot=2.0))
             .add(TransientAttemptLoss(probability=0.5))
         )
         assert not schedule.is_empty
         assert len(schedule.satellite_processes) == 1
-        assert len(schedule.link_processes) == 1
-        assert len(schedule.ground_processes) == 1
+        assert len(schedule.load_processes) == 1
         assert schedule.attempt_loss is not None
 
     def test_duplicate_attempt_loss_rejected(self):
@@ -222,27 +87,15 @@ class TestFaultSchedule:
         schedule = (
             FaultSchedule()
             .add(OutageWindow(satellites=frozenset({1})))
-            .add(KillList.at({2: 0.0}))
-            .add(IslCut(links=frozenset({3})))
-            .add(GroundStationOutage())
+            .add(OutageWindow(satellites=frozenset({2}), start_s=5.0))
+            .add(OutageWindow(satellites=frozenset({3}), end_s=5.0))
         )
-        view = schedule.compile_at(5.0, 10)
+        view = schedule.compile_at(5.0)
         assert view.failed_satellites == frozenset({1, 2})
-        assert view.cut_links == frozenset({3})
-        assert view.ground_segment_down
-
-    def test_multipliers_compose(self):
-        schedule = (
-            FaultSchedule()
-            .add(IslDegradation(multiplier=2.0))
-            .add(IslDegradation(multiplier=3.0, links=frozenset({0})))
-        )
-        view = schedule.compile_at(0.0, 2)
-        np.testing.assert_allclose(view.link_multiplier, [6.0, 2.0])
 
     def test_negative_time_rejected(self):
         with pytest.raises(FaultConfigError):
-            FaultSchedule().compile_at(-1.0, 10)
+            FaultSchedule().compile_at(-1.0)
 
 
 class TestApplyFaultView:
@@ -258,36 +111,6 @@ class TestApplyFaultView:
         assert len(degraded.satellite_nodes()) == len(
             small_snapshot.satellite_nodes()
         )
-
-    def test_cut_links_break_routes(self, small_snapshot):
-        core = small_snapshot.core
-        # Cut every link touching satellite 0: it becomes unreachable.
-        topo = core.topology
-        incident = frozenset(
-            int(l)
-            for l in topo.neighbor_link[0]
-            if l >= 0
-        )
-        view = FaultView(t_s=0.0, cut_links=incident)
-        degraded = apply_fault_view(small_snapshot, view)
-        hops = fastcore.hop_distances_batch(
-            degraded.core, [1], degraded.active_mask
-        )
-        assert hops[0, 0] == fastcore.HOP_UNREACHABLE
-        # The healthy snapshot still routes to satellite 0.
-        healthy = fastcore.hop_distances_batch(core, [1], small_snapshot.active_mask)
-        assert healthy[0, 0] != fastcore.HOP_UNREACHABLE
-
-    def test_multiplier_scales_latency(self, small_snapshot):
-        num_links = small_snapshot.core.topology.num_links
-        view = FaultView(
-            t_s=0.0, link_multiplier=np.full(num_links, 2.0)
-        )
-        degraded = apply_fault_view(small_snapshot, view)
-        base = fastcore.latency_batch(small_snapshot.core, [0])
-        doubled = fastcore.latency_batch(degraded.core, [0])
-        np.testing.assert_allclose(doubled, 2.0 * base)
-
 
 class TestDegradeCoreBackends:
     @pytest.mark.skipif(not fastcore.HAVE_SCIPY, reason="scipy not importable")

@@ -551,6 +551,19 @@ class TestOverloadCli:
         ) == EXIT_ERROR
         assert "capacities must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deadline", ["-5", "nan"])
+    @pytest.mark.parametrize("with_out_dir", [False, True])
+    def test_bad_deadline_exits_4(self, capsys, tmp_path, deadline, with_out_dir):
+        # Only --deadline-ms 0 disables the deadline; any other
+        # non-positive or non-finite budget is a fault-config error.
+        out_dir = tmp_path / "run"
+        argv = ["run", "overload", "--shell", "small", f"--deadline-ms={deadline}"]
+        if with_out_dir:
+            argv += ["--out-dir", str(out_dir)]
+        assert main(argv) == EXIT_FAULT_CONFIG
+        assert "deadline must be positive and finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_flash_crowd_exits_4(self, capsys):
         assert main(
             ["run", "overload", "--flash-crowd", "60:240"]

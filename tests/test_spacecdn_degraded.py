@@ -7,7 +7,6 @@ from repro.cdn.content import build_catalog
 from repro.errors import ContentNotFoundError, UnavailableError
 from repro.faults import (
     FaultSchedule,
-    GroundStationOutage,
     OutageWindow,
     RetryPolicy,
     TransientAttemptLoss,
@@ -80,18 +79,6 @@ class TestFallbackLadder:
         system.serve(EQUATOR, OBJ, 0.0)
         assert FAR_HOLDER not in system.holders_of(OBJ)
         assert len(system.cache_of(FAR_HOLDER)) == 0
-
-    def test_wipe_can_be_disabled(self, small_constellation, catalog):
-        schedule = FaultSchedule(wipe_caches_on_outage=False).add(
-            OutageWindow(satellites=frozenset({FAR_HOLDER}), end_s=30.0)
-        )
-        system = make_system(small_constellation, catalog, schedule)
-        system.preload({OBJ: frozenset({FAR_HOLDER})})
-        during = system.serve(EQUATOR, OBJ, 0.0)
-        assert during.source is LookupSource.GROUND
-        # The failed holder kept its contents: once the outage window ends
-        # the replica will serve again without a re-fetch.
-        assert FAR_HOLDER in system.holders_of(OBJ)
 
     def test_live_holder_served_over_isl(self, small_constellation, catalog):
         schedule = FaultSchedule().add(
@@ -169,15 +156,6 @@ class TestRetriesAndTimeouts:
             system.serve(EQUATOR, OBJ, 0.0)
         assert system.stats.timeouts == 3
 
-    def test_ground_outage_with_no_replica_is_unavailable(
-        self, small_constellation, catalog
-    ):
-        schedule = FaultSchedule().add(GroundStationOutage())
-        system = make_system(small_constellation, catalog, schedule)
-        with pytest.raises(UnavailableError) as excinfo:
-            system.serve(EQUATOR, OBJ, 0.0)
-        assert "ground segment is down" in str(excinfo.value)
-
     def test_unavailable_is_content_not_found(self):
         assert issubclass(UnavailableError, ContentNotFoundError)
 
@@ -219,11 +197,7 @@ class TestRunStream:
 
 class TestStatsCounters:
     def test_requests_include_unavailable(self, small_constellation, catalog):
-        schedule = (
-            FaultSchedule()
-            .add(TransientAttemptLoss(probability=1.0))
-            .add(GroundStationOutage())
-        )
+        schedule = FaultSchedule().add(TransientAttemptLoss(probability=1.0))
         system = make_system(small_constellation, catalog, schedule)
         with pytest.raises(UnavailableError):
             system.serve(EQUATOR, OBJ, 0.0)

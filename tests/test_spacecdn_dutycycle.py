@@ -126,14 +126,6 @@ class TestLatencyModel:
 
 
 class TestFaultsOverDutyCycle:
-    def test_exited_caches_between_slots(self):
-        scheduler = DutyCycleScheduler(
-            total_satellites=48, cache_fraction=0.5, seed=3
-        )
-        exited = scheduler.exited_caches(0, 1)
-        assert exited == scheduler.active_caches(0) - scheduler.active_caches(1)
-        assert exited.isdisjoint(scheduler.active_caches(1))
-
     def test_failed_satellites_leave_cache_rotation(self, shell1_snapshot):
         scheduler = DutyCycleScheduler(
             total_satellites=len(shell1_snapshot.constellation),

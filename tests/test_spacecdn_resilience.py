@@ -8,12 +8,10 @@ import pytest
 from repro.errors import ConfigurationError, PlacementError
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.resilience import (
-    degrade_snapshot,
     fail_satellites,
     placement_under_failures,
     random_failure_set,
 )
-from repro.topology import fastcore
 
 
 class TestFailSatellites:
@@ -52,39 +50,6 @@ class TestFailSatellites:
         assert first.core is second.core is small_snapshot.core
         with pytest.raises(FrozenInstanceError):
             first.failed = frozenset()
-
-
-class TestDegradeSnapshot:
-    def test_cut_links_removed_from_routing(self, small_snapshot):
-        incident = frozenset(
-            int(l) for l in small_snapshot.core.topology.neighbor_link[0] if l >= 0
-        )
-        degraded = degrade_snapshot(small_snapshot, cut_links=incident)
-        hops = fastcore.hop_distances_batch(
-            degraded.core, [1], degraded.active_mask
-        )
-        assert hops[0, 0] == fastcore.HOP_UNREACHABLE
-        assert small_snapshot.core.link_active is None  # original untouched
-
-    def test_combines_node_and_link_faults(self, small_snapshot):
-        import numpy as np
-
-        num_links = small_snapshot.core.topology.num_links
-        degraded = degrade_snapshot(
-            small_snapshot,
-            failed=frozenset({5}),
-            latency_multiplier=np.full(num_links, 3.0),
-        )
-        assert not degraded.has_satellite(5)
-        np.testing.assert_allclose(
-            degraded.core.link_latency_ms,
-            3.0 * small_snapshot.core.link_latency_ms,
-        )
-
-    def test_no_faults_is_plain_copy(self, small_snapshot):
-        degraded = degrade_snapshot(small_snapshot)
-        assert degraded.core is small_snapshot.core
-        assert degraded.failed == small_snapshot.failed
 
 
 class TestRandomFailureSet:

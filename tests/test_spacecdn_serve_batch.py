@@ -271,7 +271,7 @@ class TestBatchProperties:
 
             def factory():
                 return (
-                    FaultSchedule(wipe_caches_on_outage=bool(seed % 2))
+                    FaultSchedule()
                     .add(OutageWindow(satellites=failed))
                     .add(
                         TransientAttemptLoss(
@@ -357,7 +357,7 @@ class TestCohortValidation:
         window takes down and change every later request."""
 
         def build():
-            schedule = FaultSchedule(wipe_caches_on_outage=True).add(
+            schedule = FaultSchedule().add(
                 OutageWindow(
                     satellites=frozenset(range(0, len(CONSTELLATION), 3)),
                     end_s=60.0,
@@ -398,7 +398,7 @@ class TestHoldersIndexIntegrity:
 
     def test_wipe_never_leaves_stale_entries(self):
         failed = frozenset(range(0, len(CONSTELLATION), 3))
-        schedule = FaultSchedule(wipe_caches_on_outage=True).add(
+        schedule = FaultSchedule().add(
             OutageWindow(satellites=failed)
         )
         system = make_system(schedule)

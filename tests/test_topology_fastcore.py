@@ -70,9 +70,11 @@ def snapshot_cases(draw):
     config = _shell(num_planes, sats_per_plane, phase_offset)
     snapshot = build_snapshot(build_walker_delta(config), t_s)
     if failed or cut:
-        from repro.spacecdn.resilience import degrade_snapshot
+        from repro.spacecdn.resilience import fail_satellites
 
-        snapshot = degrade_snapshot(snapshot, frozenset(failed), cut_links=cut)
+        snapshot = fail_satellites(snapshot, frozenset(failed)).with_core(
+            fastcore.degrade_core(snapshot.core, cut_links=cut)
+        )
     return snapshot, source, failed
 
 
