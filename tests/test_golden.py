@@ -2,7 +2,15 @@
 
 Each case runs the CLI in-process at its defaults and compares against a
 file under ``tests/golden/``. A refactor of the serve path, the routing
-kernels or the obs pipeline must leave every file here unchanged.
+kernels, the measurement path or the obs pipeline must leave every file
+here unchanged.
+
+``<experiment>.txt`` pins the stdout of the no-flag (monolithic) run.
+``<experiment>.sharded.txt`` pins the stdout of ``repro run <experiment>
+--out-dir <dir>``: the per-shard generators (per-country AIM batches,
+per-ISP probes, per-epoch user draws) that ``--jobs`` and ``--resume`` run
+draw from other streams than the monolithic run, so they print other
+numbers and need their own pins.
 
 Dropped as not reproducible across runs: the ``repro_profile_*`` lines of
 the metrics file (wall-clock seconds per profiled site). Nothing else in
@@ -41,6 +49,15 @@ STDOUT_EXPERIMENTS = (
     "figure8",
     "geoblocking",
 )
+SHARDED_EXPERIMENTS = (
+    "table1",
+    "figure2",
+    "figure3",
+    "figure4",
+    "figure5",
+    "figure7",
+    "figure8",
+)
 OBS_EXPERIMENTS = ("chaos", "overload")
 OBS_ARTIFACTS = ("obs-metrics.prom", "obs-timeseries.json", "obs-trace.jsonl")
 
@@ -60,6 +77,14 @@ def run_stdout(experiment: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["run", experiment]) == 0
+    return out.getvalue()
+
+
+def run_sharded_stdout(experiment: str, run_dir: Path) -> str:
+    """Stdout of ``repro run <experiment> --out-dir <run_dir>``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", experiment, "--out-dir", str(run_dir)]) == 0
     return out.getvalue()
 
 
@@ -95,6 +120,12 @@ def test_stdout_matches_golden(experiment):
     assert run_stdout(experiment) == expected
 
 
+@pytest.mark.parametrize("experiment", SHARDED_EXPERIMENTS)
+def test_sharded_stdout_matches_golden(experiment, tmp_path):
+    expected = (GOLDEN / f"{experiment}.sharded.txt").read_text()
+    assert run_sharded_stdout(experiment, tmp_path / "run") == expected
+
+
 @pytest.mark.parametrize("experiment", OBS_EXPERIMENTS)
 def test_obs_artifacts_match_golden(experiment, tmp_path):
     artifacts = run_obs(experiment, tmp_path)
@@ -107,6 +138,11 @@ def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for experiment in STDOUT_EXPERIMENTS:
         (GOLDEN / f"{experiment}.txt").write_text(run_stdout(experiment))
+    for experiment in SHARDED_EXPERIMENTS:
+        with tempfile.TemporaryDirectory() as work:
+            (GOLDEN / f"{experiment}.sharded.txt").write_text(
+                run_sharded_stdout(experiment, Path(work) / "run")
+            )
     for experiment in OBS_EXPERIMENTS:
         with tempfile.TemporaryDirectory() as work:
             for name, text in run_obs(experiment, Path(work)).items():
