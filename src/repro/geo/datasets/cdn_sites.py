@@ -11,7 +11,7 @@ whose traffic exits at a distant PoP, are mapped to caches near that PoP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import DatasetError
 from repro.geo.coordinates import GeoPoint
@@ -26,7 +26,7 @@ class CdnSite:
     lat_deg: float
     lon_deg: float
 
-    @property
+    @cached_property
     def location(self) -> GeoPoint:
         return GeoPoint(self.lat_deg, self.lon_deg, 0.0)
 

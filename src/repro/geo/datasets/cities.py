@@ -8,7 +8,7 @@ infrastructure tier and Starlink-coverage flag via ``countries``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import DatasetError
 from repro.geo.coordinates import GeoPoint
@@ -25,7 +25,7 @@ class City:
     lon_deg: float
     population_m: float
 
-    @property
+    @cached_property
     def location(self) -> GeoPoint:
         """The city centre as a surface point."""
         return GeoPoint(self.lat_deg, self.lon_deg, 0.0)

@@ -11,7 +11,7 @@ site names its backhaul PoP (the PoP its fiber connects to).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.geo.coordinates import GeoPoint
 from repro.geo.datasets.pops import pop_by_name
@@ -27,7 +27,7 @@ class GroundStationSite:
     lon_deg: float
     pop_name: str
 
-    @property
+    @cached_property
     def location(self) -> GeoPoint:
         return GeoPoint(self.lat_deg, self.lon_deg, 0.0)
 

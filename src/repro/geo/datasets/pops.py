@@ -12,7 +12,7 @@ differ from pure proximity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import DatasetError
 from repro.geo.coordinates import GeoPoint, great_circle_km
@@ -28,7 +28,7 @@ class PopSite:
     lat_deg: float
     lon_deg: float
 
-    @property
+    @cached_property
     def location(self) -> GeoPoint:
         return GeoPoint(self.lat_deg, self.lon_deg, 0.0)
 

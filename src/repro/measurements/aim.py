@@ -25,6 +25,13 @@ from repro.geo.datasets import (
 from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import LatencyNoise
 from repro.network.terrestrial import TerrestrialPathModel
+from repro.network.throughput import (
+    ThroughputProfile,
+    starlink_profile,
+    starlink_upload_profile,
+    terrestrial_profile,
+    terrestrial_upload_profile,
+)
 from repro.simulation.sampler import seeded_rng
 
 STARLINK = "starlink"
@@ -150,7 +157,7 @@ class AimGenerator:
             # Terrestrial bufferbloat is mild by comparison.
             return self.terrestrial.idle_rtt_ms(
                 city, site.location, site.iso2
-            ) + float(self.terrestrial.noise.rng.exponential(25.0))
+            ) + self.terrestrial.noise.bufferbloat_ms(25.0)
         if isp == STARLINK:
             return self.starlink.loaded_rtt_ms(city, site.location, site.iso2)
         raise ConfigurationError(f"unknown ISP class: {isp!r}")
@@ -183,52 +190,45 @@ class AimGenerator:
     def optimal_site(self, city: City, isp: str) -> tuple[CdnSite, float]:
         """The median-latency-optimal CDN site for a city/ISP (paper §3.1)."""
         candidates = self.candidate_sites_for(city, isp)
+        probes = self.probes_per_site
+        mid = probes // 2
 
         def median_rtt(site: CdnSite) -> float:
-            return float(
-                median(
-                    self.sample_rtt_ms(city, site, isp)
-                    for _ in range(self.probes_per_site)
-                )
-            )
+            rtts = sorted([self.sample_rtt_ms(city, site, isp) for _ in range(probes)])
+            # statistics.median's formula: the middle value, or the mean of
+            # the two middle values for an even count.
+            return rtts[mid] if probes % 2 else (rtts[mid - 1] + rtts[mid]) / 2
 
         return best_site_by_latency(candidates, median_rtt)
 
     # -- dataset generation --------------------------------------------------
 
-    def sample_download_mbps(self, city: City, isp: str, rtt_ms: float) -> float:
-        """One sampled single-flow download speed for the path class.
+    def throughput_profiles(
+        self, city: City, isp: str
+    ) -> tuple[ThroughputProfile, ThroughputProfile]:
+        """The (download, upload) throughput profiles of a city's path class.
 
         TCP couples throughput to RTT and residual loss (Mathis bound), so
-        the Starlink latency penalty also shows up as a speed penalty.
+        the Starlink latency penalty also shows up as a speed penalty; the
+        return channels are narrow and asymmetric.
         """
-        from repro.network.throughput import starlink_profile, terrestrial_profile
-
         if isp == STARLINK:
-            profile = starlink_profile(self.starlink.resolve_path(city).uses_isl)
-        elif isp == TERRESTRIAL:
-            profile = terrestrial_profile(city.country.infra_tier)
-        else:
-            raise ConfigurationError(f"unknown ISP class: {isp!r}")
-        bound = profile.download_mbps(rtt_ms)
-        # Per-test variability: cross traffic, Wi-Fi, server pacing.
-        return bound * float(self.terrestrial.noise.rng.uniform(0.5, 1.0))
+            uses_isl = self.starlink.resolve_path(city).uses_isl
+            return starlink_profile(uses_isl), starlink_upload_profile(uses_isl)
+        if isp == TERRESTRIAL:
+            tier = city.country.infra_tier
+            return terrestrial_profile(tier), terrestrial_upload_profile(tier)
+        raise ConfigurationError(f"unknown ISP class: {isp!r}")
 
-    def sample_upload_mbps(self, city: City, isp: str, rtt_ms: float) -> float:
-        """One sampled upload speed (narrow, asymmetric return channels)."""
-        from repro.network.throughput import (
-            starlink_upload_profile,
-            terrestrial_upload_profile,
-        )
+    def sample_mbps(self, profile: ThroughputProfile, rtt_ms: float) -> float:
+        """One sampled speed over a path profile at the test's RTT.
 
-        if isp == STARLINK:
-            profile = starlink_upload_profile(self.starlink.resolve_path(city).uses_isl)
-        elif isp == TERRESTRIAL:
-            profile = terrestrial_upload_profile(city.country.infra_tier)
-        else:
-            raise ConfigurationError(f"unknown ISP class: {isp!r}")
+        The Mathis bound scaled by U(0.5, 1) per test: cross traffic, Wi-Fi,
+        server pacing. ``0.5 + 0.5 * random()`` is numpy's own
+        ``uniform(0.5, 1.0)`` formula, minus its argument checks.
+        """
         bound = profile.download_mbps(rtt_ms)
-        return bound * float(self.terrestrial.noise.rng.uniform(0.5, 1.0))
+        return bound * (0.5 + 0.5 * self.terrestrial.noise.rng.random())
 
     def generate_city_tests(
         self, city: City, isp: str, num_tests: int
@@ -238,6 +238,7 @@ class AimGenerator:
             raise ConfigurationError("num_tests must be >= 1")
         site, _ = self.optimal_site(city, isp)
         distance = great_circle_km(city.location, site.location)
+        download, upload = self.throughput_profiles(city, isp)
         tests = []
         for _ in range(num_tests):
             latency = self.sample_rtt_ms(city, site, isp)
@@ -251,8 +252,8 @@ class AimGenerator:
                     latency_ms=latency,
                     loaded_latency_ms=self.sample_loaded_rtt_ms(city, site, isp),
                     cdn_distance_km=distance,
-                    download_mbps=self.sample_download_mbps(city, isp, latency),
-                    upload_mbps=self.sample_upload_mbps(city, isp, latency),
+                    download_mbps=self.sample_mbps(download, latency),
+                    upload_mbps=self.sample_mbps(upload, latency),
                 )
             )
         return tests
@@ -269,6 +270,8 @@ class AimGenerator:
     ) -> AimDataset:
         """The full dataset: terrestrial tests everywhere, Starlink tests in
         covered countries only (mirroring the paper's 55-vs-196 split)."""
+        if tests_per_city < 1:
+            raise ConfigurationError("tests_per_city must be >= 1")
         dataset = AimDataset()
         for city in cities if cities is not None else all_cities():
             dataset.tests.extend(

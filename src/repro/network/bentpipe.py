@@ -33,7 +33,7 @@ from repro.constants import (
 )
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import City, assigned_pop
+from repro.geo.datasets import City, assigned_pop, country_by_iso2
 from repro.network.access import sample_access_one_way_ms
 from repro.network.latency import LatencyNoise, fiber_path_ms
 from repro.topology.ground import GroundSegment, GroundStation, PointOfPresence
@@ -89,7 +89,7 @@ class StarlinkPathModel:
     _path_cache: dict[tuple[float, float, str], StarlinkPath] = field(
         default_factory=dict, repr=False
     )
-    _remote_cache: dict[tuple[float, float, str, float, float, str], float] = field(
+    _legs: dict[tuple[City, GeoPoint, str], tuple[float, float]] = field(
         default_factory=dict, repr=False
     )
 
@@ -146,11 +146,7 @@ class StarlinkPathModel:
     ) -> float:
         """Deterministic one-way latency floor: zenith uplink, minimal path."""
         alt = self.params.altitude_km
-        up_ms = (
-            alt / SPEED_OF_LIGHT_KM_S * 1000.0
-            + STARLINK_SCHEDULING_DELAY_MS
-            + STARLINK_PROCESSING_DELAY_MS
-        )
+        up_ms = self._zenith_uplink_ms()
         if isl_hops > 0:
             space_ms = (
                 isl_distance_km / SPEED_OF_LIGHT_KM_S * 1000.0
@@ -172,47 +168,43 @@ class StarlinkPathModel:
             + pop.processing_delay_ms
         )
 
-    def sample_one_way_to_pop_ms(self, city: City) -> float:
-        """One sampled one-way latency from a client in ``city`` to its PoP."""
-        path = self.resolve_path(city)
-        up_ms = sample_access_one_way_ms(self.noise.rng, self.params.altitude_km)
-        # Everything past the uplink keeps its floor value; jitter is applied
-        # to the whole RTT by the callers.
-        floor_tail = path.one_way_floor_ms - (
+    def _zenith_uplink_ms(self) -> float:
+        """The uplink part of the floor: zenith slant, MAC and processing."""
+        return (
             self.params.altitude_km / SPEED_OF_LIGHT_KM_S * 1000.0
             + STARLINK_SCHEDULING_DELAY_MS
             + STARLINK_PROCESSING_DELAY_MS
         )
-        return up_ms + floor_tail
 
     def pop_to_remote_one_way_ms(
         self, city: City, remote: GeoPoint, remote_iso2: str
     ) -> float:
-        """Deterministic one-way latency from the client's PoP to a remote host.
-
-        Memoised per (city, remote) pair: the AIM generator revisits the
-        same pairs for every probe and this leg carries no noise.
-        """
-        from repro.geo.datasets import country_by_iso2
-
-        key = (
-            city.lat_deg,
-            city.lon_deg,
-            city.iso2,
-            remote.lat_deg,
-            remote.lon_deg,
-            remote_iso2,
-        )
-        cached = self._remote_cache.get(key)
-        if cached is not None:
-            return cached
+        """Deterministic one-way latency from the client's PoP to a remote host."""
         path = self.resolve_path(city)
         distance = great_circle_km(path.pop.location, remote)
         pop_tier = country_by_iso2(path.pop.site.iso2).infra_tier
         remote_tier = country_by_iso2(remote_iso2).infra_tier
-        result = fiber_path_ms(distance, max(pop_tier, remote_tier))
-        self._remote_cache[key] = result
-        return result
+        return fiber_path_ms(distance, max(pop_tier, remote_tier))
+
+    def _leg(
+        self, city: City, remote: GeoPoint, remote_iso2: str
+    ) -> tuple[float, float]:
+        """The deterministic part of a client-remote leg, resolved once.
+
+        Returns (floor one-way ms past the uplink, PoP-to-remote one-way
+        ms). The AIM generator probes the same city-site pairs thousands of
+        times and neither leg carries noise; resolving them draws nothing.
+        """
+        key = (city, remote, remote_iso2)
+        leg = self._legs.get(key)
+        if leg is None:
+            path = self.resolve_path(city)
+            floor_tail = path.one_way_floor_ms - self._zenith_uplink_ms()
+            leg = self._legs[key] = (
+                floor_tail,
+                self.pop_to_remote_one_way_ms(city, remote, remote_iso2),
+            )
+        return leg
 
     def idle_rtt_ms(
         self,
@@ -221,10 +213,14 @@ class StarlinkPathModel:
         remote_iso2: str,
         server_think_ms: float = CDN_SERVER_THINK_TIME_MS,
     ) -> float:
-        """One sampled idle RTT from ``city`` to a remote host over Starlink."""
-        one_way = self.sample_one_way_to_pop_ms(city) + self.pop_to_remote_one_way_ms(
-            city, remote, remote_iso2
-        )
+        """One sampled idle RTT from ``city`` to a remote host over Starlink.
+
+        Only the uplink is sampled; everything past it keeps its floor
+        value, and jitter is applied to the whole RTT.
+        """
+        floor_tail, remote_ms = self._leg(city, remote, remote_iso2)
+        up_ms = sample_access_one_way_ms(self.noise.rng, self.params.altitude_km)
+        one_way = up_ms + floor_tail + remote_ms
         base = 2.0 * one_way + server_think_ms + self.noise.starlink_frame_jitter_ms()
         return self.noise.jitter_ms(base)
 
@@ -237,8 +233,6 @@ class StarlinkPathModel:
 
     def min_rtt_floor_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
         """Deterministic lower bound of the RTT distribution."""
-        path = self.resolve_path(city)
-        one_way = path.one_way_floor_ms + self.pop_to_remote_one_way_ms(
-            city, remote, remote_iso2
-        )
+        _, remote_ms = self._leg(city, remote, remote_iso2)
+        one_way = self.resolve_path(city).one_way_floor_ms + remote_ms
         return 2.0 * one_way + CDN_SERVER_THINK_TIME_MS

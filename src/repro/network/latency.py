@@ -22,6 +22,7 @@ from repro.constants import (
     CIRCUITY_TIER2,
     CIRCUITY_TIER3,
     FIBER_SPEED_KM_S,
+    STARLINK_FRAME_JITTER_MAX_MS,
     TERRESTRIAL_PER_HOP_MS,
 )
 from repro.errors import ConfigurationError
@@ -120,7 +121,7 @@ class LatencyNoise:
 
         Uniform over [0, max]: the terminal's request lands anywhere within
         the scheduler's grant cycle, independently each round trip.
+        ``max * random()`` is numpy's own ``uniform(0.0, max)`` formula
+        (``low + (high - low) * random()``), minus its argument checks.
         """
-        from repro.constants import STARLINK_FRAME_JITTER_MAX_MS
-
-        return float(self.rng.uniform(0.0, STARLINK_FRAME_JITTER_MAX_MS))
+        return STARLINK_FRAME_JITTER_MAX_MS * self.rng.random()

@@ -23,7 +23,7 @@ class TerrestrialPathModel:
     """Latency model for paths that never leave the ground."""
 
     noise: LatencyNoise
-    _core_cache: dict[tuple[float, float, str, float, float, str], float] = field(
+    _legs: dict[tuple[City, GeoPoint, str], tuple[float, int]] = field(
         default_factory=dict, repr=False
     )
 
@@ -40,27 +40,28 @@ class TerrestrialPathModel:
     def one_way_core_ms(
         self, client: GeoPoint, client_iso2: str, remote: GeoPoint, remote_iso2: str
     ) -> float:
-        """Deterministic one-way core-network latency (no last mile, no jitter).
-
-        Memoised per endpoint pair: the AIM generator probes the same
-        city-site pairs thousands of times and this leg never varies.
-        """
-        key = (
-            client.lat_deg,
-            client.lon_deg,
-            client_iso2,
-            remote.lat_deg,
-            remote.lon_deg,
-            remote_iso2,
-        )
-        cached = self._core_cache.get(key)
-        if cached is not None:
-            return cached
+        """Deterministic one-way core-network latency (no last mile, no jitter)."""
         distance = great_circle_km(client, remote)
         tier = self.path_tier(client_iso2, remote_iso2)
-        result = fiber_path_ms(distance, tier)
-        self._core_cache[key] = result
-        return result
+        return fiber_path_ms(distance, tier)
+
+    def _leg(
+        self, client_city: City, remote: GeoPoint, remote_iso2: str
+    ) -> tuple[float, int]:
+        """The deterministic part of a client-remote leg, resolved once.
+
+        Returns (one-way core ms, the client's last-mile tier). The AIM
+        generator probes the same city-site pairs thousands of times and
+        none of this varies between probes; resolving it draws nothing.
+        """
+        key = (client_city, remote, remote_iso2)
+        leg = self._legs.get(key)
+        if leg is None:
+            core = self.one_way_core_ms(
+                client_city.location, client_city.iso2, remote, remote_iso2
+            )
+            leg = self._legs[key] = (core, client_city.country.infra_tier)
+        return leg
 
     def idle_rtt_ms(
         self,
@@ -76,12 +77,8 @@ class TerrestrialPathModel:
         """
         if server_think_ms < 0:
             raise ConfigurationError(f"negative think time: {server_think_ms}")
-        core = self.one_way_core_ms(
-            client_city.location, client_city.iso2, remote, remote_iso2
-        )
-        last_mile = self.noise.last_mile_ms(
-            client_city.country.infra_tier, client_city.iso2
-        )
+        core, tier = self._leg(client_city, remote, remote_iso2)
+        last_mile = self.noise.last_mile_ms(tier, client_city.iso2)
         base = 2.0 * (core + last_mile) + server_think_ms
         return self.noise.jitter_ms(base)
 
@@ -89,7 +86,5 @@ class TerrestrialPathModel:
         self, client_city: City, remote: GeoPoint, remote_iso2: str
     ) -> float:
         """The deterministic lower bound of the RTT distribution (no noise)."""
-        core = self.one_way_core_ms(
-            client_city.location, client_city.iso2, remote, remote_iso2
-        )
+        core, _ = self._leg(client_city, remote, remote_iso2)
         return 2.0 * core + CDN_SERVER_THINK_TIME_MS

@@ -305,6 +305,20 @@ class TestExitCodes:
         assert "tests_per_city must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("tests_per_city", ["0", "-3"])
+    def test_aim_bad_tests_per_city_exits_2_naming_the_flag(
+        self, tests_per_city, tmp_path, capsys
+    ):
+        out_file = tmp_path / "aim.csv"
+        code = main(
+            ["aim", f"--tests-per-city={tests_per_city}", "--out", str(out_file)]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "tests_per_city must be >= 1" in err
+        assert "num_tests" not in err
+        assert not out_file.exists()
+
     def test_aim_negative_seed_exits_2(self, tmp_path, capsys):
         out_file = tmp_path / "aim.csv"
         assert main(["aim", "--seed", "-1", "--out", str(out_file)]) == EXIT_ERROR

@@ -1,7 +1,10 @@
 """Tests for the synthetic AIM dataset generator."""
 
+import copy
 import math
+import statistics
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -72,6 +75,11 @@ class TestGenerator:
         with pytest.raises(ConfigurationError):
             generator.generate_city_tests(city_by_name("Madrid"), STARLINK, 0)
 
+    @pytest.mark.parametrize("tests_per_city", [0, -3])
+    def test_generate_invalid_tests_per_city(self, tests_per_city):
+        with pytest.raises(ConfigurationError, match="tests_per_city must be >= 1"):
+            AimGenerator(seed=1).generate(tests_per_city=tests_per_city)
+
 
 class TestDataset:
     def test_both_isps_present(self, small_dataset):
@@ -138,3 +146,88 @@ class TestReproducibility:
         a = AimGenerator(seed=1).generate(tests_per_city=5, cities=cities)
         b = AimGenerator(seed=2).generate(tests_per_city=5, cities=cities)
         assert [t.latency_ms for t in a.tests] != [t.latency_ms for t in b.tests]
+
+
+LEG_CITIES = ("Maputo", "Madrid", "Lagos", "Nairobi", "Tokyo")
+
+
+def resolve_every_leg(generator: AimGenerator, cities) -> None:
+    """Resolve every deterministic leg a ``generate(cities=...)`` call uses."""
+    for city in cities:
+        generator.starlink.resolve_path(city)
+        for isp in (TERRESTRIAL, STARLINK):
+            model = generator.terrestrial if isp == TERRESTRIAL else generator.starlink
+            for site in generator.candidate_sites_for(city, isp):
+                model.min_rtt_floor_ms(city, site.location, site.iso2)
+            generator.throughput_profiles(city, isp)
+
+
+class TestLegResolution:
+    """A path leg is resolved once, draws nothing, and changes no output."""
+
+    def test_cold_resolution_leaves_the_rng_untouched(self):
+        generator = AimGenerator(seed=3)
+        rng = generator.terrestrial.noise.rng
+        before = copy.deepcopy(rng.bit_generator.state)
+        assert not generator.terrestrial._legs and not generator.starlink._legs
+        resolve_every_leg(generator, tuple(city_by_name(n) for n in LEG_CITIES))
+        assert generator.terrestrial._legs and generator.starlink._legs
+        assert rng.bit_generator.state == before
+
+    def test_prewarmed_caches_give_identical_output(self):
+        cities = tuple(city_by_name(n) for n in LEG_CITIES)
+        warm = AimGenerator(seed=3)
+        resolve_every_leg(warm, cities)
+        legs = (len(warm.terrestrial._legs), len(warm.starlink._legs))
+        cold = AimGenerator(seed=3)
+        assert (
+            warm.generate(tests_per_city=6, cities=cities).tests
+            == cold.generate(tests_per_city=6, cities=cities).tests
+        )
+        # The warm-up resolved every leg the run used.
+        assert (len(warm.terrestrial._legs), len(warm.starlink._legs)) == legs
+
+
+class TestSpeedDraws:
+    def test_speed_scale_is_numpys_uniform_draw(self):
+        generator = AimGenerator(seed=4)
+        download, _ = generator.throughput_profiles(city_by_name("Lagos"), STARLINK)
+        reference = np.random.default_rng(0)
+        reference.bit_generator.state = copy.deepcopy(
+            generator.terrestrial.noise.rng.bit_generator.state
+        )
+        rtts = [20.0 + 7.0 * i for i in range(100)]
+        assert [generator.sample_mbps(download, rtt) for rtt in rtts] == [
+            download.download_mbps(rtt) * float(reference.uniform(0.5, 1.0))
+            for rtt in rtts
+        ]
+
+
+class TestOptimalSiteMedian:
+    @pytest.mark.parametrize("probes", [4, 5])
+    @pytest.mark.parametrize("isp", [TERRESTRIAL, STARLINK])
+    def test_matches_statistics_median_reference(self, probes, isp):
+        city = city_by_name("Nairobi")
+        generator = AimGenerator(seed=13, probes_per_site=probes)
+        # Move the stream off its seed so the replay below depends on the copy.
+        generator.optimal_site(city_by_name("Madrid"), isp)
+        reference = AimGenerator(seed=99, probes_per_site=probes)
+        reference.terrestrial.noise.rng.bit_generator.state = copy.deepcopy(
+            generator.terrestrial.noise.rng.bit_generator.state
+        )
+
+        site, latency = generator.optimal_site(city, isp)
+
+        medians = [
+            (
+                statistics.median(
+                    reference.sample_rtt_ms(city, candidate, isp)
+                    for _ in range(probes)
+                ),
+                candidate,
+            )
+            for candidate in reference.candidate_sites_for(city, isp)
+        ]
+        best = min(m for m, _ in medians)
+        expected_site = next(c for m, c in medians if m == best)
+        assert (site, latency) == (expected_site, best)

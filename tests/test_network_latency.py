@@ -122,6 +122,18 @@ class TestLatencyNoise:
         samples = [noise.starlink_frame_jitter_ms() for _ in range(500)]
         assert all(0.0 <= s <= STARLINK_FRAME_JITTER_MAX_MS for s in samples)
 
+    def test_frame_jitter_is_numpys_uniform_draw(self):
+        # The draw sequence is the measurement path's output contract: the
+        # jitter must stay bit-identical to Generator.uniform(0, max).
+        from repro.constants import STARLINK_FRAME_JITTER_MAX_MS
+
+        noise = LatencyNoise(rng=np.random.default_rng(4))
+        reference = np.random.default_rng(4)
+        assert [noise.starlink_frame_jitter_ms() for _ in range(500)] == [
+            float(reference.uniform(0.0, STARLINK_FRAME_JITTER_MAX_MS))
+            for _ in range(500)
+        ]
+
     def test_reproducible_from_seed(self):
         a = LatencyNoise(rng=np.random.default_rng(99))
         b = LatencyNoise(rng=np.random.default_rng(99))
