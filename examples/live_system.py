@@ -16,10 +16,9 @@ from repro import build_walker_delta, starlink_shell1
 from repro.analysis.stats import summarize
 from repro.cdn.content import build_catalog
 from repro.geo.datasets import city_by_name
-from repro.spacecdn.bubbles import RegionalPopularity
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
-from repro.workloads.regional import RegionalRequestMixer
+from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer
 from repro.workloads.requests import RequestGenerator
 
 CITIES = ("Maputo", "Nairobi", "Lagos", "Sao Paulo", "Jakarta")

@@ -5,7 +5,7 @@ HotNets '24): a Walker-constellation simulator with +Grid inter-satellite
 links, calibrated Starlink and terrestrial path-latency models, a synthetic
 Cloudflare-AIM measurement pipeline, a NetMet web-browsing model, and the
 SpaceCDN system itself — on-satellite caching with hop-bounded ISL lookup,
-duty cycling, content bubbles, fault injection and overload protection.
+duty cycling, fault injection and overload protection.
 
 Constellation snapshots are immutable: one set of read-only CSR arrays per
 instant, routed by vectorised kernels. The runtime needs only numpy; scipy,

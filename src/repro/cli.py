@@ -22,6 +22,9 @@ and bounded by ``--deadline-s`` / ``--shard-deadline-s``. ``--jobs N``
 executes the shards N-wide on a supervised worker pool that survives
 worker crashes, hangs, and kills; ``--jobs`` never enters the manifest,
 so a run started wide can resume serially (and vice versa) byte-for-byte.
+A runner flag without ``--out-dir``, or an experiment flag the chosen
+experiment does not take (``repro run table1 --users 5``), exits 2 before
+any work.
 
 Observability is off by default and the default path is byte-identical to
 an uninstrumented run. ``--obs`` (or any of ``--metrics-out`` /
@@ -162,47 +165,94 @@ def _parse_flash_crowd(spec: str | None):
     return overload.parse_flash_crowd(spec)
 
 
+_EXPERIMENT_FLAGS: dict[str, tuple[str, ...]] = {
+    "chaos": ("seed", "requests", "fractions", "shell", "max_attempts"),
+    "table1": ("seed", "tests_per_city"),
+    "figure2": ("seed", "tests_per_city"),
+    "figure3": ("seed", "samples"),
+    "figure4": ("seed", "rounds"),
+    "figure5": ("seed", "rounds"),
+    "figure7": ("seed", "users", "epochs"),
+    "figure8": ("seed", "users", "epochs"),
+    "geoblocking": (),
+    "overload": (
+        "seed", "requests", "loads", "shell", "capacity", "ground_capacity",
+        "deadline_ms", "flash_crowd", "max_attempts",
+    ),
+}
+"""The ``run`` option dests each experiment takes, in keyword order."""
+
+_KWARG_OF_FLAG = {
+    "requests": "num_requests",
+    "samples": "samples_per_site",
+    "users": "users_per_epoch",
+    "epochs": "num_epochs",
+}
+"""``run``/``build_plan`` keywords whose name differs from the option's."""
+
+_FLAG_PARSERS = {
+    "fractions": _parse_fractions,
+    "loads": _parse_loads,
+    "flash_crowd": _parse_flash_crowd,
+    # Only 0 disables the deadline; the model rejects any other
+    # non-positive or non-finite budget.
+    "deadline_ms": lambda deadline_ms: None if deadline_ms == 0 else deadline_ms,
+}
+
+_RUNNER_FLAGS = (
+    "resume", "deadline_s", "shard_deadline_s", "max_shards", "jobs",
+    "progress_every",
+)
+"""``run`` options that only the ``--out-dir`` runner reads."""
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _experiment_kwargs(name: str, args: argparse.Namespace) -> dict:
     """The ``run``/``build_plan`` keyword arguments the flags give ``name``.
 
     Flags are parsed and validated here, before any experiment work runs.
     """
-    if name not in _EXPERIMENTS:
+    if name not in _EXPERIMENT_FLAGS:
         raise ReproError(
             f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"
         )
-    if name == "geoblocking":
-        return {}
-    kwargs: dict = {"seed": args.seed}
-    if name == "chaos":
-        kwargs.update(
-            num_requests=args.requests,
-            fractions=_parse_fractions(args.fractions),
-            shell=args.shell,
-            max_attempts=args.max_attempts,
+    return {
+        _KWARG_OF_FLAG.get(dest, dest): _FLAG_PARSERS.get(dest, lambda v: v)(
+            getattr(args, dest)
         )
-    elif name == "overload":
-        kwargs.update(
-            num_requests=args.requests,
-            loads=_parse_loads(args.loads),
-            shell=args.shell,
-            capacity=args.capacity,
-            ground_capacity=args.ground_capacity,
-            # Only 0 disables the deadline; the model rejects any other
-            # non-positive or non-finite budget.
-            deadline_ms=None if args.deadline_ms == 0 else args.deadline_ms,
-            flash_crowd=_parse_flash_crowd(args.flash_crowd),
-            max_attempts=args.max_attempts,
+        for dest in _EXPERIMENT_FLAGS[name]
+    }
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a ``run`` option that the invocation would ignore.
+
+    An option counts as given when its value differs from the default of
+    a bare ``repro run <experiment>``; one that repeats its default
+    changes nothing and passes.
+    """
+    defaults = vars(build_parser().parse_args(["run", args.experiment]))
+    given = {dest for dest, value in vars(args).items() if value != defaults[dest]}
+    if args.out_dir is None:
+        for dest in _RUNNER_FLAGS:
+            if dest in given:
+                raise ReproError(f"{_flag(dest)} requires --out-dir")
+    takes = _EXPERIMENT_FLAGS[args.experiment]
+    ignored = sorted(
+        {
+            dest
+            for flags in _EXPERIMENT_FLAGS.values()
+            for dest in flags
+            if dest in given and dest not in takes
+        }
+    )
+    if ignored:
+        raise ReproError(
+            f"{args.experiment} does not take {', '.join(map(_flag, ignored))}"
         )
-    elif name in ("table1", "figure2"):
-        kwargs.update(tests_per_city=args.tests_per_city)
-    elif name == "figure3":
-        kwargs.update(samples_per_site=args.samples)
-    elif name in ("figure4", "figure5"):
-        kwargs.update(rounds=args.rounds)
-    else:  # figure7, figure8
-        kwargs.update(users_per_epoch=args.users, num_epochs=args.epochs)
-    return kwargs
 
 
 def _experiment_module(name: str):
@@ -238,16 +288,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 def _run_and_print(args: argparse.Namespace) -> int:
     if args.out_dir is None:
-        for flag, value in (
-            ("--resume", args.resume),
-            ("--deadline-s", args.deadline_s),
-            ("--shard-deadline-s", args.shard_deadline_s),
-            ("--max-shards", args.max_shards),
-            ("--jobs", args.jobs if args.jobs != 1 else None),
-            ("--progress-every", args.progress_every),
-        ):
-            if value:
-                raise ReproError(f"{flag} requires --out-dir")
         # The original monolithic in-memory path, byte-identical.
         print(_run_experiment(args.experiment, args))
         return 0
@@ -272,6 +312,7 @@ def _run_and_print(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
+    _check_flags(args)
     obs_requested = (
         args.obs
         or args.metrics_out is not None

@@ -21,10 +21,9 @@ from repro.measurements.aim import AimDataset, AimGenerator
 from repro.orbits.elements import ShellConfig, starlink_shell1
 from repro.orbits.walker import Constellation, build_walker_delta
 from repro.simulation.sampler import EpochSampler, seeded_rng
-from repro.spacecdn.bubbles import RegionalPopularity
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.topology.graph import SnapshotGraph, build_snapshot
-from repro.workloads.regional import RegionalRequestMixer
+from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer
 from repro.workloads.requests import Request, RequestGenerator
 
 DEFAULT_SEED = 7

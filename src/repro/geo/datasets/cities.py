@@ -184,21 +184,3 @@ def city_by_name(name: str) -> City:
         if city.name == name:
             return city
     raise DatasetError(f"unknown city: {name!r}")
-
-
-def region_under(lat_deg: float, lon_deg: float, max_distance_km: float = 1500.0) -> str | None:
-    """The gazetteer region beneath a point, or None over open ocean.
-
-    Resolution is the vantage-city set: the nearest city within
-    ``max_distance_km`` decides the region — good enough to know which
-    content bubble a satellite footprint is entering.
-    """
-    from repro.geo.coordinates import GeoPoint, great_circle_km
-
-    if max_distance_km <= 0:
-        raise DatasetError(f"max distance must be positive, got {max_distance_km}")
-    here = GeoPoint(lat_deg, lon_deg, 0.0)
-    best_city = min(all_cities(), key=lambda c: great_circle_km(here, c.location))
-    if great_circle_km(here, best_city.location) > max_distance_km:
-        return None
-    return best_city.country.region

@@ -19,13 +19,7 @@ from repro.spacecdn.lookup import (
     ranked_cached_satellites,
 )
 from repro.spacecdn.dutycycle import DutyCycleScheduler, DutyCycleLatencyModel
-from repro.spacecdn.bubbles import (
-    RegionalPopularity,
-    ContentBubbleManager,
-    BubbleSimulationResult,
-)
 from repro.spacecdn.system import SpaceCdnSystem, ServedRequest, SystemStats
-from repro.spacecdn.demand import DiurnalDemand, DemandAwareDutyCycle
 from repro.spacecdn.resilience import (
     fail_satellites,
     random_failure_set,
@@ -45,9 +39,6 @@ __all__ = [
     "ranked_cached_satellites",
     "DutyCycleScheduler",
     "DutyCycleLatencyModel",
-    "RegionalPopularity",
-    "ContentBubbleManager",
-    "BubbleSimulationResult",
     "SpaceCdnSystem",
     "ServedRequest",
     "SystemStats",
@@ -55,6 +46,4 @@ __all__ = [
     "random_failure_set",
     "placement_under_failures",
     "ResilienceReport",
-    "DiurnalDemand",
-    "DemandAwareDutyCycle",
 ]

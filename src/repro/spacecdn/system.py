@@ -8,7 +8,7 @@ pull content up from the ground and populate the access satellite's cache,
 and a content index tracks which satellites currently hold which objects.
 
 This is the component a downstream user would actually embed: give it a
-catalog, a placement/prefetch policy and a request stream, get back hit
+catalog, a placement plan and a request stream, get back hit
 levels and latency samples.
 """
 
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.cdn.cache import Cache, HoldersIndex, LruCache
+from repro.cdn.cache import Cache, HoldersIndex
 from repro.cdn.content import Catalog
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
@@ -221,7 +221,7 @@ class SpaceCdnSystem:
             raise ConfigurationError(f"satellite {satellite} out of range")
         cache = self._caches.get(satellite)
         if cache is None:
-            cache = LruCache(self.cache_bytes_per_satellite)
+            cache = Cache(self.cache_bytes_per_satellite)
             self._caches[satellite] = cache
         return cache
 
@@ -247,41 +247,6 @@ class SpaceCdnSystem:
             for satellite in satellites:
                 self._store(satellite, object_id)
                 stored += 1
-        return stored
-
-    def bubble_prefetch(
-        self,
-        popularity,
-        t_s: float,
-        objects_per_region: int = 10,
-        max_region_distance_km: float = 1500.0,
-    ) -> int:
-        """Content-bubble pass: load each satellite with the region below it.
-
-        For every satellite currently over a gazetteer region, prefetches
-        that region's ``objects_per_region`` most popular objects into its
-        cache (paper §5: bubbles form where the infrastructure moves but
-        the content stays relevant). ``popularity`` is anything with
-        ``regions()`` and ``top_objects(region, count)``, such as the oracle
-        :class:`~repro.spacecdn.bubbles.RegionalPopularity`.
-
-        Returns the number of cache stores performed.
-        """
-        from repro.geo.datasets.cities import region_under
-
-        if objects_per_region < 1:
-            raise ConfigurationError("objects_per_region must be >= 1")
-        known_regions = set(popularity.regions())
-        tracks = self.constellation.subsatellite_points(t_s)
-        stored = 0
-        for satellite, (lat, lon) in enumerate(tracks):
-            region = region_under(float(lat), float(lon), max_region_distance_km)
-            if region is None or region not in known_regions:
-                continue
-            for object_id in popularity.top_objects(region, objects_per_region):
-                if object_id not in self.cache_of(satellite):
-                    self._store(satellite, object_id)
-                    stored += 1
         return stored
 
     # -- time-aware topology -------------------------------------------------
@@ -374,10 +339,6 @@ class SpaceCdnSystem:
             priorities=None if priority is None else [priority],
         )
         return served
-
-    def serve_request(self, request: Request) -> ServedRequest:
-        """Serve one workload :class:`~repro.workloads.requests.Request`."""
-        return self.serve(request.city.location, request.object_id, request.t_s)
 
     def serve_batch(
         self,

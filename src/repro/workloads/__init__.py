@@ -1,11 +1,14 @@
 """Workload generation: popularity distributions and request streams."""
 
-from repro.workloads.zipf import ZipfDistribution
-from repro.workloads.regional import region_of_city, RegionalRequestMixer
+from repro.workloads.regional import (
+    RegionalPopularity,
+    RegionalRequestMixer,
+    region_of_city,
+)
 from repro.workloads.requests import Request, RequestGenerator
 
 __all__ = [
-    "ZipfDistribution",
+    "RegionalPopularity",
     "region_of_city",
     "RegionalRequestMixer",
     "Request",

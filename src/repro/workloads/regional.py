@@ -1,8 +1,8 @@
-"""Regional request mixing: which region's content a city's users ask for.
+"""Regional popularity and request mixing: what a city's users ask for.
 
 Content interest is strongly local (the paper's Boca Juniors example): a
-client mostly requests its own region's catalog, with a small spill into
-global and foreign content.
+client mostly requests its own region's catalog, ranked by a per-region
+Zipf popularity, with a small spill into global and foreign content.
 """
 
 from __future__ import annotations
@@ -11,9 +11,73 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cdn.content import Catalog
 from repro.errors import ConfigurationError
 from repro.geo.datasets import City
-from repro.spacecdn.bubbles import RegionalPopularity
+
+
+@dataclass
+class RegionalPopularity:
+    """Zipf popularity per region over a shared catalog.
+
+    Each region ranks its *own* region's objects (plus globals) highest;
+    cross-region requests are rare. ``sample(region)`` draws one object id.
+    """
+
+    catalog: Catalog
+    zipf_s: float = 0.9
+    cross_region_fraction: float = 0.05
+    seed: int = 0
+    _rankings: dict[str, list[str]] = field(init=False, repr=False)
+    _weights: dict[str, np.ndarray] = field(init=False, repr=False)
+    _rng: np.random.Generator = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.cross_region_fraction < 1.0:
+            raise ConfigurationError("cross_region_fraction must be in [0, 1)")
+        if self.zipf_s <= 0:
+            raise ConfigurationError("zipf_s must be positive")
+        self._rng = np.random.default_rng(self.seed)
+        self._rankings = {}
+        self._weights = {}
+
+    def regions(self) -> list[str]:
+        """Every non-global region present in the catalog."""
+        return sorted({o.region for o in self.catalog if o.region != "global"})
+
+    def _ranking_for(self, region: str) -> tuple[list[str], np.ndarray]:
+        if region not in self._rankings:
+            if region not in self.regions():
+                raise ConfigurationError(f"no content for region {region!r}")
+            local = [o.object_id for o in self.catalog.by_region(region)]
+            # Deterministic per-region shuffle assigns ranks. Python's
+            # built-in hash() is salted per process, so use a stable hash —
+            # otherwise rankings would differ between runs.
+            from repro.spacecdn.placement import _stable_hash
+
+            order_rng = np.random.default_rng((_stable_hash(region), self.seed))
+            order = order_rng.permutation(len(local))
+            ranked = [local[i] for i in order]
+            ranks = np.arange(1, len(ranked) + 1, dtype=float)
+            weights = ranks**-self.zipf_s
+            weights /= weights.sum()
+            self._rankings[region] = ranked
+            self._weights[region] = weights
+        return self._rankings[region], self._weights[region]
+
+    def top_objects(self, region: str, count: int) -> list[str]:
+        """The ``count`` most popular object ids for a region."""
+        ranked, _ = self._ranking_for(region)
+        return ranked[:count]
+
+    def sample(self, region: str) -> str:
+        """Draw one requested object id from a region's popularity."""
+        if self._rng.random() < self.cross_region_fraction:
+            others = [r for r in self.regions() if r != region]
+            if others:
+                region = others[int(self._rng.integers(len(others)))]
+        ranked, weights = self._ranking_for(region)
+        return ranked[int(self._rng.choice(len(ranked), p=weights))]
 
 
 def region_of_city(city: City) -> str:

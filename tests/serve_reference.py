@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.cdn.cache import LruCache
+from repro.cdn.cache import Cache
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
 from repro.faults import RetryPolicy, apply_fault_view
@@ -56,7 +56,7 @@ class ReferenceCdn:
         self.retry_policy = retry_policy or RetryPolicy()
         self.overload = overload
         self.stats = SystemStats()
-        self.caches: dict[int, LruCache] = {}
+        self.caches: dict[int, Cache] = {}
         self.holders: dict[str, set[int]] = {}
         self.attempt_counts: Counter = Counter()
         """``(tier, outcome)`` -> attempts, as ``repro_serve_attempts_total``
@@ -69,9 +69,9 @@ class ReferenceCdn:
 
     # -- caches and the holders view ---------------------------------------
 
-    def cache(self, satellite: int) -> LruCache:
+    def cache(self, satellite: int) -> Cache:
         if satellite not in self.caches:
-            self.caches[satellite] = LruCache(self.cache_bytes)
+            self.caches[satellite] = Cache(self.cache_bytes)
         return self.caches[satellite]
 
     def holders_of(self, object_id: str) -> frozenset[int]:

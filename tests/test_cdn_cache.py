@@ -1,8 +1,8 @@
-"""Tests for cache policies."""
+"""Tests for the byte-bounded LRU cache."""
 
 import pytest
 
-from repro.cdn.cache import FifoCache, LfuCache, LruCache, TtlCache
+from repro.cdn.cache import Cache
 from repro.cdn.content import ContentObject
 from repro.errors import CacheError
 
@@ -12,67 +12,59 @@ def obj(object_id: str, size: int = 100) -> ContentObject:
 
 
 class TestCacheBasics:
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_put_get(self, cache_cls):
-        cache = cache_cls(1000)
+    def test_put_get(self):
+        cache = Cache(1000)
         cache.put(obj("a"))
         assert cache.get("a").object_id == "a"
         assert "a" in cache
         assert len(cache) == 1
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_miss_returns_none(self, cache_cls):
-        cache = cache_cls(1000)
+    def test_miss_returns_none(self):
+        cache = Cache(1000)
         assert cache.get("nope") is None
         assert cache.stats.misses == 1
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_capacity_never_exceeded(self, cache_cls):
-        cache = cache_cls(350)
+    def test_capacity_never_exceeded(self):
+        cache = Cache(350)
         for i in range(10):
             cache.put(obj(f"o{i}", 100))
             assert cache.used_bytes <= 350
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_oversized_object_rejected(self, cache_cls):
-        cache = cache_cls(100)
+    def test_oversized_object_rejected(self):
+        cache = Cache(100)
         with pytest.raises(CacheError):
             cache.put(obj("big", 101))
 
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(CacheError):
-            LruCache(0)
+            Cache(0)
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_remove(self, cache_cls):
-        cache = cache_cls(1000)
+    def test_remove(self):
+        cache = Cache(1000)
         cache.put(obj("a"))
         assert cache.remove("a")
         assert "a" not in cache
         assert cache.used_bytes == 0
         assert not cache.remove("a")
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_clear_preserves_stats(self, cache_cls):
-        cache = cache_cls(1000)
+    def test_clear_preserves_stats(self):
+        cache = Cache(1000)
         cache.put(obj("a"))
         cache.get("a")
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.hits == 1
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_peek_does_not_touch_stats(self, cache_cls):
-        cache = cache_cls(1000)
+    def test_peek_does_not_touch_stats(self):
+        cache = Cache(1000)
         cache.put(obj("a"))
         cache.peek("a")
         cache.peek("missing")
         assert cache.stats.hits == 0
         assert cache.stats.misses == 0
 
-    @pytest.mark.parametrize("cache_cls", [LruCache, LfuCache, FifoCache])
-    def test_reinsert_same_id_no_duplicate(self, cache_cls):
-        cache = cache_cls(1000)
+    def test_reinsert_same_id_no_duplicate(self):
+        cache = Cache(1000)
         cache.put(obj("a", 100))
         cache.put(obj("a", 100))
         assert len(cache) == 1
@@ -81,7 +73,7 @@ class TestCacheBasics:
 
 class TestLruEviction:
     def test_evicts_least_recently_used(self):
-        cache = LruCache(300)
+        cache = Cache(300)
         cache.put(obj("a"))
         cache.put(obj("b"))
         cache.put(obj("c"))
@@ -92,7 +84,7 @@ class TestLruEviction:
         assert "c" in cache and "d" in cache
 
     def test_eviction_returns_victims(self):
-        cache = LruCache(200)
+        cache = Cache(200)
         cache.put(obj("a"))
         cache.put(obj("b"))
         evicted = cache.put(obj("c", 200))
@@ -100,80 +92,9 @@ class TestLruEviction:
         assert cache.stats.evictions == 2
 
 
-class TestFifoEviction:
-    def test_access_does_not_save_fifo_victim(self):
-        cache = FifoCache(300)
-        cache.put(obj("a"))
-        cache.put(obj("b"))
-        cache.put(obj("c"))
-        cache.get("a")  # irrelevant for FIFO
-        cache.put(obj("d"))
-        assert "a" not in cache
-
-
-class TestLfuEviction:
-    def test_evicts_least_frequent(self):
-        cache = LfuCache(300)
-        cache.put(obj("a"))
-        cache.put(obj("b"))
-        cache.put(obj("c"))
-        cache.get("a")
-        cache.get("a")
-        cache.get("c")
-        cache.put(obj("d"))  # b has the lowest count
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-
-    def test_tie_breaks_by_arrival(self):
-        cache = LfuCache(300)
-        cache.put(obj("a"))
-        cache.put(obj("b"))
-        cache.put(obj("c"))
-        cache.put(obj("d"))  # all count 1 -> evict oldest (a)
-        assert "a" not in cache
-
-
-class TestTtlCache:
-    def test_expires_after_ttl(self):
-        cache = TtlCache(1000, ttl_s=10.0)
-        cache.put(obj("a"))
-        cache.advance_to(5.0)
-        assert cache.get("a") is not None
-        cache.advance_to(10.0)
-        assert cache.get("a") is None
-
-    def test_eager_expire(self):
-        cache = TtlCache(1000, ttl_s=10.0)
-        cache.put(obj("a"))
-        cache.put(obj("b"))
-        cache.advance_to(20.0)
-        expired = cache.expire()
-        assert set(expired) == {"a", "b"}
-        assert len(cache) == 0
-
-    def test_clock_cannot_go_backwards(self):
-        cache = TtlCache(1000, ttl_s=10.0)
-        cache.advance_to(5.0)
-        with pytest.raises(CacheError):
-            cache.advance_to(4.0)
-
-    def test_nonpositive_ttl_rejected(self):
-        with pytest.raises(CacheError):
-            TtlCache(1000, ttl_s=0.0)
-
-    def test_still_lru_within_ttl(self):
-        cache = TtlCache(200, ttl_s=100.0)
-        cache.put(obj("a"))
-        cache.put(obj("b"))
-        cache.get("a")
-        cache.put(obj("c"))
-        assert "b" not in cache
-        assert "a" in cache
-
-
 class TestStats:
     def test_hit_ratio(self):
-        cache = LruCache(1000)
+        cache = Cache(1000)
         cache.put(obj("a"))
         cache.get("a")
         cache.get("a")
@@ -181,10 +102,10 @@ class TestStats:
         assert cache.stats.hit_ratio == pytest.approx(2 / 3)
 
     def test_hit_ratio_no_requests(self):
-        assert LruCache(10).stats.hit_ratio == 0.0
+        assert Cache(10).stats.hit_ratio == 0.0
 
     def test_insertions_counted(self):
-        cache = LruCache(1000)
+        cache = Cache(1000)
         cache.put(obj("a"))
         cache.put(obj("b"))
         assert cache.stats.insertions == 2

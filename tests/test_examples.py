@@ -17,7 +17,6 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 EXAMPLES = [
     ("quickstart.py", "SpaceCDN cuts the RTT"),
     ("maputo_case_study.py", "misblocked=True"),
-    ("content_bubbles.py", "plain LRU"),
     ("live_system.py", "space hit ratio"),
     ("chaos_sweep.py", "total transient loss"),
 ]

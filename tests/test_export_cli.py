@@ -325,10 +325,44 @@ class TestExitCodes:
         assert "--seed must be non-negative" in capsys.readouterr().err
         assert not out_file.exists()
 
-    def test_runner_flags_require_out_dir(self, capsys):
-        code = main(["run", "figure8", "--resume"])
-        assert code == EXIT_ERROR == 2
-        assert "--resume requires --out-dir" in capsys.readouterr().err
+    def test_runner_flags_require_out_dir(self, tmp_path, monkeypatch, capsys):
+        # Zero values used to pass a truthiness test and run in memory.
+        monkeypatch.chdir(tmp_path)
+        for flag, value in (
+            ("--resume", None),
+            ("--jobs", "0"),
+            ("--jobs", "-2"),
+            ("--max-shards", "0"),
+            ("--deadline-s", "0"),
+            ("--shard-deadline-s", "0"),
+            ("--progress-every", "0"),
+        ):
+            argv = ["run", "geoblocking", flag] + ([] if value is None else [value])
+            assert main(argv) == EXIT_ERROR == 2, argv
+            captured = capsys.readouterr()
+            assert f"{flag} requires --out-dir" in captured.err, argv
+            assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [
+            ("figure8", "--fractions", "0.3"),
+            ("table1", "--users", "5"),
+            ("figure3", "--requests", "9"),
+            ("chaos", "--loads", "1.0"),
+            ("geoblocking", "--seed", "3"),
+        ],
+    )
+    def test_flag_the_experiment_does_not_take_exits_2(
+        self, experiment, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", experiment, flag, value, "--obs"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"{experiment} does not take {flag}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_exit_codes_are_distinct(self):
         codes = {

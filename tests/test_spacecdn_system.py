@@ -190,8 +190,7 @@ class TestTimeDynamics:
 
 class TestRunStream:
     def test_run_workload_stream(self, system, catalog):
-        from repro.spacecdn.bubbles import RegionalPopularity
-        from repro.workloads.regional import RegionalRequestMixer
+        from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer
         from repro.workloads.requests import RequestGenerator
 
         mixer = RegionalRequestMixer(
