@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import figure8
-from repro.runner import ExperimentRunner, RunnerOptions
+from repro.runner.engine import ExperimentRunner, RunnerOptions
 
 SEED = 7
 USERS_PER_EPOCH = 60

@@ -15,10 +15,13 @@ Usage::
         --slo "availability >= 99% over 5 epochs" --slo "p99 <= 300ms"
     python -m repro aim --seed 7 --tests-per-city 30 --format csv --out aim.csv
 
-Without ``--out-dir`` an experiment runs monolithically in memory, exactly
-as it always has. With ``--out-dir`` it runs through the crash-safe
-:mod:`repro.runner`: sharded, checkpointed, resumable with ``--resume``,
-and bounded by ``--deadline-s`` / ``--shard-deadline-s``. ``--jobs N``
+Every experiment is one plan of seed-addressed shards
+(:class:`~repro.runner.shards.ExperimentPlan`). Without ``--out-dir`` the
+CLI runs the shards in order in memory and imports no runner engine. With
+``--out-dir`` it runs them through the crash-safe
+:mod:`repro.runner.engine`: checkpointed, resumable with ``--resume``, and
+bounded by ``--deadline-s`` / ``--shard-deadline-s``. Both print the same
+bytes. ``--jobs N``
 executes the shards N-wide on a supervised worker pool that survives
 worker crashes, hangs, and kills; ``--jobs`` never enters the manifest,
 so a run started wide can resume serially (and vice versa) byte-for-byte.
@@ -255,23 +258,12 @@ def _check_flags(args: argparse.Namespace) -> None:
         )
 
 
-def _experiment_module(name: str):
+def _build_plan(name: str, args: argparse.Namespace):
+    """The plan of ``name`` that the flags parameterise."""
     import importlib  # local import keeps --help fast
 
-    return importlib.import_module(f"repro.experiments.{name}")
-
-
-def _run_experiment(name: str, args: argparse.Namespace) -> str:
-    """The monolithic in-memory run of ``name``, formatted."""
     kwargs = _experiment_kwargs(name, args)
-    module = _experiment_module(name)
-    return module.format_result(module.run(**kwargs))
-
-
-def _build_plan(name: str, args: argparse.Namespace):
-    """The sharded plan equivalent of :func:`_run_experiment`."""
-    kwargs = _experiment_kwargs(name, args)
-    return _experiment_module(name).build_plan(**kwargs)
+    return importlib.import_module(f"repro.experiments.{name}").build_plan(**kwargs)
 
 
 def _check_seed(seed: int) -> None:
@@ -287,15 +279,15 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _run_and_print(args: argparse.Namespace) -> int:
+    plan = _build_plan(args.experiment, args)
     if args.out_dir is None:
-        # The original monolithic in-memory path, byte-identical.
-        print(_run_experiment(args.experiment, args))
+        print(plan.format(plan.run()))
         return 0
 
-    from repro.runner import ExperimentRunner, RunnerOptions
+    from repro.runner.engine import ExperimentRunner, RunnerOptions
 
     runner = ExperimentRunner(
-        plan=_build_plan(args.experiment, args),
+        plan=plan,
         run_dir=args.out_dir,
         options=RunnerOptions(
             resume=args.resume,

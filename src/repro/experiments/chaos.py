@@ -33,7 +33,7 @@ from repro.experiments.common import (
 from repro.faults import FaultSchedule, OutageWindow, RetryPolicy
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.spacecdn.dutycycle import DutyCycleLatencyModel, DutyCycleScheduler
 from repro.spacecdn.resilience import random_failure_set
@@ -128,9 +128,8 @@ def _sweep_context(
 ) -> _SweepContext:
     """Build (once per configuration) everything the sweep points share.
 
-    Cached so the sharded runner, which executes each fraction as its own
-    shard, pays the catalog/request/preload construction once per process
-    like the monolithic sweep does.
+    Cached so a sweep, which executes each fraction as its own shard, pays
+    the catalog/request/preload construction once per process.
     """
     constellation = sweep_constellation(shell)
     catalog, preload = sweep_catalog(seed, 0xC4A07, constellation)
@@ -199,28 +198,6 @@ def _sweep_point(
     }
 
 
-def run(
-    seed: int = DEFAULT_SEED,
-    num_requests: int = 150,
-    fractions: tuple[float, ...] = FAILURE_FRACTIONS,
-    shell: str = "shell1",
-    max_attempts: int = 3,
-    duty_cache_fraction: float = 0.5,
-    duty_users: int = 12,
-) -> ChaosResult:
-    """Sweep satellite-outage fractions over the request-level system."""
-    if num_requests < 1:
-        raise ConfigurationError("num_requests must be >= 1")
-    if not fractions:
-        raise ConfigurationError("need at least one failure fraction")
-    ctx = _sweep_context(seed, num_requests, shell, duty_users)
-    raw_points = [
-        _sweep_point(ctx, fraction, seed, max_attempts, duty_cache_fraction)
-        for fraction in sorted(fractions)
-    ]
-    return ChaosResult(shell=shell, points=points_from_raw(raw_points, ChaosPoint))
-
-
 def build_plan(
     seed: int = DEFAULT_SEED,
     num_requests: int = 150,
@@ -230,7 +207,8 @@ def build_plan(
     duty_cache_fraction: float = 0.5,
     duty_users: int = 12,
 ) -> ExperimentPlan:
-    """Sharded chaos sweep: one shard per failure fraction.
+    """Sweep satellite-outage fractions over the request-level system, one
+    shard per failure fraction.
 
     A killed sweep loses at most one fraction's system run; the inflation
     columns are recomputed at merge time from the checkpointed baselines,
@@ -274,6 +252,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def _fmt_availability(availability: float | None) -> str:

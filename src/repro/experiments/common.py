@@ -68,7 +68,8 @@ def shell1_snapshot(t_s: float) -> SnapshotGraph:
 def aim_dataset(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> AimDataset:
-    """The cached synthetic AIM dataset."""
+    """The cached synthetic AIM dataset: one sequential full-gazetteer pass
+    (the Fig. 7/8 ``aim`` baseline shards)."""
     return AimGenerator(seed=seed).generate(tests_per_city=tests_per_city)
 
 
@@ -80,10 +81,10 @@ def country_aim_dataset(
 ) -> AimDataset:
     """One country's AIM batch, independent of every other country.
 
-    The sharded runner generates the dataset per-country so each shard is a
-    pure function of (seed, country); the noise streams therefore differ
-    from the sequential full-gazetteer :func:`aim_dataset` pass, which the
-    monolithic experiments keep using unchanged.
+    Table 1 and Fig. 2 shard per country, so each shard is a pure function
+    of (seed, country); the noise streams therefore differ from the
+    sequential full-gazetteer :func:`aim_dataset` pass, which only the
+    Fig. 7/8 ``aim`` baseline shards still use.
     """
     cities = tuple(c for c in all_cities() if c.iso2 == iso2)
     if not cities:

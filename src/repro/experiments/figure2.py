@@ -15,13 +15,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import (
     DEFAULT_SEED,
     DEFAULT_TESTS_PER_CITY,
-    aim_dataset,
     country_aim_dataset,
     gazetteer_countries,
 )
 from repro.geo.datasets import country_by_iso2
 from repro.measurements.aim import STARLINK, TERRESTRIAL
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 
 
 @dataclass(frozen=True)
@@ -45,19 +44,6 @@ class Figure2Result:
         return float(median(self.deltas_ms.values()))
 
 
-def run(
-    seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
-) -> Figure2Result:
-    """Regenerate the Fig. 2 per-country deltas."""
-    if tests_per_city < 1:
-        raise ConfigurationError("tests_per_city must be >= 1")
-    dataset = aim_dataset(seed, tests_per_city)
-    deltas = delta_by_group(
-        dataset.rtts_by_country(STARLINK), dataset.rtts_by_country(TERRESTRIAL)
-    )
-    return Figure2Result(deltas_ms=deltas)
-
-
 def country_delta(
     iso2: str,
     seed: int = DEFAULT_SEED,
@@ -77,7 +63,8 @@ def country_delta(
 def build_plan(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> ExperimentPlan:
-    """Sharded Fig. 2: one shard per gazetteer country."""
+    """Fig. 2: one shard per gazetteer country, each from its own
+    seed-addressed AIM batch."""
     if tests_per_city < 1:
         raise ConfigurationError("tests_per_city must be >= 1")
     countries = gazetteer_countries()
@@ -105,6 +92,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Figure2Result) -> str:

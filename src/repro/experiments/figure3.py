@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import DEFAULT_SEED
 from repro.geo.datasets import cdn_site_by_name, city_by_name
 from repro.measurements.aim import STARLINK, TERRESTRIAL, AimGenerator
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 
 # The CDN sites visible in the paper's Fig. 3 maps.
 CASE_STUDY_SITES: tuple[str, ...] = (
@@ -70,34 +70,25 @@ def _site_medians(
     return result
 
 
-def run(seed: int = DEFAULT_SEED, samples_per_site: int = 25) -> Figure3Result:
-    """Probe every case-study site from Maputo over both ISP classes."""
-    if samples_per_site < 1:
-        raise ConfigurationError("samples_per_site must be >= 1")
-    generator = AimGenerator(seed=seed)
-    return Figure3Result(
-        starlink_ms=_site_medians(generator, STARLINK, samples_per_site),
-        terrestrial_ms=_site_medians(generator, TERRESTRIAL, samples_per_site),
-    )
-
-
 def build_plan(
     seed: int = DEFAULT_SEED, samples_per_site: int = 25
 ) -> ExperimentPlan:
-    """Sharded Fig. 3: one shard per ISP class (each with its own fresh,
-    seed-addressed generator, so either can be recomputed in isolation)."""
+    """Fig. 3: one shard (``"all"``) probing every case-study site from
+    Maputo over both ISP classes, Starlink first, from one generator."""
     if samples_per_site < 1:
         raise ConfigurationError("samples_per_site must be >= 1")
-    shard_ids = (STARLINK, TERRESTRIAL)
 
     def run_shard(shard_id: str) -> dict:
         generator = AimGenerator(seed=seed)
-        return {"medians_ms": _site_medians(generator, shard_id, samples_per_site)}
+        return {
+            isp: _site_medians(generator, isp, samples_per_site)
+            for isp in (STARLINK, TERRESTRIAL)
+        }
 
     def merge(payloads: dict) -> Figure3Result:
+        medians = payloads["all"]
         return Figure3Result(
-            starlink_ms=payloads[STARLINK]["medians_ms"],
-            terrestrial_ms=payloads[TERRESTRIAL]["medians_ms"],
+            starlink_ms=medians[STARLINK], terrestrial_ms=medians[TERRESTRIAL]
         )
 
     return ExperimentPlan(
@@ -107,11 +98,14 @@ def build_plan(
             "seed": seed,
             "samples_per_site": samples_per_site,
         },
-        shard_ids=shard_ids,
+        shard_ids=("all",),
         run_shard=run_shard,
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Figure3Result) -> str:

@@ -18,7 +18,7 @@ from repro.experiments.common import DEFAULT_SEED
 from repro.geo.datasets import cities_in_country
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.measurements.netmet import NetMetProbe
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 from repro.simulation.sampler import seeded_rng
 
 # Countries highlighted in the paper's Fig. 4 legend.
@@ -44,26 +44,6 @@ class Figure4Result:
             for iso2 in self.differences_ms
             if self.median_difference_ms(iso2) < 0
         )
-
-
-def run(
-    seed: int = DEFAULT_SEED,
-    rounds: int = 3,
-    countries: tuple[str, ...] = FIGURE4_COUNTRIES,
-) -> Figure4Result:
-    """Browse the top pages per country on both ISPs; difference the HRTs.
-
-    Starlink and terrestrial records are paired at random (the paper's
-    crowdsourced measurements are likewise not synchronised pairs).
-    """
-    if rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
-    probe = NetMetProbe(seed=seed)
-    pair_rng = seeded_rng(seed, 0xF16)
-    differences: dict[str, list[float]] = {}
-    for iso2 in countries:
-        differences[iso2] = _country_differences(probe, pair_rng, iso2, rounds)
-    return Figure4Result(differences_ms=differences)
 
 
 def _country_differences(
@@ -93,8 +73,14 @@ def build_plan(
     rounds: int = 3,
     countries: tuple[str, ...] = FIGURE4_COUNTRIES,
 ) -> ExperimentPlan:
-    """Sharded Fig. 4: one shard per highlighted country, each browsing
-    with its own probe and pairing stream derived from (seed, country)."""
+    """Fig. 4: browse the top pages per country on both ISPs and
+    difference the HRTs, one shard per highlighted country.
+
+    Each shard browses with its own probe and pairs from its own stream,
+    ``seeded_rng(seed, 0xF16, country_index)``. Starlink and terrestrial
+    records are paired at random (the paper's crowdsourced measurements
+    are likewise not synchronised pairs).
+    """
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
     shard_ids = tuple(f"country-{iso2}" for iso2 in countries)
@@ -127,6 +113,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Figure4Result) -> str:

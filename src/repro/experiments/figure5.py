@@ -16,7 +16,7 @@ from repro.experiments.common import DEFAULT_SEED
 from repro.geo.datasets import cities_in_country
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.measurements.netmet import NetMetProbe
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 
 FIGURE5_COUNTRIES: tuple[str, ...] = ("DE", "GB")
 
@@ -33,22 +33,6 @@ class Figure5Result:
             self.fcp_summaries[(iso2, STARLINK)].median
             - self.fcp_summaries[(iso2, TERRESTRIAL)].median
         )
-
-
-def run(
-    seed: int = DEFAULT_SEED,
-    rounds: int = 3,
-    countries: tuple[str, ...] = FIGURE5_COUNTRIES,
-) -> Figure5Result:
-    """Collect FCP samples for both ISP classes in the Fig. 5 countries."""
-    if rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
-    probe = NetMetProbe(seed=seed)
-    summaries: dict[tuple[str, str], DistributionSummary] = {}
-    for iso2 in countries:
-        for isp, samples in _country_fcp_samples(probe, iso2, rounds).items():
-            summaries[(iso2, isp)] = summarize(samples)
-    return Figure5Result(fcp_summaries=summaries)
 
 
 def _country_fcp_samples(
@@ -72,7 +56,8 @@ def build_plan(
     rounds: int = 3,
     countries: tuple[str, ...] = FIGURE5_COUNTRIES,
 ) -> ExperimentPlan:
-    """Sharded Fig. 5: one shard per country, each with a fresh probe."""
+    """Fig. 5: FCP samples for both ISP classes, one shard per country,
+    each with a fresh probe."""
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
     shard_ids = tuple(f"country-{iso2}" for iso2 in countries)
@@ -102,6 +87,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Figure5Result) -> str:

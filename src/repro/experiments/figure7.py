@@ -26,7 +26,7 @@ from repro.experiments.common import (
 from repro.geo.coordinates import GeoPoint
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.orbits.visibility import nearest_visible_satellites
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.topology import fastcore
 
@@ -51,41 +51,22 @@ class Figure7Result:
         return Cdf.from_samples(self.spacecdn_rtts_ms[int(curve)])
 
 
-def spacecdn_rtt_samples(
-    users_per_epoch: int = 20,
-    num_epochs: int = 5,
-    hop_counts: tuple[int, ...] = HOP_COUNTS,
-    seed: int = DEFAULT_SEED,
-) -> dict[int, list[float]]:
-    """Sample SpaceCDN RTTs over user locations and constellation epochs.
-
-    For each (user, epoch): access the nearest visible satellite, then for
-    every requested hop count n take the cheapest satellite exactly n ISL
-    hops away; RTT doubles the one-way path and adds the cache think time.
-
-    All users of an epoch resolve in one vectorised pass: a batched
-    visibility query picks every access satellite at once, and one
-    :func:`~repro.topology.fastcore.hop_ladder_batch` call over the unique
-    access satellites replaces the per-user graph traversals.
-    """
-    if users_per_epoch < 1 or num_epochs < 1:
-        raise ConfigurationError("users_per_epoch and num_epochs must be >= 1")
-    rng = seeded_rng(seed, 0x717)
-    samples: dict[int, list[float]] = {n: [] for n in hop_counts}
-    for epoch in shell1_epochs(num_epochs, seed):
-        users = user_sample_points(rng, users_per_epoch)
-        per_epoch = epoch_rtt_samples(epoch, users, hop_counts)
-        for n in hop_counts:
-            samples[n].extend(per_epoch[n])
-    return samples
-
-
 def epoch_rtt_samples(
     epoch: float,
     users: list[GeoPoint],
     hop_counts: tuple[int, ...] = HOP_COUNTS,
 ) -> dict[int, list[float]]:
-    """One epoch's vectorised RTT pass (the unit of sharded execution)."""
+    """One epoch's SpaceCDN RTT samples per hop count (an epoch shard).
+
+    For each user: access the nearest visible satellite, then for every
+    requested hop count n take the cheapest satellite exactly n ISL hops
+    away; RTT doubles the one-way path and adds the cache think time.
+
+    All users resolve in one vectorised pass: a batched visibility query
+    picks every access satellite at once, and one
+    :func:`~repro.topology.fastcore.hop_ladder_batch` call over the unique
+    access satellites replaces the per-user graph traversals.
+    """
     constellation = shell1_constellation()
     snapshot = shell1_snapshot(epoch)
     max_hops = max(hop_counts)
@@ -121,26 +102,12 @@ def access_latency_ms_batch(slant_range_km: np.ndarray) -> np.ndarray:
     )
 
 
-def run(
-    seed: int = DEFAULT_SEED,
-    users_per_epoch: int = 20,
-    num_epochs: int = 5,
-) -> Figure7Result:
-    """Regenerate every curve of Fig. 7."""
-    dataset = aim_dataset(seed)
-    return Figure7Result(
-        spacecdn_rtts_ms=spacecdn_rtt_samples(users_per_epoch, num_epochs, seed=seed),
-        starlink_rtts_ms=dataset.all_rtts_pooled(STARLINK),
-        terrestrial_rtts_ms=dataset.all_rtts_pooled(TERRESTRIAL),
-    )
-
-
 def build_plan(
     seed: int = DEFAULT_SEED,
     users_per_epoch: int = 20,
     num_epochs: int = 5,
 ) -> ExperimentPlan:
-    """Sharded Fig. 7: one shard per epoch plus one for the AIM baselines.
+    """Fig. 7: one shard per epoch plus one for the AIM baselines.
 
     Each epoch shard draws its users from a seed-addressed substream
     (``seeded_rng(seed, 0x717, epoch_index)``) so it is a pure function of
@@ -187,6 +154,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Figure7Result) -> str:

@@ -23,7 +23,7 @@ from repro.experiments.common import (
 from repro.geo.coordinates import GeoPoint
 from repro.measurements.aim import TERRESTRIAL
 from repro.obs.recorder import get_recorder
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.spacecdn.dutycycle import DutyCycleLatencyModel, DutyCycleScheduler
 
@@ -49,33 +49,6 @@ class Figure8Result:
         return sorted(
             f for f, s in self.rtt_summaries.items() if s.median <= threshold
         )
-
-
-def run(
-    seed: int = DEFAULT_SEED,
-    users_per_epoch: int = 20,
-    num_epochs: int = 4,
-    fractions: tuple[float, ...] = CACHE_FRACTIONS,
-) -> Figure8Result:
-    """Regenerate Fig. 8: latency vs duty-cycle cache fraction."""
-    if users_per_epoch < 1 or num_epochs < 1:
-        raise ConfigurationError("users_per_epoch and num_epochs must be >= 1")
-    rng = seeded_rng(seed, 0xF18)
-
-    samples: dict[float, list[float]] = {f: [] for f in fractions}
-    for epoch in shell1_epochs(num_epochs, seed):
-        users = user_sample_points(rng, users_per_epoch)
-        per_epoch = epoch_fraction_samples(epoch, users, fractions, seed)
-        for fraction in fractions:
-            samples[fraction].extend(per_epoch[fraction])
-
-    dataset = aim_dataset(seed)
-    terrestrial_median = median_or_nan(dataset.all_rtts(TERRESTRIAL))
-    return Figure8Result(
-        rtt_summaries={f: summarize(s) for f, s in samples.items()},
-        rtt_samples_ms=samples,
-        terrestrial_median_ms=terrestrial_median,
-    )
 
 
 def epoch_fraction_samples(
@@ -104,8 +77,8 @@ def epoch_fraction_samples(
         ]
         if rec.enabled:
             # Windowed by the epoch's simulated instant, so the per-epoch
-            # shards of a --jobs run merge into the same timeline the
-            # monolithic sweep records.
+            # shards of a --jobs run merge into the same timeline an
+            # in-memory run records.
             labels = (("fraction", f"{fraction:g}"),)
             for rtt_ms in samples[fraction]:
                 rec.window_observe(
@@ -117,10 +90,11 @@ def epoch_fraction_samples(
 def build_plan(
     seed: int = DEFAULT_SEED,
     users_per_epoch: int = 20,
-    num_epochs: int = 4,
+    num_epochs: int = 5,
     fractions: tuple[float, ...] = CACHE_FRACTIONS,
 ) -> ExperimentPlan:
-    """Sharded Fig. 8: one shard per epoch plus the terrestrial reference.
+    """Fig. 8: latency vs duty-cycle cache fraction, one shard per epoch
+    plus the terrestrial reference.
 
     Epoch shards draw users from ``seeded_rng(seed, 0xF18, epoch_index)``
     so each is recomputable in isolation after a crash or preemption.
@@ -166,6 +140,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Figure8Result) -> str:

@@ -21,7 +21,7 @@ from repro.geo.datasets import (
     country_by_iso2,
     starlink_covered_countries,
 )
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 
 
 @dataclass(frozen=True)
@@ -55,39 +55,30 @@ def _license_countries(iso2: str) -> set[str]:
     return peers
 
 
-def run() -> GeoblockResult:
-    """Check every covered country's home content for its own Starlink users."""
-    policy = GeoBlockPolicy()
-    cities_by_country: dict[str, City] = {}
-    for city in all_cities():
-        cities_by_country.setdefault(city.iso2, city)
-
-    misblocked: dict[str, bool] = {}
-    exits: dict[str, str] = {}
-    for country in starlink_covered_countries():
-        city = cities_by_country.get(country.iso2)
-        if city is None:
-            continue
-        object_id = f"home-content-{country.iso2}"
-        policy.license_object(object_id, _license_countries(country.iso2))
-        decision = policy.check_starlink(object_id, city)
-        misblocked[country.iso2] = decision.misblocked
-        exits[country.iso2] = assigned_pop(
-            country.iso2, city.lat_deg, city.lon_deg
-        ).iso2
-    return GeoblockResult(misblocked=misblocked, exit_countries=exits)
-
-
 def build_plan() -> ExperimentPlan:
-    """Sharded geo-blocking check: a single shard (the experiment is one
-    cheap deterministic pass), still checkpointed like every other run."""
+    """Check every covered country's home content for its own Starlink
+    users: a single shard (the experiment is one cheap deterministic pass),
+    still checkpointed like every other run."""
 
     def run_shard(shard_id: str) -> dict:
-        result = run()
-        return {
-            "misblocked": result.misblocked,
-            "exit_countries": result.exit_countries,
-        }
+        policy = GeoBlockPolicy()
+        cities_by_country: dict[str, City] = {}
+        for city in all_cities():
+            cities_by_country.setdefault(city.iso2, city)
+        misblocked: dict[str, bool] = {}
+        exits: dict[str, str] = {}
+        for country in starlink_covered_countries():
+            city = cities_by_country.get(country.iso2)
+            if city is None:
+                continue
+            object_id = f"home-content-{country.iso2}"
+            policy.license_object(object_id, _license_countries(country.iso2))
+            decision = policy.check_starlink(object_id, city)
+            misblocked[country.iso2] = decision.misblocked
+            exits[country.iso2] = assigned_pop(
+                country.iso2, city.lat_deg, city.lon_deg
+            ).iso2
+        return {"misblocked": misblocked, "exit_countries": exits}
 
     def merge(payloads: dict) -> GeoblockResult:
         payload = payloads["all"]
@@ -104,6 +95,9 @@ def build_plan() -> ExperimentPlan:
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: GeoblockResult) -> str:

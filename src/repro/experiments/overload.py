@@ -35,7 +35,7 @@ from repro.faults import FaultSchedule, FlashCrowdProcess, RetryPolicy
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
 from repro.overload import OverloadModel
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 from repro.spacecdn.system import SpaceCdnSystem
 
 LOAD_MULTIPLIERS: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -208,42 +208,6 @@ def _sweep_point(
     }
 
 
-def run(
-    seed: int = DEFAULT_SEED,
-    num_requests: int = 150,
-    loads: tuple[float, ...] = LOAD_MULTIPLIERS,
-    shell: str = "shell1",
-    capacity: float = 6.0,
-    ground_capacity: float = 40.0,
-    deadline_ms: float | None = 1500.0,
-    flash_crowd: tuple[float, float, float] | None = None,
-    max_attempts: int = 3,
-) -> OverloadResult:
-    """Sweep offered-load multipliers over the overload-protected system.
-
-    ``capacity``/``ground_capacity`` are requests per snapshot slot;
-    ``num_requests`` is the load-1.0 stream size, scaled by each
-    multiplier.
-    """
-    plan_config = _validated_config(
-        seed, num_requests, loads, shell, capacity, ground_capacity,
-        deadline_ms, flash_crowd, max_attempts,
-    )
-    ordered = tuple(plan_config["loads"])
-    ctx = _sweep_context(seed, shell)
-    raw_points = [
-        _sweep_point(
-            ctx, load, seed, num_requests, capacity, ground_capacity,
-            deadline_ms,
-            None if flash_crowd is None else tuple(flash_crowd),
-            max_attempts,
-        )
-        for load in ordered
-    ]
-    points = points_from_raw(raw_points, OverloadPoint)
-    return OverloadResult(shell=shell, points=points)
-
-
 def _validated_config(
     seed, num_requests, loads, shell, capacity, ground_capacity,
     deadline_ms, flash_crowd, max_attempts,
@@ -303,10 +267,15 @@ def build_plan(
     capacity: float = 6.0,
     ground_capacity: float = 40.0,
     deadline_ms: float | None = 1500.0,
-    flash_crowd=None,
+    flash_crowd: tuple[float, float, float] | None = None,
     max_attempts: int = 3,
 ) -> ExperimentPlan:
-    """Sharded overload sweep: one shard per load multiplier.
+    """Sweep offered-load multipliers over the overload-protected system,
+    one shard per load multiplier.
+
+    ``capacity``/``ground_capacity`` are requests per snapshot slot;
+    ``num_requests`` is the load-1.0 stream size, scaled by each
+    multiplier.
 
     A killed sweep loses at most one load point's system run; inflation
     columns are recomputed at merge time from the checkpointed baseline,
@@ -341,6 +310,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def _fmt_ratio(value: float | None) -> str:

@@ -8,19 +8,18 @@ only countries with a local PoP (ES, JP) reach parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     DEFAULT_SEED,
     DEFAULT_TESTS_PER_CITY,
-    aim_dataset,
     country_aim_dataset,
 )
 from repro.geo.datasets import country_by_iso2
 from repro.measurements.aim import STARLINK, TERRESTRIAL
-from repro.runner.shards import ExperimentPlan
+from repro.runner.shards import ExperimentPlan, in_memory
 
 # The 11 countries of the paper's Table 1, in its row order.
 TABLE1_COUNTRIES: tuple[str, ...] = (
@@ -71,30 +70,6 @@ class Table1Result:
     rows: tuple[Table1Row, ...]
 
 
-def run(
-    seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
-) -> Table1Result:
-    """Regenerate Table 1 from the synthetic AIM dataset."""
-    if tests_per_city < 1:
-        raise ConfigurationError("tests_per_city must be >= 1")
-    dataset = aim_dataset(seed, tests_per_city)
-    rows = []
-    for iso2 in TABLE1_COUNTRIES:
-        country = country_by_iso2(iso2)
-        row = Table1Row(
-            iso2=iso2,
-            country=country.name,
-            terrestrial_distance_km=dataset.mean_distance_km(iso2, TERRESTRIAL),
-            terrestrial_min_rtt_ms=dataset.min_rtt_ms(iso2, TERRESTRIAL),
-            starlink_distance_km=dataset.mean_distance_km(iso2, STARLINK),
-            starlink_min_rtt_ms=dataset.min_rtt_ms(iso2, STARLINK),
-        )
-        if row.terrestrial_distance_km != row.terrestrial_distance_km:  # NaN guard
-            raise ConfigurationError(f"no terrestrial tests generated for {iso2}")
-        rows.append(row)
-    return Table1Result(rows=tuple(rows))
-
-
 def run_country(
     iso2: str,
     seed: int = DEFAULT_SEED,
@@ -119,22 +94,15 @@ def run_country(
 def build_plan(
     seed: int = DEFAULT_SEED, tests_per_city: int = DEFAULT_TESTS_PER_CITY
 ) -> ExperimentPlan:
-    """Sharded Table 1: one shard per country of the paper's table."""
+    """Table 1: one shard per country of the paper's table, each from its
+    own seed-addressed AIM batch."""
     if tests_per_city < 1:
         raise ConfigurationError("tests_per_city must be >= 1")
     shard_ids = tuple(f"country-{iso2}" for iso2 in TABLE1_COUNTRIES)
 
     def run_shard(shard_id: str) -> dict:
         iso2 = TABLE1_COUNTRIES[shard_ids.index(shard_id)]
-        row = run_country(iso2, seed, tests_per_city)
-        return {
-            "iso2": row.iso2,
-            "country": row.country,
-            "terrestrial_distance_km": row.terrestrial_distance_km,
-            "terrestrial_min_rtt_ms": row.terrestrial_min_rtt_ms,
-            "starlink_distance_km": row.starlink_distance_km,
-            "starlink_min_rtt_ms": row.starlink_min_rtt_ms,
-        }
+        return asdict(run_country(iso2, seed, tests_per_city))
 
     def merge(payloads: dict) -> Table1Result:
         return Table1Result(
@@ -153,6 +121,9 @@ def build_plan(
         merge=merge,
         format=format_result,
     )
+
+
+run = in_memory(build_plan)
 
 
 def format_result(result: Table1Result) -> str:

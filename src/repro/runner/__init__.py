@@ -15,30 +15,8 @@ that survives worker crashes, hangs, and kills — retrying against the same
 budget, quarantining repeat offenders, and keeping every byte-identical
 resume guarantee, since checkpoints are written by the parent only and
 ``jobs`` never enters the manifest.
+
+This package re-exports nothing: importing :mod:`repro.runner.shards`
+(as every experiment module does) loads no engine, store or worker pool.
+Import from the submodules.
 """
-
-from repro.runner.deadline import Deadline, shard_watchdog
-from repro.runner.engine import ExperimentRunner, RunnerOptions
-from repro.runner.interrupt import InterruptGuard
-from repro.runner.registry import (
-    has_plan_builder,
-    plan_from_config,
-    register_plan_builder,
-)
-from repro.runner.shards import ExperimentPlan, current_attempt
-from repro.runner.store import CheckpointStore, build_manifest
-
-__all__ = [
-    "CheckpointStore",
-    "Deadline",
-    "ExperimentPlan",
-    "ExperimentRunner",
-    "InterruptGuard",
-    "RunnerOptions",
-    "build_manifest",
-    "current_attempt",
-    "has_plan_builder",
-    "plan_from_config",
-    "register_plan_builder",
-    "shard_watchdog",
-]

@@ -6,6 +6,9 @@ Each experiment module exposes ``build_plan(...)`` returning an
 :class:`ExperimentPlan` whose shards are pure functions of (configuration,
 shard id) — never of execution order or wall-clock time — so any subset can
 be recomputed in any order and a resumed run converges on the same bytes.
+:meth:`ExperimentPlan.run` executes a plan in memory (``repro run X``
+without ``--out-dir``); the engine under ``--out-dir`` executes the same
+shards with checkpoints, so both print the same bytes.
 
 Shard payloads must be JSON-serialisable; ``json`` round-trips Python
 floats exactly (shortest-repr), so merging re-read payloads is bit-equal to
@@ -14,6 +17,7 @@ merging in-memory ones.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -48,7 +52,7 @@ class ExperimentPlan:
     included); its canonical hash keys the run manifest. ``run_shard`` maps
     a shard id to a JSON-serialisable payload; ``merge`` folds the full
     ``{shard_id: payload}`` mapping into the experiment's result object,
-    which ``format`` renders exactly like the monolithic path.
+    which ``format`` renders.
     """
 
     experiment: str
@@ -65,3 +69,29 @@ class ExperimentPlan:
             raise RunnerError(
                 f"experiment {self.experiment!r} declared duplicate shard ids"
             )
+
+    def run(self) -> Any:
+        """The result in memory: every shard in ``shard_ids`` order, then
+        ``merge``. No checkpoints, retries or deadlines."""
+        return self.merge(
+            {shard_id: self.run_shard(shard_id) for shard_id in self.shard_ids}
+        )
+
+
+def in_memory(build_plan: Callable[..., ExperimentPlan]) -> Callable[..., Any]:
+    """An experiment's ``run(**kwargs)``: ``build_plan(**kwargs).run()``.
+
+    ``run`` reports ``build_plan``'s parameters as its signature, so each
+    experiment defines its defaults once, in ``build_plan``.
+    """
+
+    def run(*args: Any, **kwargs: Any) -> Any:
+        return build_plan(*args, **kwargs).run()
+
+    run.__module__ = build_plan.__module__
+    run.__qualname__ = "run"
+    run.__doc__ = f"``{build_plan.__module__}.build_plan(...)``, run in memory."
+    run.__signature__ = inspect.signature(build_plan).replace(  # type: ignore[attr-defined]
+        return_annotation=inspect.Signature.empty
+    )
+    return run

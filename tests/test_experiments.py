@@ -264,15 +264,13 @@ class TestBatchFlag:
     records a ``batch`` key is not resumed."""
 
     def test_figure7_scalar_reference_matches_batch(self):
-        batched = figure7.spacecdn_rtt_samples(
-            users_per_epoch=5, num_epochs=2, seed=SEED
-        )
-        rng = seeded_rng(SEED, 0x717)
+        batched = figure7.run(
+            seed=SEED, users_per_epoch=5, num_epochs=2
+        ).spacecdn_rtts_ms
         scalar = {n: [] for n in figure7.HOP_COUNTS}
-        for epoch in shell1_epochs(2, SEED):
-            for n, values in _figure7_per_user(
-                epoch, user_sample_points(rng, 5)
-            ).items():
+        for index, epoch in enumerate(shell1_epochs(2, SEED)):
+            users = user_sample_points(seeded_rng(SEED, 0x717, index), 5)
+            for n, values in _figure7_per_user(epoch, users).items():
                 scalar[n].extend(values)
         assert set(batched) == set(scalar)
         for n in batched:
@@ -280,12 +278,10 @@ class TestBatchFlag:
 
     def test_figure8_scalar_reference_matches_batch(self):
         batched = figure8.run(seed=SEED, users_per_epoch=5, num_epochs=2)
-        rng = seeded_rng(SEED, 0xF18)
         scalar = {f: [] for f in figure8.CACHE_FRACTIONS}
-        for epoch in shell1_epochs(2, SEED):
-            for fraction, values in _figure8_per_user(
-                epoch, user_sample_points(rng, 5), SEED
-            ).items():
+        for index, epoch in enumerate(shell1_epochs(2, SEED)):
+            users = user_sample_points(seeded_rng(SEED, 0xF18, index), 5)
+            for fraction, values in _figure8_per_user(epoch, users, SEED).items():
                 scalar[fraction].extend(values)
         for fraction in batched.rtt_samples_ms:
             assert batched.rtt_samples_ms[fraction] == pytest.approx(

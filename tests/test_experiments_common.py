@@ -70,12 +70,12 @@ class TestEpochs:
 class TestFigureArgValidation:
     def test_figure7_invalid_args(self):
         from repro.errors import ConfigurationError
-        from repro.experiments.figure7 import spacecdn_rtt_samples
+        from repro.experiments import figure7
 
         with pytest.raises(ConfigurationError):
-            spacecdn_rtt_samples(users_per_epoch=0)
+            figure7.run(users_per_epoch=0)
         with pytest.raises(ConfigurationError):
-            spacecdn_rtt_samples(num_epochs=0)
+            figure7.run(num_epochs=0)
 
     def test_figure8_invalid_args(self):
         from repro.errors import ConfigurationError

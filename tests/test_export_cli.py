@@ -1,5 +1,6 @@
 """Tests for dataset export/import and the CLI."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from repro.cli import (
     EXIT_INTERRUPTED,
     EXIT_SHARD_FAILED,
     EXIT_UNAVAILABLE,
+    _build_plan,
+    _EXPERIMENTS,
     build_parser,
     main,
 )
@@ -228,7 +231,7 @@ class TestExitCodes:
         def raise_unavailable(name, args):
             raise UnavailableError("no serving path survives")
 
-        monkeypatch.setattr(cli_module, "_run_experiment", raise_unavailable)
+        monkeypatch.setattr(cli_module, "_build_plan", raise_unavailable)
         code = main(["run", "chaos", "--shell", "small"])
         assert code == EXIT_UNAVAILABLE == 3
         assert "content unavailable" in capsys.readouterr().err
@@ -389,3 +392,33 @@ def test_runtime_never_imports_networkx():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_no_flag_run_imports_no_runner_engine():
+    """Without ``--out-dir`` a run executes its plan in memory: the
+    checkpointing engine, store, deadlines, signal guard, plan registry
+    and worker pool stay unimported."""
+    engine_modules = [
+        f"repro.runner.{name}"
+        for name in ("engine", "store", "deadline", "interrupt", "registry", "parallel")
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['run', 'figure3']) == 0\n"
+        f"loaded = [m for m in {engine_modules!r} if m in sys.modules]\n"
+        "assert not loaded, f'a no-flag run imported {loaded}'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_build_plan_defaults_are_the_cli_defaults(experiment):
+    """``module.run()`` and a bare ``repro run <experiment>`` run the same
+    plan: the library defaults are the CLI defaults."""
+    module = importlib.import_module(f"repro.experiments.{experiment}")
+    args = build_parser().parse_args(["run", experiment])
+    assert module.build_plan().config == _build_plan(experiment, args).config

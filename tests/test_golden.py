@@ -5,12 +5,9 @@ file under ``tests/golden/``. A refactor of the serve path, the routing
 kernels, the measurement path or the obs pipeline must leave every file
 here unchanged.
 
-``<experiment>.txt`` pins the stdout of the no-flag (monolithic) run.
-``<experiment>.sharded.txt`` pins the stdout of ``repro run <experiment>
---out-dir <dir>``: the per-shard generators (per-country AIM batches,
-per-ISP probes, per-epoch user draws) that ``--jobs`` and ``--resume`` run
-draw from other streams than the monolithic run, so they print other
-numbers and need their own pins.
+``<experiment>.txt`` pins the stdout of ``repro run <experiment>``. Every
+experiment runs one shard plan, so the in-memory run, ``--out-dir <dir>``
+and ``--out-dir <dir> --jobs 2`` must each print exactly these bytes.
 
 Dropped as not reproducible across runs: the ``repro_profile_*`` lines of
 the metrics file (wall-clock seconds per profiled site). Nothing else in
@@ -49,15 +46,6 @@ STDOUT_EXPERIMENTS = (
     "figure8",
     "geoblocking",
 )
-SHARDED_EXPERIMENTS = (
-    "table1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure7",
-    "figure8",
-)
 OBS_EXPERIMENTS = ("chaos", "overload")
 OBS_ARTIFACTS = ("obs-metrics.prom", "obs-timeseries.json", "obs-trace.jsonl")
 
@@ -80,11 +68,11 @@ def run_stdout(experiment: str) -> str:
     return out.getvalue()
 
 
-def run_sharded_stdout(experiment: str, run_dir: Path) -> str:
-    """Stdout of ``repro run <experiment> --out-dir <run_dir>``."""
+def run_sharded_stdout(experiment: str, run_dir: Path, *flags: str) -> str:
+    """Stdout of ``repro run <experiment> --out-dir <run_dir> [flags]``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["run", experiment, "--out-dir", str(run_dir)]) == 0
+        assert main(["run", experiment, "--out-dir", str(run_dir), *flags]) == 0
     return out.getvalue()
 
 
@@ -120,10 +108,16 @@ def test_stdout_matches_golden(experiment):
     assert run_stdout(experiment) == expected
 
 
-@pytest.mark.parametrize("experiment", SHARDED_EXPERIMENTS)
+@pytest.mark.parametrize("experiment", STDOUT_EXPERIMENTS)
 def test_sharded_stdout_matches_golden(experiment, tmp_path):
-    expected = (GOLDEN / f"{experiment}.sharded.txt").read_text()
+    expected = (GOLDEN / f"{experiment}.txt").read_text()
     assert run_sharded_stdout(experiment, tmp_path / "run") == expected
+
+
+@pytest.mark.parametrize("experiment", STDOUT_EXPERIMENTS)
+def test_parallel_stdout_matches_golden(experiment, tmp_path):
+    expected = (GOLDEN / f"{experiment}.txt").read_text()
+    assert run_sharded_stdout(experiment, tmp_path / "run", "--jobs", "2") == expected
 
 
 @pytest.mark.parametrize("experiment", OBS_EXPERIMENTS)
@@ -135,14 +129,19 @@ def test_obs_artifacts_match_golden(experiment, tmp_path):
 
 
 def regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for experiment in STDOUT_EXPERIMENTS:
-        (GOLDEN / f"{experiment}.txt").write_text(run_stdout(experiment))
-    for experiment in SHARDED_EXPERIMENTS:
+    """Rewrite every golden; write none when an experiment's in-memory and
+    ``--out-dir`` runs print different bytes."""
+    stdouts = {experiment: run_stdout(experiment) for experiment in STDOUT_EXPERIMENTS}
+    for experiment, stdout in stdouts.items():
         with tempfile.TemporaryDirectory() as work:
-            (GOLDEN / f"{experiment}.sharded.txt").write_text(
-                run_sharded_stdout(experiment, Path(work) / "run")
-            )
+            if run_sharded_stdout(experiment, Path(work) / "run") != stdout:
+                raise SystemExit(
+                    f"{experiment}: the in-memory and --out-dir stdout differ; "
+                    "no golden written"
+                )
+    GOLDEN.mkdir(exist_ok=True)
+    for experiment, stdout in stdouts.items():
+        (GOLDEN / f"{experiment}.txt").write_text(stdout)
     for experiment in OBS_EXPERIMENTS:
         with tempfile.TemporaryDirectory() as work:
             for name, text in run_obs(experiment, Path(work)).items():

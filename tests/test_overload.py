@@ -493,14 +493,6 @@ class TestOverloadExperiment:
         assert plan_from_config(wire).config == plan.config
         assert len(plan.shard_ids) == len(self.TUNED["loads"])
 
-    def test_sharded_merge_matches_monolithic_run(self):
-        small = dict(self.TUNED, num_requests=20, loads=(0.5, 2.0))
-        plan = overload_experiment.build_plan(**small)
-        merged = plan.merge(
-            {shard: plan.run_shard(shard) for shard in plan.shard_ids}
-        )
-        assert merged == overload_experiment.run(**small)
-
     def test_config_is_validated_eagerly(self):
         with pytest.raises(ConfigurationError):
             overload_experiment.build_plan(num_requests=0)
@@ -580,7 +572,7 @@ class TestOverloadCli:
             error = OverloadedError("shed by admission control")
             raise error
 
-        monkeypatch.setattr(cli_module, "_run_experiment", raise_overloaded)
+        monkeypatch.setattr(cli_module, "_build_plan", raise_overloaded)
         code = main(["run", "overload", "--shell", "small"])
         assert code == EXIT_OVERLOADED == 10
         assert "shed under overload" in capsys.readouterr().err

@@ -26,18 +26,17 @@ from repro.errors import (
     ShardTimeoutError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.runner import (
+from repro.runner.deadline import Deadline, shard_watchdog
+from repro.runner.engine import ExperimentRunner, RunnerOptions
+from repro.runner.interrupt import BACKOFF_SLICE_S, InterruptGuard
+from repro.runner.shards import ExperimentPlan
+from repro.runner.store import (
     CheckpointStore,
-    Deadline,
-    ExperimentPlan,
-    ExperimentRunner,
-    InterruptGuard,
-    RunnerOptions,
     build_manifest,
-    shard_watchdog,
+    canonical_json,
+    check_resume_compatible,
+    config_hash,
 )
-from repro.runner.interrupt import BACKOFF_SLICE_S
-from repro.runner.store import canonical_json, check_resume_compatible, config_hash
 
 
 def toy_plan(shard_ids=("a", "b", "c"), run_shard=None):

@@ -28,15 +28,11 @@ from repro.errors import (
     ShardQuarantinedError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.runner import (
-    CheckpointStore,
-    ExperimentPlan,
-    ExperimentRunner,
-    RunnerOptions,
-    plan_from_config,
-    register_plan_builder,
-    selfchaos,
-)
+from repro.runner import selfchaos
+from repro.runner.engine import ExperimentRunner, RunnerOptions
+from repro.runner.registry import plan_from_config, register_plan_builder
+from repro.runner.shards import ExperimentPlan
+from repro.runner.store import CheckpointStore
 
 
 def build_ptoy(seed=1, width=6):

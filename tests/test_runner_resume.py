@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ManifestMismatchError, RunInterruptedError
 from repro.experiments import chaos, figure3, figure8, geoblocking, table1
-from repro.runner import ExperimentRunner, RunnerOptions
+from repro.runner.engine import ExperimentRunner, RunnerOptions
 
 
 def _figure8_plan():
