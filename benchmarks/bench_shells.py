@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.constants import CDN_SERVER_THINK_TIME_MS
+from repro.network.access import access_latency_ms
 from repro.orbits.elements import (
     oneweb_phase1,
     starlink_shell1,
@@ -19,8 +20,8 @@ from repro.orbits.elements import (
 from repro.orbits.visibility import nearest_visible_satellite
 from repro.orbits.walker import build_walker_delta
 from repro.simulation.sampler import seeded_rng, user_sample_points
-from repro.topology.graph import access_latency_ms, build_snapshot
-from repro.topology.routing import latency_by_hop_count
+from repro.topology import fastcore
+from repro.topology.graph import build_snapshot
 
 
 def _median_rtts(shell, users):
@@ -35,9 +36,9 @@ def _median_rtts(shell, users):
             continue  # VLEO/70-deg shells have different coverage bands
         served += 1
         access_ms = access_latency_ms(access.slant_range_km)
-        ladder = latency_by_hop_count(snapshot, access.index, 5)
+        ladder = fastcore.hop_ladder_batch(snapshot.core, [access.index], 5)[0]
         for hops in per_hop:
-            if hops in ladder:
+            if not np.isnan(ladder[hops]):
                 per_hop[hops].append(
                     2.0 * (access_ms + ladder[hops]) + CDN_SERVER_THINK_TIME_MS
                 )

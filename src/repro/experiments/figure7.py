@@ -25,6 +25,7 @@ from repro.experiments.common import (
 )
 from repro.geo.coordinates import GeoPoint
 from repro.measurements.aim import STARLINK, TERRESTRIAL
+from repro.network.access import access_latency_ms
 from repro.orbits.visibility import nearest_visible_satellites
 from repro.runner.shards import ExperimentPlan, in_memory
 from repro.simulation.sampler import seeded_rng, user_sample_points
@@ -72,7 +73,7 @@ def epoch_rtt_samples(
     max_hops = max(hop_counts)
     hop_array = np.asarray(hop_counts)
     access_idx, slant_km = nearest_visible_satellites(constellation, users, epoch)
-    access_ms = access_latency_ms_batch(slant_km)
+    access_ms = access_latency_ms(slant_km)
     unique_access, inverse = np.unique(access_idx, return_inverse=True)
     ladders = fastcore.hop_ladder_batch(snapshot.core, unique_access, max_hops)
     # (user, hop-count) RTT matrix; NaN where no satellite sits at
@@ -85,21 +86,6 @@ def epoch_rtt_samples(
         n: [float(v) for v in rtts[:, j] if not np.isnan(v)]
         for j, n in enumerate(hop_counts)
     }
-
-
-def access_latency_ms_batch(slant_range_km: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`~repro.topology.graph.access_latency_ms`."""
-    from repro.constants import (
-        SPEED_OF_LIGHT_KM_S,
-        STARLINK_PROCESSING_DELAY_MS,
-        STARLINK_SCHEDULING_DELAY_MS,
-    )
-
-    return (
-        slant_range_km / SPEED_OF_LIGHT_KM_S * 1000.0
-        + STARLINK_SCHEDULING_DELAY_MS
-        + STARLINK_PROCESSING_DELAY_MS
-    )
 
 
 def build_plan(

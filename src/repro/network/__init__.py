@@ -8,6 +8,7 @@ from repro.network.latency import (
     LatencyNoise,
 )
 from repro.network.access import (
+    access_latency_ms,
     slant_range_for_elevation_km,
     sample_elevation_deg,
     sample_access_one_way_ms,
@@ -28,6 +29,7 @@ __all__ = [
     "circuity_for_tier",
     "estimate_router_hops",
     "LatencyNoise",
+    "access_latency_ms",
     "slant_range_for_elevation_km",
     "sample_elevation_deg",
     "sample_access_one_way_ms",

@@ -1,4 +1,8 @@
-"""Ku-band access-link geometry and delay sampling.
+"""Ku-band access-link latency, geometry and delay sampling.
+
+:func:`access_latency_ms` is the one access-link formula: every path that
+prices a terminal <-> satellite hop (the analytic bent-pipe model, Fig. 7,
+the duty-cycle lookup and the serve ladder) calls it.
 
 When the full constellation is not being propagated (the analytic AIM model),
 the serving satellite's slant range is sampled from the elevation
@@ -22,6 +26,28 @@ from repro.constants import (
     STARLINK_SHELL1_ALTITUDE_KM,
 )
 from repro.errors import ConfigurationError
+
+
+def access_latency_ms(slant_range_km):
+    """One-way latency of the Ku-band access link (terminal <-> satellite).
+
+    Radio propagation at c plus the MAC scheduling delay (the terminal must
+    wait for its uplink grant) and satellite processing. Takes a float or an
+    ndarray of slant ranges; a negative range anywhere raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if isinstance(slant_range_km, np.ndarray):
+        if (slant_range_km < 0).any():
+            raise ConfigurationError(
+                f"negative slant range: {slant_range_km.min()}"
+            )
+    elif slant_range_km < 0:
+        raise ConfigurationError(f"negative slant range: {slant_range_km}")
+    return (
+        slant_range_km / SPEED_OF_LIGHT_KM_S * 1000.0
+        + STARLINK_SCHEDULING_DELAY_MS
+        + STARLINK_PROCESSING_DELAY_MS
+    )
 
 
 def slant_range_for_elevation_km(
@@ -65,9 +91,4 @@ def sample_access_one_way_ms(
 ) -> float:
     """One sampled one-way terminal->satellite latency (propagation + MAC + processing)."""
     elevation = sample_elevation_deg(rng, min_elevation_deg)
-    slant = slant_range_for_elevation_km(elevation, altitude_km)
-    return (
-        slant / SPEED_OF_LIGHT_KM_S * 1000.0
-        + STARLINK_SCHEDULING_DELAY_MS
-        + STARLINK_PROCESSING_DELAY_MS
-    )
+    return access_latency_ms(slant_range_for_elevation_km(elevation, altitude_km))

@@ -28,13 +28,12 @@ from repro.constants import (
     ISL_HOP_PROCESSING_MS,
     SPEED_OF_LIGHT_KM_S,
     STARLINK_PROCESSING_DELAY_MS,
-    STARLINK_SCHEDULING_DELAY_MS,
     STARLINK_SHELL1_ALTITUDE_KM,
 )
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
 from repro.geo.datasets import City, assigned_pop, country_by_iso2
-from repro.network.access import sample_access_one_way_ms
+from repro.network.access import access_latency_ms, sample_access_one_way_ms
 from repro.network.latency import LatencyNoise, fiber_path_ms
 from repro.topology.ground import GroundSegment, GroundStation, PointOfPresence
 
@@ -146,7 +145,7 @@ class StarlinkPathModel:
     ) -> float:
         """Deterministic one-way latency floor: zenith uplink, minimal path."""
         alt = self.params.altitude_km
-        up_ms = self._zenith_uplink_ms()
+        up_ms = access_latency_ms(alt)
         if isl_hops > 0:
             space_ms = (
                 isl_distance_km / SPEED_OF_LIGHT_KM_S * 1000.0
@@ -166,14 +165,6 @@ class StarlinkPathModel:
             + down_ms
             + gateway.backhaul_latency_ms()
             + pop.processing_delay_ms
-        )
-
-    def _zenith_uplink_ms(self) -> float:
-        """The uplink part of the floor: zenith slant, MAC and processing."""
-        return (
-            self.params.altitude_km / SPEED_OF_LIGHT_KM_S * 1000.0
-            + STARLINK_SCHEDULING_DELAY_MS
-            + STARLINK_PROCESSING_DELAY_MS
         )
 
     def pop_to_remote_one_way_ms(
@@ -199,7 +190,9 @@ class StarlinkPathModel:
         leg = self._legs.get(key)
         if leg is None:
             path = self.resolve_path(city)
-            floor_tail = path.one_way_floor_ms - self._zenith_uplink_ms()
+            floor_tail = path.one_way_floor_ms - access_latency_ms(
+                self.params.altitude_km
+            )
             leg = self._legs[key] = (
                 floor_tail,
                 self.pop_to_remote_one_way_ms(city, remote, remote_iso2),

@@ -16,7 +16,6 @@ from repro.spacecdn.lookup import (
     SpaceCdnLookup,
     LookupResult,
     LookupSource,
-    ranked_cached_satellites,
 )
 from repro.spacecdn.dutycycle import DutyCycleScheduler, DutyCycleLatencyModel
 from repro.spacecdn.system import SpaceCdnSystem, ServedRequest, SystemStats
@@ -36,7 +35,6 @@ __all__ = [
     "SpaceCdnLookup",
     "LookupResult",
     "LookupSource",
-    "ranked_cached_satellites",
     "DutyCycleScheduler",
     "DutyCycleLatencyModel",
     "SpaceCdnSystem",

@@ -9,22 +9,22 @@ the experiment seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import (
-    MIN_ELEVATION_USER_DEG,
-    SPEED_OF_LIGHT_KM_S,
-    STARLINK_PROCESSING_DELAY_MS,
-    STARLINK_SCHEDULING_DELAY_MS,
-)
+from repro.constants import MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, UnavailableError
 from repro.geo.coordinates import GeoPoint
+from repro.network.access import access_latency_ms
 from repro.obs.recorder import get_recorder
-from repro.orbits.visibility import nearest_visible_satellites
-from repro.spacecdn.lookup import LookupResult, SpaceCdnLookup, nearest_cached_satellite
-from repro.topology.graph import SnapshotGraph, access_latency_ms
+from repro.orbits.visibility import (
+    nearest_visible_satellite,
+    nearest_visible_satellites,
+)
+from repro.spacecdn.lookup import LookupResult, SpaceCdnLookup
+from repro.topology.graph import SnapshotGraph
 
 
 @dataclass
@@ -110,26 +110,28 @@ class DutyCycleLatencyModel:
         user: GeoPoint,
         min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
     ) -> LookupResult:
-        """Resolve a request at the snapshot instant under the active cache set."""
+        """Resolve a request at the snapshot instant under the active cache set.
+
+        The user enters at the nearest visible satellite; a user whose
+        nearest satellite failed re-homes to the nearest *live* one.
+        """
         rec = get_recorder()
         with rec.timer("dutycycle.lookup"):
-            caches = self._active_caches()
-            if not self.failed:
-                result = self._lookup.lookup_from_point(
-                    user, caches, min_elevation_deg
-                )
+            if self.failed:
+                access = self._live_access(user, min_elevation_deg)
             else:
-                live = self._live_access(user, min_elevation_deg)
-                result = self._lookup.lookup(
-                    access_satellite=live.index,
-                    access_one_way_ms=access_latency_ms(live.slant_range_km),
-                    cache_satellites=caches,
+                access = nearest_visible_satellite(
+                    self.snapshot.constellation,
+                    user,
+                    self.snapshot.t_s,
+                    min_elevation_deg,
                 )
-        if rec.enabled:
-            rec.inc(
-                "repro_dutycycle_lookups_total",
-                (("source", result.source.value),),
+            result = self._lookup.lookup(
+                access.index,
+                access_latency_ms(access.slant_range_km),
+                self._active_caches(),
             )
+        _count_sources(rec, [result])
         return result
 
     def _live_access(self, user: GeoPoint, min_elevation_deg: float):
@@ -156,20 +158,17 @@ class DutyCycleLatencyModel:
         users: list[GeoPoint],
         min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
     ) -> np.ndarray:
-        """One-way latency for many users of one snapshot, vectorised.
+        """One-way latency for many users of one snapshot.
 
-        Equivalent to calling :meth:`one_way_ms` per user: access the
-        nearest visible satellite, then relay to the cheapest active cache
-        within ``max_hops`` (ground fallback if none). All access links are
-        resolved in one visibility pass and the ISL legs are shared across
-        users behind the same access satellite. Users whose nearest visible
-        satellite failed re-home to their nearest *live* one; a user with no
-        live satellite overhead raises
+        Equal, float for float, to calling :meth:`one_way_ms` per user: all
+        access links are resolved in one visibility pass, then the same
+        resolver runs once over every (access satellite, access ms) pair.
+        Users whose nearest visible satellite failed re-home to their
+        nearest *live* one; a user with no live satellite overhead raises
         :class:`~repro.errors.UnavailableError`.
         """
         rec = get_recorder()
         with rec.timer("dutycycle.one_way_ms_batch"):
-            caches = self._active_caches()
             access_idx, slant_km = nearest_visible_satellites(
                 self.snapshot.constellation,
                 users,
@@ -184,41 +183,15 @@ class DutyCycleLatencyModel:
                         live = self._live_access(users[i], min_elevation_deg)
                         access_idx[i] = live.index
                         slant_km[i] = live.slant_range_km
-            access_ms = (
-                slant_km / SPEED_OF_LIGHT_KM_S * 1000.0
-                + STARLINK_SCHEDULING_DELAY_MS
-                + STARLINK_PROCESSING_DELAY_MS
+            results = self._lookup.resolve(
+                access_idx, access_latency_ms(slant_km), self._active_caches()
             )
+        _count_sources(rec, results)
+        return np.array([result.one_way_ms for result in results], dtype=float)
 
-            unique_access, inverse = np.unique(access_idx, return_inverse=True)
-            isl_ms = np.zeros(len(unique_access))
-            grounded = np.zeros(len(unique_access), dtype=bool)
-            for k, access in enumerate(unique_access):
-                if int(access) in caches:
-                    continue
-                found = nearest_cached_satellite(
-                    self.snapshot, int(access), caches, self._lookup.max_hops
-                )
-                if found is None:
-                    grounded[k] = True
-                else:
-                    isl_ms[k] = found[2]
 
-            one_way = access_ms + isl_ms[inverse]
-            fallback = grounded[inverse]
-            one_way[fallback] = self._lookup.ground_fallback_one_way_ms
-        if rec.enabled:
-            grounded_n = int(fallback.sum())
-            if grounded_n:
-                rec.inc(
-                    "repro_dutycycle_lookups_total",
-                    (("source", "ground"),),
-                    float(grounded_n),
-                )
-            if len(users) - grounded_n:
-                rec.inc(
-                    "repro_dutycycle_lookups_total",
-                    (("source", "space"),),
-                    float(len(users) - grounded_n),
-                )
-        return one_way
+def _count_sources(rec, results: list[LookupResult]) -> None:
+    """Count resolved lookups by :class:`~repro.spacecdn.lookup.LookupSource`."""
+    if rec.enabled:
+        for source, n in Counter(r.source.value for r in results).items():
+            rec.inc("repro_dutycycle_lookups_total", (("source", source),), float(n))

@@ -6,6 +6,13 @@ Resolution order for a user request:
 2. the minimum-latency caching satellite within ``max_hops`` ISL hops;
 3. fallback: down the bent pipe to the ground cache near the gateway.
 
+:meth:`SpaceCdnLookup.resolve` is the one resolver of this ladder; the
+single-request :meth:`SpaceCdnLookup.lookup` and the duty-cycle model
+(:mod:`repro.spacecdn.dutycycle`) both call it. The cache searches share
+one in-range filter: :func:`nearest_cached_satellite` (one access
+satellite), :func:`ranked_cached_from_rows` (the serve walk's ranked rungs)
+and :func:`nearest_cached_batch` (aligned request rows).
+
 The returned latencies are one-way path latencies from the user terminal;
 callers double them (plus server think time) for RTTs.
 """
@@ -13,16 +20,57 @@ callers double them (plus server think time) for RTTs.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import MIN_ELEVATION_USER_DEG
-from repro.errors import ContentNotFoundError, RoutingError
+from repro.errors import RoutingError
 from repro.geo.coordinates import GeoPoint
+from repro.network.access import access_latency_ms
 from repro.orbits.visibility import nearest_visible_satellite
 from repro.topology import fastcore
-from repro.topology.graph import SnapshotGraph, access_latency_ms
+from repro.topology.graph import SnapshotGraph
+
+
+def _in_range(
+    hops: np.ndarray, latencies: np.ndarray, max_hops: int, min_hops: int
+) -> np.ndarray:
+    """Where a cache qualifies: ``min_hops <= hops <= max_hops``, reachable,
+    finite latency. Works on rows and on ``(R, N)`` matrices alike."""
+    return (
+        (hops >= min_hops)
+        & (hops != fastcore.HOP_UNREACHABLE)
+        & (hops <= max_hops)
+        & np.isfinite(latencies)
+    )
+
+
+def _candidates(
+    hops: np.ndarray,
+    latencies: np.ndarray,
+    cache_satellites: frozenset[int] | set[int],
+    max_hops: int,
+    min_hops: int,
+    exclude: frozenset[int] = frozenset(),
+) -> np.ndarray:
+    """In-range caching satellites of one routing row, in index order.
+
+    Satellites outside the row (or already in ``exclude``) never qualify.
+    """
+    num_nodes = hops.shape[0]
+    candidates = np.fromiter(
+        (
+            s
+            for s in sorted(cache_satellites)
+            if 0 <= s < num_nodes and s not in exclude
+        ),
+        dtype=np.int64,
+    )
+    return candidates[
+        _in_range(hops[candidates], latencies[candidates], max_hops, min_hops)
+    ]
 
 
 def nearest_cached_satellite(
@@ -44,44 +92,36 @@ def nearest_cached_satellite(
     hops, latencies = fastcore.single_source(
         snapshot.core, access_satellite, snapshot.active_mask
     )
-    return nearest_cached_from_rows(
-        hops, latencies, cache_satellites, max_hops, min_hops
-    )
+    candidates = _candidates(hops, latencies, cache_satellites, max_hops, min_hops)
+    if candidates.size == 0:
+        return None
+    best = int(candidates[np.argmin(latencies[candidates])])
+    return best, int(hops[best]), float(latencies[best])
 
 
-def nearest_cached_from_rows(
+def ranked_cached_from_rows(
     hops: np.ndarray,
     latencies: np.ndarray,
     cache_satellites: frozenset[int] | set[int],
     max_hops: int,
     min_hops: int = 0,
-) -> tuple[int, int, float] | None:
-    """:func:`nearest_cached_satellite` over precomputed routing rows.
+    exclude: frozenset[int] = frozenset(),
+) -> list[tuple[int, int, float]]:
+    """Every in-range caching satellite of one routing row, cheapest first.
 
-    ``hops``/``latencies`` are the ``(N,)`` single-source rows of the access
-    satellite (already masked for failures by the routing kernel). The
-    batched serve path holds these rows in per-rung matrices and calls this
-    for the handful of requests whose holder sets changed mid-cohort.
+    ``hops``/``latencies`` are the access satellite's ``(N,)`` single-source
+    rows (already masked for failures by the routing kernel). The degraded
+    serving path walks this ladder: when the best replica times out or is
+    lost, the next attempt goes to the next rung without recomputing the
+    routing pass. Entries are ``(satellite, hops, one-way ISL ms)`` ordered
+    by latency (lowest index on ties); satellites in ``exclude`` (already
+    tried and failed) never appear.
     """
-    num_nodes = hops.shape[0]
-    candidates = np.fromiter(
-        (s for s in sorted(cache_satellites) if 0 <= s < num_nodes),
-        dtype=np.int64,
+    candidates = _candidates(
+        hops, latencies, cache_satellites, max_hops, min_hops, exclude
     )
-    if candidates.size == 0:
-        return None
-    cand_hops = hops[candidates]
-    in_range = (
-        (cand_hops >= min_hops)
-        & (cand_hops != fastcore.HOP_UNREACHABLE)
-        & (cand_hops <= max_hops)
-        & np.isfinite(latencies[candidates])
-    )
-    candidates = candidates[in_range]
-    if candidates.size == 0:
-        return None
-    best = int(candidates[np.argmin(latencies[candidates])])
-    return best, int(hops[best]), float(latencies[best])
+    ranked = candidates[np.argsort(latencies[candidates], kind="stable")]
+    return [(int(s), int(hops[s]), float(latencies[s])) for s in ranked]
 
 
 def nearest_cached_batch(
@@ -99,75 +139,13 @@ def nearest_cached_batch(
     whether any in-range holder exists, ``best[r]`` its satellite index
     (meaningful only where ``found``). Ties on latency resolve to the
     lowest satellite index — ``argmin`` over the inf-masked row returns the
-    first minimum, matching the scalar sorted-candidate scan.
+    first minimum.
     """
-    eligible = (
-        holders
-        & (hops >= min_hops)
-        & (hops != fastcore.HOP_UNREACHABLE)
-        & (hops <= max_hops)
-        & np.isfinite(latencies)
-    )
+    eligible = holders & _in_range(hops, latencies, max_hops, min_hops)
     masked = np.where(eligible, latencies, np.inf)
     best = masked.argmin(axis=1)
     found = eligible[np.arange(len(best)), best]
     return found, best
-
-
-def ranked_cached_satellites(
-    snapshot: SnapshotGraph,
-    access_satellite: int,
-    cache_satellites: frozenset[int],
-    max_hops: int,
-    min_hops: int = 0,
-    exclude: frozenset[int] = frozenset(),
-) -> list[tuple[int, int, float]]:
-    """Every in-range caching satellite, cheapest first.
-
-    The degraded serving path walks this ladder: when the best replica
-    times out or is lost, the next attempt goes to the next rung without
-    recomputing the routing pass. Entries are ``(satellite, hops, one-way
-    ISL ms)`` ordered by latency (lowest index on ties); satellites in
-    ``exclude`` (already tried and failed) never appear.
-    """
-    if not cache_satellites:
-        return []
-    hops, latencies = fastcore.single_source(
-        snapshot.core, access_satellite, snapshot.active_mask
-    )
-    return ranked_cached_from_rows(
-        hops, latencies, cache_satellites, max_hops, min_hops, exclude
-    )
-
-
-def ranked_cached_from_rows(
-    hops: np.ndarray,
-    latencies: np.ndarray,
-    cache_satellites: frozenset[int] | set[int],
-    max_hops: int,
-    min_hops: int = 0,
-    exclude: frozenset[int] = frozenset(),
-) -> list[tuple[int, int, float]]:
-    """:func:`ranked_cached_satellites` over precomputed routing rows.
-
-    The degraded batch path precomputes each access satellite's masked
-    single-source rows once per cohort and builds every request's ladder
-    from them, instead of re-running the masked routing pass per request.
-    """
-    num_nodes = hops.shape[0]
-    ranked = []
-    for satellite in sorted(set(cache_satellites) - exclude):
-        if not 0 <= satellite < num_nodes:
-            continue
-        h = int(hops[satellite])
-        if h == fastcore.HOP_UNREACHABLE or not min_hops <= h <= max_hops:
-            continue
-        latency = float(latencies[satellite])
-        if not np.isfinite(latency):
-            continue
-        ranked.append((satellite, h, latency))
-    ranked.sort(key=lambda entry: (entry[2], entry[0]))
-    return ranked
 
 
 class LookupSource(enum.Enum):
@@ -229,55 +207,49 @@ class SpaceCdnLookup:
         cache_satellites: frozenset[int],
     ) -> LookupResult:
         """Resolve a request entering the constellation at ``access_satellite``."""
-        if access_one_way_ms < 0:
-            raise RoutingError(f"negative access latency: {access_one_way_ms}")
+        return self.resolve(
+            [access_satellite], [access_one_way_ms], cache_satellites
+        )[0]
 
-        if access_satellite in cache_satellites:
-            return LookupResult(
-                source=LookupSource.ACCESS_SATELLITE,
-                serving_satellite=access_satellite,
-                isl_hops=0,
-                one_way_ms=access_one_way_ms,
-                access_satellite=access_satellite,
-            )
-
-        best = self._nearest_cache(access_satellite, cache_satellites)
-        if best is not None:
-            satellite, hops, isl_ms = best
-            return LookupResult(
-                source=LookupSource.ISL_NEIGHBOR,
-                serving_satellite=satellite,
-                isl_hops=hops,
-                one_way_ms=access_one_way_ms + isl_ms,
-                access_satellite=access_satellite,
-            )
-
-        return LookupResult(
-            source=LookupSource.GROUND,
-            serving_satellite=None,
-            isl_hops=0,
-            one_way_ms=self.ground_fallback_one_way_ms,
-            access_satellite=access_satellite,
-        )
-
-    def _nearest_cache(
-        self, access_satellite: int, cache_satellites: frozenset[int]
-    ) -> tuple[int, int, float] | None:
-        """(satellite, hops, one-way ISL ms) of the cheapest in-range cache."""
-        return nearest_cached_satellite(
-            self.snapshot, access_satellite, cache_satellites, self.max_hops
-        )
-
-    def require_space_hit(
+    def resolve(
         self,
-        user: GeoPoint,
+        access_satellites: Iterable[int],
+        access_one_way_ms: Iterable[float],
         cache_satellites: frozenset[int],
-    ) -> LookupResult:
-        """Like :meth:`lookup_from_point` but raises on ground fallback."""
-        result = self.lookup_from_point(user, cache_satellites)
-        if result.source is LookupSource.GROUND:
-            raise ContentNotFoundError(
-                f"no caching satellite within {self.max_hops} hops of satellite "
-                f"{result.access_satellite}"
-            )
-        return result
+    ) -> list[LookupResult]:
+        """Resolve many (access satellite, access one-way ms) requests.
+
+        Each request is served by its access satellite when that caches,
+        else by the cheapest cache within ``max_hops`` ISL hops (one
+        :func:`nearest_cached_satellite` search per distinct access
+        satellite), else by the ground fallback.
+        """
+        nearest: dict[int, tuple[int, int, float] | None] = {}
+        results = []
+        for access, access_ms in zip(access_satellites, access_one_way_ms):
+            access, access_ms = int(access), float(access_ms)
+            if access_ms < 0:
+                raise RoutingError(f"negative access latency: {access_ms}")
+            if access in cache_satellites:
+                source, best = LookupSource.ACCESS_SATELLITE, (access, 0, 0.0)
+            else:
+                if access not in nearest:
+                    nearest[access] = nearest_cached_satellite(
+                        self.snapshot, access, cache_satellites, self.max_hops
+                    )
+                source, best = LookupSource.ISL_NEIGHBOR, nearest[access]
+            if best is None:
+                result = LookupResult(
+                    LookupSource.GROUND,
+                    None,
+                    0,
+                    self.ground_fallback_one_way_ms,
+                    access,
+                )
+            else:
+                satellite, hops, isl_ms = best
+                result = LookupResult(
+                    source, satellite, hops, access_ms + isl_ms, access
+                )
+            results.append(result)
+        return results

@@ -28,13 +28,14 @@ from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
 from repro.faults import FaultSchedule, RetryPolicy, apply_fault_view
 from repro.geo.coordinates import GeoPoint
+from repro.network.access import access_latency_ms
 from repro.obs.metrics import OVERLOAD_QUEUE_BUCKETS_MS
 from repro.obs.recorder import get_recorder
 from repro.overload import GROUND_TARGET, OverloadModel
 from repro.orbits.walker import Constellation
 from repro.spacecdn.lookup import LookupSource, ranked_cached_from_rows
 from repro.topology import fastcore
-from repro.topology.graph import SnapshotGraph, access_latency_ms, build_snapshot
+from repro.topology.graph import SnapshotGraph, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.workloads.requests import Request

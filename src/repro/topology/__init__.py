@@ -1,8 +1,8 @@
 """Constellation topology: ISL wiring, snapshot graphs, routing, ground segment.
 
 A snapshot has one representation, the vectorised CSR core of
-:mod:`repro.topology.fastcore`; the routing helpers are dict-returning
-wrappers over its kernels.
+:mod:`repro.topology.fastcore`; every routing query calls its kernels
+directly.
 """
 
 from repro.topology.isl import (
@@ -21,17 +21,7 @@ from repro.topology.fastcore import (
     latency_batch,
     nearest_hops,
 )
-from repro.topology.graph import (
-    SnapshotGraph,
-    build_snapshot,
-    isl_latency_ms,
-    access_latency_ms,
-)
-from repro.topology.routing import (
-    hop_distances,
-    latency_by_hop_count,
-    min_latency_at_hops,
-)
+from repro.topology.graph import SnapshotGraph, build_snapshot
 from repro.topology.ground import (
     UserTerminal,
     GroundStation,
@@ -54,11 +44,6 @@ __all__ = [
     "nearest_hops",
     "SnapshotGraph",
     "build_snapshot",
-    "isl_latency_ms",
-    "access_latency_ms",
-    "hop_distances",
-    "latency_by_hop_count",
-    "min_latency_at_hops",
     "UserTerminal",
     "GroundStation",
     "PointOfPresence",

@@ -3,12 +3,14 @@
 A :class:`SnapshotGraph` freezes the constellation at one instant: satellite
 nodes connected by +Grid ISLs weighted with one-way latency (speed-of-light
 propagation over the current link length, plus optical-terminal switching),
-with every satellite a node indexed by its constellation index.
+with every satellite a node indexed by its constellation index; the link
+weights come from :func:`repro.topology.fastcore.link_weights`.
 
 The topology lives in flat CSR arrays (see :mod:`repro.topology.fastcore`)
 computed in one vectorised gather per snapshot; every routing query runs on
 them. Ground terminals never join the graph: callers price the access link
-with :func:`access_latency_ms` and route from the access satellite.
+with :func:`repro.network.access.access_latency_ms` and route from the
+access satellite.
 """
 
 from __future__ import annotations
@@ -17,41 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.constants import (
-    ISL_HOP_PROCESSING_MS,
-    SPEED_OF_LIGHT_KM_S,
-    STARLINK_PROCESSING_DELAY_MS,
-    STARLINK_SCHEDULING_DELAY_MS,
-)
 from repro.errors import ConfigurationError
 from repro.orbits.walker import Constellation
 from repro.topology.fastcore import CsrSnapshot, csr_topology, link_weights
-
-
-def isl_latency_ms(distance_km: float) -> float:
-    """One-way latency of an optical ISL of the given length.
-
-    Free-space optical links run at vacuum light speed; each hop adds a small
-    switching delay at the receiving optical terminal.
-    """
-    if distance_km < 0:
-        raise ConfigurationError(f"negative ISL length: {distance_km}")
-    return distance_km / SPEED_OF_LIGHT_KM_S * 1000.0 + ISL_HOP_PROCESSING_MS
-
-
-def access_latency_ms(slant_range_km: float) -> float:
-    """One-way latency of the Ku-band access link (terminal <-> satellite).
-
-    Radio propagation at c plus the MAC scheduling delay (the terminal must
-    wait for its uplink grant) and satellite processing.
-    """
-    if slant_range_km < 0:
-        raise ConfigurationError(f"negative slant range: {slant_range_km}")
-    return (
-        slant_range_km / SPEED_OF_LIGHT_KM_S * 1000.0
-        + STARLINK_SCHEDULING_DELAY_MS
-        + STARLINK_PROCESSING_DELAY_MS
-    )
 
 
 @dataclass(frozen=True)

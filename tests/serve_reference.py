@@ -5,7 +5,8 @@ routing pass per access satellite. This module answers the same requests
 the plain way, one at a time, so the property suites can check the cohort
 code element by element. Each satellite has an LRU cache and the provider
 keeps a dict view of which satellites hold which object. Candidates are
-ranked per request with ``ranked_cached_satellites``. Every request runs
+ranked per request by :func:`ranked_cached_reference`, a plain loop over
+the access satellite's routing rows. Every request runs
 the attempt walk; with no faults it walks over the healthy snapshot. The
 fault schedule and the overload model see the same calls, in the same
 order, as in the system. Nothing is recorded to obs.
@@ -13,19 +14,52 @@ order, as in the system. Nothing is recorded to obs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from repro.cdn.cache import Cache
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
 from repro.faults import RetryPolicy, apply_fault_view
+from repro.network.access import access_latency_ms
 from repro.orbits.visibility import visible_satellites
 from repro.overload import GROUND_TARGET
-from repro.spacecdn.lookup import LookupSource, ranked_cached_satellites
+from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.system import TIER_OF_SOURCE, ServedRequest, SystemStats
-from repro.topology.graph import access_latency_ms, build_snapshot
+from repro.topology import fastcore
+from repro.topology.graph import build_snapshot
 
 _BREAKER_OPEN = "breaker-open"
+
+
+def ranked_cached_reference(
+    hops,
+    latencies,
+    cache_satellites,
+    max_hops: int,
+    min_hops: int = 0,
+    exclude: frozenset[int] = frozenset(),
+) -> list[tuple[int, int, float]]:
+    """Plain-loop reference for
+    :func:`repro.spacecdn.lookup.ranked_cached_from_rows`.
+
+    Every in-range caching satellite of one routing row as ``(satellite,
+    hops, one-way ISL ms)``, cheapest first, lowest index on ties.
+    """
+    num_nodes = hops.shape[0]
+    ranked = []
+    for satellite in sorted(set(cache_satellites) - exclude):
+        if not 0 <= satellite < num_nodes:
+            continue
+        h = int(hops[satellite])
+        if h == fastcore.HOP_UNREACHABLE or not min_hops <= h <= max_hops:
+            continue
+        latency = float(latencies[satellite])
+        if not math.isfinite(latency):
+            continue
+        ranked.append((satellite, h, latency))
+    ranked.sort(key=lambda entry: (entry[2], entry[0]))
+    return ranked
 
 
 class ReferenceCdn:
@@ -182,9 +216,11 @@ class ReferenceCdn:
                 rungs.append((source, sat.index, 0, rtt + CDN_SERVER_THINK_TIME_MS))
                 seen.add(sat.index)
         access_rtt = 2.0 * access_latency_ms(access.slant_range_km)
-        for satellite, hops, one_way in ranked_cached_satellites(
-            degraded, access.index, holders, self.max_hops,
-            min_hops=1, exclude=frozenset(seen),
+        rows = fastcore.single_source(
+            degraded.core, access.index, degraded.active_mask
+        )
+        for satellite, hops, one_way in ranked_cached_reference(
+            *rows, holders, self.max_hops, min_hops=1, exclude=frozenset(seen)
         ):
             rtt = access_rtt + 2.0 * one_way + CDN_SERVER_THINK_TIME_MS
             rungs.append((LookupSource.ISL_NEIGHBOR, satellite, hops, rtt))

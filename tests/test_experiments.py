@@ -20,11 +20,11 @@ from repro.experiments import (
 )
 from repro.experiments.common import shell1_epochs, shell1_snapshot
 from repro.measurements.aim import STARLINK, TERRESTRIAL
+from repro.network.access import access_latency_ms
 from repro.orbits.visibility import nearest_visible_satellite
 from repro.simulation.sampler import seeded_rng, user_sample_points
-from repro.spacecdn.dutycycle import DutyCycleLatencyModel, DutyCycleScheduler
+from repro.spacecdn.dutycycle import DutyCycleScheduler
 from repro.topology import fastcore
-from repro.topology.graph import access_latency_ms
 from serve_reference import ReferenceCdn
 
 SEED = 7
@@ -239,22 +239,28 @@ def _figure7_per_user(epoch, users):
 
 
 def _figure8_per_user(epoch, users, seed):
-    """Fig. 8 the plain way: one scalar duty-cycle lookup per user."""
+    """Fig. 8 the plain way: per user, the nearest visible satellite, one
+    single-source routing pass from it and the cheapest active cache."""
     snapshot = shell1_snapshot(epoch)
     samples = {}
     for fraction in figure8.CACHE_FRACTIONS:
-        model = DutyCycleLatencyModel(
-            snapshot=snapshot,
-            scheduler=DutyCycleScheduler(
-                total_satellites=len(snapshot.constellation),
-                cache_fraction=fraction,
-                seed=seed,
-            ),
+        scheduler = DutyCycleScheduler(
+            total_satellites=len(snapshot.constellation),
+            cache_fraction=fraction,
+            seed=seed,
         )
-        samples[fraction] = [
-            float(2.0 * model.one_way_ms(user) + CDN_SERVER_THINK_TIME_MS)
-            for user in users
-        ]
+        caches = sorted(scheduler.active_caches_at(epoch))
+        samples[fraction] = []
+        for user in users:
+            access = nearest_visible_satellite(snapshot.constellation, user, epoch)
+            access_ms = access_latency_ms(access.slant_range_km)
+            _, lats = fastcore.single_source(
+                snapshot.core, access.index, snapshot.active_mask
+            )
+            one_way = access_ms + lats[caches].min()
+            samples[fraction].append(
+                float(2.0 * one_way + CDN_SERVER_THINK_TIME_MS)
+            )
     return samples
 
 

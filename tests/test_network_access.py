@@ -1,14 +1,32 @@
-"""Tests for Ku-band access-link geometry."""
+"""Tests for Ku-band access-link latency and geometry."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.access import (
+    access_latency_ms,
     sample_access_one_way_ms,
     sample_elevation_deg,
     slant_range_for_elevation_km,
 )
+
+
+class TestAccessLatency:
+    def test_array_equals_scalar_bit_for_bit(self):
+        slants = np.random.default_rng(3).uniform(0.0, 2500.0, size=257)
+        slants[:3] = (0.0, 550.0, 1123.456789)
+        batch = access_latency_ms(slants)
+        assert isinstance(batch, np.ndarray) and batch.shape == slants.shape
+        scalar = np.array([access_latency_ms(float(x)) for x in slants])
+        assert batch.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("index", [0, 4, 9])
+    def test_any_negative_element_rejected(self, index):
+        slants = np.full(10, 700.0)
+        slants[index] = -1e-9
+        with pytest.raises(ConfigurationError):
+            access_latency_ms(slants)
 
 
 class TestSlantRangeForElevation:

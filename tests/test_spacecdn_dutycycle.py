@@ -162,3 +162,95 @@ class TestFaultsOverDutyCycle:
         assert result.serving_satellite != nearest.index or result.isl_hops > 0
         batch = model.one_way_ms_batch([user])
         assert np.isfinite(batch).all()
+
+
+def _fig8_models(snapshot, **kwargs):
+    """One duty-cycle model per Fig. 8 cache fraction."""
+    from repro.experiments.figure8 import CACHE_FRACTIONS
+
+    return [
+        DutyCycleLatencyModel(
+            snapshot=snapshot,
+            scheduler=DutyCycleScheduler(
+                total_satellites=len(snapshot.constellation),
+                cache_fraction=fraction,
+                seed=5,
+            ),
+            **kwargs,
+        )
+        for fraction in CACHE_FRACTIONS
+    ]
+
+
+class TestScalarBatchAgreement:
+    """``one_way_ms`` and ``one_way_ms_batch`` run one resolver: they agree
+    float for float, not just approximately."""
+
+    @pytest.fixture(scope="class")
+    def users(self):
+        from repro.simulation.sampler import seeded_rng, user_sample_points
+
+        return user_sample_points(seeded_rng(5, 0xF18, 0), 20)
+
+    def _assert_exact(self, model, users):
+        batch = model.one_way_ms_batch(users)
+        assert batch.shape == (len(users),)
+        for i, user in enumerate(users):
+            assert model.one_way_ms(user) == batch[i]
+
+    def test_healthy(self, shell1_snapshot, users):
+        for model in _fig8_models(shell1_snapshot):
+            self._assert_exact(model, users)
+
+    def test_failed_access_satellites_rehome(self, shell1_snapshot, users):
+        from repro.orbits.visibility import nearest_visible_satellites
+
+        access, _ = nearest_visible_satellites(
+            shell1_snapshot.constellation, users, shell1_snapshot.t_s
+        )
+        failed = frozenset(int(a) for a in access[::2])
+        for model in _fig8_models(shell1_snapshot, failed=failed):
+            results = [model.lookup(user) for user in users]
+            assert all(r.access_satellite not in failed for r in results)
+            self._assert_exact(model, users)
+
+    def test_small_max_hops_falls_back_to_ground(self, shell1_snapshot, users):
+        from repro.spacecdn.lookup import LookupSource
+
+        for model in _fig8_models(shell1_snapshot, max_hops=1):
+            sources = {model.lookup(user).source for user in users}
+            if model.scheduler.cache_fraction < 0.5:
+                assert LookupSource.GROUND in sources
+            self._assert_exact(model, users)
+
+
+def test_figure8_obs_counts_lookup_sources(tmp_path, monkeypatch):
+    """Every Fig. 8 lookup is counted under its LookupSource value:
+    20 users x 5 epochs x 3 fractions at the CLI defaults."""
+    import contextlib
+    import io
+    import re
+
+    from repro.cli import main
+    from repro.obs import reset_recorder
+    from repro.spacecdn.lookup import LookupSource
+
+    monkeypatch.chdir(tmp_path)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            assert main(["run", "figure8", "--obs"]) == 0
+    finally:
+        reset_recorder()
+    counts = {
+        source: float(n)
+        for source, n in re.findall(
+            r'^repro_dutycycle_lookups_total\{source="([^"]+)"\} (\S+)$',
+            (tmp_path / "obs-metrics.prom").read_text(),
+            flags=re.M,
+        )
+    }
+    assert counts
+    assert set(counts) <= {source.value for source in LookupSource}
+    assert sum(counts.values()) == 300

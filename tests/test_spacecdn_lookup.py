@@ -1,12 +1,28 @@
 """Tests for hop-bounded SpaceCDN lookup."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ContentNotFoundError, RoutingError
+from repro.errors import RoutingError
 from repro.geo.coordinates import GeoPoint
-from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup
-from repro.topology.routing import hop_distances
+from repro.spacecdn.lookup import (
+    LookupSource,
+    SpaceCdnLookup,
+    nearest_cached_satellite,
+    ranked_cached_from_rows,
+)
+from repro.topology import fastcore
+from serve_reference import ranked_cached_reference
 from topology_reference import networkx_view
+
+
+def routing_rows(snapshot, source):
+    return fastcore.single_source(snapshot.core, source, snapshot.active_mask)
+
+
+def hop_distances(snapshot, source) -> dict[int, int]:
+    hops, _ = routing_rows(snapshot, source)
+    return {s: int(h) for s, h in enumerate(hops) if h != fastcore.HOP_UNREACHABLE}
 
 
 @pytest.fixture
@@ -87,11 +103,6 @@ class TestLookupFromPoint:
         assert result.source is LookupSource.ACCESS_SATELLITE
         assert result.one_way_ms > 0
 
-    def test_require_space_hit_raises_on_ground(self, shell1_snapshot):
-        lookup = SpaceCdnLookup(snapshot=shell1_snapshot, max_hops=1)
-        with pytest.raises(ContentNotFoundError):
-            lookup.require_space_hit(GeoPoint(0.0, 0.0), frozenset())
-
     def test_paper_resolution_order(self, shell1_snapshot):
         # Fig. 6: overhead satellite first, then ISL neighbour, then ground.
         lookup = SpaceCdnLookup(snapshot=shell1_snapshot, max_hops=5)
@@ -112,35 +123,50 @@ class TestLookupFromPoint:
 
 class TestRankedCachedSatellites:
     def test_first_entry_matches_nearest(self, small_snapshot):
-        from repro.spacecdn.lookup import (
-            nearest_cached_satellite,
-            ranked_cached_satellites,
-        )
-
         holders = frozenset({5, 20, 40})
-        ranked = ranked_cached_satellites(small_snapshot, 0, holders, max_hops=16)
+        ranked = ranked_cached_from_rows(
+            *routing_rows(small_snapshot, 0), holders, max_hops=16
+        )
         nearest = nearest_cached_satellite(small_snapshot, 0, holders, max_hops=16)
         assert ranked  # all holders reachable on a healthy +Grid
-        assert (ranked[0][0], ranked[0][1]) == (nearest[0], nearest[1])
-        assert ranked[0][2] == pytest.approx(nearest[2])
+        assert ranked[0] == nearest
 
     def test_sorted_by_latency_and_excludes(self, small_snapshot):
-        from repro.spacecdn.lookup import ranked_cached_satellites
-
+        rows = routing_rows(small_snapshot, 0)
         holders = frozenset({5, 20, 40})
-        ranked = ranked_cached_satellites(small_snapshot, 0, holders, max_hops=16)
+        ranked = ranked_cached_from_rows(*rows, holders, max_hops=16)
+        assert ranked == ranked_cached_reference(*rows, holders, max_hops=16)
         latencies = [entry[2] for entry in ranked]
         assert latencies == sorted(latencies)
-        excluded = ranked_cached_satellites(
-            small_snapshot, 0, holders, max_hops=16, exclude=frozenset({ranked[0][0]})
+        exclude = frozenset({ranked[0][0]})
+        excluded = ranked_cached_from_rows(
+            *rows, holders, max_hops=16, exclude=exclude
+        )
+        assert excluded == ranked_cached_reference(
+            *rows, holders, max_hops=16, exclude=exclude
         )
         assert ranked[0][0] not in [e[0] for e in excluded]
         assert len(excluded) == len(ranked) - 1
 
     def test_min_hops_excludes_access(self, small_snapshot):
-        from repro.spacecdn.lookup import ranked_cached_satellites
-
-        ranked = ranked_cached_satellites(
-            small_snapshot, 0, frozenset({0, 5}), max_hops=16, min_hops=1
+        ranked = ranked_cached_from_rows(
+            *routing_rows(small_snapshot, 0), frozenset({0, 5}),
+            max_hops=16, min_hops=1,
         )
         assert all(entry[0] != 0 for entry in ranked)
+
+    def test_matches_plain_loop_on_random_rows(self):
+        # Coarse latencies force exact ties: the lowest index must win them.
+        rng = np.random.default_rng(4)
+        n = 40
+        for _ in range(50):
+            hops = rng.integers(0, 9, size=n).astype(np.int32)
+            hops[rng.random(n) < 0.2] = fastcore.HOP_UNREACHABLE
+            lats = rng.integers(1, 6, size=n).astype(float)
+            lats[rng.random(n) < 0.1] = np.inf
+            holders = {int(s) for s in rng.integers(-3, n + 3, size=12)}
+            exclude = frozenset(int(s) for s in rng.integers(0, n, size=3))
+            min_hops = int(rng.integers(0, 2))
+            assert ranked_cached_from_rows(
+                hops, lats, holders, 6, min_hops, exclude
+            ) == ranked_cached_reference(hops, lats, holders, 6, min_hops, exclude)

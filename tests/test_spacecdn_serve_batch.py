@@ -27,7 +27,7 @@ from repro.orbits.elements import ShellConfig
 from repro.orbits.visibility import visible_satellites, visible_satellites_batch
 from repro.orbits.walker import build_walker_delta
 from repro.overload import OverloadModel
-from repro.spacecdn.lookup import nearest_cached_batch, nearest_cached_from_rows
+from repro.spacecdn.lookup import nearest_cached_batch
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
@@ -35,6 +35,7 @@ from serve_reference import (
     ReferenceCdn,
     assert_same_state,
     holders_state,
+    ranked_cached_reference,
     serve_cohorts,
     serve_each,
 )
@@ -506,11 +507,11 @@ class TestBatchKernels:
                                            min_hops=1)
         for r in range(rows):
             cache_set = {int(s) for s in np.flatnonzero(holders[r])}
-            expected = nearest_cached_from_rows(
+            ranked = ranked_cached_reference(
                 hops[r], lats[r], cache_set, max_hops=5, min_hops=1
             )
-            if expected is None:
+            if not ranked:
                 assert not found[r]
             else:
                 assert found[r]
-                assert int(best[r]) == expected[0]
+                assert int(best[r]) == ranked[0][0]

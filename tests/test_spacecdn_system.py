@@ -113,12 +113,12 @@ class TestIslServing:
 
     def test_holder_beyond_max_hops_triggers_ground(self, system, shell1_constellation):
         from repro.orbits.visibility import nearest_visible_satellite
-        from repro.topology.routing import hop_distances
+        from repro.topology import fastcore
 
         snapshot = system.snapshot_at(0.0)
         access = nearest_visible_satellite(system.constellation, EQUATOR, 0.0).index
-        hops = hop_distances(snapshot, access)
-        far = next(s for s, h in hops.items() if h == 12)
+        hops, _ = fastcore.single_source(snapshot.core, access, snapshot.active_mask)
+        far = int(np.flatnonzero(hops == 12)[0])
         system.preload({"obj-000006": frozenset({far})})
         result = system.serve(EQUATOR, "obj-000006", 0.0)
         assert result.source is LookupSource.GROUND

@@ -25,11 +25,6 @@ from repro.orbits.visibility import (
 from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
-from repro.topology.routing import (
-    hop_distances,
-    latency_by_hop_count,
-    satellite_latencies,
-)
 from topology_reference import (
     hop_distances_reference,
     latency_by_hop_count_reference,
@@ -78,20 +73,33 @@ def snapshot_cases(draw):
     return snapshot, source, failed
 
 
+def _single_source(snapshot, source):
+    return fastcore.single_source(snapshot.core, source, snapshot.active_mask)
+
+
 class TestEquivalenceWithNetworkx:
     @settings(max_examples=30, deadline=None)
     @given(snapshot_cases())
     def test_hop_distances_exact(self, case):
         snapshot, source, _ = case
-        assert hop_distances(snapshot, source) == hop_distances_reference(
-            networkx_view(snapshot), source
-        )
+        hops, _ = _single_source(snapshot, source)
+        fast = {
+            node: int(h)
+            for node, h in enumerate(hops)
+            if h != fastcore.HOP_UNREACHABLE
+        }
+        assert fast == hop_distances_reference(networkx_view(snapshot), source)
 
     @settings(max_examples=30, deadline=None)
     @given(snapshot_cases())
     def test_satellite_latencies_close(self, case):
         snapshot, source, _ = case
-        fast = satellite_latencies(snapshot, source)
+        _, latencies = _single_source(snapshot, source)
+        fast = {
+            node: float(latency)
+            for node, latency in enumerate(latencies)
+            if np.isfinite(latency)
+        }
         ref = satellite_latencies_reference(networkx_view(snapshot), source)
         assert fast.keys() == ref.keys()
         for node, latency in ref.items():
@@ -101,7 +109,10 @@ class TestEquivalenceWithNetworkx:
     @given(snapshot_cases(), st.integers(0, 12))
     def test_hop_ladder_close(self, case, max_hops):
         snapshot, source, _ = case
-        fast = latency_by_hop_count(snapshot, source, max_hops)
+        ladder = fastcore.hop_ladder_batch(
+            snapshot.core, [source], max_hops, snapshot.active_mask
+        )[0]
+        fast = {h: float(v) for h, v in enumerate(ladder) if not np.isnan(v)}
         ref = latency_by_hop_count_reference(
             networkx_view(snapshot), source, max_hops
         )

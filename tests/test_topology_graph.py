@@ -5,28 +5,39 @@ Graph-shaped checks (edges, connectivity, ground attachment) run on the
 """
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from repro.constants import SPEED_OF_LIGHT_KM_S
-from repro.errors import ConfigurationError, VisibilityError
+from repro.constants import ISL_HOP_PROCESSING_MS, SPEED_OF_LIGHT_KM_S
+from repro.errors import ConfigurationError, RoutingError, VisibilityError
 from repro.geo.coordinates import GeoPoint
-from repro.topology.graph import access_latency_ms, isl_latency_ms
+from repro.network.access import access_latency_ms
+from repro.topology.fastcore import link_weights
 from topology_reference import attach_ground_node, networkx_view
 
 
 class TestLatencyFunctions:
-    def test_isl_latency_zero_distance_is_processing_only(self):
-        from repro.constants import ISL_HOP_PROCESSING_MS
+    def test_isl_latency_zero_distance_is_processing_only(self, small_snapshot):
+        topology = small_snapshot.core.topology
+        distances, latencies = link_weights(
+            topology, np.zeros((topology.num_nodes, 3))
+        )
+        assert (distances == 0.0).all()
+        assert (latencies == ISL_HOP_PROCESSING_MS).all()
 
-        assert isl_latency_ms(0.0) == ISL_HOP_PROCESSING_MS
+    def test_isl_latency_linear_in_distance(self, small_snapshot):
+        # Put link 0's far end 10 light-milliseconds from its near end.
+        topology = small_snapshot.core.topology
+        positions = np.zeros((topology.num_nodes, 3))
+        positions[topology.link_b[0]] = (2997.92458, 0.0, 0.0)
+        distances, latencies = link_weights(topology, positions)
+        assert distances[0] == pytest.approx(2997.92458)
+        assert latencies[0] == pytest.approx(ISL_HOP_PROCESSING_MS + 10.0)
 
-    def test_isl_latency_linear_in_distance(self):
-        base = isl_latency_ms(0.0)
-        assert isl_latency_ms(2997.92458) == pytest.approx(base + 10.0)
-
-    def test_isl_negative_distance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            isl_latency_ms(-1.0)
+    def test_isl_positions_shape_checked(self, small_snapshot):
+        topology = small_snapshot.core.topology
+        with pytest.raises(RoutingError):
+            link_weights(topology, np.zeros((topology.num_nodes + 1, 3)))
 
     def test_access_latency_includes_overheads(self):
         prop_only = 550.0 / SPEED_OF_LIGHT_KM_S * 1000.0
@@ -52,7 +63,8 @@ class TestBuildSnapshot:
     def test_edge_latency_matches_distance(self, small_view):
         for a, b, data in small_view.edges(data=True):
             assert data["latency_ms"] == pytest.approx(
-                isl_latency_ms(data["distance_km"])
+                data["distance_km"] / SPEED_OF_LIGHT_KM_S * 1000.0
+                + ISL_HOP_PROCESSING_MS
             )
 
     def test_graph_is_connected(self, small_view):

@@ -10,7 +10,8 @@ against (``test_topology_fastcore.py``) and benchmarked against
   failed satellites and cut links;
 * :func:`attach_ground_node` and :func:`shortest_path` — ground nodes joined
   to every visible satellite, and Dijkstra with path reconstruction;
-* the ``*_reference`` twins of :mod:`repro.topology.routing`;
+* the ``*_reference`` twins of the :mod:`repro.topology.fastcore` routing
+  kernels (single-source hops and latencies, the hop ladder);
 * :class:`GraphPathRouter` — terminal -> space segment -> gateway -> PoP
   routed over the actual graph, the high-fidelity cross-check of the
   analytic bent-pipe model (:mod:`repro.network.bentpipe`).
@@ -29,8 +30,9 @@ from repro.constants import MIN_ELEVATION_GS_DEG, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, RoutingError, VisibilityError
 from repro.geo.coordinates import GeoPoint
 from repro.geo.datasets import City, assigned_pop
+from repro.network.access import access_latency_ms
 from repro.orbits.visibility import visible_satellites
-from repro.topology.graph import SnapshotGraph, access_latency_ms
+from repro.topology.graph import SnapshotGraph
 from repro.topology.ground import GroundSegment
 
 # -- graph views ---------------------------------------------------------------
@@ -119,7 +121,7 @@ def shortest_path(graph: nx.Graph, src: Hashable, dst: Hashable) -> RouteResult:
     return RouteResult(path=tuple(path), latency_ms=float(latency))
 
 
-# -- references for repro.topology.routing ---------------------------------------
+# -- references for the repro.topology.fastcore kernels ------------------------
 
 
 def _satellite_subgraph(graph: nx.Graph, source: int) -> nx.Graph:
@@ -129,7 +131,8 @@ def _satellite_subgraph(graph: nx.Graph, source: int) -> nx.Graph:
 
 
 def hop_distances_reference(graph: nx.Graph, source: int) -> dict[int, int]:
-    """``networkx`` BFS reference for :func:`repro.topology.routing.hop_distances`."""
+    """``networkx`` BFS reference for the hop row of
+    :func:`repro.topology.fastcore.single_source`."""
     return {
         int(node): int(d)
         for node, d in nx.single_source_shortest_path_length(
@@ -139,8 +142,8 @@ def hop_distances_reference(graph: nx.Graph, source: int) -> dict[int, int]:
 
 
 def satellite_latencies_reference(graph: nx.Graph, source: int) -> dict[int, float]:
-    """``networkx`` Dijkstra reference for
-    :func:`repro.topology.routing.satellite_latencies`."""
+    """``networkx`` Dijkstra reference for the latency row of
+    :func:`repro.topology.fastcore.single_source`."""
     return {
         int(node): float(d)
         for node, d in nx.single_source_dijkstra_path_length(
@@ -152,7 +155,9 @@ def satellite_latencies_reference(graph: nx.Graph, source: int) -> dict[int, flo
 def latency_by_hop_count_reference(
     graph: nx.Graph, source: int, max_hops: int
 ) -> dict[int, float]:
-    """``networkx`` reference for :func:`repro.topology.routing.latency_by_hop_count`."""
+    """``networkx`` reference for one row of
+    :func:`repro.topology.fastcore.hop_ladder_batch`: hop count -> cheapest
+    latency to a satellite exactly that many hops away."""
     if max_hops < 0:
         raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
     hops = hop_distances_reference(graph, source)
