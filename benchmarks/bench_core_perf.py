@@ -114,7 +114,7 @@ def test_hop_distances_batch_64_sources(benchmark):
 
 
 def test_aim_city_generation(benchmark):
-    from repro.geo.datasets import city_by_name
+    from repro.geo.datasets.cities import city_by_name
     from repro.measurements.aim import STARLINK, AimGenerator
 
     generator = AimGenerator(seed=0)

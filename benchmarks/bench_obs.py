@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from repro.obs import ObsRecorder, get_recorder, recording
+from repro.obs.recorder import ObsRecorder, get_recorder, recording
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore

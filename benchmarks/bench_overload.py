@@ -23,11 +23,12 @@ import numpy as np
 
 from repro.cdn.content import build_catalog
 from repro.errors import UnavailableError
-from repro.faults import FaultSchedule, FlashCrowdProcess
+from repro.faults.processes import FlashCrowdProcess
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
-from repro.overload import OverloadModel
+from repro.overload.model import OverloadModel
 from repro.spacecdn.system import SpaceCdnSystem
 
 CONSTELLATION = build_walker_delta(starlink_shell1())

@@ -8,7 +8,7 @@ would be needed if east-west ISLs across orbital planes are also used."
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import shell1_snapshot
+from repro.experiments.shells import shell1_snapshot
 from repro.orbits.elements import starlink_shell1
 from repro.spacecdn.placement import KPerPlanePlacement, RandomPlacement, replica_hop_profile
 

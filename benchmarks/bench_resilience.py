@@ -8,7 +8,7 @@ contrasts it with a sparser 1-per-plane placement.
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.experiments.common import shell1_snapshot
+from repro.experiments.shells import shell1_snapshot
 from repro.orbits.elements import starlink_shell1
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.resilience import placement_under_failures, random_failure_set

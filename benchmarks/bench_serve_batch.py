@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.cdn.content import build_catalog
 from repro.errors import UnavailableError
-from repro.faults import FaultSchedule, OutageWindow, TransientAttemptLoss
+from repro.faults.processes import OutageWindow, TransientAttemptLoss
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta

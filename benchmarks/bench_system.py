@@ -10,8 +10,8 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.cdn.content import build_catalog
-from repro.experiments.common import shell1_constellation
-from repro.geo.datasets import city_by_name
+from repro.experiments.shells import shell1_constellation
+from repro.geo.datasets.cities import city_by_name
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer

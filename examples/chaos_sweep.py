@@ -14,13 +14,10 @@ import numpy as np
 from repro.cdn.content import build_catalog
 from repro.errors import UnavailableError
 from repro.experiments import chaos
-from repro.experiments.common import small_constellation
-from repro.faults import (
-    FaultSchedule,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-)
+from repro.experiments.shells import small_constellation
+from repro.faults.processes import OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.spacecdn.system import SpaceCdnSystem
 

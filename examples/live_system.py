@@ -12,10 +12,11 @@ Run:  python examples/live_system.py
 
 import numpy as np
 
-from repro import build_walker_delta, starlink_shell1
 from repro.analysis.stats import summarize
 from repro.cdn.content import build_catalog
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
+from repro.orbits.elements import starlink_shell1
+from repro.orbits.walker import build_walker_delta
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer

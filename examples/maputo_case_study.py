@@ -12,7 +12,7 @@ Run:  python examples/maputo_case_study.py
 
 from repro.cdn.geoblock import GeoBlockPolicy
 from repro.experiments import figure3
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.measurements.aim import STARLINK, TERRESTRIAL, AimGenerator
 
 

@@ -10,13 +10,16 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import build_walker_delta, build_snapshot, starlink_shell1
 from repro.constants import CDN_SERVER_THINK_TIME_MS
-from repro.geo.datasets import cdn_site_by_name, city_by_name
+from repro.geo.datasets.cdn_sites import cdn_site_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import LatencyNoise
+from repro.orbits.elements import starlink_shell1
+from repro.orbits.walker import build_walker_delta
 from repro.spacecdn.lookup import SpaceCdnLookup
 from repro.spacecdn.placement import KPerPlanePlacement
+from repro.topology.graph import build_snapshot
 
 
 def main() -> None:

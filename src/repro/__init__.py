@@ -11,10 +11,14 @@ Constellation snapshots are immutable: one set of read-only CSR arrays per
 instant, routed by vectorised kernels. The runtime needs only numpy; scipy,
 when importable, accelerates the routing kernels.
 
-Quickstart::
+No package re-exports its modules' names, so a run loads only the modules
+it uses. Import each name from the module that defines it::
 
-    from repro import starlink_shell1, build_walker_delta, build_snapshot
-    from repro.spacecdn import SpaceCdnLookup, KPerPlanePlacement
+    from repro.orbits.elements import starlink_shell1
+    from repro.orbits.walker import build_walker_delta
+    from repro.spacecdn.lookup import SpaceCdnLookup
+    from repro.spacecdn.placement import KPerPlanePlacement
+    from repro.topology.graph import build_snapshot
 
     shell = starlink_shell1()
     constellation = build_walker_delta(shell)
@@ -27,46 +31,4 @@ See ``examples/`` for runnable end-to-end scenarios and ``benchmarks/`` for
 the per-table/figure reproduction harnesses.
 """
 
-from repro.constants import orbital_period_s, orbital_speed_km_s
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    GeodesyError,
-    RoutingError,
-    VisibilityError,
-    CacheError,
-    ContentNotFoundError,
-    DatasetError,
-    PlacementError,
-)
-from repro.geo.coordinates import GeoPoint, great_circle_km, slant_range_km
-from repro.orbits.elements import ShellConfig, SatelliteId, starlink_shell1
-from repro.orbits.walker import Constellation, build_walker_delta
-from repro.topology.graph import SnapshotGraph, build_snapshot
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "orbital_period_s",
-    "orbital_speed_km_s",
-    "ReproError",
-    "ConfigurationError",
-    "GeodesyError",
-    "RoutingError",
-    "VisibilityError",
-    "CacheError",
-    "ContentNotFoundError",
-    "DatasetError",
-    "PlacementError",
-    "GeoPoint",
-    "great_circle_km",
-    "slant_range_km",
-    "ShellConfig",
-    "SatelliteId",
-    "starlink_shell1",
-    "Constellation",
-    "build_walker_delta",
-    "SnapshotGraph",
-    "build_snapshot",
-]

@@ -4,7 +4,8 @@ A write that dies half-way must never leave a truncated artifact under the
 final name: writers emit to a sibling ``*.tmp`` file, flush + ``fsync`` it,
 then ``os.replace`` it over the destination (atomic on POSIX within one
 filesystem). Readers therefore observe either the old complete file or the
-new complete file, never a partial one.
+new complete file, never a partial one. :func:`read_artifact_text` is the
+one read path of the ``repro obs`` commands.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
+
+from repro.errors import ObsError
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -58,3 +61,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Atomically replace ``path`` with ``text`` (tmp + fsync + rename)."""
     with atomic_open(path) as handle:
         handle.write(text)
+
+
+def read_artifact_text(path: str | Path, what: str) -> str:
+    """The text of the ``what`` artifact at ``path``.
+
+    A missing file, a directory, a permission error or bytes that are not
+    UTF-8 all raise :class:`~repro.errors.ObsError`, which the CLI maps to
+    exit 2, never to a traceback.
+    """
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ObsError(f"cannot read {what} {path}: {exc}") from exc

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import CdnSite
+from repro.geo.datasets.cdn_sites import CdnSite
 
 
 def nearest_site(point: GeoPoint, sites: Sequence[CdnSite]) -> CdnSite:

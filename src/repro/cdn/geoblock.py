@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets import City, assigned_pop, country_by_iso2
+from repro.geo.datasets.cities import City
+from repro.geo.datasets.countries import country_by_iso2
+from repro.geo.datasets.pops import assigned_pop
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable
 
 from repro.errors import (
     ConfigurationError,
@@ -111,9 +112,13 @@ _EXPERIMENTS: dict[str, str] = {
 }
 
 
-def _parse_fractions(text: str) -> tuple[float, ...]:
-    """Validate ``--fractions`` eagerly, before any experiment work runs."""
-    fractions = []
+def _parse_number_list(
+    text: str, flag: str, rule: str, in_range: Callable[[float], bool]
+) -> tuple[float, ...]:
+    """Validate a comma-separated ``flag`` value eagerly, before any
+    experiment work runs: every number must pass ``in_range`` (``rule``
+    says how, in the error)."""
+    values = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -122,41 +127,14 @@ def _parse_fractions(text: str) -> tuple[float, ...]:
             value = float(token)
         except ValueError:
             raise FaultConfigError(
-                f"--fractions expects comma-separated numbers, got {token!r}"
+                f"{flag} expects comma-separated numbers, got {token!r}"
             ) from None
-        if not 0.0 <= value <= 1.0:
-            raise FaultConfigError(
-                f"--fractions values must be within [0, 1], got {value:g}"
-            )
-        fractions.append(value)
-    if not fractions:
-        raise FaultConfigError(
-            f"--fractions needs at least one value, got {text!r}"
-        )
-    return tuple(fractions)
-
-
-def _parse_loads(text: str) -> tuple[float, ...]:
-    """Validate ``--loads`` eagerly, before any experiment work runs."""
-    loads = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise FaultConfigError(
-                f"--loads expects comma-separated numbers, got {token!r}"
-            ) from None
-        if not (math.isfinite(value) and value > 0.0):
-            raise FaultConfigError(
-                f"--loads multipliers must be positive and finite, got {value:g}"
-            )
-        loads.append(value)
-    if not loads:
-        raise FaultConfigError(f"--loads needs at least one value, got {text!r}")
-    return tuple(loads)
+        if not in_range(value):
+            raise FaultConfigError(f"{flag} {rule}, got {value:g}")
+        values.append(value)
+    if not values:
+        raise FaultConfigError(f"{flag} needs at least one value, got {text!r}")
+    return tuple(values)
 
 
 def _parse_flash_crowd(spec: str | None):
@@ -194,8 +172,15 @@ _KWARG_OF_FLAG = {
 """``run``/``build_plan`` keywords whose name differs from the option's."""
 
 _FLAG_PARSERS = {
-    "fractions": _parse_fractions,
-    "loads": _parse_loads,
+    "fractions": lambda text: _parse_number_list(
+        text, "--fractions", "values must be within [0, 1]", lambda v: 0.0 <= v <= 1.0
+    ),
+    "loads": lambda text: _parse_number_list(
+        text,
+        "--loads",
+        "multipliers must be positive and finite",
+        lambda v: math.isfinite(v) and v > 0.0,
+    ),
     "flash_crowd": _parse_flash_crowd,
     # Only 0 disables the deadline; the model rejects any other
     # non-positive or non-finite budget.
@@ -319,7 +304,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from pathlib import Path
 
-    from repro.obs import ObsRecorder, recording
+    from repro.obs.recorder import ObsRecorder, recording
 
     # --obs writes all three artifacts (next to the run with --out-dir,
     # else in the CWD); a bare --metrics-out / --trace-out /
@@ -370,14 +355,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_summarize(args: argparse.Namespace) -> int:
-    from repro.obs import summarize_trace_file
+    from repro.obs.summarize import summarize_trace_file
 
     print(summarize_trace_file(args.trace))
     return 0
 
 
 def _cmd_obs_events(args: argparse.Namespace) -> int:
-    from repro.obs import render_events_file
+    from repro.obs.events import render_events_file
 
     print(render_events_file(args.events))
     return 0
@@ -404,7 +389,7 @@ def _parse_metric_overrides(pairs: list[str]) -> dict[str, float]:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.obs import diff_benchmark_files, format_diff, has_regressions
+    from repro.obs.benchdiff import diff_benchmark_files, format_diff, has_regressions
 
     diffs = diff_benchmark_files(
         args.old,
@@ -417,7 +402,8 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
-    from repro.obs import evaluate_slos, parse_slo, read_timeseries, render_slo_report
+    from repro.obs.slo import evaluate_slos, parse_slo, render_slo_report
+    from repro.obs.timeseries import read_timeseries
 
     doc = read_timeseries(args.timeseries)
     specs = [parse_slo(text) for text in args.slo]
@@ -427,12 +413,9 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        evaluate_slos,
-        parse_slo,
-        read_timeseries,
-        render_timeline,
-    )
+    from repro.obs.dashboard import render_timeline
+    from repro.obs.slo import evaluate_slos, parse_slo
+    from repro.obs.timeseries import read_timeseries
 
     doc = read_timeseries(args.timeseries)
     reports = evaluate_slos(doc, [parse_slo(text) for text in args.slo])

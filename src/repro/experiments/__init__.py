@@ -7,31 +7,3 @@ is the experiment's one implementation and defines its defaults;
 memory; and ``format_result(result) -> str``. ``repro run X`` prints the
 plan's formatted result whether it runs in memory or under ``--out-dir``.
 """
-
-from repro.experiments import (  # noqa: F401
-    chaos,
-    common,
-    table1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure8,
-    geoblocking,
-    overload,
-)
-
-__all__ = [
-    "chaos",
-    "overload",
-    "common",
-    "table1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure7",
-    "figure8",
-    "geoblocking",
-]

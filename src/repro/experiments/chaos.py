@@ -22,15 +22,11 @@ from repro.analysis.tables import format_table
 from repro.cdn.content import Catalog
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.errors import ConfigurationError, UnavailableError, VisibilityError
-from repro.experiments.common import (
-    DEFAULT_SEED,
-    p50_p99,
-    points_from_raw,
-    sweep_catalog,
-    sweep_constellation,
-    sweep_requests,
-)
-from repro.faults import FaultSchedule, OutageWindow, RetryPolicy
+from repro.experiments.common import DEFAULT_SEED, p50_p99, points_from_raw
+from repro.experiments.shells import sweep_catalog, sweep_constellation, sweep_requests
+from repro.faults.processes import OutageWindow
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
 from repro.runner.shards import ExperimentPlan, in_memory

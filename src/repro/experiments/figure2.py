@@ -18,7 +18,7 @@ from repro.experiments.common import (
     country_aim_dataset,
     gazetteer_countries,
 )
-from repro.geo.datasets import country_by_iso2
+from repro.geo.datasets.countries import country_by_iso2
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.runner.shards import ExperimentPlan, in_memory
 

@@ -14,7 +14,8 @@ from statistics import median
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import DEFAULT_SEED
-from repro.geo.datasets import cdn_site_by_name, city_by_name
+from repro.geo.datasets.cdn_sites import cdn_site_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.measurements.aim import STARLINK, TERRESTRIAL, AimGenerator
 from repro.runner.shards import ExperimentPlan, in_memory
 

@@ -15,7 +15,7 @@ from repro.analysis.stats import Cdf
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.experiments.common import DEFAULT_SEED
-from repro.geo.datasets import cities_in_country
+from repro.geo.datasets.cities import cities_in_country
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.measurements.netmet import NetMetProbe
 from repro.runner.shards import ExperimentPlan, in_memory

@@ -16,9 +16,8 @@ from repro.analysis.stats import Cdf
 from repro.analysis.tables import format_table
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.errors import ConfigurationError
-from repro.experiments.common import (
-    DEFAULT_SEED,
-    aim_dataset,
+from repro.experiments.common import DEFAULT_SEED, aim_dataset
+from repro.experiments.shells import (
     shell1_constellation,
     shell1_epochs,
     shell1_snapshot,

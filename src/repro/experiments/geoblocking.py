@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.cdn.geoblock import GeoBlockPolicy
-from repro.geo.datasets import (
-    City,
-    all_cities,
-    assigned_pop,
-    country_by_iso2,
-    starlink_covered_countries,
-)
+from repro.geo.datasets.cities import City, all_cities
+from repro.geo.datasets.countries import country_by_iso2, starlink_covered_countries
+from repro.geo.datasets.pops import assigned_pop
 from repro.runner.shards import ExperimentPlan, in_memory
 
 

@@ -1,9 +1,9 @@
 """Overload sweep: offered load vs availability, shedding, and goodput.
 
 The chaos sweep removes capacity; this one outruns it. The request-level
-system runs under an :class:`~repro.overload.OverloadModel` while the
+system runs under an :class:`~repro.overload.model.OverloadModel` while the
 offered load is swept as a multiplier over a baseline stream, optionally
-with a :class:`~repro.faults.FlashCrowdProcess` consuming background
+with a :class:`~repro.faults.processes.FlashCrowdProcess` consuming background
 capacity mid-run. Per load point: availability, shed fraction (split out
 from fault unavailability), goodput, p50/p99 RTT and their inflation over
 the lightest-load baseline — the curve that shows graceful degradation
@@ -22,19 +22,19 @@ from functools import lru_cache
 from repro.analysis.tables import format_table
 from repro.cdn.content import Catalog
 from repro.errors import ConfigurationError, FaultConfigError
-from repro.experiments.common import (
-    DEFAULT_SEED,
+from repro.experiments.common import DEFAULT_SEED, p50_p99, points_from_raw
+from repro.experiments.shells import (
     SWEEP_STREAM_DURATION_S,
-    p50_p99,
-    points_from_raw,
     sweep_catalog,
     sweep_constellation,
     sweep_requests,
 )
-from repro.faults import FaultSchedule, FlashCrowdProcess, RetryPolicy
+from repro.faults.processes import FlashCrowdProcess
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
-from repro.overload import OverloadModel
+from repro.overload.model import OverloadModel
 from repro.runner.shards import ExperimentPlan, in_memory
 from repro.spacecdn.system import SpaceCdnSystem
 

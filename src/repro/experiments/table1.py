@@ -17,7 +17,7 @@ from repro.experiments.common import (
     DEFAULT_TESTS_PER_CITY,
     country_aim_dataset,
 )
-from repro.geo.datasets import country_by_iso2
+from repro.geo.datasets.countries import country_by_iso2
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.runner.shards import ExperimentPlan, in_memory
 

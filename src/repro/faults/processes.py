@@ -66,7 +66,7 @@ class FlashCrowdProcess:
 
     Composable through :class:`~repro.faults.schedule.FaultSchedule` like
     any fault process, but inert unless the serving system also carries an
-    :class:`~repro.overload.OverloadModel` — background load without a
+    :class:`~repro.overload.model.OverloadModel` — background load without a
     capacity model has nothing to saturate.
     """
 

@@ -69,7 +69,7 @@ class FaultSchedule:
 
         Load processes (flash crowds) deliberately do not count: they
         degrade nothing by themselves — they only matter to a system
-        carrying an :class:`~repro.overload.OverloadModel`, which routes
+        carrying an :class:`~repro.overload.model.OverloadModel`, which routes
         serving through the overloaded path regardless of this flag. A
         schedule holding only load processes therefore serves exactly as
         no schedule at all on systems without an overload model.

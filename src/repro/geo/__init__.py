@@ -1,47 +1,1 @@
 """Geodesy: coordinates, distances, and the embedded location gazetteer."""
-
-from repro.geo.coordinates import (
-    GeoPoint,
-    EcefPoint,
-    great_circle_km,
-    slant_range_km,
-    elevation_angle_deg,
-    destination_point,
-    initial_bearing_deg,
-    subsatellite_point,
-)
-from repro.geo.datasets import (
-    City,
-    PopSite,
-    GroundStationSite,
-    CdnSite,
-    all_cities,
-    all_pops,
-    all_ground_stations,
-    all_cdn_sites,
-    cities_in_country,
-    city_by_name,
-    starlink_covered_countries,
-)
-
-__all__ = [
-    "GeoPoint",
-    "EcefPoint",
-    "great_circle_km",
-    "slant_range_km",
-    "elevation_angle_deg",
-    "destination_point",
-    "initial_bearing_deg",
-    "subsatellite_point",
-    "City",
-    "PopSite",
-    "GroundStationSite",
-    "CdnSite",
-    "all_cities",
-    "all_pops",
-    "all_ground_stations",
-    "all_cdn_sites",
-    "cities_in_country",
-    "city_by_name",
-    "starlink_covered_countries",
-]

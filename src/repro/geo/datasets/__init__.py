@@ -8,34 +8,3 @@ cities worldwide. This package embeds a faithful (publicly documented)
 approximation of that footprint so the simulation reproduces the structural
 pathologies (e.g. Maputo traffic exiting at Frankfurt).
 """
-
-from repro.geo.datasets.countries import (
-    Country,
-    all_countries,
-    country_by_iso2,
-    starlink_covered_countries,
-)
-from repro.geo.datasets.cities import City, all_cities, cities_in_country, city_by_name
-from repro.geo.datasets.pops import PopSite, all_pops, pop_by_name, assigned_pop
-from repro.geo.datasets.ground_stations import GroundStationSite, all_ground_stations
-from repro.geo.datasets.cdn_sites import CdnSite, all_cdn_sites, cdn_site_by_name
-
-__all__ = [
-    "Country",
-    "all_countries",
-    "country_by_iso2",
-    "starlink_covered_countries",
-    "City",
-    "all_cities",
-    "cities_in_country",
-    "city_by_name",
-    "PopSite",
-    "all_pops",
-    "pop_by_name",
-    "assigned_pop",
-    "GroundStationSite",
-    "all_ground_stations",
-    "CdnSite",
-    "all_cdn_sites",
-    "cdn_site_by_name",
-]

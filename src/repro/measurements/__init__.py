@@ -1,15 +1,1 @@
 """Measurement simulation: the synthetic AIM dataset and NetMet web model."""
-
-from repro.measurements.aim import SpeedTest, AimDataset, AimGenerator
-from repro.measurements.webpage import WebPage, top_site_pages
-from repro.measurements.netmet import NetMetProbe, PageFetchMetrics
-
-__all__ = [
-    "SpeedTest",
-    "AimDataset",
-    "AimGenerator",
-    "WebPage",
-    "top_site_pages",
-    "NetMetProbe",
-    "PageFetchMetrics",
-]

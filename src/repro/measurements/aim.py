@@ -15,13 +15,9 @@ from statistics import median
 from repro.cdn.anycast import best_site_by_latency
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import great_circle_km
-from repro.geo.datasets import (
-    CdnSite,
-    City,
-    all_cdn_sites,
-    all_cities,
-    assigned_pop,
-)
+from repro.geo.datasets.cdn_sites import CdnSite, all_cdn_sites
+from repro.geo.datasets.cities import City, all_cities
+from repro.geo.datasets.pops import assigned_pop
 from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import LatencyNoise
 from repro.network.terrestrial import TerrestrialPathModel

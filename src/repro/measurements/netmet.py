@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets import City
+from repro.geo.datasets.cities import City
 from repro.measurements.aim import STARLINK, TERRESTRIAL, AimGenerator
 from repro.measurements.webpage import WebPage, top_site_pages
 

@@ -32,7 +32,9 @@ from repro.constants import (
 )
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import City, assigned_pop, country_by_iso2
+from repro.geo.datasets.cities import City
+from repro.geo.datasets.countries import country_by_iso2
+from repro.geo.datasets.pops import assigned_pop
 from repro.network.access import access_latency_ms, sample_access_one_way_ms
 from repro.network.latency import LatencyNoise, fiber_path_ms
 from repro.topology.ground import GroundSegment, GroundStation, PointOfPresence

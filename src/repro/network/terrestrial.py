@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import City, country_by_iso2
+from repro.geo.datasets.cities import City
+from repro.geo.datasets.countries import country_by_iso2
 from repro.network.latency import LatencyNoise, fiber_path_ms
 
 

@@ -30,73 +30,16 @@ output at indistinguishable cost. Enable it per run::
         system.run(requests)
     recorder.flush(metrics_path="metrics.prom", trace_path="trace.jsonl",
                    timeseries_path="timeseries.json")
+
+This package re-exports exactly those two names, :class:`ObsRecorder` and
+:func:`recording`, from :mod:`repro.obs.recorder`: they are the enable-it
+idiom above, and the end-to-end benchmark harness imports them from here.
+Every other name is imported from its defining module, so importing
+``repro.obs`` loads the recorder and its metrics, series, trace and
+profile buffers, never the CLI tooling (``benchdiff``, ``slo``,
+``dashboard``, ``merge``, ``summarize``, ``events``).
 """
 
-from repro.obs.benchdiff import diff_benchmark_files, format_diff, has_regressions
-from repro.obs.dashboard import render_timeline
-from repro.obs.events import EventLog, read_events, render_events, render_events_file
-from repro.obs.merge import merge_delta, registry_diff, snapshot_delta
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
-from repro.obs.profiling import ProfileAccumulator
-from repro.obs.recorder import (
-    NOOP_RECORDER,
-    NoopRecorder,
-    ObsRecorder,
-    get_recorder,
-    recording,
-    reset_recorder,
-    set_recorder,
-)
-from repro.obs.slo import (
-    SloReport,
-    SloSpec,
-    evaluate_slo,
-    evaluate_slos,
-    parse_slo,
-    render_slo_report,
-)
-from repro.obs.summarize import summarize_trace, summarize_trace_file
-from repro.obs.timeseries import (
-    DEFAULT_WINDOW_S,
-    TimeSeriesBuffer,
-    read_timeseries,
-    timeseries_diff,
-)
-from repro.obs.tracing import TraceBuffer
+from repro.obs.recorder import ObsRecorder, recording
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS_MS",
-    "DEFAULT_WINDOW_S",
-    "EventLog",
-    "MetricsRegistry",
-    "ProfileAccumulator",
-    "SloReport",
-    "SloSpec",
-    "TimeSeriesBuffer",
-    "TraceBuffer",
-    "NOOP_RECORDER",
-    "NoopRecorder",
-    "ObsRecorder",
-    "diff_benchmark_files",
-    "evaluate_slo",
-    "evaluate_slos",
-    "format_diff",
-    "get_recorder",
-    "has_regressions",
-    "merge_delta",
-    "parse_slo",
-    "read_events",
-    "read_timeseries",
-    "registry_diff",
-    "render_events",
-    "render_events_file",
-    "render_slo_report",
-    "render_timeline",
-    "recording",
-    "reset_recorder",
-    "set_recorder",
-    "snapshot_delta",
-    "summarize_trace",
-    "summarize_trace_file",
-    "timeseries_diff",
-]
+__all__ = ["ObsRecorder", "recording"]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.tables import format_table
+from repro.atomicio import read_artifact_text
 from repro.errors import ObsError
 
 DEFAULT_THRESHOLD_PCT = 20.0
@@ -209,11 +210,9 @@ def format_diff(diffs: list[MetricDiff]) -> str:
 
 def load_benchmark(path: str | Path) -> object:
     """Parse one ``BENCH_*.json`` document."""
-    path = Path(path)
+    text = read_artifact_text(path, "benchmark file")
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise ObsError(f"cannot read benchmark file {path}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ObsError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.analysis.tables import format_table
+from repro.atomicio import read_artifact_text
 from repro.errors import ObsError
 
 EVENTS_FILENAME = "events.jsonl"
@@ -84,11 +85,7 @@ class EventLog:
 
 def read_events(path: str | Path) -> Iterator[dict]:
     """Yield event records from a JSONL event log, validating as it goes."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ObsError(f"cannot read event log {path}: {exc}") from exc
+    text = read_artifact_text(path, "event log")
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.atomicio import atomic_write_text
+from repro.atomicio import atomic_write_text, read_artifact_text
 from repro.errors import ObsError
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -298,10 +298,9 @@ class TimeSeriesBuffer:
 
 def read_timeseries(path: str | Path) -> dict:
     """Load and validate an ``obs-timeseries.json`` document."""
+    text = read_artifact_text(path, "time-series document")
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ObsError(f"no time-series document at {path}") from None
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ObsError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "windows" not in doc:

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.atomicio import atomic_open
+from repro.atomicio import atomic_open, read_artifact_text
 from repro.errors import ObsError
 
 
@@ -109,11 +109,7 @@ class TraceBuffer:
 
 def read_trace(path: str | Path) -> Iterator[dict]:
     """Yield spans from a JSONL trace file, validating as it goes."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ObsError(f"cannot read trace {path}: {exc}") from exc
+    text = read_artifact_text(path, "trace")
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

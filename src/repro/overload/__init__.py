@@ -3,22 +3,7 @@
 Explicit per-satellite request capacity per snapshot slot, priority
 admission control with graduated load shedding, M/M/1 queue-delay inflation,
 per-target circuit breakers, and end-to-end deadline budgets. Attach an
-:class:`OverloadModel` to a :class:`~repro.spacecdn.system.SpaceCdnSystem`
-to enable all of it; systems without one are untouched.
+:class:`~repro.overload.model.OverloadModel` to a
+:class:`~repro.spacecdn.system.SpaceCdnSystem` to enable all of it;
+systems without one are untouched.
 """
-
-from repro.overload.model import (
-    BREAKER_STATES,
-    GROUND_TARGET,
-    CircuitBreaker,
-    CircuitBreakerConfig,
-    OverloadModel,
-)
-
-__all__ = [
-    "OverloadModel",
-    "CircuitBreaker",
-    "CircuitBreakerConfig",
-    "BREAKER_STATES",
-    "GROUND_TARGET",
-]

@@ -16,7 +16,7 @@ budget, quarantining repeat offenders, and keeping every byte-identical
 resume guarantee, since checkpoints are written by the parent only and
 ``jobs`` never enters the manifest.
 
-This package re-exports nothing: importing :mod:`repro.runner.shards`
-(as every experiment module does) loads no engine, store or worker pool.
-Import from the submodules.
+Like every ``repro`` package, this one re-exports nothing: importing
+:mod:`repro.runner.shards` (as every experiment module does) loads no
+engine, store or worker pool. Import from the submodules.
 """

@@ -26,13 +26,14 @@ from repro.cdn.cache import Cache, HoldersIndex
 from repro.cdn.content import Catalog
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
-from repro.faults import FaultSchedule, RetryPolicy, apply_fault_view
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule, apply_fault_view
 from repro.geo.coordinates import GeoPoint
 from repro.network.access import access_latency_ms
 from repro.obs.metrics import OVERLOAD_QUEUE_BUCKETS_MS
 from repro.obs.recorder import get_recorder
-from repro.overload import GROUND_TARGET, OverloadModel
 from repro.orbits.walker import Constellation
+from repro.overload.model import GROUND_TARGET, OverloadModel
 from repro.spacecdn.lookup import LookupSource, ranked_cached_from_rows
 from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph, build_snapshot
@@ -177,7 +178,7 @@ class SpaceCdnSystem:
             with or without a fault schedule).
         overload: per-satellite capacity, admission control, circuit
             breakers, and deadline budgets
-            (:class:`~repro.overload.OverloadModel`). ``None`` (the
+            (:class:`~repro.overload.model.OverloadModel`). ``None`` (the
             default) applies no protection; set, every request runs the
             attempt walk with the protections — which also honours the
             fault schedule, so faults and load compose.

@@ -19,7 +19,8 @@ from repro.constants import (
     TERRESTRIAL_PER_HOP_MS,
 )
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import GroundStationSite, PopSite
+from repro.geo.datasets.ground_stations import GroundStationSite, all_ground_stations
+from repro.geo.datasets.pops import PopSite, all_pops
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ class GroundSegment:
     @staticmethod
     def from_gazetteer() -> "GroundSegment":
         """Build the ground segment from the embedded datasets."""
-        from repro.geo.datasets import all_ground_stations, all_pops
-
         return GroundSegment(
             stations=tuple(GroundStation(site) for site in all_ground_stations()),
             pops=tuple(PointOfPresence(site) for site in all_pops()),

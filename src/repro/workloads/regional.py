@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cdn.content import Catalog
 from repro.errors import ConfigurationError
-from repro.geo.datasets import City
+from repro.geo.datasets.cities import City
 
 
 @dataclass

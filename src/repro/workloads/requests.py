@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets import City
+from repro.geo.datasets.cities import City
 from repro.workloads.regional import RegionalRequestMixer
 
 

@@ -20,10 +20,11 @@ from collections import Counter
 from repro.cdn.cache import Cache
 from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
-from repro.faults import RetryPolicy, apply_fault_view
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import apply_fault_view
 from repro.network.access import access_latency_ms
 from repro.orbits.visibility import visible_satellites
-from repro.overload import GROUND_TARGET
+from repro.overload.model import GROUND_TARGET
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.system import TIER_OF_SOURCE, ServedRequest, SystemStats
 from repro.topology import fastcore

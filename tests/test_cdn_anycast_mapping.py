@@ -5,7 +5,7 @@ import pytest
 from repro.cdn.anycast import best_site_by_latency, nearest_site
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import all_cdn_sites, cdn_site_by_name
+from repro.geo.datasets.cdn_sites import all_cdn_sites, cdn_site_by_name
 
 
 class TestNearestSite:

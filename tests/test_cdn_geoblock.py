@@ -4,7 +4,7 @@ import pytest
 
 from repro.cdn.geoblock import GeoBlockPolicy
 from repro.errors import ConfigurationError
-from repro.geo.datasets import cities_in_country, city_by_name
+from repro.geo.datasets.cities import cities_in_country, city_by_name
 
 
 @pytest.fixture

@@ -54,7 +54,7 @@ class TestHierarchy:
         """A caller wrapping library calls in ``except ReproError`` must not
         see bare ValueError/KeyError for domain-level misuse."""
         from repro.geo.coordinates import GeoPoint
-        from repro.geo.datasets import city_by_name
+        from repro.geo.datasets.cities import city_by_name
 
         with pytest.raises(errors.ReproError):
             GeoPoint(91.0, 0.0)

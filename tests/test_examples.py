@@ -5,13 +5,15 @@ session's warm caches and the suite stays fast; each is checked for the
 key line of its narrative.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 
 # (script, substring that must appear in its stdout)
 EXAMPLES = [
@@ -45,3 +47,13 @@ def test_every_example_file_is_covered():
     scripts = {p.name for p in EXAMPLES_DIR.glob("*.py")}
     covered = {name for name, _ in EXAMPLES}
     assert scripts == covered
+
+
+def test_readme_quickstart_runs(capsys):
+    """The README Quickstart block runs as written, so moving a name it
+    imports breaks this test instead of the docs."""
+    readme = (ROOT / "README.md").read_text()
+    quickstart = readme[readme.index("## Quickstart") :]
+    block = re.search(r"```python\n(.*?)```", quickstart, re.DOTALL).group(1)
+    exec(compile(block, "README.md#quickstart", "exec"), {"__name__": "__readme__"})
+    assert "ms RTT" in capsys.readouterr().out

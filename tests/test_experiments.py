@@ -18,7 +18,7 @@ from repro.experiments import (
     figure8,
     table1,
 )
-from repro.experiments.common import shell1_epochs, shell1_snapshot
+from repro.experiments.shells import shell1_epochs, shell1_snapshot
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.network.access import access_latency_ms
 from repro.orbits.visibility import nearest_visible_satellite

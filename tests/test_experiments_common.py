@@ -1,40 +1,40 @@
-"""Tests for the shared experiment infrastructure."""
+"""Tests for the shared experiment infrastructure (``common`` and ``shells``)."""
 
 from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.experiments import common
+from repro.experiments import common, shells
 
 
 class TestShell1Caches:
     def test_constellation_cached(self):
-        assert common.shell1_constellation() is common.shell1_constellation()
+        assert shells.shell1_constellation() is shells.shell1_constellation()
 
     def test_snapshot_cached_per_epoch(self):
-        a = common.shell1_snapshot(0.0)
-        b = common.shell1_snapshot(0.0)
-        c = common.shell1_snapshot(60.0)
+        a = shells.shell1_snapshot(0.0)
+        b = shells.shell1_snapshot(0.0)
+        c = shells.shell1_snapshot(60.0)
         assert a is b
         assert c is not a
 
     def test_snapshot_fields_cannot_be_assigned(self):
-        snapshot = common.shell1_snapshot(0.0)
+        snapshot = shells.shell1_snapshot(0.0)
         with pytest.raises(FrozenInstanceError):
             snapshot.failed = frozenset({0})
         with pytest.raises(FrozenInstanceError):
             snapshot.t_s = 1.0
 
     def test_snapshot_positions_are_read_only(self):
-        snapshot = common.shell1_snapshot(0.0)
+        snapshot = shells.shell1_snapshot(0.0)
         with pytest.raises(ValueError):
             snapshot.positions[0, 0] = 0.0
         with pytest.raises(ValueError):
             snapshot.core.link_latency_ms[0] = 0.0
 
     def test_snapshot_matches_constellation(self):
-        snapshot = common.shell1_snapshot(0.0)
-        assert len(snapshot.satellite_nodes()) == len(common.shell1_constellation())
+        snapshot = shells.shell1_snapshot(0.0)
+        assert len(snapshot.satellite_nodes()) == len(shells.shell1_constellation())
 
 
 class TestAimCache:
@@ -55,16 +55,16 @@ class TestAimCache:
 
 class TestEpochs:
     def test_count_and_range(self):
-        epochs = common.shell1_epochs(6, seed=1)
-        period = common.shell1_constellation().config.period_s
+        epochs = shells.shell1_epochs(6, seed=1)
+        period = shells.shell1_constellation().config.period_s
         assert len(epochs) == 6
         assert all(0.0 <= e < period for e in epochs)
 
     def test_deterministic(self):
-        assert common.shell1_epochs(4, seed=2) == common.shell1_epochs(4, seed=2)
+        assert shells.shell1_epochs(4, seed=2) == shells.shell1_epochs(4, seed=2)
 
     def test_seed_changes_epochs(self):
-        assert common.shell1_epochs(4, seed=1) != common.shell1_epochs(4, seed=3)
+        assert shells.shell1_epochs(4, seed=1) != shells.shell1_epochs(4, seed=3)
 
 
 class TestFigureArgValidation:

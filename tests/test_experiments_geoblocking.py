@@ -12,7 +12,8 @@ def result():
 
 class TestGeoblockingExperiment:
     def test_every_covered_country_evaluated(self, result):
-        from repro.geo.datasets import all_cities, starlink_covered_countries
+        from repro.geo.datasets.cities import all_cities
+        from repro.geo.datasets.countries import starlink_covered_countries
 
         countries_with_cities = {c.iso2 for c in all_cities()}
         expected = {

@@ -22,7 +22,7 @@ from repro.cli import (
     main,
 )
 from repro.errors import DatasetError, UnavailableError
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.measurements.aim import AimGenerator
 from repro.measurements.export import (
     read_aim_csv,
@@ -413,6 +413,85 @@ def test_no_flag_run_imports_no_runner_engine():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+_MEASUREMENT_EXPERIMENTS = (
+    "table1",
+    "figure2",
+    "figure3",
+    "figure4",
+    "figure5",
+    "geoblocking",
+)
+"""The §2-§3 measurement study: AIM/NetMet synthesis, no constellation."""
+
+_SIMULATION_MODULES = (
+    "scipy",
+    "repro.topology.fastcore",
+    "repro.spacecdn",
+    "repro.workloads",
+    "repro.faults",
+    "repro.overload",
+    "repro.obs.benchdiff",
+    "repro.obs.slo",
+    "repro.obs.dashboard",
+    "repro.obs.merge",
+    "repro.obs.summarize",
+    "repro.obs.events",
+)
+"""What a measurement experiment must not load (a name or its submodules)."""
+
+
+def _modules_loaded_by(code: str) -> list[str]:
+    """The ``sys.modules`` names after ``code`` runs in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code += "\nimport sys\nprint('\\n'.join(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return proc.stdout.split()
+
+
+def test_list_imports_only_the_cli():
+    """``repro list`` loads the CLI and its error table, no experiment."""
+    loaded = _modules_loaded_by(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['list']) == 0\n"
+    )
+    assert [m for m in loaded if m.startswith("repro.")] == [
+        "repro.cli",
+        "repro.errors",
+    ]
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_experiment_imports_only_what_it_uses(experiment):
+    """An experiment module loads no other experiment (``common`` and
+    ``shells`` are shared helpers), and a measurement experiment loads no
+    scipy, routing kernel, serve, fault, overload, workload or obs tooling
+    module."""
+    loaded = _modules_loaded_by(f"import repro.experiments.{experiment}")
+    shared = {"common", "shells", experiment}
+    others = [
+        m
+        for m in loaded
+        if m.startswith("repro.experiments.") and m.split(".")[2] not in shared
+    ]
+    assert not others, f"{experiment} imported {others}"
+    if experiment in _MEASUREMENT_EXPERIMENTS:
+        heavy = [
+            m
+            for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in _SIMULATION_MODULES)
+        ]
+        assert not heavy, f"{experiment} imported {heavy}"
 
 
 @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))

@@ -8,15 +8,9 @@ from repro.errors import (
     FaultConfigError,
     RoutingError,
 )
-from repro.faults import (
-    FaultSchedule,
-    FaultView,
-    FlashCrowdProcess,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-    apply_fault_view,
-)
+from repro.faults.processes import FlashCrowdProcess, OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule, FaultView, apply_fault_view
 from repro.topology import fastcore
 
 

@@ -4,20 +4,15 @@ import pytest
 
 from repro.errors import DatasetError
 from repro.geo.coordinates import great_circle_km
-from repro.geo.datasets import (
-    all_cdn_sites,
-    all_cities,
+from repro.geo.datasets.cdn_sites import all_cdn_sites, cdn_site_by_name
+from repro.geo.datasets.cities import all_cities, cities_in_country, city_by_name
+from repro.geo.datasets.countries import (
     all_countries,
-    all_ground_stations,
-    all_pops,
-    assigned_pop,
-    cdn_site_by_name,
-    cities_in_country,
-    city_by_name,
     country_by_iso2,
-    pop_by_name,
     starlink_covered_countries,
 )
+from repro.geo.datasets.ground_stations import all_ground_stations
+from repro.geo.datasets.pops import all_pops, assigned_pop, pop_by_name
 
 
 class TestCountries:

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import reset_recorder
+from repro.obs.recorder import reset_recorder
 
 GOLDEN = Path(__file__).parent / "golden"
 

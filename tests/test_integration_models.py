@@ -12,7 +12,8 @@ import pytest
 
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.geo.coordinates import GeoPoint
-from repro.geo.datasets import cdn_site_by_name, city_by_name
+from repro.geo.datasets.cdn_sites import cdn_site_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import LatencyNoise
 from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup

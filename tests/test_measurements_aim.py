@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.measurements.aim import STARLINK, TERRESTRIAL, AimDataset, AimGenerator, SpeedTest
 
 
@@ -37,7 +37,7 @@ class TestGenerator:
 
     def test_unknown_isp_rejected(self, generator):
         city = city_by_name("Madrid")
-        from repro.geo.datasets import cdn_site_by_name
+        from repro.geo.datasets.cdn_sites import cdn_site_by_name
 
         site = cdn_site_by_name("Madrid")
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.measurements.netmet import NetMetProbe
 from repro.measurements.webpage import WebPage, top_site_pages

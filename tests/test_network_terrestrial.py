@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets import cdn_site_by_name, city_by_name
+from repro.geo.datasets.cdn_sites import cdn_site_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.network.latency import LatencyNoise
 from repro.network.terrestrial import TerrestrialPathModel
 

@@ -104,7 +104,7 @@ class TestUploadProfiles:
 
 class TestAimIntegration:
     def test_speed_tests_carry_download(self):
-        from repro.geo.datasets import city_by_name
+        from repro.geo.datasets.cities import city_by_name
         from repro.measurements.aim import STARLINK, AimGenerator
 
         generator = AimGenerator(seed=11)
@@ -115,7 +115,7 @@ class TestAimIntegration:
     def test_starlink_download_slower_in_isl_countries(self):
         import numpy as np
 
-        from repro.geo.datasets import city_by_name
+        from repro.geo.datasets.cities import city_by_name
         from repro.measurements.aim import STARLINK, AimGenerator
 
         generator = AimGenerator(seed=12)

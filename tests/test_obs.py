@@ -6,21 +6,18 @@ import math
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import (
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.profiling import ProfileAccumulator
+from repro.obs.recorder import (
     NOOP_RECORDER,
-    MetricsRegistry,
     ObsRecorder,
-    ProfileAccumulator,
-    TraceBuffer,
     get_recorder,
     recording,
     reset_recorder,
     set_recorder,
-    summarize_trace,
-    summarize_trace_file,
 )
-from repro.obs.metrics import Histogram
-from repro.obs.tracing import read_trace
+from repro.obs.summarize import summarize_trace, summarize_trace_file
+from repro.obs.tracing import TraceBuffer, read_trace
 
 
 @pytest.fixture(autouse=True)

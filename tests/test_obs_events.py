@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import EventLog, read_events, render_events, render_events_file
+from repro.obs.events import EventLog, read_events, render_events, render_events_file
 
 
 def make_log(path, start=100.0, step=0.5):

@@ -27,14 +27,12 @@ from hypothesis import strategies as st
 from repro.cdn.content import build_catalog
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.errors import UnavailableError
-from repro.faults import (
-    FaultSchedule,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-)
+from repro.faults.processes import OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
-from repro.obs import ObsRecorder, read_events, recording, reset_recorder
+from repro.obs.events import read_events
+from repro.obs.recorder import ObsRecorder, recording, reset_recorder
 from repro.obs.tracing import read_trace
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
@@ -547,3 +545,36 @@ class TestCohortTracing:
         assert recorder.metrics.counter_value(
             "repro_serve_unavailable_total", (("reason", "no-sky"),)
         ) == 1.0
+
+
+_OBS_ARGV = {
+    "summarize": lambda path: ["summarize", path],
+    "events": lambda path: ["events", path],
+    "diff": lambda path: ["diff", path, path],
+    "slo": lambda path: ["slo", path, "--slo", "availability >= 99%"],
+    "timeline": lambda path: ["timeline", path],
+}
+
+
+@pytest.mark.parametrize("artifact", ["directory", "non-utf8"])
+@pytest.mark.parametrize("subcommand", sorted(_OBS_ARGV))
+def test_unreadable_artifact_is_a_plain_error(tmp_path, subcommand, artifact):
+    """Every ``repro obs`` reader turns an artifact it cannot read (a
+    directory, bytes that are not UTF-8) into exit 2 with an ``error:``
+    line, never a traceback: exit 1 is no code of the CLI's table."""
+    path = tmp_path / "artifact"
+    if artifact == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\xfd\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "obs", *_OBS_ARGV[subcommand](str(path))],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -14,12 +14,16 @@ import json
 import pytest
 
 from repro.errors import ObsError
-from repro.obs import MetricsRegistry, ObsRecorder, merge_delta, registry_diff, snapshot_delta
 from repro.obs.merge import (
     ABANDONED_TIMERS_METRIC,
     DELTA_FORMAT_VERSION,
+    merge_delta,
     merge_trace_delta,
+    registry_diff,
+    snapshot_delta,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import ObsRecorder
 
 TIER = (("tier", "isl"),)
 BUCKETS = (10.0, 50.0)

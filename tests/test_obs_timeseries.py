@@ -219,7 +219,7 @@ class TestDiff:
 
 class TestRecorderIntegration:
     def test_recorder_routes_windowed_calls_and_flushes(self, tmp_path):
-        from repro.obs import ObsRecorder
+        from repro.obs.recorder import ObsRecorder
 
         recorder = ObsRecorder()
         recorder.window_inc(30.0, "repro_serve_total")
@@ -231,13 +231,14 @@ class TestRecorderIntegration:
         assert doc["counters"][0]["name"] == "repro_serve_total"
 
     def test_noop_recorder_accepts_windowed_calls(self):
-        from repro.obs import NOOP_RECORDER
+        from repro.obs.recorder import NOOP_RECORDER
 
         NOOP_RECORDER.window_inc(0.0, "anything")
         NOOP_RECORDER.window_observe(0.0, "anything", 1.0)
 
     def test_fleet_delta_carries_timeseries(self):
-        from repro.obs import ObsRecorder, merge_delta, snapshot_delta
+        from repro.obs.merge import merge_delta, snapshot_delta
+        from repro.obs.recorder import ObsRecorder
 
         worker = ObsRecorder()
         worker.window_inc(90.0, "repro_serve_total", value=4.0)

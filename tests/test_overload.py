@@ -25,11 +25,12 @@ from repro.errors import (
     UnavailableError,
 )
 from repro.experiments import overload as overload_experiment
-from repro.faults import FaultSchedule, FlashCrowdProcess
+from repro.faults.processes import FlashCrowdProcess
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
-from repro.overload import (
+from repro.overload.model import (
     GROUND_TARGET,
     CircuitBreaker,
     CircuitBreakerConfig,

@@ -17,13 +17,9 @@ from hypothesis import strategies as st
 
 from repro.cdn.content import build_catalog
 from repro.errors import ContentNotFoundError
-from repro.faults import (
-    FaultSchedule,
-    FlashCrowdProcess,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-)
+from repro.faults.processes import FlashCrowdProcess, OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta

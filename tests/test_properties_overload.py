@@ -22,17 +22,13 @@ from hypothesis import strategies as st
 
 from repro.cdn.content import build_catalog
 from repro.errors import FaultConfigError
-from repro.faults import (
-    FaultSchedule,
-    FlashCrowdProcess,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-)
+from repro.faults.processes import FlashCrowdProcess, OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
-from repro.overload import CircuitBreakerConfig, OverloadModel
+from repro.overload.model import CircuitBreakerConfig, OverloadModel
 from repro.spacecdn.system import SpaceCdnSystem
 from serve_reference import (
     ReferenceCdn,

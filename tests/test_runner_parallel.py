@@ -445,7 +445,7 @@ class TestRegistryRoundTrip:
 
 class TestObservability:
     def test_manifest_obs_records_worker_attribution(self, tmp_path):
-        from repro.obs import ObsRecorder, recording
+        from repro.obs.recorder import ObsRecorder, recording
 
         run_dir = tmp_path / "run"
         with recording(ObsRecorder()):
@@ -464,7 +464,7 @@ class TestFleetObservability:
     bucket-wise), whatever failures the fleet survived along the way."""
 
     def run_with_obs(self, run_dir, jobs, plan=None, **options):
-        from repro.obs import ObsRecorder, recording
+        from repro.obs.recorder import ObsRecorder, recording
 
         recorder = ObsRecorder()
         if plan is None:
@@ -482,7 +482,7 @@ class TestFleetObservability:
         return out, recorder
 
     def test_parallel_aggregates_equal_serial(self, tmp_path):
-        from repro.obs import registry_diff
+        from repro.obs.merge import registry_diff
 
         serial_out, serial = self.run_with_obs(tmp_path / "serial", 1)
         fleet_out, fleet = self.run_with_obs(tmp_path / "fleet", 4)
@@ -493,7 +493,7 @@ class TestFleetObservability:
         """The windowed time series of a ``--jobs 4`` run is byte-identical
         to the serial run's: window assignment keys on simulated time and
         cells are integers, so shard completion order cannot leak in."""
-        from repro.obs import timeseries_diff
+        from repro.obs.timeseries import timeseries_diff
 
         _, serial = self.run_with_obs(tmp_path / "serial", 1)
         _, fleet = self.run_with_obs(tmp_path / "fleet", 4)
@@ -506,7 +506,7 @@ class TestFleetObservability:
         """Crashed and killed attempts ship no windowed deltas either, so
         the merged series of a chaos fleet still equals the clean serial
         run's — the windowed analogue of the registry contract."""
-        from repro.obs import timeseries_diff
+        from repro.obs.timeseries import timeseries_diff
 
         _, serial = self.run_with_obs(tmp_path / "serial", 1)
         plan = selfchaos.build_plan(
@@ -518,8 +518,7 @@ class TestFleetObservability:
     def test_chaos_run_aggregates_equal_clean_serial(self, tmp_path):
         """Crashed and killed attempts ship no obs, so the merged registry
         of a chaos run still equals the clean serial run's."""
-        from repro.obs import registry_diff
-        from repro.obs.merge import FLEET_SERIES_PREFIXES
+        from repro.obs.merge import FLEET_SERIES_PREFIXES, registry_diff
 
         serial_out, serial = self.run_with_obs(tmp_path / "serial", 1)
         plan = selfchaos.build_plan(
@@ -562,7 +561,7 @@ class TestFleetObservability:
         assert not (tmp_path / "fleet" / "obs").exists()
 
     def test_event_log_records_the_run_lifecycle(self, tmp_path):
-        from repro.obs import read_events
+        from repro.obs.events import read_events
 
         run_dir = tmp_path / "run"
         self.run_with_obs(run_dir, 3)

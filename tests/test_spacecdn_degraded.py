@@ -5,12 +5,9 @@ import pytest
 
 from repro.cdn.content import build_catalog
 from repro.errors import ContentNotFoundError, UnavailableError
-from repro.faults import (
-    FaultSchedule,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-)
+from repro.faults.processes import OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.system import SpaceCdnSystem
@@ -162,7 +159,7 @@ class TestRetriesAndTimeouts:
 
 class TestRunStream:
     def test_continue_on_unavailable_skips(self, small_constellation, catalog):
-        from repro.geo.datasets import all_cities
+        from repro.geo.datasets.cities import all_cities
         from repro.workloads.requests import Request
 
         city = min(
@@ -180,7 +177,7 @@ class TestRunStream:
         assert system.stats.availability == 0.0
 
     def test_raises_without_flag(self, small_constellation, catalog):
-        from repro.geo.datasets import all_cities
+        from repro.geo.datasets.cities import all_cities
         from repro.workloads.requests import Request
 
         city = min(

@@ -232,7 +232,7 @@ def test_figure8_obs_counts_lookup_sources(tmp_path, monkeypatch):
     import re
 
     from repro.cli import main
-    from repro.obs import reset_recorder
+    from repro.obs.recorder import reset_recorder
     from repro.spacecdn.lookup import LookupSource
 
     monkeypatch.chdir(tmp_path)

@@ -16,17 +16,14 @@ from hypothesis import strategies as st
 from repro.cdn.cache import HoldersIndex
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError, ReproError, UnavailableError
-from repro.faults import (
-    FaultSchedule,
-    OutageWindow,
-    RetryPolicy,
-    TransientAttemptLoss,
-)
+from repro.faults.processes import OutageWindow, TransientAttemptLoss
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.visibility import visible_satellites, visible_satellites_batch
 from repro.orbits.walker import build_walker_delta
-from repro.overload import OverloadModel
+from repro.overload.model import OverloadModel
 from repro.spacecdn.lookup import nearest_cached_batch
 from repro.spacecdn.system import SpaceCdnSystem
 from repro.topology import fastcore

@@ -6,7 +6,7 @@ import pytest
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError, ContentNotFoundError
 from repro.geo.coordinates import GeoPoint
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem

@@ -7,7 +7,7 @@ the analytic bent-pipe model is cross-checked against it.
 import numpy as np
 import pytest
 
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import LatencyNoise
 from repro.orbits.elements import starlink_shell1

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import DatasetError
 from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets import all_ground_stations, all_pops
+from repro.geo.datasets.ground_stations import all_ground_stations
+from repro.geo.datasets.pops import all_pops
 from repro.topology.ground import (
     GroundSegment,
     GroundStation,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError
-from repro.geo.datasets import city_by_name
+from repro.geo.datasets.cities import city_by_name
 from repro.workloads.regional import (
     RegionalPopularity,
     RegionalRequestMixer,

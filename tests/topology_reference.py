@@ -29,7 +29,8 @@ import networkx as nx
 from repro.constants import MIN_ELEVATION_GS_DEG, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, RoutingError, VisibilityError
 from repro.geo.coordinates import GeoPoint
-from repro.geo.datasets import City, assigned_pop
+from repro.geo.datasets.cities import City
+from repro.geo.datasets.pops import assigned_pop
 from repro.network.access import access_latency_ms
 from repro.orbits.visibility import visible_satellites
 from repro.topology.graph import SnapshotGraph
