@@ -22,6 +22,7 @@ from repro.experiments.shells import (
 from repro.geo.coordinates import GeoPoint
 from repro.measurements.aim import TERRESTRIAL
 from repro.obs.recorder import get_recorder
+from repro.orbits.visibility import nearest_visible_satellites
 from repro.runner.shards import ExperimentPlan, in_memory
 from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.spacecdn.dutycycle import DutyCycleLatencyModel, DutyCycleScheduler
@@ -39,8 +40,9 @@ class Figure8Result:
 
     COMPETITIVE_TOLERANCE = 1.15
     """A fraction is "competitive" when its median RTT is within 15% of the
-    terrestrial median (the paper's Fig. 8 judges this visually: the
-    terrestrial line passes through the 50% box)."""
+    terrestrial median. The paper's Fig. 8 judges this visually; the code
+    tests the median only, not the box. Which statistic the paper's
+    reading matches is open (ROADMAP item 1)."""
 
     def competitive_fractions(self) -> list[float]:
         """Cache fractions whose median RTT is competitive with terrestrial."""
@@ -56,9 +58,14 @@ def epoch_fraction_samples(
     fractions: tuple[float, ...],
     seed: int,
 ) -> dict[float, list[float]]:
-    """One epoch's RTT samples per cache fraction (the sharding unit)."""
+    """One epoch's RTT samples per cache fraction (the sharding unit).
+
+    The users' access links depend on the epoch only, so one visibility
+    pass serves every fraction.
+    """
     constellation = shell1_constellation()
     snapshot = shell1_snapshot(epoch)
+    access = nearest_visible_satellites(constellation, users, epoch)
     rec = get_recorder()
     samples: dict[float, list[float]] = {}
     for fraction in fractions:
@@ -70,7 +77,7 @@ def epoch_fraction_samples(
                 seed=seed,
             ),
         )
-        one_way = model.one_way_ms_batch(users)
+        one_way = model.one_way_ms_batch(users, access)
         samples[fraction] = [
             float(v) for v in 2.0 * one_way + CDN_SERVER_THINK_TIME_MS
         ]

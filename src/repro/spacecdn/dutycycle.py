@@ -9,6 +9,7 @@ the experiment seed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -19,10 +20,7 @@ from repro.errors import ConfigurationError, UnavailableError
 from repro.geo.coordinates import GeoPoint
 from repro.network.access import access_latency_ms
 from repro.obs.recorder import get_recorder
-from repro.orbits.visibility import (
-    nearest_visible_satellite,
-    nearest_visible_satellites,
-)
+from repro.orbits.visibility import nearest_visible_satellite
 from repro.spacecdn.lookup import LookupResult, SpaceCdnLookup
 from repro.topology.graph import SnapshotGraph
 
@@ -53,6 +51,8 @@ class DutyCycleScheduler:
 
     def slot_index(self, t_s: float) -> int:
         """Which duty-cycle slot the instant ``t_s`` falls in."""
+        if not math.isfinite(t_s):
+            raise ConfigurationError(f"time must be finite, got {t_s}")
         if t_s < 0:
             raise ConfigurationError(f"negative time: {t_s}")
         return int(t_s // self.slot_duration_s)
@@ -65,7 +65,7 @@ class DutyCycleScheduler:
         chosen = rng.choice(
             self.total_satellites, size=self.caches_per_slot, replace=False
         )
-        return frozenset(int(i) for i in chosen)
+        return frozenset(chosen.tolist())
 
     def active_caches_at(self, t_s: float) -> frozenset[int]:
         """The cache set active at time ``t_s``."""
@@ -156,25 +156,24 @@ class DutyCycleLatencyModel:
     def one_way_ms_batch(
         self,
         users: list[GeoPoint],
+        access: tuple[np.ndarray, np.ndarray],
         min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
     ) -> np.ndarray:
         """One-way latency for many users of one snapshot.
 
-        Equal, float for float, to calling :meth:`one_way_ms` per user: all
-        access links are resolved in one visibility pass, then the same
-        resolver runs once over every (access satellite, access ms) pair.
-        Users whose nearest visible satellite failed re-home to their
-        nearest *live* one; a user with no live satellite overhead raises
-        :class:`~repro.errors.UnavailableError`.
+        ``access`` is the ``(indices, slant_km)`` pair that
+        :func:`~repro.orbits.visibility.nearest_visible_satellites` returns
+        for ``users`` at this snapshot's instant and ``min_elevation_deg``,
+        so callers that evaluate several cache sets over one epoch resolve
+        visibility once. Equal, float for float, to calling
+        :meth:`one_way_ms` per user: the same resolver runs once over every
+        (access satellite, access ms) pair. Users whose nearest visible
+        satellite failed re-home to their nearest *live* one; a user with no
+        live satellite overhead raises :class:`~repro.errors.UnavailableError`.
         """
         rec = get_recorder()
         with rec.timer("dutycycle.one_way_ms_batch"):
-            access_idx, slant_km = nearest_visible_satellites(
-                self.snapshot.constellation,
-                users,
-                self.snapshot.t_s,
-                min_elevation_deg,
-            )
+            access_idx, slant_km = access
             if self.failed:
                 access_idx = access_idx.copy()
                 slant_km = slant_km.copy()

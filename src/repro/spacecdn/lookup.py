@@ -20,6 +20,7 @@ callers double them (plus server think time) for RTTs.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -59,15 +60,13 @@ def _candidates(
 
     Satellites outside the row (or already in ``exclude``) never qualify.
     """
-    num_nodes = hops.shape[0]
-    candidates = np.fromiter(
-        (
-            s
-            for s in sorted(cache_satellites)
-            if 0 <= s < num_nodes and s not in exclude
-        ),
-        dtype=np.int64,
+    candidates = np.sort(
+        np.fromiter(cache_satellites, dtype=np.int64, count=len(cache_satellites))
     )
+    keep = (candidates >= 0) & (candidates < hops.shape[0])
+    if exclude:
+        keep &= ~np.isin(candidates, list(exclude))
+    candidates = candidates[keep]
     return candidates[
         _in_range(hops[candidates], latencies[candidates], max_hops, min_hops)
     ]
@@ -228,8 +227,10 @@ class SpaceCdnLookup:
         results = []
         for access, access_ms in zip(access_satellites, access_one_way_ms):
             access, access_ms = int(access), float(access_ms)
-            if access_ms < 0:
-                raise RoutingError(f"negative access latency: {access_ms}")
+            if not math.isfinite(access_ms) or access_ms < 0:
+                raise RoutingError(
+                    f"access latency must be finite and >= 0, got {access_ms}"
+                )
             if access in cache_satellites:
                 source, best = LookupSource.ACCESS_SATELLITE, (access, 0, 0.0)
             else:

@@ -7,7 +7,7 @@ be compiled once per shell configuration into flat CSR arrays
 weight vector (:class:`CsrSnapshot`). Routing queries then run as batched
 array kernels instead of per-query graph traversals:
 
-* :func:`hop_distances_batch` — BFS levels from many sources at once;
+* :func:`hop_distances_batch` — hop counts from many sources at once;
 * :func:`latency_batch` — one-way Dijkstra latencies from many sources;
 * :func:`hop_ladder_batch` — the Fig. 7 "cheapest satellite at exactly
   h hops" ladder for many sources;
@@ -19,6 +19,17 @@ Two interchangeable backends produce identical results: a
 importable — it is an optional accelerator, never a hard dependency) and a
 pure-numpy min-plus relaxation over a padded neighbour matrix, which
 exploits the grid's bounded degree (four ISL terminals per satellite).
+
+Hop counts on an intact grid need one search per shell, not one per
+source. :func:`plus_grid_links` wires (p, s) to (p, s+1 mod S) and to
+(p+1 mod P, s+offset mod S) at every (plane, slot), seam included, so the
++Grid is invariant under the translation
+``τ_a: (p, s) -> (p + p_a mod P, s + s_a mod S)`` and
+``hops[a, v] = hops[0, τ_a⁻¹(v)]``. :func:`csr_topology` stores one BFS
+row from satellite 0, and undegraded hop queries gather each source's row
+from it by index arithmetic. A query with an ``active`` mask or on a core
+with cut links breaks the symmetry, so it runs a BFS on one of the
+backends above.
 
 Satellite failures are expressed as an ``active`` boolean mask: failed
 nodes neither relay nor terminate paths, matching graph routing on the
@@ -67,6 +78,9 @@ class CsrTopology:
     undirected link ``slot_link[k]``; ``neighbors``/``neighbor_link`` are the
     same structure padded to a dense ``(N, max_degree)`` matrix (pad slots
     hold a safe node index and link id ``-1``) for the numpy kernels.
+    ``grid_shape`` is (planes, slots per plane) and ``origin_hops`` the
+    hop row from satellite 0, from which every undegraded hop row is a
+    translation (see the module docstring).
     """
 
     num_nodes: int
@@ -80,6 +94,8 @@ class CsrTopology:
     neighbors: np.ndarray
     neighbor_link: np.ndarray
     max_degree: int
+    grid_shape: tuple[int, int]
+    origin_hops: np.ndarray
 
     @property
     def num_links(self) -> int:
@@ -128,7 +144,34 @@ def csr_topology(config: ShellConfig) -> CsrTopology:
         neighbors=neighbors,
         neighbor_link=neighbor_link,
         max_degree=max_degree,
+        grid_shape=(config.num_planes, config.sats_per_plane),
+        origin_hops=_bfs_row(neighbors, neighbor_link),
     )
+
+
+def _bfs_row(neighbors: np.ndarray, neighbor_link: np.ndarray) -> np.ndarray:
+    """Hop counts from satellite 0, one numpy frontier per BFS level."""
+    hops = np.full(len(neighbors), HOP_UNREACHABLE, dtype=np.int32)
+    if not len(hops):
+        return hops
+    hops[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        reached = neighbors[frontier][neighbor_link[frontier] >= 0]
+        frontier = np.unique(reached[hops[reached] == HOP_UNREACHABLE])
+        hops[frontier] = level
+    return hops
+
+
+def _translated_hops(topology: CsrTopology, sources: np.ndarray) -> np.ndarray:
+    """Undegraded hop rows of ``sources``: ``hops[a, v] = origin[τ_a⁻¹(v)]``."""
+    planes, per = topology.grid_shape
+    nodes = np.arange(topology.num_nodes)
+    plane = (nodes // per - (sources // per)[:, None]) % planes
+    slot = (nodes % per - (sources % per)[:, None]) % per
+    return topology.origin_hops[plane * per + slot]
 
 
 @dataclass
@@ -229,9 +272,12 @@ def degrade_core(
 
 
 def _as_sources(core: CsrSnapshot, sources, active: np.ndarray | None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    arr = np.atleast_1d(np.asarray(sources))
     if arr.ndim != 1 or arr.size == 0:
         raise RoutingError("sources must be a non-empty 1-D sequence")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise RoutingError(f"source satellites must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     n = core.num_nodes
     bad = (arr < 0) | (arr >= n)
     if bad.any():
@@ -395,12 +441,20 @@ def hop_distances_batch(
     active: np.ndarray | None = None,
     method: str = "auto",
 ) -> np.ndarray:
-    """BFS hop counts from each source to every satellite.
+    """Hop counts from each source to every satellite.
 
     Returns ``(len(sources), N)`` int32; unreachable (or failed) satellites
-    hold :data:`HOP_UNREACHABLE`.
+    hold :data:`HOP_UNREACHABLE`. On an undegraded core (no ``active``
+    mask, no cut links) each row is the stored satellite-0 row translated
+    by the source's (plane, slot), because the +Grid looks the same from
+    every satellite; no backend runs, though ``method`` is still
+    validated. Any mask, even an all-True one, and any cut link fall back
+    to a BFS on the ``method`` backend.
     """
     with get_recorder().timer("fastcore.hop_distances_batch"):
+        if active is None and core.link_active is None:
+            _pick_method(method)
+            return _translated_hops(core.topology, _as_sources(core, sources, None))
         levels = _distances(core, sources, active, weighted=False, method=method)
         hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
         reachable = np.isfinite(levels)

@@ -264,6 +264,32 @@ def _figure8_per_user(epoch, users, seed):
     return samples
 
 
+def test_figure8_epoch_shard_resolves_visibility_once(monkeypatch):
+    """The access links of an epoch serve all of Fig. 8's cache fractions."""
+    import sys
+
+    from repro.orbits import visibility
+
+    original = visibility.nearest_visible_satellites
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("repro") and (
+            vars(module).get("nearest_visible_satellites") is original
+        ):
+            monkeypatch.setattr(module, "nearest_visible_satellites", counted)
+    plan = figure8.build_plan(seed=SEED, users_per_epoch=4, num_epochs=1)
+    payload = plan.run_shard("epoch-0000")
+    assert [f for f, _ in payload["samples"]] == list(figure8.CACHE_FRACTIONS)
+    assert len(figure8.CACHE_FRACTIONS) == 3
+    assert len(calls) == 1
+
+
 class TestBatchFlag:
     """The vectorised figure paths and the chaos sweep agree with plain
     per-user reference loops, and a run directory whose manifest config

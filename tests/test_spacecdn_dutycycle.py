@@ -68,6 +68,14 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             scheduler.slot_index(-1.0)
 
+    @pytest.mark.parametrize("t_s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, t_s):
+        scheduler = DutyCycleScheduler(total_satellites=10, cache_fraction=0.5)
+        with pytest.raises(ConfigurationError):
+            scheduler.slot_index(t_s)
+        with pytest.raises(ConfigurationError):
+            scheduler.active_caches_at(t_s)
+
 
 class TestLatencyModel:
     def test_full_fleet_serves_directly(self, shell1_snapshot):
@@ -142,7 +150,10 @@ class TestFaultsOverDutyCycle:
     def test_failed_access_satellite_rehomes_user(self, shell1_snapshot):
         import numpy as np
 
-        from repro.orbits.visibility import nearest_visible_satellite
+        from repro.orbits.visibility import (
+            nearest_visible_satellite,
+            nearest_visible_satellites,
+        )
 
         user = GeoPoint(0.0, 0.0, 0.0)
         nearest = nearest_visible_satellite(
@@ -160,7 +171,12 @@ class TestFaultsOverDutyCycle:
         )
         result = model.lookup(user)
         assert result.serving_satellite != nearest.index or result.isl_hops > 0
-        batch = model.one_way_ms_batch([user])
+        batch = model.one_way_ms_batch(
+            [user],
+            nearest_visible_satellites(
+                shell1_snapshot.constellation, [user], shell1_snapshot.t_s
+            ),
+        )
         assert np.isfinite(batch).all()
 
 
@@ -193,7 +209,14 @@ class TestScalarBatchAgreement:
         return user_sample_points(seeded_rng(5, 0xF18, 0), 20)
 
     def _assert_exact(self, model, users):
-        batch = model.one_way_ms_batch(users)
+        from repro.orbits.visibility import nearest_visible_satellites
+
+        batch = model.one_way_ms_batch(
+            users,
+            nearest_visible_satellites(
+                model.snapshot.constellation, users, model.snapshot.t_s
+            ),
+        )
         assert batch.shape == (len(users),)
         for i, user in enumerate(users):
             assert model.one_way_ms(user) == batch[i]

@@ -8,6 +8,8 @@ from repro.geo.coordinates import GeoPoint
 from repro.spacecdn.lookup import (
     LookupSource,
     SpaceCdnLookup,
+    _candidates,
+    _in_range,
     nearest_cached_satellite,
     ranked_cached_from_rows,
 )
@@ -43,6 +45,13 @@ class TestLookupAtAccessSatellite:
     def test_negative_access_latency_rejected(self, lookup):
         with pytest.raises(RoutingError):
             lookup.lookup(0, -1.0, frozenset({0}))
+
+    @pytest.mark.parametrize("access_ms", [float("nan"), float("inf")])
+    def test_non_finite_access_latency_rejected(self, lookup, access_ms):
+        with pytest.raises(RoutingError):
+            lookup.lookup(0, access_ms, frozenset({0}))
+        with pytest.raises(RoutingError):
+            lookup.resolve([0, 1], [5.0, access_ms], frozenset({3}))
 
 
 class TestIslLookup:
@@ -170,3 +179,36 @@ class TestRankedCachedSatellites:
             assert ranked_cached_from_rows(
                 hops, lats, holders, 6, min_hops, exclude
             ) == ranked_cached_reference(hops, lats, holders, 6, min_hops, exclude)
+
+
+def _candidates_reference(hops, latencies, cache, max_hops, min_hops, exclude):
+    """The per-id loop the array filter replaced."""
+    num_nodes = hops.shape[0]
+    candidates = np.fromiter(
+        (s for s in sorted(cache) if 0 <= s < num_nodes and s not in exclude),
+        dtype=np.int64,
+    )
+    return candidates[
+        _in_range(hops[candidates], latencies[candidates], max_hops, min_hops)
+    ]
+
+
+def test_candidates_match_the_per_id_loop():
+    rng = np.random.default_rng(23)
+    n = 60
+    for _ in range(200):
+        hops = rng.integers(0, 12, size=n).astype(np.int32)
+        hops[rng.random(n) < 0.15] = fastcore.HOP_UNREACHABLE
+        lats = rng.random(n) * 20.0
+        lats[rng.random(n) < 0.1] = np.inf
+        cache = frozenset(
+            int(s) for s in rng.integers(-5, n + 5, size=rng.integers(0, 40))
+        )
+        exclude = frozenset(
+            int(s) for s in rng.integers(-2, n + 2, size=rng.integers(0, 6))
+        )
+        max_hops, min_hops = int(rng.integers(0, 12)), int(rng.integers(0, 3))
+        got = _candidates(hops, lats, cache, max_hops, min_hops, exclude)
+        want = _candidates_reference(hops, lats, cache, max_hops, min_hops, exclude)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.geo.coordinates import GeoPoint
-from repro.orbits.elements import ShellConfig
+from repro.experiments.shells import small_constellation
+from repro.orbits.elements import ShellConfig, all_shell_presets, starlink_shell1
 from repro.orbits.visibility import (
     nearest_visible_satellite,
     nearest_visible_satellites,
@@ -33,6 +34,7 @@ from topology_reference import (
 )
 
 LATENCY_ATOL = 1e-9
+BFS_METHODS = ("numpy", "scipy") if fastcore.HAVE_SCIPY else ("numpy",)
 
 
 def _shell(num_planes: int, sats_per_plane: int, phase_offset: int) -> ShellConfig:
@@ -163,6 +165,78 @@ class TestBackendAgreement:
         )
 
 
+class TestTranslatedHopRows:
+    """Undegraded hop rows are satellite 0's row translated by (plane, slot).
+
+    Any ``active`` mask, even an all-True one, forces the BFS backends, so
+    an all-True mask gives the rows to compare against.
+    """
+
+    SOURCE_STRIDE = 13
+    """Coprime to every preset's plane and slot counts, so a strided subset
+    still starts from every plane and every slot residue it can."""
+
+    @pytest.mark.parametrize("method", BFS_METHODS)
+    @pytest.mark.parametrize(
+        "config",
+        all_shell_presets() + (small_constellation().config,),
+        ids=lambda config: config.name,
+    )
+    def test_equal_to_bfs_on_every_preset(self, config, method):
+        core = fastcore.build_core(build_walker_delta(config), 311.0)
+        n = core.num_nodes
+        sources = np.arange(n)
+        every_source = n <= 48 or (method == "scipy" and config == starlink_shell1())
+        if not every_source:
+            sources = sources[:: self.SOURCE_STRIDE]
+        translated = fastcore.hop_distances_batch(core, sources, method=method)
+        bfs = fastcore.hop_distances_batch(
+            core, sources, np.ones(n, dtype=bool), method=method
+        )
+        assert translated.dtype == bfs.dtype == np.int32
+        np.testing.assert_array_equal(translated, bfs)
+
+    @staticmethod
+    def _count_unweighted_calls(monkeypatch, method: str) -> list[int]:
+        calls: list[int] = []
+        if method == "scipy":
+            backend = fastcore._scipy_dijkstra
+
+            def counted(*args, **kwargs):
+                calls.extend([1] if kwargs["unweighted"] else [])
+                return backend(*args, **kwargs)
+
+            monkeypatch.setattr(fastcore, "_scipy_dijkstra", counted)
+        else:
+            backend = fastcore._numpy_relax
+
+            def counted(core, sources, active, weighted, min_only):
+                calls.extend([] if weighted else [1])
+                return backend(core, sources, active, weighted, min_only)
+
+            monkeypatch.setattr(fastcore, "_numpy_relax", counted)
+        return calls
+
+    @pytest.mark.parametrize("method", BFS_METHODS)
+    def test_undegraded_queries_run_no_bfs(self, small_snapshot, monkeypatch, method):
+        calls = self._count_unweighted_calls(monkeypatch, method)
+        core = small_snapshot.core
+        fastcore.hop_distances_batch(core, [0, 7], method=method)
+        fastcore.single_source(core, 9, method=method)
+        fastcore.hop_ladder_batch(core, [3], 4, method=method)
+        assert calls == []
+        mask = np.ones(core.num_nodes, dtype=bool)
+        fastcore.hop_distances_batch(core, [0, 7], mask, method=method)
+        assert calls == [1]
+        cut = fastcore.degrade_core(core, cut_links=[0])
+        fastcore.hop_distances_batch(cut, [0, 7], method=method)
+        assert calls == [1, 1]
+
+    def test_undegraded_query_still_validates_method(self, small_snapshot):
+        with pytest.raises(RoutingError):
+            fastcore.hop_distances_batch(small_snapshot.core, [0], method="cuda")
+
+
 class TestBatchedVisibility:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -201,6 +275,29 @@ class TestValidationAndEdgeCases:
         mask[3] = False
         with pytest.raises(RoutingError):
             fastcore.latency_batch(small_snapshot.core, [3], active=mask)
+
+    @pytest.mark.parametrize(
+        "sources", [[1.5], [1.0], [True], ["3"], np.array([2.0])], ids=repr
+    )
+    def test_non_integer_sources_raise(self, small_snapshot, sources):
+        """A float, bool or string source is an error, never truncated."""
+        core = small_snapshot.core
+        for kernel in (
+            fastcore.latency_batch,
+            fastcore.hop_distances_batch,
+            fastcore.single_source_batch,
+        ):
+            with pytest.raises(RoutingError, match="integers"):
+                kernel(core, sources)
+
+    def test_any_integer_dtype_is_a_source(self, small_snapshot):
+        core = small_snapshot.core
+        expected = fastcore.hop_distances_batch(core, [4, 11])
+        for dtype in (np.int32, np.uint16, np.int64):
+            sources = np.array([4, 11], dtype=dtype)
+            np.testing.assert_array_equal(
+                fastcore.hop_distances_batch(core, sources), expected
+            )
 
     def test_empty_sources_raises(self, small_snapshot):
         with pytest.raises(RoutingError):
