@@ -33,16 +33,19 @@ def access_latency_ms(slant_range_km):
 
     Radio propagation at c plus the MAC scheduling delay (the terminal must
     wait for its uplink grant) and satellite processing. Takes a float or an
-    ndarray of slant ranges; a negative range anywhere raises
+    ndarray of slant ranges; a negative or non-finite range anywhere raises
     :class:`~repro.errors.ConfigurationError`.
     """
     if isinstance(slant_range_km, np.ndarray):
-        if (slant_range_km < 0).any():
+        bad = ~np.isfinite(slant_range_km) | (slant_range_km < 0)
+        if bad.any():
             raise ConfigurationError(
-                f"negative slant range: {slant_range_km.min()}"
+                f"slant range must be finite and >= 0, got {slant_range_km[bad][0]}"
             )
-    elif slant_range_km < 0:
-        raise ConfigurationError(f"negative slant range: {slant_range_km}")
+    elif not (math.isfinite(slant_range_km) and slant_range_km >= 0):
+        raise ConfigurationError(
+            f"slant range must be finite and >= 0, got {slant_range_km}"
+        )
     return (
         slant_range_km / SPEED_OF_LIGHT_KM_S * 1000.0
         + STARLINK_SCHEDULING_DELAY_MS

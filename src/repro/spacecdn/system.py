@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -208,8 +209,14 @@ class SpaceCdnSystem:
     def __post_init__(self) -> None:
         if self.cache_bytes_per_satellite <= 0:
             raise ConfigurationError("cache capacity must be positive")
-        if self.max_hops < 0:
-            raise ConfigurationError("max_hops must be non-negative")
+        if (
+            isinstance(self.max_hops, bool)
+            or not isinstance(self.max_hops, numbers.Integral)
+            or self.max_hops < 0
+        ):
+            raise ConfigurationError(
+                f"max_hops must be a non-negative integer, got {self.max_hops!r}"
+            )
         if self.snapshot_interval_s <= 0:
             raise ConfigurationError("snapshot interval must be positive")
         if self.ground_rtt_ms <= 0:
@@ -513,7 +520,8 @@ class SpaceCdnSystem:
 
         The expensive parts of a request are its visibility and its masked
         routing pass (never memoised, since failure sets vary); both are
-        hoisted here to one pass per unique user / unique access satellite.
+        hoisted here to one pass per unique user / unique access satellite,
+        and the routing pass searches only ``max_hops`` deep.
         The attempt walk itself stays per request: it is inherently
         sequential, since transient losses are deterministic in request
         order and admission counters fill and breakers trip in request
@@ -539,7 +547,7 @@ class SpaceCdnSystem:
         row_of_acc: dict[int, int] = {}
         if accs:
             hops_m, lats_m = fastcore.single_source_batch(
-                degraded.core, accs, degraded.active_mask
+                degraded.core, accs, self.max_hops, degraded.active_mask
             )
             row_of_acc = {a: i for i, a in enumerate(accs)}
         for r in range(len(object_ids)):
@@ -573,7 +581,7 @@ class SpaceCdnSystem:
         cheapest rung; failed satellites never appear (the degraded
         snapshot's mask removes them from every routing pass). ``rows`` are
         the access satellite's masked ``(hops, latencies)`` single-source
-        rows, computed once per cohort.
+        rows within ``max_hops``, computed once per cohort.
         """
         holders = self.holders_of(object_id)
         if not holders:

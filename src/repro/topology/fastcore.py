@@ -11,6 +11,8 @@ array kernels instead of per-query graph traversals:
 * :func:`latency_batch` — one-way Dijkstra latencies from many sources;
 * :func:`hop_ladder_batch` — the Fig. 7 "cheapest satellite at exactly
   h hops" ladder for many sources;
+* :func:`single_source_batch` — the serve walk's (hops, latencies) rows
+  within a hop radius;
 * :func:`nearest_hops` — multi-source BFS (hops to the nearest of a
   replica/holder set), the placement and resilience primitive.
 
@@ -30,6 +32,20 @@ row from satellite 0, and undegraded hop queries gather each source's row
 from it by index arithmetic. A query with an ``active`` mask or on a core
 with cut links breaks the symmetry, so it runs a BFS on one of the
 backends above.
+
+Callers that read only a hop radius search only that far.
+:func:`single_source_batch` (the serve walk) needs every satellite within
+``max_hops``; :func:`hop_ladder_batch` (Fig. 7) needs only the cheapest
+satellite at each hop count. Both first take the hop rows clipped to the
+radius, then :func:`hop_path_bound` walks those BFS levels and gives each
+satellite the float latency of its cheapest hop-shortest path. That path
+exists, and float addition rounds monotonically, so by induction along it
+the bound is never below Dijkstra's float latency of the satellite. The
+latency search then runs with ``limit`` = the largest bound the caller
+needs (scipy's ``limit`` is inclusive). Dijkstra finalises satellites in
+latency order, so every satellite within the limit gets exactly the float
+of an unlimited search, and rows outside the radius read
+:data:`HOP_UNREACHABLE`/``inf``. :func:`single_source` keeps full rows.
 
 Satellite failures are expressed as an ``active`` boolean mask: failed
 nodes neither relay nor terminate paths, matching graph routing on the
@@ -166,12 +182,17 @@ def _bfs_row(neighbors: np.ndarray, neighbor_link: np.ndarray) -> np.ndarray:
 
 
 def _translated_hops(topology: CsrTopology, sources: np.ndarray) -> np.ndarray:
-    """Undegraded hop rows of ``sources``: ``hops[a, v] = origin[τ_a⁻¹(v)]``."""
+    """Undegraded hop rows of ``sources``: ``hops[a, v] = origin[τ_a⁻¹(v)]``.
+
+    The origin row as a (planes, slots) grid, tiled 2 x 2, holds every
+    translate as a window: source (p_a, s_a)'s grid starts at
+    (planes - p_a, slots - s_a), so no index needs a modulo.
+    """
     planes, per = topology.grid_shape
-    nodes = np.arange(topology.num_nodes)
-    plane = (nodes // per - (sources // per)[:, None]) % planes
-    slot = (nodes % per - (sources % per)[:, None]) % per
-    return topology.origin_hops[plane * per + slot]
+    tile = np.tile(topology.origin_hops.reshape(planes, per), (2, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(tile, (planes, per))
+    rows = windows[planes - sources // per, per - sources % per]
+    return rows.reshape(len(sources), topology.num_nodes)
 
 
 @dataclass
@@ -252,7 +273,7 @@ def degrade_core(
             raise RoutingError("latency multipliers must be finite and >= 1")
         latencies = latencies * mult
     link_active = None if core.link_active is None else core.link_active.copy()
-    cut = np.asarray(sorted(set(int(l) for l in cut_links)), dtype=np.int64)
+    cut = np.asarray(sorted(set(_as_link_ids(cut_links))), dtype=np.int64)
     if cut.size:
         if cut[0] < 0 or cut[-1] >= e:
             bad = cut[0] if cut[0] < 0 else cut[-1]
@@ -268,7 +289,30 @@ def degrade_core(
     )
 
 
-# -- source / mask validation -------------------------------------------------
+# -- source / mask / radius validation ----------------------------------------
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bools are not ids or radii."""
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+
+
+def _as_link_ids(cut_links: Iterable[int]) -> list[int]:
+    ids = list(cut_links)
+    for link in ids:
+        if not _is_int(link):
+            raise RoutingError(f"cut link ids must be integers, got {link!r}")
+    return [int(link) for link in ids]
+
+
+def _as_radius(max_hops) -> int:
+    if not _is_int(max_hops):
+        raise RoutingError(f"max_hops must be an integer, got {max_hops!r}")
+    if max_hops < 0:
+        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
+    return int(max_hops)
 
 
 def _as_sources(core: CsrSnapshot, sources, active: np.ndarray | None) -> np.ndarray:
@@ -312,10 +356,11 @@ def _pick_method(method: str) -> str:
 # -- scipy backend ------------------------------------------------------------
 
 
-def _scipy_graph(core: CsrSnapshot, active: np.ndarray | None, weighted: bool):
-    """A csgraph CSR matrix of the (possibly degraded) snapshot, cached for
-    the common undegraded case."""
-    key = (weighted, None if active is None else active.tobytes())
+def _scipy_graph(core: CsrSnapshot, active: np.ndarray | None):
+    """A csgraph CSR matrix of the (possibly degraded) snapshot's latencies,
+    cached for the common undegraded case. Hop searches run on the same
+    matrix with ``unweighted=True``, which ignores the weights."""
+    key = None if active is None else active.tobytes()
     cached = core._matrix_cache.get(key)
     if cached is not None:
         return cached
@@ -329,13 +374,9 @@ def _scipy_graph(core: CsrSnapshot, active: np.ndarray | None, weighted: bool):
         keep = live if keep is None else keep & live
     if keep is not None:
         rows, cols, links = rows[keep], cols[keep], links[keep]
-    data = (
-        core.link_latency_ms[links]
-        if weighted
-        else np.ones(len(links), dtype=np.float64)
-    )
     matrix = _scipy_csr_matrix(
-        (data, (rows, cols)), shape=(topo.num_nodes, topo.num_nodes)
+        (core.link_latency_ms[links], (rows, cols)),
+        shape=(topo.num_nodes, topo.num_nodes),
     )
     if active is None or len(core._matrix_cache) < 8:
         core._matrix_cache[key] = matrix
@@ -343,6 +384,18 @@ def _scipy_graph(core: CsrSnapshot, active: np.ndarray | None, weighted: bool):
 
 
 # -- numpy backend: min-plus relaxation over the padded neighbour matrix -----
+
+
+def _padded_latencies(core: CsrSnapshot) -> np.ndarray:
+    """``(N, max_degree)`` latency of each neighbour slot's link; ``inf`` on
+    pad slots and cut links."""
+    topo = core.topology
+    pad = topo.neighbor_link < 0
+    safe_link = np.where(pad, 0, topo.neighbor_link)
+    weights = np.where(pad, np.inf, core.link_latency_ms[safe_link])
+    if core.link_active is not None:
+        weights = np.where(core.link_active[safe_link], weights, np.inf)
+    return weights
 
 
 def _numpy_relax(
@@ -369,15 +422,9 @@ def _numpy_relax(
     if topo.max_degree == 0:
         return dist
 
-    pad = topo.neighbor_link < 0
-    safe_link = np.where(pad, 0, topo.neighbor_link)
-    if weighted:
-        weights = core.link_latency_ms[safe_link]
-    else:
-        weights = np.ones(topo.neighbor_link.shape)
-    weights = np.where(pad, np.inf, weights)
-    if core.link_active is not None:
-        weights = np.where(core.link_active[safe_link], weights, np.inf)
+    weights = _padded_latencies(core)
+    if not weighted:
+        weights = np.where(np.isinf(weights), np.inf, 1.0)
     if active is not None:
         weights = np.where(active[:, None], weights, np.inf)
 
@@ -400,21 +447,25 @@ def _distances(
     weighted: bool,
     method: str,
     min_only: bool = False,
+    limit: float | None = None,
 ) -> np.ndarray:
     mask = _as_active(core, active)
     src = _as_sources(core, sources, mask)
     backend = _pick_method(method)
     if backend == "scipy":
-        graph = _scipy_graph(core, mask, weighted)
+        graph = _scipy_graph(core, mask)
         dist = _scipy_dijkstra(
             graph,
             indices=src,
             unweighted=not weighted,
             min_only=min_only,
+            limit=np.inf if limit is None else limit,
         )
         dist = np.atleast_2d(dist)
     else:
         dist = _numpy_relax(core, src, mask, weighted, min_only)
+        if limit is not None:
+            dist[dist > limit] = np.inf
     if mask is not None:
         dist[:, ~mask] = np.inf
     return dist
@@ -425,14 +476,19 @@ def latency_batch(
     sources: Sequence[int] | np.ndarray,
     active: np.ndarray | None = None,
     method: str = "auto",
+    limit: float | None = None,
 ) -> np.ndarray:
     """One-way ISL latencies from each source to every satellite.
 
     Returns ``(len(sources), N)`` float64; unreachable (or failed)
-    satellites hold ``inf``.
+    satellites hold ``inf``. With a ``limit`` (ms), satellites farther
+    than it hold ``inf`` too, and every satellite within it holds exactly
+    the float of an unlimited search (the limit is inclusive).
     """
     with get_recorder().timer("fastcore.latency_batch"):
-        return _distances(core, sources, active, weighted=True, method=method)
+        return _distances(
+            core, sources, active, weighted=True, method=method, limit=limit
+        )
 
 
 def hop_distances_batch(
@@ -440,26 +496,82 @@ def hop_distances_batch(
     sources: Sequence[int] | np.ndarray,
     active: np.ndarray | None = None,
     method: str = "auto",
+    max_hops: int | None = None,
 ) -> np.ndarray:
     """Hop counts from each source to every satellite.
 
-    Returns ``(len(sources), N)`` int32; unreachable (or failed) satellites
-    hold :data:`HOP_UNREACHABLE`. On an undegraded core (no ``active``
-    mask, no cut links) each row is the stored satellite-0 row translated
-    by the source's (plane, slot), because the +Grid looks the same from
-    every satellite; no backend runs, though ``method`` is still
-    validated. Any mask, even an all-True one, and any cut link fall back
-    to a BFS on the ``method`` backend.
+    Returns ``(len(sources), N)`` int32; unreachable (or failed) satellites,
+    and with ``max_hops`` those more than ``max_hops`` hops away, hold
+    :data:`HOP_UNREACHABLE`. On an undegraded core (no ``active`` mask, no
+    cut links) each row is the stored satellite-0 row translated by the
+    source's (plane, slot), because the +Grid looks the same from every
+    satellite; no backend runs, though ``method`` is still validated. Any
+    mask, even an all-True one, and any cut link fall back to a BFS on the
+    ``method`` backend, stopped at ``max_hops``.
     """
+    radius = None if max_hops is None else _as_radius(max_hops)
     with get_recorder().timer("fastcore.hop_distances_batch"):
         if active is None and core.link_active is None:
             _pick_method(method)
-            return _translated_hops(core.topology, _as_sources(core, sources, None))
-        levels = _distances(core, sources, active, weighted=False, method=method)
+            hops = _translated_hops(core.topology, _as_sources(core, sources, None))
+            if radius is not None:
+                hops[hops > radius] = HOP_UNREACHABLE
+            return hops
+        levels = _distances(
+            core, sources, active, weighted=False, method=method, limit=radius
+        )
         hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
         reachable = np.isfinite(levels)
         hops[reachable] = levels[reachable].astype(np.int32)
         return hops
+
+
+def hop_path_bound(core: CsrSnapshot, hops: np.ndarray) -> np.ndarray:
+    """Latency of each satellite's cheapest hop-shortest path, per hop row.
+
+    ``hops`` are ``(S, N)`` rows of :func:`hop_distances_batch` on ``core``
+    (with the same mask, possibly clipped to a radius). Level by level,
+    ``bound[v] = min(bound[u] + w(u, v))`` over the live links from the
+    previous BFS level, in the float order a path sum takes. Each entry is
+    a real path's latency, so it is never below the satellite's
+    :func:`latency_batch` float (see the module docstring); satellites with
+    no hop count hold ``inf``.
+    """
+    topo = core.topology
+    n = topo.num_nodes
+    flat_hops = hops.ravel()
+    bound = np.where(flat_hops == 0, 0.0, np.inf)
+    # Every entry past level 0, grouped by level (one scan of the rows).
+    found = np.flatnonzero(flat_hops > 0)
+    if found.size == 0 or topo.max_degree == 0:
+        return bound.reshape(hops.shape)
+    found = found[np.argsort(flat_hops[found], kind="stable")]
+    cuts = np.flatnonzero(np.diff(flat_hops[found])) + 1
+    weights = _padded_latencies(core)
+    for level in np.split(found, cuts):
+        nodes = level % n
+        row_start = level - nodes
+        # A level-h satellite's neighbours sit at levels h-1..h+1, and only
+        # level h-1 holds finite bounds while level h is being filled.
+        bound[level] = np.min(
+            bound[row_start[:, None] + topo.neighbors[nodes]] + weights[nodes],
+            axis=1,
+        )
+    return bound.reshape(hops.shape)
+
+
+def _largest_finite(values: np.ndarray) -> float:
+    return float(np.max(values, initial=0.0, where=np.isfinite(values)))
+
+
+def _level_min(hops: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """``(S, width)`` minimum of the finite ``values`` at each hop count."""
+    valid = (hops >= 0) & (hops < width) & np.isfinite(values)
+    s_idx, node_idx = np.nonzero(valid)
+    keys = s_idx * width + hops[s_idx, node_idx]
+    flat = np.full(hops.shape[0] * width, np.inf)
+    np.minimum.at(flat, keys, values[s_idx, node_idx])
+    return flat.reshape(hops.shape[0], width)
 
 
 def nearest_hops(
@@ -512,52 +624,25 @@ def single_source(
 def single_source_batch(
     core: CsrSnapshot,
     sources: Sequence[int] | np.ndarray,
+    max_hops: int,
     active: np.ndarray | None = None,
     method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked :func:`single_source` rows for many sources at once.
+    """:func:`single_source` rows for many sources, within ``max_hops``.
 
-    Returns ``(hops, latencies)`` of shapes ``(len(sources), N)``; row ``i``
-    is bit-identical to ``single_source(core, sources[i], active, method)``
-    (both backends compute each source row independently).
-
-    Unmasked queries share :func:`single_source`'s per-snapshot memo —
-    rows already computed by scalar callers are reused, rows computed here
-    are left behind for them — and only the missing sources pay one batched
-    kernel call. Masked (degraded) queries run as a single batched pass
-    over all sources, instead of one masked pass per request.
+    Returns ``(hops, latencies)`` of shapes ``(len(sources), N)``. At every
+    satellite within ``max_hops`` hops of source ``i``, row ``i`` is
+    bit-identical to ``single_source(core, sources[i], active, method)``;
+    every other satellite reads :data:`HOP_UNREACHABLE` and ``inf``. One
+    batched pass serves all sources: the hop search stops at the radius
+    and the latency search at the largest :func:`hop_path_bound` within
+    it, which covers every satellite the radius holds.
     """
-    mask = _as_active(core, active)
-    src = _as_sources(core, sources, mask)
-    if mask is not None:
-        hops = hop_distances_batch(core, src, mask, method)
-        lats = latency_batch(core, src, mask, method)
-        return hops, lats
-
-    memo = core._memo
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    unique = list(dict.fromkeys(int(s) for s in src))
-    for s in unique:
-        cached = memo.get((s, method))
-        if cached is not None:
-            rows[s] = cached
-    missing = [s for s in unique if s not in rows]
-    if missing:
-        hop_rows = hop_distances_batch(core, missing, None, method)
-        lat_rows = latency_batch(core, missing, None, method)
-        for i, s in enumerate(missing):
-            pair = (hop_rows[i], lat_rows[i])
-            rows[s] = pair
-            if len(memo) >= _MEMO_MAX_SOURCES:
-                memo.clear()
-            memo[(s, method)] = pair
-    n = core.num_nodes
-    hops = np.empty((len(src), n), dtype=np.int32)
-    lats = np.empty((len(src), n), dtype=np.float64)
-    for i, s in enumerate(src):
-        hop_row, lat_row = rows[int(s)]
-        hops[i] = hop_row
-        lats[i] = lat_row
+    radius = _as_radius(max_hops)
+    hops = hop_distances_batch(core, sources, active, method, max_hops=radius)
+    limit = _largest_finite(hop_path_bound(core, hops))
+    lats = latency_batch(core, sources, active, method, limit=limit)
+    lats[hops == HOP_UNREACHABLE] = np.inf
     return hops, lats
 
 
@@ -574,22 +659,20 @@ def hop_ladder_batch(
     the cheapest one-way latency from ``sources[s]`` to a satellite exactly
     ``h`` ISL hops away (``NaN`` when no satellite sits at that hop count).
     Column 0 is always 0.0 for reachable sources — content on the access
-    satellite itself.
+    satellite itself. Each level's cheapest satellite lies within that
+    level's cheapest :func:`hop_path_bound`, so the latency search stops at
+    the largest of those minima.
     """
-    if max_hops < 0:
-        raise RoutingError(f"max_hops must be non-negative, got {max_hops}")
+    radius = _as_radius(max_hops)
+    width = radius + 1
     # The nested hop/latency kernels charge their own profile sites; this
     # site therefore reports the whole ladder including those legs.
     with get_recorder().timer("fastcore.hop_ladder_batch"):
-        hops = hop_distances_batch(core, sources, active, method)
-        lats = latency_batch(core, sources, active, method)
-        num_sources = hops.shape[0]
-        width = max_hops + 1
-        valid = (hops >= 0) & (hops <= max_hops) & np.isfinite(lats)
-        s_idx, node_idx = np.nonzero(valid)
-        keys = s_idx * width + hops[s_idx, node_idx]
-        flat = np.full(num_sources * width, np.inf)
-        np.minimum.at(flat, keys, lats[s_idx, node_idx])
-        ladder = flat.reshape(num_sources, width)
+        hops = hop_distances_batch(core, sources, active, method, max_hops=radius)
+        bound = _level_min(hops, hop_path_bound(core, hops), width)
+        lats = latency_batch(
+            core, sources, active, method, limit=_largest_finite(bound)
+        )
+        ladder = _level_min(hops, lats, width)
         ladder[np.isinf(ladder)] = np.nan
         return ladder

@@ -28,6 +28,19 @@ class TestAccessLatency:
         with pytest.raises(ConfigurationError):
             access_latency_ms(slants)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scalar_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            access_latency_ms(value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("index", [0, 4, 9])
+    def test_any_non_finite_element_rejected(self, value, index):
+        slants = np.full(10, 700.0)
+        slants[index] = value
+        with pytest.raises(ConfigurationError, match="finite"):
+            access_latency_ms(slants)
+
 
 class TestSlantRangeForElevation:
     def test_zenith_equals_altitude(self):

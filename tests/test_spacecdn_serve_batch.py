@@ -471,7 +471,10 @@ class TestBatchKernels:
     def test_single_source_batch_rows_equal_scalar(self, small_constellation):
         snapshot = build_snapshot(small_constellation, 0.0)
         sources = [0, 5, 17]
-        hops_m, lats_m = fastcore.single_source_batch(snapshot.core, sources)
+        # A radius past the grid's diameter keeps every satellite.
+        hops_m, lats_m = fastcore.single_source_batch(
+            snapshot.core, sources, snapshot.core.num_nodes
+        )
         for i, source in enumerate(sources):
             hops, lats = fastcore.single_source(snapshot.core, source)
             np.testing.assert_array_equal(hops_m[i], hops)
@@ -486,12 +489,29 @@ class TestBatchKernels:
         active[[1, 2]] = True
         sources = [1, 2]
         hops_m, lats_m = fastcore.single_source_batch(
-            snapshot.core, sources, active
+            snapshot.core, sources, snapshot.core.num_nodes, active
         )
         for i, source in enumerate(sources):
             hops, lats = fastcore.single_source(snapshot.core, source, active)
             np.testing.assert_array_equal(hops_m[i], hops)
             np.testing.assert_array_equal(lats_m[i], lats)
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_walk_latency_search_is_limited(self, monkeypatch, faulted):
+        """Every latency search of the walk, healthy or masked, stops at a
+        finite limit (the equivalence tests above pin its results)."""
+        limits: list[float | None] = []
+        kernel = fastcore.latency_batch
+
+        def counted(*args, limit=None, **kwargs):
+            limits.append(limit)
+            return kernel(*args, limit=limit, **kwargs)
+
+        monkeypatch.setattr(fastcore, "latency_batch", counted)
+        schedule = TestDegradedEquivalence.schedule() if faulted else None
+        run_batched(make_system(schedule), dense_spec(40, seed=11))
+        assert limits
+        assert all(limit is not None and np.isfinite(limit) for limit in limits)
 
     def test_nearest_cached_batch_matches_rowwise(self):
         rng = np.random.default_rng(0)

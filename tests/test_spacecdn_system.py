@@ -45,6 +45,8 @@ class TestConfiguration:
             {"max_hops": -1},
             {"snapshot_interval_s": 0.0},
             {"ground_rtt_ms": 0.0},
+            {"max_hops": 2.5},
+            {"max_hops": True},
         ],
     )
     def test_invalid_config_rejected(self, shell1_constellation, catalog, kwargs):

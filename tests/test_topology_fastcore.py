@@ -10,6 +10,8 @@ may sum path weights in different orders).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,118 @@ class TestTranslatedHopRows:
             fastcore.hop_distances_batch(small_snapshot.core, [0], method="cuda")
 
 
+def _full_ladder(hops, lats, max_hops):
+    """The unbounded ladder: cheapest full-row latency at each hop count."""
+    ladder = np.full(max_hops + 1, np.nan)
+    for h in range(max_hops + 1):
+        at_h = lats[(hops == h) & np.isfinite(lats)]
+        if at_h.size:
+            ladder[h] = at_h.min()
+    return ladder
+
+
+class TestHopRadius:
+    """Bounded searches return the full-row floats wherever a caller reads.
+
+    Rows within the radius equal :func:`single_source`'s full rows bit for
+    bit; outside it they read unreachable/``inf``. Both backends, random
+    masks and random cut sets.
+    """
+
+    @staticmethod
+    def _sources(snapshot, source):
+        """The drawn source plus the highest live satellite: a batch whose
+        rows need different limits."""
+        return [source, max(snapshot.satellite_nodes())]
+
+    @settings(max_examples=30, deadline=None)
+    @given(snapshot_cases(), st.integers(0, 12))
+    def test_bounded_rows_equal_full_rows_within_radius(self, case, max_hops):
+        snapshot, source, _ = case
+        core, mask = snapshot.core, snapshot.active_mask
+        sources = self._sources(snapshot, source)
+        for method in BFS_METHODS:
+            hops, lats = fastcore.single_source_batch(
+                core, sources, max_hops, mask, method
+            )
+            clipped = fastcore.hop_distances_batch(
+                core, sources, mask, method, max_hops=max_hops
+            )
+            for i, s in enumerate(sources):
+                full_hops, full_lats = fastcore.single_source(core, s, mask, method)
+                inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
+                    full_hops <= max_hops
+                )
+                np.testing.assert_array_equal(hops[i][inside], full_hops[inside])
+                np.testing.assert_array_equal(lats[i][inside], full_lats[inside])
+                assert np.all(hops[i][~inside] == fastcore.HOP_UNREACHABLE)
+                assert np.all(np.isinf(lats[i][~inside]))
+                np.testing.assert_array_equal(
+                    clipped[i], np.where(inside, full_hops, fastcore.HOP_UNREACHABLE)
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(snapshot_cases(), st.integers(0, 12))
+    def test_bounded_ladder_equals_unbounded(self, case, max_hops):
+        snapshot, source, _ = case
+        core, mask = snapshot.core, snapshot.active_mask
+        sources = self._sources(snapshot, source)
+        for method in BFS_METHODS:
+            ladder = fastcore.hop_ladder_batch(core, sources, max_hops, mask, method)
+            for i, s in enumerate(sources):
+                full_hops, full_lats = fastcore.single_source(core, s, mask, method)
+                np.testing.assert_array_equal(
+                    ladder[i], _full_ladder(full_hops, full_lats, max_hops)
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(snapshot_cases())
+    def test_path_bound_never_below_dijkstra(self, case):
+        snapshot, source, _ = case
+        core, mask = snapshot.core, snapshot.active_mask
+        for method in BFS_METHODS:
+            hops = fastcore.hop_distances_batch(core, [source], mask, method)
+            lats = fastcore.latency_batch(core, [source], mask, method)
+            bound = fastcore.hop_path_bound(core, hops)
+            finite = np.isfinite(bound)
+            np.testing.assert_array_equal(finite, hops != fastcore.HOP_UNREACHABLE)
+            assert np.all(bound[finite] >= lats[finite])
+
+    @settings(max_examples=30, deadline=None)
+    @given(snapshot_cases(), st.data())
+    def test_limit_equal_to_a_distance_keeps_it(self, case, data):
+        snapshot, source, _ = case
+        core, mask = snapshot.core, snapshot.active_mask
+        for method in BFS_METHODS:
+            full = fastcore.latency_batch(core, [source], mask, method)[0]
+            target = data.draw(st.sampled_from(np.flatnonzero(np.isfinite(full))))
+            limit = float(full[target])
+            limited = fastcore.latency_batch(core, [source], mask, method, limit)[0]
+            assert limited[target] == full[target]
+            within = full <= limit
+            np.testing.assert_array_equal(limited[within], full[within])
+            assert np.all(np.isinf(limited[~within]))
+
+    @pytest.mark.parametrize(
+        "max_hops", [2.5, 2.0, True, "3", None, -1], ids=repr
+    )
+    def test_radius_must_be_a_non_negative_int(self, small_snapshot, max_hops):
+        core = small_snapshot.core
+        with pytest.raises(RoutingError, match="max_hops"):
+            fastcore.hop_ladder_batch(core, [0], max_hops)
+        with pytest.raises(RoutingError, match="max_hops"):
+            fastcore.single_source_batch(core, [0], max_hops)
+
+    def test_numpy_integer_radius_accepted(self, small_snapshot):
+        core = small_snapshot.core
+        radius = np.int64(3)
+        np.testing.assert_array_equal(
+            fastcore.hop_ladder_batch(core, [0], radius),
+            fastcore.hop_ladder_batch(core, [0], 3),
+        )
+        assert fastcore.single_source_batch(core, [0], radius)[0].max() == 3
+
+
 class TestBatchedVisibility:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -285,7 +399,7 @@ class TestValidationAndEdgeCases:
         for kernel in (
             fastcore.latency_batch,
             fastcore.hop_distances_batch,
-            fastcore.single_source_batch,
+            functools.partial(fastcore.single_source_batch, max_hops=5),
         ):
             with pytest.raises(RoutingError, match="integers"):
                 kernel(core, sources)
@@ -316,6 +430,19 @@ class TestValidationAndEdgeCases:
     def test_negative_ladder_hops_raises(self, small_snapshot):
         with pytest.raises(RoutingError):
             fastcore.hop_ladder_batch(small_snapshot.core, [0], -1)
+
+    @pytest.mark.parametrize(
+        "cut", [[1.7], [1.0], [True], [np.float64(2.0)], ["3"]], ids=repr
+    )
+    def test_non_integer_cut_links_raise(self, small_snapshot, cut):
+        """A float, bool or string link id is an error, never truncated."""
+        with pytest.raises(RoutingError, match="integers"):
+            fastcore.degrade_core(small_snapshot.core, cut_links=cut)
+
+    def test_numpy_integer_cut_links_accepted(self, small_snapshot):
+        core = small_snapshot.core
+        cut = fastcore.degrade_core(core, cut_links=np.array([1, 4], dtype=np.int16))
+        assert np.flatnonzero(~cut.link_active).tolist() == [1, 4]
 
     def test_isl_incapable_shell_has_no_routes(self):
         """OneWeb-style shells carry no ISLs: everything is unreachable."""
