@@ -8,6 +8,7 @@ here unchanged.
 ``<experiment>.txt`` pins the stdout of ``repro run <experiment>``. Every
 experiment runs one shard plan, so the in-memory run, ``--out-dir <dir>``
 and ``--out-dir <dir> --jobs 2`` must each print exactly these bytes.
+``examples/<name>.txt`` pins the stdout of ``examples/<name>.py``.
 
 Dropped as not reproducible across runs: the ``repro_profile_*`` lines of
 the metrics file (wall-clock seconds per profiled site). Nothing else in
@@ -24,6 +25,8 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import runpy
+import sys
 import tempfile
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from repro.cli import main
 from repro.obs.recorder import reset_recorder
 
 GOLDEN = Path(__file__).parent / "golden"
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 STDOUT_EXPERIMENTS = (
     "chaos",
@@ -48,6 +52,7 @@ STDOUT_EXPERIMENTS = (
 )
 OBS_EXPERIMENTS = ("chaos", "overload")
 OBS_ARTIFACTS = ("obs-metrics.prom", "obs-timeseries.json", "obs-trace.jsonl")
+EXAMPLES = ("chaos_sweep", "live_system", "maputo_case_study", "quickstart")
 
 
 def _stable(artifact: str, text: str) -> str:
@@ -94,6 +99,20 @@ def run_obs(experiment: str, work_dir: Path) -> dict[str, str]:
     }
 
 
+def run_example(name: str) -> str:
+    """Stdout of ``python examples/<name>.py``, run in-process."""
+    script = EXAMPLES_DIR / f"{name}.py"
+    out = io.StringIO()
+    argv = sys.argv
+    try:
+        sys.argv = [str(script)]
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(script), run_name="__main__")
+    finally:
+        sys.argv = argv
+    return out.getvalue()
+
+
 def test_every_registered_experiment_has_a_golden():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -128,6 +147,16 @@ def test_obs_artifacts_match_golden(experiment, tmp_path):
         assert text == expected, f"{experiment} {name} drifted from its golden"
 
 
+def test_every_example_has_a_golden():
+    assert {p.stem for p in EXAMPLES_DIR.glob("*.py")} == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_stdout_matches_golden(name):
+    expected = (GOLDEN / "examples" / f"{name}.txt").read_text()
+    assert run_example(name) == expected
+
+
 def regenerate() -> None:
     """Rewrite every golden; write none when an experiment's in-memory and
     ``--out-dir`` runs print different bytes."""
@@ -146,6 +175,9 @@ def regenerate() -> None:
         with tempfile.TemporaryDirectory() as work:
             for name, text in run_obs(experiment, Path(work)).items():
                 (GOLDEN / f"{experiment}.{name}").write_text(text)
+    (GOLDEN / "examples").mkdir(exist_ok=True)
+    for name in EXAMPLES:
+        (GOLDEN / "examples" / f"{name}.txt").write_text(run_example(name))
 
 
 if __name__ == "__main__":
