@@ -21,13 +21,14 @@ from repro.obs.recorder import ObsRecorder, get_recorder, recording
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore
+from repro.topology.graph import build_snapshot
 
 SOURCES = tuple(range(0, 1584, 50))  # 32 spread-out sources on shell1
 
 
 def _core():
     constellation = build_walker_delta(starlink_shell1())
-    return fastcore.build_core(constellation, 0.0)
+    return build_snapshot(constellation, 0.0).core
 
 
 def _min_time(fn, repeats: int = 5, inner: int = 3) -> float:

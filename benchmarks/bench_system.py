@@ -35,7 +35,6 @@ def _run_system(cache_mb: int):
         catalog=catalog,
         cache_bytes_per_satellite=cache_mb * 1_000_000,
         max_hops=5,
-        ground_rtt_ms=140.0,
     )
     # Operator-side preload: each region's head content gets 2 replicas per
     # plane (placement + system integration; the rest arrives pull-through).

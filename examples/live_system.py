@@ -39,7 +39,6 @@ def main() -> None:
         catalog=catalog,
         cache_bytes_per_satellite=8_000_000,
         max_hops=5,
-        ground_rtt_ms=140.0,  # the Maputo-class bent-pipe fallback
     )
 
     popularity = RegionalPopularity(catalog=catalog, seed=1)

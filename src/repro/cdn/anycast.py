@@ -2,9 +2,8 @@
 
 Anycast routes a client to the site with the shortest *network* path — which
 for terrestrial clients correlates with geography, and for Starlink clients
-correlates with the PoP's geography instead. Both selectors below are pure
-functions over a latency (or distance) oracle so the same code serves both
-populations.
+correlates with the PoP's geography instead. The selector below is a pure
+function over a latency oracle so the same code serves both populations.
 """
 
 from __future__ import annotations
@@ -12,15 +11,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.geo.coordinates import GeoPoint, great_circle_km
 from repro.geo.datasets.cdn_sites import CdnSite
-
-
-def nearest_site(point: GeoPoint, sites: Sequence[CdnSite]) -> CdnSite:
-    """The geodesically nearest CDN site to a point."""
-    if not sites:
-        raise ConfigurationError("empty CDN site list")
-    return min(sites, key=lambda s: great_circle_km(point, s.location))
 
 
 def best_site_by_latency(

@@ -78,6 +78,19 @@ CDN_SERVER_THINK_TIME_MS: float = 3.0
 BUFFERBLOAT_LOADED_EXTRA_MS: float = 200.0
 """Extra latency under load observed on Starlink paths (paper §3.2)."""
 
+# --- The request-level SpaceCDN system ---------------------------------------
+
+SNAPSHOT_INTERVAL_S: float = 60.0
+"""How often the request-level system rebuilds its ISL snapshot as the
+constellation rotates (60 s keeps link-length error under ~1%). It is also
+the width of one obs time-series window, so a window never straddles a
+topology change."""
+
+GROUND_RTT_MS: float = 140.0
+"""RTT of the Maputo-class bent-pipe + terrestrial path to a ground cache:
+the SpaceCDN ladder's last rung. Half of it is the one-way ground fallback
+of :class:`~repro.spacecdn.lookup.SpaceCdnLookup`."""
+
 # --- Terrestrial path circuity ----------------------------------------------
 # Real routes are longer than geodesics: cable layout, IXP detours. The paper's
 # Africa analysis (Formoso et al. reference) motivates a much higher circuity

@@ -38,6 +38,12 @@ from repro.topology.graph import build_snapshot
 
 FAILURE_FRACTIONS: tuple[float, ...] = (0.0, 0.1, 0.3)
 
+DUTY_CACHE_FRACTION = 0.5
+"""Cache-carrying share of the fleet in the duty-cycle column (Fig. 8)."""
+
+DUTY_USERS = 12
+"""Sampled users behind the duty-cycle column's median."""
+
 
 @dataclass(frozen=True)
 class ChaosPoint:
@@ -79,7 +85,6 @@ def _dutycycle_median(
     constellation: Constellation,
     failed: frozenset[int],
     users,
-    cache_fraction: float,
     seed: int,
 ) -> float:
     """Fig. 8's duty-cycle pipeline rerun with ``failed`` satellites gone.
@@ -91,7 +96,7 @@ def _dutycycle_median(
         snapshot=build_snapshot(constellation, 0.0),
         scheduler=DutyCycleScheduler(
             total_satellites=len(constellation),
-            cache_fraction=cache_fraction,
+            cache_fraction=DUTY_CACHE_FRACTION,
             seed=seed,
         ),
         failed=failed,
@@ -119,9 +124,7 @@ class _SweepContext:
 
 
 @lru_cache(maxsize=2)
-def _sweep_context(
-    seed: int, num_requests: int, shell: str, duty_users: int
-) -> _SweepContext:
+def _sweep_context(seed: int, num_requests: int, shell: str) -> _SweepContext:
     """Build (once per configuration) everything the sweep points share.
 
     Cached so a sweep, which executes each fraction as its own shard, pays
@@ -134,7 +137,7 @@ def _sweep_context(
         catalog=catalog,
         requests=sweep_requests(catalog, num_requests, seed, 0xC4A05, 0xC4A06),
         preload=preload,
-        duty_user_points=user_sample_points(seeded_rng(seed, 0xC4A08), duty_users),
+        duty_user_points=user_sample_points(seeded_rng(seed, 0xC4A08), DUTY_USERS),
     )
 
 
@@ -143,7 +146,6 @@ def _sweep_point(
     fraction: float,
     seed: int,
     max_attempts: int,
-    duty_cache_fraction: float,
 ) -> dict:
     """One failure fraction's raw measurements (inflations are merge-time:
     they compare against the sweep's baseline point)."""
@@ -188,8 +190,7 @@ def _sweep_point(
         "retries": stats.retries,
         "unavailable": stats.unavailable,
         "dutycycle_median_ms": _dutycycle_median(
-            constellation, failed, ctx.duty_user_points,
-            duty_cache_fraction, seed,
+            constellation, failed, ctx.duty_user_points, seed
         ),
     }
 
@@ -200,8 +201,6 @@ def build_plan(
     fractions: tuple[float, ...] = FAILURE_FRACTIONS,
     shell: str = "shell1",
     max_attempts: int = 3,
-    duty_cache_fraction: float = 0.5,
-    duty_users: int = 12,
 ) -> ExperimentPlan:
     """Sweep satellite-outage fractions over the request-level system, one
     shard per failure fraction.
@@ -222,10 +221,8 @@ def build_plan(
 
     def run_shard(shard_id: str) -> dict:
         fraction = ordered[shard_ids.index(shard_id)]
-        ctx = _sweep_context(seed, num_requests, shell, duty_users)
-        return _sweep_point(
-            ctx, fraction, seed, max_attempts, duty_cache_fraction
-        )
+        ctx = _sweep_context(seed, num_requests, shell)
+        return _sweep_point(ctx, fraction, seed, max_attempts)
 
     def merge(payloads: dict) -> ChaosResult:
         raw_points = [payloads[shard_id] for shard_id in shard_ids]
@@ -240,8 +237,6 @@ def build_plan(
             "fractions": list(ordered),
             "shell": shell,
             "max_attempts": max_attempts,
-            "duty_cache_fraction": duty_cache_fraction,
-            "duty_users": duty_users,
         },
         shard_ids=shard_ids,
         run_shard=run_shard,

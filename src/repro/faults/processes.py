@@ -57,12 +57,9 @@ class FlashCrowdProcess:
     """A load spike: extra background demand on satellites during a window.
 
     Where an outage *removes* capacity, a flash crowd *consumes* it: during
-    ``[start, end)`` the listed satellites (``None`` = the whole fleet) each
-    carry ``extra_requests_per_slot`` of background load that the overload
-    model's admission controller must account for before admitting real
-    requests. ``ramp_s`` shapes the spike edges linearly — real flash
-    crowds build and drain over minutes, and the ramp keeps availability
-    curves smooth instead of stepping.
+    ``[start, end)`` every satellite carries ``extra_requests_per_slot`` of
+    background load that the overload model's admission controller must
+    account for before admitting real requests.
 
     Composable through :class:`~repro.faults.schedule.FaultSchedule` like
     any fault process, but inert unless the serving system also carries an
@@ -71,10 +68,8 @@ class FlashCrowdProcess:
     """
 
     extra_requests_per_slot: float
-    satellites: frozenset[int] | None = None
     start_s: float = 0.0
     end_s: float = math.inf
-    ramp_s: float = 0.0
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s)
@@ -83,49 +78,18 @@ class FlashCrowdProcess:
                 f"extra load must be non-negative, got "
                 f"{self.extra_requests_per_slot}"
             )
-        if self.ramp_s < 0:
-            raise FaultConfigError(f"negative ramp: {self.ramp_s}")
-        if self.satellites is not None:
-            if not self.satellites:
-                raise FaultConfigError(
-                    "empty satellite set; use satellites=None for fleet-wide load"
-                )
-            if any(s < 0 for s in self.satellites):
-                raise FaultConfigError("negative satellite index in flash crowd")
-
-    def _intensity(self, t_s: float) -> float:
-        """The spike's load share at ``t_s`` (0 outside, ramped at edges)."""
-        if not self.start_s <= t_s < self.end_s:
-            return 0.0
-        if self.ramp_s <= 0:
-            return 1.0
-        edge = min(t_s - self.start_s, self.end_s - t_s)
-        return min(1.0, edge / self.ramp_s)
 
     def background_load(self, t_s: float, num_satellites: int) -> np.ndarray | None:
         """Per-satellite background requests-per-slot at ``t_s``.
 
         ``None`` when the spike is inactive (the common case costs no
-        array). Satellite indices beyond the fleet are ignored so one
-        process can drive shells of different sizes.
+        array).
         """
         if t_s < 0:
             raise FaultConfigError(f"negative time: {t_s}")
-        weight = self._intensity(t_s) * self.extra_requests_per_slot
-        if weight <= 0.0:
+        if not self.start_s <= t_s < self.end_s or self.extra_requests_per_slot <= 0:
             return None
-        load = np.zeros(num_satellites)
-        if self.satellites is None:
-            load[:] = weight
-            return load
-        ids = np.asarray(
-            sorted(s for s in self.satellites if s < num_satellites),
-            dtype=np.int64,
-        )
-        if ids.size == 0:
-            return None
-        load[ids] = weight
-        return load
+        return np.full(num_satellites, self.extra_requests_per_slot)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,14 @@ from repro.obs.recorder import get_recorder
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded attempts with per-attempt RTT budget and exponential backoff.
+    """Bounded attempts with exponential backoff.
 
-    ``attempt_budget_ms`` is the per-attempt RTT the client tolerates before
-    declaring a timeout and descending the fallback ladder; ``None`` means
-    unlimited (the default — a system with the default policy and no fault
-    schedule behaves exactly like the pre-fault serving path).
     ``backoff_ms(k)`` is the simulated wait before retrying after failed
-    attempt ``k``, ``base * multiplier**(k-1)`` capped at ``backoff_cap_ms``.
+    attempt ``k``, ``base * 2**(k-1)`` capped at ``backoff_cap_ms``.
     """
 
     max_attempts: int = 3
-    attempt_budget_ms: float | None = None
     backoff_base_ms: float = 5.0
-    backoff_multiplier: float = 2.0
     backoff_cap_ms: float = 200.0
 
     def __post_init__(self) -> None:
@@ -38,19 +32,8 @@ class RetryPolicy:
             raise FaultConfigError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.attempt_budget_ms is not None and not (
-            math.isfinite(self.attempt_budget_ms) and self.attempt_budget_ms > 0
-        ):
-            raise FaultConfigError(
-                f"attempt budget must be positive and finite, got "
-                f"{self.attempt_budget_ms}"
-            )
         if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
             raise FaultConfigError("backoff base and cap must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise FaultConfigError(
-                f"backoff multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
 
     def backoff_ms(self, attempt: int) -> float:
         """Simulated backoff after failed attempt ``attempt`` (1-based)."""
@@ -58,7 +41,7 @@ class RetryPolicy:
             raise FaultConfigError(f"attempt must be >= 1, got {attempt}")
         wait_ms = min(
             self.backoff_cap_ms,
-            self.backoff_base_ms * self.backoff_multiplier ** (attempt - 1),
+            self.backoff_base_ms * 2.0 ** (attempt - 1),
         )
         rec = get_recorder()
         if rec.enabled:
@@ -66,17 +49,12 @@ class RetryPolicy:
             rec.inc("repro_retry_backoff_ms_total", value=wait_ms)
         return wait_ms
 
-    def within_budget(self, rtt_ms: float) -> bool:
-        """Whether one attempt's RTT fits the per-attempt budget."""
-        return self.attempt_budget_ms is None or rtt_ms <= self.attempt_budget_ms
-
 
 @dataclass
 class DeadlineBudget:
     """End-to-end deadline for one request, spent as the ladder descends.
 
-    Where :class:`RetryPolicy` bounds each *attempt* with a fresh budget,
-    a deadline budget is shared across every rung the request touches:
+    A deadline budget is shared across every rung the request touches:
     simulated waits (backoff, wasted attempt time) are charged with
     :meth:`charge`, and :meth:`allows` gates the next attempt on the
     *remaining* budget — so a request that burned its deadline timing out

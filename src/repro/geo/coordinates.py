@@ -28,14 +28,6 @@ def _validate_lat_lon(lat_deg: float, lon_deg: float) -> None:
         raise GeodesyError(f"longitude {lon_deg} out of range [-180, 180]")
 
 
-def normalize_longitude(lon_deg: float) -> float:
-    """Wrap a longitude into [-180, 180)."""
-    wrapped = math.fmod(lon_deg + 180.0, 360.0)
-    if wrapped < 0.0:
-        wrapped += 360.0
-    return wrapped - 180.0
-
-
 @dataclass(frozen=True)
 class EcefPoint:
     """A point in the Earth-centred Earth-fixed Cartesian frame (km)."""
@@ -129,34 +121,3 @@ def elevation_angle_deg(observer: GeoPoint, target: GeoPoint) -> float:
     cos_zenith = max(-1.0, min(1.0, cos_zenith))
     return 90.0 - math.degrees(math.acos(cos_zenith))
 
-
-def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial great-circle bearing from ``a`` towards ``b`` (0..360, N=0)."""
-    lat1, lat2 = math.radians(a.lat_deg), math.radians(b.lat_deg)
-    dlon = math.radians(b.lon_deg - a.lon_deg)
-    y = math.sin(dlon) * math.cos(lat2)
-    x = math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlon)
-    return math.degrees(math.atan2(y, x)) % 360.0
-
-
-def destination_point(start: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
-    """The point ``distance_km`` along the great circle at ``bearing_deg``."""
-    if distance_km < 0.0:
-        raise GeodesyError(f"distance must be non-negative, got {distance_km}")
-    ang = distance_km / EARTH_RADIUS_KM
-    lat1 = math.radians(start.lat_deg)
-    lon1 = math.radians(start.lon_deg)
-    brg = math.radians(bearing_deg)
-    lat2 = math.asin(
-        math.sin(lat1) * math.cos(ang) + math.cos(lat1) * math.sin(ang) * math.cos(brg)
-    )
-    lon2 = lon1 + math.atan2(
-        math.sin(brg) * math.sin(ang) * math.cos(lat1),
-        math.cos(ang) - math.sin(lat1) * math.sin(lat2),
-    )
-    return GeoPoint(math.degrees(lat2), normalize_longitude(math.degrees(lon2)), 0.0)
-
-
-def subsatellite_point(satellite: GeoPoint) -> GeoPoint:
-    """The point on the surface directly beneath a satellite."""
-    return satellite.surface()

@@ -83,19 +83,18 @@ def summarize_trace(spans: Iterable[dict]) -> str:
     attempt_rows = []
     for tier in tiers:
         outcomes = attempt_counts[tier]
-        attempt_rows.append(
-            (
-                tier,
-                sum(outcomes.values()),
-                outcomes.get("served", 0),
-                outcomes.get("transient-loss", 0),
-                outcomes.get("attempt-timeout", 0)
-                + outcomes.get("ground-timeout", 0),
-                outcomes.get("breaker-open", 0)
-                + outcomes.get("admission-reject", 0)
-                + outcomes.get("deadline-exhausted", 0),
-            )
+        attempts = sum(outcomes.values())
+        served = outcomes.get("served", 0)
+        lost = outcomes.get("transient-loss", 0)
+        refused = (
+            outcomes.get("breaker-open", 0)
+            + outcomes.get("admission-reject", 0)
+            + outcomes.get("deadline-exhausted", 0)
         )
+        # Every other outcome is a timed-out attempt; the serve walk no
+        # longer times attempts out, but older traces still hold them.
+        timed_out = attempts - served - lost - refused
+        attempt_rows.append((tier, attempts, served, lost, timed_out, refused))
     attempt_table = format_table(
         ("tier", "attempts", "served", "lost", "timed out", "refused"),
         attempt_rows,

@@ -33,6 +33,7 @@ import json
 from pathlib import Path
 
 from repro.atomicio import atomic_write_text, read_artifact_text
+from repro.constants import SNAPSHOT_INTERVAL_S
 from repro.errors import ObsError
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -41,11 +42,6 @@ from repro.obs.metrics import (
 )
 
 TS_FORMAT_VERSION = 1
-
-DEFAULT_WINDOW_S = 60.0
-"""Default window width in simulated seconds — one constellation snapshot
-slot (:class:`~repro.spacecdn.system.SpaceCdnSystem` recomputes visibility
-on the same quantum), so a window never straddles a topology change."""
 
 FIXED_POINT_SCALE = 1_000_000
 """Per-window totals are accumulated as integer micro-units so that the
@@ -84,7 +80,7 @@ class TimeSeriesBuffer:
     that saw an observation (sparse — quiet windows cost nothing).
     """
 
-    def __init__(self, window_s: float = DEFAULT_WINDOW_S) -> None:
+    def __init__(self, window_s: float = SNAPSHOT_INTERVAL_S) -> None:
         if not window_s > 0:
             raise ObsError(f"window width must be positive, got {window_s}")
         self.window_s = float(window_s)

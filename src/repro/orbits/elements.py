@@ -82,34 +82,6 @@ class ShellConfig:
         return 2.0 * radius * math.sin(math.radians(self.in_plane_spacing_deg) / 2.0)
 
 
-@dataclass(frozen=True)
-class SatelliteId:
-    """Identity of one satellite: its plane and slot within the plane."""
-
-    plane: int
-    slot: int
-    shell_name: str = "shell"
-
-    def index(self, config: ShellConfig) -> int:
-        """Flat index of this satellite in constellation arrays."""
-        if not (0 <= self.plane < config.num_planes and 0 <= self.slot < config.sats_per_plane):
-            raise ConfigurationError(f"{self} outside shell {config.name}")
-        return self.plane * config.sats_per_plane + self.slot
-
-    @staticmethod
-    def from_index(index: int, config: ShellConfig) -> "SatelliteId":
-        """Inverse of :meth:`index`."""
-        if not 0 <= index < config.total_satellites:
-            raise ConfigurationError(
-                f"satellite index {index} outside [0, {config.total_satellites})"
-            )
-        return SatelliteId(
-            plane=index // config.sats_per_plane,
-            slot=index % config.sats_per_plane,
-            shell_name=config.name,
-        )
-
-
 def starlink_shell1() -> ShellConfig:
     """Starlink Shell 1 as simulated in the paper (72 x 22 at 550 km, 53 deg)."""
     return ShellConfig(
@@ -119,18 +91,6 @@ def starlink_shell1() -> ShellConfig:
         sats_per_plane=STARLINK_SHELL1_SATS_PER_PLANE,
         phase_offset=STARLINK_SHELL1_PHASE_OFFSET,
         name="starlink-shell1",
-    )
-
-
-def starlink_shell2() -> ShellConfig:
-    """Starlink Shell 2 (72 x 22 at 540 km, 53.2 deg) per the FCC filings."""
-    return ShellConfig(
-        altitude_km=540.0,
-        inclination_deg=53.2,
-        num_planes=72,
-        sats_per_plane=22,
-        phase_offset=39,
-        name="starlink-shell2",
     )
 
 
@@ -182,7 +142,6 @@ def all_shell_presets() -> tuple[ShellConfig, ...]:
     """Every built-in shell preset."""
     return (
         starlink_shell1(),
-        starlink_shell2(),
         starlink_shell3(),
         starlink_vleo(),
         oneweb_phase1(),

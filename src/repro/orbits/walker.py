@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.constants import EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S
 from repro.errors import ConfigurationError
-from repro.geo.coordinates import GeoPoint
-from repro.orbits.elements import SatelliteId, ShellConfig
+from repro.orbits.elements import ShellConfig
 
 
 @dataclass
@@ -56,10 +55,6 @@ class Constellation:
     def orbit_radius_km(self) -> float:
         return EARTH_RADIUS_KM + self.config.altitude_km
 
-    def satellite_id(self, index: int) -> SatelliteId:
-        """Plane/slot identity for a flat index."""
-        return SatelliteId.from_index(index, self.config)
-
     def positions_ecef(self, t_s: float) -> np.ndarray:
         """ECEF positions of every satellite at time ``t_s`` (shape (N, 3), km)."""
         inc = math.radians(self.config.inclination_deg)
@@ -80,11 +75,6 @@ class Constellation:
         y = -x_eci * sin_t + y_eci * cos_t
         return np.column_stack((x, y, z_eci))
 
-    def position_geodetic(self, index: int, t_s: float) -> GeoPoint:
-        """Geodetic position (lat/lon/alt) of one satellite."""
-        pos = self.positions_ecef(t_s)[index]
-        return _ecef_to_geopoint(pos)
-
     def subsatellite_points(self, t_s: float) -> np.ndarray:
         """Sub-satellite (lat_deg, lon_deg) for every satellite, shape (N, 2)."""
         pos = self.positions_ecef(t_s)
@@ -92,40 +82,6 @@ class Constellation:
         lat = np.degrees(np.arctan2(pos[:, 2], hyp))
         lon = np.degrees(np.arctan2(pos[:, 1], pos[:, 0]))
         return np.column_stack((lat, lon))
-
-    def intra_plane_neighbors(self, index: int) -> tuple[int, int]:
-        """Indices of the two same-plane neighbours (ahead and behind)."""
-        sat = self.satellite_id(index)
-        per = self.config.sats_per_plane
-        ahead = sat.plane * per + (sat.slot + 1) % per
-        behind = sat.plane * per + (sat.slot - 1) % per
-        return ahead, behind
-
-    def cross_plane_neighbors(self, index: int) -> tuple[int, int]:
-        """Indices of the nearest-slot satellites in the adjacent planes.
-
-        Uses the same slot offset the +Grid ISL wiring uses, so these are
-        the satellites this one actually holds cross-plane links with.
-        """
-        from repro.topology.isl import nearest_cross_plane_offset
-
-        sat = self.satellite_id(index)
-        per = self.config.sats_per_plane
-        planes = self.config.num_planes
-        offset = nearest_cross_plane_offset(self.config)
-        east = ((sat.plane + 1) % planes) * per + (sat.slot + offset) % per
-        west = ((sat.plane - 1) % planes) * per + (sat.slot - offset) % per
-        return east, west
-
-
-def _ecef_to_geopoint(pos: np.ndarray) -> GeoPoint:
-    """Convert one ECEF (x, y, z) km triple to a :class:`GeoPoint`."""
-    x, y, z = float(pos[0]), float(pos[1]), float(pos[2])
-    norm = math.sqrt(x * x + y * y + z * z)
-    lat = math.degrees(math.asin(z / norm))
-    lon = math.degrees(math.atan2(y, x))
-    return GeoPoint(lat, lon, norm - EARTH_RADIUS_KM)
-
 
 def build_walker_delta(config: ShellConfig) -> Constellation:
     """Construct a Walker-delta constellation from a shell configuration.

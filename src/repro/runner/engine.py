@@ -102,7 +102,6 @@ class ExperimentRunner:
         pending = [sid for sid in self.plan.shard_ids if sid not in done]
 
         rec = get_recorder()
-        shard_seconds = self._prior_shard_seconds(store) if rec.enabled else {}
         if rec.enabled and (
             rec.events is None
             or getattr(rec.events, "path", None) != store.events_path
@@ -135,12 +134,9 @@ class ExperimentRunner:
                         deadline=deadline,
                         guard=guard,
                         already_done=len(done),
-                        prior_shard_seconds=shard_seconds,
                     )
                 else:
-                    self._execute_serial(
-                        store, pending, deadline, guard, len(done), shard_seconds
-                    )
+                    self._execute_serial(store, pending, deadline, guard, len(done))
         except RunInterruptedError as exc:
             rec.event("run_interrupted", detail=str(exc))
             raise
@@ -182,7 +178,6 @@ class ExperimentRunner:
         deadline: Deadline,
         guard: InterruptGuard,
         done_count: int,
-        shard_seconds: dict[str, float],
     ) -> None:
         """The original one-process path, byte-for-byte unchanged."""
         rec = get_recorder()
@@ -206,42 +201,18 @@ class ExperimentRunner:
             store.write_shard(shard_id, payload)
             executed += 1
             if rec.enabled:
-                shard_seconds[shard_id] = round(
-                    time.perf_counter() - started, 6
-                )
-                store.update_manifest_obs({"shard_seconds": shard_seconds})
+                wall_s = round(time.perf_counter() - started, 6)
                 rec.event(
-                    "shard_completed",
-                    shard=shard_id,
-                    worker=0,
-                    wall_s=shard_seconds[shard_id],
+                    "shard_completed", shard=shard_id, worker=0, wall_s=wall_s
                 )
                 every = self.options.progress_every
                 if every is not None and executed % every == 0:
                     print(
-                        f"obs: shard {shard_id} done in "
-                        f"{shard_seconds[shard_id]:.2f}s "
+                        f"obs: shard {shard_id} done in {wall_s:.2f}s "
                         f"({done_count + executed}/{len(self.plan.shard_ids)} "
                         f"on disk)",
                         file=sys.stderr,
                     )
-
-    @staticmethod
-    def _prior_shard_seconds(store: CheckpointStore) -> dict[str, float]:
-        """Shard timings a previous (interrupted) instrumented run left in
-        the manifest, so a resumed run reports whole-run wall-clock."""
-        manifest = store.load_manifest() or {}
-        obs = manifest.get("obs")
-        if not isinstance(obs, dict):
-            return {}
-        prior = obs.get("shard_seconds")
-        if not isinstance(prior, dict):
-            return {}
-        return {
-            str(sid): float(sec)
-            for sid, sec in prior.items()
-            if isinstance(sec, (int, float))
-        }
 
     def _reconcile_manifest(self, store: CheckpointStore) -> None:
         manifest = build_manifest(self.plan)

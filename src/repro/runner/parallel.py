@@ -271,7 +271,6 @@ def execute_pending_parallel(
     deadline: Deadline,
     guard: InterruptGuard,
     already_done: int,
-    prior_shard_seconds: dict[str, float] | None = None,
 ) -> int:
     """Run ``pending`` shards on up to ``options.jobs`` workers.
 
@@ -298,9 +297,6 @@ def execute_pending_parallel(
     queue: deque[str] = deque(pending)
     workers: dict[int, _Worker] = {}
     quarantined: dict[str, _ShardState] = {}
-    shard_seconds = dict(prior_shard_seconds or {})
-    shard_workers: dict[str, int] = {}
-    heartbeats: dict[str, int] = {}
     next_wid = 0
     executed = 0
     draining: str | None = None  # None | "signal" | "max-shards"
@@ -383,16 +379,6 @@ def execute_pending_parallel(
             store.obs_dir.rmdir()
         except OSError:
             pass  # non-empty (foreign files) or already gone
-
-    def _update_obs() -> None:
-        if rec.enabled:
-            store.update_manifest_obs(
-                {
-                    "shard_seconds": shard_seconds,
-                    "shard_workers": shard_workers,
-                    "worker_heartbeats": heartbeats,
-                }
-            )
 
     def _write_quarantine_record() -> None:
         store.write_quarantine_record(
@@ -485,7 +471,6 @@ def execute_pending_parallel(
         nonlocal executed
         kind = message[0]
         if kind == "hb":
-            heartbeats[str(worker.wid)] = heartbeats.get(str(worker.wid), 0) + 1
             return
         if kind == "start":
             # The shard is actually running now; the watchdog measures
@@ -519,9 +504,6 @@ def execute_pending_parallel(
             store.write_shard(shard_id, payload)
             executed += 1
             if rec.enabled:
-                shard_seconds[shard_id] = round(wall_s, 6)
-                shard_workers[shard_id] = wid
-                _update_obs()
                 rec.event(
                     "shard_completed",
                     shard=shard_id,
@@ -737,7 +719,6 @@ def execute_pending_parallel(
     finally:
         _shutdown_pool()
         _sweep_sidecars()
-        _update_obs()
 
     if draining == "signal":
         guard.check()  # raises RunInterruptedError naming the signal

@@ -123,20 +123,6 @@ class CheckpointStore:
     def write_manifest(self, manifest: dict[str, Any]) -> None:
         atomic_write_text(self.manifest_path, json.dumps(manifest, indent=1))
 
-    def update_manifest_obs(self, obs: dict[str, Any]) -> None:
-        """Merge observability timings into the stored manifest.
-
-        Resume-safe by construction: :func:`check_resume_compatible`
-        compares only the identity keys, so an ``obs`` section added by an
-        instrumented run never blocks a later ``--resume`` (instrumented or
-        not).
-        """
-        manifest = self.load_manifest()
-        if manifest is None:
-            return
-        manifest["obs"] = obs
-        self.write_manifest(manifest)
-
     # -- shard checkpoints -------------------------------------------------
 
     def _shard_path(self, shard_id: str) -> Path:

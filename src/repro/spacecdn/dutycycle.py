@@ -24,6 +24,9 @@ from repro.orbits.visibility import nearest_visible_satellite
 from repro.spacecdn.lookup import LookupResult, SpaceCdnLookup
 from repro.topology.graph import SnapshotGraph
 
+DUTY_CYCLE_SLOT_S = 600.0
+"""How long one duty-cycle cache set stays active."""
+
 
 @dataclass
 class DutyCycleScheduler:
@@ -31,7 +34,6 @@ class DutyCycleScheduler:
 
     total_satellites: int
     cache_fraction: float
-    slot_duration_s: float = 600.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -41,8 +43,6 @@ class DutyCycleScheduler:
             raise ConfigurationError(
                 f"cache_fraction must be in (0, 1], got {self.cache_fraction}"
             )
-        if self.slot_duration_s <= 0:
-            raise ConfigurationError("slot duration must be positive")
 
     @property
     def caches_per_slot(self) -> int:
@@ -55,7 +55,7 @@ class DutyCycleScheduler:
             raise ConfigurationError(f"time must be finite, got {t_s}")
         if t_s < 0:
             raise ConfigurationError(f"negative time: {t_s}")
-        return int(t_s // self.slot_duration_s)
+        return int(t_s // DUTY_CYCLE_SLOT_S)
 
     def active_caches(self, slot: int) -> frozenset[int]:
         """The cache set for a slot — deterministic in (seed, slot)."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import MIN_ELEVATION_USER_DEG
+from repro.constants import GROUND_RTT_MS, MIN_ELEVATION_USER_DEG
 from repro.errors import RoutingError
 from repro.geo.coordinates import GeoPoint
 from repro.network.access import access_latency_ms
@@ -177,11 +177,6 @@ class SpaceCdnLookup:
 
     snapshot: SnapshotGraph
     max_hops: int = 10
-    ground_fallback_one_way_ms: float = 70.0
-    """One-way latency of the bent-pipe + terrestrial path to the ground
-    cache, used when no satellite within ``max_hops`` holds the object.
-    Callers with a resolved :class:`~repro.network.bentpipe.StarlinkPath`
-    should override this with the client's actual path floor."""
 
     def lookup_from_point(
         self,
@@ -221,7 +216,8 @@ class SpaceCdnLookup:
         Each request is served by its access satellite when that caches,
         else by the cheapest cache within ``max_hops`` ISL hops (one
         :func:`nearest_cached_satellite` search per distinct access
-        satellite), else by the ground fallback.
+        satellite), else by the ground fallback (half of
+        :data:`~repro.constants.GROUND_RTT_MS`, one way).
         """
         nearest: dict[int, tuple[int, int, float] | None] = {}
         results = []
@@ -244,7 +240,7 @@ class SpaceCdnLookup:
                     LookupSource.GROUND,
                     None,
                     0,
-                    self.ground_fallback_one_way_ms,
+                    GROUND_RTT_MS / 2.0,
                     access,
                 )
             else:

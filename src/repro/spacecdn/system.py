@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cdn.cache import Cache, HoldersIndex
 from repro.cdn.content import Catalog
-from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
+from repro.constants import CDN_SERVER_THINK_TIME_MS, GROUND_RTT_MS, SNAPSHOT_INTERVAL_S
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule, apply_fault_view
@@ -66,10 +66,9 @@ class ServedRequest:
     """Outcome of one request through the system.
 
     ``attempts`` counts fetch attempts including the successful one (1
-    unless an attempt was lost or over budget); ``fallback_reason``
+    unless an attempt was lost or refused); ``fallback_reason``
     explains why the request was not served by its preferred rung
-    (``None`` when it was): one of
-    ``"attempt-timeout"``, ``"transient-loss"``, ``"ground-timeout"``,
+    (``None`` when it was): one of ``"transient-loss"``,
     ``"no-space-replica"``, ``"space-exhausted"``. ``priority`` is the
     request's admission class on the overloaded serve path (``None``
     everywhere else).
@@ -95,8 +94,7 @@ class SystemStats:
     isl_hits: int = 0
     ground_fetches: int = 0
     timeouts: int = 0
-    """Attempts abandoned for exceeding the per-attempt RTT budget or to
-    transient loss (each failed attempt counts once)."""
+    """Attempts lost to transient loss (each lost attempt counts once)."""
     retries: int = 0
     """Extra attempts beyond the first, summed over all requests."""
     unavailable: int = 0
@@ -164,19 +162,19 @@ class SpaceCdnSystem:
         constellation: the shell to run on.
         catalog: the content universe (sizes drive cache occupancy).
         cache_bytes_per_satellite: capacity of each on-board cache.
-        max_hops: ISL search radius before falling back to the ground.
-        ground_rtt_ms: RTT of the bent-pipe + terrestrial fallback path.
-        snapshot_interval_s: how often the ISL graph is rebuilt as the
-            constellation rotates (60 s keeps link-length error under ~1%).
+        max_hops: ISL search radius before falling back to the ground
+            (at :data:`~repro.constants.GROUND_RTT_MS`). The ISL graph is
+            rebuilt every :data:`~repro.constants.SNAPSHOT_INTERVAL_S` as
+            the constellation rotates.
         fault_schedule: composed fault processes. Every request runs the
             attempt walk; a non-empty schedule runs it over the
             fault-masked snapshot, and ``None`` (or an empty schedule)
             over the healthy one. Faults are applied at snapshot
             granularity — the schedule compiles once per snapshot slot
             into the CSR core's node mask.
-        retry_policy: bounded attempts, per-attempt RTT budget, and
-            simulated exponential backoff for the attempt walk (applied
-            with or without a fault schedule).
+        retry_policy: bounded attempts and simulated exponential backoff
+            for the attempt walk (applied with or without a fault
+            schedule).
         overload: per-satellite capacity, admission control, circuit
             breakers, and deadline budgets
             (:class:`~repro.overload.model.OverloadModel`). ``None`` (the
@@ -189,9 +187,6 @@ class SpaceCdnSystem:
     catalog: Catalog
     cache_bytes_per_satellite: int = 10**9
     max_hops: int = 5
-    ground_rtt_ms: float = 140.0
-    snapshot_interval_s: float = 60.0
-    min_elevation_deg: float = MIN_ELEVATION_USER_DEG
     fault_schedule: FaultSchedule | None = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     overload: OverloadModel | None = None
@@ -217,10 +212,6 @@ class SpaceCdnSystem:
             raise ConfigurationError(
                 f"max_hops must be a non-negative integer, got {self.max_hops!r}"
             )
-        if self.snapshot_interval_s <= 0:
-            raise ConfigurationError("snapshot interval must be positive")
-        if self.ground_rtt_ms <= 0:
-            raise ConfigurationError("ground RTT must be positive")
 
     # -- cache plumbing ----------------------------------------------------
 
@@ -263,10 +254,10 @@ class SpaceCdnSystem:
     def snapshot_at(self, t_s: float) -> SnapshotGraph:
         """The ISL graph for the quantised instant containing ``t_s``."""
         _check_time(t_s)
-        slot = int(t_s // self.snapshot_interval_s)
+        slot = int(t_s // SNAPSHOT_INTERVAL_S)
         if slot != self._snapshot_slot or self._snapshot is None:
             self._snapshot = build_snapshot(
-                self.constellation, slot * self.snapshot_interval_s
+                self.constellation, slot * SNAPSHOT_INTERVAL_S
             )
             self._snapshot_slot = slot
         return self._snapshot
@@ -421,8 +412,8 @@ class SpaceCdnSystem:
             return []
         for t in times:
             _check_time(t)
-        slot = int(times[0] // self.snapshot_interval_s)
-        if any(int(t // self.snapshot_interval_s) != slot for t in times):
+        slot = int(times[0] // SNAPSHOT_INTERVAL_S)
+        if any(int(t // SNAPSHOT_INTERVAL_S) != slot for t in times):
             raise ConfigurationError(
                 "cohort spans multiple snapshot slots; split it at "
                 "snapshot boundaries (run() does this)"
@@ -450,9 +441,7 @@ class SpaceCdnSystem:
                 u_of[user] = i
                 unique_users.append(user)
             u_idx[r] = i
-        vb = visible_satellites_batch(
-            self.constellation, unique_users, snapshot.t_s, self.min_elevation_deg
-        )
+        vb = visible_satellites_batch(self.constellation, unique_users, snapshot.t_s)
 
         rec = get_recorder()
         counts: Counter | None = Counter() if rec.enabled else None
@@ -641,9 +630,8 @@ class SpaceCdnSystem:
     ) -> ServedRequest:
         """One request's attempt walk down the ladder.
 
-        Each tried rung is one attempt. Attempts lost to transient loss or
-        over the per-attempt RTT budget add simulated backoff and descend to
-        the next rung; after the space rungs, the ground rung absorbs the
+        Each tried rung is one attempt. Attempts lost to transient loss add
+        simulated backoff and descend to the next rung; after the space rungs, the ground rung absorbs the
         remaining retry budget. A request that exhausts the ladder or the
         budget raises :class:`~repro.errors.UnavailableError`.
 
@@ -651,8 +639,8 @@ class SpaceCdnSystem:
         order: an open circuit breaker skips the rung *without* consuming an
         attempt (the client never contacts the target); admission control
         refuses at-capacity targets (a failed attempt: backoff is charged
-        and the breaker records the refusal); transient loss and the RTT
-        budget as above; finally the deadline budget, charged every backoff,
+        and the breaker records the refusal); transient loss as above;
+        finally the deadline budget, charged every backoff,
         must fit the rung's queue-inflated RTT or the walk ends (rungs are
         cheapest first, so nothing later could fit). Served requests pay
         their target's M/M/1 queueing delay on top of the propagation RTT.
@@ -695,7 +683,7 @@ class SpaceCdnSystem:
         access = live_visible[0]
         ladder = self._fallback_ladder(live_visible, object_id, rows)
         ground_rungs = itertools.repeat(
-            (LookupSource.GROUND, None, 0, self.ground_rtt_ms)
+            (LookupSource.GROUND, None, 0, GROUND_RTT_MS)
         )
 
         attempts = 0
@@ -728,48 +716,43 @@ class SpaceCdnSystem:
             else:
                 queue_ms = 0.0 if model is None else model.queue_delay_ms(satellite)
                 rung_rtt = rtt + queue_ms
-                if policy.within_budget(rung_rtt):
-                    if deadline is not None and not deadline.allows(rung_rtt):
-                        deadline_hit = True
-                        _note(tier, "deadline-exhausted")
-                        break
-                    if ground:
-                        self._store(access.index, object_id)  # pull-through
-                        if reason is None:
-                            reason = (
-                                "space-exhausted" if ladder else "no-space-replica"
-                            )
-                    else:
-                        self.cache_of(satellite).get(object_id)  # count the hit
-                    if breaker is not None:
-                        breaker.record_success(t_s)
-                    self.stats.retries += attempts - 1
-                    _note(tier, "served")
-                    if model is not None:
-                        model.note_served(satellite)
-                        if rec.enabled:
-                            rec.inc(
-                                "repro_overload_admitted_total",
-                                (("class", str(priority)),),
-                            )
-                            rec.observe(
-                                "repro_overload_queue_delay_ms",
-                                queue_ms,
-                                buckets=OVERLOAD_QUEUE_BUCKETS_MS,
-                            )
-                    return self._record(
-                        object_id,
-                        t_s,
-                        source,
-                        satellite,
-                        hops,
-                        rung_rtt + backoff_ms,
-                        attempts=attempts,
-                        fallback_reason=reason,
-                        priority=priority,
-                    )
-                outcome = reason = "ground-timeout" if ground else "attempt-timeout"
-                self.stats.timeouts += 1
+                if deadline is not None and not deadline.allows(rung_rtt):
+                    deadline_hit = True
+                    _note(tier, "deadline-exhausted")
+                    break
+                if ground:
+                    self._store(access.index, object_id)  # pull-through
+                    if reason is None:
+                        reason = "space-exhausted" if ladder else "no-space-replica"
+                else:
+                    self.cache_of(satellite).get(object_id)  # count the hit
+                if breaker is not None:
+                    breaker.record_success(t_s)
+                self.stats.retries += attempts - 1
+                _note(tier, "served")
+                if model is not None:
+                    model.note_served(satellite)
+                    if rec.enabled:
+                        rec.inc(
+                            "repro_overload_admitted_total",
+                            (("class", str(priority)),),
+                        )
+                        rec.observe(
+                            "repro_overload_queue_delay_ms",
+                            queue_ms,
+                            buckets=OVERLOAD_QUEUE_BUCKETS_MS,
+                        )
+                return self._record(
+                    object_id,
+                    t_s,
+                    source,
+                    satellite,
+                    hops,
+                    rung_rtt + backoff_ms,
+                    attempts=attempts,
+                    fallback_reason=reason,
+                    priority=priority,
+                )
             step_ms = policy.backoff_ms(attempts)
             backoff_ms += step_ms
             if deadline is not None:
@@ -860,7 +843,7 @@ class SpaceCdnSystem:
                 flush()  # the stream up to here is served
                 raise ConfigurationError("request stream is not time-ordered")
             last_t = request.t_s
-            slot = int(request.t_s // self.snapshot_interval_s)
+            slot = int(request.t_s // SNAPSHOT_INTERVAL_S)
             if group_slot is not None and slot != group_slot:
                 flush()
             group_slot = slot

@@ -49,10 +49,10 @@ of an unlimited search, and rows outside the radius read
 
 Satellite failures are expressed as an ``active`` boolean mask: failed
 nodes neither relay nor terminate paths, matching graph routing on the
-degraded subgraph. Link-level faults (ISL cuts, latency degradation)
-are expressed per snapshot through :func:`degrade_core`: the degraded view
-shares the immutable topology and only swaps the per-link weight/liveness
-vectors, so fault injection costs one O(E) array pass, never a rebuild.
+degraded subgraph. ISL cuts are expressed per snapshot through
+:func:`degrade_core`: the degraded view shares the immutable topology and
+only swaps the per-link liveness vector, so a cut costs one O(E) array
+pass, never a rebuild.
 """
 
 from __future__ import annotations
@@ -236,42 +236,13 @@ def link_weights(
     return distances, latencies
 
 
-def build_core(constellation, t_s: float) -> CsrSnapshot:
-    """CSR snapshot of a constellation at time ``t_s`` (positions included)."""
-    with get_recorder().timer("fastcore.build_core"):
-        topology = csr_topology(constellation.config)
-        distances, latencies = link_weights(
-            topology, constellation.positions_ecef(t_s)
-        )
-        return CsrSnapshot(
-            topology=topology, link_distance_km=distances, link_latency_ms=latencies
-        )
+def degrade_core(core: CsrSnapshot, cut_links: Iterable[int] = ()) -> CsrSnapshot:
+    """A degraded view of a snapshot core with the ``cut_links`` ISLs cut.
 
-
-def degrade_core(
-    core: CsrSnapshot,
-    latency_multiplier: np.ndarray | None = None,
-    cut_links: Iterable[int] = (),
-) -> CsrSnapshot:
-    """A degraded view of a snapshot core: cut ISLs, inflated link latencies.
-
-    The returned :class:`CsrSnapshot` shares the immutable topology arrays;
-    only the per-link latency vector is copied (scaled by
-    ``latency_multiplier``, which must be finite and >= 1 everywhere) and a
-    ``link_active`` mask marks the cut links. Distances are left untouched —
-    degradation models queueing/retransmission delay, not geometry.
+    The returned :class:`CsrSnapshot` shares the topology and link-weight
+    arrays; a ``link_active`` mask marks the cut links.
     """
     e = core.topology.num_links
-    latencies = core.link_latency_ms
-    if latency_multiplier is not None:
-        mult = np.asarray(latency_multiplier, dtype=np.float64)
-        if mult.shape != (e,):
-            raise RoutingError(
-                f"latency multiplier must have shape ({e},), got {mult.shape}"
-            )
-        if not np.isfinite(mult).all() or (mult < 1.0).any():
-            raise RoutingError("latency multipliers must be finite and >= 1")
-        latencies = latencies * mult
     link_active = None if core.link_active is None else core.link_active.copy()
     cut = np.asarray(sorted(set(_as_link_ids(cut_links))), dtype=np.int64)
     if cut.size:
@@ -284,7 +255,7 @@ def degrade_core(
     return CsrSnapshot(
         topology=core.topology,
         link_distance_km=core.link_distance_km,
-        link_latency_ms=latencies,
+        link_latency_ms=core.link_latency_ms,
         link_active=link_active,
     )
 

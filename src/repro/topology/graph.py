@@ -15,11 +15,10 @@ access satellite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.orbits.walker import Constellation
 from repro.topology.fastcore import CsrSnapshot, csr_topology, link_weights
 
@@ -34,7 +33,7 @@ class SnapshotGraph:
     Snapshots are immutable — fields cannot be reassigned and the position
     and link-weight arrays are read-only — so a cached snapshot can be
     handed to any number of callers. Degraded variants are new snapshots
-    (:func:`repro.spacecdn.resilience.fail_satellites`, :meth:`with_core`).
+    (:func:`repro.spacecdn.resilience.fail_satellites`).
     """
 
     constellation: Constellation
@@ -59,12 +58,6 @@ class SnapshotGraph:
     def has_satellite(self, index: int) -> bool:
         """Whether ``index`` is a live satellite of this snapshot."""
         return 0 <= index < self.core.num_nodes and index not in self.failed
-
-    def with_core(self, core: CsrSnapshot) -> "SnapshotGraph":
-        """A sibling snapshot routed over a different (degraded) CSR core."""
-        if core.topology is not self.core.topology:
-            raise ConfigurationError("core belongs to a different topology")
-        return replace(self, core=core)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Ground-segment node models: user terminals, gateways, PoPs.
 
 These bind gazetteer sites to the snapshot-graph machinery: a
-:class:`UserTerminal` is a subscriber dish at a city; a
 :class:`GroundStation` wraps a gateway site and knows its backhaul PoP; a
 :class:`PointOfPresence` is where traffic enters the Internet and where the
 nearest CDN cache is found.
@@ -14,27 +13,12 @@ from dataclasses import dataclass, field
 from repro.constants import (
     FIBER_SPEED_KM_S,
     MIN_ELEVATION_GS_DEG,
-    MIN_ELEVATION_USER_DEG,
     POP_PROCESSING_DELAY_MS,
     TERRESTRIAL_PER_HOP_MS,
 )
 from repro.geo.coordinates import GeoPoint, great_circle_km
 from repro.geo.datasets.ground_stations import GroundStationSite, all_ground_stations
 from repro.geo.datasets.pops import PopSite, all_pops
-
-
-@dataclass(frozen=True)
-class UserTerminal:
-    """A Starlink subscriber terminal ("Dishy") at a fixed location."""
-
-    name: str
-    location: GeoPoint
-    min_elevation_deg: float = MIN_ELEVATION_USER_DEG
-
-    @property
-    def node_name(self) -> str:
-        """The graph node name used when attaching to a snapshot."""
-        return f"ut:{self.name}"
 
 
 @dataclass(frozen=True)
@@ -119,9 +103,3 @@ class GroundSegment:
     def stations_for_pop(self, pop_name: str) -> tuple[GroundStation, ...]:
         """Every gateway backhauling to the named PoP."""
         return tuple(gs for gs in self.stations if gs.site.pop_name == pop_name)
-
-    def nearest_station(self, point: GeoPoint) -> GroundStation:
-        """The geographically nearest gateway to a point."""
-        return min(
-            self.stations, key=lambda gs: great_circle_km(point, gs.location)
-        )

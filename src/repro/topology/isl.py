@@ -99,11 +99,3 @@ def plus_grid_links(config: ShellConfig) -> tuple[IslLink, ...]:
                 add(index, east, "cross-plane")
     return tuple(links)
 
-
-def links_for_satellite(config: ShellConfig, index: int) -> tuple[IslLink, ...]:
-    """The (up to four) +Grid links incident to one satellite."""
-    if not 0 <= index < config.total_satellites:
-        raise ConfigurationError(f"satellite index {index} out of range")
-    return tuple(
-        link for link in plus_grid_links(config) if index in (link.a, link.b)
-    )

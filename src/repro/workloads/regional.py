@@ -108,9 +108,3 @@ class RegionalRequestMixer:
                 raise ConfigurationError("catalog has no regional content")
             region = regions[int(self.rng.integers(len(regions)))]
         return self.popularity.sample(region)
-
-    def stream_for_city(self, city: City, count: int) -> list[str]:
-        """``count`` requested object ids for a city."""
-        if count < 0:
-            raise ConfigurationError(f"negative count: {count}")
-        return [self.sample_for_city(city) for _ in range(count)]

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 
 from repro.cdn.cache import Cache
-from repro.constants import CDN_SERVER_THINK_TIME_MS, MIN_ELEVATION_USER_DEG
+from repro.constants import CDN_SERVER_THINK_TIME_MS, GROUND_RTT_MS, SNAPSHOT_INTERVAL_S
 from repro.errors import ConfigurationError, OverloadedError, UnavailableError
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import apply_fault_view
@@ -73,9 +73,6 @@ class ReferenceCdn:
         catalog,
         cache_bytes_per_satellite: int = 10**9,
         max_hops: int = 5,
-        ground_rtt_ms: float = 140.0,
-        snapshot_interval_s: float = 60.0,
-        min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
         fault_schedule=None,
         retry_policy: RetryPolicy | None = None,
         overload=None,
@@ -84,9 +81,6 @@ class ReferenceCdn:
         self.catalog = catalog
         self.cache_bytes = cache_bytes_per_satellite
         self.max_hops = max_hops
-        self.ground_rtt_ms = ground_rtt_ms
-        self.snapshot_interval_s = snapshot_interval_s
-        self.min_elevation_deg = min_elevation_deg
         self.fault_schedule = fault_schedule
         self.retry_policy = retry_policy or RetryPolicy()
         self.overload = overload
@@ -139,12 +133,10 @@ class ReferenceCdn:
     def _enter_slot(self, t_s: float) -> None:
         if t_s < 0:
             raise ConfigurationError(f"negative time: {t_s}")
-        slot = int(t_s // self.snapshot_interval_s)
+        slot = int(t_s // SNAPSHOT_INTERVAL_S)
         if slot != self._slot:
             self._slot = slot
-            self._snapshot = build_snapshot(
-                self.constellation, slot * self.snapshot_interval_s
-            )
+            self._snapshot = build_snapshot(self.constellation, slot * SNAPSHOT_INTERVAL_S)
             self._faults = None
 
     def _degraded(self):
@@ -243,9 +235,7 @@ class ReferenceCdn:
             deadline = model.deadline_budget()
         live = [
             s
-            for s in visible_satellites(
-                self.constellation, user, degraded.t_s, self.min_elevation_deg
-            )
+            for s in visible_satellites(self.constellation, user, degraded.t_s)
             if degraded.has_satellite(s.index)
         ]
         if not live:
@@ -254,7 +244,7 @@ class ReferenceCdn:
         attempts, backoff_ms, reason = 0, 0.0, None
         refused = skipped = deadline_hit = False
 
-        def attempt(tier, target, satellite, rtt, timeout_reason):
+        def attempt(tier, target, satellite, rtt):
             """Try one rung: its queue-inflated RTT if it serves, else None."""
             nonlocal attempts, backoff_ms, reason, refused, skipped, deadline_hit
             breaker = None if model is None else model.breaker_for(target)
@@ -269,19 +259,17 @@ class ReferenceCdn:
                 reason = failure = "transient-loss"
             else:
                 queue_ms = 0.0 if model is None else model.queue_delay_ms(satellite)
-                if policy.within_budget(rtt + queue_ms):
-                    if deadline is not None and not deadline.allows(rtt + queue_ms):
-                        deadline_hit = True
-                        self.attempt_counts[(tier, "deadline-exhausted")] += 1
-                        return None
-                    if breaker is not None:
-                        breaker.record_success(t_s)
-                    if model is not None:
-                        model.note_served(satellite)
-                    self.attempt_counts[(tier, "served")] += 1
-                    return rtt + queue_ms
-                reason = failure = timeout_reason
-            if failure != "admission-reject":
+                if deadline is not None and not deadline.allows(rtt + queue_ms):
+                    deadline_hit = True
+                    self.attempt_counts[(tier, "deadline-exhausted")] += 1
+                    return None
+                if breaker is not None:
+                    breaker.record_success(t_s)
+                if model is not None:
+                    model.note_served(satellite)
+                self.attempt_counts[(tier, "served")] += 1
+                return rtt + queue_ms
+            if failure == "transient-loss":
                 self.stats.timeouts += 1
             step_ms = policy.backoff_ms(attempts)
             backoff_ms += step_ms
@@ -296,16 +284,14 @@ class ReferenceCdn:
         for source, satellite, hops, rtt in ladder:
             if attempts >= policy.max_attempts or deadline_hit:
                 break
-            got = attempt(TIER_OF_SOURCE[source], satellite, satellite, rtt,
-                          "attempt-timeout")
+            got = attempt(TIER_OF_SOURCE[source], satellite, satellite, rtt)
             if isinstance(got, float):
                 self.cache(satellite).get(object_id)
                 self.stats.retries += attempts - 1
                 return self._served(object_id, t_s, source, satellite, hops,
                                     got + backoff_ms, attempts, reason, priority)
         while not deadline_hit and attempts < policy.max_attempts:
-            got = attempt("ground", GROUND_TARGET, None, self.ground_rtt_ms,
-                          "ground-timeout")
+            got = attempt("ground", GROUND_TARGET, None, GROUND_RTT_MS)
             if got is _BREAKER_OPEN:
                 break
             if isinstance(got, float):
@@ -351,7 +337,7 @@ def serve_cohorts(system, users, object_ids, times, priorities=None) -> list:
     ``SpaceCdnSystem.run`` groups a stream."""
 
     def slot(k):
-        return int(times[k] // system.snapshot_interval_s)
+        return int(times[k] // SNAPSHOT_INTERVAL_S)
 
     results = []
     start = 0

@@ -2,28 +2,9 @@
 
 import pytest
 
-from repro.cdn.anycast import best_site_by_latency, nearest_site
+from repro.cdn.anycast import best_site_by_latency
 from repro.errors import ConfigurationError
-from repro.geo.coordinates import GeoPoint, great_circle_km
-from repro.geo.datasets.cdn_sites import all_cdn_sites, cdn_site_by_name
-
-
-class TestNearestSite:
-    def test_maputo_nearest_is_maputo(self):
-        maputo = GeoPoint(-25.97, 32.57)
-        assert nearest_site(maputo, all_cdn_sites()).name == "Maputo"
-
-    def test_empty_sites_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nearest_site(GeoPoint(0.0, 0.0), [])
-
-    def test_returns_minimum_distance(self):
-        point = GeoPoint(48.0, 10.0)
-        chosen = nearest_site(point, all_cdn_sites())
-        best = min(
-            great_circle_km(point, s.location) for s in all_cdn_sites()
-        )
-        assert great_circle_km(point, chosen.location) == pytest.approx(best)
+from repro.geo.datasets.cdn_sites import cdn_site_by_name
 
 
 class TestBestSiteByLatency:

@@ -9,13 +9,9 @@ from repro.errors import GeodesyError
 from repro.geo.coordinates import (
     EcefPoint,
     GeoPoint,
-    destination_point,
     elevation_angle_deg,
     great_circle_km,
-    initial_bearing_deg,
-    normalize_longitude,
     slant_range_km,
-    subsatellite_point,
 )
 
 
@@ -151,59 +147,10 @@ class TestElevationAngle:
             elevation_angle_deg(point, point)
 
 
-class TestBearingAndDestination:
-    def test_due_north_bearing(self):
-        a = GeoPoint(0.0, 0.0)
-        b = GeoPoint(10.0, 0.0)
-        assert initial_bearing_deg(a, b) == pytest.approx(0.0, abs=1e-9)
-
-    def test_due_east_bearing(self):
-        a = GeoPoint(0.0, 0.0)
-        b = GeoPoint(0.0, 10.0)
-        assert initial_bearing_deg(a, b) == pytest.approx(90.0, abs=1e-9)
-
-    def test_destination_round_trip(self):
-        start = GeoPoint(48.86, 2.35)
-        distance = 500.0
-        bearing = 77.0
-        there = destination_point(start, bearing, distance)
-        assert great_circle_km(start, there) == pytest.approx(distance, rel=1e-9)
-
-    def test_destination_zero_distance(self):
-        start = GeoPoint(10.0, 10.0)
-        there = destination_point(start, 123.0, 0.0)
-        assert there.lat_deg == pytest.approx(start.lat_deg)
-        assert there.lon_deg == pytest.approx(start.lon_deg)
-
-    def test_destination_negative_distance_rejected(self):
-        with pytest.raises(GeodesyError):
-            destination_point(GeoPoint(0.0, 0.0), 0.0, -1.0)
-
-    def test_destination_crosses_dateline(self):
-        start = GeoPoint(0.0, 179.5)
-        there = destination_point(start, 90.0, 200.0)
-        assert -180.0 <= there.lon_deg <= 180.0
-        assert there.lon_deg < 0  # wrapped into the western hemisphere
-
-
-class TestNormalizeLongitude:
-    @pytest.mark.parametrize(
-        "given,expected",
-        [(0.0, 0.0), (190.0, -170.0), (-190.0, 170.0), (360.0, 0.0), (540.0, 180.0 - 360.0)],
-    )
-    def test_wrapping(self, given, expected):
-        assert normalize_longitude(given) == pytest.approx(expected)
-
-    def test_result_always_in_range(self):
-        for lon in range(-1000, 1000, 37):
-            wrapped = normalize_longitude(float(lon))
-            assert -180.0 <= wrapped < 180.0
-
-
 class TestSubsatellitePoint:
     def test_projects_to_surface(self):
         satellite = GeoPoint(30.0, 60.0, 550.0)
-        below = subsatellite_point(satellite)
+        below = satellite.surface()
         assert below.alt_km == 0.0
         assert below.lat_deg == satellite.lat_deg
         assert below.lon_deg == satellite.lon_deg

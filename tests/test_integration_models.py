@@ -8,7 +8,6 @@ full end-to-end request flows across subsystems.
 """
 
 import numpy as np
-import pytest
 
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.geo.coordinates import GeoPoint
@@ -102,22 +101,6 @@ class TestEndToEndSpaceCdn:
         result = lookup.lookup_from_point(maputo.location, holders)
         space_rtt = 2 * result.one_way_ms + CDN_SERVER_THINK_TIME_MS
         assert space_rtt < today / 2.0
-
-
-class TestEndToEndTerrestrialCdn:
-    def test_ground_fallback_latency_flows_into_lookup(self, shell1_snapshot):
-        """SpaceCdnLookup ground fallback wired from a real resolved path."""
-        model = StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(5)))
-        maputo = city_by_name("Maputo")
-        path = model.resolve_path(maputo)
-        lookup = SpaceCdnLookup(
-            snapshot=shell1_snapshot,
-            max_hops=3,
-            ground_fallback_one_way_ms=path.one_way_floor_ms,
-        )
-        result = lookup.lookup_from_point(maputo.location, frozenset())
-        assert result.source is LookupSource.GROUND
-        assert result.one_way_ms == pytest.approx(path.one_way_floor_ms)
 
 
 class TestSeedDiscipline:

@@ -10,9 +10,9 @@ import json
 
 import pytest
 
+from repro.constants import SNAPSHOT_INTERVAL_S
 from repro.errors import ObsError
 from repro.obs.timeseries import (
-    DEFAULT_WINDOW_S,
     FIXED_POINT_SCALE,
     TS_FORMAT_VERSION,
     TimeSeriesBuffer,
@@ -30,7 +30,7 @@ class TestWindowAssignment:
         assert ts.window_of(3600.0) == 60
 
     def test_default_window_is_one_snapshot_slot(self):
-        assert TimeSeriesBuffer().window_s == DEFAULT_WINDOW_S
+        assert TimeSeriesBuffer().window_s == SNAPSHOT_INTERVAL_S
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ObsError):

@@ -1,11 +1,10 @@
-"""Tests for shell configuration, shell presets and satellite identity."""
+"""Tests for shell configuration and shell presets."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import (
-    SatelliteId,
     ShellConfig,
     all_shell_presets,
     oneweb_phase1,
@@ -71,35 +70,12 @@ class TestShellConfig:
             ShellConfig(**base)
 
 
-class TestSatelliteId:
-    def test_index_round_trip(self, small_shell):
-        for index in range(small_shell.total_satellites):
-            sat = SatelliteId.from_index(index, small_shell)
-            assert sat.index(small_shell) == index
-
-    def test_plane_slot_layout(self, small_shell):
-        sat = SatelliteId.from_index(small_shell.sats_per_plane + 3, small_shell)
-        assert sat.plane == 1
-        assert sat.slot == 3
-
-    def test_out_of_range_index_rejected(self, small_shell):
-        with pytest.raises(ConfigurationError):
-            SatelliteId.from_index(small_shell.total_satellites, small_shell)
-        with pytest.raises(ConfigurationError):
-            SatelliteId.from_index(-1, small_shell)
-
-    def test_mismatched_id_rejected(self, small_shell):
-        rogue = SatelliteId(plane=99, slot=0)
-        with pytest.raises(ConfigurationError):
-            rogue.index(small_shell)
-
-
 class TestShellPresets:
     def test_all_presets_valid(self):
         presets = all_shell_presets()
-        assert len(presets) == 5
+        assert len(presets) == 4
         names = {p.name for p in presets}
-        assert len(names) == 5
+        assert len(names) == 4
         for preset in presets:
             assert preset.total_satellites > 500
 

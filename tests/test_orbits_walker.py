@@ -70,50 +70,11 @@ class TestPropagation:
             lats = small_constellation.subsatellite_points(float(t))[:, 0]
             assert np.all(np.abs(lats) <= small_constellation.config.inclination_deg + 0.1)
 
-    def test_position_geodetic_altitude(self, small_constellation):
-        point = small_constellation.position_geodetic(0, 0.0)
-        assert point.alt_km == pytest.approx(550.0, abs=1e-6)
-
     def test_shell1_inclination_bound(self, shell1_constellation):
         lats = shell1_constellation.subsatellite_points(1234.0)[:, 0]
         assert np.max(np.abs(lats)) <= 53.0 + 0.1
         # With 1584 satellites some are always near the inclination limit.
         assert np.max(np.abs(lats)) > 50.0
-
-
-class TestNeighbors:
-    def test_intra_plane_neighbors_wrap(self, small_constellation, small_shell):
-        per = small_shell.sats_per_plane
-        ahead, behind = small_constellation.intra_plane_neighbors(0)
-        assert ahead == 1
-        assert behind == per - 1
-
-    def test_intra_plane_neighbors_stay_in_plane(self, small_constellation, small_shell):
-        per = small_shell.sats_per_plane
-        for index in range(len(small_constellation)):
-            ahead, behind = small_constellation.intra_plane_neighbors(index)
-            assert ahead // per == index // per
-            assert behind // per == index // per
-
-    def test_cross_plane_neighbors_in_adjacent_planes(
-        self, small_constellation, small_shell
-    ):
-        per = small_shell.sats_per_plane
-        planes = small_shell.num_planes
-        for index in (0, 7, 19):
-            east, west = small_constellation.cross_plane_neighbors(index)
-            plane = index // per
-            assert east // per == (plane + 1) % planes
-            assert west // per == (plane - 1) % planes
-
-    def test_cross_plane_neighbor_is_nearby(self, shell1_constellation):
-        # The whole point of nearest-slot wiring: the cross-plane partner
-        # must be far closer than the in-plane spacing.
-        positions = shell1_constellation.positions_ecef(0.0)
-        east, _ = shell1_constellation.cross_plane_neighbors(0)
-        distance = float(np.linalg.norm(positions[east] - positions[0]))
-        in_plane = shell1_constellation.config.in_plane_neighbor_distance_km()
-        assert distance < in_plane * 0.8
 
 
 class TestBuildWalkerShell1:

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from repro.cdn.cache import Cache
 from repro.cdn.content import ContentObject
 from repro.constants import EARTH_RADIUS_KM
-from repro.geo.coordinates import (
-    GeoPoint,
-    destination_point,
-    great_circle_km,
-    normalize_longitude,
-    slant_range_km,
-)
+from repro.geo.coordinates import GeoPoint, great_circle_km, slant_range_km
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 longitudes = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
@@ -45,25 +39,6 @@ class TestGeodesyProperties:
     def test_chord_below_arc(self, a, b):
         # Straight line through the Earth can never exceed the surface arc.
         assert slant_range_km(a, b) <= great_circle_km(a, b) + 1e-6
-
-    @given(
-        points,
-        st.floats(min_value=0.0, max_value=360.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
-    )
-    def test_destination_distance_preserved(self, start, bearing, distance):
-        there = destination_point(start, bearing, distance)
-        assert great_circle_km(start, there) <= distance + 1e-6
-        # Equality except when the path crosses a pole and wraps.
-        if abs(start.lat_deg) < 80.0 and distance < 1000.0:
-            assert math.isclose(
-                great_circle_km(start, there), distance, rel_tol=1e-6, abs_tol=1e-6
-            )
-
-    @given(st.floats(min_value=-10_000.0, max_value=10_000.0, allow_nan=False))
-    def test_normalize_longitude_range(self, lon):
-        wrapped = normalize_longitude(lon)
-        assert -180.0 <= wrapped < 180.0
 
 
 object_entries = st.lists(

@@ -85,9 +85,6 @@ def fault_schedules(draw):
 def policies(draw):
     return RetryPolicy(
         max_attempts=draw(st.integers(min_value=1, max_value=6)),
-        attempt_budget_ms=draw(
-            st.one_of(st.none(), st.floats(min_value=10.0, max_value=500.0))
-        ),
         backoff_base_ms=draw(st.floats(min_value=0.0, max_value=50.0)),
     )
 

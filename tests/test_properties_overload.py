@@ -9,11 +9,8 @@ Two contracts pinned here:
   and model tunings (the capacity counters, breakers, deadline budgets,
   and seeded priority draws must all advance in exactly the request order).
 * :class:`~repro.faults.retry.RetryPolicy` edges: backoff is monotone
-  non-decreasing and capped, ``within_budget`` is inclusive at exactly the
-  budget, and attempt 0 is a configuration error.
+  non-decreasing and capped, and attempt 0 is a configuration error.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -120,9 +117,7 @@ def make_system(model, schedule, cls=SpaceCdnSystem):
 
 def overload_schedule(seed: int, faulted: bool) -> FaultSchedule:
     schedule = FaultSchedule().add(
-        FlashCrowdProcess(
-            extra_requests_per_slot=2.0, start_s=50.0, end_s=400.0, ramp_s=30.0
-        )
+        FlashCrowdProcess(extra_requests_per_slot=2.0, start_s=50.0, end_s=400.0)
     )
     if faulted:
         schedule.add(
@@ -200,28 +195,16 @@ def eval_model_copy(model: OverloadModel) -> OverloadModel:
 class TestRetryPolicyEdges:
     @given(
         base=st.floats(min_value=0.0, max_value=100.0),
-        multiplier=st.floats(min_value=1.0, max_value=4.0),
         cap=st.floats(min_value=0.0, max_value=500.0),
         attempts=st.integers(min_value=1, max_value=20),
     )
     @settings(max_examples=50, deadline=None)
-    def test_backoff_is_monotone_and_capped(self, base, multiplier, cap, attempts):
-        policy = RetryPolicy(
-            backoff_base_ms=base, backoff_multiplier=multiplier,
-            backoff_cap_ms=cap,
-        )
+    def test_backoff_is_monotone_and_capped(self, base, cap, attempts):
+        policy = RetryPolicy(backoff_base_ms=base, backoff_cap_ms=cap)
         waits = [policy.backoff_ms(k) for k in range(1, attempts + 1)]
         assert all(w <= cap for w in waits)
         assert all(a <= b for a, b in zip(waits, waits[1:]))
         assert waits[0] == min(cap, base)
-
-    @given(budget=st.floats(min_value=0.001, max_value=10_000.0))
-    @settings(max_examples=50, deadline=None)
-    def test_within_budget_is_inclusive_at_the_edge(self, budget):
-        policy = RetryPolicy(attempt_budget_ms=budget)
-        assert policy.within_budget(budget)
-        assert policy.within_budget(math.nextafter(budget, -math.inf))
-        assert not policy.within_budget(math.nextafter(budget, math.inf))
 
     def test_attempt_zero_is_a_config_error(self):
         policy = RetryPolicy()
@@ -229,6 +212,3 @@ class TestRetryPolicyEdges:
             policy.backoff_ms(0)
         with pytest.raises(FaultConfigError):
             policy.backoff_ms(-3)
-
-    def test_no_budget_means_every_rtt_fits(self):
-        assert RetryPolicy().within_budget(float("inf"))

@@ -38,9 +38,7 @@ class TestDutyCycleProperties:
     @given(st.floats(min_value=0.0, max_value=100_000.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_slot_index_consistent_with_duration(self, t):
-        scheduler = DutyCycleScheduler(
-            total_satellites=10, cache_fraction=0.5, slot_duration_s=600.0
-        )
+        scheduler = DutyCycleScheduler(total_satellites=10, cache_fraction=0.5)
         slot = scheduler.slot_index(t)
         assert slot * 600.0 <= t < (slot + 1) * 600.0
 

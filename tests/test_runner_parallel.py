@@ -444,7 +444,8 @@ class TestRegistryRoundTrip:
 
 
 class TestObservability:
-    def test_manifest_obs_records_worker_attribution(self, tmp_path):
+    def test_events_record_worker_attribution(self, tmp_path):
+        from repro.obs.events import read_events
         from repro.obs.recorder import ObsRecorder, recording
 
         run_dir = tmp_path / "run"
@@ -452,10 +453,19 @@ class TestObservability:
             ExperimentRunner(
                 build_ptoy(3, 6), run_dir, RunnerOptions(jobs=2)
             ).execute()
+        completed = [
+            e
+            for e in read_events(run_dir / "events.jsonl")
+            if e["event"] == "shard_completed"
+        ]
+        assert sorted(e["shard"] for e in completed) == sorted(
+            build_ptoy(3, 6).shard_ids
+        )
+        for event in completed:
+            assert event["wall_s"] >= 0.0
+            assert event["worker"] >= 0
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        obs = manifest["obs"]
-        assert set(obs["shard_seconds"]) == set(build_ptoy(3, 6).shard_ids)
-        assert set(obs["shard_workers"]) == set(build_ptoy(3, 6).shard_ids)
+        assert "obs" not in manifest
 
 
 class TestFleetObservability:

@@ -50,8 +50,6 @@ class TestHealthyPathIdentity:
         assert served_plain == served_empty
         assert plain.stats.rtt_samples_ms == empty.stats.rtt_samples_ms
 
-    def test_default_policy_has_no_budget(self):
-        assert RetryPolicy().attempt_budget_ms is None
 
 
 class TestFallbackLadder:
@@ -138,20 +136,6 @@ class TestRetriesAndTimeouts:
         assert system.stats.timeouts == 4
         assert system.stats.retries == 3
         assert system.stats.unavailable == 1
-
-    def test_tight_budget_times_out_every_rung(self, small_constellation, catalog):
-        # 25 ms fits neither the far ISL replica nor the 140 ms ground path.
-        schedule = FaultSchedule().add(OutageWindow(satellites=frozenset({30})))
-        system = make_system(
-            small_constellation,
-            catalog,
-            schedule,
-            RetryPolicy(max_attempts=3, attempt_budget_ms=25.0),
-        )
-        system.preload({OBJ: frozenset({FAR_HOLDER})})
-        with pytest.raises(UnavailableError):
-            system.serve(EQUATOR, OBJ, 0.0)
-        assert system.stats.timeouts == 3
 
     def test_unavailable_is_content_not_found(self):
         assert issubclass(UnavailableError, ContentNotFoundError)

@@ -35,9 +35,7 @@ class TestScheduler:
         assert a.active_caches(0) != b.active_caches(0)
 
     def test_slot_index(self):
-        scheduler = DutyCycleScheduler(
-            total_satellites=10, cache_fraction=1.0, slot_duration_s=600.0
-        )
+        scheduler = DutyCycleScheduler(total_satellites=10, cache_fraction=1.0)
         assert scheduler.slot_index(0.0) == 0
         assert scheduler.slot_index(599.9) == 0
         assert scheduler.slot_index(600.0) == 1
@@ -52,11 +50,10 @@ class TestScheduler:
             {"total_satellites": 0},
             {"cache_fraction": 0.0},
             {"cache_fraction": 1.5},
-            {"slot_duration_s": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        base = dict(total_satellites=10, cache_fraction=0.5, slot_duration_s=600.0)
+        base = dict(total_satellites=10, cache_fraction=0.5)
         base.update(kwargs)
         with pytest.raises(ConfigurationError):
             DutyCycleScheduler(**base)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.constants import GROUND_RTT_MS
 from repro.errors import RoutingError
 from repro.geo.coordinates import GeoPoint
 from repro.spacecdn.lookup import (
@@ -94,13 +95,7 @@ class TestGroundFallback:
         result = lookup.lookup(0, 8.0, frozenset())
         assert result.source is LookupSource.GROUND
         assert result.serving_satellite is None
-        assert result.one_way_ms == lookup.ground_fallback_one_way_ms
-
-    def test_custom_fallback_latency(self, small_snapshot):
-        lookup = SpaceCdnLookup(
-            snapshot=small_snapshot, max_hops=2, ground_fallback_one_way_ms=120.0
-        )
-        assert lookup.lookup(0, 8.0, frozenset()).one_way_ms == 120.0
+        assert result.one_way_ms == GROUND_RTT_MS / 2.0 == 70.0
 
 
 class TestLookupFromPoint:

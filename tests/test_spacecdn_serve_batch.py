@@ -17,7 +17,6 @@ from repro.cdn.cache import HoldersIndex
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError, ReproError, UnavailableError
 from repro.faults.processes import OutageWindow, TransientAttemptLoss
-from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
@@ -201,13 +200,6 @@ class TestEmptyFaultView:
             )
             assert served.source.value == "ground"
             assert served.fallback_reason == "no-space-replica"
-
-    def test_attempt_budget_applies_without_a_schedule(self):
-        policy = RetryPolicy(max_attempts=1, attempt_budget_ms=1.0)
-        system = make_system(None, retry_policy=policy)
-        with pytest.raises(UnavailableError):
-            system.serve_batch([USERS[0]], [OBJECTS[-1]], 0.0)
-        assert system.stats.timeouts == 1
 
 
 class TestDegradedEquivalence:

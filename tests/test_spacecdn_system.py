@@ -30,7 +30,6 @@ def system(shell1_constellation, catalog):
         catalog=catalog,
         cache_bytes_per_satellite=50_000_000,
         max_hops=5,
-        ground_rtt_ms=140.0,
     )
 
 
@@ -43,8 +42,6 @@ class TestConfiguration:
         [
             {"cache_bytes_per_satellite": 0},
             {"max_hops": -1},
-            {"snapshot_interval_s": 0.0},
-            {"ground_rtt_ms": 0.0},
             {"max_hops": 2.5},
             {"max_hops": True},
         ],

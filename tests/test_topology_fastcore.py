@@ -11,6 +11,7 @@ may sum path weights in different orders).
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ def snapshot_cases(draw):
     if failed or cut:
         from repro.spacecdn.resilience import fail_satellites
 
-        snapshot = fail_satellites(snapshot, frozenset(failed)).with_core(
-            fastcore.degrade_core(snapshot.core, cut_links=cut)
+        snapshot = replace(
+            fail_satellites(snapshot, frozenset(failed)),
+            core=fastcore.degrade_core(snapshot.core, cut_links=cut),
         )
     return snapshot, source, failed
 
@@ -185,7 +187,7 @@ class TestTranslatedHopRows:
         ids=lambda config: config.name,
     )
     def test_equal_to_bfs_on_every_preset(self, config, method):
-        core = fastcore.build_core(build_walker_delta(config), 311.0)
+        core = build_snapshot(build_walker_delta(config), 311.0).core
         n = core.num_nodes
         sources = np.arange(n)
         every_source = n <= 48 or (method == "scipy" and config == starlink_shell1())
@@ -455,7 +457,7 @@ class TestValidationAndEdgeCases:
             name="bent-pipe-only",
             isl_capable=False,
         )
-        core = fastcore.build_core(build_walker_delta(config), 0.0)
+        core = build_snapshot(build_walker_delta(config), 0.0).core
         assert core.topology.num_links == 0
         hops = fastcore.hop_distances_batch(core, [0], method="numpy")[0]
         assert hops[0] == 0
@@ -470,7 +472,7 @@ class TestValidationAndEdgeCases:
         assert hops[7] == fastcore.HOP_UNREACHABLE
 
     def test_single_source_memoised(self, small_constellation):
-        core = fastcore.build_core(small_constellation, 0.0)
+        core = build_snapshot(small_constellation, 0.0).core
         first = fastcore.single_source(core, 5)
         again = fastcore.single_source(core, 5)
         assert first[0] is again[0] and first[1] is again[1]

@@ -3,30 +3,15 @@
 import pytest
 
 from repro.errors import DatasetError
-from repro.geo.coordinates import GeoPoint, great_circle_km
+from repro.geo.coordinates import great_circle_km
 from repro.geo.datasets.ground_stations import all_ground_stations
 from repro.geo.datasets.pops import all_pops
-from repro.topology.ground import (
-    GroundSegment,
-    GroundStation,
-    PointOfPresence,
-    UserTerminal,
-)
+from repro.topology.ground import GroundSegment, GroundStation, PointOfPresence
 
 
 @pytest.fixture(scope="module")
 def segment() -> GroundSegment:
     return GroundSegment.from_gazetteer()
-
-
-class TestUserTerminal:
-    def test_node_name(self):
-        terminal = UserTerminal(name="maputo-1", location=GeoPoint(-25.97, 32.57))
-        assert terminal.node_name == "ut:maputo-1"
-
-    def test_default_elevation(self):
-        terminal = UserTerminal(name="x", location=GeoPoint(0.0, 0.0))
-        assert terminal.min_elevation_deg == 25.0
 
 
 class TestGroundStation:
@@ -78,8 +63,3 @@ class TestGroundSegment:
             for gs in segment.stations_for_pop(pop.name):
                 assert gs.pop.name == pop.name
 
-    def test_nearest_station(self, segment):
-        seattle = GeoPoint(47.61, -122.33)
-        nearest = segment.nearest_station(seattle)
-        assert nearest.site.iso2 in ("US", "CA")
-        assert great_circle_km(seattle, nearest.location) < 500

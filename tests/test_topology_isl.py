@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError
 from repro.orbits.elements import ShellConfig, starlink_shell1
 from repro.topology.isl import (
     IslLink,
-    links_for_satellite,
     nearest_cross_plane_offset,
     plus_grid_links,
 )
@@ -118,15 +117,3 @@ class TestNearestCrossPlaneOffset:
         ]
         assert nearest_cross_plane_offset(shell) == distances.index(min(distances))
 
-
-class TestLinksForSatellite:
-    def test_four_links(self, small_shell):
-        assert len(links_for_satellite(small_shell, 0)) == 4
-
-    def test_out_of_range_rejected(self, small_shell):
-        with pytest.raises(ConfigurationError):
-            links_for_satellite(small_shell, small_shell.total_satellites)
-
-    def test_links_incident(self, small_shell):
-        for link in links_for_satellite(small_shell, 5):
-            assert 5 in (link.a, link.b)
