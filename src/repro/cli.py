@@ -173,7 +173,7 @@ _KWARG_OF_FLAG = {
 
 _FLAG_PARSERS = {
     "fractions": lambda text: _parse_number_list(
-        text, "--fractions", "values must be within [0, 1]", lambda v: 0.0 <= v <= 1.0
+        text, "--fractions", "values must be within [0, 1)", lambda v: 0.0 <= v < 1.0
     ),
     "loads": lambda text: _parse_number_list(
         text,

@@ -21,7 +21,12 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.cdn.content import Catalog
 from repro.constants import CDN_SERVER_THINK_TIME_MS
-from repro.errors import ConfigurationError, UnavailableError, VisibilityError
+from repro.errors import (
+    ConfigurationError,
+    FaultConfigError,
+    UnavailableError,
+    VisibilityError,
+)
 from repro.experiments.common import DEFAULT_SEED, p50_p99, points_from_raw
 from repro.experiments.shells import sweep_catalog, sweep_constellation, sweep_requests
 from repro.faults.processes import OutageWindow
@@ -213,6 +218,12 @@ def build_plan(
         raise ConfigurationError("num_requests must be >= 1")
     if not fractions:
         raise ConfigurationError("need at least one failure fraction")
+    for fraction in fractions:
+        # 1.0 would fail every satellite: no sweep point could serve.
+        if not 0.0 <= fraction < 1.0:
+            raise FaultConfigError(
+                f"failure fractions must be within [0, 1), got {fraction:g}"
+            )
     # Retry-policy misconfiguration should surface at plan time, before
     # any shard burns its budget discovering it.
     RetryPolicy(max_attempts=max_attempts)

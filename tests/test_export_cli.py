@@ -273,7 +273,34 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_FAULT_CONFIG == 4
-        assert "within [0, 1]" in capsys.readouterr().err
+        assert "within [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out_dir", [False, True])
+    def test_full_failure_fraction_exits_4_before_any_work(
+        self, out_dir, tmp_path, capsys, monkeypatch
+    ):
+        # 1.0 fails every satellite; it used to pass the flag check and
+        # fail its shard only after the 0.0 shard had run.
+        from repro.experiments import chaos
+
+        def no_work(*args):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(chaos, "_sweep_point", no_work)
+        run_dir = tmp_path / "run"
+        argv = ["run", "chaos", "--shell", "small", "--fractions", "0.0,1.0"]
+        if out_dir:
+            argv += ["--out-dir", str(run_dir)]
+        assert main(argv) == EXIT_FAULT_CONFIG
+        assert "within [0, 1)" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_chaos_plan_rejects_a_full_failure_fraction(self):
+        from repro.errors import FaultConfigError
+        from repro.experiments import chaos
+
+        with pytest.raises(FaultConfigError, match=r"within \[0, 1\)"):
+            chaos.build_plan(fractions=(0.0, 1.0), shell="small")
 
     def test_empty_fractions_exits_4(self, capsys):
         code = main(
