@@ -18,7 +18,7 @@ contract:
   worker.
 * **Hangs are the parent's problem.** ``SIGALRM`` cannot interrupt a
   worker from the parent, so ``--shard-deadline-s`` is enforced by a
-  parent-side watchdog over heartbeat/assignment timestamps: an overdue
+  parent-side watchdog over assignment timestamps: an overdue
   worker is killed and its shard retried.
 * **Repeat offenders are quarantined.** A shard that fails its whole
   retry budget — by any mix of crash, kill, hang, garbage payload, or
@@ -55,7 +55,6 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -80,9 +79,6 @@ from repro.runner.store import CheckpointStore, canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runner.engine import RunnerOptions
-
-HEARTBEAT_INTERVAL_S = 0.5
-"""How often each worker's pulse thread pings the parent."""
 
 _POLL_TIMEOUT_S = 0.1
 """Upper bound on one supervisor tick while waiting for events."""
@@ -114,7 +110,6 @@ def _worker_main(
     conn: Connection,
     config: dict[str, Any],
     worker_id: int,
-    heartbeat_interval_s: float,
     obs_sidecar_dir: str | None = None,
 ) -> None:
     """One worker process: rebuild the plan, then serve run requests.
@@ -167,27 +162,10 @@ def _worker_main(
             hook(shard_id, attempt)
         return delta
 
-    send_lock = threading.Lock()
-    inflight: dict[str, Any] = {"shard": None, "attempt": None}
-    stop_pulse = threading.Event()
-
-    def _send(message: tuple) -> None:
-        with send_lock:
-            conn.send(message)
-
-    def _pulse() -> None:
-        while not stop_pulse.wait(heartbeat_interval_s):
-            try:
-                _send(("hb", worker_id, inflight["shard"], inflight["attempt"]))
-            except Exception:
-                return  # parent is gone; the daemon thread just stops
-
-    threading.Thread(target=_pulse, name="heartbeat", daemon=True).start()
-
     try:
         plan = plan_from_config(config)
     except Exception as exc:  # noqa: BLE001 - report, parent decides
-        _send(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
+        conn.send(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
         return
     while True:
         try:
@@ -197,15 +175,14 @@ def _worker_main(
         if message[0] == "stop":
             return
         _, shard_id, attempt = message
-        inflight["shard"], inflight["attempt"] = shard_id, attempt
         set_current_attempt(attempt)
-        _send(("start", worker_id, shard_id, attempt))
+        conn.send(("start", worker_id, shard_id, attempt))
         started = time.perf_counter()
         try:
             payload = plan.run_shard(shard_id)
         except BaseException as exc:  # noqa: BLE001 - everything is reportable
             delta = _snapshot_and_park(shard_id, attempt)
-            _send(
+            conn.send(
                 (
                     "err",
                     worker_id,
@@ -220,9 +197,9 @@ def _worker_main(
             wall_s = time.perf_counter() - started
             delta = _snapshot_and_park(shard_id, attempt)
             try:
-                _send(("ok", worker_id, shard_id, attempt, payload, wall_s, delta))
+                conn.send(("ok", worker_id, shard_id, attempt, payload, wall_s, delta))
             except Exception as exc:  # noqa: BLE001 - unpicklable payload
-                _send(
+                conn.send(
                     (
                         "err",
                         worker_id,
@@ -233,7 +210,6 @@ def _worker_main(
                         delta,
                     )
                 )
-        inflight["shard"] = inflight["attempt"] = None
         set_current_attempt(None)
 
 
@@ -405,7 +381,6 @@ def execute_pending_parallel(
                 child_conn,
                 plan.config,
                 next_wid,
-                HEARTBEAT_INTERVAL_S,
                 obs_sidecar_dir,
             ),
             name=f"repro-shard-worker-{next_wid}",
@@ -470,8 +445,6 @@ def execute_pending_parallel(
     def _handle_message(worker: _Worker, message: tuple, now: float) -> None:
         nonlocal executed
         kind = message[0]
-        if kind == "hb":
-            return
         if kind == "start":
             # The shard is actually running now; the watchdog measures
             # from here, not from when the request entered the pipe.
