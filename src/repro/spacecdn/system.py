@@ -631,9 +631,10 @@ class SpaceCdnSystem:
         """One request's attempt walk down the ladder.
 
         Each tried rung is one attempt. Attempts lost to transient loss add
-        simulated backoff and descend to the next rung; after the space rungs, the ground rung absorbs the
-        remaining retry budget. A request that exhausts the ladder or the
-        budget raises :class:`~repro.errors.UnavailableError`.
+        simulated backoff and descend to the next rung; after the space
+        rungs, the ground rung absorbs the remaining attempts. A request
+        that exhausts the ladder or its attempts raises
+        :class:`~repro.errors.UnavailableError`.
 
         With an overload model four protections apply per rung, in this
         order: an open circuit breaker skips the rung *without* consuming an

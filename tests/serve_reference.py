@@ -136,7 +136,9 @@ class ReferenceCdn:
         slot = int(t_s // SNAPSHOT_INTERVAL_S)
         if slot != self._slot:
             self._slot = slot
-            self._snapshot = build_snapshot(self.constellation, slot * SNAPSHOT_INTERVAL_S)
+            self._snapshot = build_snapshot(
+                self.constellation, slot * SNAPSHOT_INTERVAL_S
+            )
             self._faults = None
 
     def _degraded(self):

@@ -279,8 +279,8 @@ class TestExitCodes:
     def test_full_failure_fraction_exits_4_before_any_work(
         self, out_dir, tmp_path, capsys, monkeypatch
     ):
-        # 1.0 fails every satellite; it used to pass the flag check and
-        # fail its shard only after the 0.0 shard had run.
+        # 1.0 fails every satellite, so the run must refuse it before the
+        # 0.0 shard (or a run directory) exists.
         from repro.experiments import chaos
 
         def no_work(*args):
