@@ -9,6 +9,10 @@ here unchanged.
 experiment runs one shard plan, so the in-memory run, ``--out-dir <dir>``
 and ``--out-dir <dir> --jobs 2`` must each print exactly these bytes.
 ``examples/<name>.txt`` pins the stdout of ``examples/<name>.py``.
+``payloads.json`` pins, at full precision, the sha256 of ``repr`` of every
+shard payload of the measurement experiments at seed 7 (and of the Fig. 7/8
+``aim`` baseline shards): the text goldens round to 1-2 decimals, so only
+these digests catch a last-bit drift in the AIM/NetMet draws.
 
 Dropped as not reproducible across runs: the ``repro_profile_*`` lines of
 the metrics file (wall-clock seconds per profiled site). Nothing else in
@@ -23,7 +27,10 @@ Regenerate (only when an output change is intended)::
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib
 import io
+import json
 import os
 import runpy
 import sys
@@ -53,6 +60,17 @@ STDOUT_EXPERIMENTS = (
 OBS_EXPERIMENTS = ("chaos", "overload")
 OBS_ARTIFACTS = ("obs-metrics.prom", "obs-timeseries.json", "obs-trace.jsonl")
 EXAMPLES = ("chaos_sweep", "live_system", "maputo_case_study", "quickstart")
+PAYLOAD_SEED = 7
+PAYLOAD_SHARDS: dict[str, tuple[str, ...] | None] = {
+    # experiment -> the shard ids pinned (None: every shard of its plan)
+    "table1": None,
+    "figure2": None,
+    "figure3": None,
+    "figure4": None,
+    "figure5": None,
+    "figure7": ("aim",),
+    "figure8": ("aim",),
+}
 
 
 def _stable(artifact: str, text: str) -> str:
@@ -113,6 +131,17 @@ def run_example(name: str) -> str:
     return out.getvalue()
 
 
+def payload_digests(experiment: str) -> dict[str, str]:
+    """sha256 of ``repr`` of each pinned shard payload at seed 7, by shard id."""
+    module = importlib.import_module(f"repro.experiments.{experiment}")
+    plan = module.build_plan(seed=PAYLOAD_SEED)
+    shard_ids = PAYLOAD_SHARDS[experiment] or plan.shard_ids
+    return {
+        shard_id: hashlib.sha256(repr(plan.run_shard(shard_id)).encode()).hexdigest()
+        for shard_id in shard_ids
+    }
+
+
 def test_every_registered_experiment_has_a_golden():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -147,6 +176,12 @@ def test_obs_artifacts_match_golden(experiment, tmp_path):
         assert text == expected, f"{experiment} {name} drifted from its golden"
 
 
+@pytest.mark.parametrize("experiment", PAYLOAD_SHARDS)
+def test_shard_payloads_match_golden(experiment):
+    expected = json.loads((GOLDEN / "payloads.json").read_text())[experiment]
+    assert payload_digests(experiment) == expected
+
+
 def test_every_example_has_a_golden():
     assert {p.stem for p in EXAMPLES_DIR.glob("*.py")} == set(EXAMPLES)
 
@@ -178,6 +213,8 @@ def regenerate() -> None:
     (GOLDEN / "examples").mkdir(exist_ok=True)
     for name in EXAMPLES:
         (GOLDEN / "examples" / f"{name}.txt").write_text(run_example(name))
+    digests = {experiment: payload_digests(experiment) for experiment in PAYLOAD_SHARDS}
+    (GOLDEN / "payloads.json").write_text(json.dumps(digests, indent=1) + "\n")
 
 
 if __name__ == "__main__":
