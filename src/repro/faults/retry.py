@@ -32,8 +32,13 @@ class RetryPolicy:
             raise FaultConfigError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
-            raise FaultConfigError("backoff base and cap must be non-negative")
+        # Written so that NaN fails too: a NaN cap makes every backoff NaN,
+        # and a NaN base silently yields the cap.
+        if not (self.backoff_base_ms >= 0 and self.backoff_cap_ms >= 0):
+            raise FaultConfigError(
+                "backoff base and cap must be non-negative numbers, got "
+                f"{self.backoff_base_ms} and {self.backoff_cap_ms}"
+            )
 
     def backoff_ms(self, attempt: int) -> float:
         """Simulated backoff after failed attempt ``attempt`` (1-based)."""

@@ -152,6 +152,13 @@ class TestRetryPolicy:
         with pytest.raises(FaultConfigError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("field", ["backoff_base_ms", "backoff_cap_ms"])
+    def test_nan_backoff_rejected(self, field):
+        # A NaN cap would make every retried RTT NaN; a NaN base would
+        # silently yield the cap.
+        with pytest.raises(FaultConfigError):
+            RetryPolicy(**{field: float("nan")})
+
 
 class TestErrorHierarchy:
     def test_fault_config_is_configuration_error(self):
