@@ -10,6 +10,7 @@ the Tranco top-20 landing pages served by Cloudflare/CloudFront.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -64,6 +65,7 @@ _TOP_PAGES: tuple[tuple[str, int, int, int, float], ...] = (
 )
 
 
+@lru_cache(maxsize=1)
 def top_site_pages() -> tuple[WebPage, ...]:
-    """The 20 synthetic landing pages the NetMet model browses."""
+    """The 20 synthetic landing pages the NetMet model browses (built once)."""
     return tuple(WebPage(*row) for row in _TOP_PAGES)
