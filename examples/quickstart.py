@@ -14,7 +14,6 @@ from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.geo.datasets.cdn_sites import cdn_site_by_name
 from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkPathModel
-from repro.network.latency import LatencyNoise
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.spacecdn.lookup import SpaceCdnLookup
@@ -44,7 +43,7 @@ def main() -> None:
           f"({result.isl_hops} ISL hops), RTT {space_rtt:.1f} ms")
 
     # 4. The same user today: Starlink routes to Frankfurt first.
-    model = StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(0)))
+    model = StarlinkPathModel(rng=np.random.default_rng(0))
     path = model.resolve_path(maputo)
     frankfurt = cdn_site_by_name("Frankfurt")
     today_rtt = model.min_rtt_floor_ms(maputo, frankfurt.location, frankfurt.iso2)

@@ -53,7 +53,7 @@ STARLINK_SCHEDULING_DELAY_MS: float = 4.0
 """Minimum one-way MAC scheduling / frame-alignment delay on the Ku-band link.
 
 This is the floor; the frame-alignment *jitter* on top of it (0 to one full
-scheduling interval) lives in :class:`repro.network.latency.LatencyNoise`.
+scheduling interval) lives in :class:`repro.network.bentpipe.StarlinkLeg`.
 """
 
 STARLINK_FRAME_JITTER_MAX_MS: float = 20.0

@@ -19,7 +19,6 @@ from repro.geo.datasets.cdn_sites import CdnSite, all_cdn_sites
 from repro.geo.datasets.cities import City, all_cities
 from repro.geo.datasets.pops import assigned_pop
 from repro.network.bentpipe import StarlinkPathModel
-from repro.network.latency import LatencyNoise
 from repro.network.terrestrial import TerrestrialPathModel
 from repro.network.throughput import (
     ThroughputProfile,
@@ -133,9 +132,10 @@ class AimGenerator:
     def __post_init__(self) -> None:
         if self.probes_per_site < 1 or self.candidate_sites < 1:
             raise ConfigurationError("probes and candidate counts must be >= 1")
-        noise = LatencyNoise(rng=seeded_rng(self.seed, 1))
-        self.terrestrial = TerrestrialPathModel(noise=noise)
-        self.starlink = StarlinkPathModel(noise=noise)
+        # One stream for both models: their draws interleave on it.
+        rng = seeded_rng(self.seed, 1)
+        self.terrestrial = TerrestrialPathModel(rng=rng)
+        self.starlink = StarlinkPathModel(rng=rng)
 
     # -- per-test sampling ------------------------------------------------
 
@@ -150,10 +150,7 @@ class AimGenerator:
     def sample_loaded_rtt_ms(self, city: City, site: CdnSite, isp: str) -> float:
         """One loaded-RTT sample (active download in progress)."""
         if isp == TERRESTRIAL:
-            # Terrestrial bufferbloat is mild by comparison.
-            return self.terrestrial.idle_rtt_ms(
-                city, site.location, site.iso2
-            ) + self.terrestrial.noise.bufferbloat_ms(25.0)
+            return self.terrestrial.loaded_rtt_ms(city, site.location, site.iso2)
         if isp == STARLINK:
             return self.starlink.loaded_rtt_ms(city, site.location, site.iso2)
         raise ConfigurationError(f"unknown ISP class: {isp!r}")
@@ -224,7 +221,7 @@ class AimGenerator:
         ``uniform(0.5, 1.0)`` formula, minus its argument checks.
         """
         bound = profile.download_mbps(rtt_ms)
-        return bound * (0.5 + 0.5 * self.terrestrial.noise.rng.random())
+        return bound * (0.5 + 0.5 * self.terrestrial.rng.random())
 
     def generate_city_tests(
         self, city: City, isp: str, num_tests: int

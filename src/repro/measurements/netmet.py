@@ -56,7 +56,7 @@ class NetMetProbe:
     # -- component models -------------------------------------------------
 
     def _rng(self):
-        return self.generator.terrestrial.noise.rng
+        return self.generator.terrestrial.rng
 
     def bandwidth_mbps(self, city: City, isp: str) -> float:
         """One sampled downlink bandwidth for a client."""

@@ -23,10 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.constants import (
     CDN_SERVER_THINK_TIME_MS,
+    EARTH_RADIUS_KM,
     ISL_HOP_PROCESSING_MS,
+    MIN_ELEVATION_USER_DEG,
     SPEED_OF_LIGHT_KM_S,
+    STARLINK_FRAME_JITTER_MAX_MS,
     STARLINK_PROCESSING_DELAY_MS,
     STARLINK_SHELL1_ALTITUDE_KM,
 )
@@ -35,8 +40,8 @@ from repro.geo.coordinates import GeoPoint, great_circle_km
 from repro.geo.datasets.cities import City
 from repro.geo.datasets.countries import country_by_iso2
 from repro.geo.datasets.pops import assigned_pop
-from repro.network.access import access_latency_ms, sample_access_one_way_ms
-from repro.network.latency import LatencyNoise, fiber_path_ms
+from repro.network.access import access_latency_ms
+from repro.network.latency import LegSampler, fiber_path_ms
 from repro.topology.ground import GroundSegment, GroundStation, PointOfPresence
 
 
@@ -80,17 +85,72 @@ class StarlinkPath:
     """Deterministic minimum one-way latency client -> PoP."""
 
 
+_ELEVATION_SPAN_DEG = 90.0 - MIN_ELEVATION_USER_DEG
+
+
+class StarlinkLeg(LegSampler):
+    """A resolved Starlink leg and the draws of one probe over it.
+
+    Only the uplink is sampled. Everything past it keeps its floor value:
+    ``tail_ms`` (one-way space segment, downlink, backhaul and PoP) and
+    ``remote_ms`` (PoP-to-remote fibre). An idle probe draws beta (the
+    serving satellite's elevation), random (frame jitter), then lognormal
+    and exponential (jitter); a loaded probe first draws one exponential
+    (bufferbloat).
+    """
+
+    def __init__(self, model: StarlinkPathModel, tail_ms: float, remote_ms: float):
+        super().__init__(model.rng)
+        h = model.params.altitude_km
+        if not h > 0:
+            raise ConfigurationError(f"altitude must be positive: {h}")
+        self.tail_ms = tail_ms
+        self.remote_ms = remote_ms
+        self._params = model.params
+        self._hh = h * h
+        self._two_re_h = 2.0 * EARTH_RADIUS_KM * h
+        self._beta = model.rng.beta
+        self._random = model.rng.random
+
+    def idle_rtt_ms(self) -> float:
+        """Uplink + tail + remote leg, both ways, plus server think time and
+        frame jitter, all jittered. The elevation is Beta(1, 2) over the
+        usable range: the sky annulus shrinks towards zenith, and the
+        scheduler balances load rather than always picking the overhead
+        satellite. ``max * random()`` is numpy's own ``uniform(0, max)``."""
+        elevation = MIN_ELEVATION_USER_DEG + self._beta(1.0, 2.0) * _ELEVATION_SPAN_DEG
+        if not 0.0 <= elevation <= 90.0:
+            raise ConfigurationError(f"elevation {elevation} outside [0, 90]")
+        # Slant range from the Earth-centre triangle with radii R and R + h.
+        re_sin_e = EARTH_RADIUS_KM * math.sin(math.radians(elevation))
+        slant_km = math.sqrt(re_sin_e**2 + self._hh + self._two_re_h) - re_sin_e
+        one_way = access_latency_ms(slant_km) + self.tail_ms + self.remote_ms
+        return self.jittered_ms(
+            2.0 * one_way
+            + CDN_SERVER_THINK_TIME_MS
+            + STARLINK_FRAME_JITTER_MAX_MS * self._random()
+        )
+
+    def loaded_rtt_ms(self) -> float:
+        """RTT during an active download: idle RTT plus bufferbloat."""
+        params = self._params
+        extra = params.bufferbloat_base_ms + self._exponential(
+            params.bufferbloat_scale_ms
+        )
+        return self.idle_rtt_ms() + extra
+
+
 @dataclass
 class StarlinkPathModel:
     """Analytic latency model for Starlink subscriber paths."""
 
-    noise: LatencyNoise
+    rng: np.random.Generator
     ground: GroundSegment = field(default_factory=GroundSegment.from_gazetteer)
     params: StarlinkModelParams = field(default_factory=StarlinkModelParams)
     _path_cache: dict[tuple[float, float, str], StarlinkPath] = field(
         default_factory=dict, repr=False
     )
-    _legs: dict[tuple[City, GeoPoint, str], tuple[float, float]] = field(
+    _legs: dict[tuple[str, str, float, float], StarlinkLeg] = field(
         default_factory=dict, repr=False
     )
 
@@ -179,55 +239,33 @@ class StarlinkPathModel:
         remote_tier = country_by_iso2(remote_iso2).infra_tier
         return fiber_path_ms(distance, max(pop_tier, remote_tier))
 
-    def _leg(
-        self, city: City, remote: GeoPoint, remote_iso2: str
-    ) -> tuple[float, float]:
-        """The deterministic part of a client-remote leg, resolved once.
+    def _leg(self, city: City, remote: GeoPoint, remote_iso2: str) -> StarlinkLeg:
+        """The client-remote leg, resolved once; resolving draws nothing.
 
-        Returns (floor one-way ms past the uplink, PoP-to-remote one-way
-        ms). The AIM generator probes the same city-site pairs thousands of
-        times and neither leg carries noise; resolving them draws nothing.
+        Keyed by the city's (unique) gazetteer name and the remote's country
+        and coordinates, which hash far faster than the records.
         """
-        key = (city, remote, remote_iso2)
+        key = (city.name, remote_iso2, remote.lat_deg, remote.lon_deg)
         leg = self._legs.get(key)
         if leg is None:
             path = self.resolve_path(city)
-            floor_tail = path.one_way_floor_ms - access_latency_ms(
-                self.params.altitude_km
-            )
-            leg = self._legs[key] = (
-                floor_tail,
+            leg = self._legs[key] = StarlinkLeg(
+                self,
+                path.one_way_floor_ms - access_latency_ms(self.params.altitude_km),
                 self.pop_to_remote_one_way_ms(city, remote, remote_iso2),
             )
         return leg
 
-    def idle_rtt_ms(
-        self,
-        city: City,
-        remote: GeoPoint,
-        remote_iso2: str,
-        server_think_ms: float = CDN_SERVER_THINK_TIME_MS,
-    ) -> float:
-        """One sampled idle RTT from ``city`` to a remote host over Starlink.
-
-        Only the uplink is sampled; everything past it keeps its floor
-        value, and jitter is applied to the whole RTT.
-        """
-        floor_tail, remote_ms = self._leg(city, remote, remote_iso2)
-        up_ms = sample_access_one_way_ms(self.noise.rng, self.params.altitude_km)
-        one_way = up_ms + floor_tail + remote_ms
-        base = 2.0 * one_way + server_think_ms + self.noise.starlink_frame_jitter_ms()
-        return self.noise.jitter_ms(base)
+    def idle_rtt_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
+        """One sampled idle RTT from ``city`` to a remote host over Starlink."""
+        return self._leg(city, remote, remote_iso2).idle_rtt_ms()
 
     def loaded_rtt_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
-        """RTT during an active download: idle RTT plus bufferbloat."""
-        extra = self.params.bufferbloat_base_ms + self.noise.bufferbloat_ms(
-            self.params.bufferbloat_scale_ms
-        )
-        return self.idle_rtt_ms(city, remote, remote_iso2) + extra
+        """One sampled RTT during an active download."""
+        return self._leg(city, remote, remote_iso2).loaded_rtt_ms()
 
     def min_rtt_floor_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
         """Deterministic lower bound of the RTT distribution."""
-        _, remote_ms = self._leg(city, remote, remote_iso2)
+        remote_ms = self._leg(city, remote, remote_iso2).remote_ms
         one_way = self.resolve_path(city).one_way_floor_ms + remote_ms
         return 2.0 * one_way + CDN_SERVER_THINK_TIME_MS

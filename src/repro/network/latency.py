@@ -5,15 +5,13 @@ The decomposition follows how real paths accrue delay:
 * *propagation* — distance over medium speed (vacuum for radio/optical ISLs,
   ~2/3 c for fiber), inflated by route circuity on terrestrial segments;
 * *per-hop forwarding* — a small per-router delay;
-* *last mile* — the access-network delay at the client edge, strongly
-  tier-dependent (DOCSIS/fiber in tier 1 vs congested links in tier 3);
 * *jitter* — multiplicative log-normal plus additive exponential queueing.
+
+Each path model resolves a client-remote leg once into a :class:`LegSampler`
+that holds the leg's constants; a probe over the leg then only draws.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +20,16 @@ from repro.constants import (
     CIRCUITY_TIER2,
     CIRCUITY_TIER3,
     FIBER_SPEED_KM_S,
-    STARLINK_FRAME_JITTER_MAX_MS,
     TERRESTRIAL_PER_HOP_MS,
 )
 from repro.errors import ConfigurationError
 
 _TIER_CIRCUITY = {1: CIRCUITY_TIER1, 2: CIRCUITY_TIER2, 3: CIRCUITY_TIER3}
 
-# Last-mile one-way medians by infrastructure tier (ms). Minimums observed in
-# speed tests are far lower than medians, hence the wide log-normal sigma.
-_TIER_LAST_MILE_MEDIAN_MS = {1: 3.5, 2: 5.0, 3: 8.0}
-_LAST_MILE_SIGMA = 0.7
-
-# Country-specific last-mile overrides where access quality deviates sharply
-# from the tier norm. Nigeria's fixed/mobile access is persistently congested
-# (the paper finds Starlink *beats* terrestrial there despite a local CDN,
-# because subscribers "skip the still under-developed terrestrial
-# infrastructure").
-_COUNTRY_LAST_MILE_MEDIAN_MS = {"NG": 26.0}
+# Per-probe jitter: log-normal sigma of the multiplicative part, mean of the
+# exponential queueing part (ms).
+_JITTER_SIGMA = 0.06
+_QUEUE_SCALE_MS = 1.5
 
 
 def propagation_ms(distance_km: float, speed_km_s: float) -> float:
@@ -81,47 +71,24 @@ def fiber_path_ms(distance_km: float, tier: int, extra_hops: int = 0) -> float:
     return propagation_ms(stretched, FIBER_SPEED_KM_S) + hops * TERRESTRIAL_PER_HOP_MS
 
 
-@dataclass
-class LatencyNoise:
-    """Stochastic latency components, driven by a seeded numpy Generator.
+class LegSampler:
+    """The draws of one probe over a resolved client-remote leg.
 
-    Keeping the RNG injected (rather than module-global) makes every
-    experiment reproducible from its seed alone.
+    A path model resolves each leg once into a subclass that holds every
+    constant a probe needs plus the seeded Generator's bound draw methods,
+    so a probe only draws and does its arithmetic. The draw sequence is the
+    measurement path's output contract (DESIGN.md §3.10).
     """
 
-    rng: np.random.Generator
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._lognormal = rng.lognormal
+        self._exponential = rng.exponential
 
-    def last_mile_ms(self, tier: int, iso2: str | None = None) -> float:
-        """One sampled last-mile one-way delay for a client in the given tier.
-
-        ``iso2`` enables country-specific overrides (e.g. Nigeria's
-        congested access networks).
-        """
-        median = _TIER_LAST_MILE_MEDIAN_MS.get(tier)
-        if median is None:
-            raise ConfigurationError(f"unknown infrastructure tier: {tier}")
-        if iso2 is not None:
-            median = _COUNTRY_LAST_MILE_MEDIAN_MS.get(iso2, median)
-        return float(self.rng.lognormal(math.log(median), _LAST_MILE_SIGMA))
-
-    def jitter_ms(self, base_ms: float, sigma: float = 0.06, queue_scale_ms: float = 1.5) -> float:
-        """Total jittered latency: multiplicative log-normal + exponential queueing."""
+    def jittered_ms(self, base_ms: float) -> float:
+        """``base_ms`` jittered: multiplicative log-normal plus exponential
+        queueing (draws lognormal, then exponential)."""
         if base_ms < 0:
             raise ConfigurationError(f"negative base latency: {base_ms}")
-        multiplicative = float(self.rng.lognormal(0.0, sigma))
-        queueing = float(self.rng.exponential(queue_scale_ms))
-        return base_ms * multiplicative + queueing
-
-    def bufferbloat_ms(self, scale_ms: float = 60.0) -> float:
-        """Extra queueing delay under load (heavy-tailed)."""
-        return float(self.rng.exponential(scale_ms))
-
-    def starlink_frame_jitter_ms(self) -> float:
-        """Per-RTT spread from uplink-grant alignment and CGNAT queueing.
-
-        Uniform over [0, max]: the terminal's request lands anywhere within
-        the scheduler's grant cycle, independently each round trip.
-        ``max * random()`` is numpy's own ``uniform(0.0, max)`` formula
-        (``low + (high - low) * random()``), minus its argument checks.
-        """
-        return STARLINK_FRAME_JITTER_MAX_MS * self.rng.random()
+        return base_ms * self._lognormal(0.0, _JITTER_SIGMA) + self._exponential(
+            _QUEUE_SCALE_MS
+        )

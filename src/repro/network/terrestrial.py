@@ -9,22 +9,77 @@ detours through Europe).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.constants import CDN_SERVER_THINK_TIME_MS
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint, great_circle_km
 from repro.geo.datasets.cities import City
 from repro.geo.datasets.countries import country_by_iso2
-from repro.network.latency import LatencyNoise, fiber_path_ms
+from repro.network.latency import LegSampler, fiber_path_ms
+
+# Last-mile one-way medians by infrastructure tier (ms). Minimums observed in
+# speed tests are far lower than medians, hence the wide log-normal sigma.
+_TIER_LAST_MILE_MEDIAN_MS = {1: 3.5, 2: 5.0, 3: 8.0}
+_LAST_MILE_SIGMA = 0.7
+
+# Country-specific last-mile overrides where access quality deviates sharply
+# from the tier norm. Nigeria's fixed/mobile access is persistently congested
+# (the paper finds Starlink *beats* terrestrial there despite a local CDN,
+# because subscribers "skip the still under-developed terrestrial
+# infrastructure").
+_COUNTRY_LAST_MILE_MEDIAN_MS = {"NG": 26.0}
+
+# Mean of the exponential extra queueing under load: terrestrial
+# bufferbloat is mild by comparison with Starlink's.
+_BUFFERBLOAT_SCALE_MS = 25.0
+
+
+def last_mile_median_ms(tier: int, iso2: str) -> float:
+    """Median last-mile one-way delay of a client in ``iso2``, a tier-``tier``
+    country; ``iso2`` enables country-specific overrides (e.g. Nigeria's
+    congested access networks)."""
+    median = _TIER_LAST_MILE_MEDIAN_MS.get(tier)
+    if median is None:
+        raise ConfigurationError(f"unknown infrastructure tier: {tier}")
+    return _COUNTRY_LAST_MILE_MEDIAN_MS.get(iso2, median)
+
+
+class TerrestrialLeg(LegSampler):
+    """A resolved terrestrial leg and the draws of one probe over it.
+
+    An idle probe draws lognormal (last mile), then lognormal and
+    exponential (jitter); a loaded probe then draws one more exponential
+    (bufferbloat).
+    """
+
+    def __init__(self, rng: np.random.Generator, core_ms: float, median_ms: float):
+        super().__init__(rng)
+        self.core_ms = core_ms
+        self._log_last_mile = math.log(median_ms)
+
+    def idle_rtt_ms(self) -> float:
+        """RTT = last mile (counted once per direction) + 2x core one-way +
+        server think time, all jittered."""
+        last_mile = self._lognormal(self._log_last_mile, _LAST_MILE_SIGMA)
+        return self.jittered_ms(
+            2.0 * (self.core_ms + last_mile) + CDN_SERVER_THINK_TIME_MS
+        )
+
+    def loaded_rtt_ms(self) -> float:
+        """RTT during an active download: idle RTT plus bufferbloat."""
+        return self.idle_rtt_ms() + self._exponential(_BUFFERBLOAT_SCALE_MS)
 
 
 @dataclass
 class TerrestrialPathModel:
     """Latency model for paths that never leave the ground."""
 
-    noise: LatencyNoise
-    _legs: dict[tuple[City, GeoPoint, str], tuple[float, int]] = field(
+    rng: np.random.Generator
+    _legs: dict[tuple[str, str, float, float], TerrestrialLeg] = field(
         default_factory=dict, repr=False
     )
 
@@ -46,46 +101,31 @@ class TerrestrialPathModel:
         tier = self.path_tier(client_iso2, remote_iso2)
         return fiber_path_ms(distance, tier)
 
-    def _leg(
-        self, client_city: City, remote: GeoPoint, remote_iso2: str
-    ) -> tuple[float, int]:
-        """The deterministic part of a client-remote leg, resolved once.
+    def _leg(self, city: City, remote: GeoPoint, remote_iso2: str) -> TerrestrialLeg:
+        """The client-remote leg, resolved once; resolving draws nothing.
 
-        Returns (one-way core ms, the client's last-mile tier). The AIM
-        generator probes the same city-site pairs thousands of times and
-        none of this varies between probes; resolving it draws nothing.
+        Keyed by the city's (unique) gazetteer name and the remote's country
+        and coordinates, which hash far faster than the records.
         """
-        key = (client_city, remote, remote_iso2)
+        key = (city.name, remote_iso2, remote.lat_deg, remote.lon_deg)
         leg = self._legs.get(key)
         if leg is None:
-            core = self.one_way_core_ms(
-                client_city.location, client_city.iso2, remote, remote_iso2
+            leg = self._legs[key] = TerrestrialLeg(
+                self.rng,
+                self.one_way_core_ms(city.location, city.iso2, remote, remote_iso2),
+                last_mile_median_ms(city.country.infra_tier, city.iso2),
             )
-            leg = self._legs[key] = (core, client_city.country.infra_tier)
         return leg
 
-    def idle_rtt_ms(
-        self,
-        client_city: City,
-        remote: GeoPoint,
-        remote_iso2: str,
-        server_think_ms: float = CDN_SERVER_THINK_TIME_MS,
-    ) -> float:
-        """One sampled idle RTT from a client in ``client_city`` to ``remote``.
+    def idle_rtt_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
+        """One sampled idle RTT from a client in ``city`` to ``remote``."""
+        return self._leg(city, remote, remote_iso2).idle_rtt_ms()
 
-        RTT = last mile (both directions share the access link, counted once
-        per direction) + 2x core one-way + server think time, all jittered.
-        """
-        if server_think_ms < 0:
-            raise ConfigurationError(f"negative think time: {server_think_ms}")
-        core, tier = self._leg(client_city, remote, remote_iso2)
-        last_mile = self.noise.last_mile_ms(tier, client_city.iso2)
-        base = 2.0 * (core + last_mile) + server_think_ms
-        return self.noise.jitter_ms(base)
+    def loaded_rtt_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
+        """One sampled RTT during an active download."""
+        return self._leg(city, remote, remote_iso2).loaded_rtt_ms()
 
-    def min_rtt_floor_ms(
-        self, client_city: City, remote: GeoPoint, remote_iso2: str
-    ) -> float:
+    def min_rtt_floor_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
         """The deterministic lower bound of the RTT distribution (no noise)."""
-        core, _ = self._leg(client_city, remote, remote_iso2)
-        return 2.0 * core + CDN_SERVER_THINK_TIME_MS
+        core_ms = self._leg(city, remote, remote_iso2).core_ms
+        return 2.0 * core_ms + CDN_SERVER_THINK_TIME_MS

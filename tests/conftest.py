@@ -12,7 +12,6 @@ import pytest
 
 from repro.cdn.content import Catalog, ContentObject
 from repro.geo.coordinates import GeoPoint
-from repro.network.latency import LatencyNoise
 from repro.orbits.elements import ShellConfig, starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.topology.graph import build_snapshot
@@ -22,11 +21,6 @@ from topology_reference import networkx_view
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
-
-
-@pytest.fixture
-def noise(rng) -> LatencyNoise:
-    return LatencyNoise(rng=rng)
 
 
 @pytest.fixture

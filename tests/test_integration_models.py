@@ -14,7 +14,6 @@ from repro.geo.coordinates import GeoPoint
 from repro.geo.datasets.cdn_sites import cdn_site_by_name
 from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkPathModel
-from repro.network.latency import LatencyNoise
 from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup
 from repro.spacecdn.placement import KPerPlanePlacement
 from topology_reference import networkx_view, satellite_latencies_reference
@@ -44,7 +43,7 @@ class TestAnalyticVsGraphModel:
             for b in over_frankfurt
         )
 
-        model = StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(0)))
+        model = StarlinkPathModel(rng=np.random.default_rng(0))
         path = model.resolve_path(city_by_name("Maputo"))
         from repro.constants import ISL_HOP_PROCESSING_MS, SPEED_OF_LIGHT_KM_S
 
@@ -58,7 +57,9 @@ class TestAnalyticVsGraphModel:
     def test_access_latency_models_agree(self, shell1_snapshot):
         """Sampled analytic access latencies must bracket the graph model's
         access edge latency for a served point."""
-        from repro.network.access import access_latency_ms, sample_access_one_way_ms
+        from synthesis_reference import FixedJitter, uplinks_ms
+
+        from repro.network.access import access_latency_ms
         from repro.orbits.visibility import nearest_visible_satellite
 
         point = GeoPoint(10.0, 10.0)
@@ -66,8 +67,7 @@ class TestAnalyticVsGraphModel:
             shell1_snapshot.constellation, point, shell1_snapshot.t_s
         )
         graph_access = access_latency_ms(nearest.slant_range_km)
-        rng = np.random.default_rng(1)
-        samples = [sample_access_one_way_ms(rng) for _ in range(200)]
+        samples = uplinks_ms(FixedJitter(np.random.default_rng(1)), 200)
         assert min(samples) * 0.9 < graph_access < max(samples) * 1.1
 
 
@@ -91,7 +91,7 @@ class TestEndToEndSpaceCdn:
 
     def test_space_rtt_beats_analytic_starlink_rtt_for_maputo(self, shell1_snapshot, shell1):
         """The headline: SpaceCDN halves Maputo's CDN latency."""
-        model = StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(3)))
+        model = StarlinkPathModel(rng=np.random.default_rng(3))
         frankfurt = cdn_site_by_name("Frankfurt")
         maputo = city_by_name("Maputo")
         today = model.min_rtt_floor_ms(maputo, frankfurt.location, frankfurt.iso2)

@@ -6,10 +6,15 @@ import statistics
 
 import numpy as np
 import pytest
+import synthesis_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.geo.datasets.cities import city_by_name
+from repro.geo.datasets.cdn_sites import all_cdn_sites
+from repro.geo.datasets.cities import all_cities, city_by_name
 from repro.measurements.aim import STARLINK, TERRESTRIAL, AimDataset, AimGenerator, SpeedTest
+from repro.simulation.sampler import seeded_rng
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +172,7 @@ class TestLegResolution:
 
     def test_cold_resolution_leaves_the_rng_untouched(self):
         generator = AimGenerator(seed=3)
-        rng = generator.terrestrial.noise.rng
+        rng = generator.terrestrial.rng
         before = copy.deepcopy(rng.bit_generator.state)
         assert not generator.terrestrial._legs and not generator.starlink._legs
         resolve_every_leg(generator, tuple(city_by_name(n) for n in LEG_CITIES))
@@ -188,13 +193,51 @@ class TestLegResolution:
         assert (len(warm.terrestrial._legs), len(warm.starlink._legs)) == legs
 
 
+    def test_leg_keys_identify_gazetteer_records(self):
+        # A leg is keyed by the client city's name and the remote's
+        # (country, lat, lon): each must pick out one gazetteer record.
+        cities, sites = all_cities(), all_cdn_sites()
+        assert (len(cities), len(sites)) == (115, 94)
+        assert len({c.name for c in cities}) == len(cities)
+        assert len({(s.iso2, s.lat_deg, s.lon_deg) for s in sites}) == len(sites)
+        assert len({s.name for s in sites}) == len(sites)
+
+
+STARLINK_CITIES = tuple(c for c in all_cities() if c.country.starlink)
+
+
+@st.composite
+def probe_specs(draw):
+    """One probe: (city, ISP, candidate-site index, loaded?)."""
+    isp = draw(st.sampled_from((TERRESTRIAL, STARLINK)))
+    city = draw(st.sampled_from(all_cities() if isp == TERRESTRIAL else STARLINK_CITIES))
+    return city, isp, draw(st.integers(0, 7)), draw(st.booleans())
+
+
+class TestDrawForDraw:
+    """Each leg sampler draws what the one-helper-per-draw reference draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(probe_specs(), min_size=1, max_size=8))
+    def test_samplers_match_the_reference(self, seed, probes):
+        generator = AimGenerator(seed=seed)
+        reference = seeded_rng(seed, 1)
+        for city, isp, index, loaded in probes:
+            site = generator.candidate_sites_for(city, isp)[index]
+            sample = generator.sample_loaded_rtt_ms if loaded else generator.sample_rtt_ms
+            assert sample(city, site, isp) == synthesis_reference.sample_rtt_ms(
+                reference, generator, city, site, isp, loaded
+            )
+        assert generator.terrestrial.rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestSpeedDraws:
     def test_speed_scale_is_numpys_uniform_draw(self):
         generator = AimGenerator(seed=4)
         download, _ = generator.throughput_profiles(city_by_name("Lagos"), STARLINK)
         reference = np.random.default_rng(0)
         reference.bit_generator.state = copy.deepcopy(
-            generator.terrestrial.noise.rng.bit_generator.state
+            generator.terrestrial.rng.bit_generator.state
         )
         rtts = [20.0 + 7.0 * i for i in range(100)]
         assert [generator.sample_mbps(download, rtt) for rtt in rtts] == [
@@ -212,8 +255,8 @@ class TestOptimalSiteMedian:
         # Move the stream off its seed so the replay below depends on the copy.
         generator.optimal_site(city_by_name("Madrid"), isp)
         reference = AimGenerator(seed=99, probes_per_site=probes)
-        reference.terrestrial.noise.rng.bit_generator.state = copy.deepcopy(
-            generator.terrestrial.noise.rng.bit_generator.state
+        reference.terrestrial.rng.bit_generator.state = copy.deepcopy(
+            generator.terrestrial.rng.bit_generator.state
         )
 
         site, latency = generator.optimal_site(city, isp)

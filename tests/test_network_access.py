@@ -1,15 +1,29 @@
-"""Tests for Ku-band access-link latency and geometry."""
+"""Tests for Ku-band access-link latency and the sampled uplink's geometry.
+
+The analytic Starlink model samples the uplink inside its probe sampler
+(:class:`repro.network.bentpipe.StarlinkLeg`); :func:`uplinks_ms` reads it
+alone, with the jitter draws held at their identity.
+"""
 
 import numpy as np
 import pytest
+from synthesis_reference import FixedJitter, uplinks_ms
 
+from repro.constants import MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError
-from repro.network.access import (
-    access_latency_ms,
-    sample_access_one_way_ms,
-    sample_elevation_deg,
-    slant_range_for_elevation_km,
-)
+from repro.network.access import access_latency_ms
+from repro.network.bentpipe import StarlinkModelParams
+from repro.orbits.visibility import max_slant_range_km
+
+
+def uplink_at(fraction: float, altitude_km: float = 550.0) -> float:
+    """The uplink ms at elevation ``25 + fraction * 65`` degrees."""
+    params = StarlinkModelParams(altitude_km=altitude_km)
+    return uplinks_ms(FixedJitter(elevation_fraction=fraction), 1, params)[0]
+
+
+def elevation_fraction(elevation_deg: float) -> float:
+    return (elevation_deg - MIN_ELEVATION_USER_DEG) / (90.0 - MIN_ELEVATION_USER_DEG)
 
 
 class TestAccessLatency:
@@ -44,59 +58,49 @@ class TestAccessLatency:
 
 class TestSlantRangeForElevation:
     def test_zenith_equals_altitude(self):
-        assert slant_range_for_elevation_km(90.0, 550.0) == pytest.approx(550.0)
+        assert uplink_at(1.0) == pytest.approx(access_latency_ms(550.0), rel=1e-12)
 
     def test_monotone_decreasing_in_elevation(self):
-        ranges = [slant_range_for_elevation_km(e, 550.0) for e in (10, 25, 50, 90)]
+        ranges = [uplink_at(f) for f in (0.0, 0.25, 0.5, 1.0)]
         assert ranges == sorted(ranges, reverse=True)
 
     def test_matches_visibility_bound(self):
         # Must agree with the law-of-sines bound used by visibility.
-        from repro.orbits.visibility import max_slant_range_km
-
-        for elevation in (10.0, 25.0, 40.0):
-            assert slant_range_for_elevation_km(elevation, 550.0) == pytest.approx(
-                max_slant_range_km(550.0, elevation), rel=1e-6
+        for elevation in (25.0, 40.0, 60.0):
+            assert uplink_at(elevation_fraction(elevation)) == pytest.approx(
+                access_latency_ms(max_slant_range_km(550.0, elevation)), rel=1e-6
             )
 
     def test_invalid_elevation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            slant_range_for_elevation_km(-1.0)
-        with pytest.raises(ConfigurationError):
-            slant_range_for_elevation_km(90.1)
+        for fraction in (-0.5, 1.01):
+            with pytest.raises(ConfigurationError, match="elevation"):
+                uplink_at(fraction)
 
     def test_invalid_altitude_rejected(self):
-        with pytest.raises(ConfigurationError):
-            slant_range_for_elevation_km(45.0, 0.0)
+        with pytest.raises(ConfigurationError, match="altitude"):
+            uplink_at(0.5, altitude_km=0.0)
 
 
 class TestSampleElevation:
     def test_within_usable_range(self):
-        rng = np.random.default_rng(0)
-        samples = [sample_elevation_deg(rng) for _ in range(500)]
-        assert all(25.0 <= s <= 90.0 for s in samples)
+        samples = uplinks_ms(FixedJitter(np.random.default_rng(0)), 500)
+        assert all(uplink_at(1.0) <= s <= uplink_at(0.0) for s in samples)
 
     def test_skewed_towards_low_elevations(self):
-        rng = np.random.default_rng(1)
-        samples = np.array([sample_elevation_deg(rng) for _ in range(2000)])
-        midpoint = (25.0 + 90.0) / 2.0
-        assert np.mean(samples < midpoint) > 0.55
-
-    def test_invalid_min_elevation_rejected(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ConfigurationError):
-            sample_elevation_deg(rng, min_elevation_deg=90.0)
+        samples = np.array(uplinks_ms(FixedJitter(np.random.default_rng(1)), 2000))
+        # A lower elevation means a longer slant range and a slower uplink.
+        midpoint = uplink_at(elevation_fraction((25.0 + 90.0) / 2.0))
+        assert np.mean(samples > midpoint) > 0.55
 
 
 class TestSampleAccessLatency:
     def test_bounded_by_geometry(self):
-        rng = np.random.default_rng(3)
-        samples = [sample_access_one_way_ms(rng) for _ in range(500)]
+        samples = uplinks_ms(FixedJitter(np.random.default_rng(3)), 500)
         # Floor: zenith propagation + fixed overheads (~7.3 ms);
         # ceiling: horizon-range propagation + overheads (~9.3 ms).
         assert all(7.0 < s < 10.0 for s in samples)
 
     def test_reproducible(self):
-        a = [sample_access_one_way_ms(np.random.default_rng(5)) for _ in range(5)]
-        b = [sample_access_one_way_ms(np.random.default_rng(5)) for _ in range(5)]
+        a = uplinks_ms(FixedJitter(np.random.default_rng(5)), 5)
+        b = uplinks_ms(FixedJitter(np.random.default_rng(5)), 5)
         assert a == b

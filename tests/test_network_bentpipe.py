@@ -6,12 +6,11 @@ import pytest
 from repro.geo.datasets.cdn_sites import cdn_site_by_name
 from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkModelParams, StarlinkPathModel
-from repro.network.latency import LatencyNoise
 
 
 @pytest.fixture
 def model() -> StarlinkPathModel:
-    return StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(21)))
+    return StarlinkPathModel(rng=np.random.default_rng(21))
 
 
 class TestResolvePath:
@@ -112,7 +111,7 @@ class TestSampledRtts:
         # its fast-path to Europe" — compare Maputo -> Frankfurt both ways.
         from repro.network.terrestrial import TerrestrialPathModel
 
-        terrestrial = TerrestrialPathModel(noise=model.noise)
+        terrestrial = TerrestrialPathModel(rng=model.rng)
         city = city_by_name("Maputo")
         site = cdn_site_by_name("Frankfurt")
         star = np.median(
@@ -126,13 +125,13 @@ class TestSampledRtts:
 
 class TestParams:
     def test_custom_stretch_increases_floor(self):
-        noise = LatencyNoise(rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
         slow = StarlinkPathModel(
-            noise=noise,
+            rng=rng,
             params=StarlinkModelParams(isl_path_stretch=2.5),
         )
         fast = StarlinkPathModel(
-            noise=noise,
+            rng=rng,
             params=StarlinkModelParams(isl_path_stretch=1.2),
         )
         city = city_by_name("Maputo")
@@ -142,9 +141,9 @@ class TestParams:
         )
 
     def test_bent_pipe_threshold_switches_mode(self):
-        noise = LatencyNoise(rng=np.random.default_rng(6))
+        rng = np.random.default_rng(6)
         generous = StarlinkPathModel(
-            noise=noise, params=StarlinkModelParams(bent_pipe_max_km=10_000.0)
+            rng=rng, params=StarlinkModelParams(bent_pipe_max_km=10_000.0)
         )
         city = city_by_name("Nairobi")
         assert not generous.resolve_path(city).uses_isl

@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from synthesis_reference import FixedJitter, uplinks_ms
 
 from repro.constants import FIBER_SPEED_KM_S, SPEED_OF_LIGHT_KM_S
 from repro.errors import ConfigurationError
+from repro.geo.datasets.cdn_sites import cdn_site_by_name
+from repro.geo.datasets.cities import city_by_name
+from repro.network.access import access_latency_ms
+from repro.network.bentpipe import StarlinkPathModel
 from repro.network.latency import (
-    LatencyNoise,
+    LegSampler,
     circuity_for_tier,
     estimate_router_hops,
     fiber_path_ms,
     propagation_ms,
 )
+from repro.network.terrestrial import TerrestrialLeg, last_mile_median_ms
 
 
 class TestPropagation:
@@ -77,66 +83,78 @@ class TestFiberPath:
 
 
 class TestLatencyNoise:
-    def test_last_mile_positive(self, noise):
-        samples = [noise.last_mile_ms(tier) for tier in (1, 2, 3) for _ in range(20)]
-        assert all(s > 0 for s in samples)
+    """The stochastic components: last mile, jitter, bufferbloat and the
+    Starlink frame jitter, each drawn inside a leg sampler."""
+
+    def test_last_mile_positive(self):
+        assert all(last_mile_median_ms(tier, "DE") > 0 for tier in (1, 2, 3))
 
     def test_last_mile_tier_ordering_in_median(self):
-        rng = np.random.default_rng(0)
-        noise = LatencyNoise(rng=rng)
-        t1 = np.median([noise.last_mile_ms(1) for _ in range(500)])
-        t3 = np.median([noise.last_mile_ms(3) for _ in range(500)])
-        assert t1 < t3
+        assert last_mile_median_ms(1, "DE") < last_mile_median_ms(3, "MZ")
 
     def test_nigeria_override_is_much_slower(self):
-        noise = LatencyNoise(rng=np.random.default_rng(1))
-        ng = np.median([noise.last_mile_ms(3, "NG") for _ in range(500)])
-        generic = np.median([noise.last_mile_ms(3, "MZ") for _ in range(500)])
-        assert ng > 2.0 * generic
+        assert last_mile_median_ms(3, "NG") > 2.0 * last_mile_median_ms(3, "MZ")
 
-    def test_unknown_tier_rejected(self, noise):
+    def test_unknown_tier_rejected(self):
         with pytest.raises(ConfigurationError):
-            noise.last_mile_ms(7)
+            last_mile_median_ms(7, "DE")
 
     def test_jitter_close_to_base(self):
-        noise = LatencyNoise(rng=np.random.default_rng(2))
+        sampler = LegSampler(np.random.default_rng(2))
         base = 100.0
-        samples = [noise.jitter_ms(base) for _ in range(500)]
+        samples = [sampler.jittered_ms(base) for _ in range(500)]
         assert 95.0 < np.median(samples) < 115.0
         assert all(s > 0 for s in samples)
 
-    def test_jitter_negative_base_rejected(self, noise):
+    def test_jitter_negative_base_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            noise.jitter_ms(-1.0)
+            LegSampler(rng).jittered_ms(-1.0)
 
     def test_bufferbloat_heavy_tail(self):
-        noise = LatencyNoise(rng=np.random.default_rng(3))
-        samples = np.array([noise.bufferbloat_ms(60.0) for _ in range(2000)])
-        assert samples.mean() == pytest.approx(60.0, rel=0.15)
-        assert samples.max() > 200.0
+        # Loaded = idle + 90 ms + Exp(60 ms) over Starlink.
+        city = city_by_name("Madrid")
+        site = cdn_site_by_name("Madrid")
+        model = StarlinkPathModel(rng=np.random.default_rng(3))
+        idle = np.array(
+            [model.idle_rtt_ms(city, site.location, site.iso2) for _ in range(2000)]
+        )
+        loaded = np.array(
+            [model.loaded_rtt_ms(city, site.location, site.iso2) for _ in range(2000)]
+        )
+        assert loaded.mean() - idle.mean() == pytest.approx(150.0, rel=0.05)
+        assert loaded.max() > np.median(idle) + 90.0 + 200.0
 
     def test_frame_jitter_bounded(self):
         from repro.constants import STARLINK_FRAME_JITTER_MAX_MS
 
-        noise = LatencyNoise(rng=np.random.default_rng(4))
-        samples = [noise.starlink_frame_jitter_ms() for _ in range(500)]
+        samples = frame_jitters_ms(np.random.default_rng(4), 500)
         assert all(0.0 <= s <= STARLINK_FRAME_JITTER_MAX_MS for s in samples)
 
     def test_frame_jitter_is_numpys_uniform_draw(self):
         # The draw sequence is the measurement path's output contract: the
-        # jitter must stay bit-identical to Generator.uniform(0, max).
+        # jitter must stay Generator.uniform(0, max). The draw-for-draw
+        # oracle (test_measurements_aim.py) checks it bit for bit.
         from repro.constants import STARLINK_FRAME_JITTER_MAX_MS
 
-        noise = LatencyNoise(rng=np.random.default_rng(4))
         reference = np.random.default_rng(4)
-        assert [noise.starlink_frame_jitter_ms() for _ in range(500)] == [
-            float(reference.uniform(0.0, STARLINK_FRAME_JITTER_MAX_MS))
-            for _ in range(500)
-        ]
+        assert frame_jitters_ms(np.random.default_rng(4), 500) == pytest.approx(
+            [
+                float(reference.uniform(0.0, STARLINK_FRAME_JITTER_MAX_MS))
+                for _ in range(500)
+            ],
+            abs=1e-9,
+        )
 
     def test_reproducible_from_seed(self):
-        a = LatencyNoise(rng=np.random.default_rng(99))
-        b = LatencyNoise(rng=np.random.default_rng(99))
-        assert [a.last_mile_ms(1) for _ in range(10)] == [
-            b.last_mile_ms(1) for _ in range(10)
+        a = TerrestrialLeg(np.random.default_rng(99), 1.0, 3.5)
+        b = TerrestrialLeg(np.random.default_rng(99), 1.0, 3.5)
+        assert [a.idle_rtt_ms() for _ in range(10)] == [
+            b.idle_rtt_ms() for _ in range(10)
         ]
+
+
+def frame_jitters_ms(rng: np.random.Generator, n: int) -> list[float]:
+    """``n`` Starlink frame jitters, read off zenith probes with no jitter."""
+    draws = FixedJitter(rng, elevation_fraction=1.0, frame_jitter=True)
+    zenith = access_latency_ms(550.0)
+    return [2.0 * (up - zenith) for up in uplinks_ms(draws, n)]

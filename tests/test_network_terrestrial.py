@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.geo.datasets.cdn_sites import cdn_site_by_name
 from repro.geo.datasets.cities import city_by_name
-from repro.network.latency import LatencyNoise
 from repro.network.terrestrial import TerrestrialPathModel
 
 
 @pytest.fixture
 def model() -> TerrestrialPathModel:
-    return TerrestrialPathModel(noise=LatencyNoise(rng=np.random.default_rng(11)))
+    return TerrestrialPathModel(rng=np.random.default_rng(11))
 
 
 class TestPathTier:
@@ -78,12 +76,6 @@ class TestIdleRtt:
             model.idle_rtt_ms(city, site.location, site.iso2) > 0 for _ in range(50)
         )
 
-    def test_negative_think_time_rejected(self, model):
-        city = city_by_name("Tokyo")
-        site = cdn_site_by_name("Tokyo")
-        with pytest.raises(ConfigurationError):
-            model.idle_rtt_ms(city, site.location, site.iso2, server_think_ms=-1.0)
-
     def test_nigeria_terrestrial_is_slow_despite_local_cdn(self, model):
         # The paper's NG outlier mechanism: congested access networks.
         lagos = city_by_name("Lagos")
@@ -92,6 +84,18 @@ class TestIdleRtt:
             model.idle_rtt_ms(lagos, site.location, site.iso2) for _ in range(300)
         ]
         assert np.median(samples) > 40.0
+
+
+class TestLoadedRtt:
+    def test_loaded_adds_mild_bufferbloat(self, model):
+        # Loaded = idle + Exp(25 ms), far milder than Starlink's 90 + Exp(60).
+        city = city_by_name("Madrid")
+        site = cdn_site_by_name("Madrid")
+        idle = [model.idle_rtt_ms(city, site.location, site.iso2) for _ in range(2000)]
+        loaded = [
+            model.loaded_rtt_ms(city, site.location, site.iso2) for _ in range(2000)
+        ]
+        assert np.mean(loaded) - np.mean(idle) == pytest.approx(25.0, rel=0.15)
 
 
 class TestMinRttFloor:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.geo.datasets.cities import city_by_name
 from repro.network.bentpipe import StarlinkPathModel
-from repro.network.latency import LatencyNoise
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.topology.graph import build_snapshot
@@ -57,7 +56,7 @@ class TestRouting:
 class TestAnalyticValidation:
     def test_graph_and_analytic_floors_agree_for_bent_pipe(self, router):
         """For a bent-pipe city the two models must agree within ~40%."""
-        model = StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(0)))
+        model = StarlinkPathModel(rng=np.random.default_rng(0))
         for name in ("Madrid", "Tokyo", "Seattle"):
             city = city_by_name(name)
             analytic = model.resolve_path(city).one_way_floor_ms
@@ -68,7 +67,7 @@ class TestAnalyticValidation:
         """For the Maputo ISL path the calibrated analytic stretch must land
         within a factor of two of the graph route (the graph route itself
         varies with epoch geometry)."""
-        model = StarlinkPathModel(noise=LatencyNoise(rng=np.random.default_rng(1)))
+        model = StarlinkPathModel(rng=np.random.default_rng(1))
         city = city_by_name("Maputo")
         analytic = model.resolve_path(city).one_way_floor_ms
         graph = router.route_city(city).one_way_ms
