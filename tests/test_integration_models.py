@@ -57,10 +57,9 @@ class TestAnalyticVsGraphModel:
     def test_access_latency_models_agree(self, shell1_snapshot):
         """Sampled analytic access latencies must bracket the graph model's
         access edge latency for a served point."""
-        from synthesis_reference import FixedJitter, uplinks_ms
-
         from repro.network.access import access_latency_ms
         from repro.orbits.visibility import nearest_visible_satellite
+        from synthesis_reference import FixedJitter, uplinks_ms
 
         point = GeoPoint(10.0, 10.0)
         nearest = nearest_visible_satellite(

@@ -6,10 +6,10 @@ import statistics
 
 import numpy as np
 import pytest
-import synthesis_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthesis_reference
 from repro.errors import ConfigurationError
 from repro.geo.datasets.cdn_sites import all_cdn_sites
 from repro.geo.datasets.cities import all_cities, city_by_name

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from synthesis_reference import FixedJitter, uplinks_ms
 
 from repro.constants import FIBER_SPEED_KM_S, SPEED_OF_LIGHT_KM_S
 from repro.errors import ConfigurationError
@@ -18,6 +17,7 @@ from repro.network.latency import (
     propagation_ms,
 )
 from repro.network.terrestrial import TerrestrialLeg, last_mile_median_ms
+from synthesis_reference import FixedJitter, uplinks_ms
 
 
 class TestPropagation:
