@@ -56,10 +56,10 @@ class TerrestrialLeg(LegSampler):
     (bufferbloat).
     """
 
-    def __init__(self, rng: np.random.Generator, core_ms: float, median_ms: float):
+    def __init__(self, rng: np.random.Generator, core_ms: float, tier: int, iso2: str):
         super().__init__(rng)
         self.core_ms = core_ms
-        self._log_last_mile = math.log(median_ms)
+        self._log_last_mile = math.log(last_mile_median_ms(tier, iso2))
 
     def idle_rtt_ms(self) -> float:
         """RTT = last mile (counted once per direction) + 2x core one-way +
@@ -113,7 +113,8 @@ class TerrestrialPathModel:
             leg = self._legs[key] = TerrestrialLeg(
                 self.rng,
                 self.one_way_core_ms(city.location, city.iso2, remote, remote_iso2),
-                last_mile_median_ms(city.country.infra_tier, city.iso2),
+                city.country.infra_tier,
+                city.iso2,
             )
         return leg
 

@@ -4,11 +4,10 @@ The path models resolve each client-remote leg once into a sampler
 (:class:`repro.network.terrestrial.TerrestrialLeg`,
 :class:`repro.network.bentpipe.StarlinkLeg`) that holds the leg's constants
 and makes a probe's draws inline. This module composes the same probe the
-plain way, one helper per draw, the way the path models did before the
-samplers existed. The property suite checks that both give equal floats and
-leave the Generator in the same state. Only the deterministic leg parts
-(core fibre latency, resolved Starlink path, PoP-to-remote latency) come
-from the models; they draw nothing.
+plain way, one helper per draw, so the property suite can check that both
+give equal floats and leave the Generator in the same state. Only the
+deterministic leg parts (core fibre latency, resolved Starlink path,
+PoP-to-remote latency) come from the models; they draw nothing.
 
 One helper is deliberately stronger than a copy: the frame jitter draws
 ``uniform(0, max)``, so the equality also pins the samplers' ``max *

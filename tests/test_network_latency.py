@@ -146,8 +146,8 @@ class TestLatencyNoise:
         )
 
     def test_reproducible_from_seed(self):
-        a = TerrestrialLeg(np.random.default_rng(99), 1.0, 3.5)
-        b = TerrestrialLeg(np.random.default_rng(99), 1.0, 3.5)
+        a = TerrestrialLeg(np.random.default_rng(99), 1.0, 1, "DE")
+        b = TerrestrialLeg(np.random.default_rng(99), 1.0, 1, "DE")
         assert [a.idle_rtt_ms() for _ in range(10)] == [
             b.idle_rtt_ms() for _ in range(10)
         ]
