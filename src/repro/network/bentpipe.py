@@ -99,18 +99,25 @@ class StarlinkLeg(LegSampler):
     (bufferbloat).
     """
 
-    def __init__(self, model: StarlinkPathModel, tail_ms: float, remote_ms: float):
-        super().__init__(model.rng)
-        h = model.params.altitude_km
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        params: StarlinkModelParams,
+        tail_ms: float,
+        remote_ms: float,
+    ):
+        super().__init__(rng)
+        h = params.altitude_km
         if not h > 0:
             raise ConfigurationError(f"altitude must be positive: {h}")
         self.tail_ms = tail_ms
         self.remote_ms = remote_ms
-        self._params = model.params
         self._hh = h * h
         self._two_re_h = 2.0 * EARTH_RADIUS_KM * h
-        self._beta = model.rng.beta
-        self._random = model.rng.random
+        self._bloat_base_ms = params.bufferbloat_base_ms
+        self._bloat_scale_ms = params.bufferbloat_scale_ms
+        self._beta = rng.beta
+        self._random = rng.random
 
     def idle_rtt_ms(self) -> float:
         """Uplink + tail + remote leg, both ways, plus server think time and
@@ -133,10 +140,7 @@ class StarlinkLeg(LegSampler):
 
     def loaded_rtt_ms(self) -> float:
         """RTT during an active download: idle RTT plus bufferbloat."""
-        params = self._params
-        extra = params.bufferbloat_base_ms + self._exponential(
-            params.bufferbloat_scale_ms
-        )
+        extra = self._bloat_base_ms + self._exponential(self._bloat_scale_ms)
         return self.idle_rtt_ms() + extra
 
 
@@ -250,7 +254,8 @@ class StarlinkPathModel:
         if leg is None:
             path = self.resolve_path(city)
             leg = self._legs[key] = StarlinkLeg(
-                self,
+                self.rng,
+                self.params,
                 path.one_way_floor_ms - access_latency_ms(self.params.altitude_km),
                 self.pop_to_remote_one_way_ms(city, remote, remote_iso2),
             )

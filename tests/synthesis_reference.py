@@ -33,7 +33,7 @@ from repro.constants import (
 from repro.errors import ConfigurationError
 from repro.measurements.aim import STARLINK, TERRESTRIAL
 from repro.network.access import access_latency_ms
-from repro.network.bentpipe import StarlinkLeg, StarlinkModelParams, StarlinkPathModel
+from repro.network.bentpipe import StarlinkLeg, StarlinkModelParams
 
 _TIER_LAST_MILE_MEDIAN_MS = {1: 3.5, 2: 5.0, 3: 8.0}
 _COUNTRY_LAST_MILE_MEDIAN_MS = {"NG": 26.0}
@@ -169,6 +169,5 @@ def uplinks_ms(
     """The one-way uplink ms of ``n`` Starlink probes drawn from ``draws``,
     on a leg with no tail and no remote leg (plus half of each frame jitter
     when ``draws`` draws one)."""
-    model = StarlinkPathModel(rng=draws, params=params or StarlinkModelParams())
-    leg = StarlinkLeg(model, 0.0, 0.0)
+    leg = StarlinkLeg(draws, params or StarlinkModelParams(), 0.0, 0.0)
     return [(leg.idle_rtt_ms() - CDN_SERVER_THINK_TIME_MS) / 2.0 for _ in range(n)]

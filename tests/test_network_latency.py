@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.geo.datasets.cdn_sites import cdn_site_by_name
 from repro.geo.datasets.cities import city_by_name
 from repro.network.access import access_latency_ms
-from repro.network.bentpipe import StarlinkPathModel
+from repro.network.bentpipe import StarlinkLeg, StarlinkModelParams, StarlinkPathModel
 from repro.network.latency import (
     LegSampler,
     circuity_for_tier,
@@ -132,18 +132,20 @@ class TestLatencyNoise:
 
     def test_frame_jitter_is_numpys_uniform_draw(self):
         # The draw sequence is the measurement path's output contract: the
-        # jitter must stay Generator.uniform(0, max). The draw-for-draw
-        # oracle (test_measurements_aim.py) checks it bit for bit.
+        # jitter must stay Generator.uniform(0, max), bit for bit. On a
+        # zenith leg with no tail, no remote leg and identity jitter, a
+        # probe is its jitter-free RTT plus the frame jitter, exactly.
         from repro.constants import STARLINK_FRAME_JITTER_MAX_MS
 
-        reference = np.random.default_rng(4)
-        assert frame_jitters_ms(np.random.default_rng(4), 500) == pytest.approx(
-            [
-                float(reference.uniform(0.0, STARLINK_FRAME_JITTER_MAX_MS))
-                for _ in range(500)
-            ],
-            abs=1e-9,
+        base = zenith_probes_ms(FixedJitter(elevation_fraction=1.0), 1)[0]
+        probes = zenith_probes_ms(
+            FixedJitter(np.random.default_rng(4), 1.0, frame_jitter=True), 500
         )
+        reference = np.random.default_rng(4)
+        assert probes == [
+            base + float(reference.uniform(0.0, STARLINK_FRAME_JITTER_MAX_MS))
+            for _ in range(500)
+        ]
 
     def test_reproducible_from_seed(self):
         a = TerrestrialLeg(np.random.default_rng(99), 1.0, 1, "DE")
@@ -151,6 +153,13 @@ class TestLatencyNoise:
         assert [a.idle_rtt_ms() for _ in range(10)] == [
             b.idle_rtt_ms() for _ in range(10)
         ]
+
+
+def zenith_probes_ms(draws: FixedJitter, n: int) -> list[float]:
+    """``n`` idle RTTs drawn from ``draws`` on a leg with no tail and no
+    remote leg."""
+    leg = StarlinkLeg(draws, StarlinkModelParams(), 0.0, 0.0)
+    return [leg.idle_rtt_ms() for _ in range(n)]
 
 
 def frame_jitters_ms(rng: np.random.Generator, n: int) -> list[float]:
