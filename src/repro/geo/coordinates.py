@@ -80,18 +80,23 @@ class GeoPoint:
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle (surface) distance between two points, ignoring altitude.
 
-    Uses the haversine formula, which is numerically stable for both very
-    short and antipodal distances.
+    Uses the Vincenty form of the central angle, ``atan2(|sin|, cos)``,
+    which keeps full precision at every separation. The haversine form's
+    ``asin(sqrt(h))`` does not: near antipodes ``h`` rounds towards 1 and
+    the distance loses about 1e-5 km. The points are taken in a fixed
+    order, so the distance is symmetric bit for bit.
     """
-    lat1, lon1 = math.radians(a.lat_deg), math.radians(a.lon_deg)
-    lat2, lon2 = math.radians(b.lat_deg), math.radians(b.lon_deg)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = (
-        math.sin(dlat / 2.0) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    if (b.lat_deg, b.lon_deg) < (a.lat_deg, a.lon_deg):
+        a, b = b, a
+    lat1, lat2 = math.radians(a.lat_deg), math.radians(b.lat_deg)
+    dlon = math.radians(b.lon_deg) - math.radians(a.lon_deg)
+    sin1, cos1 = math.sin(lat1), math.cos(lat1)
+    sin2, cos2 = math.sin(lat2), math.cos(lat2)
+    cos_dlon = math.cos(dlon)
+    return EARTH_RADIUS_KM * math.atan2(
+        math.hypot(cos2 * math.sin(dlon), cos1 * sin2 - sin1 * cos2 * cos_dlon),
+        sin1 * sin2 + cos1 * cos2 * cos_dlon,
     )
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
 def slant_range_km(a: GeoPoint, b: GeoPoint) -> float:
