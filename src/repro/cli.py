@@ -10,9 +10,6 @@ Usage::
     python -m repro obs summarize runs/chaos/obs-trace.jsonl
     python -m repro obs events runs/chaos/events.jsonl
     python -m repro obs diff BENCH_old.json BENCH_new.json --threshold 20
-    python -m repro obs timeline runs/chaos/obs-timeseries.json
-    python -m repro obs slo runs/chaos/obs-timeseries.json \
-        --slo "availability >= 99% over 5 epochs" --slo "p99 <= 300ms"
     python -m repro aim --seed 7 --tests-per-city 30 --format csv --out aim.csv
 
 Every experiment is one plan of seed-addressed shards
@@ -35,9 +32,7 @@ an uninstrumented run. ``--obs`` (or any of ``--metrics-out`` /
 recorder for the run and flushes a Prometheus metrics file, a JSONL
 serve-path trace, and a windowed time-series document on exit — including
 interrupted exits, through the same atomic-write path as the checkpoints,
-so the artifacts are never truncated. ``repro obs timeline`` renders the
-time-series document as an ASCII sparkline dashboard; ``repro obs slo``
-evaluates declarative SLOs over it with error-budget burn rates.
+so the artifacts are never truncated.
 
 Exit codes: 0 success; 2 generic error; 3 content unavailable; 4 bad
 fault/experiment configuration; 5 interrupted (checkpoints flushed);
@@ -45,8 +40,7 @@ fault/experiment configuration; 5 interrupted (checkpoints flushed);
 8 shard(s) quarantined by the parallel executor (rest of the run
 completed; see ``quarantine.json``); 9 benchmark regression detected by
 ``repro obs diff``; 10 a request was shed by overload protection
-(admission control, an open circuit breaker, or a deadline budget);
-11 at least one SLO breached in ``repro obs slo``.
+(admission control, an open circuit breaker, or a deadline budget).
 """
 
 from __future__ import annotations
@@ -93,10 +87,6 @@ EXIT_REGRESSION = 9
 EXIT_OVERLOADED = 10
 """A request was shed by overload protection: admission control refused
 it, its circuit breaker was open, or its deadline budget ran out."""
-EXIT_SLO_BREACH = 11
-"""``repro obs slo`` found at least one objective breached (the CI SLO
-smoke job keys off this; distinct from exit 2 so a malformed spec or a
-missing artifact can never masquerade as a clean evaluation)."""
 
 _EXPERIMENTS: dict[str, str] = {
     "chaos": "Chaos sweep: availability and latency under injected failures",
@@ -401,28 +391,6 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     return EXIT_REGRESSION if has_regressions(diffs) else 0
 
 
-def _cmd_obs_slo(args: argparse.Namespace) -> int:
-    from repro.obs.slo import evaluate_slos, parse_slo, render_slo_report
-    from repro.obs.timeseries import read_timeseries
-
-    doc = read_timeseries(args.timeseries)
-    specs = [parse_slo(text) for text in args.slo]
-    reports = evaluate_slos(doc, specs)
-    print(render_slo_report(reports, float(doc.get("window_s", 0.0))))
-    return EXIT_SLO_BREACH if any(r.breached for r in reports) else 0
-
-
-def _cmd_obs_timeline(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import render_timeline
-    from repro.obs.slo import evaluate_slos, parse_slo
-    from repro.obs.timeseries import read_timeseries
-
-    doc = read_timeseries(args.timeseries)
-    reports = evaluate_slos(doc, [parse_slo(text) for text in args.slo])
-    print(render_timeline(doc, reports, width=args.width))
-    return 0
-
-
 def _cmd_aim(args: argparse.Namespace) -> int:
     from repro.measurements.aim import AimGenerator
     from repro.measurements.export import write_aim_csv, write_aim_json
@@ -574,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeseries-out",
         default=None,
         help="write the windowed time-series JSON here (implies --obs; "
-        "default obs-timeseries.json, under --out-dir when given); feed it "
-        "to `repro obs timeline` / `repro obs slo`",
+        "default obs-timeseries.json, under --out-dir when given)",
     )
     run_cmd.set_defaults(func=_cmd_run)
 
@@ -618,48 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric healthy.requests_per_min=10",
     )
     diff_cmd.set_defaults(func=_cmd_obs_diff)
-    slo_cmd = obs_sub.add_parser(
-        "slo",
-        help=f"evaluate SLOs with error-budget burn rates over a windowed "
-        f"time series; exit {EXIT_SLO_BREACH} when any objective breaches",
-    )
-    slo_cmd.add_argument(
-        "timeseries", help="path to an obs-timeseries.json file"
-    )
-    slo_cmd.add_argument(
-        "--slo",
-        action="append",
-        required=True,
-        metavar="SPEC",
-        help="an objective (repeatable), e.g. 'availability >= 99%% over "
-        "5 epochs', 'p99 <= 150ms', 'shed_fraction <= 5%%', "
-        "'hit_ratio >= 80%%'",
-    )
-    slo_cmd.set_defaults(func=_cmd_obs_slo)
-    timeline_cmd = obs_sub.add_parser(
-        "timeline",
-        help="render the windowed time series as an ASCII sparkline "
-        "dashboard (one row per metric, optional SLO breach markers)",
-    )
-    timeline_cmd.add_argument(
-        "timeseries", help="path to an obs-timeseries.json file"
-    )
-    timeline_cmd.add_argument(
-        "--slo",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="overlay SLO breach markers (repeatable, same grammar as "
-        "`repro obs slo`)",
-    )
-    timeline_cmd.add_argument(
-        "--width",
-        type=int,
-        default=60,
-        metavar="COLS",
-        help="maximum sparkline columns; denser series mean-pool (default 60)",
-    )
-    timeline_cmd.set_defaults(func=_cmd_obs_timeline)
 
     aim_cmd = sub.add_parser("aim", help="generate and export the synthetic AIM dataset")
     aim_cmd.add_argument("--seed", type=int, default=7)

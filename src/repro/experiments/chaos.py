@@ -170,7 +170,7 @@ def _sweep_point(
         system.preload(ctx.preload)
         if rec.enabled:
             # Offered load per simulated-time window: the demand side of the
-            # timeline dashboard, recorded before serving so shed/unavailable
+            # time series, recorded before serving so shed/unavailable
             # windows still show what arrived.
             labels = (("fraction", f"{fraction:g}"),)
             for request in ctx.requests:

@@ -169,7 +169,7 @@ def _sweep_point(
         system.preload(ctx.preload)
         if rec.enabled:
             # Offered load per simulated-time window: shows the overload
-            # knee (and any flash-crowd burst) on the timeline dashboard.
+            # knee (and any flash-crowd burst) in the time series.
             offered_labels = (("load", f"{load:g}"),)
             for request in requests:
                 rec.window_inc(request.t_s, "repro_offered_total", offered_labels)

@@ -101,7 +101,7 @@ class FaultSchedule:
             rec = get_recorder()
             if rec.enabled:
                 # One compile per snapshot slot, keyed by simulated time: the
-                # timeline shows the flash crowd exactly where it was active.
+                # series shows the flash crowd exactly where it was active.
                 rec.window_inc(
                     t_s, "repro_fault_background_load", value=float(total.sum())
                 )

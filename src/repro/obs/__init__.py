@@ -6,10 +6,9 @@ Four stdlib-plus-numpy pillars behind one recorder facade:
   fixed-bucket histograms keyed by label tuples, exported as
   Prometheus text or JSON through :mod:`repro.atomicio`;
 * :class:`~repro.obs.timeseries.TimeSeriesBuffer` — the same metric
-  kinds bucketed into fixed-width windows of *simulated* time, the
-  substrate for ``repro obs timeline`` sparkline dashboards and the
-  :mod:`repro.obs.slo` error-budget engine; every windowed cell is an
-  integer, so parallel runs merge to byte-identical series;
+  kinds bucketed into fixed-width windows of *simulated* time; every
+  windowed cell is an integer, so parallel runs merge to byte-identical
+  series;
 * :class:`~repro.obs.tracing.TraceBuffer` — span records of the serve
   path (one span per serve cohort, one child span per ladder
   ``(tier, outcome)`` with its attempt count), flushed as JSONL and
@@ -36,8 +35,8 @@ This package re-exports exactly those two names, :class:`ObsRecorder` and
 idiom above, and the end-to-end benchmark harness imports them from here.
 Every other name is imported from its defining module, so importing
 ``repro.obs`` loads the recorder and its metrics, series, trace and
-profile buffers, never the CLI tooling (``benchdiff``, ``slo``,
-``dashboard``, ``merge``, ``summarize``, ``events``).
+profile buffers, never the CLI tooling (``benchdiff``, ``merge``,
+``summarize``, ``events``).
 """
 
 from repro.obs.recorder import ObsRecorder, recording

@@ -8,7 +8,7 @@ duty-cycle down, p99 inflation during handover churn, the overload knee
 under a flash crowd — by bucketing each observation into a fixed-width
 window derived from the observation's simulated timestamp:
 
-    window = floor(t_s / window_s)
+    window = floor(t_s / WINDOW_S)
 
 The window index depends only on simulated time, never on wall clock,
 seed, worker id, or shard execution order. That makes the series
@@ -22,9 +22,7 @@ to a ``--jobs 1`` run of the same plan, because
   merge order cannot re-associate float additions;
 * exports sort windows and series keys, so rendering is order-free.
 
-The exported document (``obs-timeseries.json``) is what ``repro obs slo``
-and ``repro obs timeline`` consume; :mod:`repro.obs.slo` evaluates SLO
-specs over it and :mod:`repro.obs.dashboard` renders it as sparklines.
+``repro run --obs`` flushes the series as ``obs-timeseries.json``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.atomicio import atomic_write_text, read_artifact_text
+from repro.atomicio import atomic_write_text
 from repro.constants import SNAPSHOT_INTERVAL_S
 from repro.errors import ObsError
 from repro.obs.metrics import (
@@ -42,6 +40,9 @@ from repro.obs.metrics import (
 )
 
 TS_FORMAT_VERSION = 1
+
+WINDOW_S: float = SNAPSHOT_INTERVAL_S
+"""Window width in simulated seconds: one snapshot slot."""
 
 FIXED_POINT_SCALE = 1_000_000
 """Per-window totals are accumulated as integer micro-units so that the
@@ -80,17 +81,14 @@ class TimeSeriesBuffer:
     that saw an observation (sparse — quiet windows cost nothing).
     """
 
-    def __init__(self, window_s: float = SNAPSHOT_INTERVAL_S) -> None:
-        if not window_s > 0:
-            raise ObsError(f"window width must be positive, got {window_s}")
-        self.window_s = float(window_s)
+    def __init__(self) -> None:
         self._counters: dict[tuple[str, Labels], dict[int, int]] = {}
         self._histograms: dict[tuple[str, Labels], dict[int, WindowHistogram]] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
 
     def window_of(self, t_s: float) -> int:
         """The window index of a simulated timestamp (pure, seed-free)."""
-        return int(t_s // self.window_s)
+        return int(t_s // WINDOW_S)
 
     # -- recording ---------------------------------------------------------
 
@@ -169,7 +167,7 @@ class TimeSeriesBuffer:
         ``drain=True`` the buffer empties (bucket pins are kept).
         """
         delta = {
-            "window_s": self.window_s,
+            "window_s": WINDOW_S,
             "counters": [
                 [
                     name,
@@ -203,11 +201,11 @@ class TimeSeriesBuffer:
         shard completion order cannot change the merged series. Window
         width and bucket-bound drift are configuration errors.
         """
-        window_s = float(delta.get("window_s", self.window_s))
-        if window_s != self.window_s:
+        window_s = float(delta.get("window_s", WINDOW_S))
+        if window_s != WINDOW_S:
             raise ObsError(
                 f"cannot merge time series: shipped window width {window_s}s "
-                f"differs from the local {self.window_s}s"
+                f"differs from the local {WINDOW_S}s"
             )
         for name, raw_labels, points in delta.get("counters", ()):
             labels = tuple((str(k), str(v)) for k, v in raw_labels)
@@ -255,7 +253,7 @@ class TimeSeriesBuffer:
 
         return {
             "format_version": TS_FORMAT_VERSION,
-            "window_s": self.window_s,
+            "window_s": WINDOW_S,
             "windows": self.windows(),
             "counters": [
                 {
@@ -292,24 +290,6 @@ class TimeSeriesBuffer:
         atomic_write_text(path, json.dumps(self.to_json(), indent=1, sort_keys=True))
 
 
-def read_timeseries(path: str | Path) -> dict:
-    """Load and validate an ``obs-timeseries.json`` document."""
-    text = read_artifact_text(path, "time-series document")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ObsError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "windows" not in doc:
-        raise ObsError(f"{path} is not a time-series document")
-    version = doc.get("format_version")
-    if version != TS_FORMAT_VERSION:
-        raise ObsError(
-            f"time-series format version {version!r} is not the expected "
-            f"{TS_FORMAT_VERSION}"
-        )
-    return doc
-
-
 def timeseries_diff(left: TimeSeriesBuffer, right: TimeSeriesBuffer) -> list[str]:
     """Human-readable differences between two buffers; ``[]`` means equal.
 
@@ -318,8 +298,6 @@ def timeseries_diff(left: TimeSeriesBuffer, right: TimeSeriesBuffer) -> list[str
     ``--jobs 1``" a byte-level guarantee rather than an approximate one.
     """
     problems: list[str] = []
-    if left.window_s != right.window_s:
-        problems.append(f"window_s: {left.window_s} != {right.window_s}")
     for key in sorted(set(left._counters) | set(right._counters)):
         a = left._counters.get(key)
         b = right._counters.get(key)

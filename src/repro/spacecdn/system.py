@@ -882,8 +882,7 @@ class SpaceCdnSystem:
             rec.inc("repro_serve_total", labels)
             rec.observe("repro_serve_rtt_ms", rtt_ms, labels)
             # Windowed twins of the scalar series, keyed by the request's
-            # *simulated* arrival time — the temporal axis behind
-            # ``repro obs timeline`` / ``repro obs slo``.
+            # *simulated* arrival time (``obs-timeseries.json``).
             rec.window_inc(t_s, "repro_serve_total", labels)
             rec.window_observe(t_s, "repro_serve_rtt_ms", rtt_ms, labels)
             if fallback_reason is None:

@@ -460,8 +460,6 @@ _SIMULATION_MODULES = (
     "repro.faults",
     "repro.overload",
     "repro.obs.benchdiff",
-    "repro.obs.slo",
-    "repro.obs.dashboard",
     "repro.obs.merge",
     "repro.obs.summarize",
     "repro.obs.events",

@@ -560,8 +560,6 @@ _OBS_ARGV = {
     "summarize": lambda path: ["summarize", path],
     "events": lambda path: ["events", path],
     "diff": lambda path: ["diff", path, path],
-    "slo": lambda path: ["slo", path, "--slo", "availability >= 99%"],
-    "timeline": lambda path: ["timeline", path],
 }
 
 

@@ -15,49 +15,43 @@ from repro.errors import ObsError
 from repro.obs.timeseries import (
     FIXED_POINT_SCALE,
     TS_FORMAT_VERSION,
+    WINDOW_S,
     TimeSeriesBuffer,
-    read_timeseries,
     timeseries_diff,
 )
 
 
 class TestWindowAssignment:
     def test_window_of_is_floor_division(self):
-        ts = TimeSeriesBuffer(window_s=60.0)
+        ts = TimeSeriesBuffer()
         assert ts.window_of(0.0) == 0
         assert ts.window_of(59.999) == 0
         assert ts.window_of(60.0) == 1
         assert ts.window_of(3600.0) == 60
 
     def test_default_window_is_one_snapshot_slot(self):
-        assert TimeSeriesBuffer().window_s == SNAPSHOT_INTERVAL_S
-
-    def test_nonpositive_window_rejected(self):
-        with pytest.raises(ObsError):
-            TimeSeriesBuffer(window_s=0.0)
-        with pytest.raises(ObsError):
-            TimeSeriesBuffer(window_s=-1.0)
+        assert WINDOW_S == SNAPSHOT_INTERVAL_S
 
 
 class TestCounters:
     def test_inc_accumulates_per_window(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
-        ts.inc(1.0, "served")
-        ts.inc(9.0, "served")
-        ts.inc(11.0, "served", value=3.0)
+        ts = TimeSeriesBuffer()
+        ts.inc(6.0, "served")
+        ts.inc(54.0, "served")
+        ts.inc(66.0, "served", value=3.0)
         assert ts.counter_value("served", 0) == 2.0
         assert ts.counter_value("served", 1) == 3.0
         assert ts.counter_value("served", 2) == 0.0
 
     def test_labels_partition_series(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         ts.inc(0.0, "served", (("tier", "access"),))
         ts.inc(0.0, "served", (("tier", "core"),), value=2.0)
         assert ts.counter_value("served", 0, (("tier", "access"),)) == 1.0
         assert ts.counter_value("served", 0, (("tier", "core"),)) == 2.0
 
     def test_values_are_fixed_point_integers(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         ts.inc(0.0, "load", value=0.1)
         ts.inc(0.0, "load", value=0.2)
         stored = ts._counters[("load", ())][0]
@@ -71,7 +65,7 @@ class TestCounters:
 
 class TestHistograms:
     def test_observe_buckets_and_counts(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         ts.observe(0.0, "rtt", 0.5, buckets=(1.0, 5.0))
         ts.observe(0.0, "rtt", 3.0, buckets=(1.0, 5.0))
         ts.observe(0.0, "rtt", 50.0, buckets=(1.0, 5.0))
@@ -81,34 +75,34 @@ class TestHistograms:
         assert cell.total_fp == round(53.5 * FIXED_POINT_SCALE)
 
     def test_bound_is_inclusive(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         ts.observe(0.0, "rtt", 5.0, buckets=(5.0, 10.0))
         assert ts.histogram_cell("rtt", 0).bucket_counts == [1, 0, 0]
 
     def test_bucket_bounds_pin_on_first_use(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         ts.observe(0.0, "rtt", 1.0, buckets=(1.0, 5.0))
         with pytest.raises(ObsError):
             ts.observe(0.0, "rtt", 1.0, buckets=(2.0, 6.0))
 
     def test_windows_lists_union_of_series(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
-        ts.inc(35.0, "served")
+        ts = TimeSeriesBuffer()
+        ts.inc(210.0, "served")
         ts.observe(5.0, "rtt", 1.0, buckets=(1.0,))
         assert ts.windows() == [0, 3]
 
 
 class TestDeltaMerge:
     def build(self, offsets):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         for offset in offsets:
-            ts.inc(offset, "served", (("tier", "access"),))
-            ts.observe(offset, "rtt", offset % 7.0, buckets=(1.0, 5.0))
+            ts.inc(6.0 * offset, "served", (("tier", "access"),))
+            ts.observe(6.0 * offset, "rtt", offset % 7.0, buckets=(1.0, 5.0))
         return ts
 
     def test_merged_shards_equal_single_pass(self):
         serial = self.build(range(40))
-        merged = TimeSeriesBuffer(window_s=10.0)
+        merged = TimeSeriesBuffer()
         # Interleaved shards arriving out of order.
         for shard in (range(1, 40, 3), range(2, 40, 3), range(0, 40, 3)):
             merged.merge_delta(self.build(shard).snapshot_delta())
@@ -127,19 +121,20 @@ class TestDeltaMerge:
     def test_delta_round_trips_through_json(self):
         ts = self.build(range(10))
         wire = json.loads(json.dumps(ts.snapshot_delta()))
-        merged = TimeSeriesBuffer(window_s=10.0)
+        merged = TimeSeriesBuffer()
         merged.merge_delta(wire)
         assert timeseries_diff(merged, ts) == []
 
     def test_window_width_drift_rejected(self):
-        delta = TimeSeriesBuffer(window_s=30.0).snapshot_delta()
+        delta = TimeSeriesBuffer().snapshot_delta()
+        delta["window_s"] = WINDOW_S / 2
         with pytest.raises(ObsError):
-            TimeSeriesBuffer(window_s=60.0).merge_delta(delta)
+            TimeSeriesBuffer().merge_delta(delta)
 
     def test_bucket_drift_rejected(self):
-        left = TimeSeriesBuffer(window_s=10.0)
+        left = TimeSeriesBuffer()
         left.observe(0.0, "rtt", 1.0, buckets=(1.0, 5.0))
-        right = TimeSeriesBuffer(window_s=10.0)
+        right = TimeSeriesBuffer()
         right.observe(0.0, "rtt", 1.0, buckets=(2.0, 6.0))
         with pytest.raises(ObsError):
             left.merge_delta(right.snapshot_delta())
@@ -147,26 +142,26 @@ class TestDeltaMerge:
 
 class TestExport:
     def test_to_json_is_insertion_order_free(self):
-        forward = TimeSeriesBuffer(window_s=10.0)
-        backward = TimeSeriesBuffer(window_s=10.0)
+        forward = TimeSeriesBuffer()
+        backward = TimeSeriesBuffer()
         events = [(t, f"m{t % 3}") for t in range(30)]
         for t, name in events:
-            forward.inc(float(t), name)
-            forward.observe(float(t), "rtt", float(t), buckets=(10.0, 20.0))
+            forward.inc(6.0 * t, name)
+            forward.observe(6.0 * t, "rtt", float(t), buckets=(10.0, 20.0))
         for t, name in reversed(events):
-            backward.inc(float(t), name)
-            backward.observe(float(t), "rtt", float(t), buckets=(10.0, 20.0))
+            backward.inc(6.0 * t, name)
+            backward.observe(6.0 * t, "rtt", float(t), buckets=(10.0, 20.0))
         assert json.dumps(forward.to_json(), sort_keys=True) == json.dumps(
             backward.to_json(), sort_keys=True
         )
 
     def test_document_shape(self):
-        ts = TimeSeriesBuffer(window_s=10.0)
-        ts.inc(15.0, "served", value=2.0)
-        ts.observe(15.0, "rtt", 3.0, buckets=(1.0, 5.0))
+        ts = TimeSeriesBuffer()
+        ts.inc(90.0, "served", value=2.0)
+        ts.observe(90.0, "rtt", 3.0, buckets=(1.0, 5.0))
         doc = ts.to_json()
         assert doc["format_version"] == TS_FORMAT_VERSION
-        assert doc["window_s"] == 10.0
+        assert doc["window_s"] == SNAPSHOT_INTERVAL_S
         assert doc["windows"] == [1]
         assert doc["counters"] == [
             {"name": "served", "labels": {}, "points": [[1, 2.0]]}
@@ -178,37 +173,25 @@ class TestExport:
         ]
 
     def test_write_and_read_round_trip(self, tmp_path):
-        ts = TimeSeriesBuffer(window_s=10.0)
+        ts = TimeSeriesBuffer()
         ts.inc(0.0, "served")
         path = tmp_path / "obs-timeseries.json"
         ts.write_json(path)
-        assert read_timeseries(path) == ts.to_json()
-
-    def test_read_rejects_missing_and_garbage(self, tmp_path):
-        with pytest.raises(ObsError):
-            read_timeseries(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ObsError):
-            read_timeseries(bad)
-        wrong = tmp_path / "wrong.json"
-        wrong.write_text(json.dumps({"windows": [], "format_version": 999}))
-        with pytest.raises(ObsError):
-            read_timeseries(wrong)
+        assert json.loads(path.read_text()) == ts.to_json()
 
 
 class TestDiff:
     def test_equal_buffers_diff_empty(self):
-        a = TimeSeriesBuffer(window_s=10.0)
-        b = TimeSeriesBuffer(window_s=10.0)
+        a = TimeSeriesBuffer()
+        b = TimeSeriesBuffer()
         for ts in (a, b):
             ts.inc(0.0, "served")
             ts.observe(5.0, "rtt", 2.0, buckets=(1.0, 5.0))
         assert timeseries_diff(a, b) == []
 
     def test_differences_are_named(self):
-        a = TimeSeriesBuffer(window_s=10.0)
-        b = TimeSeriesBuffer(window_s=10.0)
+        a = TimeSeriesBuffer()
+        b = TimeSeriesBuffer()
         a.inc(0.0, "served")
         b.inc(0.0, "served", value=2.0)
         b.inc(0.0, "shed")
@@ -226,7 +209,7 @@ class TestRecorderIntegration:
         recorder.window_observe(30.0, "repro_serve_rtt_ms", 12.0)
         path = tmp_path / "obs-timeseries.json"
         recorder.flush(timeseries_path=path)
-        doc = read_timeseries(path)
+        doc = json.loads(path.read_text())
         assert doc["windows"] == [0]
         assert doc["counters"][0]["name"] == "repro_serve_total"
 

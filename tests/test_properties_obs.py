@@ -13,15 +13,14 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.timeseries import TimeSeriesBuffer, timeseries_diff
+from repro.obs.timeseries import WINDOW_S, TimeSeriesBuffer, timeseries_diff
 
-WINDOW_S = 10.0
 BUCKETS = (1.0, 5.0, 25.0)
 
 # One observation: (timestamp, metric index, value, is_histogram).
 events = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=3000.0, allow_nan=False),
         st.integers(min_value=0, max_value=2),
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
         st.booleans(),
@@ -31,7 +30,7 @@ events = st.lists(
 
 
 def build(stream):
-    ts = TimeSeriesBuffer(window_s=WINDOW_S)
+    ts = TimeSeriesBuffer()
     for t_s, index, value, is_histogram in stream:
         if is_histogram:
             ts.observe(t_s, f"hist{index}", value, buckets=BUCKETS)
@@ -41,7 +40,7 @@ def build(stream):
 
 
 def merged(*deltas):
-    ts = TimeSeriesBuffer(window_s=WINDOW_S)
+    ts = TimeSeriesBuffer()
     for delta in deltas:
         ts.merge_delta(delta)
     return ts
@@ -90,7 +89,7 @@ class TestMergeAlgebra:
     @given(t_s=st.floats(min_value=0.0, max_value=1e7, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_window_assignment_is_pure_floor_division(self, t_s):
-        ts = TimeSeriesBuffer(window_s=WINDOW_S)
+        ts = TimeSeriesBuffer()
         window = ts.window_of(t_s)
         assert window == int(t_s // WINDOW_S)
         assert window * WINDOW_S <= t_s
