@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from statistics import median
 
 from repro.cdn.anycast import best_site_by_latency
 from repro.errors import ConfigurationError
-from repro.geo.coordinates import great_circle_km
+from repro.geo.coordinates import GeoPoint, great_circle_km
 from repro.geo.datasets.cdn_sites import CdnSite, all_cdn_sites
 from repro.geo.datasets.cities import City, all_cities
 from repro.geo.datasets.pops import assigned_pop
@@ -31,6 +32,12 @@ from repro.simulation.sampler import seeded_rng
 
 STARLINK = "starlink"
 TERRESTRIAL = "terrestrial"
+
+PROBES_PER_SITE = 5
+"""Idle-RTT probes per candidate site; the optimal site has the lowest
+median (an odd count, so the median is the middle probe)."""
+CANDIDATE_SITES = 8
+"""The nearest CDN sites to an anchor that anycast could deliver to."""
 
 
 @dataclass(frozen=True)
@@ -116,22 +123,30 @@ class AimDataset:
         return samples
 
 
+@lru_cache(maxsize=None)
+def _nearest_sites(lat_deg: float, lon_deg: float) -> tuple[CdnSite, ...]:
+    """The :data:`CANDIDATE_SITES` CDN sites nearest an anchor, nearest first.
+
+    Memoised per anchor across generators: every client of one country
+    shares its Starlink PoP's anchor, and every shard rebuilds a generator.
+    """
+    anchor = GeoPoint(lat_deg, lon_deg)
+    return tuple(
+        sorted(all_cdn_sites(), key=lambda s: great_circle_km(anchor, s.location))[
+            :CANDIDATE_SITES
+        ]
+    )
+
+
 @dataclass
 class AimGenerator:
     """Generates the synthetic AIM dataset from the path models."""
 
     seed: int = 0
-    probes_per_site: int = 5
-    candidate_sites: int = 8
     terrestrial: TerrestrialPathModel = field(init=False)
     starlink: StarlinkPathModel = field(init=False)
-    _candidate_cache: dict[tuple[float, float], list[CdnSite]] = field(
-        init=False, default_factory=dict, repr=False
-    )
 
     def __post_init__(self) -> None:
-        if self.probes_per_site < 1 or self.candidate_sites < 1:
-            raise ConfigurationError("probes and candidate counts must be >= 1")
         # One stream for both models: their draws interleave on it.
         rng = seeded_rng(self.seed, 1)
         self.terrestrial = TerrestrialPathModel(rng=rng)
@@ -157,7 +172,7 @@ class AimGenerator:
 
     # -- anycast optimum ---------------------------------------------------
 
-    def candidate_sites_for(self, city: City, isp: str) -> list[CdnSite]:
+    def candidate_sites_for(self, city: City, isp: str) -> tuple[CdnSite, ...]:
         """The sites anycast could plausibly deliver this client to.
 
         Terrestrial anycast follows client geography; Starlink anycast
@@ -169,28 +184,17 @@ class AimGenerator:
             anchor = assigned_pop(city.iso2, city.lat_deg, city.lon_deg).location
         else:
             raise ConfigurationError(f"unknown ISP class: {isp!r}")
-        # Memoised per anchor: Starlink clients of one country share their
-        # assigned PoP's anchor, so the sorted site list is identical.
-        key = (anchor.lat_deg, anchor.lon_deg)
-        cached = self._candidate_cache.get(key)
-        if cached is None:
-            cached = sorted(
-                all_cdn_sites(), key=lambda s: great_circle_km(anchor, s.location)
-            )[: self.candidate_sites]
-            self._candidate_cache[key] = cached
-        return list(cached)
+        return _nearest_sites(anchor.lat_deg, anchor.lon_deg)
 
     def optimal_site(self, city: City, isp: str) -> tuple[CdnSite, float]:
         """The median-latency-optimal CDN site for a city/ISP (paper §3.1)."""
         candidates = self.candidate_sites_for(city, isp)
-        probes = self.probes_per_site
-        mid = probes // 2
 
         def median_rtt(site: CdnSite) -> float:
-            rtts = sorted([self.sample_rtt_ms(city, site, isp) for _ in range(probes)])
-            # statistics.median's formula: the middle value, or the mean of
-            # the two middle values for an even count.
-            return rtts[mid] if probes % 2 else (rtts[mid - 1] + rtts[mid]) / 2
+            rtts = sorted(
+                [self.sample_rtt_ms(city, site, isp) for _ in range(PROBES_PER_SITE)]
+            )
+            return rtts[PROBES_PER_SITE // 2]
 
         return best_site_by_latency(candidates, median_rtt)
 

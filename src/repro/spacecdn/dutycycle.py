@@ -27,6 +27,9 @@ from repro.topology.graph import SnapshotGraph
 DUTY_CYCLE_SLOT_S = 600.0
 """How long one duty-cycle cache set stays active."""
 
+DUTY_CYCLE_MAX_HOPS = 64
+"""ISL hop radius of the duty-cycle lookup before it falls back to ground."""
+
 
 @dataclass
 class DutyCycleScheduler:
@@ -78,7 +81,8 @@ class DutyCycleLatencyModel:
 
     Requests always reach content in space here (Fig. 8 assumes the fleet as
     a whole holds the object; what varies is how far the nearest *active*
-    cache is), so ``max_hops`` is unbounded by default. ``failed`` layers a
+    cache is), so its hop radius, :data:`DUTY_CYCLE_MAX_HOPS`, is wide enough
+    to be effectively unbounded. ``failed`` layers a
     fault set on top of the duty cycle: failed satellites neither cache nor
     relay nor accept terminals, so the chaos experiments can sweep outage
     fractions over the Fig. 8 pipeline without touching it.
@@ -86,7 +90,6 @@ class DutyCycleLatencyModel:
 
     snapshot: SnapshotGraph
     scheduler: DutyCycleScheduler
-    max_hops: int = 64
     failed: frozenset[int] = frozenset()
     _lookup: SpaceCdnLookup = field(init=False, repr=False)
 
@@ -99,7 +102,9 @@ class DutyCycleLatencyModel:
             from repro.spacecdn.resilience import fail_satellites
 
             self.snapshot = fail_satellites(self.snapshot, self.failed)
-        self._lookup = SpaceCdnLookup(snapshot=self.snapshot, max_hops=self.max_hops)
+        self._lookup = SpaceCdnLookup(
+            snapshot=self.snapshot, max_hops=DUTY_CYCLE_MAX_HOPS
+        )
 
     def _active_caches(self) -> frozenset[int]:
         """The duty-cycle cache set minus satellites lost to faults."""

@@ -6,7 +6,8 @@ Two contracts pinned here:
   (``tests/serve_reference.py``) on *overloaded* streams too: element-wise
   identical results, stats, cache contents and holders index, with a flash
   crowd and with or without fault schedules, for arbitrary request streams
-  and model tunings (the capacity counters, breakers, deadline budgets,
+  and model capacities, deadlines and seeds (the capacity counters,
+  breakers, deadline budgets,
   and seeded priority draws must all advance in exactly the request order).
 * :class:`~repro.faults.retry.RetryPolicy` edges: backoff is monotone
   non-decreasing and capped, and attempt 0 is a configuration error.
@@ -25,7 +26,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import ShellConfig
 from repro.orbits.walker import build_walker_delta
-from repro.overload.model import CircuitBreakerConfig, OverloadModel
+from repro.overload.model import OverloadModel
 from repro.spacecdn.system import SpaceCdnSystem
 from serve_reference import (
     ReferenceCdn,
@@ -58,22 +59,12 @@ USERS = [
 @st.composite
 def overload_models(draw):
     """Arbitrary-but-valid model tunings, biased towards actual overload."""
-    breaker = None
-    if draw(st.booleans()):
-        breaker = CircuitBreakerConfig(
-            failure_threshold=draw(st.integers(min_value=1, max_value=4)),
-            cooldown_s=draw(st.floats(min_value=1.0, max_value=300.0)),
-            cooldown_jitter_s=draw(st.floats(min_value=0.0, max_value=60.0)),
-            half_open_probes=draw(st.integers(min_value=1, max_value=3)),
-        )
     return OverloadModel(
         capacity_per_slot=draw(st.floats(min_value=1.0, max_value=8.0)),
         ground_capacity_per_slot=draw(st.floats(min_value=1.0, max_value=20.0)),
-        queue_service_ms=draw(st.floats(min_value=0.0, max_value=20.0)),
         deadline_ms=draw(
             st.one_of(st.none(), st.floats(min_value=50.0, max_value=2000.0))
         ),
-        breaker=breaker,
         seed=draw(st.integers(min_value=0, max_value=2**16)),
     )
 
@@ -181,13 +172,7 @@ def eval_model_copy(model: OverloadModel) -> OverloadModel:
     return OverloadModel(
         capacity_per_slot=model.capacity_per_slot,
         ground_capacity_per_slot=model.ground_capacity_per_slot,
-        queue_service_ms=model.queue_service_ms,
-        max_utilisation=model.max_utilisation,
-        max_queue_delay_ms=model.max_queue_delay_ms,
-        shed_thresholds=model.shed_thresholds,
-        priority_weights=model.priority_weights,
         deadline_ms=model.deadline_ms,
-        breaker=model.breaker,
         seed=model.seed,
     )
 

@@ -234,10 +234,14 @@ class TestScalarBatchAgreement:
             assert all(r.access_satellite not in failed for r in results)
             self._assert_exact(model, users)
 
-    def test_small_max_hops_falls_back_to_ground(self, shell1_snapshot, users):
+    def test_small_max_hops_falls_back_to_ground(
+        self, shell1_snapshot, users, monkeypatch
+    ):
+        from repro.spacecdn import dutycycle
         from repro.spacecdn.lookup import LookupSource
 
-        for model in _fig8_models(shell1_snapshot, max_hops=1):
+        monkeypatch.setattr(dutycycle, "DUTY_CYCLE_MAX_HOPS", 1)
+        for model in _fig8_models(shell1_snapshot):
             sources = {model.lookup(user).source for user in users}
             if model.scheduler.cache_fraction < 0.5:
                 assert LookupSource.GROUND in sources
