@@ -9,8 +9,8 @@ Two estimators cover every caller in the repo:
 * :func:`histogram_quantile` — the bucket-resolved estimate for
   fixed-bucket cumulative histograms (Prometheus semantics: the upper
   bound of the first bucket whose cumulative count reaches the rank),
-  used by :class:`repro.obs.metrics.Histogram` and the windowed
-  time-series layer, where only bucket counts survive aggregation.
+  used by :class:`repro.obs.metrics.Histogram`, where only bucket counts
+  survive aggregation.
 
 Callers validate ``q`` themselves (their error taxonomies differ); these
 helpers assume ``0 <= q <= 1`` and answer NaN for empty inputs, so "no
