@@ -1,20 +1,13 @@
 """Benchmarks and the overhead guard for the observability layer.
 
-Two jobs:
-
-* ``pytest benchmarks/bench_obs.py`` — benchmark the fastcore kernels with
-  observability disabled (the default no-op recorder) and enabled, plus the
-  guard asserting the disabled instrumentation costs at most 2% of a kernel
-  call — the "zero-overhead by default" contract of :mod:`repro.obs`.
-* ``python benchmarks/bench_obs.py --emit BENCH_obs.json`` — run every
-  kernel under a live recorder and dump the per-site profile summary as
-  JSON (what CI uploads as an artifact).
+``pytest benchmarks/bench_obs.py`` benchmarks the fastcore kernels with
+observability disabled (the default no-op recorder) and enabled, plus the
+guard asserting the disabled instrumentation costs at most 2% of a kernel
+call — the "zero-overhead by default" contract of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
 
 from repro.obs.recorder import ObsRecorder, get_recorder, recording
@@ -93,29 +86,3 @@ def test_hop_ladder_batch_disabled(benchmark):
     result = benchmark(lambda: fastcore.hop_ladder_batch(core, SOURCES, 8))
     assert result.shape == (len(SOURCES), 9)
 
-
-def profile_kernels() -> dict:
-    """Run every instrumented kernel once under a live recorder."""
-    core = _core()
-    with recording(ObsRecorder()) as recorder:
-        fastcore.latency_batch(core, SOURCES)
-        fastcore.hop_distances_batch(core, SOURCES)
-        fastcore.nearest_hops(core, SOURCES)
-        fastcore.hop_ladder_batch(core, SOURCES, 8)
-    return recorder.profile.summary()
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--emit":
-        summary = profile_kernels()
-        with open(argv[1], "w") as handle:
-            json.dump(summary, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {len(summary)} kernel timings to {argv[1]}")
-        return 0
-    print("usage: python benchmarks/bench_obs.py --emit BENCH_obs.json")
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,6 @@ Usage::
     python -m repro run chaos --obs --out-dir runs/chaos
     python -m repro obs summarize runs/chaos/obs-trace.jsonl
     python -m repro obs events runs/chaos/events.jsonl
-    python -m repro obs diff BENCH_old.json BENCH_new.json --threshold 20
     python -m repro aim --seed 7 --tests-per-city 30 --format csv --out aim.csv
 
 Every experiment is one plan of seed-addressed shards
@@ -38,9 +37,9 @@ Exit codes: 0 success; 2 generic error; 3 content unavailable; 4 bad
 fault/experiment configuration; 5 interrupted (checkpoints flushed);
 6 deadline exceeded; 7 a shard exhausted its retries (serial);
 8 shard(s) quarantined by the parallel executor (rest of the run
-completed; see ``quarantine.json``); 9 benchmark regression detected by
-``repro obs diff``; 10 a request was shed by overload protection
-(admission control, an open circuit breaker, or a deadline budget).
+completed; see ``quarantine.json``); 10 a request was shed by overload
+protection (admission control, an open circuit breaker, or a deadline
+budget).
 """
 
 from __future__ import annotations
@@ -81,9 +80,6 @@ EXIT_QUARANTINED = 8
 """Parallel run: shard(s) kept crashing/hanging/failing their workers and
 were quarantined (``quarantine.json``) while every other shard completed;
 fix the cause and rerun with ``--resume``."""
-EXIT_REGRESSION = 9
-"""``repro obs diff`` found at least one benchmark metric past its budget
-(the CI bench-regression gate keys off this)."""
 EXIT_OVERLOADED = 10
 """A request was shed by overload protection: admission control refused
 it, its circuit breaker was open, or its deadline budget ran out."""
@@ -358,39 +354,6 @@ def _cmd_obs_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_metric_overrides(pairs: list[str]) -> dict[str, float]:
-    """Validate repeated ``--metric path=pct`` overrides eagerly."""
-    from repro.errors import ObsError
-
-    overrides: dict[str, float] = {}
-    for pair in pairs:
-        path, separator, raw = pair.partition("=")
-        if not separator or not path:
-            raise ObsError(
-                f"--metric expects dotted.path=percent, got {pair!r}"
-            )
-        try:
-            overrides[path] = float(raw)
-        except ValueError:
-            raise ObsError(
-                f"--metric {path}= expects a numeric percent, got {raw!r}"
-            ) from None
-    return overrides
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.obs.benchdiff import diff_benchmark_files, format_diff, has_regressions
-
-    diffs = diff_benchmark_files(
-        args.old,
-        args.new,
-        threshold_pct=args.threshold,
-        per_metric=_parse_metric_overrides(args.metric),
-    )
-    print(format_diff(diffs))
-    return EXIT_REGRESSION if has_regressions(diffs) else 0
-
-
 def _cmd_aim(args: argparse.Namespace) -> int:
     from repro.measurements.aim import AimGenerator
     from repro.measurements.export import write_aim_csv, write_aim_json
@@ -562,29 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     events_cmd.add_argument("events", help="path to a run's events.jsonl file")
     events_cmd.set_defaults(func=_cmd_obs_events)
-    diff_cmd = obs_sub.add_parser(
-        "diff",
-        help=f"compare two BENCH_*.json files and exit {EXIT_REGRESSION} on "
-        f"a performance regression",
-    )
-    diff_cmd.add_argument("old", help="baseline benchmark JSON (committed)")
-    diff_cmd.add_argument("new", help="freshly measured benchmark JSON")
-    diff_cmd.add_argument(
-        "--threshold",
-        type=float,
-        default=20.0,
-        metavar="PCT",
-        help="allowed adverse change per metric, in percent (default 20)",
-    )
-    diff_cmd.add_argument(
-        "--metric",
-        action="append",
-        default=[],
-        metavar="PATH=PCT",
-        help="per-metric threshold override (repeatable), e.g. "
-        "--metric healthy.requests_per_min=10",
-    )
-    diff_cmd.set_defaults(func=_cmd_obs_diff)
 
     aim_cmd = sub.add_parser("aim", help="generate and export the synthetic AIM dataset")
     aim_cmd.add_argument("--seed", type=int, default=7)

@@ -270,7 +270,8 @@ class StarlinkPathModel:
         return self._leg(city, remote, remote_iso2).loaded_rtt_ms()
 
     def min_rtt_floor_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
-        """Deterministic lower bound of the RTT distribution."""
+        """The jitter-free RTT (zenith uplink, floor path, no frame jitter).
+        Not a floor: the jitter scales the whole RTT, so samples fall below it."""
         remote_ms = self._leg(city, remote, remote_iso2).remote_ms
         one_way = self.resolve_path(city).one_way_floor_ms + remote_ms
         return 2.0 * one_way + CDN_SERVER_THINK_TIME_MS

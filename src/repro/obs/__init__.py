@@ -35,8 +35,8 @@ This package re-exports exactly those two names, :class:`ObsRecorder` and
 idiom above, and the end-to-end benchmark harness imports them from here.
 Every other name is imported from its defining module, so importing
 ``repro.obs`` loads the recorder and its metrics, series, trace and
-profile buffers, never the CLI tooling (``benchdiff``, ``merge``,
-``summarize``, ``events``).
+profile buffers, never the CLI tooling (``merge``, ``summarize``,
+``events``).
 """
 
 from repro.obs.recorder import ObsRecorder, recording

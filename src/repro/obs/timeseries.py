@@ -289,39 +289,3 @@ class TimeSeriesBuffer:
         """Atomically write the JSON document to ``path``."""
         atomic_write_text(path, json.dumps(self.to_json(), indent=1, sort_keys=True))
 
-
-def timeseries_diff(left: TimeSeriesBuffer, right: TimeSeriesBuffer) -> list[str]:
-    """Human-readable differences between two buffers; ``[]`` means equal.
-
-    Exact integer equality — no tolerance is needed because windowed cells
-    never hold floats, which is precisely what makes "``--jobs N`` equals
-    ``--jobs 1``" a byte-level guarantee rather than an approximate one.
-    """
-    problems: list[str] = []
-    for key in sorted(set(left._counters) | set(right._counters)):
-        a = left._counters.get(key)
-        b = right._counters.get(key)
-        if a is None or b is None:
-            problems.append(f"counter {key}: present only on one side")
-        elif a != b:
-            problems.append(f"counter {key}: window series differ")
-    for key in sorted(set(left._histograms) | set(right._histograms)):
-        a = left._histograms.get(key)
-        b = right._histograms.get(key)
-        if a is None or b is None:
-            problems.append(f"histogram {key}: present only on one side")
-            continue
-        if left._buckets.get(key[0]) != right._buckets.get(key[0]):
-            problems.append(f"histogram {key}: bucket bounds differ")
-        if sorted(a) != sorted(b):
-            problems.append(f"histogram {key}: window sets differ")
-            continue
-        for window in sorted(a):
-            ca, cb = a[window], b[window]
-            if (
-                ca.bucket_counts != cb.bucket_counts
-                or ca.count != cb.count
-                or ca.total_fp != cb.total_fp
-            ):
-                problems.append(f"histogram {key} window {window}: cells differ")
-    return problems

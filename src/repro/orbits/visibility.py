@@ -28,28 +28,65 @@ class VisibleSatellite:
     slant_range_km: float
 
 
-def _observer_arrays(point: GeoPoint) -> tuple[np.ndarray, float]:
+def _point_view(sat: np.ndarray, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
+    """(elevation in degrees, slant range in km) of every satellite position
+    in ``sat`` seen from ``point``.
+
+    The one visibility formula: every public function here evaluates it per
+    point, so all of them agree bit for bit. A broadcast over many points
+    at once (an ``einsum`` over a ``(P, N, 3)`` line-of-sight tensor)
+    drifts in the last float bit, which is enough to flip near-threshold
+    visibility and near-tie orderings.
+    """
     ecef = point.to_ecef()
     obs = np.array([ecef.x, ecef.y, ecef.z])
-    return obs, float(np.linalg.norm(obs))
+    los = sat - obs
+    ranges = np.linalg.norm(los, axis=1)
+    cos_zenith = (los @ obs) / (ranges * float(np.linalg.norm(obs)))
+    np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
+    return 90.0 - np.degrees(np.arccos(cos_zenith)), ranges
+
+
+def _usable_order(
+    elevations: np.ndarray, ranges: np.ndarray, min_elevation_deg: float
+) -> np.ndarray:
+    """Indices of the satellites at or above the mask, nearest first."""
+    usable = np.flatnonzero(elevations >= min_elevation_deg)
+    return usable[np.argsort(ranges[usable])]
+
+
+def _visible_list(
+    constellation: Constellation,
+    point: GeoPoint,
+    t_s: float,
+    min_elevation_deg: float,
+) -> list[VisibleSatellite]:
+    elevations, ranges = _point_view(constellation.positions_ecef(t_s), point)
+    return [
+        VisibleSatellite(
+            index=int(i),
+            elevation_deg=float(elevations[i]),
+            slant_range_km=float(ranges[i]),
+        )
+        for i in _usable_order(elevations, ranges, min_elevation_deg)
+    ]
+
+
+def _no_satellite(point: GeoPoint, t_s: float, min_elevation_deg: float) -> VisibilityError:
+    return VisibilityError(
+        f"no satellite above {min_elevation_deg} deg elevation from "
+        f"({point.lat_deg:.2f}, {point.lon_deg:.2f}) at t={t_s:.0f}s"
+    )
 
 
 def elevations_deg(constellation: Constellation, point: GeoPoint, t_s: float) -> np.ndarray:
     """Elevation of every satellite above ``point``'s horizon (degrees)."""
-    obs, obs_norm = _observer_arrays(point)
-    sat = constellation.positions_ecef(t_s)
-    los = sat - obs
-    ranges = np.linalg.norm(los, axis=1)
-    cos_zenith = (los @ obs) / (ranges * obs_norm)
-    np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
-    return 90.0 - np.degrees(np.arccos(cos_zenith))
+    return _point_view(constellation.positions_ecef(t_s), point)[0]
 
 
 def slant_ranges_km(constellation: Constellation, point: GeoPoint, t_s: float) -> np.ndarray:
     """Straight-line distance from ``point`` to every satellite (km)."""
-    obs, _ = _observer_arrays(point)
-    sat = constellation.positions_ecef(t_s)
-    return np.linalg.norm(sat - obs, axis=1)
+    return _point_view(constellation.positions_ecef(t_s), point)[1]
 
 
 def visible_satellites(
@@ -59,24 +96,7 @@ def visible_satellites(
     min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
 ) -> list[VisibleSatellite]:
     """All satellites usable from ``point``, sorted by ascending slant range."""
-    obs, obs_norm = _observer_arrays(point)
-    sat = constellation.positions_ecef(t_s)
-    los = sat - obs
-    ranges = np.linalg.norm(los, axis=1)
-    cos_zenith = (los @ obs) / (ranges * obs_norm)
-    np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
-    elevations = 90.0 - np.degrees(np.arccos(cos_zenith))
-
-    usable = np.flatnonzero(elevations >= min_elevation_deg)
-    order = usable[np.argsort(ranges[usable])]
-    return [
-        VisibleSatellite(
-            index=int(i),
-            elevation_deg=float(elevations[i]),
-            slant_range_km=float(ranges[i]),
-        )
-        for i in order
-    ]
+    return _visible_list(constellation, point, t_s, min_elevation_deg)
 
 
 @dataclass(frozen=True)
@@ -141,14 +161,9 @@ def visible_satellites_batch(
 
     Builds the ``(P, N)`` elevation and slant-range matrices over *shared*
     satellite positions — the O(N) trig of ``positions_ecef`` runs once per
-    epoch instead of once per request. Each point's row is computed with
-    the exact per-point expression :func:`visible_satellites` evaluates
-    (same dot product, same clip, same argsort), so the derived ordering is
-    bit-for-bit the scalar one — the batched serve path leans on that
-    agreement for element-wise equivalence with scalar serving. A
-    broadcast ``einsum`` over the ``(P, N, 3)`` line-of-sight tensor would
-    be marginally faster but drifts in the last float bit, which is enough
-    to flip near-threshold visibility and near-tie orderings.
+    epoch instead of once per request. Each row is the per-point formula
+    every function here uses, so ``order[p]`` is bit for bit the ordering
+    :func:`visible_satellites` returns; the serve walk leans on that.
     """
     num_sats = len(constellation)
     if not points:
@@ -162,16 +177,8 @@ def visible_satellites_batch(
     ranges = np.empty((len(points), num_sats))
     order = []
     for p, point in enumerate(points):
-        obs, obs_norm = _observer_arrays(point)
-        los = sat - obs
-        row_ranges = np.linalg.norm(los, axis=1)
-        cos_zenith = (los @ obs) / (row_ranges * obs_norm)
-        np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
-        row_elev = 90.0 - np.degrees(np.arccos(cos_zenith))
-        elevations[p] = row_elev
-        ranges[p] = row_ranges
-        usable = np.flatnonzero(row_elev >= min_elevation_deg)
-        order.append(usable[np.argsort(row_ranges[usable])])
+        elevations[p], ranges[p] = _point_view(sat, point)
+        order.append(_usable_order(elevations[p], ranges[p], min_elevation_deg))
     return VisibilityBatch(
         elevations_deg=elevations, slant_ranges_km=ranges, order=order
     )
@@ -192,30 +199,17 @@ def nearest_visible_satellites(
     """
     if not points:
         raise VisibilityError("no ground points given")
-    observers = np.array(
-        [(e.x, e.y, e.z) for e in (p.to_ecef() for p in points)]
-    )
-    obs_norms = np.linalg.norm(observers, axis=1)
     sat = constellation.positions_ecef(t_s)
-    los = sat[None, :, :] - observers[:, None, :]  # (P, N, 3)
-    ranges = np.linalg.norm(los, axis=2)
-    cos_zenith = np.einsum("pnc,pc->pn", los, observers) / (
-        ranges * obs_norms[:, None]
-    )
-    np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
-    elevations = 90.0 - np.degrees(np.arccos(cos_zenith))
-
-    masked = np.where(elevations >= min_elevation_deg, ranges, np.inf)
-    nearest = masked.argmin(axis=1)
-    best = masked[np.arange(len(points)), nearest]
-    blind = ~np.isfinite(best)
-    if blind.any():
-        p = points[int(np.flatnonzero(blind)[0])]
-        raise VisibilityError(
-            f"no satellite above {min_elevation_deg} deg elevation from "
-            f"({p.lat_deg:.2f}, {p.lon_deg:.2f}) at t={t_s:.0f}s"
-        )
-    return nearest.astype(np.int64), best
+    nearest = np.empty(len(points), dtype=np.int64)
+    best = np.empty(len(points))
+    for p, point in enumerate(points):
+        elevations, ranges = _point_view(sat, point)
+        masked = np.where(elevations >= min_elevation_deg, ranges, np.inf)
+        nearest[p] = masked.argmin()
+        best[p] = masked[nearest[p]]
+        if not np.isfinite(best[p]):
+            raise _no_satellite(point, t_s, min_elevation_deg)
+    return nearest, best
 
 
 def nearest_visible_satellite(
@@ -225,12 +219,9 @@ def nearest_visible_satellite(
     min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
 ) -> VisibleSatellite:
     """The lowest-slant-range usable satellite, or raise :class:`VisibilityError`."""
-    candidates = visible_satellites(constellation, point, t_s, min_elevation_deg)
+    candidates = _visible_list(constellation, point, t_s, min_elevation_deg)
     if not candidates:
-        raise VisibilityError(
-            f"no satellite above {min_elevation_deg} deg elevation from "
-            f"({point.lat_deg:.2f}, {point.lon_deg:.2f}) at t={t_s:.0f}s"
-        )
+        raise _no_satellite(point, t_s, min_elevation_deg)
     return candidates[0]
 
 
@@ -246,7 +237,7 @@ def coverage_fraction(
         raise VisibilityError("duration and step must be positive")
     times = np.arange(0.0, duration_s, step_s)
     covered = sum(
-        1 for t in times if len(visible_satellites(constellation, point, float(t), min_elevation_deg)) > 0
+        1 for t in times if _visible_list(constellation, point, float(t), min_elevation_deg)
     )
     return covered / len(times)
 

@@ -17,10 +17,11 @@ array kernels instead of per-query graph traversals:
   replica/holder set), the placement and resilience primitive.
 
 Two interchangeable backends produce identical results: a
-``scipy.sparse.csgraph`` fast path (used automatically when scipy is
-importable — it is an optional accelerator, never a hard dependency) and a
-pure-numpy min-plus relaxation over a padded neighbour matrix, which
-exploits the grid's bounded degree (four ISL terminals per satellite).
+``scipy.sparse.csgraph`` fast path (used whenever scipy is importable,
+:data:`HAVE_SCIPY` — it is an optional accelerator, never a hard
+dependency) and a pure-numpy min-plus relaxation over a padded neighbour
+matrix, which exploits the grid's bounded degree (four ISL terminals per
+satellite).
 
 Hop counts on an intact grid need one search per shell, not one per
 source. :func:`plus_grid_links` wires (p, s) to (p, s+1 mod S) and to
@@ -314,16 +315,6 @@ def _as_active(core: CsrSnapshot, active) -> np.ndarray | None:
     return mask
 
 
-def _pick_method(method: str) -> str:
-    if method == "auto":
-        return "scipy" if HAVE_SCIPY else "numpy"
-    if method not in ("scipy", "numpy"):
-        raise RoutingError(f"unknown routing backend {method!r}")
-    if method == "scipy" and not HAVE_SCIPY:
-        raise RoutingError("scipy backend requested but scipy is not importable")
-    return method
-
-
 # -- scipy backend ------------------------------------------------------------
 
 
@@ -416,14 +407,12 @@ def _distances(
     sources,
     active,
     weighted: bool,
-    method: str,
     min_only: bool = False,
     limit: float | None = None,
 ) -> np.ndarray:
     mask = _as_active(core, active)
     src = _as_sources(core, sources, mask)
-    backend = _pick_method(method)
-    if backend == "scipy":
+    if HAVE_SCIPY:
         graph = _scipy_graph(core, mask)
         dist = _scipy_dijkstra(
             graph,
@@ -446,7 +435,6 @@ def latency_batch(
     core: CsrSnapshot,
     sources: Sequence[int] | np.ndarray,
     active: np.ndarray | None = None,
-    method: str = "auto",
     limit: float | None = None,
 ) -> np.ndarray:
     """One-way ISL latencies from each source to every satellite.
@@ -457,16 +445,13 @@ def latency_batch(
     the float of an unlimited search (the limit is inclusive).
     """
     with get_recorder().timer("fastcore.latency_batch"):
-        return _distances(
-            core, sources, active, weighted=True, method=method, limit=limit
-        )
+        return _distances(core, sources, active, weighted=True, limit=limit)
 
 
 def hop_distances_batch(
     core: CsrSnapshot,
     sources: Sequence[int] | np.ndarray,
     active: np.ndarray | None = None,
-    method: str = "auto",
     max_hops: int | None = None,
 ) -> np.ndarray:
     """Hop counts from each source to every satellite.
@@ -476,21 +461,17 @@ def hop_distances_batch(
     :data:`HOP_UNREACHABLE`. On an undegraded core (no ``active`` mask, no
     cut links) each row is the stored satellite-0 row translated by the
     source's (plane, slot), because the +Grid looks the same from every
-    satellite; no backend runs, though ``method`` is still validated. Any
-    mask, even an all-True one, and any cut link fall back to a BFS on the
-    ``method`` backend, stopped at ``max_hops``.
+    satellite; no backend runs. Any mask, even an all-True one, and any cut
+    link fall back to a BFS, stopped at ``max_hops``.
     """
     radius = None if max_hops is None else _as_radius(max_hops)
     with get_recorder().timer("fastcore.hop_distances_batch"):
         if active is None and core.link_active is None:
-            _pick_method(method)
             hops = _translated_hops(core.topology, _as_sources(core, sources, None))
             if radius is not None:
                 hops[hops > radius] = HOP_UNREACHABLE
             return hops
-        levels = _distances(
-            core, sources, active, weighted=False, method=method, limit=radius
-        )
+        levels = _distances(core, sources, active, weighted=False, limit=radius)
         hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
         reachable = np.isfinite(levels)
         hops[reachable] = levels[reachable].astype(np.int32)
@@ -549,7 +530,6 @@ def nearest_hops(
     core: CsrSnapshot,
     targets: Iterable[int],
     active: np.ndarray | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """Hops from every satellite to its nearest member of ``targets``.
 
@@ -559,7 +539,7 @@ def nearest_hops(
     with get_recorder().timer("fastcore.nearest_hops"):
         target_arr = np.asarray(sorted(set(int(t) for t in targets)), dtype=np.int64)
         levels = _distances(
-            core, target_arr, active, weighted=False, method=method, min_only=True
+            core, target_arr, active, weighted=False, min_only=True
         )[0]
         hops = np.full(levels.shape, HOP_UNREACHABLE, dtype=np.int32)
         reachable = np.isfinite(levels)
@@ -571,7 +551,6 @@ def single_source(
     core: CsrSnapshot,
     source: int,
     active: np.ndarray | None = None,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """(hop counts, latencies) from one source — memoised per snapshot.
 
@@ -580,15 +559,15 @@ def single_source(
     """
     if active is None:
         memo = core._memo
-        cached = memo.get((int(source), method))
+        cached = memo.get(int(source))
         if cached is not None:
             return cached
-    hops = hop_distances_batch(core, [source], active, method)[0]
-    lats = latency_batch(core, [source], active, method)[0]
+    hops = hop_distances_batch(core, [source], active)[0]
+    lats = latency_batch(core, [source], active)[0]
     if active is None:
         if len(core._memo) >= _MEMO_MAX_SOURCES:
             core._memo.clear()
-        core._memo[(int(source), method)] = (hops, lats)
+        core._memo[int(source)] = (hops, lats)
     return hops, lats
 
 
@@ -597,22 +576,21 @@ def single_source_batch(
     sources: Sequence[int] | np.ndarray,
     max_hops: int,
     active: np.ndarray | None = None,
-    method: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`single_source` rows for many sources, within ``max_hops``.
 
     Returns ``(hops, latencies)`` of shapes ``(len(sources), N)``. At every
     satellite within ``max_hops`` hops of source ``i``, row ``i`` is
-    bit-identical to ``single_source(core, sources[i], active, method)``;
+    bit-identical to ``single_source(core, sources[i], active)``;
     every other satellite reads :data:`HOP_UNREACHABLE` and ``inf``. One
     batched pass serves all sources: the hop search stops at the radius
     and the latency search at the largest :func:`hop_path_bound` within
     it, which covers every satellite the radius holds.
     """
     radius = _as_radius(max_hops)
-    hops = hop_distances_batch(core, sources, active, method, max_hops=radius)
+    hops = hop_distances_batch(core, sources, active, max_hops=radius)
     limit = _largest_finite(hop_path_bound(core, hops))
-    lats = latency_batch(core, sources, active, method, limit=limit)
+    lats = latency_batch(core, sources, active, limit=limit)
     lats[hops == HOP_UNREACHABLE] = np.inf
     return hops, lats
 
@@ -622,7 +600,6 @@ def hop_ladder_batch(
     sources: Sequence[int] | np.ndarray,
     max_hops: int,
     active: np.ndarray | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """Minimum latency to any satellite at *exactly* h hops, per source.
 
@@ -639,11 +616,9 @@ def hop_ladder_batch(
     # The nested hop/latency kernels charge their own profile sites; this
     # site therefore reports the whole ladder including those legs.
     with get_recorder().timer("fastcore.hop_ladder_batch"):
-        hops = hop_distances_batch(core, sources, active, method, max_hops=radius)
+        hops = hop_distances_batch(core, sources, active, max_hops=radius)
         bound = _level_min(hops, hop_path_bound(core, hops), width)
-        lats = latency_batch(
-            core, sources, active, method, limit=_largest_finite(bound)
-        )
+        lats = latency_batch(core, sources, active, limit=_largest_finite(bound))
         ladder = _level_min(hops, lats, width)
         ladder[np.isinf(ladder)] = np.nan
         return ladder

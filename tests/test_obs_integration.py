@@ -559,7 +559,6 @@ class TestCohortTracing:
 _OBS_ARGV = {
     "summarize": lambda path: ["summarize", path],
     "events": lambda path: ["events", path],
-    "diff": lambda path: ["diff", path, path],
 }
 
 
@@ -585,3 +584,12 @@ def test_unreadable_artifact_is_a_plain_error(tmp_path, subcommand, artifact):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_obs_has_no_diff_subcommand(capsys):
+    """Benchmark results are compared by ``bench_e2e.py agree``, not by the
+    CLI: ``repro obs diff`` is an unknown sub-command, a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "diff", "old.json", "new.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'diff'" in capsys.readouterr().err

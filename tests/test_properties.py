@@ -2,17 +2,23 @@
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cdn.cache import Cache
 from repro.cdn.content import ContentObject
-from repro.constants import EARTH_RADIUS_KM
+from repro.constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from repro.geo.coordinates import GeoPoint, great_circle_km, slant_range_km
+from repro.geo.datasets.cdn_sites import all_cdn_sites
+from repro.geo.datasets.cities import all_cities
+from repro.network.bentpipe import StarlinkPathModel
+from repro.network.terrestrial import TerrestrialPathModel
 
 latitudes = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 longitudes = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 points = st.builds(GeoPoint, latitudes, longitudes, st.just(0.0))
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestGeodesyProperties:
@@ -195,6 +201,39 @@ class TestPlacementProperties:
         hops = fastcore.nearest_hops(shell1_snapshot.core, holders)
         assert hops.min() >= 0  # every satellite reaches a copy
         assert hops.max() <= largest_gap // 2
+
+
+class TestSpeedOfLightProperties:
+    """No sampled RTT beats physics (DESIGN.md §7), at any seed, idle or
+    loaded: a Starlink probe travels at most at vacuum c, a terrestrial one
+    at most at 2/3 c (fibre), and both cover at least the great circle twice.
+
+    ``min_rtt_floor_ms`` is no such bound: the jitter scales the whole RTT,
+    propagation included, so samples fall below it.
+    """
+
+    @staticmethod
+    def _round_trip_ms(city, site, speed_km_s: float) -> float:
+        distance_km = great_circle_km(city.location, site.location)
+        return 2.0 * distance_km / speed_km_s * 1000.0
+
+    @given(st.sampled_from(all_cities()), st.sampled_from(all_cdn_sites()), seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_starlink_rtt_never_beats_vacuum_light(self, city, site, seed):
+        model = StarlinkPathModel(rng=np.random.default_rng(seed))
+        bound = self._round_trip_ms(city, site, SPEED_OF_LIGHT_KM_S)
+        for _ in range(20):
+            assert model.idle_rtt_ms(city, site.location, site.iso2) >= bound
+            assert model.loaded_rtt_ms(city, site.location, site.iso2) >= bound
+
+    @given(st.sampled_from(all_cities()), st.sampled_from(all_cdn_sites()), seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_terrestrial_rtt_never_beats_fibre_light(self, city, site, seed):
+        model = TerrestrialPathModel(rng=np.random.default_rng(seed))
+        bound = self._round_trip_ms(city, site, 2.0 / 3.0 * SPEED_OF_LIGHT_KM_S)
+        for _ in range(20):
+            assert model.idle_rtt_ms(city, site.location, site.iso2) >= bound
+            assert model.loaded_rtt_ms(city, site.location, site.iso2) >= bound
 
 
 class TestCdfProperties:

@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.timeseries import WINDOW_S, TimeSeriesBuffer, timeseries_diff
+from repro.obs.timeseries import WINDOW_S, TimeSeriesBuffer
 
 BUCKETS = (1.0, 5.0, 25.0)
 
@@ -76,7 +76,6 @@ class TestMergeAlgebra:
             build(stream[cut:]).snapshot_delta(),
         )
         serial = build(stream)
-        assert timeseries_diff(fleet, serial) == []
         assert canonical(fleet) == canonical(serial)
 
     @given(stream=events, seed=st.randoms(use_true_random=False))

@@ -30,14 +30,22 @@ from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
 from topology_reference import (
+    ROUTING_BACKENDS,
     hop_distances_reference,
     latency_by_hop_count_reference,
     networkx_view,
+    routing_backend,
     satellite_latencies_reference,
 )
 
 LATENCY_ATOL = 1e-9
-BFS_METHODS = ("numpy", "scipy") if fastcore.HAVE_SCIPY else ("numpy",)
+
+
+@pytest.fixture
+def backend(request):
+    """The routing backend named by an indirect parametrisation."""
+    with routing_backend(request.param):
+        yield request.param
 
 
 def _shell(num_planes: int, sats_per_plane: int, phase_offset: int) -> ShellConfig:
@@ -81,6 +89,16 @@ def snapshot_cases(draw):
 
 def _single_source(snapshot, source):
     return fastcore.single_source(snapshot.core, source, snapshot.active_mask)
+
+
+def _full_rows(core, source, mask):
+    """:func:`fastcore.single_source`'s rows, on the active backend: its
+    per-snapshot memo does not record the backend, which never changes at
+    run time."""
+    return (
+        fastcore.hop_distances_batch(core, [source], mask)[0],
+        fastcore.latency_batch(core, [source], mask)[0],
+    )
 
 
 class TestEquivalenceWithNetworkx:
@@ -158,14 +176,16 @@ class TestBackendAgreement:
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
         sources = [source, 0] if snapshot.has_satellite(0) else [source]
-        np.testing.assert_array_equal(
-            fastcore.hop_distances_batch(core, sources, mask, method="numpy"),
-            fastcore.hop_distances_batch(core, sources, mask, method="scipy"),
-        )
+        rows = {}
+        for name in ("numpy", "scipy"):
+            with routing_backend(name):
+                rows[name] = (
+                    fastcore.hop_distances_batch(core, sources, mask),
+                    fastcore.latency_batch(core, sources, mask),
+                )
+        np.testing.assert_array_equal(rows["numpy"][0], rows["scipy"][0])
         np.testing.assert_allclose(
-            fastcore.latency_batch(core, sources, mask, method="numpy"),
-            fastcore.latency_batch(core, sources, mask, method="scipy"),
-            atol=LATENCY_ATOL,
+            rows["numpy"][1], rows["scipy"][1], atol=LATENCY_ATOL
         )
 
 
@@ -180,30 +200,28 @@ class TestTranslatedHopRows:
     """Coprime to every preset's plane and slot counts, so a strided subset
     still starts from every plane and every slot residue it can."""
 
-    @pytest.mark.parametrize("method", BFS_METHODS)
+    @pytest.mark.parametrize("backend", ROUTING_BACKENDS, indirect=True)
     @pytest.mark.parametrize(
         "config",
         all_shell_presets() + (small_constellation().config,),
         ids=lambda config: config.name,
     )
-    def test_equal_to_bfs_on_every_preset(self, config, method):
+    def test_equal_to_bfs_on_every_preset(self, config, backend):
         core = build_snapshot(build_walker_delta(config), 311.0).core
         n = core.num_nodes
         sources = np.arange(n)
-        every_source = n <= 48 or (method == "scipy" and config == starlink_shell1())
+        every_source = n <= 48 or (backend == "scipy" and config == starlink_shell1())
         if not every_source:
             sources = sources[:: self.SOURCE_STRIDE]
-        translated = fastcore.hop_distances_batch(core, sources, method=method)
-        bfs = fastcore.hop_distances_batch(
-            core, sources, np.ones(n, dtype=bool), method=method
-        )
+        translated = fastcore.hop_distances_batch(core, sources)
+        bfs = fastcore.hop_distances_batch(core, sources, np.ones(n, dtype=bool))
         assert translated.dtype == bfs.dtype == np.int32
         np.testing.assert_array_equal(translated, bfs)
 
     @staticmethod
-    def _count_unweighted_calls(monkeypatch, method: str) -> list[int]:
+    def _count_unweighted_calls(monkeypatch, backend: str) -> list[int]:
         calls: list[int] = []
-        if method == "scipy":
+        if backend == "scipy":
             backend = fastcore._scipy_dijkstra
 
             def counted(*args, **kwargs):
@@ -221,24 +239,20 @@ class TestTranslatedHopRows:
             monkeypatch.setattr(fastcore, "_numpy_relax", counted)
         return calls
 
-    @pytest.mark.parametrize("method", BFS_METHODS)
-    def test_undegraded_queries_run_no_bfs(self, small_snapshot, monkeypatch, method):
-        calls = self._count_unweighted_calls(monkeypatch, method)
+    @pytest.mark.parametrize("backend", ROUTING_BACKENDS, indirect=True)
+    def test_undegraded_queries_run_no_bfs(self, small_snapshot, monkeypatch, backend):
+        calls = self._count_unweighted_calls(monkeypatch, backend)
         core = small_snapshot.core
-        fastcore.hop_distances_batch(core, [0, 7], method=method)
-        fastcore.single_source(core, 9, method=method)
-        fastcore.hop_ladder_batch(core, [3], 4, method=method)
+        fastcore.hop_distances_batch(core, [0, 7])
+        fastcore.single_source(core, 9)
+        fastcore.hop_ladder_batch(core, [3], 4)
         assert calls == []
         mask = np.ones(core.num_nodes, dtype=bool)
-        fastcore.hop_distances_batch(core, [0, 7], mask, method=method)
+        fastcore.hop_distances_batch(core, [0, 7], mask)
         assert calls == [1]
         cut = fastcore.degrade_core(core, cut_links=[0])
-        fastcore.hop_distances_batch(cut, [0, 7], method=method)
+        fastcore.hop_distances_batch(cut, [0, 7])
         assert calls == [1, 1]
-
-    def test_undegraded_query_still_validates_method(self, small_snapshot):
-        with pytest.raises(RoutingError):
-            fastcore.hop_distances_batch(small_snapshot.core, [0], method="cuda")
 
 
 def _full_ladder(hops, lats, max_hops):
@@ -271,15 +285,14 @@ class TestHopRadius:
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
         sources = self._sources(snapshot, source)
-        for method in BFS_METHODS:
-            hops, lats = fastcore.single_source_batch(
-                core, sources, max_hops, mask, method
-            )
-            clipped = fastcore.hop_distances_batch(
-                core, sources, mask, method, max_hops=max_hops
-            )
-            for i, s in enumerate(sources):
-                full_hops, full_lats = fastcore.single_source(core, s, mask, method)
+        for name in ROUTING_BACKENDS:
+            with routing_backend(name):
+                hops, lats = fastcore.single_source_batch(core, sources, max_hops, mask)
+                clipped = fastcore.hop_distances_batch(
+                    core, sources, mask, max_hops=max_hops
+                )
+                full = [_full_rows(core, s, mask) for s in sources]
+            for i, (full_hops, full_lats) in enumerate(full):
                 inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
                     full_hops <= max_hops
                 )
@@ -297,10 +310,11 @@ class TestHopRadius:
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
         sources = self._sources(snapshot, source)
-        for method in BFS_METHODS:
-            ladder = fastcore.hop_ladder_batch(core, sources, max_hops, mask, method)
-            for i, s in enumerate(sources):
-                full_hops, full_lats = fastcore.single_source(core, s, mask, method)
+        for name in ROUTING_BACKENDS:
+            with routing_backend(name):
+                ladder = fastcore.hop_ladder_batch(core, sources, max_hops, mask)
+                full = [_full_rows(core, s, mask) for s in sources]
+            for i, (full_hops, full_lats) in enumerate(full):
                 np.testing.assert_array_equal(
                     ladder[i], _full_ladder(full_hops, full_lats, max_hops)
                 )
@@ -310,9 +324,9 @@ class TestHopRadius:
     def test_path_bound_never_below_dijkstra(self, case):
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
-        for method in BFS_METHODS:
-            hops = fastcore.hop_distances_batch(core, [source], mask, method)
-            lats = fastcore.latency_batch(core, [source], mask, method)
+        for name in ROUTING_BACKENDS:
+            with routing_backend(name):
+                hops, lats = _full_rows(core, source, mask)
             bound = fastcore.hop_path_bound(core, hops)
             finite = np.isfinite(bound)
             np.testing.assert_array_equal(finite, hops != fastcore.HOP_UNREACHABLE)
@@ -323,11 +337,12 @@ class TestHopRadius:
     def test_limit_equal_to_a_distance_keeps_it(self, case, data):
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
-        for method in BFS_METHODS:
-            full = fastcore.latency_batch(core, [source], mask, method)[0]
-            target = data.draw(st.sampled_from(np.flatnonzero(np.isfinite(full))))
-            limit = float(full[target])
-            limited = fastcore.latency_batch(core, [source], mask, method, limit)[0]
+        for name in ROUTING_BACKENDS:
+            with routing_backend(name):
+                full = fastcore.latency_batch(core, [source], mask)[0]
+                target = data.draw(st.sampled_from(np.flatnonzero(np.isfinite(full))))
+                limit = float(full[target])
+                limited = fastcore.latency_batch(core, [source], mask, limit=limit)[0]
             assert limited[target] == full[target]
             within = full <= limit
             np.testing.assert_array_equal(limited[within], full[within])
@@ -374,7 +389,7 @@ class TestBatchedVisibility:
         for point, idx, rng_km in zip(points, indices, ranges):
             single = nearest_visible_satellite(shell1_constellation, point, t_s)
             assert int(idx) == single.index
-            assert rng_km == pytest.approx(single.slant_range_km, abs=1e-9)
+            assert rng_km == single.slant_range_km
 
 
 class TestValidationAndEdgeCases:
@@ -425,10 +440,6 @@ class TestValidationAndEdgeCases:
                 small_snapshot.core, [0], active=np.ones(3, dtype=bool)
             )
 
-    def test_unknown_backend_raises(self, small_snapshot):
-        with pytest.raises(RoutingError):
-            fastcore.latency_batch(small_snapshot.core, [0], method="cuda")
-
     def test_negative_ladder_hops_raises(self, small_snapshot):
         with pytest.raises(RoutingError):
             fastcore.hop_ladder_batch(small_snapshot.core, [0], -1)
@@ -459,7 +470,7 @@ class TestValidationAndEdgeCases:
         )
         core = build_snapshot(build_walker_delta(config), 0.0).core
         assert core.topology.num_links == 0
-        hops = fastcore.hop_distances_batch(core, [0], method="numpy")[0]
+        hops = fastcore.hop_distances_batch(core, [0])[0]
         assert hops[0] == 0
         assert np.all(hops[1:] == fastcore.HOP_UNREACHABLE)
 

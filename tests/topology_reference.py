@@ -1,10 +1,9 @@
-"""``networkx`` reference views of snapshot graphs, for tests and benchmarks.
+"""``networkx`` reference views of snapshot graphs, for tests.
 
 The library routes only over the vectorised CSR core
 (:mod:`repro.topology.fastcore`). This module keeps the per-query graph
 traversals it replaced, as the ground truth the kernels are verified
-against (``test_topology_fastcore.py``) and benchmarked against
-(``benchmarks/bench_core_perf.py``):
+against (``test_topology_fastcore.py``):
 
 * :func:`networkx_view` — a snapshot as a ``networkx`` graph, honouring
   failed satellites and cut links;
@@ -14,17 +13,20 @@ against (``test_topology_fastcore.py``) and benchmarked against
   kernels (single-source hops and latencies, the hop ladder);
 * :class:`GraphPathRouter` — terminal -> space segment -> gateway -> PoP
   routed over the actual graph, the high-fidelity cross-check of the
-  analytic bent-pipe model (:mod:`repro.network.bentpipe`).
+  analytic bent-pipe model (:mod:`repro.network.bentpipe`);
+* :func:`routing_backend` — run the kernels on one chosen backend.
 
 Node naming: satellites are integer indices; ground nodes are strings.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Iterator
 
 import networkx as nx
+import pytest
 
 from repro.constants import MIN_ELEVATION_GS_DEG, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, RoutingError, VisibilityError
@@ -33,8 +35,26 @@ from repro.geo.datasets.cities import City
 from repro.geo.datasets.pops import assigned_pop
 from repro.network.access import access_latency_ms
 from repro.orbits.visibility import visible_satellites
+from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph
 from repro.topology.ground import GroundSegment
+
+ROUTING_BACKENDS = ("numpy", "scipy") if fastcore.HAVE_SCIPY else ("numpy",)
+"""The fastcore backends this interpreter can run."""
+
+
+@contextlib.contextmanager
+def routing_backend(name: str) -> Iterator[None]:
+    """Run every fastcore kernel on backend ``name`` inside the block.
+
+    The kernels take no backend argument: they use scipy whenever
+    ``fastcore.HAVE_SCIPY`` holds, so this patches that flag.
+    """
+    if name not in ROUTING_BACKENDS:
+        raise ValueError(f"routing backend {name!r} is not available here")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastcore, "HAVE_SCIPY", name == "scipy")
+        yield
 
 # -- graph views ---------------------------------------------------------------
 
