@@ -2,8 +2,7 @@
 
 The paper reports medians, CDFs and per-country deltas; these helpers keep
 that arithmetic in one tested place. The quantile arithmetic itself lives
-in :mod:`repro.analysis.quantiles` (shared with the obs layer); this
-module adds the sample-validation and reporting shapes around it.
+in :mod:`repro.analysis.quantiles`; this module adds the sample-validation and reporting shapes around it.
 """
 
 from __future__ import annotations

@@ -83,13 +83,6 @@ class DeadlineBudget:
                 f"spent budget must be non-negative, got {self.spent_ms}"
             )
 
-    @property
-    def remaining_ms(self) -> float:
-        """Budget left; ``inf`` when no deadline is configured."""
-        if self.total_ms is None:
-            return math.inf
-        return max(0.0, self.total_ms - self.spent_ms)
-
     def charge(self, wait_ms: float) -> None:
         """Consume ``wait_ms`` of simulated waiting from the budget."""
         if wait_ms < 0:

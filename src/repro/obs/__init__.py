@@ -4,7 +4,7 @@ Four stdlib-plus-numpy pillars behind one recorder facade:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   fixed-bucket histograms keyed by label tuples, exported as
-  Prometheus text or JSON through :mod:`repro.atomicio`;
+  Prometheus text through :mod:`repro.atomicio`;
 * :class:`~repro.obs.timeseries.TimeSeriesBuffer` — the same metric
   kinds bucketed into fixed-width windows of *simulated* time; every
   windowed cell is an integer, so parallel runs merge to byte-identical
@@ -16,6 +16,10 @@ Four stdlib-plus-numpy pillars behind one recorder facade:
   ``repro obs summarize``;
 * :class:`~repro.obs.profiling.ProfileAccumulator` — wall-clock timer
   contexts around the fastcore kernels, cache plumbing and runner shards.
+
+Each pillar ships its part of a parallel run's fleet delta and merges
+it back (``snapshot_delta``/``merge_delta``); the recorder's own pair
+adds the format-version envelope.
 
 The process-global default recorder is a no-op: every instrumented call
 site stays permanently wired through the hot paths, and with observability
@@ -35,8 +39,8 @@ This package re-exports exactly those two names, :class:`ObsRecorder` and
 idiom above, and the end-to-end benchmark harness imports them from here.
 Every other name is imported from its defining module, so importing
 ``repro.obs`` loads the recorder and its metrics, series, trace and
-profile buffers, never the CLI tooling (``merge``, ``summarize``,
-``events``).
+profile buffers, never the run event log or the trace summariser
+(``events``, ``summarize``).
 """
 
 from repro.obs.recorder import ObsRecorder, recording

@@ -2,19 +2,25 @@
 
 Series are keyed by ``(name, labels)`` where ``labels`` is a tuple of
 ``(key, value)`` pairs, so instrumented call sites can pass pre-built
-constant tuples and pay no allocation on the hot path. Exporters render
-the whole registry as Prometheus text exposition format or as one JSON
-document; both are written crash-safely through :mod:`repro.atomicio`.
+constant tuples and pay no allocation on the hot path. The registry
+renders as Prometheus text exposition format, written crash-safely
+through :mod:`repro.atomicio`, and ships to a parallel run's parent as a
+JSON-serialisable delta (:meth:`MetricsRegistry.snapshot_delta` and
+:meth:`MetricsRegistry.merge_delta`).
+
+Histogram buckets follow Prometheus ``le``: a value lands in the first
+bucket whose upper bound is ``>=`` it (``bisect_left``). The windowed
+series of :mod:`repro.obs.timeseries` use the same rule and the same
+bucket pins (:func:`pin_buckets`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from pathlib import Path
+from typing import Sequence
 
-from repro.analysis.quantiles import histogram_quantile
 from repro.atomicio import atomic_write_text
 from repro.errors import ObsError
 
@@ -39,6 +45,40 @@ def _check_labels(labels: Labels) -> Labels:
         if len(pair) != 2:
             raise ObsError(f"labels must be (key, value) pairs, got {pair!r}")
     return labels
+
+
+def labels_from_json(raw: Sequence[Sequence[str]]) -> Labels:
+    """A label tuple from its delta form (a list of ``[key, value]`` lists)."""
+    return tuple((str(key), str(value)) for key, value in raw)
+
+
+def pin_buckets(
+    pins: dict[str, tuple[float, ...]], name: str, bounds: tuple[float, ...]
+) -> tuple[float, ...]:
+    """The bucket bounds of histogram ``name``, pinned in ``pins`` on first use.
+
+    Mixed-bucket series cannot be aggregated, so bounds that differ from
+    the pinned ones are a configuration error, whether they come from an
+    observation or from a shipped delta.
+    """
+    pinned = pins.setdefault(name, bounds)
+    if pinned != bounds:
+        raise ObsError(
+            f"histogram {name!r}: buckets {bounds} differ from the pinned "
+            f"{pinned} (mixed-bucket series cannot be aggregated)"
+        )
+    return pinned
+
+
+def add_bucket_counts(name: str, into: list[int], shipped: Sequence[int]) -> None:
+    """Add a shipped histogram's per-bucket counts into ``into``."""
+    if len(shipped) != len(into):
+        raise ObsError(
+            f"cannot merge histogram {name!r}: shipped {len(shipped)} "
+            f"buckets, the local series holds {len(into)}"
+        )
+    for index, count in enumerate(shipped):
+        into[index] += int(count)
 
 
 def _format_value(value: float) -> str:
@@ -86,12 +126,6 @@ class Histogram:
         out.append((math.inf, self.count))
         return out
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolved quantile estimate (upper bound of the hit bucket)."""
-        if not 0.0 <= q <= 1.0:
-            raise ObsError(f"quantile must be in [0, 1], got {q}")
-        return histogram_quantile(self.cumulative(), self.count, q)
-
 
 class MetricsRegistry:
     """All metric series of one recording session."""
@@ -124,12 +158,7 @@ class MetricsRegistry:
         later observations with different bounds are a configuration error
         (mixed-bucket series cannot be aggregated).
         """
-        pinned = self._buckets.setdefault(name, tuple(buckets))
-        if pinned != tuple(buckets):
-            raise ObsError(
-                f"histogram {name!r} was created with buckets {pinned}, "
-                f"got {tuple(buckets)}"
-            )
+        pinned = pin_buckets(self._buckets, name, tuple(buckets))
         key = (name, _check_labels(labels))
         histogram = self._histograms.get(key)
         if histogram is None:
@@ -157,7 +186,7 @@ class MetricsRegistry:
         """A JSON-serialisable snapshot of every series.
 
         The snapshot is what a parallel worker ships to its parent at shard
-        completion (:mod:`repro.obs.merge` folds it back in). With
+        completion (:meth:`merge_delta` folds it back in). With
         ``drain=True`` the registry empties so consecutive snapshots are
         disjoint deltas; histogram bucket pins are kept, so later
         observations in the same process stay aggregatable.
@@ -190,6 +219,30 @@ class MetricsRegistry:
             self._gauges = {}
             self._histograms = {}
         return delta
+
+    def merge_delta(self, delta: dict, gauge_labels: Labels = ()) -> None:
+        """Fold a shipped :meth:`snapshot_delta` into this registry.
+
+        Counters sum and histograms add bucket-wise, both unlabelled, so
+        aggregates do not depend on how many workers shipped them. A gauge
+        is a last-write-wins sample, so each shipped gauge keeps its own
+        series with ``gauge_labels`` (the shipping worker and shard)
+        appended instead of overwriting the others.
+        """
+        for name, raw_labels, value in delta.get("counters", ()):
+            self.inc(name, labels_from_json(raw_labels), value)
+        for name, raw_labels, value in delta.get("gauges", ()):
+            self.set_gauge(name, value, labels_from_json(raw_labels) + gauge_labels)
+        for name, raw_labels, series in delta.get("histograms", ()):
+            bounds = tuple(float(b) for b in series["bounds"])
+            pinned = pin_buckets(self._buckets, name, bounds)
+            key = (name, labels_from_json(raw_labels))
+            histogram = self._histograms.get(key)
+            if histogram is None:
+                histogram = self._histograms[key] = Histogram(pinned)
+            add_bucket_counts(name, histogram.bucket_counts, series["bucket_counts"])
+            histogram.count += series["count"]
+            histogram.total += series["total"]
 
     # -- exporters ---------------------------------------------------------
 
@@ -225,40 +278,6 @@ class MetricsRegistry:
                 lines.append(f"{name}_count{_label_string(labels)} {histogram.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_json(self) -> dict:
-        """The whole registry as one JSON-serialisable document."""
-
-        def label_dict(labels: Labels) -> dict[str, str]:
-            return {key: value for key, value in labels}
-
-        return {
-            "counters": [
-                {"name": name, "labels": label_dict(labels), "value": value}
-                for (name, labels), value in sorted(self._counters.items())
-            ],
-            "gauges": [
-                {"name": name, "labels": label_dict(labels), "value": value}
-                for (name, labels), value in sorted(self._gauges.items())
-            ],
-            "histograms": [
-                {
-                    "name": name,
-                    "labels": label_dict(labels),
-                    "buckets": [
-                        {"le": "+Inf" if math.isinf(b) else b, "count": c}
-                        for b, c in histogram.cumulative()
-                    ],
-                    "sum": histogram.total,
-                    "count": histogram.count,
-                }
-                for (name, labels), histogram in sorted(self._histograms.items())
-            ],
-        }
-
     def write_prometheus(self, path: str | Path) -> None:
         """Atomically write the Prometheus text rendering to ``path``."""
         atomic_write_text(path, self.render_prometheus())
-
-    def write_json(self, path: str | Path) -> None:
-        """Atomically write the JSON rendering to ``path``."""
-        atomic_write_text(path, json.dumps(self.to_json(), indent=1, sort_keys=True))

@@ -129,6 +129,18 @@ class ProfileAccumulator:
             self._open = 0
         return delta
 
+    def merge_delta(self, delta: dict) -> None:
+        """Fold a shipped :meth:`snapshot_delta`'s sites in stat-wise.
+
+        Its abandoned timers are the recorder's concern: they become a
+        counter, not a site.
+        """
+        for site, (calls, total_s, min_s, max_s) in delta.get("sites", {}).items():
+            stats = self.sites.get(site)
+            if stats is None:
+                stats = self.sites[site] = SiteStats()
+            stats.merge(int(calls), float(total_s), float(min_s), float(max_s))
+
     @property
     def is_empty(self) -> bool:
         return not self.sites

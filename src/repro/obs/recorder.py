@@ -24,10 +24,20 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.errors import ObsError
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, Labels, MetricsRegistry
 from repro.obs.profiling import ProfileAccumulator
 from repro.obs.timeseries import TimeSeriesBuffer
 from repro.obs.tracing import SpanHandle, TraceBuffer
+
+DELTA_FORMAT_VERSION = 2
+"""Bumped to 2 when deltas grew the ``timeseries`` pillar (windowed
+series); version-1 deltas ship no windows, so merging them silently would
+under-count the merged timeline — refusing is the honest failure."""
+
+ABANDONED_TIMERS_METRIC = "repro_profile_abandoned_total"
+"""Counter of profile timers dropped because their worker's recorder was
+drained (snapshot/kill) while they were still open."""
 
 
 class _NoopContext:
@@ -197,16 +207,42 @@ class ObsRecorder:
     # -- cross-process deltas ----------------------------------------------
 
     def snapshot_delta(self, drain: bool = True) -> dict:
-        """This recorder's buffers as one shippable delta (worker side)."""
-        from repro.obs.merge import snapshot_delta
+        """This recorder's four pillars as one shippable delta (worker side).
 
-        return snapshot_delta(self, drain=drain)
+        ``drain=True`` (the worker default) empties the buffers so the
+        next shard's snapshot ships only its own work.
+        """
+        return {
+            "format_version": DELTA_FORMAT_VERSION,
+            "metrics": self.metrics.snapshot_delta(drain=drain),
+            "timeseries": self.timeseries.snapshot_delta(drain=drain),
+            "trace": self.trace.snapshot_delta(drain=drain),
+            "profile": self.profile.snapshot_delta(drain=drain),
+        }
 
     def merge_delta(self, delta: dict, extra_labels: Labels = ()) -> None:
-        """Fold a worker's shipped delta into this recorder (parent side)."""
-        from repro.obs.merge import merge_delta
+        """Fold a worker's shipped delta into this recorder (parent side).
 
-        merge_delta(self, delta, extra_labels)
+        Each pillar merges its own part. ``extra_labels`` (the shipping
+        worker and shard) label gauge series and trace spans; counters,
+        histograms, windows and profile sites merge unlabelled, so
+        aggregates do not depend on the fleet width. Timers the worker left
+        open count in :data:`ABANDONED_TIMERS_METRIC`.
+        """
+        version = delta.get("format_version")
+        if version != DELTA_FORMAT_VERSION:
+            raise ObsError(
+                f"obs delta format version {version!r} is not the expected "
+                f"{DELTA_FORMAT_VERSION} (package version drift between worker "
+                f"and parent?)"
+            )
+        self.metrics.merge_delta(delta["metrics"], extra_labels)
+        self.timeseries.merge_delta(delta["timeseries"])
+        self.trace.merge_delta(delta["trace"], dict(extra_labels))
+        self.profile.merge_delta(delta["profile"])
+        abandoned = delta["profile"].get("abandoned", 0)
+        if abandoned:
+            self.metrics.inc(ABANDONED_TIMERS_METRIC, value=float(abandoned))
 
     # -- export ------------------------------------------------------------
 

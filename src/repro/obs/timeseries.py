@@ -28,6 +28,7 @@ to a ``--jobs 1`` run of the same plan, because
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from pathlib import Path
 
 from repro.atomicio import atomic_write_text
@@ -37,6 +38,9 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     Labels,
     _check_labels,
+    add_bucket_counts,
+    labels_from_json,
+    pin_buckets,
 )
 
 TS_FORMAT_VERSION = 1
@@ -110,26 +114,16 @@ class TimeSeriesBuffer:
     ) -> None:
         """Record one histogram sample in the window containing ``t_s``.
 
-        Bucket bounds pin on first use per metric name, exactly like the
-        scalar registry — mixed-bucket series cannot be aggregated.
+        Bucket bounds pin on first use per metric name and a value picks
+        its bucket exactly as in the scalar registry.
         """
-        pinned = self._buckets.setdefault(name, tuple(buckets))
-        if pinned != tuple(buckets):
-            raise ObsError(
-                f"windowed histogram {name!r} was created with buckets "
-                f"{pinned}, got {tuple(buckets)}"
-            )
+        pinned = pin_buckets(self._buckets, name, tuple(buckets))
         series = self._histograms.setdefault((name, _check_labels(labels)), {})
         window = self.window_of(t_s)
         cell = series.get(window)
         if cell is None:
             cell = series[window] = WindowHistogram(len(pinned))
-        index = 0
-        for bound in pinned:
-            if value <= bound:
-                break
-            index += 1
-        cell.bucket_counts[index] += 1
+        cell.bucket_counts[bisect_left(pinned, value)] += 1
         cell.count += 1
         cell.total_fp += _fp(value)
 
@@ -208,32 +202,20 @@ class TimeSeriesBuffer:
                 f"differs from the local {WINDOW_S}s"
             )
         for name, raw_labels, points in delta.get("counters", ()):
-            labels = tuple((str(k), str(v)) for k, v in raw_labels)
+            labels = labels_from_json(raw_labels)
             series = self._counters.setdefault((name, labels), {})
             for window, value in points:
                 series[int(window)] = series.get(int(window), 0) + int(value)
         for name, raw_labels, raw_bounds, points in delta.get("histograms", ()):
             bounds = tuple(float(b) for b in raw_bounds)
-            pinned = self._buckets.setdefault(name, bounds)
-            if pinned != bounds:
-                raise ObsError(
-                    f"cannot merge windowed histogram {name!r}: shipped "
-                    f"buckets {bounds} differ from the pinned {pinned}"
-                )
-            labels = tuple((str(k), str(v)) for k, v in raw_labels)
+            pinned = pin_buckets(self._buckets, name, bounds)
+            labels = labels_from_json(raw_labels)
             cells = self._histograms.setdefault((name, labels), {})
             for window, bucket_counts, count, total_fp in points:
                 cell = cells.get(int(window))
                 if cell is None:
-                    cell = cells[int(window)] = WindowHistogram(len(bounds))
-                if len(bucket_counts) != len(cell.bucket_counts):
-                    raise ObsError(
-                        f"cannot merge windowed histogram {name!r}: shipped "
-                        f"{len(bucket_counts)} buckets, local cell holds "
-                        f"{len(cell.bucket_counts)}"
-                    )
-                for index, bucket in enumerate(bucket_counts):
-                    cell.bucket_counts[index] += int(bucket)
+                    cell = cells[int(window)] = WindowHistogram(len(pinned))
+                add_bucket_counts(name, cell.bucket_counts, bucket_counts)
                 cell.count += int(count)
                 cell.total_fp += int(total_fp)
 

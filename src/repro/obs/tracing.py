@@ -86,13 +86,33 @@ class TraceBuffer:
 
         With ``drain=True`` the buffer empties (span ids keep counting up,
         so ids within one process never repeat across deltas); the parent
-        re-ids shipped spans on merge anyway (:mod:`repro.obs.merge`), so
+        re-ids shipped spans on merge anyway (:meth:`merge_delta`), so
         parent-side and worker-side spans can share one buffer.
         """
         spans = [dict(span) for span in self._spans]
         if drain:
             self._spans = []
         return spans
+
+    def merge_delta(self, spans: list[dict], extra_attrs: dict | None = None) -> None:
+        """Append shipped spans under fresh span ids, with ``extra_attrs``.
+
+        Parent links are rewritten into the new id space; a child whose
+        parent was not shipped in the same delta keeps ``parent_id: None``
+        rather than aliasing an unrelated span of this buffer.
+        """
+        remapped: dict[int, int] = {}
+        for span in spans:
+            record = dict(span)
+            old_id = record.pop("span_id", None)
+            old_parent = record.pop("parent_id", None)
+            kind = record.pop("kind", "?")
+            if extra_attrs:
+                record.update(extra_attrs)
+            parent_id = remapped.get(old_parent) if old_parent is not None else None
+            new_id = self.record(kind, parent_id=parent_id, **record)
+            if old_id is not None:
+                remapped[old_id] = new_id
 
     def flush(self, path: str | Path) -> int:
         """Atomically write every buffered span as JSONL; returns the count.

@@ -52,7 +52,6 @@ class RunnerOptions:
     shard_deadline_s: float | None = None
     max_shards: int | None = None
     jobs: int = 1
-    mp_start_method: str | None = None
     progress_every: int | None = None
     retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
@@ -71,12 +70,6 @@ class RunnerOptions:
         if self.progress_every is not None and self.progress_every < 1:
             raise RunnerError(
                 f"--progress-every must be >= 1, got {self.progress_every}"
-            )
-        valid_methods = (None, "fork", "spawn", "forkserver")
-        if self.mp_start_method not in valid_methods:
-            raise RunnerError(
-                f"mp_start_method must be one of {valid_methods[1:]}, "
-                f"got {self.mp_start_method!r}"
             )
 
 

@@ -30,9 +30,10 @@ contract:
   parent each worker records into its own recorder and drains it to a
   serialisable delta per shard attempt, shipped inside the result message
   and parked in an atomic ``obs/`` sidecar the parent salvages if the
-  worker dies first (:mod:`repro.obs.merge`). The parent folds every
-  delta into the run's recorder, so a ``--jobs 8`` run and a ``--jobs 1``
-  run report identical aggregate counters and histograms — and, because
+  worker dies first. The parent folds every delta into the run's
+  recorder (:meth:`repro.obs.recorder.ObsRecorder.merge_delta`), so a
+  ``--jobs 8`` run and a ``--jobs 1`` run report identical aggregate
+  counters and histograms — and, because
   the windowed time-series pillar (:mod:`repro.obs.timeseries`) keys every
   cell by *simulated* time and stores only integers, byte-identical
   per-window series too, regardless of shard completion order.
@@ -264,7 +265,7 @@ def execute_pending_parallel(
             f"is registered for it; run serially or register one via "
             f"repro.runner.registry.register_plan_builder"
         )
-    ctx = mp.get_context(options.mp_start_method or default_start_method())
+    ctx = mp.get_context(default_start_method())
     policy = options.retry_policy
     rec = get_recorder()
     total = already_done + len(pending)

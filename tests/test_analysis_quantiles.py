@@ -1,21 +1,16 @@
 """Golden tests for the shared quantile helpers.
 
 :mod:`repro.analysis.quantiles` is the single home of percentile
-arithmetic — the exact-sample estimator backing ``analysis.stats`` and
-the trace summaries, and the bucket-resolved estimator backing the
-scalar and windowed histograms. These tests pin both estimators to
-hand-computed values so any drift in a consolidation refactor is loud.
+arithmetic: the exact-sample estimator backing ``analysis.stats`` and the
+experiment sweeps. These tests pin it to hand-computed values so any
+drift in a consolidation refactor is loud.
 """
 
 import math
 
 import pytest
 
-from repro.analysis.quantiles import (
-    histogram_quantile,
-    sample_quantile,
-    sample_quantiles,
-)
+from repro.analysis.quantiles import sample_quantile, sample_quantiles
 
 
 class TestSampleQuantile:
@@ -47,6 +42,13 @@ class TestSampleQuantile:
         data = [9.0, 2.0, 11.0, 4.0, 7.0]
         assert sample_quantile(data, 0.75) == sample_quantile(sorted(data), 0.75)
 
+    def test_agrees_with_cdf_quantile(self):
+        """Cdf.quantile is a thin wrapper over sample_quantile."""
+        from repro.analysis.stats import Cdf
+
+        cdf = Cdf.from_samples([3.0, 1.0, 4.0, 1.0, 5.0])
+        assert cdf.quantile(0.5) == sample_quantile([3.0, 1.0, 4.0, 1.0, 5.0], 0.5)
+
 
 class TestSampleQuantiles:
     def test_matches_scalar_helper(self):
@@ -60,39 +62,3 @@ class TestSampleQuantiles:
         out = sample_quantiles([], (0.5, 0.9))
         assert len(out) == 2
         assert all(math.isnan(v) for v in out)
-
-
-class TestHistogramQuantile:
-    CUMULATIVE = [(1.0, 10), (5.0, 70), (10.0, 90), (math.inf, 100)]
-
-    def test_returns_first_bound_reaching_rank(self):
-        assert histogram_quantile(self.CUMULATIVE, 100, 0.5) == 5.0
-
-    def test_rank_exactly_on_bucket_edge(self):
-        # Rank 10 is satisfied by the first bucket itself.
-        assert histogram_quantile(self.CUMULATIVE, 100, 0.10) == 1.0
-
-    def test_tail_falls_into_overflow_bucket(self):
-        assert histogram_quantile(self.CUMULATIVE, 100, 0.99) == math.inf
-
-    def test_empty_histogram_is_nan(self):
-        assert math.isnan(histogram_quantile([], 0, 0.5))
-
-    def test_agrees_with_obs_histogram(self):
-        """Histogram.quantile is now a thin wrapper over this helper."""
-        from repro.obs.metrics import Histogram
-
-        histogram = Histogram((10.0, 100.0))
-        for _ in range(9):
-            histogram.observe(5.0)
-        histogram.observe(50.0)
-        assert histogram.quantile(0.5) == histogram_quantile(
-            histogram.cumulative(), histogram.count, 0.5
-        )
-
-    def test_agrees_with_cdf_quantile(self):
-        """Cdf.quantile is now a thin wrapper over sample_quantile."""
-        from repro.analysis.stats import Cdf
-
-        cdf = Cdf.from_samples([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert cdf.quantile(0.5) == sample_quantile([3.0, 1.0, 4.0, 1.0, 5.0], 0.5)

@@ -459,7 +459,6 @@ _SIMULATION_MODULES = (
     "repro.workloads",
     "repro.faults",
     "repro.overload",
-    "repro.obs.merge",
     "repro.obs.summarize",
     "repro.obs.events",
 )

@@ -1,4 +1,4 @@
-"""Unit tests for cross-process obs aggregation (:mod:`repro.obs.merge`).
+"""Unit tests for cross-process obs aggregation (the pillars' delta codecs).
 
 The contract under test: a worker's recorder drains into a
 JSON-serialisable delta, the parent folds any number of deltas back in,
@@ -13,17 +13,14 @@ import json
 
 import pytest
 
+from obs_reference import registry_diff
 from repro.errors import ObsError
-from repro.obs.merge import (
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import (
     ABANDONED_TIMERS_METRIC,
     DELTA_FORMAT_VERSION,
-    merge_delta,
-    merge_trace_delta,
-    registry_diff,
-    snapshot_delta,
+    ObsRecorder,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import ObsRecorder
 
 TIER = (("tier", "isl"),)
 BUCKETS = (10.0, 50.0)
@@ -48,14 +45,14 @@ class TestSnapshotDelta:
     def test_delta_is_json_serialisable(self):
         rec = ObsRecorder()
         record_workload(rec)
-        delta = snapshot_delta(rec)
+        delta = rec.snapshot_delta()
         assert delta["format_version"] == DELTA_FORMAT_VERSION
         assert json.loads(json.dumps(delta)) == delta
 
     def test_drain_empties_but_keeps_bucket_pins(self):
         rec = ObsRecorder()
         record_workload(rec)
-        snapshot_delta(rec, drain=True)
+        rec.snapshot_delta(drain=True)
         assert rec.metrics.is_empty
         assert len(rec.trace) == 0
         assert rec.profile.is_empty
@@ -68,9 +65,9 @@ class TestSnapshotDelta:
     def test_consecutive_drained_deltas_are_disjoint(self):
         rec = ObsRecorder()
         record_workload(rec)
-        first = snapshot_delta(rec, drain=True)
+        first = rec.snapshot_delta(drain=True)
         record_workload(rec)
-        second = snapshot_delta(rec, drain=True)
+        second = rec.snapshot_delta(drain=True)
         assert first["metrics"]["counters"] == second["metrics"]["counters"]
         # Span ids keep counting across drains: no id is reused.
         first_ids = {span["span_id"] for span in first["trace"]}
@@ -80,8 +77,65 @@ class TestSnapshotDelta:
     def test_undrained_snapshot_leaves_state(self):
         rec = ObsRecorder()
         record_workload(rec)
-        snapshot_delta(rec, drain=False)
+        rec.snapshot_delta(drain=False)
         assert rec.metrics.counter_value("repro_serve_total", TIER) == 1.0
+
+
+class TestWireFormat:
+    def test_delta_matches_the_pinned_literal(self):
+        """A sidecar written by an older tree of the same format version
+        must still merge, so the shipped parts stay byte for byte."""
+        rec = ObsRecorder()
+        record_workload(rec)
+        rec.window_inc(30.0, "repro_serve_total", TIER)
+        rec.window_inc(90.0, "repro_serve_total", TIER, 2.0)
+        rec.window_observe(30.0, "repro_serve_rtt_ms", 12.0, TIER, buckets=BUCKETS)
+        rec.window_observe(30.0, "repro_serve_rtt_ms", 50.0, TIER, buckets=BUCKETS)
+        rec.window_observe(90.0, "repro_serve_rtt_ms", 75.5, TIER, buckets=BUCKETS)
+        delta = rec.snapshot_delta()
+        assert delta["format_version"] == 2
+        assert delta["metrics"] == {
+            "counters": [
+                ["repro_serve_total", [["tier", "isl"]], 1.0],
+                ["repro_serve_total", [["tier", "access"]], 2.0],
+            ],
+            "gauges": [["repro_chaos_availability", [["fraction", "0"]], 0.5]],
+            "histograms": [
+                [
+                    "repro_serve_rtt_ms",
+                    [["tier", "isl"]],
+                    {
+                        "bounds": [10.0, 50.0],
+                        "bucket_counts": [0, 1, 1],
+                        "count": 2,
+                        "total": 87.0,
+                    },
+                ]
+            ],
+        }
+        assert delta["timeseries"] == {
+            "window_s": 60.0,
+            "counters": [
+                ["repro_serve_total", [["tier", "isl"]], [[0, 1000000], [1, 2000000]]]
+            ],
+            "histograms": [
+                [
+                    "repro_serve_rtt_ms",
+                    [["tier", "isl"]],
+                    [10.0, 50.0],
+                    [[0, [0, 2, 0], 2, 62000000], [1, [0, 0, 1], 1, 75500000]],
+                ]
+            ],
+        }
+        assert delta["trace"] == [
+            {"kind": "serve", "span_id": 1, "parent_id": None, "outcome": "served"},
+            {
+                "kind": "attempt",
+                "span_id": 2,
+                "parent_id": 1,
+                "rtt_contribution_ms": 12.0,
+            },
+        ]
 
 
 class TestMergeDelta:
@@ -140,7 +194,7 @@ class TestMergeDelta:
         delta = worker.snapshot_delta()
         delta["format_version"] = 999
         with pytest.raises(ObsError, match="format version"):
-            merge_delta(ObsRecorder(), delta)
+            ObsRecorder().merge_delta(delta)
 
     def test_trace_spans_reidentified_with_parent_links(self):
         parent = ObsRecorder()
@@ -162,7 +216,7 @@ class TestMergeDelta:
         parent.record_span("resident")
         worker = ObsRecorder()
         spans = [{"kind": "attempt", "span_id": 7, "parent_id": 1}]
-        merge_trace_delta(parent.trace, spans)
+        parent.trace.merge_delta(spans)
         (orphan,) = [s for s in parent.trace.spans() if s["kind"] == "attempt"]
         assert orphan["parent_id"] is None
 

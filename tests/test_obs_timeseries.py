@@ -208,11 +208,10 @@ class TestRecorderIntegration:
         NOOP_RECORDER.window_observe(0.0, "anything", 1.0)
 
     def test_fleet_delta_carries_timeseries(self):
-        from repro.obs.merge import merge_delta, snapshot_delta
         from repro.obs.recorder import ObsRecorder
 
         worker = ObsRecorder()
         worker.window_inc(90.0, "repro_serve_total", value=4.0)
         parent = ObsRecorder()
-        merge_delta(parent, snapshot_delta(worker))
+        parent.merge_delta(worker.snapshot_delta())
         assert parent.timeseries.counter_value("repro_serve_total", 1) == 4.0

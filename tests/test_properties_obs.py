@@ -5,7 +5,9 @@ commutative, associative fold over integer cells: shard deltas may land
 in any completion order, any grouping, and any interleaving, and the
 merged series must stay byte-identical to the single-pass build. These
 properties are exactly what the supervised parallel runner relies on, so
-hypothesis hammers them directly on generated event streams.
+hypothesis hammers them directly on generated event streams. A last
+property checks that the scalar and windowed histograms share one
+bucket rule.
 """
 
 import json
@@ -13,6 +15,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WINDOW_S, TimeSeriesBuffer
 
 BUCKETS = (1.0, 5.0, 25.0)
@@ -92,3 +95,31 @@ class TestMergeAlgebra:
         window = ts.window_of(t_s)
         assert window == int(t_s // WINDOW_S)
         assert window * WINDOW_S <= t_s
+
+
+magnitudes = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+bucket_bounds = st.lists(magnitudes, min_size=1, max_size=6, unique=True).map(
+    lambda bounds: tuple(sorted(bounds))
+)
+
+
+class TestBucketRule:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_windowed_histograms_pick_the_same_bucket(self, data):
+        bounds = data.draw(bucket_bounds)
+        value = data.draw(
+            st.one_of(
+                st.sampled_from(bounds),
+                st.floats(min_value=bounds[-1], max_value=2e9, exclude_min=True),
+                magnitudes,
+            )
+        )
+        registry = MetricsRegistry()
+        registry.observe("h", value, buckets=bounds)
+        ts = TimeSeriesBuffer()
+        ts.observe(0.0, "h", value, buckets=bounds)
+        counts = registry.histogram("h").bucket_counts
+        assert ts.histogram_cell("h", 0).bucket_counts == counts
+        # Prometheus ``le``: the first bucket whose upper bound is >= value.
+        assert counts[sum(bound < value for bound in bounds)] == 1

@@ -553,5 +553,3 @@ class TestEngine:
             RunnerOptions(max_shards=0)
         with pytest.raises(RunnerError):
             RunnerOptions(jobs=0)
-        with pytest.raises(RunnerError):
-            RunnerOptions(mp_start_method="threads")

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from obs_reference import FLEET_SERIES_PREFIXES, registry_diff
 from repro.errors import (
     DeadlineExceededError,
     RunInterruptedError,
@@ -492,8 +493,6 @@ class TestFleetObservability:
         return out, recorder
 
     def test_parallel_aggregates_equal_serial(self, tmp_path):
-        from repro.obs.merge import registry_diff
-
         serial_out, serial = self.run_with_obs(tmp_path / "serial", 1)
         fleet_out, fleet = self.run_with_obs(tmp_path / "fleet", 4)
         assert fleet_out == serial_out
@@ -523,8 +522,6 @@ class TestFleetObservability:
     def test_chaos_run_aggregates_equal_clean_serial(self, tmp_path):
         """Crashed and killed attempts ship no obs, so the merged registry
         of a chaos run still equals the clean serial run's."""
-        from repro.obs.merge import FLEET_SERIES_PREFIXES, registry_diff
-
         serial_out, serial = self.run_with_obs(tmp_path / "serial", 1)
         plan = selfchaos.build_plan(
             OBSTOY_CONFIG, {"s01": {1: "crash"}, "s02": {1: "kill"}}
