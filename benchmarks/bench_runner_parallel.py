@@ -1,10 +1,11 @@
-"""The speedup guard for the parallel shard executor.
+"""The speedup guard for the supervised worker pool.
 
-``pytest benchmarks/bench_runner_parallel.py`` guards that the supervised
-worker pool (``--jobs 4``) completes the figure-8 plan at least 2x faster
-than the serial path on a machine with >= 4 cores (skipped below that: the
-pool cannot beat physics), and that the parallel output stays
-byte-identical to serial on the bench workload everywhere.
+``pytest benchmarks/bench_runner_parallel.py`` guards that a four-worker
+pool (``--jobs 4``) completes the figure-8 plan at least 2x faster than
+the default one-worker pool (``--jobs 1``, the baseline every ``--out-dir``
+run gets) on a machine with >= 4 cores (skipped below that: the pool
+cannot beat physics), and that the four-worker output stays
+byte-identical to the one-worker output on the bench workload everywhere.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ CLI runs the shards in order in memory and imports no runner engine. With
 ``--out-dir`` it runs them through the crash-safe
 :mod:`repro.runner.engine`: checkpointed, resumable with ``--resume``, and
 bounded by ``--deadline-s`` / ``--shard-deadline-s``. Both print the same
-bytes. ``--jobs N``
-executes the shards N-wide on a supervised worker pool that survives
-worker crashes, hangs, and kills; ``--jobs`` never enters the manifest,
-so a run started wide can resume serially (and vice versa) byte-for-byte.
+bytes. The engine executes the shards on a supervised worker pool,
+``--jobs N`` wide (one worker by default), that survives worker crashes,
+hangs, and kills; ``--jobs`` never enters the manifest, so a run started
+wide can resume at one worker (and vice versa) byte-for-byte.
 A runner flag without ``--out-dir``, or an experiment flag the chosen
 experiment does not take (``repro run table1 --users 5``), exits 2 before
 any work.
@@ -35,11 +35,10 @@ so the artifacts are never truncated.
 
 Exit codes: 0 success; 2 generic error; 3 content unavailable; 4 bad
 fault/experiment configuration; 5 interrupted (checkpoints flushed);
-6 deadline exceeded; 7 a shard exhausted its retries (serial);
-8 shard(s) quarantined by the parallel executor (rest of the run
-completed; see ``quarantine.json``); 10 a request was shed by overload
-protection (admission control, an open circuit breaker, or a deadline
-budget).
+6 deadline exceeded; 8 shard(s) exhausted their retries and were
+quarantined (rest of the run completed; see ``quarantine.json``); 10 a
+request was shed by overload protection (admission control, an open
+circuit breaker, or a deadline budget).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.errors import (
     OverloadedError,
     ReproError,
     RunInterruptedError,
-    ShardExhaustedError,
     ShardQuarantinedError,
     UnavailableError,
 )
@@ -74,12 +72,10 @@ every completed shard; rerun with ``--resume`` to continue."""
 EXIT_DEADLINE = 6
 """The ``--deadline-s`` wall-clock budget expired; completed shards are
 checkpointed."""
-EXIT_SHARD_FAILED = 7
-"""One shard kept failing after exhausting its retry budget."""
 EXIT_QUARANTINED = 8
-"""Parallel run: shard(s) kept crashing/hanging/failing their workers and
-were quarantined (``quarantine.json``) while every other shard completed;
-fix the cause and rerun with ``--resume``."""
+"""Shard(s) kept failing, crashing or hanging their workers through the
+whole retry budget and were quarantined (``quarantine.json``) while every
+other shard completed; fix the cause and rerun with ``--resume``."""
 EXIT_OVERLOADED = 10
 """A request was shed by overload protection: admission control refused
 it, its circuit breaker was open, or its deadline budget ran out."""
@@ -455,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-deadline-s",
         type=float,
         default=None,
-        help=f"per-shard wall-clock budget in seconds; a shard that hangs "
-        f"past it is retried, then exit {EXIT_SHARD_FAILED}",
+        help=f"per-shard wall-clock budget in seconds; the parent kills a "
+        f"worker whose shard runs past it and retries the shard, then "
+        f"quarantines it (exit {EXIT_QUARANTINED})",
     )
     run_cmd.add_argument(
         "--jobs",
@@ -466,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"--out-dir); crashed, hung, or killed workers are detected and "
         f"their shards retried on fresh workers, repeat offenders are "
         f"quarantined (exit {EXIT_QUARANTINED}) while the rest of the run "
-        f"completes; default 1 = the serial in-process path",
+        f"completes; default 1 worker",
     )
     run_cmd.add_argument(
         "--max-shards",
@@ -548,9 +545,6 @@ def main(argv: list[str] | None = None) -> int:
     except DeadlineExceededError as exc:
         print(f"deadline: {exc}", file=sys.stderr)
         return EXIT_DEADLINE
-    except ShardExhaustedError as exc:
-        print(f"error: shard failed: {exc}", file=sys.stderr)
-        return EXIT_SHARD_FAILED
     except ShardQuarantinedError as exc:
         print(f"error: shard(s) quarantined: {exc}", file=sys.stderr)
         return EXIT_QUARANTINED

@@ -100,21 +100,13 @@ class DeadlineExceededError(RunnerError):
     """The whole-run wall-clock budget expired; completed shards are on disk."""
 
 
-class ShardTimeoutError(RunnerError):
-    """One shard overran its per-shard wall-clock budget (retryable)."""
-
-
-class ShardExhaustedError(RunnerError):
-    """A shard kept failing after exhausting its retry budget."""
-
-
 class ShardQuarantinedError(RunnerError):
-    """One or more shards were quarantined by the parallel executor.
+    """One or more shards were quarantined by the worker pool.
 
-    A shard that keeps killing, hanging, or failing its worker through the
-    whole retry budget is set aside (recorded in ``quarantine.json`` under
-    the run directory) so the rest of the run can complete; every healthy
-    shard is checkpointed. Raised after the pool drains, carrying the list
+    A shard that keeps raising, killing, hanging, or failing its worker
+    through the whole retry budget is set aside (recorded in
+    ``quarantine.json`` under the run directory) so the rest of the run
+    can complete; every healthy shard is checkpointed. Raised after the pool drains, carrying the list
     of quarantined shard ids."""
 
 

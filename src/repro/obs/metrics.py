@@ -70,6 +70,29 @@ def pin_buckets(
     return pinned
 
 
+FIXED_POINT_SCALE = 1_000_000
+"""The windowed series (:mod:`repro.obs.timeseries`) accumulate totals as
+integer micro-units so that the merge of N shard deltas is exact integer
+addition (order-independent), not float summation (order-dependent). One
+micro-ms on an RTT total is far below any bucket bound, so nothing
+observable is lost."""
+
+
+def check_observation(name: str, value: float) -> None:
+    """Refuse a histogram sample that either store could not hold.
+
+    NaN, an infinity, or a magnitude whose fixed-point form overflows
+    would tear a windowed cell (its fixed-point total cannot take it) and
+    poison a scalar histogram's total. Both stores call this before they
+    touch any state, so a refused sample leaves every series unchanged.
+    """
+    if not math.isfinite(value * FIXED_POINT_SCALE):
+        raise ObsError(
+            f"histogram {name!r} cannot record {value!r}: samples must be "
+            f"finite and small enough for {FIXED_POINT_SCALE}x fixed point"
+        )
+
+
 def add_bucket_counts(name: str, into: list[int], shipped: Sequence[int]) -> None:
     """Add a shipped histogram's per-bucket counts into ``into``."""
     if len(shipped) != len(into):
@@ -158,6 +181,7 @@ class MetricsRegistry:
         later observations with different bounds are a configuration error
         (mixed-bucket series cannot be aggregated).
         """
+        check_observation(name, value)
         pinned = pin_buckets(self._buckets, name, tuple(buckets))
         key = (name, _check_labels(labels))
         histogram = self._histograms.get(key)

@@ -18,7 +18,8 @@ to a ``--jobs 1`` run of the same plan, because
 
 * window assignment is a pure function of the request's ``t_s``;
 * every per-window cell is an **integer** — counts, bucket counts, and
-  fixed-point totals (micro-units, :data:`FIXED_POINT_SCALE`) — so
+  fixed-point totals (micro-units,
+  :data:`~repro.obs.metrics.FIXED_POINT_SCALE`) — so
   merge order cannot re-associate float additions;
 * exports sort windows and series keys, so rendering is order-free.
 
@@ -36,9 +37,11 @@ from repro.constants import SNAPSHOT_INTERVAL_S
 from repro.errors import ObsError
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
+    FIXED_POINT_SCALE,
     Labels,
     _check_labels,
     add_bucket_counts,
+    check_observation,
     labels_from_json,
     pin_buckets,
 )
@@ -47,12 +50,6 @@ TS_FORMAT_VERSION = 1
 
 WINDOW_S: float = SNAPSHOT_INTERVAL_S
 """Window width in simulated seconds: one snapshot slot."""
-
-FIXED_POINT_SCALE = 1_000_000
-"""Per-window totals are accumulated as integer micro-units so that the
-merge of N shard deltas is exact integer addition (order-independent),
-not float summation (order-dependent). One micro-ms on an RTT total is
-far below any bucket bound, so nothing observable is lost."""
 
 
 def _fp(value: float) -> int:
@@ -115,8 +112,10 @@ class TimeSeriesBuffer:
         """Record one histogram sample in the window containing ``t_s``.
 
         Bucket bounds pin on first use per metric name and a value picks
-        its bucket exactly as in the scalar registry.
+        its bucket exactly as in the scalar registry, which refuses the
+        same samples (:func:`~repro.obs.metrics.check_observation`).
         """
+        check_observation(name, value)
         pinned = pin_buckets(self._buckets, name, tuple(buckets))
         series = self._histograms.setdefault((name, _check_labels(labels)), {})
         window = self.window_of(t_s)

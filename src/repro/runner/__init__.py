@@ -9,12 +9,12 @@ with backoff, and graceful SIGINT/SIGTERM handling. A run killed after *k*
 shards resumes with the remaining shards and produces output byte-identical
 to an uninterrupted run with the same seed.
 
-``jobs>1`` in :class:`~repro.runner.engine.RunnerOptions` executes the
-shards N-wide on a supervised worker pool (:mod:`repro.runner.parallel`)
-that survives worker crashes, hangs, and kills — retrying against the same
-budget, quarantining repeat offenders, and keeping every byte-identical
-resume guarantee, since checkpoints are written by the parent only and
-``jobs`` never enters the manifest.
+The shards run on a supervised worker pool (:mod:`repro.runner.parallel`),
+``jobs`` wide in :class:`~repro.runner.engine.RunnerOptions` (one worker
+by default), that survives worker crashes, hangs, and kills — retrying
+against the same budget, quarantining repeat offenders, and keeping every
+byte-identical resume guarantee, since checkpoints are written by the
+parent only and ``jobs`` never enters the manifest.
 
 Like every ``repro`` package, this one re-exports nothing: importing
 :mod:`repro.runner.shards` (as every experiment module does) loads no

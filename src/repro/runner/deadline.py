@@ -1,26 +1,18 @@
-"""Wall-clock budgets: whole-run deadline and per-shard watchdog.
+"""The whole-run wall-clock budget (``--deadline-s``).
 
-The run deadline is checked between shards and, together with the
-per-shard budget, enforced *during* a shard via ``SIGALRM`` (when running
-on the main thread of a platform that has it) so a hung shard cannot wedge
-the run. Where ``SIGALRM`` cannot fire (non-main thread, Windows) the
-watchdog warns once and falls back to a wall-clock check when the shard
-*completes* — overruns are still detected and budget semantics preserved
-for every shard that terminates; truly hung shards need the parallel
-executor's parent-side watchdog, which kills the worker process instead.
+The worker pool (:mod:`repro.runner.parallel`) checks it on every
+supervisor tick and never waits past its remainder, so an expired budget
+tears the pool down even while every worker is wedged. The per-shard
+budget (``--shard-deadline-s``) is the pool's parent-side watchdog, which
+kills an overdue worker; nothing here interrupts a shard in process.
 """
 
 from __future__ import annotations
 
-import signal
-import sys
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from repro.errors import DeadlineExceededError, RunnerError, ShardTimeoutError
+from repro.errors import DeadlineExceededError, RunnerError
 
 
 @dataclass
@@ -49,88 +41,3 @@ class Deadline:
                 f"shards are checkpointed — resume with --resume and a new "
                 f"deadline"
             )
-
-
-def _alarm_usable() -> bool:
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-
-_fallback_warned = False
-
-
-def _warn_fallback_once() -> None:
-    """One stderr warning per process when budgets lose mid-shard teeth."""
-    global _fallback_warned
-    if not _fallback_warned:
-        _fallback_warned = True
-        print(
-            "runner: SIGALRM unavailable here (non-main thread or platform); "
-            "shard/run budgets are checked when each shard completes, so a "
-            "shard that never returns cannot be interrupted — use --jobs 2+ "
-            "for a kill-capable parent-side watchdog",
-            file=sys.stderr,
-        )
-
-
-@contextmanager
-def shard_watchdog(
-    shard_id: str, shard_budget_s: float | None, deadline: Deadline
-) -> Iterator[None]:
-    """Interrupt the enclosed shard when a wall-clock budget expires.
-
-    The alarm fires at the *sooner* of the per-shard budget and the run
-    deadline's remainder; which one was sooner decides the exception —
-    :class:`ShardTimeoutError` (retryable) vs
-    :class:`DeadlineExceededError` (terminal). Without ``SIGALRM`` the
-    budgets are instead checked on completion: the overrun is detected one
-    shard late rather than not at all.
-    """
-    remaining = deadline.remaining_s()
-    candidates = [
-        (budget, exc)
-        for budget, exc in (
-            (shard_budget_s, ShardTimeoutError),
-            (remaining, DeadlineExceededError),
-        )
-        if budget is not None
-    ]
-    if not candidates:
-        yield
-        return
-    if not _alarm_usable():
-        _warn_fallback_once()
-        started = time.monotonic()
-        yield
-        elapsed = time.monotonic() - started
-        deadline.check()
-        if shard_budget_s is not None and elapsed > shard_budget_s:
-            raise ShardTimeoutError(
-                f"shard {shard_id!r} took {elapsed:.3f}s, over its "
-                f"{shard_budget_s:g}s budget (detected at completion; "
-                f"SIGALRM unavailable)"
-            )
-        return
-    budget, exc_type = min(candidates, key=lambda pair: pair[0])
-
-    def _on_alarm(signum: int, frame: object) -> None:
-        if exc_type is ShardTimeoutError:
-            raise ShardTimeoutError(
-                f"shard {shard_id!r} exceeded its {budget:g}s budget"
-            )
-        raise DeadlineExceededError(
-            f"run deadline of {deadline.budget_s:g}s expired during shard "
-            f"{shard_id!r}; completed shards are checkpointed"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    # A deadline that already expired still gets a real (tiny) alarm so the
-    # pending-shard path raises from one place.
-    signal.setitimer(signal.ITIMER_REAL, max(budget, 1e-3))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)

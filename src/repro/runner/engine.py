@@ -1,17 +1,16 @@
 """The runner itself: execute a shard plan crash-safely under a run dir.
 
-Execution order is the plan's declared shard order, but nothing depends on
-it: shards are order-independent by contract, completed shards are skipped
-on resume, and the merge always reads every payload back from disk — so an
-uninterrupted run and any interrupt/resume chain with the same seed emit
-byte-identical results.
+Every run hands its pending shards to the supervised worker pool in
+:mod:`repro.runner.parallel`; ``jobs=1`` (the default) is a one-worker
+pool, so a run of any width survives a crashed, killed or hung shard the
+same way. Checkpointing, manifest handling and the merge stay here in the
+parent, and ``jobs`` is deliberately *not* part of the manifest, so any
+run can be resumed at any width.
 
-``jobs=1`` (the default) is the original serial in-process path,
-byte-for-byte unchanged. ``jobs>1`` hands the pending shards to the
-supervised worker pool in :mod:`repro.runner.parallel`; checkpointing,
-manifest handling, and the merge stay here in the parent either way, and
-``jobs`` is deliberately *not* part of the manifest, so any run can be
-resumed at any width.
+Nothing depends on execution order: shards are order-independent by
+contract, completed shards are skipped on resume, and the merge always
+reads every payload back from disk — so an uninterrupted run and any
+interrupt/resume chain with the same seed emit byte-identical results.
 """
 
 from __future__ import annotations
@@ -19,28 +18,28 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 from repro.errors import (
     CheckpointError,
     DeadlineExceededError,
     RunInterruptedError,
     RunnerError,
-    ShardExhaustedError,
-    ShardTimeoutError,
 )
 from repro.faults.retry import RetryPolicy
 from repro.obs.recorder import get_recorder
-from repro.runner.deadline import Deadline, shard_watchdog
+from repro.runner.deadline import Deadline
 from repro.runner.interrupt import InterruptGuard
-from repro.runner.shards import ExperimentPlan, set_current_attempt
+from repro.runner.parallel import execute_pending_parallel
+from repro.runner.registry import has_plan_builder
+from repro.runner.shards import ExperimentPlan
 from repro.runner.store import CheckpointStore, build_manifest, check_resume_compatible
 
 DEFAULT_RETRY_POLICY = RetryPolicy(
     max_attempts=3, backoff_base_ms=100.0, backoff_cap_ms=2000.0
 )
 """Shard retries reuse the fault-layer policy; here the backoff is *real*
-sleep (the harness lives in wall-clock time, unlike the simulated clients)."""
+wall-clock time (the harness lives in wall-clock time, unlike the
+simulated clients): the pool holds a failed shard back that long."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class RunnerOptions:
     jobs: int = 1
     progress_every: int | None = None
     retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
-    sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -85,9 +83,17 @@ class ExperimentRunner:
         """Run (or resume) to completion; returns the formatted result.
 
         Raises :class:`RunInterruptedError`, :class:`DeadlineExceededError`
-        or :class:`ShardExhaustedError` on the corresponding early stops;
-        in every case all completed shards are already flushed to disk.
+        or :class:`~repro.errors.ShardQuarantinedError` on the
+        corresponding early stops; in every case all completed shards are
+        already flushed to disk. A plan the workers cannot rebuild is
+        refused before anything is written.
         """
+        if not has_plan_builder(self.plan.experiment):
+            raise RunnerError(
+                f"workers rebuild the {self.plan.experiment!r} plan from its "
+                f"config, but no plan builder is registered for it; register "
+                f"one via repro.runner.registry.register_plan_builder"
+            )
         store = CheckpointStore(self.run_dir)
         self._reconcile_manifest(store)
         deadline = Deadline(self.options.deadline_s)
@@ -116,9 +122,7 @@ class ExperimentRunner:
         started = time.perf_counter()
         try:
             with InterruptGuard() as guard:
-                if self.options.jobs > 1 and pending:
-                    from repro.runner.parallel import execute_pending_parallel
-
+                if pending:
                     execute_pending_parallel(
                         plan=self.plan,
                         store=store,
@@ -128,8 +132,6 @@ class ExperimentRunner:
                         guard=guard,
                         already_done=len(done),
                     )
-                else:
-                    self._execute_serial(store, pending, deadline, guard, len(done))
         except RunInterruptedError as exc:
             rec.event("run_interrupted", detail=str(exc))
             raise
@@ -159,53 +161,10 @@ class ExperimentRunner:
             text = self.plan.format(self.plan.merge(payloads))
         store.write_result_text(text)
         # Every shard is verified on disk; any earlier quarantine verdict
-        # (a previous parallel run's evidence) is now obsolete.
+        # (a previous run's evidence) is now obsolete.
         store.clear_quarantine_record()
         rec.event("run_completed", shards=len(payloads))
         return text
-
-    def _execute_serial(
-        self,
-        store: CheckpointStore,
-        pending: list[str],
-        deadline: Deadline,
-        guard: InterruptGuard,
-        done_count: int,
-    ) -> None:
-        """The original one-process path, byte-for-byte unchanged."""
-        rec = get_recorder()
-        executed = 0
-        for shard_id in pending:
-            guard.check()
-            deadline.check()
-            if (
-                self.options.max_shards is not None
-                and executed >= self.options.max_shards
-            ):
-                raise RunInterruptedError(
-                    f"stopping after --max-shards={self.options.max_shards} "
-                    f"({done_count + executed}/{len(self.plan.shard_ids)} "
-                    f"shards on disk); resume with --resume"
-                )
-            started = time.perf_counter()
-            rec.event("shard_assigned", shard=shard_id, worker=0)
-            with rec.timer("runner.shard"):
-                payload = self._run_shard_with_retry(shard_id, deadline, guard)
-            store.write_shard(shard_id, payload)
-            executed += 1
-            if rec.enabled:
-                wall_s = round(time.perf_counter() - started, 6)
-                rec.event(
-                    "shard_completed", shard=shard_id, worker=0, wall_s=wall_s
-                )
-                every = self.options.progress_every
-                if every is not None and executed % every == 0:
-                    print(
-                        f"obs: shard {shard_id} done in {wall_s:.2f}s "
-                        f"({done_count + executed}/{len(self.plan.shard_ids)} "
-                        f"on disk)",
-                        file=sys.stderr,
-                    )
 
     def _reconcile_manifest(self, store: CheckpointStore) -> None:
         manifest = build_manifest(self.plan)
@@ -220,42 +179,3 @@ class ExperimentRunner:
             )
         else:
             check_resume_compatible(existing, manifest)
-
-    def _run_shard_with_retry(
-        self, shard_id: str, deadline: Deadline, guard: InterruptGuard
-    ) -> Any:
-        policy = self.options.retry_policy
-        last_error: Exception | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            guard.check()
-            deadline.check()
-            set_current_attempt(attempt)
-            try:
-                with shard_watchdog(shard_id, self.options.shard_deadline_s, deadline):
-                    return self.plan.run_shard(shard_id)
-            except (DeadlineExceededError, RunInterruptedError):
-                raise  # terminal: budget spent / operator asked to stop
-            except ShardTimeoutError as exc:
-                last_error = exc  # hung once; worth another attempt
-            except Exception as exc:  # noqa: BLE001 - retry any shard failure
-                last_error = exc
-            finally:
-                set_current_attempt(None)
-            get_recorder().event(
-                "shard_retried",
-                shard=shard_id,
-                attempt=attempt,
-                kind=type(last_error).__name__,
-                detail=str(last_error),
-            )
-            if attempt < policy.max_attempts:
-                # Sliced wait: a first SIGINT during backoff is noticed
-                # within one slice, and the loop's guard.check() turns it
-                # into a prompt, checkpointed exit.
-                guard.wait(
-                    policy.backoff_ms(attempt) / 1000.0, self.options.sleep
-                )
-        raise ShardExhaustedError(
-            f"shard {shard_id!r} failed {policy.max_attempts} attempt(s); "
-            f"last error: {last_error}"
-        ) from last_error

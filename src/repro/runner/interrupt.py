@@ -1,27 +1,21 @@
 """Graceful SIGINT/SIGTERM handling for checkpointed runs.
 
-The first signal only sets a flag; the runner notices it at the next
-shard boundary, after the in-flight shard has been checkpointed, and exits
-with the interruption exit code — CI teardown or preemption never loses
-completed work. A second signal aborts immediately (the escape hatch for a
-shard that will not finish).
+The first signal only sets a flag; the worker pool notices it on its
+next tick, stops assigning shards, lets the in-flight ones finish and
+checkpoint, and exits with the interruption exit code — CI teardown or
+preemption never loses completed work. A second signal aborts immediately
+(the escape hatch for a shard that will not finish).
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-import time
 from types import FrameType
-from typing import Callable
 
 from repro.errors import RunInterruptedError
 
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-BACKOFF_SLICE_S = 0.05
-"""Granularity of :meth:`InterruptGuard.wait`: the longest a first signal
-can go unnoticed inside a retry backoff."""
 
 
 class InterruptGuard:
@@ -61,29 +55,10 @@ class InterruptGuard:
         return self._flagged is not None
 
     def check(self) -> None:
-        """Raise at a shard boundary if a termination signal arrived."""
+        """Raise if a termination signal arrived (the pool calls this once
+        its in-flight shards have drained)."""
         if self._flagged is not None:
             raise RunInterruptedError(
                 f"received {self._flagged}; completed shards are "
                 f"checkpointed — resume with --resume"
             )
-
-    def wait(
-        self,
-        seconds: float,
-        sleep: Callable[[float], None] = time.sleep,
-        slice_s: float = BACKOFF_SLICE_S,
-    ) -> None:
-        """Sleep up to ``seconds``, returning early once a signal is flagged.
-
-        The sleep is sliced so a retry backoff never delays a first
-        SIGINT/SIGTERM by more than ``slice_s``; callers still need a
-        :meth:`check` (or loop back to one) to turn the flag into the
-        exception. ``sleep`` stays injectable for tests that must not
-        really block.
-        """
-        remaining = float(seconds)
-        while remaining > 1e-9 and self._flagged is None:
-            step = min(slice_s, remaining)
-            sleep(step)
-            remaining -= step

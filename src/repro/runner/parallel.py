@@ -1,8 +1,9 @@
-"""Supervised N-wide shard execution: a worker pool that expects to die.
+"""Supervised shard execution: a worker pool that expects to die.
 
-``--jobs N`` runs the plan's pending shards on N worker processes under a
-parent-side supervisor. The design treats workers as unreliable by
-contract:
+Every ``--out-dir`` run executes its pending shards on ``--jobs`` worker
+processes (one by default) under a parent-side supervisor; there is no
+in-process executor beside it. The design treats workers as unreliable
+by contract:
 
 * **Workers compute, the parent persists.** A worker receives
   ``("run", shard_id, attempt)``, rebuilds the plan from its config
@@ -16,13 +17,13 @@ contract:
   sentinel; its in-flight shard re-enters the queue against the same
   :class:`~repro.faults.retry.RetryPolicy` budget and runs on a fresh
   worker.
-* **Hangs are the parent's problem.** ``SIGALRM`` cannot interrupt a
-  worker from the parent, so ``--shard-deadline-s`` is enforced by a
-  parent-side watchdog over assignment timestamps: an overdue
-  worker is killed and its shard retried.
+* **Hangs are the parent's problem.** A wedged shard cannot be trusted
+  to interrupt itself, so ``--shard-deadline-s`` is enforced by a
+  parent-side watchdog over assignment timestamps: an overdue worker is
+  killed and its shard retried.
 * **Repeat offenders are quarantined.** A shard that fails its whole
-  retry budget — by any mix of crash, kill, hang, garbage payload, or
-  exception — is set aside with the evidence written to
+  retry budget — by any mix of exception, crash, kill, hang, or garbage
+  payload — is set aside with the evidence written to
   ``quarantine.json`` while the rest of the run completes; the run then
   exits with :class:`~repro.errors.ShardQuarantinedError` (its own exit
   code) instead of deadlocking or losing the healthy shards.
@@ -74,7 +75,7 @@ from repro.errors import (
 from repro.obs.recorder import get_recorder
 from repro.runner.deadline import Deadline
 from repro.runner.interrupt import InterruptGuard
-from repro.runner.registry import has_plan_builder, plan_from_config
+from repro.runner.registry import plan_from_config
 from repro.runner.shards import ExperimentPlan, set_current_attempt
 from repro.runner.store import CheckpointStore, canonical_json
 
@@ -180,7 +181,8 @@ def _worker_main(
         conn.send(("start", worker_id, shard_id, attempt))
         started = time.perf_counter()
         try:
-            payload = plan.run_shard(shard_id)
+            with get_recorder().timer("runner.shard"):
+                payload = plan.run_shard(shard_id)
         except BaseException as exc:  # noqa: BLE001 - everything is reportable
             delta = _snapshot_and_park(shard_id, attempt)
             conn.send(
@@ -251,20 +253,14 @@ def execute_pending_parallel(
 ) -> int:
     """Run ``pending`` shards on up to ``options.jobs`` workers.
 
-    Returns the number of shards newly checkpointed. Raises
+    ``plan`` must have a registered builder (the engine refuses one that
+    has none before it writes anything). Returns the number of shards newly checkpointed. Raises
     :class:`RunInterruptedError` (drained stop), ``DeadlineExceededError``
     (via ``deadline.check``), :class:`ShardQuarantinedError` (some shards
     exhausted their budget), or :class:`RunnerError` (workers cannot
     rebuild the plan). In every case the pool is torn down and each
     completed shard is already flushed.
     """
-    if not has_plan_builder(plan.experiment):
-        raise RunnerError(
-            f"--jobs {options.jobs} needs workers to rebuild the "
-            f"{plan.experiment!r} plan from its config, but no plan builder "
-            f"is registered for it; run serially or register one via "
-            f"repro.runner.registry.register_plan_builder"
-        )
     ctx = mp.get_context(default_start_method())
     policy = options.retry_policy
     rec = get_recorder()

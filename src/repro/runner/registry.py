@@ -3,9 +3,10 @@
 An :class:`~repro.runner.shards.ExperimentPlan` carries closures
 (``run_shard``/``merge``/``format``) that cannot cross a process boundary,
 but its ``config`` is plain JSON and — by the shard-model contract — fully
-determines the plan. The parallel executor therefore ships only the config
-to its workers, and each worker rebuilds the plan locally through this
-registry: ``config["experiment"]`` names a registered ``build_plan``
+determines the plan. The worker pool that runs every ``--out-dir`` run
+(:mod:`repro.runner.parallel`, one worker at the default ``--jobs 1``)
+therefore ships only the config to its workers, and each worker rebuilds
+the plan locally through this registry: ``config["experiment"]`` names a registered ``build_plan``
 callable, the remaining keys are its keyword arguments.
 
 Rebuilding is validated both ways: unknown config keys are refused (they
@@ -13,10 +14,11 @@ would silently change the plan), and the rebuilt plan must round-trip to
 the exact same config (so a worker can never execute a subtly different
 plan than the parent checkpointed).
 
-Every in-tree experiment registers here; test suites and downstream code
-can add their own plans with :func:`register_plan_builder` (under the
-default ``fork`` start method, parent-process registrations are inherited
-by workers automatically).
+Every in-tree experiment registers here. A plan with no registered
+builder cannot run under ``--out-dir`` at any width; test suites and
+downstream code add their own plans with :func:`register_plan_builder`
+(under the default ``fork`` start method, parent-process registrations
+are inherited by workers automatically).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def plan_from_config(config: dict[str, Any]) -> ExperimentPlan:
     if loader is None:
         raise RunnerError(
             f"no registered plan builder for experiment {experiment!r}; "
-            f"parallel workers can only rebuild plans registered with "
+            f"pool workers can only rebuild plans registered with "
             f"repro.runner.registry.register_plan_builder"
         )
     builder = loader()

@@ -29,12 +29,12 @@ _CURRENT_ATTEMPT: int | None = None
 def current_attempt() -> int | None:
     """The 1-based attempt number of the shard currently executing.
 
-    Set by the serial engine and by parallel workers around each
-    ``run_shard`` call; ``None`` outside shard execution. Exists so
-    attempt-scheduled behaviour (the self-chaos harness injecting a crash
-    on attempt 1 but not attempt 2) can key off the *runner's* retry
-    counter, which survives worker replacement, instead of per-process
-    state, which does not."""
+    Set by each pool worker around each ``run_shard`` call; ``None``
+    outside shard execution (and throughout the in-memory
+    :meth:`ExperimentPlan.run`). Exists so attempt-scheduled behaviour
+    (the self-chaos harness injecting a crash on attempt 1 but not
+    attempt 2) can key off the *runner's* retry counter, which survives
+    worker replacement, instead of per-process state, which does not."""
     return _CURRENT_ATTEMPT
 
 

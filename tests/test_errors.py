@@ -18,8 +18,7 @@ ALL_ERRORS = (
     errors.CheckpointError,
     errors.ManifestMismatchError,
     errors.DeadlineExceededError,
-    errors.ShardTimeoutError,
-    errors.ShardExhaustedError,
+    errors.ShardQuarantinedError,
     errors.RunInterruptedError,
 )
 
@@ -27,8 +26,7 @@ RUNNER_ERRORS = (
     errors.CheckpointError,
     errors.ManifestMismatchError,
     errors.DeadlineExceededError,
-    errors.ShardTimeoutError,
-    errors.ShardExhaustedError,
+    errors.ShardQuarantinedError,
     errors.RunInterruptedError,
 )
 

@@ -14,7 +14,7 @@ from repro.cli import (
     EXIT_ERROR,
     EXIT_FAULT_CONFIG,
     EXIT_INTERRUPTED,
-    EXIT_SHARD_FAILED,
+    EXIT_QUARANTINED,
     EXIT_UNAVAILABLE,
     _build_plan,
     _EXPERIMENTS,
@@ -401,9 +401,9 @@ class TestExitCodes:
             EXIT_FAULT_CONFIG,
             EXIT_INTERRUPTED,
             EXIT_DEADLINE,
-            EXIT_SHARD_FAILED,
+            EXIT_QUARANTINED,
         }
-        assert codes == {2, 3, 4, 5, 6, 7}
+        assert codes == {2, 3, 4, 5, 6, 8}
 
 
 def test_runtime_never_imports_networkx():

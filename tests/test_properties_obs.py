@@ -5,16 +5,19 @@ commutative, associative fold over integer cells: shard deltas may land
 in any completion order, any grouping, and any interleaving, and the
 merged series must stay byte-identical to the single-pass build. These
 properties are exactly what the supervised parallel runner relies on, so
-hypothesis hammers them directly on generated event streams. A last
-property checks that the scalar and windowed histograms share one
-bucket rule.
+hypothesis hammers them directly on generated event streams. The last
+properties check that the scalar and windowed histograms share one
+bucket rule and refuse the same samples.
 """
 
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ObsError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WINDOW_S, TimeSeriesBuffer
 
@@ -123,3 +126,29 @@ class TestBucketRule:
         assert ts.histogram_cell("h", 0).bucket_counts == counts
         # Prometheus ``le``: the first bucket whose upper bound is >= value.
         assert counts[sum(bound < value for bound in bounds)] == 1
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 1e303, -1e303]
+    )
+    def test_both_stores_refuse_an_unholdable_sample_untouched(self, value):
+        """NaN, infinities and magnitudes past the fixed-point range raise
+        ``ObsError`` from both stores before any state changes: no torn
+        window cell, no NaN total, no bucket pin for a fresh name."""
+        registry = MetricsRegistry()
+        registry.observe("h", 3.0, buckets=BUCKETS)
+        ts = TimeSeriesBuffer()
+        ts.observe(0.0, "h", 3.0, buckets=BUCKETS)
+        before = (
+            registry.snapshot_delta(drain=False),
+            ts.snapshot_delta(drain=False),
+        )
+        for name in ("h", "fresh"):
+            with pytest.raises(ObsError, match="cannot record"):
+                registry.observe(name, value, buckets=BUCKETS)
+            with pytest.raises(ObsError, match="cannot record"):
+                ts.observe(0.0, name, value, buckets=BUCKETS)
+        after = (
+            registry.snapshot_delta(drain=False),
+            ts.snapshot_delta(drain=False),
+        )
+        assert after == before

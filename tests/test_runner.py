@@ -1,9 +1,9 @@
 """Unit tests for the crash-safe runner building blocks.
 
 Covers :mod:`repro.atomicio`, the checkpoint store (round-trip, corruption
-quarantine, manifest compatibility), deadlines/watchdog, the interrupt
-guard, and the retry/exhaustion semantics of the engine — all on cheap toy
-plans so the suite stays fast.
+quarantine, manifest compatibility), the run deadline, the interrupt
+guard, and the retry/quarantine semantics of the engine at its default
+one-worker pool — all on cheap toy plans so the suite stays fast.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -22,14 +23,14 @@ from repro.errors import (
     ManifestMismatchError,
     RunInterruptedError,
     RunnerError,
-    ShardExhaustedError,
-    ShardTimeoutError,
+    ShardQuarantinedError,
 )
 from repro.faults.retry import RetryPolicy
-from repro.runner.deadline import Deadline, shard_watchdog
+from repro.runner.deadline import Deadline
 from repro.runner.engine import ExperimentRunner, RunnerOptions
-from repro.runner.interrupt import BACKOFF_SLICE_S, InterruptGuard
-from repro.runner.shards import ExperimentPlan
+from repro.runner.interrupt import InterruptGuard
+from repro.runner.registry import register_plan_builder
+from repro.runner.shards import ExperimentPlan, current_attempt
 from repro.runner.store import (
     CheckpointStore,
     build_manifest,
@@ -40,10 +41,14 @@ from repro.runner.store import (
 
 
 def toy_plan(shard_ids=("a", "b", "c"), run_shard=None):
-    """A minimal plan: each shard yields its id's length."""
+    """A minimal plan: each shard yields its id's length.
+
+    The plan registers itself as the ``toy`` builder, so the runner's
+    fork-started workers rebuild this very plan, closures included.
+    """
     if run_shard is None:
         run_shard = lambda sid: {"value": len(sid)}  # noqa: E731
-    return ExperimentPlan(
+    plan = ExperimentPlan(
         experiment="toy",
         config={"experiment": "toy", "seed": 1},
         shard_ids=tuple(shard_ids),
@@ -51,11 +56,32 @@ def toy_plan(shard_ids=("a", "b", "c"), run_shard=None):
         merge=lambda payloads: sum(p["value"] for p in payloads.values()),
         format=lambda total: f"total={total}",
     )
+    register_plan_builder("toy", lambda: lambda seed: plan)
+    return plan
+
+
+def logged(path, run_shard):
+    """``run_shard`` that first appends its shard id to ``path``: a record
+    of every attempt the parent can read back from any worker process."""
+
+    def run(sid):
+        with open(path, "a") as log:
+            log.write(f"{sid}\n")
+        return run_shard(sid)
+
+    return run
+
+
+def read_log(path):
+    return path.read_text().split() if path.exists() else []
 
 
 def fast_options(**kwargs):
-    """RunnerOptions whose retry backoff never really sleeps."""
-    kwargs.setdefault("sleep", lambda _s: None)
+    """RunnerOptions whose retry backoff is zero."""
+    kwargs.setdefault(
+        "retry_policy",
+        RetryPolicy(max_attempts=3, backoff_base_ms=0.0, backoff_cap_ms=0.0),
+    )
     return RunnerOptions(**kwargs)
 
 
@@ -245,113 +271,6 @@ class TestDeadline:
             Deadline(0.0)
 
 
-class TestShardWatchdog:
-    def test_no_budget_is_a_no_op(self):
-        with shard_watchdog("s", None, Deadline(None)):
-            pass
-
-    def test_hung_shard_raises_timeout(self):
-        import time
-
-        with pytest.raises(ShardTimeoutError):
-            with shard_watchdog("s", 0.05, Deadline(None)):
-                time.sleep(5.0)
-
-    def test_run_deadline_wins_when_sooner(self):
-        import time
-
-        deadline = Deadline(120.0)
-        object.__setattr__(deadline, "_started", deadline._started - 119.99)
-        with pytest.raises(DeadlineExceededError):
-            with shard_watchdog("s", 30.0, deadline):
-                time.sleep(5.0)
-
-    def test_alarm_cleared_after_fast_shard(self):
-        import time
-
-        with shard_watchdog("s", 0.2, Deadline(None)):
-            pass
-        time.sleep(0.3)  # would deliver a stray SIGALRM if not cancelled
-
-
-class TestShardWatchdogFallback:
-    """Off the main thread SIGALRM cannot fire; the watchdog must fall back
-    to checking budgets when the shard completes — and say so, once."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_warning(self):
-        import repro.runner.deadline as deadline_mod
-
-        before = deadline_mod._fallback_warned
-        deadline_mod._fallback_warned = False
-        yield
-        deadline_mod._fallback_warned = before
-
-    @staticmethod
-    def _in_thread(fn):
-        """Run ``fn`` on a non-main thread, returning its exception (or None)."""
-        outcome: list[BaseException | None] = []
-
-        def target():
-            try:
-                fn()
-                outcome.append(None)
-            except BaseException as exc:  # noqa: BLE001 - relayed to assert
-                outcome.append(exc)
-
-        worker = threading.Thread(target=target)
-        worker.start()
-        worker.join()
-        return outcome[0]
-
-    def test_overrun_detected_at_completion(self):
-        import time
-
-        def overrun():
-            with shard_watchdog("s", 0.01, Deadline(None)):
-                time.sleep(0.05)
-
-        exc = self._in_thread(overrun)
-        assert isinstance(exc, ShardTimeoutError)
-        assert "detected at completion" in str(exc)
-
-    def test_within_budget_passes(self):
-        def fine():
-            with shard_watchdog("s", 30.0, Deadline(None)):
-                pass
-
-        assert self._in_thread(fine) is None
-
-    def test_run_deadline_checked_at_completion(self):
-        deadline = Deadline(120.0)
-        object.__setattr__(deadline, "_started", deadline._started - 121.0)
-
-        def over_deadline():
-            with shard_watchdog("s", None, deadline):
-                pass
-
-        exc = self._in_thread(over_deadline)
-        assert isinstance(exc, DeadlineExceededError)
-
-    def test_warns_once_per_process(self, capsys):
-        def fine():
-            with shard_watchdog("s", 30.0, Deadline(None)):
-                pass
-
-        self._in_thread(fine)
-        self._in_thread(fine)
-        err = capsys.readouterr().err
-        assert err.count("SIGALRM unavailable") == 1
-
-    def test_no_budget_stays_silent(self, capsys):
-        def unbudgeted():
-            with shard_watchdog("s", None, Deadline(None)):
-                pass
-
-        assert self._in_thread(unbudgeted) is None
-        assert "SIGALRM" not in capsys.readouterr().err
-
-
 class TestInterruptGuard:
     def test_clean_run_restores_handlers(self):
         before = signal.getsignal(signal.SIGTERM)
@@ -388,21 +307,18 @@ class TestEngine:
 
     def test_resume_skips_completed_shards(self, tmp_path):
         run_dir = tmp_path / "run"
-        calls: list[str] = []
-
-        def counting(sid):
-            calls.append(sid)
-            return {"value": len(sid)}
+        log = tmp_path / "calls.log"
+        counting = logged(log, lambda sid: {"value": len(sid)})
 
         with pytest.raises(RunInterruptedError):
             ExperimentRunner(
                 toy_plan(run_shard=counting), run_dir, fast_options(max_shards=2)
             ).execute()
-        assert calls == ["a", "b"]
+        assert read_log(log) == ["a", "b"]
         text = ExperimentRunner(
             toy_plan(run_shard=counting), run_dir, fast_options(resume=True)
         ).execute()
-        assert calls == ["a", "b", "c"]
+        assert read_log(log) == ["a", "b", "c"]
         assert text == "total=3"
 
     def test_resume_with_different_config_refused(self, tmp_path):
@@ -420,46 +336,57 @@ class TestEngine:
             ExperimentRunner(other, run_dir, fast_options(resume=True)).execute()
 
     def test_flaky_shard_retried_to_success(self, tmp_path):
-        failures = {"b": 2}
+        log = tmp_path / "attempts.log"
 
         def flaky(sid):
-            if failures.get(sid, 0) > 0:
-                failures[sid] -= 1
+            if sid == "b" and current_attempt() < 3:
                 raise ValueError("transient wobble")
             return {"value": len(sid)}
 
         text = ExperimentRunner(
-            toy_plan(run_shard=flaky), tmp_path / "run", fast_options()
+            toy_plan(run_shard=logged(log, flaky)), tmp_path / "run", fast_options()
         ).execute()
         assert text == "total=3"
-        assert failures["b"] == 0
+        assert read_log(log).count("b") == 3
 
     def test_persistent_failure_exhausts_retries(self, tmp_path):
-        attempts: list[int] = []
+        """A shard that fails every attempt is quarantined with its
+        evidence; the shards around it still complete and checkpoint."""
+        run_dir = tmp_path / "run"
+        log = tmp_path / "attempts.log"
 
         def broken(sid):
             if sid == "b":
-                attempts.append(1)
                 raise ValueError("hard failure")
             return {"value": len(sid)}
 
         runner = ExperimentRunner(
-            toy_plan(run_shard=broken),
-            tmp_path / "run",
-            fast_options(retry_policy=RetryPolicy(max_attempts=3)),
+            toy_plan(run_shard=logged(log, broken)),
+            run_dir,
+            fast_options(),
         )
-        with pytest.raises(ShardExhaustedError, match="hard failure"):
+        with pytest.raises(ShardQuarantinedError, match=r"\['b'\]"):
             runner.execute()
-        assert len(attempts) == 3
-        # Shard 'a' completed before the failure and is checkpointed.
-        store = CheckpointStore(tmp_path / "run")
+        assert read_log(log).count("b") == 3
+        store = CheckpointStore(run_dir)
         assert store.load_shard("a") == {"value": 1}
         assert store.load_shard("b") is None
+        assert store.load_shard("c") == {"value": 1}
+        assert not (run_dir / "result.txt").exists()
+        failures = json.loads((run_dir / "quarantine.json").read_text())[
+            "shards"
+        ]["b"]["failures"]
+        assert [f["kind"] for f in failures] == ["exception"] * 3
+        assert all("hard failure" in f["detail"] for f in failures)
 
-    def test_backoff_sleeps_between_attempts(self, tmp_path):
-        sleeps: list[float] = []
+    def test_retry_waits_out_its_backoff(self, tmp_path):
+        """The pool holds a failed shard back for the policy's doubling
+        backoff (100 ms, then 200 ms) before it assigns the next attempt."""
+        stamps = tmp_path / "stamps.log"
 
         def broken(sid):
+            with open(stamps, "a") as log:
+                log.write(f"{time.monotonic()!r}\n")
             raise ValueError("always")
 
         runner = ExperimentRunner(
@@ -467,46 +394,58 @@ class TestEngine:
             tmp_path / "run",
             RunnerOptions(
                 retry_policy=RetryPolicy(max_attempts=3, backoff_base_ms=100.0),
-                sleep=sleeps.append,
             ),
         )
-        with pytest.raises(ShardExhaustedError):
+        with pytest.raises(ShardQuarantinedError):
             runner.execute()
-        # 100ms then 200ms exponential backoff, sliced so a signal during
-        # the wait is noticed within one BACKOFF_SLICE_S-sized step.
-        assert sum(sleeps) == pytest.approx(0.3)
-        assert all(step <= BACKOFF_SLICE_S + 1e-9 for step in sleeps)
+        starts = [float(stamp) for stamp in stamps.read_text().split()]
+        assert len(starts) == 3
+        assert starts[1] - starts[0] >= 0.1
+        assert starts[2] - starts[1] >= 0.2
 
     def test_signal_during_backoff_exits_promptly(self, tmp_path):
-        """A first SIGTERM that lands mid-backoff ends the wait after the
-        current slice instead of sleeping out the rest of the budget."""
-        sleeps: list[float] = []
-
-        def signal_during_sleep(seconds):
-            sleeps.append(seconds)
-            os.kill(os.getpid(), signal.SIGTERM)
+        """A first SIGTERM that lands while a failed shard waits out a 60 s
+        backoff ends the run at once: nothing is in flight to drain."""
+        failed = tmp_path / "failed"
 
         def broken(sid):
+            failed.touch()
             raise ValueError("always")
+
+        def signal_once_backing_off():
+            give_up = time.monotonic() + 30.0
+            while not failed.exists() and time.monotonic() < give_up:
+                time.sleep(0.01)
+            time.sleep(0.2)
+            os.kill(os.getpid(), signal.SIGTERM)
 
         runner = ExperimentRunner(
             toy_plan(shard_ids=("a",), run_shard=broken),
             tmp_path / "run",
             RunnerOptions(
                 retry_policy=RetryPolicy(max_attempts=5, backoff_base_ms=60_000.0),
-                sleep=signal_during_sleep,
             ),
         )
-        with pytest.raises(RunInterruptedError, match="SIGTERM"):
-            runner.execute()
-        assert len(sleeps) == 1  # one slice, not the whole 60s backoff
+        signaller = threading.Thread(target=signal_once_backing_off, daemon=True)
+        # Outside the run's own guard a stray SIGTERM must fail this test,
+        # not terminate the test process.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            signaller.start()
+            started = time.monotonic()
+            with pytest.raises(RunInterruptedError, match="SIGTERM"):
+                runner.execute()
+            assert time.monotonic() - started < 30.0  # not the 60 s backoff
+        finally:
+            signaller.join()
+            signal.signal(signal.SIGTERM, previous)
 
     def test_sigterm_mid_run_checkpoints_completed_shards(self, tmp_path):
         run_dir = tmp_path / "run"
 
         def shard_then_signal(sid):
             if sid == "b":
-                os.kill(os.getpid(), signal.SIGTERM)
+                os.kill(os.getppid(), signal.SIGTERM)  # the supervisor
             return {"value": len(sid)}
 
         with pytest.raises(RunInterruptedError, match="SIGTERM"):

@@ -1,12 +1,13 @@
-"""End-to-end tests for the supervised parallel shard executor.
+"""End-to-end tests for the supervised worker pool behind every ``--out-dir`` run.
 
 The self-chaos harness (:mod:`repro.runner.selfchaos`) injects every
 failure shape a real worker fleet exhibits — ordinary exceptions, hard
 crashes, SIGKILL, hangs, and garbage payloads — on scheduled attempts, and
-each test asserts the supervisor's contract: retried runs end byte-identical
-to a clean serial run, repeat offenders are quarantined with evidence while
-the rest of the run completes, signals drain in-flight work, and ``--jobs``
-never enters the manifest (so any run resumes at any width).
+each test asserts the supervisor's contract at one worker and at several:
+retried runs end byte-identical to the in-memory run of the plan, repeat
+offenders are quarantined with evidence while the rest of the run
+completes, signals drain in-flight work, and ``--jobs`` never enters the
+manifest (so any run resumes at any width).
 
 The test plans are registered in the process-global registry at import
 time; under the default ``fork`` start method workers inherit them.
@@ -141,18 +142,24 @@ def shard_files(run_dir):
 
 
 @pytest.fixture(scope="module")
-def serial_reference(tmp_path_factory):
-    """One clean jobs=1 ptoy run every parallel run must byte-match."""
-    run_dir = tmp_path_factory.mktemp("reference") / "run"
-    text = ExperimentRunner(build_ptoy(3, 6), run_dir).execute()
-    return text, run_output(run_dir), shard_files(run_dir)
+def in_memory_reference(tmp_path_factory):
+    """The in-memory ptoy result, and the checkpoints and ``result.txt``
+    its payloads make when stored directly: every pool run, at any width,
+    must byte-match them."""
+    plan = build_ptoy(3, 6)
+    store = CheckpointStore(tmp_path_factory.mktemp("reference") / "run")
+    for shard_id in plan.shard_ids:
+        store.write_shard(shard_id, plan.run_shard(shard_id))
+    text = plan.format(plan.run())
+    store.write_result_text(text)
+    return text, run_output(store.run_dir), shard_files(store.run_dir)
 
 
 class TestParallelMatchesSerial:
     def test_result_and_checkpoints_byte_identical(
-        self, tmp_path, serial_reference
+        self, tmp_path, in_memory_reference
     ):
-        text, result_bytes, shards = serial_reference
+        text, result_bytes, shards = in_memory_reference
         run_dir = tmp_path / "run"
         out = ExperimentRunner(
             build_ptoy(3, 6), run_dir, RunnerOptions(jobs=3)
@@ -161,8 +168,8 @@ class TestParallelMatchesSerial:
         assert run_output(run_dir) == result_bytes
         assert shard_files(run_dir) == shards
 
-    def test_more_workers_than_shards(self, tmp_path, serial_reference):
-        text, _, _ = serial_reference
+    def test_more_workers_than_shards(self, tmp_path, in_memory_reference):
+        text, _, _ = in_memory_reference
         out = ExperimentRunner(
             build_ptoy(3, 6), tmp_path / "run", RunnerOptions(jobs=8)
         ).execute()
@@ -181,32 +188,43 @@ class TestParallelMatchesSerial:
             ExperimentRunner(
                 plan, tmp_path / "run", RunnerOptions(jobs=2)
             ).execute()
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 class TestSelfChaos:
     """Each injected failure mode is survived: detected, retried on a fresh
     worker, and the final output is byte-identical to the clean run."""
 
-    @pytest.mark.parametrize("mode", ["raise", "crash", "kill", "garbage"])
+    @pytest.mark.parametrize(
+        ("mode", "jobs"),
+        [
+            pytest.param("raise", 3, id="raise"),
+            pytest.param("crash", 3, id="crash"),
+            pytest.param("crash", 1, id="crash-jobs1"),
+            pytest.param("kill", 3, id="kill"),
+            pytest.param("garbage", 3, id="garbage"),
+        ],
+    )
     def test_single_failure_retried_to_identical_output(
-        self, tmp_path, serial_reference, mode
+        self, tmp_path, in_memory_reference, mode, jobs
     ):
-        text, result_bytes, shards = serial_reference
+        text, result_bytes, shards = in_memory_reference
         plan = selfchaos.build_plan(PTOY_CONFIG, {"s02": {1: mode}})
         run_dir = tmp_path / "run"
         out = ExperimentRunner(
             run_dir=run_dir,
             plan=plan,
-            options=RunnerOptions(jobs=3, retry_policy=fast_policy()),
+            options=RunnerOptions(jobs=jobs, retry_policy=fast_policy()),
         ).execute()
         assert out == text
         assert run_output(run_dir) == result_bytes
         assert shard_files(run_dir) == shards
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_hung_shard_killed_by_watchdog_and_retried(
-        self, tmp_path, serial_reference
+        self, tmp_path, in_memory_reference, jobs
     ):
-        text, result_bytes, _ = serial_reference
+        text, result_bytes, _ = in_memory_reference
         plan = selfchaos.build_plan(PTOY_CONFIG, {"s01": {1: "hang"}}, hang_s=60.0)
         run_dir = tmp_path / "run"
         started = time.monotonic()
@@ -214,7 +232,7 @@ class TestSelfChaos:
             run_dir=run_dir,
             plan=plan,
             options=RunnerOptions(
-                jobs=2, shard_deadline_s=0.75, retry_policy=fast_policy()
+                jobs=jobs, shard_deadline_s=0.75, retry_policy=fast_policy()
             ),
         ).execute()
         assert out == text
@@ -223,9 +241,9 @@ class TestSelfChaos:
         assert time.monotonic() - started < 30.0
 
     def test_failures_on_different_shards_all_recovered(
-        self, tmp_path, serial_reference
+        self, tmp_path, in_memory_reference
     ):
-        text, _, _ = serial_reference
+        text, _, _ = in_memory_reference
         plan = selfchaos.build_plan(
             PTOY_CONFIG,
             {
@@ -249,13 +267,14 @@ class TestQuarantine:
             PTOY_CONFIG, {"s01": {1: "crash", 2: "crash", 3: "crash"}}
         )
 
-    def test_repeat_offender_quarantined_rest_completes(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeat_offender_quarantined_rest_completes(self, tmp_path, jobs):
         run_dir = tmp_path / "run"
         with pytest.raises(ShardQuarantinedError, match="s01"):
             ExperimentRunner(
                 run_dir=run_dir,
                 plan=self._always_crashing_plan(),
-                options=RunnerOptions(jobs=3, retry_policy=fast_policy()),
+                options=RunnerOptions(jobs=jobs, retry_policy=fast_policy()),
             ).execute()
         store = CheckpointStore(run_dir)
         # Every healthy shard finished and was checkpointed...
@@ -285,9 +304,9 @@ class TestQuarantine:
         )
 
     def test_resume_past_fixed_cause_clears_the_record(
-        self, tmp_path, serial_reference
+        self, tmp_path, in_memory_reference
     ):
-        text, result_bytes, _ = serial_reference
+        text, result_bytes, _ = in_memory_reference
         run_dir = tmp_path / "run"
         with pytest.raises(ShardQuarantinedError):
             ExperimentRunner(
@@ -337,7 +356,7 @@ class TestSignalsAndDeadlines:
         resumed = ExperimentRunner(
             run_dir=interrupted,
             plan=build_sigtoy(seed=5, width=4, linger_s=0.2),
-            options=RunnerOptions(resume=True),  # jobs=1: the serial path
+            options=RunnerOptions(resume=True),  # jobs=1: one worker
         ).execute()
         clean_dir = tmp_path / "clean"
         clean = ExperimentRunner(build_ptoy(seed=5, width=4), clean_dir).execute()
@@ -370,9 +389,9 @@ class TestResumeCompatibility:
         assert "jobs" not in json.dumps(manifest)
 
     def test_wide_partial_run_resumes_at_any_width(
-        self, tmp_path, serial_reference
+        self, tmp_path, in_memory_reference
     ):
-        text, result_bytes, shards = serial_reference
+        text, result_bytes, shards = in_memory_reference
         run_dir = tmp_path / "run"
         with pytest.raises(RunInterruptedError, match="max-shards"):
             ExperimentRunner(
@@ -391,8 +410,8 @@ class TestResumeCompatibility:
         assert run_output(run_dir) == result_bytes
         assert shard_files(run_dir) == shards
 
-    def test_serial_partial_run_resumes_wide(self, tmp_path, serial_reference):
-        text, result_bytes, shards = serial_reference
+    def test_serial_partial_run_resumes_wide(self, tmp_path, in_memory_reference):
+        text, result_bytes, shards = in_memory_reference
         run_dir = tmp_path / "run"
         with pytest.raises(RunInterruptedError):
             ExperimentRunner(
@@ -472,7 +491,18 @@ class TestObservability:
 class TestFleetObservability:
     """The fleet-obs contract: a ``--jobs N`` run's merged registry is
     indistinguishable from the serial run's (counters sum, histograms merge
-    bucket-wise), whatever failures the fleet survived along the way."""
+    bucket-wise), whatever failures the fleet survived along the way. The
+    serial reference is the plan run in memory under a recorder, which
+    shares no code with the pool."""
+
+    def in_memory_with_obs(self):
+        from repro.obs.recorder import ObsRecorder, recording
+
+        recorder = ObsRecorder()
+        plan = build_obstoy(3, 6)
+        with recording(recorder):
+            out = plan.format(plan.run())
+        return out, recorder
 
     def run_with_obs(self, run_dir, jobs, plan=None, **options):
         from repro.obs.recorder import ObsRecorder, recording
@@ -493,7 +523,7 @@ class TestFleetObservability:
         return out, recorder
 
     def test_parallel_aggregates_equal_serial(self, tmp_path):
-        serial_out, serial = self.run_with_obs(tmp_path / "serial", 1)
+        serial_out, serial = self.in_memory_with_obs()
         fleet_out, fleet = self.run_with_obs(tmp_path / "fleet", 4)
         assert fleet_out == serial_out
         assert registry_diff(fleet.metrics, serial.metrics) == []
@@ -502,7 +532,7 @@ class TestFleetObservability:
         """The windowed time series of a ``--jobs 4`` run is byte-identical
         to the serial run's: window assignment keys on simulated time and
         cells are integers, so shard completion order cannot leak in."""
-        _, serial = self.run_with_obs(tmp_path / "serial", 1)
+        _, serial = self.in_memory_with_obs()
         _, fleet = self.run_with_obs(tmp_path / "fleet", 4)
         assert json.dumps(
             fleet.timeseries.to_json(), sort_keys=True
@@ -512,7 +542,7 @@ class TestFleetObservability:
         """Crashed and killed attempts ship no windowed deltas either, so
         the merged series of a chaos fleet still equals the clean serial
         run's — the windowed analogue of the registry contract."""
-        _, serial = self.run_with_obs(tmp_path / "serial", 1)
+        _, serial = self.in_memory_with_obs()
         plan = selfchaos.build_plan(
             OBSTOY_CONFIG, {"s01": {1: "crash"}, "s02": {1: "kill"}}
         )
@@ -522,7 +552,7 @@ class TestFleetObservability:
     def test_chaos_run_aggregates_equal_clean_serial(self, tmp_path):
         """Crashed and killed attempts ship no obs, so the merged registry
         of a chaos run still equals the clean serial run's."""
-        serial_out, serial = self.run_with_obs(tmp_path / "serial", 1)
+        serial_out, serial = self.in_memory_with_obs()
         plan = selfchaos.build_plan(
             OBSTOY_CONFIG, {"s01": {1: "crash"}, "s02": {1: "kill"}}
         )
@@ -543,7 +573,7 @@ class TestFleetObservability:
         genuinely ran twice)."""
         from repro.runner import parallel as parallel_mod
 
-        serial_out, _ = self.run_with_obs(tmp_path / "serial", 1)
+        serial_out, _ = self.in_memory_with_obs()
 
         def die_after_sidecar(shard_id, attempt):
             if shard_id == "s02" and attempt == 1:
@@ -608,9 +638,7 @@ class TestCliExitCodes:
             raise ShardQuarantinedError("2 shard(s) quarantined")
 
         monkeypatch.setattr(EngineRunner, "execute", boom)
-        code = cli.main(
-            ["run", "figure8", "--out-dir", "ignored-by-stub", "--jobs", "2"]
-        )
+        code = cli.main(["run", "figure8", "--out-dir", "ignored-by-stub"])
         assert code == cli.EXIT_QUARANTINED == 8
         assert "quarantined" in capsys.readouterr().err
 
