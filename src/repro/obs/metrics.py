@@ -79,16 +79,18 @@ observable is lost."""
 
 
 def check_observation(name: str, value: float) -> None:
-    """Refuse a histogram sample that either store could not hold.
+    """Refuse a histogram sample or counter increment that either store
+    could not hold.
 
     NaN, an infinity, or a magnitude whose fixed-point form overflows
     would tear a windowed cell (its fixed-point total cannot take it) and
-    poison a scalar histogram's total. Both stores call this before they
-    touch any state, so a refused sample leaves every series unchanged.
+    poison a scalar counter or histogram total. Both stores call this
+    before they touch any state, so a refused value leaves every series
+    unchanged.
     """
     if not math.isfinite(value * FIXED_POINT_SCALE):
         raise ObsError(
-            f"histogram {name!r} cannot record {value!r}: samples must be "
+            f"metric {name!r} cannot record {value!r}: values must be "
             f"finite and small enough for {FIXED_POINT_SCALE}x fixed point"
         )
 
@@ -162,6 +164,7 @@ class MetricsRegistry:
     # -- recording ---------------------------------------------------------
 
     def inc(self, name: str, labels: Labels = (), value: float = 1.0) -> None:
+        check_observation(name, value)
         key = (name, _check_labels(labels))
         self._counters[key] = self._counters.get(key, 0.0) + value
 

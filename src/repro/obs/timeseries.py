@@ -97,6 +97,7 @@ class TimeSeriesBuffer:
         self, t_s: float, name: str, labels: Labels = (), value: float = 1.0
     ) -> None:
         """Add ``value`` to a counter in the window containing ``t_s``."""
+        check_observation(name, value)
         series = self._counters.setdefault((name, _check_labels(labels)), {})
         window = self.window_of(t_s)
         series[window] = series.get(window, 0) + _fp(value)

@@ -2,8 +2,12 @@
 
 Every ``--out-dir`` run executes its pending shards on ``--jobs`` worker
 processes (one by default) under a parent-side supervisor; there is no
-in-process executor beside it. The design treats workers as unreliable
-by contract:
+in-process executor beside it. The supervisor is a small state machine,
+:class:`_Pool`: one table of :class:`_ShardState` rows keyed by shard id
+(queued, running on worker *w*, done or quarantined) and one handler per
+event (message, death, overdue, assign, wait, shutdown), each taking the
+current monotonic time. The design treats workers as unreliable by
+contract:
 
 * **Workers compute, the parent persists.** A worker receives
   ``("run", shard_id, attempt)``, rebuilds the plan from its config
@@ -29,15 +33,16 @@ by contract:
   code) instead of deadlocking or losing the healthy shards.
 * **Observability is shipped, never shared.** Under an instrumented
   parent each worker records into its own recorder and drains it to a
-  serialisable delta per shard attempt, shipped inside the result message
-  and parked in an atomic ``obs/`` sidecar the parent salvages if the
-  worker dies first. The parent folds every delta into the run's
-  recorder (:meth:`repro.obs.recorder.ObsRecorder.merge_delta`), so a
-  ``--jobs 8`` run and a ``--jobs 1`` run report identical aggregate
-  counters and histograms — and, because
-  the windowed time-series pillar (:mod:`repro.obs.timeseries`) keys every
-  cell by *simulated* time and stores only integers, byte-identical
-  per-window series too, regardless of shard completion order.
+  serialisable delta per shard attempt, which reaches the parent only
+  inside the attempt's result message; a worker that dies loses its
+  attempt's obs, and the retry records them again. The parent folds every
+  delta into the run's recorder
+  (:meth:`repro.obs.recorder.ObsRecorder.merge_delta`), so a ``--jobs 8``
+  run and a ``--jobs 1`` run report identical aggregate counters and
+  histograms — and, because the windowed time-series pillar
+  (:mod:`repro.obs.timeseries`) keys every cell by *simulated* time and
+  stores only integers, byte-identical per-window series too, regardless
+  of shard completion order.
 * **Signals drain, then stop.** The first SIGINT/SIGTERM stops new
   assignments and waits for in-flight shards to finish and flush; the
   second terminates the pool immediately (both via
@@ -54,18 +59,14 @@ byte-identical output.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as connection_wait
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.atomicio import atomic_write_text
 from repro.errors import (
     ObsError,
     RunInterruptedError,
@@ -90,12 +91,6 @@ _STOP_GRACE_S = 1.0
 
 QUARANTINE_FORMAT_VERSION = 1
 
-_post_sidecar_test_hook = None
-"""Test seam: called as ``(shard_id, attempt)`` in the worker right after
-its obs sidecar lands and before the result message is sent. Fork-started
-workers inherit a monkeypatched value, letting tests kill a worker in the
-exact window where the sidecar is the only surviving copy of its obs."""
-
 
 def default_start_method() -> str:
     """``fork`` where the platform offers it (cheap, inherits registry
@@ -109,10 +104,7 @@ def default_start_method() -> str:
 
 
 def _worker_main(
-    conn: Connection,
-    config: dict[str, Any],
-    worker_id: int,
-    obs_sidecar_dir: str | None = None,
+    conn: Connection, config: dict[str, Any], worker_id: int, record_obs: bool
 ) -> None:
     """One worker process: rebuild the plan, then serve run requests.
 
@@ -121,12 +113,11 @@ def _worker_main(
     leaves SIGTERM at its default so the parent's ``terminate()`` works
     even mid-shard.
 
-    With ``obs_sidecar_dir`` set (the parent runs instrumented) the worker
+    With ``record_obs`` set (the parent runs instrumented) the worker
     records into its own live recorder and, after every shard attempt,
-    drains it into a serialisable delta that travels back two ways: inside
-    the result message, and as an atomic per-attempt sidecar file the
-    parent salvages if this process dies before the message lands. With it
-    unset the recorder is the no-op default and deltas are ``None``.
+    drains it into a serialisable delta that travels back inside the
+    result message. With it unset the recorder is the no-op default and
+    deltas are ``None``.
     """
     import signal as _signal
 
@@ -135,34 +126,13 @@ def _worker_main(
         _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
     from repro.obs.recorder import ObsRecorder, reset_recorder, set_recorder
 
-    if obs_sidecar_dir is None:
-        reset_recorder()
-    else:
+    if record_obs:
         set_recorder(ObsRecorder())
+    else:
+        reset_recorder()
 
-    def _snapshot_and_park(shard_id: str, attempt: int) -> dict | None:
-        """This attempt's obs as a delta, parked in a crash-salvage sidecar."""
-        if obs_sidecar_dir is None:
-            return None
-        delta = get_recorder().snapshot_delta(drain=True)
-        try:
-            atomic_write_text(
-                Path(obs_sidecar_dir) / f"{shard_id}.a{attempt}.json",
-                json.dumps(
-                    {
-                        "shard": shard_id,
-                        "attempt": attempt,
-                        "worker": worker_id,
-                        "delta": delta,
-                    }
-                ),
-            )
-        except OSError:
-            pass  # salvage is best-effort; the pipe copy still ships
-        hook = _post_sidecar_test_hook
-        if hook is not None:
-            hook(shard_id, attempt)
-        return delta
+    def drain_obs() -> dict | None:
+        return get_recorder().snapshot_delta(drain=True) if record_obs else None
 
     try:
         plan = plan_from_config(config)
@@ -184,35 +154,18 @@ def _worker_main(
             with get_recorder().timer("runner.shard"):
                 payload = plan.run_shard(shard_id)
         except BaseException as exc:  # noqa: BLE001 - everything is reportable
-            delta = _snapshot_and_park(shard_id, attempt)
-            conn.send(
-                (
-                    "err",
-                    worker_id,
-                    shard_id,
-                    attempt,
-                    "exception",
-                    f"{type(exc).__name__}: {exc}",
-                    delta,
-                )
-            )
+            detail = f"{type(exc).__name__}: {exc}"
+            failure = ("exception", detail, drain_obs())
+            conn.send(("err", worker_id, shard_id, attempt, *failure))
         else:
             wall_s = time.perf_counter() - started
-            delta = _snapshot_and_park(shard_id, attempt)
+            delta = drain_obs()
             try:
                 conn.send(("ok", worker_id, shard_id, attempt, payload, wall_s, delta))
             except Exception as exc:  # noqa: BLE001 - unpicklable payload
-                conn.send(
-                    (
-                        "err",
-                        worker_id,
-                        shard_id,
-                        attempt,
-                        "garbage",
-                        f"unsendable payload: {type(exc).__name__}: {exc}",
-                        delta,
-                    )
-                )
+                detail = f"unsendable payload: {type(exc).__name__}: {exc}"
+                failure = ("garbage", detail, delta)
+                conn.send(("err", worker_id, shard_id, attempt, *failure))
         set_current_attempt(None)
 
 
@@ -223,20 +176,25 @@ def _worker_main(
 
 @dataclass
 class _Worker:
-    """Parent-side view of one worker process."""
+    """Parent-side handle of one worker process."""
 
     wid: int
     proc: Any
     conn: Connection
-    shard: str | None = None
-    attempt: int = 0
-    busy_since: float = 0.0  # monotonic; reset by the worker's "start" ack
 
 
 @dataclass
 class _ShardState:
-    """Retry bookkeeping for one pending shard."""
+    """One unfinished shard's row in the pool's table.
 
+    ``where`` is ``"queued"``, ``"running"`` (on the worker that
+    ``_Pool.busy`` names) or ``"quarantined"``; a checkpointed shard
+    leaves the table. Queued rows are assigned in table order, and a
+    retried shard moves to the back.
+    """
+
+    where: str = "queued"
+    since: float = 0.0  # monotonic; the running attempt's start, for the watchdog
     attempts: int = 0
     eligible_at: float = 0.0  # monotonic; backoff gate for the next attempt
     failures: list[dict[str, Any]] = field(default_factory=list)
@@ -254,147 +212,327 @@ def execute_pending_parallel(
     """Run ``pending`` shards on up to ``options.jobs`` workers.
 
     ``plan`` must have a registered builder (the engine refuses one that
-    has none before it writes anything). Returns the number of shards newly checkpointed. Raises
-    :class:`RunInterruptedError` (drained stop), ``DeadlineExceededError``
-    (via ``deadline.check``), :class:`ShardQuarantinedError` (some shards
-    exhausted their budget), or :class:`RunnerError` (workers cannot
-    rebuild the plan). In every case the pool is torn down and each
-    completed shard is already flushed.
+    has none before it writes anything). Returns the number of shards
+    newly checkpointed. Raises :class:`RunInterruptedError` (drained stop),
+    ``DeadlineExceededError`` (via ``deadline.check``),
+    :class:`ShardQuarantinedError` (some shards exhausted their budget), or
+    :class:`RunnerError` (workers cannot rebuild the plan). In every case
+    the pool is torn down and each completed shard is already flushed.
     """
-    ctx = mp.get_context(default_start_method())
-    policy = options.retry_policy
-    rec = get_recorder()
-    total = already_done + len(pending)
+    return _Pool(plan, store, options, pending, deadline, guard, already_done).run()
 
-    state = {shard_id: _ShardState() for shard_id in pending}
-    queue: deque[str] = deque(pending)
-    workers: dict[int, _Worker] = {}
-    quarantined: dict[str, _ShardState] = {}
-    next_wid = 0
-    executed = 0
-    draining: str | None = None  # None | "signal" | "max-shards"
-    merged: set[tuple[str, int]] = set()  # (shard, attempt) deltas folded in
-    obs_sidecar_dir: str | None = None
-    if rec.enabled:
-        store.obs_dir.mkdir(parents=True, exist_ok=True)
-        obs_sidecar_dir = str(store.obs_dir)
 
-    def _sidecar_path(shard_id: str, attempt: int) -> Path:
-        return store.obs_dir / f"{shard_id}.a{attempt}.json"
+class _Pool:
+    """The supervisor: a table of unfinished shards, the live workers, and
+    one handler per event, each taking the current monotonic time ``now``.
 
-    def _discard_sidecar(shard_id: str, attempt: int) -> None:
-        try:
-            _sidecar_path(shard_id, attempt).unlink()
-        except OSError:
-            pass
+    ``busy`` maps each worker running a shard to that shard's id: it is
+    the table's ``"running"`` rows seen from the worker side, added by
+    :meth:`assign` and removed when the attempt completes or fails, so no
+    tick scans the whole table to find them.
+    """
 
-    def _merge_worker_delta(
-        delta: dict | None,
-        shard_id: str,
-        attempt: int,
-        wid: int,
-        salvaged: bool = False,
+    def __init__(
+        self,
+        plan: ExperimentPlan,
+        store: CheckpointStore,
+        options: "RunnerOptions",
+        pending: list[str],
+        deadline: Deadline,
+        guard: InterruptGuard,
+        already_done: int,
     ) -> None:
-        """Fold one worker attempt's obs delta into the parent recorder.
+        self.plan = plan
+        self.store = store
+        self.options = options
+        self.deadline = deadline
+        self.guard = guard
+        self.already_done = already_done
+        self.total = already_done + len(pending)
+        self.rec = get_recorder()
+        self.shards = {shard_id: _ShardState() for shard_id in pending}
+        self.busy: dict[int, str] = {}
+        self.workers: dict[int, _Worker] = {}
+        self.next_wid = 0
+        self.executed = 0
+        self.draining: str | None = None  # None | "signal" | "max-shards"
 
-        The ``merged`` set makes channel delivery and sidecar salvage of
-        the same attempt idempotent: whichever copy arrives first wins,
-        the other is discarded.
-        """
-        if not rec.enabled or delta is None or (shard_id, attempt) in merged:
-            return
-        merged.add((shard_id, attempt))
+    def run(self) -> int:
+        """Supervise until every shard is done or quarantined, or a stop."""
         try:
-            rec.merge_delta(
-                delta, extra_labels=(("shard", shard_id), ("worker", str(wid)))
-            )
-        except (ObsError, KeyError, TypeError, ValueError) as exc:
+            while True:
+                now = time.monotonic()
+                if not self.advance(now):
+                    break
+                spoke, died = self._wait(self.wait_timeout(now))
+                self.dispatch(spoke, died, time.monotonic())
+        finally:
+            self.shutdown(time.monotonic())
+        self._raise_if_stopped()
+        return self.executed
+
+    # -- one tick ------------------------------------------------------------
+
+    def advance(self, now: float) -> bool:
+        """Check the run budget and the stop triggers, then assign work.
+        Returns whether anything is left to wait for."""
+        self.deadline.check()  # expiry kills the pool via run()'s finally
+        max_shards = self.options.max_shards
+        if self.draining is None and self.guard.interrupted:
+            self._drain("signal")
+        if (
+            self.draining is None
+            and max_shards is not None
+            and self.executed >= max_shards
+        ):
+            self._drain("max-shards")
+        if self.draining is None:
+            self.assign(now)
+        if self.busy:
+            return True
+        queued = (st.where == "queued" for st in self.shards.values())
+        return self.draining is None and any(queued)
+
+    def _drain(self, reason: str) -> None:
+        self.draining = reason
+        self.rec.event("drain", reason=reason, inflight=len(self.busy))
+        if reason == "signal":
             print(
-                f"obs: dropping undecodable delta for shard {shard_id} "
-                f"attempt {attempt}: {exc}",
+                f"runner: interrupt received; draining {len(self.busy)} "
+                f"in-flight shard(s) before exiting",
+                file=sys.stderr,
+            )
+
+    def assign(self, now: float) -> None:
+        """Hand eligible queued shards, in table order, to idle workers,
+        spawning up to ``--jobs``; in-flight shards count against
+        ``--max-shards``."""
+        max_shards = self.options.max_shards
+        while max_shards is None or self.executed + len(self.busy) < max_shards:
+            shard_id = next(
+                (
+                    sid
+                    for sid, st in self.shards.items()
+                    if st.where == "queued" and st.eligible_at <= now
+                ),
+                None,
+            )
+            if shard_id is None:
+                return
+            worker = next(
+                (w for w in self.workers.values() if w.wid not in self.busy), None
+            )
+            if worker is None:
+                if len(self.workers) >= self.options.jobs:
+                    return
+                worker = self._spawn()
+            st = self.shards[shard_id]
+            st.where, st.since = "running", now
+            st.attempts += 1
+            self.busy[worker.wid] = shard_id
+            try:
+                worker.conn.send(("run", shard_id, st.attempts))
+            except (OSError, ValueError):
+                # Worker vanished between spawn and send; its sentinel
+                # fires on the next tick and requeues the shard.
+                return
+            self.rec.event(
+                "shard_assigned", shard=shard_id, attempt=st.attempts, worker=worker.wid
+            )
+
+    def wait_timeout(self, now: float) -> float:
+        """How long the next wait may block: until the next watchdog,
+        run-deadline or backoff due time, at most one poll tick."""
+        limit = self.options.shard_deadline_s
+        remaining = self.deadline.remaining_s()
+        due = [] if remaining is None else [remaining]
+        for st in self.shards.values():
+            if st.where == "running" and limit is not None:
+                due.append(limit - (now - st.since))
+            elif st.where == "queued" and st.eligible_at > now:
+                due.append(st.eligible_at - now)
+        return min([_POLL_TIMEOUT_S, *(max(d, 0.01) for d in due)])
+
+    def _wait(self, timeout: float) -> tuple[list[_Worker], list[_Worker]]:
+        """Block until a worker speaks or dies, or ``timeout`` passes;
+        returns ``(spoke, died)``."""
+        if not self.workers:
+            time.sleep(timeout)
+            return [], []
+        by_conn = {w.conn: w for w in self.workers.values()}
+        by_sentinel = {w.proc.sentinel: w for w in self.workers.values()}
+        ready = connection_wait([*by_conn, *by_sentinel], timeout)
+        return (
+            [by_conn[obj] for obj in ready if obj in by_conn],
+            [by_sentinel[obj] for obj in ready if obj in by_sentinel],
+        )
+
+    def dispatch(self, spoke: list[_Worker], died: list[_Worker], now: float) -> None:
+        """Handle what one wait returned, then run the watchdog."""
+        for worker in spoke:
+            if worker.wid in self.workers:
+                self._read(worker, now)
+        for worker in died:
+            if worker.wid in self.workers:
+                self.on_death(worker, now)
+        limit = self.options.shard_deadline_s
+        if limit is not None:
+            for wid, shard_id in list(self.busy.items()):
+                if now - self.shards[shard_id].since > limit:
+                    self.on_overdue(self.workers[wid], now)
+
+    # -- events --------------------------------------------------------------
+
+    def _read(self, worker: _Worker, now: float) -> None:
+        """Handle every message ``worker`` has queued."""
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                return  # death is handled via the sentinel
+            self.on_message(worker, message, now)
+
+    def on_message(self, worker: _Worker, message: tuple, now: float) -> None:
+        """One message from ``worker``, always about the shard it runs."""
+        kind = message[0]
+        if kind == "fatal":
+            raise RunnerError(
+                f"worker {worker.wid} could not rebuild the "
+                f"{self.plan.experiment!r} plan: {message[2]}"
+            )
+        if kind == "start":
+            # The shard is actually running now; the watchdog measures
+            # from here, not from when the request entered the pipe.
+            self.shards[message[2]].since = now
+            return
+        _, wid, shard_id, attempt, *body, delta = message
+        self._merge_obs(delta, shard_id, attempt, wid)
+        if kind == "err":
+            failure_kind, detail = body
+            self._fail(worker, failure_kind, detail, now)
+            return
+        payload, wall_s = body
+        try:
+            canonical_json(payload)
+        except (TypeError, ValueError) as exc:
+            detail = f"payload is not JSON-serialisable: {exc}"
+            self._fail(worker, "garbage", detail, now)
+            return
+        self.store.write_shard(shard_id, payload)
+        del self.shards[self.busy.pop(worker.wid)]
+        self.executed += 1
+        if self.rec.enabled:
+            self.rec.event(
+                "shard_completed",
+                shard=shard_id,
+                attempt=attempt,
+                worker=wid,
+                wall_s=round(wall_s, 6),
+            )
+            every = self.options.progress_every
+            if every is not None and self.executed % every == 0:
+                print(
+                    f"obs: shard {shard_id} done in {wall_s:.2f}s on worker "
+                    f"{wid} ({self.already_done + self.executed}/{self.total} "
+                    f"on disk)",
+                    file=sys.stderr,
+                )
+
+    def on_death(self, worker: _Worker, now: float) -> None:
+        """``worker``'s process exited: forget it and fail its shard."""
+        self._read(worker, now)  # a final "ok" may be queued; prefer it
+        # The sentinel can fire a beat before the child is reaped, leaving
+        # exitcode momentarily None; a short join closes that window.
+        worker.proc.join(_STOP_GRACE_S)
+        exitcode = worker.proc.exitcode
+        self._remove(worker)
+        shard_id = self.busy.get(worker.wid)
+        if self.rec.enabled:
+            self.rec.inc("repro_runner_worker_deaths_total")
+            self.rec.event(
+                "worker_died", worker=worker.wid, exitcode=exitcode, shard=shard_id
+            )
+        if shard_id is not None:
+            detail = f"worker {worker.wid} died with exit code {exitcode}"
+            self._fail(worker, "crash", detail, now)
+
+    def on_overdue(self, worker: _Worker, now: float) -> None:
+        """``worker`` outran ``--shard-deadline-s``: kill it, fail its shard."""
+        self._read(worker, now)  # a just-finished result beats a kill
+        shard_id = self.busy.get(worker.wid)
+        if shard_id is None:
+            return
+        self._remove(worker)
+        limit = self.options.shard_deadline_s
+        if self.rec.enabled:
+            self.rec.inc("repro_runner_shard_timeouts_total")
+            self.rec.event(
+                "worker_killed", worker=worker.wid, shard=shard_id, timeout_s=limit
+            )
+        detail = (
+            f"no result within --shard-deadline-s={limit:g}s; "
+            f"worker {worker.wid} killed"
+        )
+        self._fail(worker, "timeout", detail, now)
+
+    def _fail(self, worker: _Worker, kind: str, detail: str, now: float) -> None:
+        """The attempt running on ``worker`` failed; requeue its shard with
+        backoff or quarantine it."""
+        shard_id = self.busy.pop(worker.wid)
+        st = self.shards[shard_id]
+        policy = self.options.retry_policy
+        st.failures.append({"attempt": st.attempts, "kind": kind, "detail": detail})
+        if self.rec.enabled:
+            self.rec.inc("repro_runner_shard_failures_total", labels=(("kind", kind),))
+        if st.attempts >= policy.max_attempts:
+            st.where = "quarantined"
+            self._write_quarantine_record()
+            self.rec.event(
+                "shard_quarantined", shard=shard_id, attempts=st.attempts, kind=kind
+            )
+            print(
+                f"runner: quarantining shard {shard_id!r} after "
+                f"{st.attempts} attempt(s); last failure: {kind}: {detail}",
                 file=sys.stderr,
             )
             return
-        rec.inc(
-            "repro_obs_deltas_salvaged_total"
-            if salvaged
-            else "repro_obs_deltas_merged_total"
+        self.rec.event(
+            "shard_retried",
+            shard=shard_id,
+            attempt=st.attempts,
+            kind=kind,
+            detail=detail,
         )
-        _discard_sidecar(shard_id, attempt)
+        if self.draining is None:
+            st.eligible_at = now + policy.backoff_ms(st.attempts) / 1000.0
+        st.where = "queued"
+        self.shards[shard_id] = self.shards.pop(shard_id)  # to the back
 
-    def _salvage_sidecar(shard_id: str, attempt: int) -> None:
-        """Recover a dead worker's parked obs delta, if the pipe lost it."""
-        if not rec.enabled or (shard_id, attempt) in merged:
-            return
-        try:
-            record = json.loads(_sidecar_path(shard_id, attempt).read_text())
-            delta = record["delta"]
-            wid = int(record.get("worker", -1))
-        except (OSError, ValueError, KeyError, TypeError):
-            return  # no sidecar (worker died pre-write) or a torn irrelevance
-        _merge_worker_delta(delta, shard_id, attempt, wid, salvaged=True)
-        rec.event("obs_salvaged", shard=shard_id, attempt=attempt, worker=wid)
+    # -- resources and records ----------------------------------------------
 
-    def _sweep_sidecars() -> None:
-        """Final pass: salvage any unmerged sidecars, then clear the dir."""
-        if not rec.enabled:
-            return
-        for path in sorted(store.obs_dir.glob("*.json")):
-            name = path.name[: -len(".json")]
-            shard_id, separator, raw_attempt = name.rpartition(".a")
-            if separator and shard_id and raw_attempt.isdigit():
-                _salvage_sidecar(shard_id, int(raw_attempt))
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        try:
-            store.obs_dir.rmdir()
-        except OSError:
-            pass  # non-empty (foreign files) or already gone
-
-    def _write_quarantine_record() -> None:
-        store.write_quarantine_record(
-            {
-                "format_version": QUARANTINE_FORMAT_VERSION,
-                "experiment": plan.experiment,
-                "max_attempts": policy.max_attempts,
-                "shards": {
-                    shard_id: {
-                        "attempts": st.attempts,
-                        "failures": st.failures,
-                    }
-                    for shard_id, st in sorted(quarantined.items())
-                },
-            }
-        )
-
-    def _spawn() -> _Worker:
-        nonlocal next_wid
+    def _spawn(self) -> _Worker:
+        ctx = mp.get_context(default_start_method())
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        wid = self.next_wid
         proc = ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                plan.config,
-                next_wid,
-                obs_sidecar_dir,
-            ),
-            name=f"repro-shard-worker-{next_wid}",
+            args=(child_conn, self.plan.config, wid, self.rec.enabled),
+            name=f"repro-shard-worker-{wid}",
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        worker = _Worker(wid=next_wid, proc=proc, conn=parent_conn)
-        workers[next_wid] = worker
-        next_wid += 1
-        if rec.enabled:
-            rec.inc("repro_runner_worker_spawns_total")
-            rec.set_gauge("repro_runner_workers", len(workers))
-            rec.event("worker_spawned", worker=worker.wid, pid=proc.pid)
+        worker = self.workers[wid] = _Worker(wid=wid, proc=proc, conn=parent_conn)
+        self.next_wid += 1
+        if self.rec.enabled:
+            self.rec.inc("repro_runner_worker_spawns_total")
+            self.rec.set_gauge("repro_runner_workers", len(self.workers))
+            self.rec.event("worker_spawned", worker=wid, pid=proc.pid)
         return worker
 
-    def _remove(worker: _Worker) -> None:
+    def _remove(self, worker: _Worker) -> None:
         """Kill (if needed) and forget one worker."""
         try:
             worker.conn.close()
@@ -406,305 +544,76 @@ def execute_pending_parallel(
             if worker.proc.is_alive():
                 worker.proc.kill()
                 worker.proc.join(_STOP_GRACE_S)
-        workers.pop(worker.wid, None)
-        if rec.enabled:
-            rec.set_gauge("repro_runner_workers", len(workers))
+        self.workers.pop(worker.wid, None)
+        if self.rec.enabled:
+            self.rec.set_gauge("repro_runner_workers", len(self.workers))
 
-    def _fail(shard_id: str, attempt: int, kind: str, detail: str, now: float) -> None:
-        """One attempt failed; requeue with backoff or quarantine."""
-        st = state[shard_id]
-        st.failures.append({"attempt": attempt, "kind": kind, "detail": detail})
-        if rec.enabled:
-            rec.inc("repro_runner_shard_failures_total", labels=(("kind", kind),))
-        if st.attempts >= policy.max_attempts:
-            quarantined[shard_id] = st
-            _write_quarantine_record()
-            rec.event(
-                "shard_quarantined", shard=shard_id, attempts=st.attempts, kind=kind
-            )
-            print(
-                f"runner: quarantining shard {shard_id!r} after "
-                f"{st.attempts} attempt(s); last failure: {kind}: {detail}",
-                file=sys.stderr,
-            )
-        else:
-            rec.event(
-                "shard_retried",
-                shard=shard_id,
-                attempt=attempt,
-                kind=kind,
-                detail=detail,
-            )
-            if draining is None:
-                st.eligible_at = now + policy.backoff_ms(st.attempts) / 1000.0
-            queue.append(shard_id)
-
-    def _handle_message(worker: _Worker, message: tuple, now: float) -> None:
-        nonlocal executed
-        kind = message[0]
-        if kind == "start":
-            # The shard is actually running now; the watchdog measures
-            # from here, not from when the request entered the pipe.
-            worker.busy_since = now
-            return
-        if kind == "fatal":
-            raise RunnerError(
-                f"worker {worker.wid} could not rebuild the "
-                f"{plan.experiment!r} plan: {message[2]}"
-            )
-        if kind == "ok":
-            _, wid, shard_id, attempt, payload, wall_s, delta = message
-            # Merge before the stale-echo check: even a shard the parent
-            # has since failed elsewhere really did run — its obs counts.
-            _merge_worker_delta(delta, shard_id, attempt, wid)
-            if worker.shard != shard_id:
-                return  # stale echo of a shard already failed elsewhere
-            worker.shard = None
-            try:
-                canonical_json(payload)
-            except (TypeError, ValueError) as exc:
-                _fail(
-                    shard_id,
-                    attempt,
-                    "garbage",
-                    f"payload is not JSON-serialisable: {exc}",
-                    now,
-                )
-                return
-            store.write_shard(shard_id, payload)
-            executed += 1
-            if rec.enabled:
-                rec.event(
-                    "shard_completed",
-                    shard=shard_id,
-                    attempt=attempt,
-                    worker=wid,
-                    wall_s=round(wall_s, 6),
-                )
-                every = options.progress_every
-                if every is not None and executed % every == 0:
-                    print(
-                        f"obs: shard {shard_id} done in {wall_s:.2f}s on "
-                        f"worker {wid} ({already_done + executed}/{total} "
-                        f"on disk)",
-                        file=sys.stderr,
-                    )
-            return
-        if kind == "err":
-            _, wid, shard_id, attempt, failure_kind, detail, delta = message
-            _merge_worker_delta(delta, shard_id, attempt, wid)
-            if worker.shard != shard_id:
-                return
-            worker.shard = None
-            _fail(shard_id, attempt, failure_kind, detail, now)
-
-    def _drain_conn(worker: _Worker, now: float) -> None:
-        while worker.wid in workers:
-            try:
-                if not worker.conn.poll():
-                    return
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                return  # death is handled via the sentinel
-            _handle_message(worker, message, now)
-
-    def _handle_death(worker: _Worker, now: float) -> None:
-        _drain_conn(worker, now)  # a final "ok" may be queued; prefer it
-        if worker.wid not in workers:
-            return
-        # The sentinel can fire a beat before the child is reaped, leaving
-        # exitcode momentarily None; a short join closes that window.
-        worker.proc.join(_STOP_GRACE_S)
-        exitcode = worker.proc.exitcode
-        shard_id, attempt = worker.shard, worker.attempt
-        _remove(worker)
-        if rec.enabled:
-            rec.inc("repro_runner_worker_deaths_total")
-            rec.event(
-                "worker_died",
-                worker=worker.wid,
-                exitcode=exitcode,
-                shard=shard_id,
-            )
-        if shard_id is not None:
-            # The worker may have parked this attempt's obs in its sidecar
-            # after finishing the shard but before its result message
-            # survived the pipe; that work happened, so salvage it.
-            _salvage_sidecar(shard_id, attempt)
-            _fail(
-                shard_id,
-                attempt,
-                "crash",
-                f"worker {worker.wid} died with exit code {exitcode}",
-                now,
-            )
-
-    def _handle_overdue(worker: _Worker, now: float) -> None:
-        _drain_conn(worker, now)  # a just-finished result beats a kill
-        if worker.wid not in workers or worker.shard is None:
-            return
-        shard_id, attempt = worker.shard, worker.attempt
-        _remove(worker)
-        if rec.enabled:
-            rec.inc("repro_runner_shard_timeouts_total")
-            rec.event(
-                "worker_killed",
-                worker=worker.wid,
-                shard=shard_id,
-                timeout_s=options.shard_deadline_s,
-            )
-            _salvage_sidecar(shard_id, attempt)
-        _fail(
-            shard_id,
-            attempt,
-            "timeout",
-            f"no result within --shard-deadline-s="
-            f"{options.shard_deadline_s:g}s; worker {worker.wid} killed",
-            now,
-        )
-
-    def _inflight() -> list[_Worker]:
-        return [w for w in workers.values() if w.shard is not None]
-
-    def _assign(now: float) -> None:
-        while True:
-            if options.max_shards is not None:
-                busy = len(_inflight())
-                if executed + busy >= options.max_shards:
-                    return
-            eligible = next(
-                (s for s in queue if state[s].eligible_at <= now), None
-            )
-            if eligible is None:
-                return
-            worker = next(
-                (w for w in workers.values() if w.shard is None), None
-            )
-            if worker is None:
-                if len(workers) >= options.jobs:
-                    return
-                worker = _spawn()
-            queue.remove(eligible)
-            st = state[eligible]
-            st.attempts += 1
-            worker.shard = eligible
-            worker.attempt = st.attempts
-            worker.busy_since = now
-            try:
-                worker.conn.send(("run", eligible, st.attempts))
-            except (OSError, ValueError):
-                # Worker vanished between spawn and send; its sentinel
-                # fires on the next tick and requeues the shard.
-                return
-            rec.event(
-                "shard_assigned",
-                shard=eligible,
-                attempt=st.attempts,
-                worker=worker.wid,
-            )
-
-    def _wait_timeout(now: float) -> float:
-        timeout = _POLL_TIMEOUT_S
-        if options.shard_deadline_s is not None:
-            for worker in _inflight():
-                due_in = options.shard_deadline_s - (now - worker.busy_since)
-                timeout = min(timeout, max(due_in, 0.01))
-        remaining = deadline.remaining_s()
-        if remaining is not None:
-            timeout = min(timeout, max(remaining, 0.01))
-        for shard_id in queue:
-            gate = state[shard_id].eligible_at - now
-            if gate > 0:
-                timeout = min(timeout, max(gate, 0.01))
-        return timeout
-
-    def _shutdown_pool() -> None:
-        for worker in list(workers.values()):
-            if worker.proc.is_alive() and worker.shard is None:
+    def shutdown(self, now: float) -> None:
+        """Ask idle workers to stop, give them until ``now`` plus a grace
+        period, then kill whatever is left."""
+        idle = [w for w in self.workers.values() if w.wid not in self.busy]
+        for worker in idle:
+            if worker.proc.is_alive():
                 try:
                     worker.conn.send(("stop",))
                 except (OSError, ValueError):
                     pass
-        patience = time.monotonic() + _STOP_GRACE_S
-        for worker in list(workers.values()):
-            if worker.shard is None:
-                worker.proc.join(max(patience - time.monotonic(), 0.05))
-        for worker in list(workers.values()):
-            _remove(worker)
+        for worker in idle:
+            worker.proc.join(max(now + _STOP_GRACE_S - time.monotonic(), 0.05))
+        for worker in list(self.workers.values()):
+            self._remove(worker)
 
-    try:
-        while True:
-            now = time.monotonic()
-            deadline.check()  # expiry kills the pool via the finally below
-            if draining is None and guard.interrupted:
-                draining = "signal"
-                rec.event("drain", reason="signal", inflight=len(_inflight()))
-                print(
-                    f"runner: interrupt received; draining "
-                    f"{len(_inflight())} in-flight shard(s) before exiting",
-                    file=sys.stderr,
-                )
-            if (
-                draining is None
-                and options.max_shards is not None
-                and executed >= options.max_shards
-            ):
-                draining = "max-shards"
-                rec.event("drain", reason="max-shards", inflight=len(_inflight()))
-            if draining is not None:
-                if not _inflight():
-                    break
-            else:
-                if not queue and not _inflight():
-                    break
-                _assign(now)
-                if not queue and not _inflight():
-                    break
-            timeout = _wait_timeout(now)
-            by_conn = {w.conn: w for w in workers.values()}
-            by_sentinel = {w.proc.sentinel: w for w in workers.values()}
-            if by_conn:
-                ready = connection_wait(
-                    list(by_conn) + list(by_sentinel), timeout
-                )
-            else:
-                time.sleep(min(timeout, _POLL_TIMEOUT_S))
-                ready = []
-            now = time.monotonic()
-            for obj in ready:
-                worker = by_conn.get(obj)
-                if worker is not None and worker.wid in workers:
-                    _drain_conn(worker, now)
-            for obj in ready:
-                worker = by_sentinel.get(obj)
-                if worker is not None and worker.wid in workers:
-                    _handle_death(worker, now)
-            if options.shard_deadline_s is not None:
-                for worker in list(workers.values()):
-                    if (
-                        worker.shard is not None
-                        and now - worker.busy_since > options.shard_deadline_s
-                    ):
-                        _handle_overdue(worker, now)
-    finally:
-        _shutdown_pool()
-        _sweep_sidecars()
+    def _merge_obs(
+        self, delta: dict | None, shard_id: str, attempt: int, wid: int
+    ) -> None:
+        """Fold one attempt's shipped obs delta into the parent recorder."""
+        if not self.rec.enabled or delta is None:
+            return
+        try:
+            self.rec.merge_delta(
+                delta, extra_labels=(("shard", shard_id), ("worker", str(wid)))
+            )
+        except (ObsError, KeyError, TypeError, ValueError) as exc:
+            print(
+                f"obs: dropping undecodable delta for shard {shard_id} "
+                f"attempt {attempt}: {exc}",
+                file=sys.stderr,
+            )
+            return
+        self.rec.inc("repro_obs_deltas_merged_total")
 
-    if draining == "signal":
-        guard.check()  # raises RunInterruptedError naming the signal
-    if draining == "max-shards":
-        raise RunInterruptedError(
-            f"stopping after --max-shards={options.max_shards} "
-            f"({already_done + executed}/{total} shards on disk); "
-            f"resume with --resume"
+    def _write_quarantine_record(self) -> None:
+        self.store.write_quarantine_record(
+            {
+                "format_version": QUARANTINE_FORMAT_VERSION,
+                "experiment": self.plan.experiment,
+                "max_attempts": self.options.retry_policy.max_attempts,
+                "shards": {
+                    shard_id: {"attempts": st.attempts, "failures": st.failures}
+                    for shard_id, st in sorted(self.shards.items())
+                    if st.where == "quarantined"
+                },
+            }
         )
-    if quarantined:
-        raise ShardQuarantinedError(
-            f"{len(quarantined)} shard(s) quarantined after exhausting "
-            f"{policy.max_attempts} attempt(s) each: "
-            f"{sorted(quarantined)}; the other "
-            f"{already_done + executed} completed shard(s) are "
-            f"checkpointed — see {store.quarantine_record_path} for the "
-            f"failure evidence, fix the cause, then rerun with --resume"
+
+    def _raise_if_stopped(self) -> None:
+        """Turn a drained stop or a quarantine into its exception."""
+        if self.draining == "signal":
+            self.guard.check()  # raises RunInterruptedError naming the signal
+        on_disk = self.already_done + self.executed
+        if self.draining == "max-shards":
+            raise RunInterruptedError(
+                f"stopping after --max-shards={self.options.max_shards} "
+                f"({on_disk}/{self.total} shards on disk); resume with --resume"
+            )
+        quarantined = sorted(
+            sid for sid, st in self.shards.items() if st.where == "quarantined"
         )
-    return executed
+        if quarantined:
+            raise ShardQuarantinedError(
+                f"{len(quarantined)} shard(s) quarantined after exhausting "
+                f"{self.options.retry_policy.max_attempts} attempt(s) each: "
+                f"{quarantined}; the other {on_disk} completed shard(s) are "
+                f"checkpointed — see {self.store.quarantine_record_path} for "
+                f"the failure evidence, fix the cause, then rerun with --resume"
+            )

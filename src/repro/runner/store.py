@@ -8,8 +8,6 @@ Layout of a run directory::
       quarantine/          # corrupt checkpoint files, moved aside
       result.txt           # final formatted output (only on full completion)
       events.jsonl         # run event log (instrumented runs only)
-      obs/                 # in-flight worker obs sidecars (parallel + --obs;
-                           # drained into the parent and removed on exit)
 
 Every file is written tmp + ``fsync`` + ``os.replace``
 (:mod:`repro.atomicio`), so a crash at any instant leaves either no file or
@@ -88,7 +86,6 @@ class CheckpointStore:
         self.manifest_path = self.run_dir / "manifest.json"
         self.result_path = self.run_dir / "result.txt"
         self.events_path = self.run_dir / "events.jsonl"
-        self.obs_dir = self.run_dir / "obs"
         try:
             self.shard_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

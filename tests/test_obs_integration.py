@@ -340,8 +340,8 @@ class TestInterruptionFlush:
 
 class TestFleetInterruption:
     """Obs artifact integrity when a parallel run stops early: the merged
-    metrics, trace, and event log land complete and parseable, and no
-    worker sidecar survives the sweep."""
+    metrics, trace, and event log land complete and parseable, and the
+    run dir holds no ``obs/`` directory."""
 
     WIDE = [
         "run", "chaos",
@@ -374,7 +374,7 @@ class TestFleetInterruption:
         assert names[0] == "run_start"
         assert "drain" in names
         assert "run_interrupted" in names
-        # Every worker delta was merged or salvaged; nothing left behind.
+        # Deltas travel only in result messages; nothing is parked on disk.
         assert not (run_dir / "obs").exists()
 
     def test_sigint_mid_parallel_run_leaves_parseable_artifacts(self, tmp_path):

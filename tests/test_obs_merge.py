@@ -83,8 +83,10 @@ class TestSnapshotDelta:
 
 class TestWireFormat:
     def test_delta_matches_the_pinned_literal(self):
-        """A sidecar written by an older tree of the same format version
-        must still merge, so the shipped parts stay byte for byte."""
+        """The literal shows any change to what a worker ships to the
+        parent: a field renamed, reordered or re-encoded fails here before
+        the fleet merge sees it, so a change to the wire format is a diff
+        of this test (and of ``DELTA_FORMAT_VERSION``), never a quiet one."""
         rec = ObsRecorder()
         record_workload(rec)
         rec.window_inc(30.0, "repro_serve_total", TIER)

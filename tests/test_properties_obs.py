@@ -132,12 +132,15 @@ class TestBucketRule:
     )
     def test_both_stores_refuse_an_unholdable_sample_untouched(self, value):
         """NaN, infinities and magnitudes past the fixed-point range raise
-        ``ObsError`` from both stores before any state changes: no torn
-        window cell, no NaN total, no bucket pin for a fresh name."""
+        ``ObsError`` from both stores, as a histogram sample or a counter
+        increment, before any state changes: no torn window cell, no empty
+        counter series, no NaN total, no bucket pin for a fresh name."""
         registry = MetricsRegistry()
         registry.observe("h", 3.0, buckets=BUCKETS)
+        registry.inc("c", value=2.0)
         ts = TimeSeriesBuffer()
         ts.observe(0.0, "h", 3.0, buckets=BUCKETS)
+        ts.inc(0.0, "c", value=2.0)
         before = (
             registry.snapshot_delta(drain=False),
             ts.snapshot_delta(drain=False),
@@ -147,6 +150,11 @@ class TestBucketRule:
                 registry.observe(name, value, buckets=BUCKETS)
             with pytest.raises(ObsError, match="cannot record"):
                 ts.observe(0.0, name, value, buckets=BUCKETS)
+        for name in ("c", "fresh"):
+            with pytest.raises(ObsError, match="cannot record"):
+                registry.inc(name, value=value)
+            with pytest.raises(ObsError, match="cannot record"):
+                ts.inc(0.0, name, value=value)
         after = (
             registry.snapshot_delta(drain=False),
             ts.snapshot_delta(drain=False),

@@ -564,34 +564,6 @@ class TestFleetObservability:
         diff = registry_diff(fleet.metrics, serial.metrics, ignore_prefixes=ignore)
         assert diff == []
 
-    def test_post_completion_death_salvaged_from_sidecar(
-        self, tmp_path, monkeypatch
-    ):
-        """A worker dying after its sidecar lands but before the result
-        message sends loses the pipe copy; the parent recovers the delta
-        from the sidecar and the retried attempt is counted too (the shard
-        genuinely ran twice)."""
-        from repro.runner import parallel as parallel_mod
-
-        serial_out, _ = self.in_memory_with_obs()
-
-        def die_after_sidecar(shard_id, attempt):
-            if shard_id == "s02" and attempt == 1:
-                os._exit(77)
-
-        monkeypatch.setattr(
-            parallel_mod, "_post_sidecar_test_hook", die_after_sidecar
-        )
-        fleet_out, fleet = self.run_with_obs(tmp_path / "fleet", 3)
-        assert fleet_out == serial_out
-        metrics = fleet.metrics
-        assert metrics.counter_value("repro_obs_deltas_salvaged_total") == 1.0
-        # 6 shards, s02 executed twice: once salvaged, once via the retry.
-        assert metrics.counter_value("repro_obstoy_shards_total") == 7.0
-        assert metrics.counter_value("repro_obstoy_value_total") == 51.0
-        # No sidecars left behind once the run ends.
-        assert not (tmp_path / "fleet" / "obs").exists()
-
     def test_event_log_records_the_run_lifecycle(self, tmp_path):
         from repro.obs.events import read_events
 
