@@ -229,7 +229,10 @@ class _Pool:
     ``busy`` maps each worker running a shard to that shard's id: it is
     the table's ``"running"`` rows seen from the worker side, added by
     :meth:`assign` and removed when the attempt completes or fails, so no
-    tick scans the whole table to find them.
+    tick scans the whole table to find them. ``gated`` holds the ids of
+    the queued rows a retry backoff may still hold back: added by
+    :meth:`_fail`, removed by :meth:`assign`. With ``busy`` it is all that
+    :meth:`wait_timeout` reads.
     """
 
     def __init__(
@@ -252,6 +255,7 @@ class _Pool:
         self.rec = get_recorder()
         self.shards = {shard_id: _ShardState() for shard_id in pending}
         self.busy: dict[int, str] = {}
+        self.gated: set[str] = set()
         self.workers: dict[int, _Worker] = {}
         self.next_wid = 0
         self.executed = 0
@@ -330,6 +334,7 @@ class _Pool:
             st.where, st.since = "running", now
             st.attempts += 1
             self.busy[worker.wid] = shard_id
+            self.gated.discard(shard_id)
             try:
                 worker.conn.send(("run", shard_id, st.attempts))
             except (OSError, ValueError):
@@ -346,11 +351,14 @@ class _Pool:
         limit = self.options.shard_deadline_s
         remaining = self.deadline.remaining_s()
         due = [] if remaining is None else [remaining]
-        for st in self.shards.values():
-            if st.where == "running" and limit is not None:
-                due.append(limit - (now - st.since))
-            elif st.where == "queued" and st.eligible_at > now:
-                due.append(st.eligible_at - now)
+        if limit is not None:
+            due.extend(
+                limit - (now - self.shards[sid].since) for sid in self.busy.values()
+            )
+        for shard_id in self.gated:
+            eligible_at = self.shards[shard_id].eligible_at
+            if eligible_at > now:
+                due.append(eligible_at - now)
         return min([_POLL_TIMEOUT_S, *(max(d, 0.01) for d in due)])
 
     def _wait(self, timeout: float) -> tuple[list[_Worker], list[_Worker]]:
@@ -507,6 +515,7 @@ class _Pool:
         )
         if self.draining is None:
             st.eligible_at = now + policy.backoff_ms(st.attempts) / 1000.0
+            self.gated.add(shard_id)
         st.where = "queued"
         self.shards[shard_id] = self.shards.pop(shard_id)  # to the back
 

@@ -8,10 +8,13 @@ Resolution order for a user request:
 
 :meth:`SpaceCdnLookup.resolve` is the one resolver of this ladder; the
 single-request :meth:`SpaceCdnLookup.lookup` and the duty-cycle model
-(:mod:`repro.spacecdn.dutycycle`) both call it. The cache searches share
-one in-range filter: :func:`nearest_cached_satellite` (one access
-satellite), :func:`ranked_cached_from_rows` (the serve walk's ranked rungs)
-and :func:`nearest_cached_batch` (aligned request rows).
+(:mod:`repro.spacecdn.dutycycle`) both call it, and it makes one
+:func:`nearest_cached_satellite` search for all of its distinct access
+satellites. The cache searches share one in-range filter:
+:func:`nearest_cached_satellite` (many access satellites, one routing pass
+stopped at each one's nearest cache), :func:`ranked_cached_from_rows` (the
+serve walk's ranked rungs) and :func:`nearest_cached_batch` (aligned
+request rows).
 
 The returned latencies are one-way path latencies from the user terminal;
 callers double them (plus server think time) for RTTs.
@@ -48,6 +51,17 @@ def _in_range(
     )
 
 
+def _cache_mask(
+    cache_satellites: frozenset[int] | set[int], num_nodes: int
+) -> np.ndarray:
+    """``(N,)`` boolean mask of the caching satellites; ids outside the
+    snapshot never qualify."""
+    ids = np.fromiter(cache_satellites, dtype=np.int64, count=len(cache_satellites))
+    mask = np.zeros(num_nodes, dtype=bool)
+    mask[ids[(ids >= 0) & (ids < num_nodes)]] = True
+    return mask
+
+
 def _candidates(
     hops: np.ndarray,
     latencies: np.ndarray,
@@ -60,42 +74,53 @@ def _candidates(
 
     Satellites outside the row (or already in ``exclude``) never qualify.
     """
-    candidates = np.sort(
-        np.fromiter(cache_satellites, dtype=np.int64, count=len(cache_satellites))
-    )
-    keep = (candidates >= 0) & (candidates < hops.shape[0])
+    keep = _cache_mask(cache_satellites, hops.shape[0])
     if exclude:
-        keep &= ~np.isin(candidates, list(exclude))
-    candidates = candidates[keep]
+        keep &= ~_cache_mask(exclude, hops.shape[0])
+    candidates = np.flatnonzero(keep)
     return candidates[
         _in_range(hops[candidates], latencies[candidates], max_hops, min_hops)
     ]
 
 
+def _cheapest(
+    eligible: np.ndarray, latencies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(found, best)`` per row: whether any ``eligible`` entry exists and
+    the cheapest one's index, the lowest on exact ties (``argmin`` over the
+    inf-masked row returns the first minimum)."""
+    best = np.where(eligible, latencies, np.inf).argmin(axis=1)
+    return eligible[np.arange(len(best)), best], best
+
+
 def nearest_cached_satellite(
     snapshot: SnapshotGraph,
-    access_satellite: int,
+    access_satellites: Iterable[int],
     cache_satellites: frozenset[int],
     max_hops: int,
-    min_hops: int = 0,
-) -> tuple[int, int, float] | None:
-    """(satellite, hops, one-way ISL ms) of the cheapest in-range cache.
+) -> list[tuple[int, int, float] | None]:
+    """(satellite, hops, one-way ISL ms) of the cheapest in-range cache,
+    one entry per access satellite.
 
-    One vectorised pass over the CSR core: hop counts bound the candidate
-    set, latency picks the winner (lowest index on exact ties). Satellites
-    outside the snapshot (or failed) never qualify. Returns ``None`` when
-    no cache is within ``max_hops``.
+    One batched :func:`~repro.topology.fastcore.single_source` pass over
+    the CSR core, stopped at each access satellite's nearest cache: hop
+    counts bound the candidate set, latency picks the winner (lowest index
+    on exact ties). Satellites outside the snapshot (or failed) never
+    qualify. An entry is ``None`` when no cache is within ``max_hops``.
     """
-    if not cache_satellites:
-        return None
+    access = list(access_satellites)
+    if not access or not cache_satellites:
+        return [None] * len(access)
+    mask = _cache_mask(cache_satellites, snapshot.core.num_nodes)
     hops, latencies = fastcore.single_source(
-        snapshot.core, access_satellite, snapshot.active_mask
+        snapshot.core, access, max_hops, mask, snapshot.active_mask
     )
-    candidates = _candidates(hops, latencies, cache_satellites, max_hops, min_hops)
-    if candidates.size == 0:
-        return None
-    best = int(candidates[np.argmin(latencies[candidates])])
-    return best, int(hops[best]), float(latencies[best])
+    eligible = mask & _in_range(hops, latencies, max_hops, 0)
+    found, best = _cheapest(eligible, latencies)
+    return [
+        (int(b), int(hops[i, b]), float(latencies[i, b])) if found[i] else None
+        for i, b in enumerate(best)
+    ]
 
 
 def ranked_cached_from_rows(
@@ -137,14 +162,10 @@ def nearest_cached_batch(
     boolean holders bitmap rows. Returns ``(found, best)``: ``found[r]``
     whether any in-range holder exists, ``best[r]`` its satellite index
     (meaningful only where ``found``). Ties on latency resolve to the
-    lowest satellite index — ``argmin`` over the inf-masked row returns the
-    first minimum.
+    lowest satellite index.
     """
     eligible = holders & _in_range(hops, latencies, max_hops, min_hops)
-    masked = np.where(eligible, latencies, np.inf)
-    best = masked.argmin(axis=1)
-    found = eligible[np.arange(len(best)), best]
-    return found, best
+    return _cheapest(eligible, latencies)
 
 
 class LookupSource(enum.Enum):
@@ -215,25 +236,30 @@ class SpaceCdnLookup:
 
         Each request is served by its access satellite when that caches,
         else by the cheapest cache within ``max_hops`` ISL hops (one
-        :func:`nearest_cached_satellite` search per distinct access
-        satellite), else by the ground fallback (half of
-        :data:`~repro.constants.GROUND_RTT_MS`, one way).
+        :func:`nearest_cached_satellite` search over every distinct access
+        satellite that does not cache), else by the ground fallback (half
+        of :data:`~repro.constants.GROUND_RTT_MS`, one way).
         """
-        nearest: dict[int, tuple[int, int, float] | None] = {}
-        results = []
+        requests = []
         for access, access_ms in zip(access_satellites, access_one_way_ms):
             access, access_ms = int(access), float(access_ms)
             if not math.isfinite(access_ms) or access_ms < 0:
                 raise RoutingError(
                     f"access latency must be finite and >= 0, got {access_ms}"
                 )
+            requests.append((access, access_ms))
+        relayed = list(
+            dict.fromkeys(a for a, _ in requests if a not in cache_satellites)
+        )
+        found = nearest_cached_satellite(
+            self.snapshot, relayed, cache_satellites, self.max_hops
+        )
+        nearest = dict(zip(relayed, found))
+        results = []
+        for access, access_ms in requests:
             if access in cache_satellites:
                 source, best = LookupSource.ACCESS_SATELLITE, (access, 0, 0.0)
             else:
-                if access not in nearest:
-                    nearest[access] = nearest_cached_satellite(
-                        self.snapshot, access, cache_satellites, self.max_hops
-                    )
                 source, best = LookupSource.ISL_NEIGHBOR, nearest[access]
             if best is None:
                 result = LookupResult(

@@ -13,6 +13,8 @@ array kernels instead of per-query graph traversals:
   h hops" ladder for many sources;
 * :func:`single_source_batch` — the serve walk's (hops, latencies) rows
   within a hop radius;
+* :func:`single_source` — the duty-cycle lookup's rows, searched only as
+  far as each source's nearest target;
 * :func:`nearest_hops` — multi-source BFS (hops to the nearest of a
   replica/holder set), the placement and resilience primitive.
 
@@ -46,7 +48,13 @@ latency search then runs with ``limit`` = the largest bound the caller
 needs (scipy's ``limit`` is inclusive). Dijkstra finalises satellites in
 latency order, so every satellite within the limit gets exactly the float
 of an unlimited search, and rows outside the radius read
-:data:`HOP_UNREACHABLE`/``inf``. :func:`single_source` keeps full rows.
+:data:`HOP_UNREACHABLE`/``inf``. :func:`single_source` (the duty-cycle
+lookup) needs only each source's cheapest target within the radius, so it
+walks each row's levels only down to the shallowest one holding a target,
+and the latency search stops at the largest of the rows' cheapest target
+bounds. The numpy backend stops its relaxation as soon as no entry
+improves to a value within the limit, since every entry within it is then
+final.
 
 Satellite failures are expressed as an ``active`` boolean mask: failed
 nodes neither relay nor terminate paths, matching graph routing on the
@@ -82,9 +90,6 @@ except Exception:  # pragma: no cover - exercised only without scipy
 
 HOP_UNREACHABLE = -1
 """Hop-count value marking satellites no path reaches."""
-
-_MEMO_MAX_SOURCES = 256
-"""Cap on per-snapshot memoised single-source results (~3 MB at Shell-1)."""
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,6 @@ class CsrSnapshot:
     link_latency_ms: np.ndarray
     link_active: np.ndarray | None = None
     _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -366,12 +370,20 @@ def _numpy_relax(
     active: np.ndarray | None,
     weighted: bool,
     min_only: bool,
+    limit: float = np.inf,
 ) -> np.ndarray:
     """Bellman-Ford-style min-plus iteration, vectorised over all sources.
 
     ``dist[s, v]`` relaxes through ``min_d dist[s, nbr[v, d]] + w[v, d]``;
-    positive weights guarantee convergence within the graph eccentricity,
-    detected by fixpoint.
+    positive weights guarantee convergence within the graph eccentricity.
+    The iteration stops once a sweep improves no entry to a value within
+    ``limit`` (at the fixpoint when ``limit`` is ``inf``). Every satellite
+    whose fixpoint distance is within ``limit`` is then final: otherwise
+    take the first satellite on its fixpoint predecessor chain that is
+    unfinished after the sweep. Its predecessor's entry is final and within
+    ``limit``, so the sweep did not improve it: it was final before the
+    sweep too, and the sweep set the satellite to its fixpoint value.
+    Entries beyond ``limit`` may be unfinished.
     """
     topo = core.topology
     n = topo.num_nodes
@@ -392,10 +404,9 @@ def _numpy_relax(
 
     for _ in range(n):
         candidate = np.min(dist[:, topo.neighbors] + weights, axis=2)
-        relaxed = np.minimum(dist, candidate)
-        if np.array_equal(relaxed, dist):
+        if not np.any((candidate < dist) & (candidate <= limit)):
             break
-        dist = relaxed
+        dist = np.minimum(dist, candidate)
     return dist
 
 
@@ -423,7 +434,9 @@ def _distances(
         )
         dist = np.atleast_2d(dist)
     else:
-        dist = _numpy_relax(core, src, mask, weighted, min_only)
+        dist = _numpy_relax(
+            core, src, mask, weighted, min_only, np.inf if limit is None else limit
+        )
         if limit is not None:
             dist[dist > limit] = np.inf
     if mask is not None:
@@ -549,25 +562,46 @@ def nearest_hops(
 
 def single_source(
     core: CsrSnapshot,
-    source: int,
+    sources: Sequence[int] | np.ndarray,
+    max_hops: int,
+    targets: np.ndarray,
     active: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(hop counts, latencies) from one source — memoised per snapshot.
+    """(hops, latencies) rows that hold each source's cheapest target.
 
-    The memo only applies to undegraded queries; degraded (masked) queries
-    are computed fresh since failure sets vary per call.
+    ``targets`` is an ``(N,)`` boolean mask. Returns ``(hops, latencies)``
+    of shapes ``(len(sources), N)``; the hop rows are those of
+    :func:`single_source_batch` (:data:`HOP_UNREACHABLE` beyond
+    ``max_hops``). Every finite latency is bit-identical to an unlimited
+    search, and in each row every target within ``max_hops`` hops that is
+    as cheap as the row's cheapest such target is finite. So the
+    minimum-latency target of each row, lowest index first, is the one a
+    full row picks.
+
+    One batched pass serves all sources. Each row walks
+    :func:`hop_path_bound` down to its shallowest level holding a target
+    (a row with none in range walks no level), and the latency search
+    stops at the largest of the rows' cheapest target bounds: the row's
+    cheapest target lies at or below each target's bound.
     """
-    if active is None:
-        memo = core._memo
-        cached = memo.get(int(source))
-        if cached is not None:
-            return cached
-    hops = hop_distances_batch(core, [source], active)[0]
-    lats = latency_batch(core, [source], active)[0]
-    if active is None:
-        if len(core._memo) >= _MEMO_MAX_SOURCES:
-            core._memo.clear()
-        core._memo[int(source)] = (hops, lats)
+    radius = _as_radius(max_hops)
+    mask = np.asarray(targets, dtype=bool)
+    if mask.shape != (core.num_nodes,):
+        raise RoutingError(
+            f"targets mask must have shape ({core.num_nodes},), got {mask.shape}"
+        )
+    hops = hop_distances_batch(core, sources, active, max_hops=radius)
+    reached = mask & (hops != HOP_UNREACHABLE)
+    # Each row's shallowest target level; HOP_UNREACHABLE where none is in
+    # range, which clips that row to nothing.
+    depth = np.where(reached, hops, np.iinfo(hops.dtype).max).min(axis=1)
+    depth[~reached.any(axis=1)] = HOP_UNREACHABLE
+    clipped = np.where(hops <= depth[:, None], hops, HOP_UNREACHABLE)
+    bound = np.where(reached, hop_path_bound(core, clipped), np.inf)
+    lats = latency_batch(
+        core, sources, active, limit=_largest_finite(bound.min(axis=1))
+    )
+    lats[hops == HOP_UNREACHABLE] = np.inf
     return hops, lats
 
 
@@ -577,12 +611,13 @@ def single_source_batch(
     max_hops: int,
     active: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`single_source` rows for many sources, within ``max_hops``.
+    """(hops, latencies) rows for many sources, within ``max_hops``.
 
     Returns ``(hops, latencies)`` of shapes ``(len(sources), N)``. At every
     satellite within ``max_hops`` hops of source ``i``, row ``i`` is
-    bit-identical to ``single_source(core, sources[i], active)``;
-    every other satellite reads :data:`HOP_UNREACHABLE` and ``inf``. One
+    bit-identical to the unlimited :func:`hop_distances_batch` and
+    :func:`latency_batch` rows; every other satellite reads
+    :data:`HOP_UNREACHABLE` and ``inf``. One
     batched pass serves all sources: the hop search stops at the radius
     and the latency search at the largest :func:`hop_path_bound` within
     it, which covers every satellite the radius holds.

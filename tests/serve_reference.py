@@ -29,6 +29,7 @@ from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.system import TIER_OF_SOURCE, ServedRequest, SystemStats
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
+from topology_reference import full_rows
 
 _BREAKER_OPEN = "breaker-open"
 
@@ -211,9 +212,7 @@ class ReferenceCdn:
                 rungs.append((source, sat.index, 0, rtt + CDN_SERVER_THINK_TIME_MS))
                 seen.add(sat.index)
         access_rtt = 2.0 * access_latency_ms(access.slant_range_km)
-        rows = fastcore.single_source(
-            degraded.core, access.index, degraded.active_mask
-        )
+        rows = full_rows(degraded.core, access.index, degraded.active_mask)
         for satellite, hops, one_way in ranked_cached_reference(
             *rows, holders, self.max_hops, min_hops=1, exclude=frozenset(seen)
         ):

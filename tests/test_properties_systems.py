@@ -1,12 +1,19 @@
 """Property-based tests on the system-level components."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.constants import CDN_SERVER_THINK_TIME_MS
+from repro.experiments import figure7
+from repro.experiments.shells import shell1_epochs, shell1_snapshot
+from repro.network.access import access_latency_ms
 from repro.orbits.elements import ShellConfig
+from repro.orbits.visibility import nearest_visible_satellites
+from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.spacecdn.dutycycle import DutyCycleScheduler
 from repro.spacecdn.resilience import random_failure_set
+from repro.topology import fastcore
 
 
 class TestDutyCycleProperties:
@@ -41,6 +48,64 @@ class TestDutyCycleProperties:
         scheduler = DutyCycleScheduler(total_satellites=10, cache_fraction=0.5)
         slot = scheduler.slot_index(t)
         assert slot * 600.0 <= t < (slot + 1) * 600.0
+
+
+class TestFigure7Properties:
+    """Fig. 7 per user: the RTT at 0, 3, 5 and 10 hops strictly rises.
+
+    The cheapest path to a satellite h+1 hops away passes a satellite h
+    hops away at a strictly lower latency, so the cheapest satellite at
+    exactly h hops is cheaper than the one at h+1. That holds for every
+    user, seed and epoch, and under failures too.
+    """
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.0, 0.05, 0.2]),
+    )
+    @example(seed=7, epoch_index=0, num_users=8, failed_fraction=0.0)
+    @example(seed=7, epoch_index=1, num_users=8, failed_fraction=0.0)
+    @settings(max_examples=25, deadline=None)
+    def test_per_user_rtt_strictly_rises_with_hops(
+        self, seed, epoch_index, num_users, failed_fraction
+    ):
+        epoch = shell1_epochs(5, seed)[epoch_index]
+        users = user_sample_points(seeded_rng(seed, 0x717, epoch_index), num_users)
+        if failed_fraction == 0.0:
+            # The shipped epoch shard: with no failures every hop count is
+            # present, so its per-curve lists align user by user.
+            samples = figure7.epoch_rtt_samples(epoch, users)
+            rtts = np.array([samples[n] for n in figure7.HOP_COUNTS]).T
+            assert rtts.shape == (num_users, len(figure7.HOP_COUNTS))
+        else:
+            snapshot = shell1_snapshot(epoch)
+            failed = random_failure_set(
+                len(snapshot.constellation),
+                failed_fraction,
+                np.random.default_rng(seed),
+            )
+            access, slant_km = nearest_visible_satellites(
+                snapshot.constellation, users, epoch
+            )
+            live = np.array([int(a) not in failed for a in access])
+            if not live.any():
+                return
+            active = np.ones(snapshot.core.num_nodes, dtype=bool)
+            active[list(failed)] = False
+            ladders = fastcore.hop_ladder_batch(
+                snapshot.core, access[live], max(figure7.HOP_COUNTS), active
+            )[:, list(figure7.HOP_COUNTS)]
+            rtts = (
+                2.0 * (access_latency_ms(slant_km[live])[:, None] + ladders)
+                + CDN_SERVER_THINK_TIME_MS
+            )
+        for row in rtts:
+            present = ~np.isnan(row)
+            # A hop count is reachable only if every smaller one is.
+            assert np.all(present[: np.count_nonzero(present)])
+            assert np.all(np.diff(row[present]) > 0.0)
 
 
 class TestResilienceProperties:

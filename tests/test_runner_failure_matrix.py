@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.errors import DeadlineExceededError, RunInterruptedError, RunnerError
@@ -24,7 +25,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs.recorder import ObsRecorder, recording
 from repro.runner.deadline import Deadline
 from repro.runner.engine import RunnerOptions
-from repro.runner.parallel import _Pool, _ShardState, _Worker
+from repro.runner.parallel import _POLL_TIMEOUT_S, _Pool, _ShardState, _Worker
 from repro.runner.shards import ExperimentPlan
 from repro.runner.store import CheckpointStore
 
@@ -284,6 +285,7 @@ class TestFailureMatrix:
             assert st.eligible_at == T1 + backoff_ms / 1000.0
         elif st.where == "queued":
             assert st.eligible_at == 0.0
+        assert pool.gated == ({"s00"} if expected.gated else set())
         store = pool.store
         assert ("s00" in store.completed_shards(("s00",))) == (st.where == "done")
         executed = MAX_SHARDS if event == "max-shards" else int(st.where == "done")
@@ -345,3 +347,96 @@ class TestFailureMatrix:
         assert metrics.counter_value("repro_matrix_shards_total") == 1.0
         assert metrics.counter_value("repro_obs_deltas_merged_total") == 1.0
         assert metrics.counter_value("repro_runner_worker_deaths_total") == 1.0
+
+
+def _scan_wait_timeout(pool: _Pool, now: float) -> float:
+    """The full-table scan :meth:`_Pool.wait_timeout` replaced: every
+    running row's watchdog and every queued row's backoff gate."""
+    limit = pool.options.shard_deadline_s
+    remaining = pool.deadline.remaining_s()
+    due = [] if remaining is None else [remaining]
+    for st in pool.shards.values():
+        if st.where == "running" and limit is not None:
+            due.append(limit - (now - st.since))
+        elif st.where == "queued" and st.eligible_at > now:
+            due.append(st.eligible_at - now)
+    return min([_POLL_TIMEOUT_S, *(max(d, 0.01) for d in due)])
+
+
+class TestWaitTimeout:
+    """``wait_timeout`` reads ``busy`` and the backoff-gated rows only, and
+    gives the timeout the full-table scan gave, on a fixed clock."""
+
+    JOBS = 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_full_table_scan(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        policy = RetryPolicy(max_attempts=3, backoff_base_ms=80.0, backoff_cap_ms=400.0)
+        shard_ids = tuple(f"s{i:02d}" for i in range(16))
+        plan = ExperimentPlan(
+            experiment="matrix",
+            config={"experiment": "matrix"},
+            shard_ids=shard_ids,
+            run_shard=lambda sid: {"value": 1},
+            merge=lambda payloads: len(payloads),
+            format=str,
+        )
+        options = RunnerOptions(
+            shard_deadline_s=0.5, jobs=self.JOBS, retry_policy=policy
+        )
+        pool = _Pool(
+            plan=plan,
+            store=CheckpointStore(tmp_path / "run"),
+            options=options,
+            pending=list(shard_ids),
+            deadline=Deadline(None),
+            guard=FakeGuard(),
+            already_done=0,
+        )
+        wids = iter(range(1000))
+        for _ in range(self.JOBS):
+            wid = next(wids)
+            pool.workers[wid] = fake_worker(wid)
+        now, probes = T0, 0
+        for _ in range(60):
+            pool.assign(now)
+            # Probe just before every due instant the scan knows of.
+            dues = [
+                st.since + options.shard_deadline_s
+                if st.where == "running"
+                else st.eligible_at
+                for st in pool.shards.values()
+                if st.where != "quarantined"
+            ]
+            if not dues:
+                break
+            for due in dues:
+                for lead in (0.003, 0.04, 0.09):
+                    if due - lead >= now:
+                        probe = due - lead
+                        assert pool.wait_timeout(probe) == _scan_wait_timeout(
+                            pool, probe
+                        )
+                        probes += 1
+            assert pool.wait_timeout(now) == _scan_wait_timeout(pool, now)
+            now += float(rng.uniform(0.0, 0.3))
+            for wid, shard_id in list(pool.busy.items()):
+                if pool.busy.get(wid) != shard_id:
+                    continue  # the watchdog of an earlier dispatch killed it
+                worker = pool.workers[wid]
+                attempt = pool.shards[shard_id].attempts
+                roll = rng.random()
+                if roll < 0.3:
+                    message = ("ok", wid, shard_id, attempt, {"value": 1}, 0.1, None)
+                elif roll < 0.6:
+                    message = ("err", wid, shard_id, attempt, "exception", "boom", None)
+                else:
+                    continue
+                worker.conn.inbox.append(message)
+                pool.dispatch([worker], [], now)
+            pool.dispatch([], [], now)  # the watchdog kills overdue workers
+            while len(pool.workers) < self.JOBS:
+                wid = next(wids)
+                pool.workers[wid] = fake_worker(wid)
+        assert probes > 50

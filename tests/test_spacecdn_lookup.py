@@ -16,11 +16,11 @@ from repro.spacecdn.lookup import (
 )
 from repro.topology import fastcore
 from serve_reference import ranked_cached_reference
-from topology_reference import networkx_view
+from topology_reference import full_rows, networkx_view
 
 
 def routing_rows(snapshot, source):
-    return fastcore.single_source(snapshot.core, source, snapshot.active_mask)
+    return full_rows(snapshot.core, source, snapshot.active_mask)
 
 
 def hop_distances(snapshot, source) -> dict[int, int]:
@@ -131,7 +131,7 @@ class TestRankedCachedSatellites:
         ranked = ranked_cached_from_rows(
             *routing_rows(small_snapshot, 0), holders, max_hops=16
         )
-        nearest = nearest_cached_satellite(small_snapshot, 0, holders, max_hops=16)
+        [nearest] = nearest_cached_satellite(small_snapshot, [0], holders, 16)
         assert ranked  # all holders reachable on a healthy +Grid
         assert ranked[0] == nearest
 

@@ -35,6 +35,7 @@ from serve_reference import (
     serve_cohorts,
     serve_each,
 )
+from topology_reference import full_rows
 
 CONSTELLATION = build_walker_delta(
     ShellConfig(
@@ -468,7 +469,7 @@ class TestBatchKernels:
             snapshot.core, sources, snapshot.core.num_nodes
         )
         for i, source in enumerate(sources):
-            hops, lats = fastcore.single_source(snapshot.core, source)
+            hops, lats = full_rows(snapshot.core, source)
             np.testing.assert_array_equal(hops_m[i], hops)
             np.testing.assert_array_equal(lats_m[i], lats)
 
@@ -484,7 +485,7 @@ class TestBatchKernels:
             snapshot.core, sources, snapshot.core.num_nodes, active
         )
         for i, source in enumerate(sources):
-            hops, lats = fastcore.single_source(snapshot.core, source, active)
+            hops, lats = full_rows(snapshot.core, source, active)
             np.testing.assert_array_equal(hops_m[i], hops)
             np.testing.assert_array_equal(lats_m[i], lats)
 

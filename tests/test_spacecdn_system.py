@@ -10,7 +10,7 @@ from repro.geo.datasets.cities import city_by_name
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
-from topology_reference import networkx_view
+from topology_reference import full_rows, networkx_view
 
 
 @pytest.fixture
@@ -112,11 +112,10 @@ class TestIslServing:
 
     def test_holder_beyond_max_hops_triggers_ground(self, system, shell1_constellation):
         from repro.orbits.visibility import nearest_visible_satellite
-        from repro.topology import fastcore
 
         snapshot = system.snapshot_at(0.0)
         access = nearest_visible_satellite(system.constellation, EQUATOR, 0.0).index
-        hops, _ = fastcore.single_source(snapshot.core, access, snapshot.active_mask)
+        hops, _ = full_rows(snapshot.core, access, snapshot.active_mask)
         far = int(np.flatnonzero(hops == 12)[0])
         system.preload({"obj-000006": frozenset({far})})
         result = system.serve(EQUATOR, "obj-000006", 0.0)

@@ -27,10 +27,12 @@ from repro.orbits.visibility import (
     nearest_visible_satellites,
 )
 from repro.orbits.walker import build_walker_delta
+from repro.spacecdn.lookup import nearest_cached_satellite
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
 from topology_reference import (
     ROUTING_BACKENDS,
+    full_rows,
     hop_distances_reference,
     latency_by_hop_count_reference,
     networkx_view,
@@ -88,17 +90,7 @@ def snapshot_cases(draw):
 
 
 def _single_source(snapshot, source):
-    return fastcore.single_source(snapshot.core, source, snapshot.active_mask)
-
-
-def _full_rows(core, source, mask):
-    """:func:`fastcore.single_source`'s rows, on the active backend: its
-    per-snapshot memo does not record the backend, which never changes at
-    run time."""
-    return (
-        fastcore.hop_distances_batch(core, [source], mask)[0],
-        fastcore.latency_batch(core, [source], mask)[0],
-    )
+    return full_rows(snapshot.core, source, snapshot.active_mask)
 
 
 class TestEquivalenceWithNetworkx:
@@ -232,9 +224,9 @@ class TestTranslatedHopRows:
         else:
             backend = fastcore._numpy_relax
 
-            def counted(core, sources, active, weighted, min_only):
+            def counted(core, sources, active, weighted, min_only, limit):
                 calls.extend([] if weighted else [1])
-                return backend(core, sources, active, weighted, min_only)
+                return backend(core, sources, active, weighted, min_only, limit)
 
             monkeypatch.setattr(fastcore, "_numpy_relax", counted)
         return calls
@@ -244,7 +236,7 @@ class TestTranslatedHopRows:
         calls = self._count_unweighted_calls(monkeypatch, backend)
         core = small_snapshot.core
         fastcore.hop_distances_batch(core, [0, 7])
-        fastcore.single_source(core, 9)
+        fastcore.single_source(core, [9], 4, np.arange(core.num_nodes) % 7 == 0)
         fastcore.hop_ladder_batch(core, [3], 4)
         assert calls == []
         mask = np.ones(core.num_nodes, dtype=bool)
@@ -268,9 +260,9 @@ def _full_ladder(hops, lats, max_hops):
 class TestHopRadius:
     """Bounded searches return the full-row floats wherever a caller reads.
 
-    Rows within the radius equal :func:`single_source`'s full rows bit for
-    bit; outside it they read unreachable/``inf``. Both backends, random
-    masks and random cut sets.
+    Rows within the radius equal unlimited rows (:func:`full_rows`) bit
+    for bit; outside it they read unreachable/``inf``. Both backends,
+    random masks and random cut sets.
     """
 
     @staticmethod
@@ -291,7 +283,7 @@ class TestHopRadius:
                 clipped = fastcore.hop_distances_batch(
                     core, sources, mask, max_hops=max_hops
                 )
-                full = [_full_rows(core, s, mask) for s in sources]
+                full = [full_rows(core, s, mask) for s in sources]
             for i, (full_hops, full_lats) in enumerate(full):
                 inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
                     full_hops <= max_hops
@@ -313,7 +305,7 @@ class TestHopRadius:
         for name in ROUTING_BACKENDS:
             with routing_backend(name):
                 ladder = fastcore.hop_ladder_batch(core, sources, max_hops, mask)
-                full = [_full_rows(core, s, mask) for s in sources]
+                full = [full_rows(core, s, mask) for s in sources]
             for i, (full_hops, full_lats) in enumerate(full):
                 np.testing.assert_array_equal(
                     ladder[i], _full_ladder(full_hops, full_lats, max_hops)
@@ -326,7 +318,7 @@ class TestHopRadius:
         core, mask = snapshot.core, snapshot.active_mask
         for name in ROUTING_BACKENDS:
             with routing_backend(name):
-                hops, lats = _full_rows(core, source, mask)
+                hops, lats = full_rows(core, source, mask)
             bound = fastcore.hop_path_bound(core, hops)
             finite = np.isfinite(bound)
             np.testing.assert_array_equal(finite, hops != fastcore.HOP_UNREACHABLE)
@@ -357,6 +349,9 @@ class TestHopRadius:
             fastcore.hop_ladder_batch(core, [0], max_hops)
         with pytest.raises(RoutingError, match="max_hops"):
             fastcore.single_source_batch(core, [0], max_hops)
+        targets = np.ones(core.num_nodes, dtype=bool)
+        with pytest.raises(RoutingError, match="max_hops"):
+            fastcore.single_source(core, [0], max_hops, targets)
 
     def test_numpy_integer_radius_accepted(self, small_snapshot):
         core = small_snapshot.core
@@ -366,6 +361,121 @@ class TestHopRadius:
             fastcore.hop_ladder_batch(core, [0], 3),
         )
         assert fastcore.single_source_batch(core, [0], radius)[0].max() == 3
+
+
+def _coarse(core):
+    """``core`` with every link latency rounded up to a whole 5 ms: paths
+    of equal latency abound, so nearest-target searches meet exact ties."""
+    return fastcore.CsrSnapshot(
+        topology=core.topology,
+        link_distance_km=core.link_distance_km,
+        link_latency_ms=np.ceil(core.link_latency_ms / 5.0) * 5.0,
+        link_active=core.link_active,
+    )
+
+
+def _nearest_in_full_row(hops, lats, targets, max_hops):
+    """Brute force: the cheapest target within ``max_hops`` of a full row,
+    lowest index on ties, as ``(satellite, hops, latency)``."""
+    best = None
+    for v in np.flatnonzero(targets):
+        if 0 <= hops[v] <= max_hops and np.isfinite(lats[v]):
+            if best is None or lats[v] < lats[best]:
+                best = v
+    return None if best is None else (int(best), int(hops[best]), float(lats[best]))
+
+
+class TestNearestTarget:
+    """:func:`fastcore.single_source` searches each row only as far as its
+    cheapest in-range target, yet picks the target a full row picks.
+
+    Both backends; random masks, cut sets, radii from 0 and target sets
+    (empty, every satellite, holding the sources, only beyond one source's
+    radius, random); optionally whole-5-ms link latencies for exact ties.
+    """
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        snapshot, source, _ = draw(snapshot_cases())
+        if draw(st.booleans()):
+            snapshot = replace(snapshot, core=_coarse(snapshot.core))
+        n = snapshot.core.num_nodes
+        live = sorted(snapshot.satellite_nodes())
+        sources = sorted({source, max(live), draw(st.sampled_from(live))})
+        max_hops = draw(st.integers(0, 12))
+        kind = draw(st.sampled_from(["empty", "all", "sources", "beyond", "random"]))
+        if kind == "empty":
+            targets = set()
+        elif kind == "all":
+            targets = set(range(n))
+        elif kind == "sources":
+            targets = set(sources) | draw(st.sets(st.integers(0, n - 1)))
+        elif kind == "beyond":
+            hops, _ = full_rows(snapshot.core, source, snapshot.active_mask)
+            targets = set(np.flatnonzero(hops > max_hops).tolist())
+        else:
+            targets = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        return snapshot, sources, max_hops, frozenset(targets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases())
+    def test_cheapest_target_equals_full_row_argmin(self, case):
+        snapshot, sources, max_hops, caches = case
+        core, mask = snapshot.core, snapshot.active_mask
+        targets = np.zeros(core.num_nodes, dtype=bool)
+        targets[list(caches)] = True
+        for name in ROUTING_BACKENDS:
+            with routing_backend(name):
+                hops, lats = fastcore.single_source(
+                    core, sources, max_hops, targets, mask
+                )
+                nearest = nearest_cached_satellite(
+                    snapshot, sources, caches, max_hops
+                )
+                full = [full_rows(core, s, mask) for s in sources]
+            for i, (full_hops, full_lats) in enumerate(full):
+                want = _nearest_in_full_row(full_hops, full_lats, targets, max_hops)
+                assert nearest[i] == want
+                inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
+                    full_hops <= max_hops
+                )
+                np.testing.assert_array_equal(
+                    hops[i], np.where(inside, full_hops, fastcore.HOP_UNREACHABLE)
+                )
+                finite = np.isfinite(lats[i])
+                assert not np.any(finite & ~inside)
+                np.testing.assert_array_equal(lats[i][finite], full_lats[finite])
+                if want is not None:
+                    assert lats[i][want[0]] == want[2]
+
+    def test_targets_mask_shape_checked(self, small_snapshot):
+        with pytest.raises(RoutingError, match="targets"):
+            fastcore.single_source(
+                small_snapshot.core, [0], 3, np.ones(3, dtype=bool)
+            )
+
+
+class TestNumpyEarlyStop:
+    """The numpy relaxation stops once no entry improves within the limit.
+
+    Results cannot show it (the kernels set entries past the limit to
+    ``inf``), so these read the relaxation's raw rows: past the limit they
+    are still unfinished, within it they equal the fixpoint.
+    """
+
+    @pytest.mark.parametrize(
+        "weighted, limit", [(True, 12.0), (False, 3.0)], ids=["latency", "hops"]
+    )
+    def test_stops_short_of_the_fixpoint(self, shell1_snapshot, weighted, limit):
+        core = shell1_snapshot.core
+        source = np.array([100])
+        full = fastcore._numpy_relax(core, source, None, weighted, False)[0]
+        early = fastcore._numpy_relax(core, source, None, weighted, False, limit)[0]
+        within = full <= limit
+        np.testing.assert_array_equal(early[within], full[within])
+        assert np.all(np.isfinite(full))
+        assert np.count_nonzero(np.isinf(early)) > core.num_nodes // 2
 
 
 class TestBatchedVisibility:
@@ -417,6 +527,11 @@ class TestValidationAndEdgeCases:
             fastcore.latency_batch,
             fastcore.hop_distances_batch,
             functools.partial(fastcore.single_source_batch, max_hops=5),
+            functools.partial(
+                fastcore.single_source,
+                max_hops=5,
+                targets=np.ones(core.num_nodes, dtype=bool),
+            ),
         ):
             with pytest.raises(RoutingError, match="integers"):
                 kernel(core, sources)
@@ -482,8 +597,3 @@ class TestValidationAndEdgeCases:
         assert np.isinf(lats[7])
         assert hops[7] == fastcore.HOP_UNREACHABLE
 
-    def test_single_source_memoised(self, small_constellation):
-        core = build_snapshot(small_constellation, 0.0).core
-        first = fastcore.single_source(core, 5)
-        again = fastcore.single_source(core, 5)
-        assert first[0] is again[0] and first[1] is again[1]

