@@ -1,16 +1,17 @@
-"""Benchmarks and the overhead guard for the observability layer.
+"""The overhead guard for the observability layer.
 
-``pytest benchmarks/bench_obs.py`` benchmarks the fastcore kernels with
-observability disabled (the default no-op recorder) and enabled, plus the
-guard asserting the disabled instrumentation costs at most 2% of a kernel
-call — the "zero-overhead by default" contract of :mod:`repro.obs`.
+``pytest benchmarks/bench_obs.py`` asserts that the disabled instrumentation
+(the default no-op recorder) costs at most 2% of a fastcore kernel call —
+the "zero-overhead by default" contract of :mod:`repro.obs`. Recording
+cost with observability enabled is timed end to end by bench_e2e's
+overload-obs workload.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.obs.recorder import ObsRecorder, get_recorder, recording
+from repro.obs.recorder import get_recorder
 from repro.orbits.elements import starlink_shell1
 from repro.orbits.walker import build_walker_delta
 from repro.topology import fastcore
@@ -65,24 +66,4 @@ def test_disabled_instrumentation_overhead_under_two_percent():
         f"disabled recorder costs {noop_s * 1e9:.0f} ns/call vs "
         f"{kernel_s * 1e6:.0f} us kernel: over the 2% budget"
     )
-
-
-def test_latency_batch_disabled(benchmark):
-    core = _core()
-    result = benchmark(lambda: fastcore.latency_batch(core, SOURCES))
-    assert result.shape == (len(SOURCES), 1584)
-
-
-def test_latency_batch_enabled(benchmark):
-    core = _core()
-    with recording(ObsRecorder()) as recorder:
-        result = benchmark(lambda: fastcore.latency_batch(core, SOURCES))
-    assert result.shape == (len(SOURCES), 1584)
-    assert recorder.profile.sites["fastcore.latency_batch"].calls >= 1
-
-
-def test_hop_ladder_batch_disabled(benchmark):
-    core = _core()
-    result = benchmark(lambda: fastcore.hop_ladder_batch(core, SOURCES, 8))
-    assert result.shape == (len(SOURCES), 9)
 

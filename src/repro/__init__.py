@@ -8,8 +8,8 @@ SpaceCDN system itself — on-satellite caching with hop-bounded ISL lookup,
 duty cycling, fault injection and overload protection.
 
 Constellation snapshots are immutable: one set of read-only CSR arrays per
-instant, routed by vectorised kernels. The runtime needs only numpy; scipy,
-when importable, accelerates the routing kernels.
+instant, routed by vectorised kernels. The runtime needs numpy and scipy,
+whose ``csgraph.dijkstra`` runs the routing searches.
 
 No package re-exports its modules' names, so a run loads only the modules
 it uses. Import each name from the module that defines it::

@@ -85,12 +85,15 @@ class DutyCycleLatencyModel:
     to be effectively unbounded. ``failed`` layers a
     fault set on top of the duty cycle: failed satellites neither cache nor
     relay nor accept terminals, so the chaos experiments can sweep outage
-    fractions over the Fig. 8 pipeline without touching it.
+    fractions over the Fig. 8 pipeline without touching it. ``caches`` is
+    the snapshot slot's cache set minus the failed satellites, drawn once
+    per model.
     """
 
     snapshot: SnapshotGraph
     scheduler: DutyCycleScheduler
     failed: frozenset[int] = frozenset()
+    caches: frozenset[int] = field(init=False, repr=False)
     _lookup: SpaceCdnLookup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,13 +105,12 @@ class DutyCycleLatencyModel:
             from repro.spacecdn.resilience import fail_satellites
 
             self.snapshot = fail_satellites(self.snapshot, self.failed)
+        self.caches = (
+            self.scheduler.active_caches_at(self.snapshot.t_s) - self.failed
+        )
         self._lookup = SpaceCdnLookup(
             snapshot=self.snapshot, max_hops=DUTY_CYCLE_MAX_HOPS
         )
-
-    def _active_caches(self) -> frozenset[int]:
-        """The duty-cycle cache set minus satellites lost to faults."""
-        return self.scheduler.active_caches_at(self.snapshot.t_s) - self.failed
 
     def lookup(
         self,
@@ -134,7 +136,7 @@ class DutyCycleLatencyModel:
             result = self._lookup.lookup(
                 access.index,
                 access_latency_ms(access.slant_range_km),
-                self._active_caches(),
+                self.caches,
             )
         _count_sources(rec, [result])
         return result
@@ -188,7 +190,7 @@ class DutyCycleLatencyModel:
                         access_idx[i] = live.index
                         slant_km[i] = live.slant_range_km
             results = self._lookup.resolve(
-                access_idx, access_latency_ms(slant_km), self._active_caches()
+                access_idx, access_latency_ms(slant_km), self.caches
             )
         _count_sources(rec, results)
         return np.array([result.one_way_ms for result in results], dtype=float)

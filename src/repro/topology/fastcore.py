@@ -18,12 +18,9 @@ array kernels instead of per-query graph traversals:
 * :func:`nearest_hops` — multi-source BFS (hops to the nearest of a
   replica/holder set), the placement and resilience primitive.
 
-Two interchangeable backends produce identical results: a
-``scipy.sparse.csgraph`` fast path (used whenever scipy is importable,
-:data:`HAVE_SCIPY` — it is an optional accelerator, never a hard
-dependency) and a pure-numpy min-plus relaxation over a padded neighbour
-matrix, which exploits the grid's bounded degree (four ISL terminals per
-satellite).
+Searches run on ``scipy.sparse.csgraph.dijkstra`` over a CSR matrix of the
+snapshot's live links, cached per snapshot for the undegraded case; hop
+counts use the same matrix unweighted.
 
 Hop counts on an intact grid need one search per shell, not one per
 source. :func:`plus_grid_links` wires (p, s) to (p, s+1 mod S) and to
@@ -33,8 +30,8 @@ source. :func:`plus_grid_links` wires (p, s) to (p, s+1 mod S) and to
 ``hops[a, v] = hops[0, τ_a⁻¹(v)]``. :func:`csr_topology` stores one BFS
 row from satellite 0, and undegraded hop queries gather each source's row
 from it by index arithmetic. A query with an ``active`` mask or on a core
-with cut links breaks the symmetry, so it runs a BFS on one of the
-backends above.
+with cut links breaks the symmetry, so it runs a BFS (an unweighted
+Dijkstra search).
 
 Callers that read only a hop radius search only that far.
 :func:`single_source_batch` (the serve walk) needs every satellite within
@@ -52,9 +49,7 @@ of an unlimited search, and rows outside the radius read
 lookup) needs only each source's cheapest target within the radius, so it
 walks each row's levels only down to the shallowest one holding a target,
 and the latency search stops at the largest of the rows' cheapest target
-bounds. The numpy backend stops its relaxation as soon as no entry
-improves to a value within the limit, since every entry within it is then
-final.
+bounds.
 
 Satellite failures are expressed as an ``active`` boolean mask: failed
 nodes neither relay nor terminate paths, matching graph routing on the
@@ -71,6 +66,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.constants import ISL_HOP_PROCESSING_MS, SPEED_OF_LIGHT_KM_S
 from repro.errors import RoutingError
@@ -78,15 +75,6 @@ from repro.obs.recorder import get_recorder
 from repro.orbits.elements import ShellConfig
 from repro.topology.isl import plus_grid_links
 
-try:  # Optional accelerator; the numpy backend is always available.
-    from scipy.sparse import csr_matrix as _scipy_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    _scipy_csr_matrix = None
-    _scipy_dijkstra = None
-    HAVE_SCIPY = False
 
 HOP_UNREACHABLE = -1
 """Hop-count value marking satellites no path reaches."""
@@ -99,7 +87,8 @@ class CsrTopology:
     Directed slot ``k`` is the edge ``slot_row[k] -> indices[k]`` carrying
     undirected link ``slot_link[k]``; ``neighbors``/``neighbor_link`` are the
     same structure padded to a dense ``(N, max_degree)`` matrix (pad slots
-    hold a safe node index and link id ``-1``) for the numpy kernels.
+    hold a safe node index and link id ``-1``) for the level-by-level walks
+    (:func:`hop_path_bound` and the origin BFS).
     ``grid_shape`` is (planes, slots per plane) and ``origin_hops`` the
     hop row from satellite 0, from which every undegraded hop row is a
     translation (see the module docstring).
@@ -206,7 +195,7 @@ class CsrSnapshot:
     """Per-instant link weights over a shell's static CSR topology.
 
     ``link_active`` (when not ``None``) marks ISLs cut by a fault schedule:
-    inactive links carry nothing in either backend, exactly as if the edge
+    inactive links carry nothing in any search, exactly as if the edge
     were absent from the graph.
     """
 
@@ -319,7 +308,7 @@ def _as_active(core: CsrSnapshot, active) -> np.ndarray | None:
     return mask
 
 
-# -- scipy backend ------------------------------------------------------------
+# -- search graph -------------------------------------------------------------
 
 
 def _scipy_graph(core: CsrSnapshot, active: np.ndarray | None):
@@ -349,7 +338,7 @@ def _scipy_graph(core: CsrSnapshot, active: np.ndarray | None):
     return matrix
 
 
-# -- numpy backend: min-plus relaxation over the padded neighbour matrix -----
+# -- padded neighbour weights -------------------------------------------------
 
 
 def _padded_latencies(core: CsrSnapshot) -> np.ndarray:
@@ -362,52 +351,6 @@ def _padded_latencies(core: CsrSnapshot) -> np.ndarray:
     if core.link_active is not None:
         weights = np.where(core.link_active[safe_link], weights, np.inf)
     return weights
-
-
-def _numpy_relax(
-    core: CsrSnapshot,
-    sources: np.ndarray,
-    active: np.ndarray | None,
-    weighted: bool,
-    min_only: bool,
-    limit: float = np.inf,
-) -> np.ndarray:
-    """Bellman-Ford-style min-plus iteration, vectorised over all sources.
-
-    ``dist[s, v]`` relaxes through ``min_d dist[s, nbr[v, d]] + w[v, d]``;
-    positive weights guarantee convergence within the graph eccentricity.
-    The iteration stops once a sweep improves no entry to a value within
-    ``limit`` (at the fixpoint when ``limit`` is ``inf``). Every satellite
-    whose fixpoint distance is within ``limit`` is then final: otherwise
-    take the first satellite on its fixpoint predecessor chain that is
-    unfinished after the sweep. Its predecessor's entry is final and within
-    ``limit``, so the sweep did not improve it: it was final before the
-    sweep too, and the sweep set the satellite to its fixpoint value.
-    Entries beyond ``limit`` may be unfinished.
-    """
-    topo = core.topology
-    n = topo.num_nodes
-    num_rows = 1 if min_only else len(sources)
-    dist = np.full((num_rows, n), np.inf)
-    if min_only:
-        dist[0, sources] = 0.0
-    else:
-        dist[np.arange(len(sources)), sources] = 0.0
-    if topo.max_degree == 0:
-        return dist
-
-    weights = _padded_latencies(core)
-    if not weighted:
-        weights = np.where(np.isinf(weights), np.inf, 1.0)
-    if active is not None:
-        weights = np.where(active[:, None], weights, np.inf)
-
-    for _ in range(n):
-        candidate = np.min(dist[:, topo.neighbors] + weights, axis=2)
-        if not np.any((candidate < dist) & (candidate <= limit)):
-            break
-        dist = np.minimum(dist, candidate)
-    return dist
 
 
 # -- public kernels -----------------------------------------------------------
@@ -423,22 +366,15 @@ def _distances(
 ) -> np.ndarray:
     mask = _as_active(core, active)
     src = _as_sources(core, sources, mask)
-    if HAVE_SCIPY:
-        graph = _scipy_graph(core, mask)
-        dist = _scipy_dijkstra(
-            graph,
+    dist = np.atleast_2d(
+        _scipy_dijkstra(
+            _scipy_graph(core, mask),
             indices=src,
             unweighted=not weighted,
             min_only=min_only,
             limit=np.inf if limit is None else limit,
         )
-        dist = np.atleast_2d(dist)
-    else:
-        dist = _numpy_relax(
-            core, src, mask, weighted, min_only, np.inf if limit is None else limit
-        )
-        if limit is not None:
-            dist[dist > limit] = np.inf
+    )
     if mask is not None:
         dist[:, ~mask] = np.inf
     return dist
@@ -474,7 +410,7 @@ def hop_distances_batch(
     :data:`HOP_UNREACHABLE`. On an undegraded core (no ``active`` mask, no
     cut links) each row is the stored satellite-0 row translated by the
     source's (plane, slot), because the +Grid looks the same from every
-    satellite; no backend runs. Any mask, even an all-True one, and any cut
+    satellite; no search runs. Any mask, even an all-True one, and any cut
     link fall back to a BFS, stopped at ``max_hops``.
     """
     radius = None if max_hops is None else _as_radius(max_hops)

@@ -12,7 +12,6 @@ from repro.faults.processes import FlashCrowdProcess, OutageWindow, TransientAtt
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule, FaultView, apply_fault_view
 from repro.topology import fastcore
-from topology_reference import routing_backend
 
 
 class TestOutageWindow:
@@ -108,20 +107,6 @@ class TestApplyFaultView:
         )
 
 class TestDegradeCoreBackends:
-    @pytest.mark.skipif(not fastcore.HAVE_SCIPY, reason="scipy not importable")
-    def test_backends_agree_on_degraded_core(self, small_snapshot):
-        core = small_snapshot.core
-        num_links = core.topology.num_links
-        rng = np.random.default_rng(0)
-        cut = tuple(int(l) for l in rng.choice(num_links, size=5, replace=False))
-        degraded = fastcore.degrade_core(core, cut)
-        for kernel in (fastcore.hop_distances_batch, fastcore.latency_batch):
-            with routing_backend("numpy"):
-                numpy_rows = kernel(degraded, [0, 3])
-            with routing_backend("scipy"):
-                scipy_rows = kernel(degraded, [0, 3])
-            np.testing.assert_allclose(numpy_rows, scipy_rows, atol=1e-9)
-
     def test_original_core_untouched(self, small_snapshot):
         core = small_snapshot.core
         before = core.link_latency_ms.copy()

@@ -106,6 +106,26 @@ class TestLatencyModel:
 
         assert median_latency(0.1) > median_latency(0.9)
 
+    def test_cache_set_drawn_once_per_model(self, shell1_snapshot, monkeypatch):
+        draws = []
+        draw = DutyCycleScheduler.active_caches
+
+        def counted(scheduler, slot):
+            draws.append(slot)
+            return draw(scheduler, slot)
+
+        monkeypatch.setattr(DutyCycleScheduler, "active_caches", counted)
+        model = DutyCycleLatencyModel(
+            snapshot=shell1_snapshot,
+            scheduler=DutyCycleScheduler(
+                total_satellites=len(shell1_snapshot.constellation),
+                cache_fraction=0.3,
+            ),
+        )
+        for lon in (-120.0, -60.0, 0.0, 60.0, 120.0):
+            model.one_way_ms(GeoPoint(20.0, lon))
+        assert draws == [0]
+
     def test_mismatched_fleet_size_rejected(self, shell1_snapshot):
         with pytest.raises(ConfigurationError):
             DutyCycleLatencyModel(
@@ -142,7 +162,7 @@ class TestFaultsOverDutyCycle:
             snapshot=shell1_snapshot, scheduler=scheduler, failed=failed
         )
         # Every slot-0 cache failed: the active set must be disjoint from it.
-        assert model._active_caches() == frozenset()
+        assert model.caches == frozenset()
 
     def test_failed_access_satellite_rehomes_user(self, shell1_snapshot):
         import numpy as np

@@ -4,8 +4,8 @@ The fastcore kernels are only trustworthy if they agree with the per-query
 ``networkx`` traversals of ``topology_reference.py`` on *every* input — random shells, random
 epochs, random sources and random failure sets — so the equivalence is
 asserted property-style with hypothesis rather than on a few hand-picked
-cases. Hop counts must match exactly; latencies to 1e-9 ms (the backends
-may sum path weights in different orders).
+cases. Hop counts must match exactly; latencies to 1e-9 ms (networkx and
+scipy may sum path weights in different orders).
 """
 
 from __future__ import annotations
@@ -31,23 +31,14 @@ from repro.spacecdn.lookup import nearest_cached_satellite
 from repro.topology import fastcore
 from repro.topology.graph import build_snapshot
 from topology_reference import (
-    ROUTING_BACKENDS,
     full_rows,
     hop_distances_reference,
     latency_by_hop_count_reference,
     networkx_view,
-    routing_backend,
     satellite_latencies_reference,
 )
 
 LATENCY_ATOL = 1e-9
-
-
-@pytest.fixture
-def backend(request):
-    """The routing backend named by an indirect parametrisation."""
-    with routing_backend(request.param):
-        yield request.param
 
 
 def _shell(num_planes: int, sats_per_plane: int, phase_offset: int) -> ShellConfig:
@@ -160,80 +151,42 @@ class TestEquivalenceWithNetworkx:
                 assert got[node] == best
 
 
-class TestBackendAgreement:
-    @pytest.mark.skipif(not fastcore.HAVE_SCIPY, reason="scipy not importable")
-    @settings(max_examples=20, deadline=None)
-    @given(snapshot_cases())
-    def test_numpy_and_scipy_agree(self, case):
-        snapshot, source, _ = case
-        core, mask = snapshot.core, snapshot.active_mask
-        sources = [source, 0] if snapshot.has_satellite(0) else [source]
-        rows = {}
-        for name in ("numpy", "scipy"):
-            with routing_backend(name):
-                rows[name] = (
-                    fastcore.hop_distances_batch(core, sources, mask),
-                    fastcore.latency_batch(core, sources, mask),
-                )
-        np.testing.assert_array_equal(rows["numpy"][0], rows["scipy"][0])
-        np.testing.assert_allclose(
-            rows["numpy"][1], rows["scipy"][1], atol=LATENCY_ATOL
-        )
-
-
 class TestTranslatedHopRows:
     """Undegraded hop rows are satellite 0's row translated by (plane, slot).
 
-    Any ``active`` mask, even an all-True one, forces the BFS backends, so
-    an all-True mask gives the rows to compare against.
+    Any ``active`` mask, even an all-True one, forces a BFS, so an
+    all-True mask gives the rows to compare against.
     """
 
     SOURCE_STRIDE = 13
     """Coprime to every preset's plane and slot counts, so a strided subset
     still starts from every plane and every slot residue it can."""
 
-    @pytest.mark.parametrize("backend", ROUTING_BACKENDS, indirect=True)
     @pytest.mark.parametrize(
         "config",
         all_shell_presets() + (small_constellation().config,),
         ids=lambda config: config.name,
     )
-    def test_equal_to_bfs_on_every_preset(self, config, backend):
+    def test_equal_to_bfs_on_every_preset(self, config):
         core = build_snapshot(build_walker_delta(config), 311.0).core
         n = core.num_nodes
         sources = np.arange(n)
-        every_source = n <= 48 or (backend == "scipy" and config == starlink_shell1())
-        if not every_source:
+        if n > 48 and config != starlink_shell1():
             sources = sources[:: self.SOURCE_STRIDE]
         translated = fastcore.hop_distances_batch(core, sources)
         bfs = fastcore.hop_distances_batch(core, sources, np.ones(n, dtype=bool))
         assert translated.dtype == bfs.dtype == np.int32
         np.testing.assert_array_equal(translated, bfs)
 
-    @staticmethod
-    def _count_unweighted_calls(monkeypatch, backend: str) -> list[int]:
+    def test_undegraded_queries_run_no_bfs(self, small_snapshot, monkeypatch):
         calls: list[int] = []
-        if backend == "scipy":
-            backend = fastcore._scipy_dijkstra
+        dijkstra = fastcore._scipy_dijkstra
 
-            def counted(*args, **kwargs):
-                calls.extend([1] if kwargs["unweighted"] else [])
-                return backend(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.extend([1] if kwargs["unweighted"] else [])
+            return dijkstra(*args, **kwargs)
 
-            monkeypatch.setattr(fastcore, "_scipy_dijkstra", counted)
-        else:
-            backend = fastcore._numpy_relax
-
-            def counted(core, sources, active, weighted, min_only, limit):
-                calls.extend([] if weighted else [1])
-                return backend(core, sources, active, weighted, min_only, limit)
-
-            monkeypatch.setattr(fastcore, "_numpy_relax", counted)
-        return calls
-
-    @pytest.mark.parametrize("backend", ROUTING_BACKENDS, indirect=True)
-    def test_undegraded_queries_run_no_bfs(self, small_snapshot, monkeypatch, backend):
-        calls = self._count_unweighted_calls(monkeypatch, backend)
+        monkeypatch.setattr(fastcore, "_scipy_dijkstra", counted)
         core = small_snapshot.core
         fastcore.hop_distances_batch(core, [0, 7])
         fastcore.single_source(core, [9], 4, np.arange(core.num_nodes) % 7 == 0)
@@ -261,8 +214,8 @@ class TestHopRadius:
     """Bounded searches return the full-row floats wherever a caller reads.
 
     Rows within the radius equal unlimited rows (:func:`full_rows`) bit
-    for bit; outside it they read unreachable/``inf``. Both backends,
-    random masks and random cut sets.
+    for bit; outside it they read unreachable/``inf``. Random masks and
+    random cut sets.
     """
 
     @staticmethod
@@ -277,24 +230,22 @@ class TestHopRadius:
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
         sources = self._sources(snapshot, source)
-        for name in ROUTING_BACKENDS:
-            with routing_backend(name):
-                hops, lats = fastcore.single_source_batch(core, sources, max_hops, mask)
-                clipped = fastcore.hop_distances_batch(
-                    core, sources, mask, max_hops=max_hops
-                )
-                full = [full_rows(core, s, mask) for s in sources]
-            for i, (full_hops, full_lats) in enumerate(full):
-                inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
-                    full_hops <= max_hops
-                )
-                np.testing.assert_array_equal(hops[i][inside], full_hops[inside])
-                np.testing.assert_array_equal(lats[i][inside], full_lats[inside])
-                assert np.all(hops[i][~inside] == fastcore.HOP_UNREACHABLE)
-                assert np.all(np.isinf(lats[i][~inside]))
-                np.testing.assert_array_equal(
-                    clipped[i], np.where(inside, full_hops, fastcore.HOP_UNREACHABLE)
-                )
+        hops, lats = fastcore.single_source_batch(core, sources, max_hops, mask)
+        clipped = fastcore.hop_distances_batch(
+            core, sources, mask, max_hops=max_hops
+        )
+        full = [full_rows(core, s, mask) for s in sources]
+        for i, (full_hops, full_lats) in enumerate(full):
+            inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
+                full_hops <= max_hops
+            )
+            np.testing.assert_array_equal(hops[i][inside], full_hops[inside])
+            np.testing.assert_array_equal(lats[i][inside], full_lats[inside])
+            assert np.all(hops[i][~inside] == fastcore.HOP_UNREACHABLE)
+            assert np.all(np.isinf(lats[i][~inside]))
+            np.testing.assert_array_equal(
+                clipped[i], np.where(inside, full_hops, fastcore.HOP_UNREACHABLE)
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(snapshot_cases(), st.integers(0, 12))
@@ -302,43 +253,37 @@ class TestHopRadius:
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
         sources = self._sources(snapshot, source)
-        for name in ROUTING_BACKENDS:
-            with routing_backend(name):
-                ladder = fastcore.hop_ladder_batch(core, sources, max_hops, mask)
-                full = [full_rows(core, s, mask) for s in sources]
-            for i, (full_hops, full_lats) in enumerate(full):
-                np.testing.assert_array_equal(
-                    ladder[i], _full_ladder(full_hops, full_lats, max_hops)
-                )
+        ladder = fastcore.hop_ladder_batch(core, sources, max_hops, mask)
+        full = [full_rows(core, s, mask) for s in sources]
+        for i, (full_hops, full_lats) in enumerate(full):
+            np.testing.assert_array_equal(
+                ladder[i], _full_ladder(full_hops, full_lats, max_hops)
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(snapshot_cases())
     def test_path_bound_never_below_dijkstra(self, case):
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
-        for name in ROUTING_BACKENDS:
-            with routing_backend(name):
-                hops, lats = full_rows(core, source, mask)
-            bound = fastcore.hop_path_bound(core, hops)
-            finite = np.isfinite(bound)
-            np.testing.assert_array_equal(finite, hops != fastcore.HOP_UNREACHABLE)
-            assert np.all(bound[finite] >= lats[finite])
+        hops, lats = full_rows(core, source, mask)
+        bound = fastcore.hop_path_bound(core, hops)
+        finite = np.isfinite(bound)
+        np.testing.assert_array_equal(finite, hops != fastcore.HOP_UNREACHABLE)
+        assert np.all(bound[finite] >= lats[finite])
 
     @settings(max_examples=30, deadline=None)
     @given(snapshot_cases(), st.data())
     def test_limit_equal_to_a_distance_keeps_it(self, case, data):
         snapshot, source, _ = case
         core, mask = snapshot.core, snapshot.active_mask
-        for name in ROUTING_BACKENDS:
-            with routing_backend(name):
-                full = fastcore.latency_batch(core, [source], mask)[0]
-                target = data.draw(st.sampled_from(np.flatnonzero(np.isfinite(full))))
-                limit = float(full[target])
-                limited = fastcore.latency_batch(core, [source], mask, limit=limit)[0]
-            assert limited[target] == full[target]
-            within = full <= limit
-            np.testing.assert_array_equal(limited[within], full[within])
-            assert np.all(np.isinf(limited[~within]))
+        full = fastcore.latency_batch(core, [source], mask)[0]
+        target = data.draw(st.sampled_from(np.flatnonzero(np.isfinite(full))))
+        limit = float(full[target])
+        limited = fastcore.latency_batch(core, [source], mask, limit=limit)[0]
+        assert limited[target] == full[target]
+        within = full <= limit
+        np.testing.assert_array_equal(limited[within], full[within])
+        assert np.all(np.isinf(limited[~within]))
 
     @pytest.mark.parametrize(
         "max_hops", [2.5, 2.0, True, "3", None, -1], ids=repr
@@ -389,7 +334,7 @@ class TestNearestTarget:
     """:func:`fastcore.single_source` searches each row only as far as its
     cheapest in-range target, yet picks the target a full row picks.
 
-    Both backends; random masks, cut sets, radii from 0 and target sets
+    Random masks, cut sets, radii from 0 and target sets
     (empty, every satellite, holding the sources, only beyond one source's
     radius, random); optionally whole-5-ms link latencies for exact ties.
     """
@@ -425,57 +370,33 @@ class TestNearestTarget:
         core, mask = snapshot.core, snapshot.active_mask
         targets = np.zeros(core.num_nodes, dtype=bool)
         targets[list(caches)] = True
-        for name in ROUTING_BACKENDS:
-            with routing_backend(name):
-                hops, lats = fastcore.single_source(
-                    core, sources, max_hops, targets, mask
-                )
-                nearest = nearest_cached_satellite(
-                    snapshot, sources, caches, max_hops
-                )
-                full = [full_rows(core, s, mask) for s in sources]
-            for i, (full_hops, full_lats) in enumerate(full):
-                want = _nearest_in_full_row(full_hops, full_lats, targets, max_hops)
-                assert nearest[i] == want
-                inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
-                    full_hops <= max_hops
-                )
-                np.testing.assert_array_equal(
-                    hops[i], np.where(inside, full_hops, fastcore.HOP_UNREACHABLE)
-                )
-                finite = np.isfinite(lats[i])
-                assert not np.any(finite & ~inside)
-                np.testing.assert_array_equal(lats[i][finite], full_lats[finite])
-                if want is not None:
-                    assert lats[i][want[0]] == want[2]
+        hops, lats = fastcore.single_source(
+            core, sources, max_hops, targets, mask
+        )
+        nearest = nearest_cached_satellite(
+            snapshot, sources, caches, max_hops
+        )
+        full = [full_rows(core, s, mask) for s in sources]
+        for i, (full_hops, full_lats) in enumerate(full):
+            want = _nearest_in_full_row(full_hops, full_lats, targets, max_hops)
+            assert nearest[i] == want
+            inside = (full_hops != fastcore.HOP_UNREACHABLE) & (
+                full_hops <= max_hops
+            )
+            np.testing.assert_array_equal(
+                hops[i], np.where(inside, full_hops, fastcore.HOP_UNREACHABLE)
+            )
+            finite = np.isfinite(lats[i])
+            assert not np.any(finite & ~inside)
+            np.testing.assert_array_equal(lats[i][finite], full_lats[finite])
+            if want is not None:
+                assert lats[i][want[0]] == want[2]
 
     def test_targets_mask_shape_checked(self, small_snapshot):
         with pytest.raises(RoutingError, match="targets"):
             fastcore.single_source(
                 small_snapshot.core, [0], 3, np.ones(3, dtype=bool)
             )
-
-
-class TestNumpyEarlyStop:
-    """The numpy relaxation stops once no entry improves within the limit.
-
-    Results cannot show it (the kernels set entries past the limit to
-    ``inf``), so these read the relaxation's raw rows: past the limit they
-    are still unfinished, within it they equal the fixpoint.
-    """
-
-    @pytest.mark.parametrize(
-        "weighted, limit", [(True, 12.0), (False, 3.0)], ids=["latency", "hops"]
-    )
-    def test_stops_short_of_the_fixpoint(self, shell1_snapshot, weighted, limit):
-        core = shell1_snapshot.core
-        source = np.array([100])
-        full = fastcore._numpy_relax(core, source, None, weighted, False)[0]
-        early = fastcore._numpy_relax(core, source, None, weighted, False, limit)[0]
-        within = full <= limit
-        np.testing.assert_array_equal(early[within], full[within])
-        assert np.all(np.isfinite(full))
-        assert np.count_nonzero(np.isinf(early)) > core.num_nodes // 2
 
 
 class TestBatchedVisibility:

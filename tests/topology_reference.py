@@ -15,21 +15,18 @@ against (``test_topology_fastcore.py``):
   kernels themselves, the oracle the bounded searches are pinned to;
 * :class:`GraphPathRouter` — terminal -> space segment -> gateway -> PoP
   routed over the actual graph, the high-fidelity cross-check of the
-  analytic bent-pipe model (:mod:`repro.network.bentpipe`);
-* :func:`routing_backend` — run the kernels on one chosen backend.
+  analytic bent-pipe model (:mod:`repro.network.bentpipe`).
 
 Node naming: satellites are integer indices; ground nodes are strings.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from typing import Hashable
 
 import networkx as nx
 import numpy as np
-import pytest
 
 from repro.constants import MIN_ELEVATION_GS_DEG, MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError, RoutingError, VisibilityError
@@ -42,22 +39,6 @@ from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph
 from repro.topology.ground import GroundSegment
 
-ROUTING_BACKENDS = ("numpy", "scipy") if fastcore.HAVE_SCIPY else ("numpy",)
-"""The fastcore backends this interpreter can run."""
-
-
-@contextlib.contextmanager
-def routing_backend(name: str) -> Iterator[None]:
-    """Run every fastcore kernel on backend ``name`` inside the block.
-
-    The kernels take no backend argument: they use scipy whenever
-    ``fastcore.HAVE_SCIPY`` holds, so this patches that flag.
-    """
-    if name not in ROUTING_BACKENDS:
-        raise ValueError(f"routing backend {name!r} is not available here")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastcore, "HAVE_SCIPY", name == "scipy")
-        yield
 
 # -- graph views ---------------------------------------------------------------
 
@@ -151,9 +132,9 @@ def shortest_path(graph: nx.Graph, src: Hashable, dst: Hashable) -> RouteResult:
 def full_rows(
     core: fastcore.CsrSnapshot, source: int, active=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(hops, latencies)`` of one source to every satellite, unlimited,
-    on the active backend: no hop radius and no latency limit, so every
-    reachable satellite holds its exact hop count and latency float."""
+    """``(hops, latencies)`` of one source to every satellite, unlimited:
+    no hop radius and no latency limit, so every reachable satellite holds
+    its exact hop count and latency float."""
     return (
         fastcore.hop_distances_batch(core, [source], active)[0],
         fastcore.latency_batch(core, [source], active)[0],
