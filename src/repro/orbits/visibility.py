@@ -2,8 +2,15 @@
 
 A ground terminal can use a satellite only when it is above a minimum
 elevation angle (25 deg for Starlink user terminals, ~10 deg for gateway
-dishes). These routines compute, vectorised over the whole constellation,
-which satellites are usable from a point and at what slant range.
+dishes). These routines compute which satellites are usable from one or
+many points and at what slant range.
+
+Every public function reads one private kernel over (point, satellite)
+pairs (:func:`_pairs`), so all of them agree bit for bit. A masked query
+first culls each point's sky with a cone around the point's zenith
+direction that is wider than the elevation mask (:func:`_cone_cos`): only
+about 1 % of Shell 1 survives it at 25 deg, and only the survivors,
+all points at once, go through the exact elevation/slant-range formula.
 """
 
 from __future__ import annotations
@@ -18,6 +25,11 @@ from repro.errors import VisibilityError
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.walker import Constellation
 
+_CONE_MARGIN_DEG = 2.0
+"""Slack added to the cull cone's half-angle. The cone test is one BLAS
+product whose last bits vary with its shape; a degree-scale margin makes
+those bits irrelevant, so the cone never drops a satellite the mask keeps."""
+
 
 @dataclass(frozen=True)
 class VisibleSatellite:
@@ -28,48 +40,147 @@ class VisibleSatellite:
     slant_range_km: float
 
 
-def _point_view(sat: np.ndarray, point: GeoPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(elevation in degrees, slant range in km) of every satellite position
-    in ``sat`` seen from ``point``.
-
-    The one visibility formula: every public function here evaluates it per
-    point, so all of them agree bit for bit. A broadcast over many points
-    at once (an ``einsum`` over a ``(P, N, 3)`` line-of-sight tensor)
-    drifts in the last float bit, which is enough to flip near-threshold
-    visibility and near-tie orderings.
-    """
-    ecef = point.to_ecef()
-    obs = np.array([ecef.x, ecef.y, ecef.z])
-    los = sat - obs
-    ranges = np.linalg.norm(los, axis=1)
-    cos_zenith = (los @ obs) / (ranges * float(np.linalg.norm(obs)))
-    np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
-    return 90.0 - np.degrees(np.arccos(cos_zenith)), ranges
+def _observers(points: list[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, 3)`` ECEF positions of ``points`` and their ``(P,)`` radii (km)."""
+    obs = np.empty((len(points), 3))
+    for p, point in enumerate(points):
+        ecef = point.to_ecef()
+        obs[p] = (ecef.x, ecef.y, ecef.z)
+    x, y, z = obs.T
+    return obs, np.sqrt(x * x + y * y + z * z)
 
 
-def _usable_order(
-    elevations: np.ndarray, ranges: np.ndarray, min_elevation_deg: float
+def _cone_cos(
+    radius: np.ndarray, shell_radius_km: float, min_elevation_deg: float
 ) -> np.ndarray:
-    """Indices of the satellites at or above the mask, nearest first."""
-    usable = np.flatnonzero(elevations >= min_elevation_deg)
-    return usable[np.argsort(ranges[usable])]
+    """Cosine of each observer's cull-cone half-angle; ``-inf`` keeps all.
+
+    The half-angle is the Earth-central angle between the observer and a
+    satellite seen exactly at the mask (the law-of-sines triangle of
+    :func:`max_slant_range_km`, with the observer's own radius), plus
+    :data:`_CONE_MARGIN_DEG`. Below the shell, elevation falls strictly as
+    the central angle grows, so every satellite at or above the mask lies
+    inside the cone. An observer at or above the shell keeps every
+    satellite.
+    """
+    elev = math.radians(min_elevation_deg)
+    below = radius < shell_radius_km
+    ratio = np.where(below, radius / shell_radius_km, 0.0)
+    sat_angle = np.arcsin(ratio * math.cos(elev))
+    half_angle = math.pi / 2.0 - elev - sat_angle + math.radians(_CONE_MARGIN_DEG)
+    cos = np.cos(np.clip(half_angle, 0.0, math.pi))
+    cos[~below | (half_angle >= math.pi)] = -np.inf
+    return cos
 
 
-def _visible_list(
+def _pairs(
     constellation: Constellation,
-    point: GeoPoint,
+    points: list[GeoPoint],
+    t_s: float,
+    min_elevation_deg: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one visibility kernel: ``(point, index, elevation_deg, slant_km)``.
+
+    With ``min_elevation_deg=None`` every (point, satellite) pair comes
+    back, point-major in satellite order. With a mask, only the pairs at or
+    above it, sorted by point, then slant range, then satellite index (an
+    exact range tie goes to the lower index).
+
+    The formula is elementwise over the pairs: the slant range is
+    ``norm(los, axis=1)`` and the zenith cosine an explicit
+    ``x*ox + y*oy + z*oz`` rather than ``los @ obs``. A BLAS product rounds
+    a row differently depending on how many rows it is given; the
+    elementwise form gives the same bits whichever pairs survive the cone
+    and however many points share the call.
+    """
+    sat = constellation.positions_ecef(t_s)
+    obs, radius = _observers(points)
+    if min_elevation_deg is None:
+        near = np.ones((len(points), len(sat)), dtype=bool)
+    else:
+        cone = _cone_cos(radius, constellation.orbit_radius_km, min_elevation_deg)
+        near = (obs @ sat.T) >= (radius * constellation.orbit_radius_km * cone)[:, None]
+    point, index = np.nonzero(near)
+    o = obs[point]
+    los = sat[index] - o
+    slant = np.linalg.norm(los, axis=1)
+    cos_zenith = (los[:, 0] * o[:, 0] + los[:, 1] * o[:, 1] + los[:, 2] * o[:, 2]) / (
+        slant * radius[point]
+    )
+    np.clip(cos_zenith, -1.0, 1.0, out=cos_zenith)
+    elevation = 90.0 - np.degrees(np.arccos(cos_zenith))
+    if min_elevation_deg is None:
+        return point, index, elevation, slant
+    usable = np.flatnonzero(elevation >= min_elevation_deg)
+    order = usable[np.lexsort((slant[usable], point[usable]))]
+    return point[order], index[order], elevation[order], slant[order]
+
+
+@dataclass(frozen=True)
+class VisibilityBatch:
+    """Visibility of the constellation from many ground points at once.
+
+    Compact: point ``p``'s usable satellites are the flat entries
+    ``start[p]:start[p + 1]``, nearest first (ascending slant range, ties to
+    the lower index), exactly the list :func:`visible_satellites` returns
+    for that point. A point that sees nothing has an empty slice (callers
+    decide whether that is an error).
+    """
+
+    start: np.ndarray
+    """``(P + 1,)`` offsets of each point's entries."""
+    index: np.ndarray
+    """Satellite index of every usable (point, satellite) pair."""
+    elevation_deg: np.ndarray
+    """Elevation of each entry's satellite above its point's horizon."""
+    slant_range_km: np.ndarray
+    """Straight-line distance from each entry's point to its satellite."""
+
+    @property
+    def num_points(self) -> int:
+        return len(self.start) - 1
+
+    def live(self, active: np.ndarray | None) -> VisibilityBatch:
+        """The batch without the satellites the boolean ``active`` mask
+        marks dead (``None``: nothing failed, the batch itself)."""
+        if active is None:
+            return self
+        keep = active[self.index]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return VisibilityBatch(
+            start=kept[self.start],
+            index=self.index[keep],
+            elevation_deg=self.elevation_deg[keep],
+            slant_range_km=self.slant_range_km[keep],
+        )
+
+    def visible_list(self, point_index: int) -> list[VisibleSatellite]:
+        """The point's view as :func:`visible_satellites` would return it."""
+        view = slice(self.start[point_index], self.start[point_index + 1])
+        return [
+            VisibleSatellite(index=i, elevation_deg=e, slant_range_km=r)
+            for i, e, r in zip(
+                self.index[view].tolist(),
+                self.elevation_deg[view].tolist(),
+                self.slant_range_km[view].tolist(),
+            )
+        ]
+
+
+def _visible(
+    constellation: Constellation,
+    points: list[GeoPoint],
     t_s: float,
     min_elevation_deg: float,
-) -> list[VisibleSatellite]:
-    elevations, ranges = _point_view(constellation.positions_ecef(t_s), point)
-    return [
-        VisibleSatellite(
-            index=int(i),
-            elevation_deg=float(elevations[i]),
-            slant_range_km=float(ranges[i]),
-        )
-        for i in _usable_order(elevations, ranges, min_elevation_deg)
-    ]
+) -> VisibilityBatch:
+    point, index, elevation, slant = _pairs(
+        constellation, points, t_s, min_elevation_deg
+    )
+    start = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(point, minlength=len(points)), out=start[1:])
+    return VisibilityBatch(
+        start=start, index=index, elevation_deg=elevation, slant_range_km=slant
+    )
 
 
 def _no_satellite(point: GeoPoint, t_s: float, min_elevation_deg: float) -> VisibilityError:
@@ -81,12 +192,12 @@ def _no_satellite(point: GeoPoint, t_s: float, min_elevation_deg: float) -> Visi
 
 def elevations_deg(constellation: Constellation, point: GeoPoint, t_s: float) -> np.ndarray:
     """Elevation of every satellite above ``point``'s horizon (degrees)."""
-    return _point_view(constellation.positions_ecef(t_s), point)[0]
+    return _pairs(constellation, [point], t_s, None)[2]
 
 
 def slant_ranges_km(constellation: Constellation, point: GeoPoint, t_s: float) -> np.ndarray:
     """Straight-line distance from ``point`` to every satellite (km)."""
-    return _point_view(constellation.positions_ecef(t_s), point)[1]
+    return _pairs(constellation, [point], t_s, None)[3]
 
 
 def visible_satellites(
@@ -96,59 +207,7 @@ def visible_satellites(
     min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
 ) -> list[VisibleSatellite]:
     """All satellites usable from ``point``, sorted by ascending slant range."""
-    return _visible_list(constellation, point, t_s, min_elevation_deg)
-
-
-@dataclass(frozen=True)
-class VisibilityBatch:
-    """Visibility of the whole constellation from many ground points at once.
-
-    One ``(P, N)`` elevation/slant-range pass shared by a request cohort:
-    satellite positions are computed once per epoch instead of once per
-    request, and each point's sorted visible list is derived from its row
-    with exactly the per-point operations :func:`visible_satellites` uses —
-    ``order[p]`` reproduces that function's satellite ordering (ascending
-    slant range over the usable set) element for element.
-    """
-
-    elevations_deg: np.ndarray
-    """``(P, N)`` elevation of every satellite above every point's horizon."""
-    slant_ranges_km: np.ndarray
-    """``(P, N)`` straight-line distance from every point to every satellite."""
-    order: list[np.ndarray]
-    """Per-point usable satellite indices, ascending slant range. Empty
-    array when the point sees nothing (callers decide whether that is an
-    error)."""
-
-    @property
-    def num_points(self) -> int:
-        return len(self.order)
-
-    def access(self, point_index: int) -> tuple[int, float]:
-        """(satellite, slant km) of the access pick for one point.
-
-        Raises :class:`VisibilityError` when the point sees no satellite.
-        """
-        order = self.order[point_index]
-        if order.size == 0:
-            raise VisibilityError(
-                f"no satellite visible from point {point_index} of this batch"
-            )
-        best = int(order[0])
-        return best, float(self.slant_ranges_km[point_index, best])
-
-    def visible_list(self, point_index: int) -> list[VisibleSatellite]:
-        """The point's view as :func:`visible_satellites` would return it."""
-        row_elev = self.elevations_deg[point_index]
-        row_range = self.slant_ranges_km[point_index]
-        return [
-            VisibleSatellite(
-                index=int(i),
-                elevation_deg=float(row_elev[i]),
-                slant_range_km=float(row_range[i]),
-            )
-            for i in self.order[point_index]
-        ]
+    return _visible(constellation, [point], t_s, min_elevation_deg).visible_list(0)
 
 
 def visible_satellites_batch(
@@ -159,29 +218,12 @@ def visible_satellites_batch(
 ) -> VisibilityBatch:
     """Vectorised :func:`visible_satellites` over many ground points.
 
-    Builds the ``(P, N)`` elevation and slant-range matrices over *shared*
-    satellite positions — the O(N) trig of ``positions_ecef`` runs once per
-    epoch instead of once per request. Each row is the per-point formula
-    every function here uses, so ``order[p]`` is bit for bit the ordering
-    :func:`visible_satellites` returns; the serve walk leans on that.
+    One kernel call over shared satellite positions serves the whole
+    cohort; ``visible_list(p)`` is bit for bit the list
+    :func:`visible_satellites` returns for ``points[p]``, which the serve
+    walk leans on.
     """
-    num_sats = len(constellation)
-    if not points:
-        return VisibilityBatch(
-            elevations_deg=np.zeros((0, num_sats)),
-            slant_ranges_km=np.zeros((0, num_sats)),
-            order=[],
-        )
-    sat = constellation.positions_ecef(t_s)
-    elevations = np.empty((len(points), num_sats))
-    ranges = np.empty((len(points), num_sats))
-    order = []
-    for p, point in enumerate(points):
-        elevations[p], ranges[p] = _point_view(sat, point)
-        order.append(_usable_order(elevations[p], ranges[p], min_elevation_deg))
-    return VisibilityBatch(
-        elevations_deg=elevations, slant_ranges_km=ranges, order=order
-    )
+    return _visible(constellation, points, t_s, min_elevation_deg)
 
 
 def nearest_visible_satellites(
@@ -199,17 +241,12 @@ def nearest_visible_satellites(
     """
     if not points:
         raise VisibilityError("no ground points given")
-    sat = constellation.positions_ecef(t_s)
-    nearest = np.empty(len(points), dtype=np.int64)
-    best = np.empty(len(points))
-    for p, point in enumerate(points):
-        elevations, ranges = _point_view(sat, point)
-        masked = np.where(elevations >= min_elevation_deg, ranges, np.inf)
-        nearest[p] = masked.argmin()
-        best[p] = masked[nearest[p]]
-        if not np.isfinite(best[p]):
-            raise _no_satellite(point, t_s, min_elevation_deg)
-    return nearest, best
+    batch = _visible(constellation, points, t_s, min_elevation_deg)
+    first = batch.start[:-1]
+    blind = np.flatnonzero(batch.start[1:] == first)
+    if blind.size:
+        raise _no_satellite(points[blind[0]], t_s, min_elevation_deg)
+    return batch.index[first], batch.slant_range_km[first]
 
 
 def nearest_visible_satellite(
@@ -219,10 +256,14 @@ def nearest_visible_satellite(
     min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
 ) -> VisibleSatellite:
     """The lowest-slant-range usable satellite, or raise :class:`VisibilityError`."""
-    candidates = _visible_list(constellation, point, t_s, min_elevation_deg)
-    if not candidates:
+    batch = _visible(constellation, [point], t_s, min_elevation_deg)
+    if not batch.index.size:
         raise _no_satellite(point, t_s, min_elevation_deg)
-    return candidates[0]
+    return VisibleSatellite(
+        index=int(batch.index[0]),
+        elevation_deg=float(batch.elevation_deg[0]),
+        slant_range_km=float(batch.slant_range_km[0]),
+    )
 
 
 def coverage_fraction(
@@ -237,7 +278,9 @@ def coverage_fraction(
         raise VisibilityError("duration and step must be positive")
     times = np.arange(0.0, duration_s, step_s)
     covered = sum(
-        1 for t in times if _visible_list(constellation, point, float(t), min_elevation_deg)
+        1
+        for t in times
+        if _pairs(constellation, [point], float(t), min_elevation_deg)[1].size
     )
     return covered / len(times)
 

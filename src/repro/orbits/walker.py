@@ -38,6 +38,9 @@ class Constellation:
     raan_rad: np.ndarray
     phase_rad: np.ndarray
     _mean_motion_rad_s: float = field(init=False)
+    _last_positions: tuple[float, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = self.config.total_satellites
@@ -56,7 +59,15 @@ class Constellation:
         return EARTH_RADIUS_KM + self.config.altitude_km
 
     def positions_ecef(self, t_s: float) -> np.ndarray:
-        """ECEF positions of every satellite at time ``t_s`` (shape (N, 3), km)."""
+        """ECEF positions of every satellite at time ``t_s`` (shape (N, 3), km).
+
+        The array is read-only: the last instant's positions are kept and
+        handed out again, so a snapshot build and the visibility query that
+        follows it at the same instant propagate once.
+        """
+        last = self._last_positions
+        if last is not None and last[0] == t_s:
+            return last[1]
         inc = math.radians(self.config.inclination_deg)
         u = self.phase_rad + self._mean_motion_rad_s * t_s  # argument of latitude
         cos_u, sin_u = np.cos(u), np.sin(u)
@@ -73,7 +84,10 @@ class Constellation:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
         x = x_eci * cos_t + y_eci * sin_t
         y = -x_eci * sin_t + y_eci * cos_t
-        return np.column_stack((x, y, z_eci))
+        positions = np.column_stack((x, y, z_eci))
+        positions.flags.writeable = False
+        self._last_positions = (t_s, positions)
+        return positions
 
     def subsatellite_points(self, t_s: float) -> np.ndarray:
         """Sub-satellite (lat_deg, lon_deg) for every satellite, shape (N, 2)."""

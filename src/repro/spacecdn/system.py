@@ -354,9 +354,10 @@ class SpaceCdnSystem:
         and with the side effects of serving it alone (caches, stats, the
         fault schedule's per-request determinism); a system with no faults
         walks over the healthy snapshot. The per-request O(N) work is hoisted to
-        per-cohort passes: one visibility matrix over the unique users and
-        one routing pass over the unique access satellites (masked once for
-        the whole cohort under faults).
+        per-cohort passes: one visibility batch over the unique users (their
+        usable satellites only, nearest first) and one routing pass over the
+        unique access satellites (masked once for the whole cohort under
+        faults).
 
         ``t_s`` may be a scalar (the whole cohort at one instant) or a
         per-request sequence of finite, non-negative times; all must land
@@ -524,14 +525,8 @@ class SpaceCdnSystem:
                 len(self.constellation),
                 self.fault_schedule,
             )
-        live_of_u = [
-            [
-                sat
-                for sat in vb.visible_list(i)
-                if degraded.has_satellite(sat.index)
-            ]
-            for i in range(vb.num_points)
-        ]
+        live = vb.live(degraded.active_mask)
+        live_of_u = [live.visible_list(i) for i in range(live.num_points)]
         accs = sorted({lv[0].index for lv in live_of_u if lv})
         row_of_acc: dict[int, int] = {}
         if accs:

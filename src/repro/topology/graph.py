@@ -69,9 +69,11 @@ def build_snapshot(constellation: Constellation, t_s: float) -> SnapshotGraph:
     """Build the ISL snapshot of the constellation at time ``t_s``.
 
     All link distances come from one vectorised gather over the endpoint
-    positions; the positions and link weights are frozen read-only.
+    positions; the positions (read-only from
+    :meth:`~repro.orbits.walker.Constellation.positions_ecef`) and link
+    weights are frozen.
     """
-    positions = _read_only(constellation.positions_ecef(t_s))
+    positions = constellation.positions_ecef(t_s)
     topology = csr_topology(constellation.config)
     distances, latencies = link_weights(topology, positions)
     core = CsrSnapshot(

@@ -1,6 +1,6 @@
 """A naive per-request reference for :class:`SpaceCdnSystem`'s serve path.
 
-The system resolves requests in cohorts: one visibility matrix and one
+The system resolves requests in cohorts: one visibility batch and one
 routing pass per access satellite. This module answers the same requests
 the plain way, one at a time, so the property suites can check the cohort
 code element by element. Each satellite has an LRU cache and the provider

@@ -1,19 +1,40 @@
 """Property-based tests on the system-level components."""
 
+import itertools
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from repro.constants import CDN_SERVER_THINK_TIME_MS
+from repro.constants import (
+    CDN_SERVER_THINK_TIME_MS,
+    SNAPSHOT_INTERVAL_S,
+    SPEED_OF_LIGHT_KM_S,
+)
 from repro.experiments import figure7
-from repro.experiments.shells import shell1_epochs, shell1_snapshot
+from repro.experiments.shells import (
+    shell1_epochs,
+    shell1_snapshot,
+    small_constellation,
+    sweep_catalog,
+    sweep_requests,
+)
+from repro.faults.processes import OutageWindow
+from repro.faults.retry import RetryPolicy
+from repro.faults.schedule import FaultSchedule, apply_fault_view
 from repro.network.access import access_latency_ms
 from repro.orbits.elements import ShellConfig
-from repro.orbits.visibility import nearest_visible_satellites
+from repro.orbits.visibility import nearest_visible_satellites, visible_satellites
+from repro.overload.model import OverloadModel
 from repro.simulation.sampler import seeded_rng, user_sample_points
 from repro.spacecdn.dutycycle import DutyCycleScheduler
+from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.resilience import random_failure_set
+from repro.spacecdn.system import SpaceCdnSystem
 from repro.topology import fastcore
+from repro.topology.graph import build_snapshot
 
 
 class TestDutyCycleProperties:
@@ -106,6 +127,118 @@ class TestFigure7Properties:
             # A hop count is reachable only if every smaller one is.
             assert np.all(present[: np.count_nonzero(present)])
             assert np.all(np.diff(row[present]) > 0.0)
+
+
+def _served_with_light_floor(seed: int, fraction: float, load: float | None):
+    """Serve a smoke-shell request stream; each served request with its
+    speed-of-light floor in ms.
+
+    The stream is the chaos sweep's (``load=None``, no overload model) or
+    the overload sweep's at that load multiplier, with ``fraction`` of the
+    fleet failed. The floor is twice the user's uplink slant range plus
+    twice the shortest live ISL path to the serving satellite, at vacuum c:
+    the uplink lands on the serving satellite for access and direct-visible
+    hits and on the live access satellite otherwise; ground fetches fly no
+    ISL.
+    """
+    constellation = small_constellation()
+    catalog, preload = sweep_catalog(seed, 0x5EED, constellation)
+    num_requests = 60 if load is None else max(1, round(60 * load))
+    requests = sweep_requests(catalog, num_requests, seed, 0x5EED1, 0x5EED2)
+    failed = random_failure_set(len(constellation), fraction, seeded_rng(seed, 0xFA11))
+    schedule = FaultSchedule().add(OutageWindow(satellites=failed))
+    system = SpaceCdnSystem(
+        constellation=constellation,
+        catalog=catalog,
+        cache_bytes_per_satellite=10**9,
+        fault_schedule=schedule,
+        retry_policy=RetryPolicy(max_attempts=3),
+        overload=None
+        if load is None
+        else OverloadModel(
+            capacity_per_slot=6.0,
+            ground_capacity_per_slot=40.0,
+            deadline_ms=1500.0,
+            seed=seed,
+        ),
+    )
+    system.preload(preload)
+    checked = []
+    for slot, cohort in itertools.groupby(
+        requests, key=lambda r: int(r.t_s // SNAPSHOT_INTERVAL_S)
+    ):
+        cohort = list(cohort)
+        served = system.serve_batch(
+            [r.city.location for r in cohort],
+            [r.object_id for r in cohort],
+            [r.t_s for r in cohort],
+            continue_on_unavailable=True,
+        )
+        t_s = slot * SNAPSHOT_INTERVAL_S
+        degraded = apply_fault_view(
+            build_snapshot(constellation, t_s), schedule.compile_at(t_s)
+        )
+        topology = degraded.core.topology
+        alive = np.ones(topology.num_nodes, dtype=bool)
+        alive[list(degraded.failed)] = False
+        live_link = alive[topology.link_a] & alive[topology.link_b]
+        isl_km = coo_matrix(
+            (
+                degraded.core.link_distance_km[live_link],
+                (topology.link_a[live_link], topology.link_b[live_link]),
+            ),
+            shape=(topology.num_nodes, topology.num_nodes),
+        ).tocsr()
+        for request, result in zip(cohort, served):
+            if result is None:
+                continue
+            slant = {
+                s.index: s.slant_range_km
+                for s in visible_satellites(constellation, request.city.location, t_s)
+                if degraded.has_satellite(s.index)
+            }
+            access = next(iter(slant))
+            if result.source in (
+                LookupSource.ACCESS_SATELLITE, LookupSource.DIRECT_VISIBLE
+            ):
+                uplink_km, path_km = slant[result.serving_satellite], 0.0
+            elif result.source is LookupSource.ISL_NEIGHBOR:
+                uplink_km = slant[access]
+                path_km = dijkstra(isl_km, directed=False, indices=access)[
+                    result.serving_satellite
+                ]
+            else:
+                uplink_km, path_km = slant[access], 0.0
+            floor_ms = 2.0 * (uplink_km + path_km) / SPEED_OF_LIGHT_KM_S * 1000.0
+            checked.append((result, floor_ms))
+    return checked
+
+
+class TestServeWalkSpeedOfLight:
+    """No served RTT beats light: every request the serve walk serves costs
+    at least twice its uplink slant range plus twice the shortest live ISL
+    path to the serving satellite, at vacuum c. Checked over seeds, failure
+    fractions and overload loads on the smoke shell."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.sampled_from([None, 0.5, 1.0, 4.0]),
+    )
+    @example(seed=7, fraction=0.1, load=None)
+    @example(seed=7, fraction=0.3, load=4.0)
+    @settings(max_examples=15, deadline=None)
+    def test_served_rtt_at_least_light_floor(self, seed, fraction, load):
+        for result, floor_ms in _served_with_light_floor(seed, fraction, load):
+            assert result.rtt_ms >= floor_ms, (result, floor_ms)
+
+    def test_every_space_rung_is_checked(self):
+        sources = {
+            result.source
+            for load in (None, 4.0)
+            for result, _ in _served_with_light_floor(7, 0.1, load)
+        }
+        assert sources == set(LookupSource)
 
 
 class TestResilienceProperties:
