@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ConfigurationError, ContentNotFoundError
+from repro.simulation.sampler import WeightedIndex
 
 KNOWN_KINDS = ("web", "image", "video-segment", "news", "game-asset")
 
@@ -108,10 +109,11 @@ def build_catalog(
     kinds = list(weights)
     probs = np.array([weights[k] for k in kinds], dtype=float)
     probs /= probs.sum()
+    kind_index = WeightedIndex(probs)
 
     catalog = Catalog()
     for i in range(num_objects):
-        kind = kinds[int(rng.choice(len(kinds), p=probs))]
+        kind = kinds[kind_index.draw(rng)]
         median, sigma = _SIZE_MODELS[kind]
         size = max(1, int(rng.lognormal(np.log(median), sigma)))
         if rng.random() < global_fraction:

@@ -3,6 +3,8 @@
 Figures 7 and 8 average over constellation geometry: latencies are sampled
 at several *epochs* (constellation rotations) and several user locations.
 Everything is derived from one experiment seed for reproducibility.
+:class:`WeightedIndex` is the one weighted categorical draw (catalog kinds,
+request cities, regional object popularity).
 """
 
 from __future__ import annotations
@@ -22,6 +24,41 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     adding a sampling site never perturbs existing ones.
     """
     return np.random.default_rng((seed, *stream))
+
+
+_PROBABILITY_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+"""How far ``p`` may sum from 1: ``Generator.choice``'s own tolerance."""
+
+
+class WeightedIndex:
+    """Weighted index draws from a CDF built once.
+
+    ``WeightedIndex(p).draw(rng)`` draws the index numpy's
+    ``Generator.choice`` draws over ``len(p)`` items with probabilities
+    ``p``, and leaves ``rng`` in the same state: it builds the CDF the way
+    ``choice`` does (``cdf = p.cumsum(); cdf /= cdf[-1]``) and each draw
+    consumes the single ``random()`` double ``choice`` would. Only the
+    per-call validation and CDF build are gone, so a caller drawing many
+    times holds one of these.
+    """
+
+    __slots__ = ("_cdf",)
+
+    def __init__(self, p: np.ndarray) -> None:
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1 or p.size == 0:
+            raise ConfigurationError("weights must be a non-empty 1-D array")
+        if not np.all(np.isfinite(p)) or np.any(p < 0):
+            raise ConfigurationError("weights must be finite and non-negative")
+        if abs(float(p.sum()) - 1.0) > _PROBABILITY_ATOL:
+            raise ConfigurationError("weights must sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One index in ``[0, len(p))``, drawn with probability ``p``."""
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass

@@ -241,11 +241,32 @@ class SpaceCdnSystem:
         self._index.add(object_id, satellite)
 
     def preload(self, placement: dict[str, frozenset[int]]) -> int:
-        """Push a placement plan into the on-board caches; returns stores done."""
+        """Push a placement plan into the on-board caches.
+
+        Stores each object in each of its satellites' caches, in plan
+        order, as :meth:`_store` would one at a time. Returns the number
+        of copies actually stored: an object larger than a whole cache is
+        skipped (served pass-through) and not counted.
+        """
+        num_satellites = len(self.constellation)
+        capacity = self.cache_bytes_per_satellite
+        caches = self._caches
+        index = self._index
         stored = 0
         for object_id, satellites in placement.items():
+            obj = self.catalog.get(object_id)
+            fits = obj.size_bytes <= capacity
             for satellite in satellites:
-                self._store(satellite, object_id)
+                if not 0 <= satellite < num_satellites:
+                    raise ConfigurationError(f"satellite {satellite} out of range")
+                cache = caches.get(satellite)
+                if cache is None:
+                    cache = caches[satellite] = Cache(capacity)
+                if not fits:
+                    continue
+                for victim in cache.put(obj):
+                    index.discard(victim, satellite)
+                index.add(object_id, satellite)
                 stored += 1
         return stored
 

@@ -14,6 +14,7 @@ import numpy as np
 from repro.cdn.content import Catalog
 from repro.errors import ConfigurationError
 from repro.geo.datasets.cities import City
+from repro.simulation.sampler import WeightedIndex
 
 
 @dataclass
@@ -22,14 +23,20 @@ class RegionalPopularity:
 
     Each region ranks its *own* region's objects (plus globals) highest;
     cross-region requests are rare. ``sample(region)`` draws one object id.
+    Rankings and their draw CDFs are built once per region; the region
+    list is rebuilt only when the catalog has grown (``Catalog.add`` is
+    the only way it changes).
     """
 
     catalog: Catalog
     zipf_s: float = 0.9
     cross_region_fraction: float = 0.05
     seed: int = 0
-    _rankings: dict[str, list[str]] = field(init=False, repr=False)
-    _weights: dict[str, np.ndarray] = field(init=False, repr=False)
+    _rankings: dict[str, tuple[list[str], WeightedIndex]] = field(
+        init=False, repr=False
+    )
+    _regions: list[str] = field(init=False, repr=False)
+    _regions_size: int = field(init=False, repr=False)
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -39,15 +46,25 @@ class RegionalPopularity:
             raise ConfigurationError("zipf_s must be positive")
         self._rng = np.random.default_rng(self.seed)
         self._rankings = {}
-        self._weights = {}
+        self._regions_size = -1
+
+    def _region_names(self) -> list[str]:
+        """The cached sorted region list (shared: callers must not mutate)."""
+        if len(self.catalog) != self._regions_size:
+            self._regions = sorted(
+                {o.region for o in self.catalog if o.region != "global"}
+            )
+            self._regions_size = len(self.catalog)
+        return self._regions
 
     def regions(self) -> list[str]:
         """Every non-global region present in the catalog."""
-        return sorted({o.region for o in self.catalog if o.region != "global"})
+        return list(self._region_names())
 
-    def _ranking_for(self, region: str) -> tuple[list[str], np.ndarray]:
-        if region not in self._rankings:
-            if region not in self.regions():
+    def _ranking_for(self, region: str) -> tuple[list[str], WeightedIndex]:
+        ranking = self._rankings.get(region)
+        if ranking is None:
+            if region not in self._region_names():
                 raise ConfigurationError(f"no content for region {region!r}")
             local = [o.object_id for o in self.catalog.by_region(region)]
             # Deterministic per-region shuffle assigns ranks. Python's
@@ -61,9 +78,8 @@ class RegionalPopularity:
             ranks = np.arange(1, len(ranked) + 1, dtype=float)
             weights = ranks**-self.zipf_s
             weights /= weights.sum()
-            self._rankings[region] = ranked
-            self._weights[region] = weights
-        return self._rankings[region], self._weights[region]
+            ranking = self._rankings[region] = (ranked, WeightedIndex(weights))
+        return ranking
 
     def top_objects(self, region: str, count: int) -> list[str]:
         """The ``count`` most popular object ids for a region."""
@@ -73,11 +89,11 @@ class RegionalPopularity:
     def sample(self, region: str) -> str:
         """Draw one requested object id from a region's popularity."""
         if self._rng.random() < self.cross_region_fraction:
-            others = [r for r in self.regions() if r != region]
+            others = [r for r in self._region_names() if r != region]
             if others:
                 region = others[int(self._rng.integers(len(others)))]
-        ranked, weights = self._ranking_for(region)
-        return ranked[int(self._rng.choice(len(ranked), p=weights))]
+        ranked, index = self._ranking_for(region)
+        return ranked[index.draw(self._rng)]
 
 
 def region_of_city(city: City) -> str:
@@ -100,10 +116,10 @@ class RegionalRequestMixer:
     def sample_for_city(self, city: City) -> str:
         """One requested object id for a client in ``city``."""
         region = region_of_city(city)
-        if region not in self.popularity.regions():
+        regions = self.popularity.regions()
+        if region not in regions:
             # Fall back to any region with content rather than failing the
             # stream: the catalog may not model every gazetteer region.
-            regions = self.popularity.regions()
             if not regions:
                 raise ConfigurationError("catalog has no regional content")
             region = regions[int(self.rng.integers(len(regions)))]

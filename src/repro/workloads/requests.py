@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geo.datasets.cities import City
+from repro.simulation.sampler import WeightedIndex
 from repro.workloads.regional import RegionalRequestMixer
 
 
@@ -55,13 +56,13 @@ class RequestGenerator:
         """Yield requests over ``[0, duration_s)`` in time order."""
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        weights = self._city_weights()
+        city_index = WeightedIndex(self._city_weights())
         t = 0.0
         while True:
             t += float(self.rng.exponential(1.0 / self.requests_per_second_total))
             if t >= duration_s:
                 return
-            city = self.cities[int(self.rng.choice(len(self.cities), p=weights))]
+            city = self.cities[city_index.draw(self.rng)]
             yield Request(
                 t_s=t, city=city, object_id=self.mixer.sample_for_city(city)
             )

@@ -101,6 +101,7 @@ class TestBuildCatalog:
             {"num_objects": 0},
             {"global_fraction": 1.5},
             {"regions": ()},
+            {"kind_weights": {"web": -1.0, "news": 2.0}},
         ],
     )
     def test_invalid_args_rejected(self, kwargs):

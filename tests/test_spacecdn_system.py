@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.cdn.content import build_catalog
+from repro.cdn.content import Catalog, ContentObject, build_catalog
 from repro.errors import ConfigurationError, ContentNotFoundError
 from repro.geo.coordinates import GeoPoint
 from repro.geo.datasets.cities import city_by_name
+from repro.obs.recorder import ObsRecorder, recording
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.placement import KPerPlanePlacement
 from repro.spacecdn.system import SpaceCdnSystem
+from serve_reference import ReferenceCdn
 from topology_reference import full_rows, networkx_view
 
 
@@ -95,6 +97,73 @@ class TestPreload:
         count = system.preload({"obj-000004": frozenset({1, 2, 3})})
         assert count == 3
         assert system.holders_of("obj-000004") == frozenset({1, 2, 3})
+
+    def test_oversize_object_not_stored_or_counted(self, shell1_constellation):
+        catalog = Catalog()
+        catalog.add(ContentObject("small", 400))
+        catalog.add(ContentObject("huge", 5_000))
+        system = SpaceCdnSystem(
+            constellation=shell1_constellation,
+            catalog=catalog,
+            cache_bytes_per_satellite=1_000,
+        )
+        count = system.preload(
+            {"huge": frozenset({1, 2}), "small": frozenset({2, 3})}
+        )
+        assert count == 2
+        assert system.holders_of("huge") == frozenset()
+        assert system.holders_of("small") == frozenset({2, 3})
+        assert system.cache_of(1).stats.insertions == 0
+
+    def test_out_of_range_satellite_rejected(self, system, shell1_constellation):
+        with pytest.raises(ConfigurationError):
+            system.preload({"obj-000004": frozenset({len(shell1_constellation)})})
+        with pytest.raises(ConfigurationError):
+            system.preload({"obj-000004": frozenset({-1})})
+
+    def test_unknown_object_rejected(self, system):
+        with pytest.raises(ContentNotFoundError):
+            system.preload({"no-such-object": frozenset({1})})
+
+    def test_equals_reference_preload(self, shell1_constellation):
+        """Overlapping placements into small caches (so preload evicts),
+        plus one oversize object: the one-pass preload leaves every cache
+        in the reference's recency order and stats, the same holders, and
+        counts the same obs inserts."""
+        catalog = build_catalog(
+            np.random.default_rng(4), 60, regions=("africa",), kind_weights={"web": 1.0}
+        )
+        catalog.add(ContentObject("oversize", 10**7))
+        rng = np.random.default_rng(5)
+        placement = {
+            object_id: frozenset(int(s) for s in rng.choice(12, size=4, replace=False))
+            for object_id in [*catalog.objects][::-1]
+        }
+        systems = []
+        for make in (SpaceCdnSystem, ReferenceCdn):
+            recorder = ObsRecorder()
+            built = make(
+                constellation=shell1_constellation,
+                catalog=catalog,
+                cache_bytes_per_satellite=300_000,
+            )
+            with recording(recorder):
+                built.preload(placement)
+            caches = built._caches if make is SpaceCdnSystem else built.caches
+            inserts = recorder.metrics.counter_value(
+                "repro_cache_ops_total", (("op", "insert"),)
+            )
+            systems.append((built, caches, inserts))
+        (system, caches, inserts), (reference, ref_caches, ref_inserts) = systems
+        assert inserts == ref_inserts > 0
+        assert sorted(caches) == sorted(ref_caches)
+        for satellite, cache in caches.items():
+            ref_cache = ref_caches[satellite]
+            assert list(cache._objects) == list(ref_cache._objects)
+            assert cache.stats == ref_cache.stats
+        assert sum(c.stats.evictions for c in caches.values()) > 0
+        for object_id in catalog.objects:
+            assert system.holders_of(object_id) == reference.holders_of(object_id)
 
 
 class TestIslServing:

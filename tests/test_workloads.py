@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import workloads_reference
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError
+from repro.experiments.shells import sweep_catalog, sweep_requests
 from repro.geo.datasets.cities import city_by_name
 from repro.workloads.regional import (
     RegionalPopularity,
@@ -94,6 +96,36 @@ class TestRequestGenerator:
         generator = RequestGenerator(cities=(city_by_name("Lagos"),), mixer=mixer)
         with pytest.raises(ConfigurationError):
             generator.generate_list(0.0)
+
+
+# (catalog, mixer, stream) salts of the two request-level sweeps.
+SWEEP_SALTS = {
+    "chaos": (0xC4A07, 0xC4A05, 0xC4A06),
+    "overload": (0x0BAD2, 0x0BAD0, 0x0BAD1),
+}
+
+
+class TestDrawForDraw:
+    """The sweeps' catalog, preload and request stream equal the
+    one-``choice(p=)``-per-draw reference in ``workloads_reference``."""
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEP_SALTS))
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_sweep_setup_equals_reference(self, sweep, seed, shell1_constellation):
+        catalog_salt, mixer_salt, stream_salt = SWEEP_SALTS[sweep]
+        catalog, preload = sweep_catalog(seed, catalog_salt, shell1_constellation)
+        ref_catalog, ref_preload = workloads_reference.sweep_catalog(
+            seed, catalog_salt, shell1_constellation
+        )
+        assert list(catalog.objects.items()) == list(ref_catalog.objects.items())
+        assert list(preload.items()) == list(ref_preload.items())
+        for num_requests in (1, 2, 37, 150, 283, 600):
+            requests = sweep_requests(
+                catalog, num_requests, seed, mixer_salt, stream_salt
+            )
+            assert requests == workloads_reference.sweep_requests(
+                catalog, num_requests, seed, mixer_salt, stream_salt
+            )
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

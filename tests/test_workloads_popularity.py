@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cdn.content import build_catalog
+from repro.cdn.content import ContentObject, build_catalog
 from repro.errors import ConfigurationError
-from repro.workloads.regional import RegionalPopularity
+from repro.geo.datasets.cities import city_by_name
+from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer
 
 
 @pytest.fixture
@@ -58,3 +59,28 @@ class TestRegionalPopularity:
             RegionalPopularity(catalog=catalog, zipf_s=0.0)
         with pytest.raises(ConfigurationError):
             RegionalPopularity(catalog=catalog, cross_region_fraction=1.0)
+
+    def test_regions_follow_catalog_add(self):
+        """The cached region list is rebuilt when the catalog grows: an
+        object added later in a new region is listed and served to that
+        region's cities."""
+        catalog = build_catalog(
+            np.random.default_rng(0),
+            50,
+            regions=("europe", "africa"),
+            global_fraction=0.0,
+            kind_weights={"web": 1.0},
+        )
+        popularity = RegionalPopularity(catalog=catalog, seed=1)
+        mixer = RegionalRequestMixer(
+            popularity=popularity, rng=np.random.default_rng(2)
+        )
+        sydney = city_by_name("Sydney")
+        assert popularity.regions() == ["africa", "europe"]
+        before = {mixer.sample_for_city(sydney) for _ in range(50)}
+        assert all(catalog.get(i).region in ("africa", "europe") for i in before)
+
+        catalog.add(ContentObject("late-oceania", 50_000, region="oceania"))
+        assert popularity.regions() == ["africa", "europe", "oceania"]
+        after = [mixer.sample_for_city(sydney) for _ in range(50)]
+        assert after.count("late-oceania") > 40
