@@ -31,17 +31,6 @@ class CacheStats:
     insertions: int = 0
     evictions: int = 0
 
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hit ratio over all requests; 0.0 before any request."""
-        if self.requests == 0:
-            return 0.0
-        return self.hits / self.requests
-
 
 class Cache:
     """Byte-bounded LRU object cache.
@@ -83,10 +72,6 @@ class Cache:
         self._objects.move_to_end(object_id)
         return obj
 
-    def peek(self, object_id: str) -> ContentObject | None:
-        """Look an object up without touching statistics or recency."""
-        return self._objects.get(object_id)
-
     def put(self, obj: ContentObject) -> list[str]:
         """Insert an object, evicting as needed; returns evicted ids.
 
@@ -122,14 +107,6 @@ class Cache:
                 )
         return evicted
 
-    def remove(self, object_id: str) -> bool:
-        """Explicitly remove an object; returns whether it was present."""
-        obj = self._objects.pop(object_id, None)
-        if obj is None:
-            return False
-        self.used_bytes -= obj.size_bytes
-        return True
-
     def clear(self) -> None:
         """Drop every object (statistics are preserved)."""
         self._objects.clear()
@@ -154,10 +131,6 @@ class HoldersIndex:
 
     def __len__(self) -> int:
         return len(self._holders)
-
-    def object_ids(self) -> set[str]:
-        """Every object currently cached somewhere."""
-        return set(self._holders)
 
     def holders(self, object_id: str) -> frozenset[int]:
         """Satellites currently caching ``object_id`` (empty when none)."""

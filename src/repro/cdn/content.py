@@ -71,10 +71,6 @@ class Catalog:
         """All objects whose affinity matches ``region`` (or are global)."""
         return [o for o in self if o.region in (region, "global")]
 
-    def total_bytes(self) -> int:
-        """Sum of object sizes."""
-        return sum(o.size_bytes for o in self)
-
 
 # Size distributions per kind: (log-normal median bytes, sigma).
 _SIZE_MODELS = {

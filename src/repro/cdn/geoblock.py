@@ -44,10 +44,6 @@ class GeoBlockPolicy:
             country_by_iso2(iso2)  # validate
         self.allowed_countries[object_id] = frozenset(countries)
 
-    def is_restricted(self, object_id: str) -> bool:
-        """Whether the object carries any licensing restriction."""
-        return object_id in self.allowed_countries
-
     def check_terrestrial(self, object_id: str, city: City) -> BlockDecision:
         """Check for a terrestrial client: apparent location == physical."""
         return self._check(object_id, apparent_iso2=city.iso2, physical_iso2=city.iso2)
@@ -63,19 +59,3 @@ class GeoBlockPolicy:
         return BlockDecision(
             allowed=allowed, apparent_iso2=apparent_iso2, physical_iso2=physical_iso2
         )
-
-    def misblock_rate(self, object_id: str, cities: list[City]) -> float:
-        """Fraction of cities whose Starlink users are blocked despite being
-        physically in an allowed country."""
-        if not cities:
-            raise ConfigurationError("need at least one city")
-        allowed_set = self.allowed_countries.get(object_id)
-        if allowed_set is None:
-            return 0.0
-        eligible = [c for c in cities if c.iso2 in allowed_set]
-        if not eligible:
-            return 0.0
-        misblocked = sum(
-            1 for c in eligible if self.check_starlink(object_id, c).misblocked
-        )
-        return misblocked / len(eligible)

@@ -324,6 +324,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_path=trace_path,
             timeseries_path=timeseries_path,
         )
+        if recorder.events is not None:
+            recorder.events.close()
         written = [
             f"{kind} -> {path}"
             for kind, path in (

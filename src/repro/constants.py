@@ -110,9 +110,3 @@ def orbital_period_s(altitude_km: float) -> float:
     """Period of a circular orbit at ``altitude_km`` above the mean surface."""
     semi_major_km = EARTH_RADIUS_KM + altitude_km
     return 2.0 * math.pi * math.sqrt(semi_major_km**3 / EARTH_MU_KM3_S2)
-
-
-def orbital_speed_km_s(altitude_km: float) -> float:
-    """Ground-frame speed of a satellite on a circular orbit."""
-    semi_major_km = EARTH_RADIUS_KM + altitude_km
-    return math.sqrt(EARTH_MU_KM3_S2 / semi_major_km)

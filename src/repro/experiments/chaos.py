@@ -80,11 +80,6 @@ class ChaosResult:
     shell: str
     points: tuple[ChaosPoint, ...]
 
-    @property
-    def baseline(self) -> ChaosPoint:
-        """The healthy sweep point (smallest fraction, normally 0.0)."""
-        return min(self.points, key=lambda p: p.fraction)
-
 
 def _dutycycle_median(
     constellation: Constellation,

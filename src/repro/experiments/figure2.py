@@ -32,11 +32,6 @@ class Figure2Result:
     def countries_where_starlink_faster(self) -> list[str]:
         return sorted(iso2 for iso2, d in self.deltas_ms.items() if d < 0)
 
-    def worst_countries(self, count: int = 5) -> list[tuple[str, float]]:
-        """The countries with the largest Starlink penalty."""
-        ranked = sorted(self.deltas_ms.items(), key=lambda kv: kv[1], reverse=True)
-        return ranked[:count]
-
     def median_delta_ms(self) -> float:
         """Median penalty across countries measured on both ISPs."""
         from statistics import median

@@ -36,14 +36,6 @@ class EcefPoint:
     y: float
     z: float
 
-    def distance_km(self, other: "EcefPoint") -> float:
-        """Straight-line (chord) distance to ``other``."""
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-    def norm_km(self) -> float:
-        """Distance from the Earth's centre."""
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -70,12 +62,6 @@ class GeoPoint:
             z=r * math.sin(lat),
         )
 
-    def surface(self) -> "GeoPoint":
-        """The same point projected onto the Earth surface (altitude 0)."""
-        if self.alt_km == 0.0:
-            return self
-        return GeoPoint(self.lat_deg, self.lon_deg, 0.0)
-
 
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle (surface) distance between two points, ignoring altitude.
@@ -97,32 +83,3 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
         math.hypot(cos2 * math.sin(dlon), cos1 * sin2 - sin1 * cos2 * cos_dlon),
         sin1 * sin2 + cos1 * cos2 * cos_dlon,
     )
-
-
-def slant_range_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Straight-line distance between two points including altitudes.
-
-    This is the length a radio or optical link actually travels, e.g. from a
-    user terminal to a satellite overhead.
-    """
-    return a.to_ecef().distance_km(b.to_ecef())
-
-
-def elevation_angle_deg(observer: GeoPoint, target: GeoPoint) -> float:
-    """Elevation of ``target`` above the local horizon at ``observer``.
-
-    Returns degrees in [-90, 90]; negative values mean the target is below
-    the horizon.
-    """
-    obs = observer.to_ecef()
-    tgt = target.to_ecef()
-    dx, dy, dz = tgt.x - obs.x, tgt.y - obs.y, tgt.z - obs.z
-    range_km = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if range_km == 0.0:
-        raise GeodesyError("observer and target coincide")
-    obs_norm = obs.norm_km()
-    # Angle between the local up vector (obs/|obs|) and the line of sight.
-    cos_zenith = (obs.x * dx + obs.y * dy + obs.z * dz) / (obs_norm * range_km)
-    cos_zenith = max(-1.0, min(1.0, cos_zenith))
-    return 90.0 - math.degrees(math.acos(cos_zenith))
-

@@ -70,10 +70,6 @@ class AimDataset:
             if (isp is None or t.isp == isp) and (iso2 is None or t.iso2 == iso2)
         ]
 
-    def countries(self, isp: str) -> set[str]:
-        """Countries with at least one test for an ISP class."""
-        return {t.iso2 for t in self.tests if t.isp == isp}
-
     def rtts_by_country(self, isp: str) -> dict[str, list[float]]:
         """idle RTT samples grouped by country for one ISP class."""
         grouped: dict[str, list[float]] = {}
@@ -81,13 +77,6 @@ class AimDataset:
             if test.isp == isp:
                 grouped.setdefault(test.iso2, []).append(test.latency_ms)
         return grouped
-
-    def median_rtt_ms(self, iso2: str, isp: str) -> float:
-        """Median idle RTT for a country/ISP; NaN when unmeasured."""
-        samples = [t.latency_ms for t in self.filter(isp=isp, iso2=iso2)]
-        if not samples:
-            return math.nan
-        return float(median(samples))
 
     def min_rtt_ms(self, iso2: str, isp: str) -> float:
         """Minimum observed idle RTT for a country/ISP; NaN when unmeasured."""

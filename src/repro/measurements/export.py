@@ -1,14 +1,11 @@
-"""Dataset export/import (the paper publishes its measurement artifacts).
+"""Dataset export (the paper publishes its measurement artifacts).
 
-Serialises the synthetic AIM dataset and NetMet records to CSV and JSON so
-downstream analyses can run outside this package, and loads them back for
-round-trip workflows.
+Serialises the synthetic AIM dataset to CSV and JSON so downstream
+analyses can run outside this package (``repro aim``).
 
-All writers are crash-safe (:mod:`repro.atomicio`): a process killed
+Both writers are crash-safe (:mod:`repro.atomicio`): a process killed
 mid-export can never leave a truncated CSV/JSON under the destination
-name. All readers raise :class:`~repro.errors.DatasetError` — never a bare
-``ValueError``/``KeyError``/``JSONDecodeError`` — carrying the file path
-and the offending row number.
+name.
 """
 
 from __future__ import annotations
@@ -19,19 +16,9 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro.atomicio import atomic_open, atomic_write_text
-from repro.errors import DatasetError
 from repro.measurements.aim import AimDataset, SpeedTest
-from repro.measurements.netmet import PageFetchMetrics
 
 _SPEEDTEST_FIELDS = [f.name for f in fields(SpeedTest)]
-_NETMET_FIELDS = [f.name for f in fields(PageFetchMetrics)]
-_SPEEDTEST_FLOATS = {
-    "latency_ms",
-    "loaded_latency_ms",
-    "cdn_distance_km",
-    "download_mbps",
-    "upload_mbps",
-}
 
 
 def write_aim_csv(dataset: AimDataset, path: str | Path) -> int:
@@ -44,75 +31,8 @@ def write_aim_csv(dataset: AimDataset, path: str | Path) -> int:
     return len(dataset.tests)
 
 
-def read_aim_csv(path: str | Path) -> AimDataset:
-    """Load a dataset previously written by :func:`write_aim_csv`."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
-    dataset = AimDataset()
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != _SPEEDTEST_FIELDS:
-            raise DatasetError(
-                f"unexpected CSV header in {path}: {reader.fieldnames}"
-            )
-        for row_number, row in enumerate(reader, start=2):  # 1 is the header
-            try:
-                for key in _SPEEDTEST_FLOATS:
-                    row[key] = float(row[key])
-                dataset.tests.append(SpeedTest(**row))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DatasetError(
-                    f"malformed row {row_number} in {path}: {exc}"
-                ) from exc
-    return dataset
-
-
 def write_aim_json(dataset: AimDataset, path: str | Path) -> int:
     """Atomically write the dataset as a JSON array; returns the row count."""
     payload = [asdict(test) for test in dataset.tests]
     atomic_write_text(path, json.dumps(payload, indent=1))
     return len(payload)
-
-
-def read_aim_json(path: str | Path) -> AimDataset:
-    """Load a dataset previously written by :func:`write_aim_json`."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(payload, list):
-        raise DatasetError(f"expected a JSON array in {path}")
-    dataset = AimDataset()
-    for row_number, row in enumerate(payload, start=1):
-        if not isinstance(row, dict):
-            raise DatasetError(
-                f"record {row_number} in {path} is not a JSON object"
-            )
-        missing = set(_SPEEDTEST_FIELDS) - set(row)
-        if missing:
-            raise DatasetError(
-                f"record {row_number} in {path} missing fields {sorted(missing)}"
-            )
-        try:
-            dataset.tests.append(
-                SpeedTest(**{k: row[k] for k in _SPEEDTEST_FIELDS})
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetError(
-                f"malformed record {row_number} in {path}: {exc}"
-            ) from exc
-    return dataset
-
-
-def write_netmet_csv(records: list[PageFetchMetrics], path: str | Path) -> int:
-    """Atomically write NetMet page-fetch records as CSV; returns the count."""
-    with atomic_open(path, newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_NETMET_FIELDS)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(asdict(record))
-    return len(records)

@@ -34,10 +34,6 @@ class WebPage:
         if self.render_ms < 0:
             raise ConfigurationError(f"page {self.name!r} has negative render time")
 
-    @property
-    def total_bytes(self) -> int:
-        return self.html_bytes + self.critical_bytes
-
 
 # Synthetic stand-ins for the Tranco top-20 landing pages: sizes and critical
 # resource counts follow the published HTTP Archive medians for popular sites.

@@ -125,9 +125,3 @@ class TerrestrialPathModel:
     def loaded_rtt_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
         """One sampled RTT during an active download."""
         return self._leg(city, remote, remote_iso2).loaded_rtt_ms()
-
-    def min_rtt_floor_ms(self, city: City, remote: GeoPoint, remote_iso2: str) -> float:
-        """The jitter-free RTT (core fibre and think time, no last mile). Not
-        a floor: the jitter scales the whole RTT, so samples fall below it."""
-        core_ms = self._leg(city, remote, remote_iso2).core_ms
-        return 2.0 * core_ms + CDN_SERVER_THINK_TIME_MS

@@ -102,11 +102,6 @@ class ProfileAccumulator:
         self._open -= 1
         self.add(site, seconds)
 
-    @property
-    def open_timers(self) -> int:
-        """How many timers are currently open (this epoch)."""
-        return self._open
-
     # -- delta serialisation -----------------------------------------------
 
     def snapshot_delta(self, drain: bool = False) -> dict:

@@ -8,7 +8,6 @@ provided as a preset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.constants import (
@@ -74,13 +73,6 @@ class ShellConfig:
         """Phase shift applied between adjacent planes (Walker-delta F term)."""
         return self.phase_offset * 360.0 / self.total_satellites
 
-    def in_plane_neighbor_distance_km(self) -> float:
-        """Chord distance between adjacent satellites in the same plane."""
-        from repro.constants import EARTH_RADIUS_KM
-
-        radius = EARTH_RADIUS_KM + self.altitude_km
-        return 2.0 * radius * math.sin(math.radians(self.in_plane_spacing_deg) / 2.0)
-
 
 def starlink_shell1() -> ShellConfig:
     """Starlink Shell 1 as simulated in the paper (72 x 22 at 550 km, 53 deg)."""
@@ -135,14 +127,4 @@ def oneweb_phase1() -> ShellConfig:
         phase_offset=0,
         name="oneweb-phase1",
         isl_capable=False,
-    )
-
-
-def all_shell_presets() -> tuple[ShellConfig, ...]:
-    """Every built-in shell preset."""
-    return (
-        starlink_shell1(),
-        starlink_shell3(),
-        starlink_vleo(),
-        oneweb_phase1(),
     )

@@ -33,10 +33,6 @@ class PassWindow:
     def duration_s(self) -> float:
         return self.end_s - self.start_s
 
-    def contains(self, t_s: float) -> bool:
-        """Whether ``t_s`` falls inside this window."""
-        return self.start_s <= t_s <= self.end_s
-
 
 def predict_passes(
     constellation: Constellation,
@@ -84,27 +80,3 @@ def predict_passes(
             )
     windows.sort(key=lambda w: (w.start_s, w.satellite))
     return windows
-
-
-def next_pass(
-    constellation: Constellation,
-    point: GeoPoint,
-    satellite: int,
-    after_s: float,
-    horizon_s: float = 7200.0,
-    step_s: float = 10.0,
-    min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
-) -> PassWindow:
-    """The first pass of ``satellite`` over ``point`` after ``after_s``.
-
-    Raises :class:`VisibilityError` if none occurs within ``horizon_s``.
-    """
-    for window in predict_passes(
-        constellation, point, after_s, horizon_s, step_s, min_elevation_deg
-    ):
-        if window.satellite == satellite and window.end_s > after_s:
-            return window
-    raise VisibilityError(
-        f"satellite {satellite} makes no pass over "
-        f"({point.lat_deg:.2f}, {point.lon_deg:.2f}) within {horizon_s:.0f}s"
-    )

@@ -56,8 +56,8 @@ def _cone_cos(
     """Cosine of each observer's cull-cone half-angle; ``-inf`` keeps all.
 
     The half-angle is the Earth-central angle between the observer and a
-    satellite seen exactly at the mask (the law-of-sines triangle of
-    :func:`max_slant_range_km`, with the observer's own radius), plus
+    satellite seen exactly at the mask (the law of sines on the
+    Earth-centre / observer / satellite triangle), plus
     :data:`_CONE_MARGIN_DEG`. Below the shell, elevation falls strictly as
     the central angle grows, so every satellite at or above the mask lies
     inside the cone. An observer at or above the shell keeps every
@@ -195,11 +195,6 @@ def elevations_deg(constellation: Constellation, point: GeoPoint, t_s: float) ->
     return _pairs(constellation, [point], t_s, None)[2]
 
 
-def slant_ranges_km(constellation: Constellation, point: GeoPoint, t_s: float) -> np.ndarray:
-    """Straight-line distance from ``point`` to every satellite (km)."""
-    return _pairs(constellation, [point], t_s, None)[3]
-
-
 def visible_satellites(
     constellation: Constellation,
     point: GeoPoint,
@@ -264,38 +259,3 @@ def nearest_visible_satellite(
         elevation_deg=float(batch.elevation_deg[0]),
         slant_range_km=float(batch.slant_range_km[0]),
     )
-
-
-def coverage_fraction(
-    constellation: Constellation,
-    point: GeoPoint,
-    duration_s: float,
-    step_s: float = 30.0,
-    min_elevation_deg: float = MIN_ELEVATION_USER_DEG,
-) -> float:
-    """Fraction of sampled instants at which at least one satellite is usable."""
-    if duration_s <= 0 or step_s <= 0:
-        raise VisibilityError("duration and step must be positive")
-    times = np.arange(0.0, duration_s, step_s)
-    covered = sum(
-        1
-        for t in times
-        if _pairs(constellation, [point], float(t), min_elevation_deg)[1].size
-    )
-    return covered / len(times)
-
-
-def max_slant_range_km(altitude_km: float, min_elevation_deg: float) -> float:
-    """Maximum slant range to a satellite at ``altitude_km`` at the elevation limit.
-
-    Law of sines on the Earth-centre / observer / satellite triangle.
-    """
-    from repro.constants import EARTH_RADIUS_KM
-
-    re = EARTH_RADIUS_KM
-    rs = re + altitude_km
-    elev = math.radians(min_elevation_deg)
-    # Angle at the satellite vertex.
-    sat_angle = math.asin(re * math.cos(elev) / rs)
-    earth_angle = math.pi / 2.0 - elev - sat_angle
-    return math.sqrt(re * re + rs * rs - 2.0 * re * rs * math.cos(earth_angle))

@@ -89,14 +89,6 @@ class Constellation:
         self._last_positions = (t_s, positions)
         return positions
 
-    def subsatellite_points(self, t_s: float) -> np.ndarray:
-        """Sub-satellite (lat_deg, lon_deg) for every satellite, shape (N, 2)."""
-        pos = self.positions_ecef(t_s)
-        hyp = np.hypot(pos[:, 0], pos[:, 1])
-        lat = np.degrees(np.arctan2(pos[:, 2], hyp))
-        lon = np.degrees(np.arctan2(pos[:, 1], pos[:, 0]))
-        return np.column_stack((lat, lon))
-
 def build_walker_delta(config: ShellConfig) -> Constellation:
     """Construct a Walker-delta constellation from a shell configuration.
 

@@ -234,13 +234,6 @@ class OverloadModel:
 
     # -- the protections -----------------------------------------------------
 
-    def validate_priority(self, priority: int) -> int:
-        if not 0 <= priority < NUM_CLASSES:
-            raise ConfigurationError(
-                f"priority class {priority} out of range [0, {NUM_CLASSES})"
-            )
-        return priority
-
     def priority_of(self, request_index: int) -> int:
         """The seeded priority class of request ``request_index``."""
         rng = np.random.default_rng((self.seed, 0x9A17, request_index))

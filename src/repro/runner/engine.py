@@ -109,6 +109,8 @@ class ExperimentRunner:
             # appends its own segment after the interrupted one's.
             from repro.obs.events import EventLog
 
+            if rec.events is not None:
+                rec.events.close()
             rec.events = EventLog(store.events_path)
         rec.event(
             "run_start",

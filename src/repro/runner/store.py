@@ -197,16 +197,6 @@ class CheckpointStore:
         garbage / exception), and the detail string for each."""
         atomic_write_text(self.quarantine_record_path, json.dumps(record, indent=1))
 
-    def load_quarantine_record(self) -> dict[str, Any] | None:
-        """The stored quarantine record, or ``None`` when absent/unreadable."""
-        if not self.quarantine_record_path.exists():
-            return None
-        try:
-            record = json.loads(self.quarantine_record_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return record if isinstance(record, dict) else None
-
     def clear_quarantine_record(self) -> None:
         """Drop the record (a later run completed every shard)."""
         try:

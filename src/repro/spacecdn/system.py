@@ -34,7 +34,7 @@ from repro.network.access import access_latency_ms
 from repro.obs.metrics import OVERLOAD_QUEUE_BUCKETS_MS
 from repro.obs.recorder import get_recorder
 from repro.orbits.walker import Constellation
-from repro.overload.model import GROUND_TARGET, OverloadModel
+from repro.overload.model import GROUND_TARGET, NUM_CLASSES, OverloadModel
 from repro.spacecdn.lookup import LookupSource, ranked_cached_from_rows
 from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph, build_snapshot
@@ -429,7 +429,11 @@ class SpaceCdnSystem:
                     f"cohort mismatch: {num} users but "
                     f"{len(priorities)} priorities"
                 )
-            priorities = [model.validate_priority(p) for p in priorities]
+            bad = [p for p in priorities if not 0 <= p < NUM_CLASSES]
+            if bad:
+                raise ConfigurationError(
+                    f"priority class {bad[0]} out of range [0, {NUM_CLASSES})"
+                )
         if num == 0:
             return []
         for t in times:

@@ -108,10 +108,6 @@ class CsrTopology:
     grid_shape: tuple[int, int]
     origin_hops: np.ndarray
 
-    @property
-    def num_links(self) -> int:
-        return len(self.link_a)
-
 
 @lru_cache(maxsize=16)
 def csr_topology(config: ShellConfig) -> CsrTopology:
@@ -236,7 +232,7 @@ def degrade_core(core: CsrSnapshot, cut_links: Iterable[int] = ()) -> CsrSnapsho
     The returned :class:`CsrSnapshot` shares the topology and link-weight
     arrays; a ``link_active`` mask marks the cut links.
     """
-    e = core.topology.num_links
+    e = len(core.topology.link_a)
     link_active = None if core.link_active is None else core.link_active.copy()
     cut = np.asarray(sorted(set(_as_link_ids(cut_links))), dtype=np.int64)
     if cut.size:

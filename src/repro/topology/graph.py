@@ -55,10 +55,6 @@ class SnapshotGraph:
         """All live satellite node indices."""
         return [i for i in range(self.core.num_nodes) if i not in self.failed]
 
-    def has_satellite(self, index: int) -> bool:
-        """Whether ``index`` is a live satellite of this snapshot."""
-        return 0 <= index < self.core.num_nodes and index not in self.failed
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False

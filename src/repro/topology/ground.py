@@ -36,15 +36,6 @@ class GroundStation:
     def location(self) -> GeoPoint:
         return self.site.location
 
-    @property
-    def node_name(self) -> str:
-        return f"gs:{self.site.name}"
-
-    @property
-    def pop(self) -> PopSite:
-        """The PoP site this gateway backhauls to."""
-        return self.site.pop
-
     def backhaul_latency_ms(self, hops: int = 3) -> float:
         """One-way fiber latency from this gateway to its PoP."""
         distance = great_circle_km(self.location, self.site.pop.location)
@@ -66,10 +57,6 @@ class PointOfPresence:
     @property
     def location(self) -> GeoPoint:
         return self.site.location
-
-    @property
-    def node_name(self) -> str:
-        return f"pop:{self.site.name}"
 
 
 @dataclass

@@ -31,10 +31,6 @@ class IslLink:
         if self.kind not in ("intra-plane", "cross-plane"):
             raise ConfigurationError(f"unknown ISL kind: {self.kind!r}")
 
-    def endpoints(self) -> tuple[int, int]:
-        """Canonical (low, high) endpoint order."""
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
 
 @lru_cache(maxsize=8)
 def nearest_cross_plane_offset(config: ShellConfig) -> int:
@@ -98,4 +94,3 @@ def plus_grid_links(config: ShellConfig) -> tuple[IslLink, ...]:
             if east != index:
                 add(index, east, "cross-plane")
     return tuple(links)
-

@@ -24,7 +24,7 @@ from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import apply_fault_view
 from repro.network.access import access_latency_ms
 from repro.orbits.visibility import visible_satellites
-from repro.overload.model import GROUND_TARGET
+from repro.overload.model import GROUND_TARGET, NUM_CLASSES
 from repro.spacecdn.lookup import LookupSource
 from repro.spacecdn.system import TIER_OF_SOURCE, ServedRequest, SystemStats
 from repro.topology import fastcore
@@ -32,6 +32,11 @@ from repro.topology.graph import build_snapshot
 from topology_reference import full_rows
 
 _BREAKER_OPEN = "breaker-open"
+
+
+def has_satellite(snapshot, index: int) -> bool:
+    """Whether ``index`` is a live satellite of ``snapshot``."""
+    return 0 <= index < snapshot.core.num_nodes and index not in snapshot.failed
 
 
 def ranked_cached_reference(
@@ -166,7 +171,8 @@ class ReferenceCdn:
         if priority is not None:
             if self.overload is None:
                 raise ConfigurationError("request priorities require an overload model")
-            self.overload.validate_priority(priority)
+            if not 0 <= priority < NUM_CLASSES:
+                raise ConfigurationError(f"priority class {priority} out of range")
         self._enter_slot(t_s)
         return self._serve_walk(user, object_id, t_s, priority)
 
@@ -237,7 +243,7 @@ class ReferenceCdn:
         live = [
             s
             for s in visible_satellites(self.constellation, user, degraded.t_s)
-            if degraded.has_satellite(s.index)
+            if has_satellite(degraded, s.index)
         ]
         if not live:
             self.stats.unavailable += 1

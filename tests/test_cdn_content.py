@@ -54,12 +54,6 @@ class TestCatalog:
         assert any(i.startswith("g-") for i in ids)
         assert not any(i.startswith("af-") for i in ids)
 
-    def test_total_bytes(self):
-        catalog = Catalog()
-        catalog.add(ContentObject("a", 100))
-        catalog.add(ContentObject("b", 250))
-        assert catalog.total_bytes() == 350
-
     def test_iteration(self, small_catalog):
         assert len(list(small_catalog)) == len(small_catalog)
 

@@ -49,8 +49,8 @@ class TestAimCache:
         from repro.measurements.aim import STARLINK, TERRESTRIAL
 
         dataset = common.aim_dataset(3, 1)
-        assert dataset.countries(TERRESTRIAL)
-        assert dataset.countries(STARLINK)
+        assert dataset.rtts_by_country(TERRESTRIAL)
+        assert dataset.rtts_by_country(STARLINK)
 
 
 class TestEpochs:

@@ -6,13 +6,14 @@ import pytest
 
 from repro.constants import EARTH_RADIUS_KM
 from repro.errors import GeodesyError
-from repro.geo.coordinates import (
-    EcefPoint,
-    GeoPoint,
-    elevation_angle_deg,
-    great_circle_km,
-    slant_range_km,
-)
+from repro.geo.coordinates import GeoPoint, great_circle_km
+from repro.orbits.visibility import elevations_deg
+
+
+def chord_km(a: GeoPoint, b: GeoPoint) -> float:
+    """Straight-line distance between two points through their ECEF forms."""
+    ea, eb = a.to_ecef(), b.to_ecef()
+    return math.dist((ea.x, ea.y, ea.z), (eb.x, eb.y, eb.z))
 
 
 class TestGeoPointValidation:
@@ -34,15 +35,6 @@ class TestGeoPointValidation:
         GeoPoint(90.0, 0.0)
         GeoPoint(-90.0, 179.99)
 
-    def test_surface_strips_altitude(self):
-        point = GeoPoint(10.0, 20.0, 550.0)
-        assert point.surface().alt_km == 0.0
-        assert point.surface().lat_deg == 10.0
-
-    def test_surface_of_surface_point_is_identity(self):
-        point = GeoPoint(10.0, 20.0, 0.0)
-        assert point.surface() is point
-
 
 class TestEcefConversion:
     def test_origin_meridian_equator(self):
@@ -58,12 +50,8 @@ class TestEcefConversion:
 
     def test_altitude_extends_radius(self):
         ecef = GeoPoint(0.0, 0.0, 550.0).to_ecef()
-        assert ecef.norm_km() == pytest.approx(EARTH_RADIUS_KM + 550.0)
-
-    def test_ecef_distance_symmetry(self):
-        a = GeoPoint(10.0, 20.0, 0.0).to_ecef()
-        b = GeoPoint(-30.0, 100.0, 550.0).to_ecef()
-        assert a.distance_km(b) == pytest.approx(b.distance_km(a))
+        norm = math.hypot(ecef.x, ecef.y, ecef.z)
+        assert norm == pytest.approx(EARTH_RADIUS_KM + 550.0)
 
 
 class TestGreatCircle:
@@ -110,58 +98,39 @@ class TestSlantRange:
     def test_satellite_at_zenith(self):
         ground = GeoPoint(0.0, 0.0, 0.0)
         satellite = GeoPoint(0.0, 0.0, 550.0)
-        assert slant_range_km(ground, satellite) == pytest.approx(550.0)
+        assert chord_km(ground, satellite) == pytest.approx(550.0)
 
     def test_slant_exceeds_altitude_off_zenith(self):
         ground = GeoPoint(0.0, 0.0, 0.0)
         satellite = GeoPoint(5.0, 5.0, 550.0)
-        assert slant_range_km(ground, satellite) > 550.0
+        assert chord_km(ground, satellite) > 550.0
 
     def test_slant_range_vs_chord_for_surface_points(self):
         # For two surface points, the slant (chord) must be below the arc.
         a = GeoPoint(0.0, 0.0)
         b = GeoPoint(0.0, 90.0)
-        assert slant_range_km(a, b) < great_circle_km(a, b)
+        assert chord_km(a, b) < great_circle_km(a, b)
 
 
 class TestElevationAngle:
-    def test_zenith_is_90_degrees(self):
-        ground = GeoPoint(10.0, 20.0, 0.0)
-        overhead = GeoPoint(10.0, 20.0, 550.0)
-        assert elevation_angle_deg(ground, overhead) == pytest.approx(90.0, abs=1e-6)
+    """Elevation of satellite 0 of the 6x8 test shell at t = 0, as the
+    visibility kernel computes it, from ground points east of the point
+    below it."""
 
-    def test_far_satellite_below_horizon(self):
-        ground = GeoPoint(0.0, 0.0, 0.0)
-        far = GeoPoint(0.0, 170.0, 550.0)
-        assert elevation_angle_deg(ground, far) < 0.0
+    @staticmethod
+    def elevation(constellation, east_deg: float) -> float:
+        x, y, z = constellation.positions_ecef(0.0)[0]
+        lat = math.degrees(math.atan2(z, math.hypot(x, y)))
+        lon = math.degrees(math.atan2(y, x)) + east_deg
+        ground = GeoPoint(lat, (lon + 180.0) % 360.0 - 180.0)
+        return float(elevations_deg(constellation, ground, 0.0)[0])
 
-    def test_elevation_decreases_with_ground_distance(self):
-        ground = GeoPoint(0.0, 0.0, 0.0)
-        near = GeoPoint(0.0, 2.0, 550.0)
-        far = GeoPoint(0.0, 10.0, 550.0)
-        assert elevation_angle_deg(ground, near) > elevation_angle_deg(ground, far)
+    def test_zenith_is_90_degrees(self, small_constellation):
+        assert self.elevation(small_constellation, 0.0) == pytest.approx(90.0, abs=1e-6)
 
-    def test_coincident_points_raise(self):
-        point = GeoPoint(0.0, 0.0, 0.0)
-        with pytest.raises(GeodesyError):
-            elevation_angle_deg(point, point)
+    def test_far_satellite_below_horizon(self, small_constellation):
+        assert self.elevation(small_constellation, 170.0) < 0.0
 
-
-class TestSubsatellitePoint:
-    def test_projects_to_surface(self):
-        satellite = GeoPoint(30.0, 60.0, 550.0)
-        below = satellite.surface()
-        assert below.alt_km == 0.0
-        assert below.lat_deg == satellite.lat_deg
-        assert below.lon_deg == satellite.lon_deg
-
-
-class TestEcefPoint:
-    def test_norm(self):
-        point = EcefPoint(3.0, 4.0, 0.0)
-        assert point.norm_km() == pytest.approx(5.0)
-
-    def test_distance(self):
-        a = EcefPoint(0.0, 0.0, 0.0)
-        b = EcefPoint(1.0, 2.0, 2.0)
-        assert a.distance_km(b) == pytest.approx(3.0)
+    def test_elevation_decreases_with_ground_distance(self, small_constellation):
+        near = self.elevation(small_constellation, 2.0)
+        assert near > self.elevation(small_constellation, 10.0)

@@ -12,7 +12,11 @@ and ``--out-dir <dir> --jobs 2`` must each print exactly these bytes.
 ``payloads.json`` pins, at full precision, the sha256 of ``repr`` of every
 shard payload of the measurement experiments at seed 7 (and of the Fig. 7/8
 ``aim`` baseline shards): the text goldens round to 1-2 decimals, so only
-these digests catch a last-bit drift in the AIM/NetMet draws.
+these digests catch a last-bit drift in the AIM/NetMet draws. Its
+``_toolchain`` entry records the Python, numpy and scipy versions the
+goldens were made with; every golden mismatch prints them beside the
+running ones, since a numpy release that changes a sampler's algorithm
+fails every golden at once.
 
 Dropped as not reproducible across runs: the ``repro_profile_*`` lines of
 the metrics file (wall-clock seconds per profiled site). Nothing else in
@@ -32,12 +36,15 @@ import importlib
 import io
 import json
 import os
+import platform
 import runpy
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from repro.cli import main
 from repro.obs.recorder import reset_recorder
@@ -71,6 +78,31 @@ PAYLOAD_SHARDS: dict[str, tuple[str, ...] | None] = {
     "figure7": ("aim",),
     "figure8": ("aim",),
 }
+TOOLCHAIN_KEY = "_toolchain"
+"""The ``payloads.json`` entry that records the versions, not an experiment."""
+
+
+def toolchain() -> dict[str, str]:
+    """The running Python, numpy and scipy versions."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def _payloads() -> dict:
+    return json.loads((GOLDEN / "payloads.json").read_text())
+
+
+def toolchain_note() -> str:
+    """The versions the goldens were made with, beside the running ones."""
+
+    def render(versions: dict) -> str:
+        return ", ".join(f"{name} {versions.get(name, '?')}" for name in toolchain())
+
+    recorded = render(_payloads().get(TOOLCHAIN_KEY, {}))
+    return f"goldens made with {recorded}; running {render(toolchain())}"
 
 
 def _stable(artifact: str, text: str) -> str:
@@ -148,24 +180,28 @@ def test_every_registered_experiment_has_a_golden():
         assert main(["list"]) == 0
     registered = {line.split()[0] for line in out.getvalue().splitlines()}
     assert registered == set(STDOUT_EXPERIMENTS)
+    assert set(_payloads()) - {TOOLCHAIN_KEY} == set(PAYLOAD_SHARDS)
 
 
 @pytest.mark.parametrize("experiment", STDOUT_EXPERIMENTS)
 def test_stdout_matches_golden(experiment):
     expected = (GOLDEN / f"{experiment}.txt").read_text()
-    assert run_stdout(experiment) == expected
+    assert run_stdout(experiment) == expected, toolchain_note()
 
 
 @pytest.mark.parametrize("experiment", STDOUT_EXPERIMENTS)
 def test_sharded_stdout_matches_golden(experiment, tmp_path):
     expected = (GOLDEN / f"{experiment}.txt").read_text()
-    assert run_sharded_stdout(experiment, tmp_path / "run") == expected
+    assert run_sharded_stdout(experiment, tmp_path / "run") == expected, (
+        toolchain_note()
+    )
 
 
 @pytest.mark.parametrize("experiment", STDOUT_EXPERIMENTS)
 def test_parallel_stdout_matches_golden(experiment, tmp_path):
     expected = (GOLDEN / f"{experiment}.txt").read_text()
-    assert run_sharded_stdout(experiment, tmp_path / "run", "--jobs", "2") == expected
+    stdout = run_sharded_stdout(experiment, tmp_path / "run", "--jobs", "2")
+    assert stdout == expected, toolchain_note()
 
 
 @pytest.mark.parametrize("experiment", OBS_EXPERIMENTS)
@@ -173,13 +209,15 @@ def test_obs_artifacts_match_golden(experiment, tmp_path):
     artifacts = run_obs(experiment, tmp_path)
     for name, text in artifacts.items():
         expected = (GOLDEN / f"{experiment}.{name}").read_text()
-        assert text == expected, f"{experiment} {name} drifted from its golden"
+        assert text == expected, (
+            f"{experiment} {name} drifted from its golden; {toolchain_note()}"
+        )
 
 
 @pytest.mark.parametrize("experiment", PAYLOAD_SHARDS)
 def test_shard_payloads_match_golden(experiment):
-    expected = json.loads((GOLDEN / "payloads.json").read_text())[experiment]
-    assert payload_digests(experiment) == expected
+    expected = _payloads()[experiment]
+    assert payload_digests(experiment) == expected, toolchain_note()
 
 
 def test_every_example_has_a_golden():
@@ -189,7 +227,7 @@ def test_every_example_has_a_golden():
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_example_stdout_matches_golden(name):
     expected = (GOLDEN / "examples" / f"{name}.txt").read_text()
-    assert run_example(name) == expected
+    assert run_example(name) == expected, toolchain_note()
 
 
 def regenerate() -> None:
@@ -214,6 +252,7 @@ def regenerate() -> None:
     for name in EXAMPLES:
         (GOLDEN / "examples" / f"{name}.txt").write_text(run_example(name))
     digests = {experiment: payload_digests(experiment) for experiment in PAYLOAD_SHARDS}
+    digests[TOOLCHAIN_KEY] = toolchain()
     (GOLDEN / "payloads.json").write_text(json.dumps(digests, indent=1) + "\n")
 
 

@@ -9,13 +9,22 @@ full end-to-end request flows across subsystems.
 
 import numpy as np
 
-from repro.constants import CDN_SERVER_THINK_TIME_MS
+from repro.constants import (
+    CDN_SERVER_THINK_TIME_MS,
+    ISL_HOP_PROCESSING_MS,
+    MIN_ELEVATION_GS_DEG,
+    MIN_ELEVATION_USER_DEG,
+    SPEED_OF_LIGHT_KM_S,
+)
 from repro.geo.coordinates import GeoPoint
 from repro.geo.datasets.cdn_sites import cdn_site_by_name
-from repro.geo.datasets.cities import city_by_name
+from repro.geo.datasets.cities import all_cities, city_by_name
 from repro.network.bentpipe import StarlinkPathModel
+from repro.orbits.visibility import visible_satellites
 from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup
 from repro.spacecdn.placement import KPerPlanePlacement
+from repro.topology import fastcore
+from repro.topology.graph import build_snapshot
 from topology_reference import networkx_view, satellite_latencies_reference
 
 
@@ -53,6 +62,59 @@ class TestAnalyticVsGraphModel:
         )
         # Same order of magnitude, analytic within [0.6x, 1.8x] of the graph.
         assert 0.6 * graph_ms < analytic_ms < 1.8 * graph_ms
+
+    # (city, t_s) where the analytic ISL leg runs below the routed Shell-1
+    # minimum: short-ISL cities whose fitted stretch undershoots the +Grid
+    # detour (CHANGES.md FOUND). Any change to this set fails the test.
+    ISL_BELOW_ROUTED_FLOOR = frozenset(
+        {
+            ("Toronto", 0), ("Toronto", 600), ("Montreal", 600),
+            ("Punta Arenas", 600), ("Punta Arenas", 1200), ("Punta Arenas", 1800),
+            ("Punta Arenas", 2400), ("Montevideo", 600), ("Montevideo", 2400),
+        }
+    )
+
+    def test_isl_leg_never_below_routed_floor(self, shell1_constellation):
+        """For every ISL-served city of a Starlink country, at t = 0, 600,
+        ..., 2,400 s, the analytic ISL leg (stretched distance at c plus hop
+        processing) is at least the Shell-1 routed minimum between the six
+        nearest satellites the client sees (25 deg mask) and the six its
+        gateway sees (10 deg mask). Every other ISL number of the analytic
+        model rests on this one; the routed path is the physical floor."""
+        model = StarlinkPathModel(rng=np.random.default_rng(0))
+        snapshots = {
+            t: build_snapshot(shell1_constellation, float(t))
+            for t in range(0, 2401, 600)
+        }
+        checked, below = 0, set()
+        for city in all_cities():
+            path = model.resolve_path(city) if city.country.starlink else None
+            if path is None or not path.uses_isl:
+                continue
+            analytic_ms = (
+                path.isl_distance_km / SPEED_OF_LIGHT_KM_S * 1000.0
+                + path.isl_hops * ISL_HOP_PROCESSING_MS
+            )
+            for t, snapshot in snapshots.items():
+                ends = [
+                    [
+                        s.index
+                        for s in visible_satellites(
+                            shell1_constellation, point, float(t), mask
+                        )[:6]
+                    ]
+                    for point, mask in (
+                        (city.location, MIN_ELEVATION_USER_DEG),
+                        (path.gateway.location, MIN_ELEVATION_GS_DEG),
+                    )
+                ]
+                assert all(ends), (city.name, t)
+                routed_ms = fastcore.latency_batch(snapshot.core, ends[0])[:, ends[1]]
+                checked += 1
+                if analytic_ms < routed_ms.min():
+                    below.add((city.name, t))
+        assert checked > 100
+        assert below == self.ISL_BELOW_ROUTED_FLOOR
 
     def test_access_latency_models_agree(self, shell1_snapshot):
         """Sampled analytic access latencies must bracket the graph model's

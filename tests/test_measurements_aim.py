@@ -25,6 +25,11 @@ from repro.measurements.aim import (
 from repro.simulation.sampler import seeded_rng
 
 
+def median_rtt(dataset: AimDataset, iso2: str, isp: str) -> float:
+    """Median idle RTT of one country over one ISP class."""
+    return statistics.median(dataset.rtts_by_country(isp)[iso2])
+
+
 @pytest.fixture(scope="module")
 def generator() -> AimGenerator:
     return AimGenerator(seed=5)
@@ -102,8 +107,8 @@ class TestGenerator:
 
 class TestDataset:
     def test_both_isps_present(self, small_dataset):
-        assert small_dataset.countries(TERRESTRIAL) == {"MZ", "ES", "NG", "JP"}
-        assert small_dataset.countries(STARLINK) == {"MZ", "ES", "NG", "JP"}
+        for isp in (TERRESTRIAL, STARLINK):
+            assert set(small_dataset.rtts_by_country(isp)) == {"MZ", "ES", "NG", "JP"}
 
     def test_starlink_weighting_by_tier(self, small_dataset):
         # Tier-3 countries get more Starlink tests than tier-1.
@@ -119,12 +124,11 @@ class TestDataset:
     def test_median_min_relationship(self, small_dataset):
         for iso2 in ("MZ", "ES"):
             for isp in (STARLINK, TERRESTRIAL):
-                assert small_dataset.min_rtt_ms(iso2, isp) <= small_dataset.median_rtt_ms(
-                    iso2, isp
+                assert small_dataset.min_rtt_ms(iso2, isp) <= median_rtt(
+                    small_dataset, iso2, isp
                 )
 
     def test_unmeasured_country_is_nan(self, small_dataset):
-        assert math.isnan(small_dataset.median_rtt_ms("US", STARLINK))
         assert math.isnan(small_dataset.mean_distance_km("US", STARLINK))
         assert math.isnan(small_dataset.min_rtt_ms("US", STARLINK))
 
@@ -140,12 +144,12 @@ class TestDataset:
 
     def test_paper_shape_starlink_worse_except_nigeria(self, small_dataset):
         for iso2 in ("MZ", "ES", "JP"):
-            assert small_dataset.median_rtt_ms(iso2, STARLINK) > small_dataset.median_rtt_ms(
-                iso2, TERRESTRIAL
+            assert median_rtt(small_dataset, iso2, STARLINK) > median_rtt(
+                small_dataset, iso2, TERRESTRIAL
             )
         # Nigeria: Starlink beats the congested terrestrial access.
-        assert small_dataset.median_rtt_ms("NG", STARLINK) < small_dataset.median_rtt_ms(
-            "NG", TERRESTRIAL
+        assert median_rtt(small_dataset, "NG", STARLINK) < median_rtt(
+            small_dataset, "NG", TERRESTRIAL
         )
 
     def test_starlink_distance_penalty_mozambique(self, small_dataset):
@@ -177,7 +181,7 @@ def resolve_every_leg(generator: AimGenerator, cities) -> None:
         for isp in (TERRESTRIAL, STARLINK):
             model = generator.terrestrial if isp == TERRESTRIAL else generator.starlink
             for site in generator.candidate_sites_for(city, isp):
-                model.min_rtt_floor_ms(city, site.location, site.iso2)
+                model._leg(city, site.location, site.iso2)
             generator.throughput_profiles(city, isp)
 
 

@@ -17,7 +17,7 @@ class TestWebPages:
     def test_page_fields_valid(self):
         for page in top_site_pages():
             assert page.html_bytes > 0
-            assert page.total_bytes >= page.html_bytes
+            assert page.critical_bytes >= 0
             assert page.render_ms >= 0
 
     def test_invalid_page_rejected(self):

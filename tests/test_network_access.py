@@ -12,8 +12,8 @@ from repro.constants import MIN_ELEVATION_USER_DEG
 from repro.errors import ConfigurationError
 from repro.network.access import access_latency_ms
 from repro.network.bentpipe import StarlinkModelParams
-from repro.orbits.visibility import max_slant_range_km
 from synthesis_reference import FixedJitter, uplinks_ms
+from visibility_reference import max_slant_range_km
 
 
 def uplink_at(fraction: float, altitude_km: float = 550.0) -> float:

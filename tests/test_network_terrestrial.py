@@ -96,16 +96,3 @@ class TestLoadedRtt:
             model.loaded_rtt_ms(city, site.location, site.iso2) for _ in range(2000)
         ]
         assert np.mean(loaded) - np.mean(idle) == pytest.approx(25.0, rel=0.15)
-
-
-class TestMinRttFloor:
-    def test_floor_below_samples(self, model):
-        city = city_by_name("Madrid")
-        site = cdn_site_by_name("Madrid")
-        floor = model.min_rtt_floor_ms(city, site.location, site.iso2)
-        samples = [
-            model.idle_rtt_ms(city, site.location, site.iso2) for _ in range(100)
-        ]
-        # The deterministic floor excludes last-mile, so nearly all samples
-        # must sit above it.
-        assert np.quantile(samples, 0.05) > floor

@@ -1,12 +1,12 @@
 """Tests for shell configuration and shell presets."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.elements import (
     ShellConfig,
-    all_shell_presets,
     oneweb_phase1,
     starlink_shell1,
     starlink_shell3,
@@ -16,6 +16,7 @@ from repro.orbits.walker import build_walker_delta
 from repro.spacecdn.lookup import LookupSource, SpaceCdnLookup
 from repro.topology.graph import build_snapshot
 from repro.topology.isl import plus_grid_links
+from topology_reference import shell_presets
 
 
 class TestShellConfig:
@@ -41,9 +42,10 @@ class TestShellConfig:
         assert shell.inter_plane_phase_deg == pytest.approx(39 * 360.0 / 1584)
 
     def test_in_plane_neighbor_distance(self):
-        shell = starlink_shell1()
+        positions = build_walker_delta(starlink_shell1()).positions_ecef(0.0)
         # 22 satellites around a 6921 km-radius orbit: chord ~1966 km.
-        assert shell.in_plane_neighbor_distance_km() == pytest.approx(1966, rel=0.01)
+        chord = np.linalg.norm(positions[1] - positions[0])
+        assert chord == pytest.approx(1966, rel=0.01)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -72,7 +74,7 @@ class TestShellConfig:
 
 class TestShellPresets:
     def test_all_presets_valid(self):
-        presets = all_shell_presets()
+        presets = shell_presets()
         assert len(presets) == 4
         names = {p.name for p in presets}
         assert len(names) == 4
@@ -103,5 +105,6 @@ class TestShellPresets:
 
     def test_shell3_reaches_higher_latitudes(self):
         constellation = build_walker_delta(starlink_shell3())
-        lats = constellation.subsatellite_points(0.0)[:, 0]
+        x, y, z = constellation.positions_ecef(0.0).T
+        lats = np.degrees(np.arctan2(z, np.hypot(x, y)))
         assert abs(lats).max() > 60.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import VisibilityError
 from repro.geo.coordinates import GeoPoint
-from repro.orbits.passes import next_pass, predict_passes
+from repro.orbits.passes import predict_passes
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +36,6 @@ class TestPredictPasses:
     def test_max_elevation_at_least_threshold(self, equator_passes):
         assert all(p.max_elevation_deg >= 25.0 for p in equator_passes)
 
-    def test_contains(self, equator_passes):
-        window = equator_passes[0]
-        mid = (window.start_s + window.end_s) / 2.0
-        assert window.contains(mid)
-        assert not window.contains(window.end_s + 1.0)
-
     def test_invalid_duration_raises(self, shell1_constellation):
         with pytest.raises(VisibilityError):
             predict_passes(shell1_constellation, GeoPoint(0.0, 0.0), 0.0, -5.0)
@@ -50,35 +44,3 @@ class TestPredictPasses:
         svalbard = GeoPoint(78.2, 15.6, 0.0)
         passes = predict_passes(shell1_constellation, svalbard, 0.0, 600.0, step_s=60.0)
         assert passes == []
-
-
-class TestNextPass:
-    def test_finds_pass_of_named_satellite(self, shell1_constellation, equator_passes):
-        satellite = equator_passes[0].satellite
-        window = next_pass(
-            shell1_constellation,
-            GeoPoint(0.0, 0.0, 0.0),
-            satellite,
-            after_s=0.0,
-            horizon_s=1800.0,
-            step_s=15.0,
-        )
-        assert window.satellite == satellite
-        assert window.end_s > 0.0
-
-    def test_raises_when_no_pass_in_horizon(self, shell1_constellation):
-        # Pick the satellite currently farthest from the point: it cannot
-        # complete a pass within a 30-second horizon.
-        from repro.orbits.visibility import slant_ranges_km
-
-        point = GeoPoint(0.0, 0.0, 0.0)
-        farthest = int(slant_ranges_km(shell1_constellation, point, 0.0).argmax())
-        with pytest.raises(VisibilityError):
-            next_pass(
-                shell1_constellation,
-                point,
-                satellite=farthest,
-                after_s=0.0,
-                horizon_s=30.0,
-                step_s=10.0,
-            )

@@ -11,19 +11,16 @@ from repro.errors import VisibilityError
 from repro.experiments.shells import small_constellation
 from repro.geo.coordinates import GeoPoint
 from repro.orbits import visibility
-from repro.orbits.elements import all_shell_presets
 from repro.orbits.visibility import (
-    coverage_fraction,
     elevations_deg,
-    max_slant_range_km,
     nearest_visible_satellite,
     nearest_visible_satellites,
-    slant_ranges_km,
     visible_satellites,
     visible_satellites_batch,
 )
 from repro.orbits.walker import build_walker_delta
-from visibility_reference import dense_view, usable_order
+from topology_reference import shell_presets
+from visibility_reference import dense_view, max_slant_range_km, usable_order
 
 
 class TestElevations:
@@ -43,12 +40,19 @@ class TestElevations:
 
 
 class TestSlantRanges:
+    """Slant ranges to every satellite: a -90 deg mask keeps them all."""
+
+    @staticmethod
+    def ranges(constellation, point):
+        visible = visible_satellites(constellation, point, 0.0, min_elevation_deg=-90.0)
+        assert len(visible) == len(constellation)
+        return np.array([v.slant_range_km for v in visible])
+
     def test_minimum_at_least_altitude(self, shell1_constellation, equator_point):
-        ranges = slant_ranges_km(shell1_constellation, equator_point, 0.0)
-        assert ranges.min() >= 550.0 - 1.0
+        assert self.ranges(shell1_constellation, equator_point).min() >= 550.0 - 1.0
 
     def test_maximum_bounded_by_geometry(self, shell1_constellation, equator_point):
-        ranges = slant_ranges_km(shell1_constellation, equator_point, 0.0)
+        ranges = self.ranges(shell1_constellation, equator_point)
         # No satellite can be farther than Earth diameter + orbit diameter.
         assert ranges.max() < 2 * (6371.0 + 550.0) + 1.0
 
@@ -106,14 +110,8 @@ class TestNearestVisible:
 
 class TestCoverage:
     def test_shell1_equator_continuous_coverage(self, shell1_constellation, equator_point):
-        fraction = coverage_fraction(
-            shell1_constellation, equator_point, duration_s=600.0, step_s=60.0
-        )
-        assert fraction == 1.0
-
-    def test_invalid_duration_raises(self, shell1_constellation, equator_point):
-        with pytest.raises(VisibilityError):
-            coverage_fraction(shell1_constellation, equator_point, duration_s=0.0)
+        for t in range(0, 600, 60):
+            assert visible_satellites(shell1_constellation, equator_point, float(t))
 
 
 class TestMaxSlantRange:
@@ -136,10 +134,10 @@ class TestMaxSlantRange:
 def _shell(name: str):
     if name == "smoke-shell":
         return small_constellation()
-    return build_walker_delta(next(s for s in all_shell_presets() if s.name == name))
+    return build_walker_delta(next(s for s in shell_presets() if s.name == name))
 
 
-_SHELL_NAMES = tuple(s.name for s in all_shell_presets()) + ("smoke-shell",)
+_SHELL_NAMES = tuple(s.name for s in shell_presets()) + ("smoke-shell",)
 
 _POINTS = st.builds(
     GeoPoint,
@@ -210,7 +208,6 @@ class TestAgainstDenseReference:
                 _assert_elevations_close(
                     [s.elevation_deg for s in view], elevations[order]
                 )
-            assert np.array_equal(slant_ranges_km(constellation, point, t_s), ranges)
             _assert_elevations_close(
                 elevations_deg(constellation, point, t_s), elevations
             )

@@ -254,8 +254,6 @@ class TestOverloadModel:
         assert draws == [model.priority_of(i) for i in range(64)]
         assert set(draws) <= {0, 1, 2}
         assert draws.count(0) > draws.count(1) + draws.count(2)  # weight 0.7
-        with pytest.raises(ConfigurationError):
-            model.validate_priority(3)
 
     def test_breakers_are_lazy_and_per_target(self):
         model = self.model()

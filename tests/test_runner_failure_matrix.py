@@ -290,7 +290,8 @@ class TestFailureMatrix:
         assert ("s00" in store.completed_shards(("s00",))) == (st.where == "done")
         executed = MAX_SHARDS if event == "max-shards" else int(st.where == "done")
         assert pool.executed == executed
-        record = store.load_quarantine_record()
+        path = store.quarantine_record_path
+        record = json.loads(path.read_text()) if path.exists() else None
         if st.where == "quarantined":
             assert record["shards"]["s00"]["attempts"] == 1
             assert len(record["shards"]["s00"]["failures"]) == 1

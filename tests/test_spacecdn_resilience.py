@@ -12,12 +12,13 @@ from repro.spacecdn.resilience import (
     placement_under_failures,
     random_failure_set,
 )
+from serve_reference import has_satellite
 
 
 class TestFailSatellites:
     def test_nodes_removed(self, small_snapshot):
         degraded = fail_satellites(small_snapshot, frozenset({0, 1, 2}))
-        assert not degraded.has_satellite(0)
+        assert not has_satellite(degraded, 0)
         assert len(degraded.satellite_nodes()) == len(
             small_snapshot.satellite_nodes()
         ) - 3

@@ -333,6 +333,12 @@ class TestCohortValidation:
                     [USERS[0]], [OBJECTS[0]], float("inf")
                 ),
             ),
+            (
+                True,
+                lambda system: system.serve_batch(
+                    [USERS[0]], [OBJECTS[0]], 0.0, priorities=[3]
+                ),
+            ),
         ],
         ids=[
             "priorities-without-model",
@@ -340,6 +346,7 @@ class TestCohortValidation:
             "priorities-length",
             "nan-time",
             "inf-time",
+            "priority-out-of-range",
         ],
     )
     def test_rejected_call_changes_nothing(self, with_model, bad_call):

@@ -6,7 +6,7 @@ from repro.errors import DatasetError
 from repro.geo.coordinates import great_circle_km
 from repro.geo.datasets.ground_stations import all_ground_stations
 from repro.geo.datasets.pops import all_pops
-from repro.topology.ground import GroundSegment, GroundStation, PointOfPresence
+from repro.topology.ground import GroundSegment, GroundStation
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ class TestGroundStation:
     def test_wraps_site(self, segment):
         station = segment.stations[0]
         assert isinstance(station, GroundStation)
-        assert station.node_name.startswith("gs:")
+        assert station.name == station.site.name
 
     def test_backhaul_latency_positive_and_bounded(self, segment):
         for station in segment.stations:
@@ -32,13 +32,6 @@ class TestGroundStation:
         )
         nearest, farthest = by_distance[0], by_distance[-1]
         assert nearest.backhaul_latency_ms() < farthest.backhaul_latency_ms()
-
-
-class TestPointOfPresence:
-    def test_node_name(self, segment):
-        pop = segment.pops[0]
-        assert isinstance(pop, PointOfPresence)
-        assert pop.node_name.startswith("pop:")
 
 
 class TestGroundSegment:
@@ -61,5 +54,5 @@ class TestGroundSegment:
     def test_every_pop_with_stations_is_consistent(self, segment):
         for pop in segment.pops:
             for gs in segment.stations_for_pop(pop.name):
-                assert gs.pop.name == pop.name
+                assert gs.site.pop.name == pop.name
 

@@ -34,10 +34,22 @@ from repro.geo.coordinates import GeoPoint
 from repro.geo.datasets.cities import City
 from repro.geo.datasets.pops import assigned_pop
 from repro.network.access import access_latency_ms
+from repro.orbits.elements import (
+    ShellConfig,
+    oneweb_phase1,
+    starlink_shell1,
+    starlink_shell3,
+    starlink_vleo,
+)
 from repro.orbits.visibility import visible_satellites
 from repro.topology import fastcore
 from repro.topology.graph import SnapshotGraph
 from repro.topology.ground import GroundSegment
+
+
+def shell_presets() -> tuple[ShellConfig, ...]:
+    """Every built-in shell preset, for tests that sweep all of them."""
+    return (starlink_shell1(), starlink_shell3(), starlink_vleo(), oneweb_phase1())
 
 
 # -- graph views ---------------------------------------------------------------
@@ -229,7 +241,7 @@ class GraphPathRouter:
         """Attach every gateway of a PoP; returns (node, backhaul one-way ms)."""
         nodes = []
         for gateway in self.ground.stations_for_pop(pop_name):
-            node = gateway.node_name
+            node = f"gs:{gateway.name}"
             try:
                 self._attach(
                     node,

@@ -11,8 +11,11 @@ ground truth the cone-culled kernel is verified against
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.constants import EARTH_RADIUS_KM
 from repro.geo.coordinates import GeoPoint
 from repro.orbits.walker import Constellation
 
@@ -43,3 +46,16 @@ def dense_view(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`point_view` of the whole constellation at ``t_s``."""
     return point_view(constellation.positions_ecef(t_s), point)
+
+
+def max_slant_range_km(altitude_km: float, min_elevation_deg: float) -> float:
+    """Slant range to a satellite at ``altitude_km`` seen exactly at the
+    elevation mask: the law of sines on the Earth-centre / observer /
+    satellite triangle. The upper bound of every usable slant range."""
+    re = EARTH_RADIUS_KM
+    rs = re + altitude_km
+    elev = math.radians(min_elevation_deg)
+    # Angle at the satellite vertex.
+    sat_angle = math.asin(re * math.cos(elev) / rs)
+    earth_angle = math.pi / 2.0 - elev - sat_angle
+    return math.sqrt(re * re + rs * rs - 2.0 * re * rs * math.cos(earth_angle))
