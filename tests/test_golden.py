@@ -9,10 +9,14 @@ here unchanged.
 experiment runs one shard plan, so the in-memory run, ``--out-dir <dir>``
 and ``--out-dir <dir> --jobs 2`` must each print exactly these bytes.
 ``examples/<name>.txt`` pins the stdout of ``examples/<name>.py``.
-``payloads.json`` pins, at full precision, the sha256 of ``repr`` of every
-shard payload of the measurement experiments at seed 7 (and of the Fig. 7/8
-``aim`` baseline shards): the text goldens round to 1-2 decimals, so only
-these digests catch a last-bit drift in the AIM/NetMet draws. Its
+``payloads.json`` pins, at full precision, a sha256 of every shard payload
+of the measurement experiments and the chaos/overload sweeps at seed 7 (and
+of the Fig. 7/8 ``aim`` baseline shards): the text goldens round to 1-2
+decimals, so only these digests catch a last-bit drift in the AIM/NetMet
+draws or the serve walk. A measurement payload's digest is over its
+``repr``. A sweep payload's digest is the runner's own checkpoint checksum,
+over :func:`~repro.runner.store.canonical_json`: it covers the payload's
+key set and values, not its key order. Its
 ``_toolchain`` entry records the Python, numpy and scipy versions the
 goldens were made with; every golden mismatch prints them beside the
 running ones, since a numpy release that changes a sampler's algorithm
@@ -48,6 +52,7 @@ import scipy
 
 from repro.cli import main
 from repro.obs.recorder import reset_recorder
+from repro.runner.store import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -77,7 +82,11 @@ PAYLOAD_SHARDS: dict[str, tuple[str, ...] | None] = {
     "figure5": None,
     "figure7": ("aim",),
     "figure8": ("aim",),
+    "chaos": None,
+    "overload": None,
 }
+CANONICAL_PAYLOADS = frozenset({"chaos", "overload"})
+"""Experiments whose digest is over ``canonical_json``, not ``repr``."""
 TOOLCHAIN_KEY = "_toolchain"
 """The ``payloads.json`` entry that records the versions, not an experiment."""
 
@@ -164,12 +173,13 @@ def run_example(name: str) -> str:
 
 
 def payload_digests(experiment: str) -> dict[str, str]:
-    """sha256 of ``repr`` of each pinned shard payload at seed 7, by shard id."""
+    """sha256 of each pinned shard payload at seed 7, by shard id."""
     module = importlib.import_module(f"repro.experiments.{experiment}")
     plan = module.build_plan(seed=PAYLOAD_SEED)
     shard_ids = PAYLOAD_SHARDS[experiment] or plan.shard_ids
+    encode = canonical_json if experiment in CANONICAL_PAYLOADS else repr
     return {
-        shard_id: hashlib.sha256(repr(plan.run_shard(shard_id)).encode()).hexdigest()
+        shard_id: hashlib.sha256(encode(plan.run_shard(shard_id)).encode()).hexdigest()
         for shard_id in shard_ids
     }
 
