@@ -1,19 +1,16 @@
-"""Shared experiment infrastructure: defaults, AIM datasets, sweep merges.
+"""Shared experiment infrastructure: defaults and AIM datasets.
 
 Caches the synthetic AIM datasets so the per-figure modules and the
-benchmark suite don't rebuild them repeatedly within one process, and holds
-the merge of raw sweep points that chaos and overload share. Constellation
-helpers live in :mod:`repro.experiments.shells`; this module imports no
-topology, so the measurement experiments load none.
+benchmark suite don't rebuild them repeatedly within one process.
+Constellation helpers live in :mod:`repro.experiments.shells` and the
+request-level sweep scaffold in :mod:`repro.experiments.sweep`; this
+module imports no topology, so the measurement experiments load none.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
-from repro.analysis.quantiles import sample_quantiles
 from repro.errors import DatasetError
 from repro.geo.datasets.cities import all_cities
 from repro.measurements.aim import AimDataset, AimGenerator
@@ -55,28 +52,3 @@ def country_aim_dataset(
 def gazetteer_countries() -> tuple[str, ...]:
     """Every country with at least one gazetteer city, sorted by ISO code."""
     return tuple(sorted({c.iso2 for c in all_cities()}))
-
-
-def p50_p99(samples: list[float]) -> tuple[float, float]:
-    """The p50 and p99 of RTT samples (NaN for no samples)."""
-    p50, p99 = sample_quantiles(samples, (0.5, 0.99))
-    return p50, p99
-
-
-def points_from_raw(raw_points: list[dict], point_cls: type) -> tuple:
-    """Fold raw sweep points (in sweep order) into ``point_cls`` instances,
-    computing p50/p99 inflation against the first non-NaN baseline."""
-    points = []
-    baseline_p50 = baseline_p99 = float("nan")
-    for raw in raw_points:
-        p50, p99 = raw["p50_rtt_ms"], raw["p99_rtt_ms"]
-        if np.isnan(baseline_p50):
-            baseline_p50, baseline_p99 = p50, p99
-        points.append(
-            point_cls(
-                p50_inflation=p50 / baseline_p50 if baseline_p50 else float("nan"),
-                p99_inflation=p99 / baseline_p99 if baseline_p99 else float("nan"),
-                **raw,
-            )
-        )
-    return tuple(points)

@@ -1,29 +1,23 @@
 """Constellation helpers of the SpaceCDN simulations (Figs. 7-8, chaos, overload).
 
-Caches the Shell-1 constellation and its snapshots so the simulation
-modules and the benchmark suite don't rebuild them repeatedly within one
-process, and holds the pieces the two request-level sweeps (chaos,
-overload) share: the shell choice, catalog, preload and request stream.
-The measurement experiments (Table 1, Figs. 2-5, geo-blocking) never
-import this module, so they load no topology, routing kernels or
-workloads.
+Caches the Shell-1 and smoke-shell constellations and the Shell-1
+snapshots so the simulation modules and the benchmark suite don't rebuild
+them repeatedly within one process. The measurement experiments (Table 1,
+Figs. 2-5, geo-blocking) never import this module, so they load no
+topology or routing kernels. The request-level sweeps' catalog, request
+stream and serve walk live in :mod:`repro.experiments.sweep`, so Figs. 7-8
+load none of them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.cdn.content import Catalog, build_catalog
-from repro.errors import ConfigurationError
 from repro.experiments.common import DEFAULT_SEED
-from repro.geo.datasets.cities import all_cities
 from repro.orbits.elements import ShellConfig, starlink_shell1
 from repro.orbits.walker import Constellation, build_walker_delta
-from repro.simulation.sampler import EpochSampler, seeded_rng
-from repro.spacecdn.placement import KPerPlanePlacement
+from repro.simulation.sampler import EpochSampler
 from repro.topology.graph import SnapshotGraph, build_snapshot
-from repro.workloads.regional import RegionalPopularity, RegionalRequestMixer
-from repro.workloads.requests import Request, RequestGenerator
 
 
 @lru_cache(maxsize=2)
@@ -66,75 +60,3 @@ def shell1_epochs(num_epochs: int, seed: int = DEFAULT_SEED) -> list[float]:
         period_s=starlink_shell1().period_s, num_epochs=num_epochs, seed=seed
     )
     return sampler.epochs()
-
-
-# -- the request-level sweeps (chaos, overload) --------------------------------
-
-SWEEP_CATALOG_REGIONS: tuple[str, ...] = ("africa", "europe")
-"""Home regions of the sweeps' catalog and of the cities that request it."""
-
-SWEEP_STREAM_DURATION_S = 300.0
-"""Request streams span five snapshot slots, so faults, per-slot capacity
-resets and breaker cooldowns interact with the rotating topology, not a
-single frozen graph."""
-
-
-def sweep_constellation(shell: str) -> Constellation:
-    """The shell a sweep runs on: ``"shell1"`` or the ``"small"`` smoke shell."""
-    if shell == "shell1":
-        return shell1_constellation()
-    if shell == "small":
-        return small_constellation()
-    raise ConfigurationError(f"unknown shell {shell!r}; choose 'shell1' or 'small'")
-
-
-def sweep_catalog(
-    seed: int, salt: int, constellation: Constellation
-) -> tuple[Catalog, dict[str, frozenset[int]]]:
-    """A sweep's 120-object web catalog (drawn from ``seeded_rng(seed,
-    salt)``) and its preload: every region's top 10 objects, one copy per
-    orbital plane."""
-    catalog = build_catalog(
-        seeded_rng(seed, salt),
-        120,
-        regions=SWEEP_CATALOG_REGIONS,
-        kind_weights={"web": 1.0},
-    )
-    placement = KPerPlanePlacement(copies_per_plane=1)
-    popular = RegionalPopularity(catalog=catalog, seed=seed)
-    preload = {
-        object_id: placement.place_object(object_id, constellation.config)
-        for region in popular.regions()
-        for object_id in popular.top_objects(region, 10)
-    }
-    return catalog, preload
-
-
-def sweep_requests(
-    catalog: Catalog,
-    num_requests: int,
-    seed: int,
-    mixer_salt: int,
-    stream_salt: int,
-) -> list[Request]:
-    """A time-ordered Poisson stream over the catalog's home regions.
-
-    The object mix draws from ``seeded_rng(seed, mixer_salt)`` and the
-    arrivals from ``seeded_rng(seed, stream_salt)``.
-    """
-    cities = tuple(
-        c for c in all_cities() if c.country.region in SWEEP_CATALOG_REGIONS
-    )
-    if not cities:
-        raise ConfigurationError("no cities in the catalog regions")
-    mixer = RegionalRequestMixer(
-        popularity=RegionalPopularity(catalog=catalog, seed=seed),
-        rng=seeded_rng(seed, mixer_salt),
-    )
-    generator = RequestGenerator(
-        cities=cities,
-        mixer=mixer,
-        requests_per_second_total=num_requests / SWEEP_STREAM_DURATION_S,
-        rng=seeded_rng(seed, stream_salt),
-    )
-    return generator.generate_list(SWEEP_STREAM_DURATION_S)

@@ -316,15 +316,30 @@ class TestBatchFlag:
     def test_chaos_scalar_reference_matches_batch(self, monkeypatch):
         """The chaos sweep served by the per-request reference walker
         prints exactly what the cohort walk prints."""
-        from repro.experiments import chaos
+        from repro.experiments import chaos, sweep
 
         kwargs = dict(
             seed=SEED, num_requests=40, fractions=(0.0, 0.2), shell="small"
         )
         batched = chaos.run(**kwargs)
-        monkeypatch.setattr(chaos, "SpaceCdnSystem", ReferenceCdn)
+        monkeypatch.setattr(sweep, "SpaceCdnSystem", ReferenceCdn)
         scalar = chaos.run(**kwargs)
         assert chaos.format_result(batched) == chaos.format_result(scalar)
+
+    def test_overload_scalar_reference_matches_batch(self, monkeypatch):
+        """The overload sweep, flash crowd included, served by the
+        per-request reference walker prints exactly what the cohort walk
+        prints."""
+        from repro.experiments import overload, sweep
+
+        kwargs = dict(
+            seed=SEED, num_requests=30, loads=(0.5, 2.0), shell="small",
+            capacity=1.0, ground_capacity=3.0, flash_crowd=(60.0, 240.0, 1.0),
+        )
+        batched = overload.run(**kwargs)
+        monkeypatch.setattr(sweep, "SpaceCdnSystem", ReferenceCdn)
+        scalar = overload.run(**kwargs)
+        assert overload.format_result(batched) == overload.format_result(scalar)
 
     def test_resumed_run_byte_identical_same_flag(self, tmp_path, capsys):
         from repro.cli import EXIT_INTERRUPTED, main

@@ -418,6 +418,14 @@ _SIMULATION_MODULES = (
 )
 """What a measurement experiment must not load (a name or its submodules)."""
 
+_SERVE_MODULES = (
+    "repro.spacecdn.system",
+    "repro.overload",
+    "repro.faults",
+    "repro.workloads",
+)
+"""What Figs. 7-8 must not load: the request-level sweeps' serve walk."""
+
 
 def _modules_loaded_by(code: str) -> list[str]:
     """The ``sys.modules`` names after ``code`` runs in a fresh interpreter."""
@@ -450,12 +458,12 @@ def test_list_imports_only_the_cli():
 
 @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
 def test_experiment_imports_only_what_it_uses(experiment):
-    """An experiment module loads no other experiment (``common`` and
-    ``shells`` are shared helpers), and a measurement experiment loads no
-    scipy, routing kernel, serve, fault, overload, workload or obs tooling
-    module."""
+    """An experiment module loads no other experiment (``common``,
+    ``shells`` and ``sweep`` are shared helpers); a measurement experiment
+    loads no scipy, routing kernel, serve, fault, overload, workload or obs
+    tooling module; and Figs. 7-8 load no request-level serve walk."""
     loaded = _modules_loaded_by(f"import repro.experiments.{experiment}")
-    shared = {"common", "shells", experiment}
+    shared = {"common", "shells", "sweep", experiment}
     others = [
         m
         for m in loaded
@@ -469,6 +477,13 @@ def test_experiment_imports_only_what_it_uses(experiment):
             if any(m == p or m.startswith(p + ".") for p in _SIMULATION_MODULES)
         ]
         assert not heavy, f"{experiment} imported {heavy}"
+    if experiment in ("figure7", "figure8"):
+        serve = [
+            m
+            for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in _SERVE_MODULES)
+        ]
+        assert not serve, f"{experiment} imported {serve}"
 
 
 @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))

@@ -18,9 +18,8 @@ from repro.experiments.shells import (
     shell1_epochs,
     shell1_snapshot,
     small_constellation,
-    sweep_catalog,
-    sweep_requests,
 )
+from repro.experiments.sweep import sweep_catalog, sweep_requests
 from repro.faults.processes import OutageWindow
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule, apply_fault_view

@@ -11,7 +11,8 @@ import pytest
 import workloads_reference
 from repro.cdn.content import build_catalog
 from repro.errors import ConfigurationError
-from repro.experiments.shells import sweep_catalog, sweep_requests
+from repro.experiments import chaos, overload
+from repro.experiments.sweep import sweep_catalog, sweep_requests
 from repro.geo.datasets.cities import city_by_name
 from repro.workloads.regional import (
     RegionalPopularity,
@@ -100,8 +101,8 @@ class TestRequestGenerator:
 
 # (catalog, mixer, stream) salts of the two request-level sweeps.
 SWEEP_SALTS = {
-    "chaos": (0xC4A07, 0xC4A05, 0xC4A06),
-    "overload": (0x0BAD2, 0x0BAD0, 0x0BAD1),
+    spec.experiment: (spec.catalog_salt, *spec.stream_salts)
+    for spec in (chaos.SWEEP, overload.SWEEP)
 }
 
 

@@ -6,7 +6,7 @@ cities, regional object popularity) through
 This module keeps the plain form those draws had before: one
 ``Generator.choice(n, p=weights)`` call per draw, the region list re-sorted
 on every call. :func:`sweep_catalog` and :func:`sweep_requests` compose
-them exactly as :mod:`repro.experiments.shells` does, so the tests can
+them exactly as :mod:`repro.experiments.sweep` does, so the tests can
 check that both give equal catalogs, preloads and request streams.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cdn.content import _SIZE_MODELS, Catalog, ContentObject
-from repro.experiments.shells import SWEEP_CATALOG_REGIONS, SWEEP_STREAM_DURATION_S
+from repro.experiments.sweep import SWEEP_CATALOG_REGIONS, SWEEP_STREAM_DURATION_S
 from repro.geo.datasets.cities import City, all_cities
 from repro.orbits.walker import Constellation
 from repro.simulation.sampler import seeded_rng
